@@ -64,11 +64,9 @@ func main() {
 		metricsAddr    = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and /debug/trace on this address")
 		addrFile       = flag.String("addr-file", "", "write the bound api= and metrics= addresses to this file (for scripted smokes)")
 		logLevel       = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		workers        = flag.Int("workers", runtime.GOMAXPROCS(0), "verification workers")
-		shardCount     = flag.Int("shards", runtime.GOMAXPROCS(0), "origin-AS shards for the database and verifier (1 = single-shard engine; reports are byte-identical at any count)")
+		shardCount     = flag.Int("shards", runtime.GOMAXPROCS(0), "origin-AS shards for the database and verifier, one goroutine each (reports are byte-identical at any count)")
 		cacheEntries   = flag.Int("cache-entries", 8192, "response cache capacity (entries; negative disables)")
 		pageSize       = flag.Int("page-size", 100, "default page length")
-		evalMode       = flag.String("eval", "compiled", "evaluation engine: 'compiled' or 'interp'")
 		mirrorDir      = flag.String("mirror", "", "watch this directory for *.nrtm journals; re-verify and hot-swap the store after each applied journal")
 		mirrorInterval = flag.Duration("mirror-interval", 2*time.Second, "journal directory poll interval for -mirror")
 		fullReverify   = flag.Bool("full-reverify", false, "re-verify every route on every applied journal instead of only the routes the journal's delta can affect")
@@ -134,7 +132,7 @@ func main() {
 		logger.Info("metrics endpoint listening", "addr", metricsBound)
 	}
 
-	vcfg := verify.Config{Eval: *evalMode, Shards: *shardCount}
+	vcfg := verify.Config{Shards: *shardCount}
 	profiler := verify.NewProfiler(*topK)
 	profiler.Register(tracer)
 	shardMetrics := shard.NewMetrics(reg)
@@ -170,7 +168,7 @@ func main() {
 		shardMetrics.ObservePlan(db.ShardRouteCounts())
 		b := reportstore.NewBuilder()
 		vs := root.Child("verify-stream")
-		v.VerifyStream(routes, *workers, b.Add)
+		v.VerifyStream(routes, *shardCount, b.Add)
 		vs.End()
 		sb := root.Child("store-build")
 		snap := b.Build()
@@ -204,13 +202,8 @@ func main() {
 	// Mirror mode re-verifies incrementally by default: the dependency
 	// graph recorded at compile time invalidates only the programs and
 	// routes each journal's delta can affect. Full rebuilds remain for
-	// -full-reverify, -import (no engine state to patch), and the
-	// interpreter (no compiled programs to track).
+	// -full-reverify and -import (no engine state to patch).
 	incremental := *mirrorDir != "" && *importPath == "" && !*fullReverify
-	if incremental && *evalMode == "interp" {
-		logger.Warn("incremental re-verification requires the compiled engine; falling back to full rebuilds", "eval", *evalMode)
-		incremental = false
-	}
 	var inc *verify.Incremental
 
 	if *importPath != "" {
@@ -249,7 +242,7 @@ func main() {
 			func() float64 { return float64(inc.GraphStats().Edges) })
 		t0 := time.Now()
 		root := tracer.Start("rebuild", "initial-verify")
-		inc.Init(routes, *workers)
+		inc.Init(routes, *shardCount)
 		snap := reportstore.BuildSnapshot(inc.Reports())
 		if storeMetrics != nil {
 			storeMetrics.BuildSeconds.ObserveSince(t0)
@@ -286,7 +279,7 @@ func main() {
 				t0 := time.Now()
 				shardMetrics.ObservePlan(db.ShardRouteCounts())
 				root := trace.StartOrChild(tracer, parent, "rebuild", "reverify")
-				res := inc.Reverify(db, touched, *workers, root)
+				res := inc.Reverify(db, touched, *shardCount, root)
 				rm.routes.Add(int64(res.Routes))
 				rm.programs.Add(int64(len(res.Programs)))
 				if res.Full {
@@ -301,7 +294,7 @@ func main() {
 				applies++
 				if *reconcileEvery > 0 && !res.Full && applies%*reconcileEvery == 0 {
 					rc := root.Child("reconcile")
-					rec := inc.Reconcile(*workers)
+					rec := inc.Reconcile(*shardCount)
 					rc.SetInt("drift", int64(rec.Drift)).End()
 					rm.reconciles.Inc()
 					rm.drift.Add(int64(rec.Drift))

@@ -43,13 +43,10 @@ func main() {
 		relsPath  = flag.String("rels", "data/as-rel.txt", "CAIDA-format AS relationship file")
 		routes    = flag.String("routes", "data/routes.txt", "BGP route dump file")
 		oneRoute  = flag.String("route", "", "verify a single 'prefix|asn asn ...' route instead")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "verification workers")
-		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "origin-AS shards for the database and verifier (1 = single-shard engine; output is byte-identical at any count)")
+		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "origin-AS shards for the database and verifier, one goroutine each (output is byte-identical at any count)")
 		printRep  = flag.Bool("report", false, "print per-hop reports")
 		jsonOut   = flag.String("json", "", "write per-route reports as JSON lines to this file ('-' for stdout; importable by reportd -import)")
-		useCache  = flag.Bool("cache", false, "memoize whole-route results (collector feeds overlap)")
 		paperMode = flag.Bool("paper-skips", false, "skip complex regexes like the published RPSLyzer")
-		evalMode  = flag.String("eval", "compiled", "evaluation engine: 'compiled' (precompiled policy programs) or 'interp' (tree-walking escape hatch)")
 		changed   = flag.String("changed", "", "file of changed-object keys (one 'kind:operand' per line); incrementally re-verify only affected routes and print the affected ASes")
 		slowest   = flag.Int("slowest", 0, "after verifying, print the N slowest routes/ASes and hottest compiled programs (heavy-hitter estimates)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -91,12 +88,7 @@ func main() {
 	if err != nil {
 		telemetry.Fatal("load relationships failed", "err", err)
 	}
-	vcfg := verify.Config{
-		Eval:             *evalMode,
-		SkipComplexRegex: *paperMode,
-		EnableRouteCache: *useCache,
-		Shards:           *shards,
-	}
+	vcfg := verify.Config{SkipComplexRegex: *paperMode, Shards: *shards}
 	db, verifier := core.BuildFromIR(x, rels, vcfg)
 	var prof *verify.Profiler
 	if *slowest > 0 {
@@ -126,10 +118,10 @@ func main() {
 			telemetry.Fatal("incremental engine failed", "err", err)
 		}
 		t0 := time.Now()
-		inc.Init(rts, *workers)
+		inc.Init(rts, *shards)
 		baseline := time.Since(t0)
 		t1 := time.Now()
-		res := inc.Reverify(db, keys, *workers, nil)
+		res := inc.Reverify(db, keys, *shards, nil)
 		stats := inc.GraphStats()
 		fmt.Printf("baseline: verified %d routes in %v (depgraph: %d programs, %d keys, %d edges)\n",
 			len(rts), baseline.Round(time.Millisecond), stats.Programs, stats.Keys, stats.Edges)
@@ -186,15 +178,15 @@ func main() {
 			}
 		}
 	} else {
-		verifier.VerifyStream(rts, *workers, agg.Add)
+		verifier.VerifyStream(rts, *shards, agg.Add)
 	}
 	elapsed := time.Since(start)
 
 	total := agg.Checks.Total()
 	fr := agg.Checks.Fractions()
-	fmt.Printf("verified %d routes (%d checks) in %v (%.0f routes/s, %d workers)\n",
+	fmt.Printf("verified %d routes (%d checks) in %v (%.0f routes/s, %d shards)\n",
 		agg.Routes, total, elapsed.Round(time.Millisecond),
-		float64(agg.Routes)/elapsed.Seconds(), *workers)
+		float64(agg.Routes)/elapsed.Seconds(), *shards)
 	fmt.Printf("ignored: %d AS-set routes, %d single-AS routes\n", agg.IgnoredASSet, agg.IgnoredSingleAS)
 	for st := verify.Verified; st <= verify.Unverified; st++ {
 		fmt.Printf("  %-11s %9d  (%.2f%%)\n", st, agg.Checks[st], 100*fr[st])
@@ -204,9 +196,6 @@ func main() {
 	fmt.Printf("  verified=%.2f%% unrecorded=%.2f%% relaxed=%.2f%% safelisted=%.2f%% unverified=%.2f%%\n",
 		100*fh[verify.Verified], 100*fh[verify.Unrecorded], 100*fh[verify.Relaxed],
 		100*fh[verify.Safelisted], 100*fh[verify.Unverified])
-	if *useCache {
-		fmt.Printf("route cache hits: %d\n", verifier.CacheHits())
-	}
 	if prof != nil {
 		printTopK("slowest routes", prof.SlowRoutes, *slowest)
 		printTopK("slowest origin ASes", prof.SlowASes, *slowest)

@@ -108,6 +108,10 @@ type flightGroup struct {
 type flightCall struct {
 	done chan struct{}
 	ent  cacheEntry
+	// waiters counts the callers parked on done (guarded by
+	// flightGroup.mu), so tests can wait for "N callers are parked"
+	// instead of guessing with a sleep.
+	waiters int
 }
 
 func newFlightGroup() *flightGroup {
@@ -122,6 +126,7 @@ func newFlightGroup() *flightGroup {
 func (g *flightGroup) Do(key string, render func() cacheEntry) (ent cacheEntry, shared bool) {
 	g.mu.Lock()
 	if call, ok := g.m[key]; ok {
+		call.waiters++
 		g.mu.Unlock()
 		<-call.done
 		return call.ent, true

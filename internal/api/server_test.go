@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -403,22 +404,23 @@ func TestSingleflightCollapse(t *testing.T) {
 			}
 		}()
 	}
-	// Give followers time to pile onto the leader's call.
-	for {
+	// Release the leader only once all seven followers are parked on its
+	// call; releasing earlier lets late arrivals start fresh flights.
+	for parked := 0; parked < 7; {
 		fg.mu.Lock()
-		n := len(fg.m)
-		fg.mu.Unlock()
-		if n == 1 {
-			break
+		if call := fg.m["k"]; call != nil {
+			parked = call.waiters
 		}
+		fg.mu.Unlock()
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
 	if renders != 1 {
 		t.Errorf("renders = %d, want 1", renders)
 	}
-	if shared == 0 {
-		t.Error("no caller observed a shared result")
+	if shared != 7 {
+		t.Errorf("shared = %d, want 7", shared)
 	}
 }
 

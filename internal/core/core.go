@@ -55,8 +55,8 @@ type Options struct {
 	Collectors int
 	// Shards partitions the route database and the verifier's bulk
 	// drivers by origin-AS shard (see irr.NewSharded and
-	// verify.Config.Shards). <= 1 keeps the single-shard engine; the
-	// verifier additionally honors Verify.Shards if that is set higher.
+	// verify.Config.Shards). <= 1 keeps the database in one part; an
+	// explicit Verify.Shards takes precedence for the verifier.
 	Shards int
 	// Verify tunes the verifier.
 	Verify verify.Config

@@ -59,8 +59,8 @@ type autnumProg struct {
 // bake returns a reasons slice with cap == len so it is safe to share
 // across program executions: consumers only ever append to reason
 // slices (an append on a full slice reallocates instead of scribbling
-// on the shared backing array) or hand them to dedupReasons, which
-// clones before sorting.
+// on the shared backing array) or copy them into the check's scratch
+// accumulator (execAutNum), which is what gets sorted.
 func bake(rs ...Reason) []Reason { return slices.Clip(rs) }
 
 // accumulate adds one shared baked reason to an accumulator without

@@ -31,13 +31,12 @@ type evalCtx struct {
 	// for the optional community-interpretation mode.
 	communities []bgpsim.Community
 	// scratch is a reusable reason accumulator for the compiled
-	// engine; execAutNum appends into it and dedupReasons copies out,
-	// so the buffer (and its grown capacity) survives across the
-	// checks of a route.
+	// engine; execAutNum appends into it and the arena's dedupReasons
+	// copies out, so the buffer (and its grown capacity) survives
+	// across the checks of a route.
 	scratch []Reason
-	// arena, when non-nil, backs the check's retained reason slices
-	// with block-allocated storage (the sharded drivers); when nil the
-	// legacy per-check allocations are used, byte-for-byte as before.
+	// arena backs the check's retained reason slices and carries the
+	// per-goroutine memos; never nil.
 	arena *reportArena
 }
 

@@ -352,38 +352,6 @@ func TestReasonStringForms(t *testing.T) {
 	}
 }
 
-func TestRouteCacheConsistency(t *testing.T) {
-	text := basicRPSL
-	vPlain := fixture(t, text, nil, Config{})
-	vCached := fixture(t, text, nil, Config{EnableRouteCache: true})
-	routes := []bgpsim.Route{
-		route("192.0.2.0/24", 100, 200),
-		route("192.0.2.0/24", 100, 200), // duplicate: must hit
-		route("198.51.100.0/24", 100, 200),
-		route("192.0.2.0/24", 999, 200),
-	}
-	for i, r := range routes {
-		a := vPlain.VerifyRoute(r)
-		b := vCached.VerifyRoute(r)
-		if len(a.Checks) != len(b.Checks) {
-			t.Fatalf("route %d: check counts differ", i)
-		}
-		for j := range a.Checks {
-			if a.Checks[j].Status != b.Checks[j].Status {
-				t.Fatalf("route %d check %d: %v vs %v", i, j, a.Checks[j], b.Checks[j])
-			}
-		}
-	}
-	if vCached.CacheHits() != 1 {
-		t.Errorf("cache hits = %d, want 1", vCached.CacheHits())
-	}
-	// The cached report must still carry the caller's route.
-	rep := vCached.VerifyRoute(routes[0])
-	if rep.Route.Prefix.Compare(routes[0].Prefix) != 0 {
-		t.Error("cached report lost route identity")
-	}
-}
-
 func TestCommunityInterpretationMode(t *testing.T) {
 	text := `
 aut-num: AS1

@@ -15,7 +15,8 @@ import (
 // and registers the key set — the loser of a concurrent compile skips
 // registration, since the winner records an identical set.
 func (v *Verifier) program(an *ir.AutNum) *autnumProg {
-	if p, ok := v.progCache.Load(an); ok {
+	d := v.d
+	if p, ok := d.programs.Load(an); ok {
 		v.metrics.programCacheHit()
 		return p.(*autnumProg)
 	}
@@ -33,13 +34,13 @@ func (v *Verifier) program(an *ir.AutNum) *autnumProg {
 			SetInt("rules", int64(len(an.Imports)+len(an.Exports)))
 		tsp.End()
 	}
-	if actual, loaded := v.progCache.LoadOrStore(an, p); loaded {
+	if actual, loaded := d.programs.LoadOrStore(an, p); loaded {
 		return actual.(*autnumProg)
 	}
 	if v.graph != nil {
 		v.graph.SetProgram(an.ASN, rec.Keys())
 	}
-	v.metrics.programCompiled(v.progCount.Add(1))
+	v.metrics.programCompiled(d.progCount.Add(1))
 	return p
 }
 
@@ -48,18 +49,14 @@ func (v *Verifier) program(an *ir.AutNum) *autnumProg {
 // the ladder wins, Verified short-circuits, diagnostics accumulate.
 func (v *Verifier) execAutNum(an *ir.AutNum, ctx *evalCtx) (Status, []Reason) {
 	// The arena memoizes the last program looked up: consecutive checks
-	// share their self AS, so this skips half the cache-map loads. Keyed
-	// by the aut-num pointer, so a database swap can never alias.
-	var prog *autnumProg
-	if a := ctx.arena; a != nil && a.lastProgAN == an {
-		prog = a.lastProg
-		v.metrics.programCacheHit()
+	// share their self AS, so this skips half the cache-map loads.
+	a := ctx.arena
+	if a.lastProgAN != an {
+		a.lastProgAN, a.lastProg = an, v.program(an)
 	} else {
-		prog = v.program(an)
-		if a != nil {
-			a.lastProgAN, a.lastProg = an, prog
-		}
+		v.metrics.programCacheHit()
 	}
+	prog := a.lastProg
 	progs := prog.imports
 	if ctx.dir == ir.DirExport {
 		progs = prog.exports
@@ -70,8 +67,8 @@ func (v *Verifier) execAutNum(an *ir.AutNum, ctx *evalCtx) (Status, []Reason) {
 		execT0 = time.Now()
 	}
 	best := Unverified
-	// Accumulate into the context's scratch buffer: dedupReasons
-	// copies out, so the buffer is reused check after check.
+	// Accumulate into the context's scratch buffer: the arena's
+	// dedupReasons copies out, so the buffer is reused check after check.
 	reasons := ctx.scratch[:0]
 	for _, rp := range progs {
 		st, rs := rp(ctx)
@@ -95,9 +92,9 @@ func (v *Verifier) execAutNum(an *ir.AutNum, ctx *evalCtx) (Status, []Reason) {
 	return best, reasons
 }
 
-// interpRules is the tree-walking equivalent of execAutNum, kept as
-// the Config.Eval == "interp" escape hatch and as the reference
-// implementation for the differential tests.
+// interpRules is the tree-walking equivalent of execAutNum
+// (Config.Eval == "interp"): the reference implementation the
+// differential tests hold the compiled engine to.
 func (v *Verifier) interpRules(rules []ir.Rule, ctx *evalCtx) (Status, []Reason) {
 	best := Unverified
 	var reasons []Reason

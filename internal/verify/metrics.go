@@ -8,18 +8,20 @@ import (
 // Attach with Verifier.SetMetrics; a nil *Metrics is a no-op, so the
 // verification hot path calls through it unconditionally.
 type Metrics struct {
-	// RoutesVerified counts routes fully verified; RoutesIgnored counts
-	// routes excluded (AS-set paths, single-AS paths).
+	// RoutesVerified counts routes verified, incremental patches
+	// included; RoutesIgnored counts routes excluded (AS-set paths,
+	// single-AS paths).
 	RoutesVerified *telemetry.Counter
 	RoutesIgnored  *telemetry.Counter
 	// ChecksEvaluated counts import/export checks; ChecksByStatus breaks
 	// them down by resulting Status.
 	ChecksEvaluated *telemetry.Counter
 	ChecksByStatus  *telemetry.LabeledCounter
-	// CacheHits and CacheMisses count route-cache outcomes (only moving
-	// when Config.EnableRouteCache is set).
-	CacheHits   *telemetry.Counter
-	CacheMisses *telemetry.Counter
+	// PairMemoHits counts AS pairs whose two checks a bulk run copied
+	// from its (prefix, communities, path-suffix) memo instead of
+	// evaluating them; the copied checks still count in
+	// ChecksEvaluated and ChecksByStatus.
+	PairMemoHits *telemetry.Counter
 	// RouteSeconds and CheckSeconds are the whole-route and per-check
 	// verification latencies.
 	RouteSeconds *telemetry.Histogram
@@ -50,10 +52,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Import/export checks evaluated."),
 		ChecksByStatus: reg.LabeledCounter("rpslyzer_verify_checks_by_status_total",
 			"Import/export checks by verification status.", "status"),
-		CacheHits: reg.Counter("rpslyzer_verify_route_cache_hits_total",
-			"Route-cache hits."),
-		CacheMisses: reg.Counter("rpslyzer_verify_route_cache_misses_total",
-			"Route-cache misses."),
+		PairMemoHits: reg.Counter("rpslyzer_verify_pair_memo_hits_total",
+			"AS pairs served from the bulk drivers' pair memo."),
 		RouteSeconds: reg.Histogram("rpslyzer_verify_route_seconds",
 			"Whole-route verification latency.", nil),
 		CheckSeconds: reg.Histogram("rpslyzer_verify_check_seconds",
@@ -71,12 +71,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 
 // SetMetrics attaches metrics to the verifier. Call before verification
 // starts; the verifier reads the pointer without synchronization.
-func (v *Verifier) SetMetrics(m *Metrics) {
-	v.metrics = m
-	for _, c := range v.children {
-		c.metrics = m
-	}
-}
+func (v *Verifier) SetMetrics(m *Metrics) { v.metrics = m }
 
 func (m *Metrics) routeSpan() telemetry.Span {
 	if m == nil {
@@ -111,18 +106,15 @@ func (m *Metrics) observeCheck(st Status) {
 	m.ChecksByStatus.Inc(st.String())
 }
 
-func (m *Metrics) cacheHit() {
+// pairMemoHit records a pair served from the memo. The status counters
+// stay exact; the per-check latency spans are skipped.
+func (m *Metrics) pairMemoHit(export, imp Status) {
 	if m == nil {
 		return
 	}
-	m.CacheHits.Inc()
-}
-
-func (m *Metrics) cacheMiss() {
-	if m == nil {
-		return
-	}
-	m.CacheMisses.Inc()
+	m.PairMemoHits.Inc()
+	m.observeCheck(export)
+	m.observeCheck(imp)
 }
 
 func (m *Metrics) programCompiled(size int64) {

@@ -153,21 +153,11 @@ func (p *Profiler) observeExec(self ir.ASN, d time.Duration) {
 // SetTracer attaches a tracer: route verification and program
 // compilation emit sampled spans under the "verify" and "compile"
 // stages. Call before verification starts.
-func (v *Verifier) SetTracer(tr *trace.Tracer) {
-	v.tracer = tr
-	for _, c := range v.children {
-		c.tracer = tr
-	}
-}
+func (v *Verifier) SetTracer(tr *trace.Tracer) { v.tracer = tr }
 
 // SetProfiler attaches a heavy-hitter profiler. Call before
 // verification starts.
-func (v *Verifier) SetProfiler(p *Profiler) {
-	v.profiler = p
-	for _, c := range v.children {
-		c.profiler = p
-	}
-}
+func (v *Verifier) SetProfiler(p *Profiler) { v.profiler = p }
 
 // Profiler returns the attached profiler (nil when none).
 func (v *Verifier) Profiler() *Profiler { return v.profiler }

@@ -11,9 +11,8 @@ import (
 )
 
 // raceRPSL exercises every lazily-populated cache: AS-path regex
-// filters (regexCache), as-set filters (irr's asSetTables), the
-// customer-cone check (coneCache), and whole-route memoization
-// (routeCache).
+// filters (the regex cache), as-set filters (irr's asSetTables), the
+// customer-cone check (the cone cache), and the compiled programs.
 const raceRPSL = `
 aut-num: AS100
 import: from AS200 accept <^AS200+$>
@@ -37,20 +36,19 @@ origin: AS300
 `
 
 // TestConcurrentVerifyCaches hammers one Verifier from many goroutines
-// over overlapping routes with the route cache enabled, so `go test
-// -race` puts the verifier's caches and the merged database's lazy
+// over overlapping routes, so `go test -race` puts the verifier's caches and the merged database's lazy
 // tables under genuine contention. It also pins determinism: every
 // goroutine must see identical reports.
 func TestConcurrentVerifyCaches(t *testing.T) {
 	v := fixture(t, raceRPSL, func(rels *asrel.Database) {
 		rels.AddP2C(100, 200)
 		rels.AddP2C(200, 300)
-	}, Config{EnableRouteCache: true})
+	}, Config{})
 
 	routes := []bgpsim.Route{
 		route("192.0.2.0/24", 100, 200),
 		route("198.51.100.0/24", 100, 200, 300),
-		route("192.0.2.0/24", 100, 200), // duplicate: forces cache hits
+		route("192.0.2.0/24", 100, 200),
 	}
 	want := make([]string, len(routes))
 	for i, r := range routes {
@@ -78,9 +76,6 @@ func TestConcurrentVerifyCaches(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if v.CacheHits() == 0 {
-		t.Error("route cache never hit under concurrency")
 	}
 }
 

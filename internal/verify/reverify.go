@@ -5,9 +5,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"rpslyzer/internal/asregex"
 	"rpslyzer/internal/asrel"
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/depgraph"
@@ -33,8 +33,8 @@ import (
 // the checks that AS evaluates, a set-member delta only the routes
 // carrying or covered by the member, a route-table delta only the
 // routes its entries' base prefixes cover. Dirty routes then split
-// into full re-verifications and check-level patches (PatchRoute),
-// which re-evaluate only the affected (self, direction) checks and
+// into full re-verifications and check-level patches, which
+// re-evaluate only the affected (self, direction) checks and
 // copy the rest from the previous report. This keeps a step's cost
 // proportional to the semantic size of the delta, not to the fan-out
 // of the dependency graph.
@@ -101,15 +101,11 @@ type RoutesDelta struct {
 // NewIncremental builds the engine around a fresh Verifier.
 // Incremental re-verification requires the compiled evaluation engine
 // (the interpreter resolves sets at run time, leaving no per-program
-// dependency record) and is incompatible with the whole-route cache
-// (cached entries would survive database changes).
+// dependency record).
 func NewIncremental(db *irr.Database, rels *asrel.Database, cfg Config) (*Incremental, error) {
 	cfg.fill()
 	if cfg.Eval == "interp" {
 		return nil, fmt.Errorf("verify: incremental re-verification requires the compiled engine (eval=interp unsupported)")
-	}
-	if cfg.EnableRouteCache {
-		return nil, fmt.Errorf("verify: incremental re-verification is incompatible with the whole-route cache")
 	}
 	inc := &Incremental{
 		v:     New(db, rels, cfg),
@@ -154,7 +150,7 @@ func (inc *Incremental) indexRoutes() {
 		if r.HasASSet {
 			continue
 		}
-		path := dedupePrepends(r.Path)
+		path := dedupePrependsInto(nil, r.Path)
 		if len(path) <= 1 {
 			continue
 		}
@@ -183,7 +179,7 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 	t0 := time.Now()
 	if touched == nil {
 		inv := parent.Child("invalidate")
-		inc.rebindFull(db)
+		inc.v.rebind(db, nil)
 		if inv != nil {
 			inv.End()
 		}
@@ -198,46 +194,25 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 	inv := parent.Child("invalidate")
 	oldDB := inc.v.DB
 	invalidated := inc.graph.Dependents(touched)
-	// Per-key dependents drive the delta marking below; they must be
-	// read before eviction tears the edges out of the graph.
-	depsByKey := make([][]ir.ASN, len(touched))
-	for i, k := range touched {
-		depsByKey[i] = inc.graph.Dependents([]depgraph.Key{k})
-	}
-	for _, asn := range invalidated {
-		inc.graph.RemoveProgram(asn)
-		// The cache is keyed by object pointer; the old snapshot still
-		// resolves it even when the journal replaced or deleted the
-		// object (unchanged objects share the pointer across clones, so
-		// changed ones would miss the cache anyway — eviction keeps the
-		// cache and its size gauge honest).
-		if an, ok := oldDB.AutNum(asn); ok {
-			if _, loaded := inc.v.progCache.LoadAndDelete(an); loaded {
-				inc.v.progCount.Add(-1)
-			}
-		}
-	}
 
-	// Dirty the routes each touched object's semantic delta can reach.
-	// Invalidated programs need no blanket marking of their own: they
-	// recompile on demand against the new snapshot, and a recompiled
-	// program produces byte-identical checks except where a touched
-	// object's delta applies — exactly what markKeyDelta marks.
+	// Dirty the routes each touched object's semantic delta can reach,
+	// given the programs depending on it (read before rebind tears their
+	// edges out of the graph). Invalidated programs need no blanket
+	// marking of their own: they recompile on demand against the new
+	// snapshot, and a recompiled program produces byte-identical checks
+	// except where a touched object's delta applies — exactly what
+	// markKeyDelta marks.
 	d := newDirt()
-	for i, k := range touched {
-		inc.markKeyDelta(d, k, oldDB, db, depsByKey[i])
-	}
-
-	// Rebind the verifier to the new snapshot. Compiled programs read
-	// v.DB at call time, so surviving programs see the new data for
-	// their run-time lookups; everything captured at compile time is
-	// covered by the invalidation above.
-	inc.v.DB = db
+	// evict must stay non-nil: to rebind, nil means everything.
+	evict := make([]ir.ASN, 0, len(invalidated)+len(touched))
+	evict = append(evict, invalidated...)
 	for _, k := range touched {
+		inc.markKeyDelta(d, k, oldDB, db, inc.graph.Dependents([]depgraph.Key{k}))
 		if k.Kind == depgraph.KindAutNum {
-			inc.v.refreshOnlyProviderPolicy(k.ASN)
+			evict = append(evict, k.ASN)
 		}
 	}
+	inc.v.rebind(db, evict)
 	if inv != nil {
 		inv.SetInt("keys", int64(len(touched))).
 			SetInt("programs", int64(len(invalidated))).
@@ -247,7 +222,7 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 
 	rv := parent.Child("reverify-routes")
 	order := d.order()
-	inc.applyDirt(d, order, workers)
+	inc.reverifyIndexes(order, d.part, workers)
 	if rv != nil {
 		rv.SetInt("routes", int64(len(order))).
 			SetInt("patched", int64(len(d.part))).End()
@@ -263,100 +238,39 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 	}
 }
 
-// applyDirt re-verifies the dirty routes concurrently: fully-dirty
-// routes from scratch, partially-dirty ones by patching only the
-// affected checks. The dirt maps are read-only here and report writes
-// are disjoint per index, so workers need no locking.
-func (inc *Incremental) applyDirt(d *dirt, order []int32, workers int) {
-	if len(order) == 0 {
-		return
-	}
-	one := func(i int32) {
-		if masks, ok := d.part[i]; ok {
-			inc.reports[i] = inc.v.PatchRoute(inc.routes[i], inc.reports[i], masks)
-		} else {
-			inc.reports[i] = inc.v.VerifyRoute(inc.routes[i])
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers == 1 {
-		for _, i := range order {
-			one(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int32, workers*4)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				one(i)
-			}
-		}()
-	}
-	for _, i := range order {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-}
-
-// rebindFull points the verifier at db and discards every derived
-// per-database structure: compiled programs, the dependency graph, the
-// compiled-regex cache (keyed by old IR pointers), and the Only
-// Provider Policies map. The customer-cone cache survives — it depends
-// only on the static relationship database.
-func (inc *Incremental) rebindFull(db *irr.Database) {
-	inc.v.DB = db
-	inc.v.precomputeOnlyProviderPolicies()
-	inc.v.progCache.Clear()
-	inc.v.progCount.Store(0)
-	inc.graph.Reset()
-	inc.v.regexMu.Lock()
-	inc.v.regexCache = make(map[*ir.PathRegex]*asregex.Regex)
-	inc.v.regexMu.Unlock()
-}
-
 // reverifyIndexes re-verifies the given corpus indexes concurrently,
-// writing reports in place.
-func (inc *Incremental) reverifyIndexes(order []int32, workers int) {
-	if len(order) == 0 {
-		return
-	}
+// writing reports in place: indexes with masks in part are patched
+// check by check, the rest verified from scratch. part is read-only
+// here and report writes are disjoint per index, so workers need no
+// locking. Each worker owns a zero-value (exact-size, memo-free) arena,
+// so patched reports never pin bulk blocks.
+func (inc *Incremental) reverifyIndexes(order []int32, part map[int32]map[ir.ASN]CheckMask, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers == 1 {
-		for _, i := range order {
-			inc.reports[i] = inc.v.VerifyRoute(inc.routes[i])
-		}
-		return
-	}
+	workers = min(workers, len(order))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	ch := make(chan int32, workers*4)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range ch {
-				inc.reports[i] = inc.v.VerifyRoute(inc.routes[i])
+			a := &reportArena{}
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
+					return
+				}
+				i := order[k]
+				var old *RouteReport
+				masks, patch := part[i]
+				if patch {
+					old = &inc.reports[i]
+				}
+				inc.reports[i] = inc.v.verifyRoute(inc.routes[i], a, old, masks)
 			}
 		}()
 	}
-	for _, i := range order {
-		ch <- i
-	}
-	close(ch)
 	wg.Wait()
 }
 
@@ -405,7 +319,7 @@ func (inc *Incremental) SetRoutes(routes []bgpsim.Route, workers int) RoutesDelt
 	t0 := time.Now()
 	old := make(map[string]int32, len(inc.routes))
 	for i := range inc.routes {
-		key := routeCacheKey(inc.routes[i])
+		key := routeKey(inc.routes[i])
 		if _, dup := old[key]; !dup {
 			old[key] = int32(i)
 		}
@@ -415,7 +329,7 @@ func (inc *Incremental) SetRoutes(routes []bgpsim.Route, workers int) RoutesDelt
 	kept := make(map[string]struct{}, len(routes))
 	reused := 0
 	for i := range routes {
-		key := routeCacheKey(routes[i])
+		key := routeKey(routes[i])
 		kept[key] = struct{}{}
 		if j, ok := old[key]; ok {
 			reports[i] = inc.reports[j]
@@ -433,9 +347,26 @@ func (inc *Incremental) SetRoutes(routes []bgpsim.Route, workers int) RoutesDelt
 	}
 	inc.routes = routes
 	inc.reports = reports
-	inc.reverifyIndexes(fresh, workers)
+	inc.reverifyIndexes(fresh, nil, workers)
 	inc.indexRoutes()
 	return RoutesDelta{Reused: reused, Verified: len(fresh), Dropped: dropped, Duration: time.Since(t0)}
+}
+
+// routeKey encodes a route's verification identity (prefix, AS-set
+// flag, path, communities) compactly.
+func routeKey(route bgpsim.Route) string {
+	var b []byte
+	b = append(b, route.Prefix.String()...)
+	if route.HasASSet {
+		b = append(b, '!')
+	}
+	for _, a := range route.Path {
+		b = append(b, '|', byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
+	}
+	for _, c := range route.Communities {
+		b = append(b, ':', byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
+	}
+	return string(b)
 }
 
 // AffectedASes returns the sorted union of path ASes over the given
@@ -444,7 +375,7 @@ func (inc *Incremental) SetRoutes(routes []bgpsim.Route, workers int) RoutesDelt
 func (inc *Incremental) AffectedASes(dirty []int32) []ir.ASN {
 	seen := make(map[ir.ASN]struct{})
 	for _, i := range dirty {
-		for _, asn := range dedupePrepends(inc.routes[i].Path) {
+		for _, asn := range dedupePrependsInto(nil, inc.routes[i].Path) {
 			seen[asn] = struct{}{}
 		}
 	}

@@ -19,9 +19,6 @@ func TestNewIncrementalRejectsConfigs(t *testing.T) {
 	if _, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{Eval: "interp"}); err == nil {
 		t.Error("interp engine accepted")
 	}
-	if _, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{EnableRouteCache: true}); err == nil {
-		t.Error("route cache accepted")
-	}
 	if _, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{}); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}

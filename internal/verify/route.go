@@ -2,13 +2,13 @@ package verify
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
 	"rpslyzer/internal/asrel"
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/shard"
 )
 
 // RouteReport is the verification result for one BGP route: two checks
@@ -23,25 +23,51 @@ type RouteReport struct {
 	Ignored string `json:"ignored,omitempty"`
 }
 
+// CheckMask selects which directions of an AS's checks must be
+// re-evaluated when patching a route report incrementally.
+type CheckMask uint8
+
+const (
+	MaskImport CheckMask = 1 << iota
+	MaskExport
+	MaskBoth = MaskImport | MaskExport
+)
+
 // VerifyRoute verifies one route. Prepended ASes are removed first;
 // single-AS routes and AS-set routes are ignored, as in the paper
 // (0.06% and 0.03% of routes respectively).
 func (v *Verifier) VerifyRoute(route bgpsim.Route) RouteReport {
-	if v.profiler == nil && v.tracer == nil {
-		return v.verifyRouteMetered(route)
-	}
-	// Both samplers decide up front so unsampled routes skip the clock
-	// reads, the key allocations, and the sketch mutexes entirely.
+	return v.verifyRoute(route, &reportArena{}, nil, nil)
+}
+
+// PatchRoute re-evaluates only the checks of old whose evaluating AS
+// (ctx.self) appears in dirty with the check's direction set, copying
+// every other check unchanged. Each check reads the database solely
+// through its self (the aut-num lookup, the compiled program, the
+// safelist maps), so a delta bounded to specific selves and directions
+// leaves the other checks' bytes untouched. An old report whose shape
+// does not line up with the pair walk is re-verified in full.
+func (v *Verifier) PatchRoute(route bgpsim.Route, old RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
+	return v.verifyRoute(route, &reportArena{}, &old, dirty)
+}
+
+// verifyRoute is the metering and tracing envelope around walkPairs,
+// shared by every entry point. Both samplers decide up front, so
+// unsampled routes skip the clock reads, the key allocations and the
+// sketch mutexes. The arena must be owned by the calling goroutine.
+func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
 	tsp := v.tracer.Start("verify", "verify-route")
 	sampled := v.profiler.sampleRoute()
-	if tsp == nil && !sampled {
-		return v.verifyRouteMetered(route)
+	var t0 time.Time
+	if tsp != nil || sampled {
+		t0 = time.Now()
 	}
-	t0 := time.Now()
-	rep := v.verifyRouteMetered(route)
-	d := time.Since(t0)
+	sp := v.metrics.routeSpan()
+	rep := v.walkPairs(route, a, old, dirty)
+	sp.End()
+	v.metrics.observeRoute(&rep)
 	if sampled {
-		v.profiler.observeRoute(&route, &rep, d)
+		v.profiler.observeRoute(&route, &rep, time.Since(t0))
 	}
 	if tsp != nil {
 		tsp.Set("prefix", route.Prefix.String()).
@@ -55,244 +81,90 @@ func (v *Verifier) VerifyRoute(route bgpsim.Route) RouteReport {
 	return rep
 }
 
-// verifyRouteMetered is the pre-tracing VerifyRoute body: route cache
-// plus telemetry counters/histograms.
-func (v *Verifier) verifyRouteMetered(route bgpsim.Route) RouteReport {
-	sp := v.metrics.routeSpan()
-	defer sp.End()
-	if v.cfg.EnableRouteCache {
-		key := routeCacheKey(route)
-		if cached, ok := v.routeCache.Load(key); ok {
-			v.cacheHits.Add(1)
-			v.metrics.cacheHit()
-			rep := cached.(RouteReport)
-			rep.Route = route
-			v.metrics.observeRoute(&rep)
-			return rep
-		}
-		v.metrics.cacheMiss()
-		rep := v.verifyRouteUncached(route)
-		v.routeCache.Store(key, rep)
-		v.metrics.observeRoute(&rep)
-		return rep
-	}
-	rep := v.verifyRouteUncached(route)
-	v.metrics.observeRoute(&rep)
-	return rep
-}
-
-// CacheHits reports route-cache hits since construction.
-func (v *Verifier) CacheHits() int64 { return v.cacheHits.Load() }
-
-// routeCacheKey encodes (prefix, path, as-set flag) compactly.
-func routeCacheKey(route bgpsim.Route) string {
-	var b []byte
-	b = append(b, route.Prefix.String()...)
-	if route.HasASSet {
-		b = append(b, '!')
-	}
-	for _, a := range route.Path {
-		b = append(b, '|', byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
-	}
-	for _, c := range route.Communities {
-		b = append(b, ':', byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return string(b)
-}
-
-func (v *Verifier) verifyRouteUncached(route bgpsim.Route) RouteReport {
-	return v.verifyRouteCore(route, nil)
-}
-
-// verifyRouteCore verifies one route. With a nil arena it is the
-// legacy allocation path; with an arena (the sharded drivers) the
-// report's checks and reasons live in arena blocks and the per-route
-// scratch (deduped path, eval context) is reused across routes.
-func (v *Verifier) verifyRouteCore(route bgpsim.Route, a *reportArena) RouteReport {
+// walkPairs is the paper's Section 5 procedure: walk the adjacent AS
+// pairs of the prepend-deduplicated path from the origin side and run
+// the exporter's export check and the importer's import check on each.
+// A full verification treats every check as dirty; with old non-nil
+// only the checks dirty selects are re-evaluated and the rest are
+// copied from old. Checks and reasons are written through the arena.
+func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
 	rep := RouteReport{Route: route}
 	if route.HasASSet {
 		rep.Ignored = "as-set"
 		return rep
 	}
-	var path []ir.ASN
-	if a != nil {
-		a.path = dedupePrependsInto(a.path[:0], route.Path)
-		path = a.path
-	} else {
-		path = dedupePrepends(route.Path)
-	}
+	a.path = dedupePrependsInto(a.path[:0], route.Path)
+	path := a.path
 	if len(path) <= 1 {
 		rep.Ignored = "single-as"
 		return rep
 	}
+	if old != nil && len(old.Checks) != 2*(len(path)-1) {
+		old = nil
+	}
 	origin := path[len(path)-1]
 	// One context serves every check of the route: evalCheck copies
-	// everything it keeps out of it (dedupReasons), so mutating the
-	// pair fields between checks is safe and avoids per-check
-	// allocations.
-	var ctx *evalCtx
-	if a != nil {
-		ctx = &a.ctx
-		*ctx = evalCtx{
-			pfx: route.Prefix, origin: origin, communities: route.Communities,
-			scratch: ctx.scratch, arena: a,
-		}
-		rep.Checks = a.checkSlice(2 * (len(path) - 1))
-	} else {
-		ctx = &evalCtx{
-			pfx: route.Prefix, origin: origin, communities: route.Communities,
-		}
+	// everything it keeps out of it, so mutating the pair fields between
+	// checks is safe and avoids per-check allocations.
+	ctx := &a.ctx
+	*ctx = evalCtx{
+		pfx: route.Prefix, origin: origin, communities: route.Communities,
+		scratch: ctx.scratch, arena: a,
 	}
-	// Walk pairs from the origin side: exporter path[i+1] hands the
-	// route to importer path[i].
-	if a != nil {
-		// Arena path: the check count is known up front, so checks are
-		// evaluated straight into their report slots, and pairs whose
-		// (prefix, communities, suffix) key was already evaluated this
-		// driver call are copied from the memo instead of re-run. The
-		// key grows origin-side first, matching the walk order, so each
-		// pair costs one append plus one map probe (the string(key)
-		// lookup does not allocate; only inserts do).
-		if a.pairs == nil {
-			a.pairs = make(map[string][2]Check, 4096)
-		}
-		// Key layout: family tag, address (4 or 16 bytes), mask bits,
-		// community count, communities, then the path suffix origin
-		// first. Fixed field widths per tag keep the encoding bijective;
-		// IPv4 keys skip the 12 constant mapped-address bytes so the key
-		// hash stays cheap.
-		key := a.key[:0]
-		if addr := route.Prefix.Addr(); addr.Is4() {
-			a4 := addr.As4()
-			key = append(key, 4)
-			key = append(key, a4[:]...)
-		} else {
-			a16 := addr.As16()
-			key = append(key, 16)
-			key = append(key, a16[:]...)
-		}
-		nc := len(route.Communities)
-		key = append(key, byte(route.Prefix.Bits()), byte(nc), byte(nc>>8))
-		for _, cm := range route.Communities {
-			key = appendASNKey(key, ir.ASN(cm))
-		}
-		key = appendASNKey(key, origin)
-		k := 0
-		for i := len(path) - 2; i >= 0; i-- {
+	// The check count is known up front, so checks are evaluated
+	// straight into their report slots.
+	rep.Checks = a.checkSlice(2 * (len(path) - 1))
+	memo := a.pairs != nil
+	var key []byte
+	if memo {
+		key = a.pairKey(&route, origin)
+	}
+	// Exporter path[i+1] hands the route to importer path[i].
+	for i, k := len(path)-2, 0; i >= 0; i, k = i-1, k+2 {
+		pair := rep.Checks[k : k+2]
+		if memo {
+			// Pairs whose (prefix, communities, suffix) key was already
+			// evaluated this driver call are copied instead of re-run.
 			key = appendASNKey(key, path[i])
 			if cc, ok := a.pairs[string(key)]; ok {
-				rep.Checks[k] = cc[0]
-				rep.Checks[k+1] = cc[1]
-				// Keep the status counters exact; the per-check latency
-				// spans are skipped, as with the route cache.
-				v.metrics.observeCheck(cc[0].Status)
-				v.metrics.observeCheck(cc[1].Status)
-				k += 2
+				pair[0], pair[1] = cc[0], cc[1]
+				v.metrics.pairMemoHit(cc[0].Status, cc[1].Status)
 				continue
 			}
-			exporter, importer := path[i+1], path[i]
-			var prevAS ir.ASN
-			if i+2 < len(path) {
-				prevAS = path[i+2]
-			}
-			ctx.path = path[i+1:]
-			ctx.self, ctx.peer, ctx.dir, ctx.prevAS = exporter, importer, ir.DirExport, prevAS
-			v.checkInto(ctx, &rep.Checks[k])
-			ctx.self, ctx.peer, ctx.dir, ctx.prevAS = importer, exporter, ir.DirImport, exporter
-			v.checkInto(ctx, &rep.Checks[k+1])
-			if len(a.pairs) < pairCacheLimit {
-				a.pairs[string(key)] = [2]Check{rep.Checks[k], rep.Checks[k+1]}
-			}
-			k += 2
 		}
-		a.key = key
-		return rep
-	}
-	for i := len(path) - 2; i >= 0; i-- {
 		exporter, importer := path[i+1], path[i]
-		// prevAS: where the exporter got the route from.
-		var prevAS ir.ASN
-		if i+2 < len(path) {
-			prevAS = path[i+2]
-		}
 		// Filters (in particular AS-path regexes) match the AS-path as
 		// it stands at this hop: the path the exporter announces,
 		// starting at the exporter and ending at the origin.
 		ctx.path = path[i+1:]
-		ctx.self, ctx.peer, ctx.dir, ctx.prevAS = exporter, importer, ir.DirExport, prevAS
-		expCheck := v.check(ctx)
-		ctx.self, ctx.peer, ctx.dir, ctx.prevAS = importer, exporter, ir.DirImport, exporter
-		impCheck := v.check(ctx)
-		rep.Checks = append(rep.Checks, expCheck, impCheck)
-	}
-	return rep
-}
-
-// CheckMask selects which directions of an AS's checks must be
-// re-evaluated when patching a route report incrementally.
-type CheckMask uint8
-
-const (
-	MaskImport CheckMask = 1 << iota
-	MaskExport
-	MaskBoth = MaskImport | MaskExport
-)
-
-// PatchRoute re-evaluates only the checks of old whose evaluating AS
-// (ctx.self) appears in dirty with the check's direction set, copying
-// every other check unchanged. Each check reads the database solely
-// through its self (the aut-num lookup, the compiled program, the
-// safelist maps), so a delta bounded to specific selves and directions
-// leaves the other checks' bytes untouched. Falls back to a full
-// VerifyRoute when the old report's shape cannot be trusted to line up
-// with the pair walk.
-func (v *Verifier) PatchRoute(route bgpsim.Route, old RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
-	if route.HasASSet || old.Ignored != "" {
-		return v.VerifyRoute(route)
-	}
-	path := dedupePrepends(route.Path)
-	if len(path) <= 1 || len(old.Checks) != 2*(len(path)-1) {
-		return v.VerifyRoute(route)
-	}
-	rep := RouteReport{Route: route, Checks: make([]Check, 0, len(old.Checks))}
-	origin := path[len(path)-1]
-	ctx := &evalCtx{
-		pfx: route.Prefix, origin: origin, communities: route.Communities,
-	}
-	ci := 0
-	for i := len(path) - 2; i >= 0; i-- {
-		exporter, importer := path[i+1], path[i]
-		var prevAS ir.ASN
-		if i+2 < len(path) {
-			prevAS = path[i+2]
-		}
-		expCheck, impCheck := old.Checks[ci], old.Checks[ci+1]
-		if dirty[exporter]&MaskExport != 0 {
-			ctx.path = path[i+1:]
+		if old == nil || dirty[exporter]&MaskExport != 0 {
+			// prevAS: where the exporter got the route from.
+			var prevAS ir.ASN
+			if i+2 < len(path) {
+				prevAS = path[i+2]
+			}
 			ctx.self, ctx.peer, ctx.dir, ctx.prevAS = exporter, importer, ir.DirExport, prevAS
-			expCheck = v.check(ctx)
+			v.checkInto(ctx, &pair[0])
+		} else {
+			pair[0] = old.Checks[k]
 		}
-		if dirty[importer]&MaskImport != 0 {
-			ctx.path = path[i+1:]
+		if old == nil || dirty[importer]&MaskImport != 0 {
 			ctx.self, ctx.peer, ctx.dir, ctx.prevAS = importer, exporter, ir.DirImport, exporter
-			impCheck = v.check(ctx)
+			v.checkInto(ctx, &pair[1])
+		} else {
+			pair[1] = old.Checks[k+1]
 		}
-		rep.Checks = append(rep.Checks, expCheck, impCheck)
-		ci += 2
+		if memo && len(a.pairs) < pairCacheLimit {
+			a.pairs[string(key)] = [2]Check{pair[0], pair[1]}
+		}
 	}
+	a.key = key
 	return rep
 }
 
-// check runs one import or export check for an AS pair, recording its
-// latency and outcome in the attached metrics.
-func (v *Verifier) check(ctx *evalCtx) Check {
-	var c Check
-	v.checkInto(ctx, &c)
-	return c
-}
-
-// checkInto is check writing the result in place (the arena path's
-// reports are filled slot by slot to avoid copying Check values).
+// checkInto runs one import or export check for an AS pair, writing
+// the result in place and recording its latency and outcome in the
+// attached metrics.
 func (v *Verifier) checkInto(ctx *evalCtx, c *Check) {
 	sp := v.metrics.checkSpan()
 	v.evalCheck(ctx, c)
@@ -313,23 +185,15 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 	// The pair walk evaluates each AS as self twice in a row (importer
 	// of one pair, exporter of the next), so a 1-entry memo on the
 	// arena halves the aut-num map lookups.
-	var an *ir.AutNum
-	var ok bool
-	if a := ctx.arena; a != nil && a.lastSeen && a.lastSelf == ctx.self {
-		an, ok = a.lastAN, a.lastOK
-	} else {
-		an, ok = v.DB.AutNum(ctx.self)
-		if a != nil {
-			a.lastSeen, a.lastSelf, a.lastAN, a.lastOK = true, ctx.self, an, ok
-		}
+	a := ctx.arena
+	if !a.lastSeen || a.lastSelf != ctx.self {
+		a.lastAN, a.lastOK = v.DB.AutNum(ctx.self)
+		a.lastSeen, a.lastSelf = true, ctx.self
 	}
-	if !ok {
+	an := a.lastAN
+	if !a.lastOK {
 		c.Status = Unrecorded
-		if ctx.arena != nil {
-			c.Reasons = ctx.arena.one(Reason{Kind: UnrecordedAutNum, ASN: ctx.self})
-		} else {
-			c.Reasons = []Reason{{Kind: UnrecordedAutNum, ASN: ctx.self}}
-		}
+		c.Reasons = a.one(Reason{Kind: UnrecordedAutNum, ASN: ctx.self})
 		return
 	}
 	rules := an.Imports
@@ -339,11 +203,7 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 	if len(rules) == 0 {
 		c.Status = v.safelist(ctx, Unrecorded, c)
 		if c.Status == Unrecorded {
-			if ctx.arena != nil {
-				c.Reasons = ctx.arena.one(Reason{Kind: UnrecordedNoRules})
-			} else {
-				c.Reasons = append(c.Reasons, Reason{Kind: UnrecordedNoRules})
-			}
+			c.Reasons = a.one(Reason{Kind: UnrecordedNoRules})
 		}
 		return
 	}
@@ -360,24 +220,13 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 		return
 	}
 	// Safelist checks only improve on Unverified (the ladder places
-	// them after Relaxed).
+	// them after Relaxed); a safelisted check keeps the mismatch
+	// diagnostics ahead of the safelist reason.
 	if best == Unverified {
 		best = v.safelist(ctx, best, c)
 	}
 	c.Status = best
-	if a := ctx.arena; a != nil {
-		if best != Verified && best != Safelisted {
-			c.Reasons = a.dedupReasons(reasons, nil)
-		} else if best == Safelisted {
-			c.Reasons = a.dedupReasons(reasons, c.Reasons)
-		}
-		return
-	}
-	if best != Verified && best != Safelisted {
-		c.Reasons = dedupReasons(reasons)
-	} else if best == Safelisted {
-		c.Reasons = append(dedupReasons(reasons), c.Reasons...)
-	}
+	c.Reasons = a.dedupReasons(reasons, c.Reasons)
 }
 
 // safelist applies the Section 5.1.2 safelisted-relationship checks in
@@ -396,7 +245,7 @@ func (v *Verifier) safelist(ctx *evalCtx, fallback Status, c *Check) Status {
 	}
 	// Only Provider Policies: the AS defines rules only for its
 	// providers; safelist imports from customers and peers.
-	if ctx.dir == ir.DirImport && v.onlyProviderPolicies[ctx.self] {
+	if ctx.dir == ir.DirImport && v.d.onlyProviderPolicies[ctx.self] {
 		rel := v.Rels.Rel(ctx.peer, ctx.self)
 		if rel == asrel.Customer || rel == asrel.Peer {
 			c.Reasons = append(c.Reasons, Reason{Kind: SpecOnlyProviderPolicies})
@@ -429,13 +278,8 @@ func (v *Verifier) safelist(ctx *evalCtx, fallback Status, c *Check) Status {
 	return fallback
 }
 
-// dedupePrepends removes consecutive duplicate ASes.
-func dedupePrepends(p []ir.ASN) []ir.ASN {
-	return dedupePrependsInto(make([]ir.ASN, 0, len(p)), p)
-}
-
-// dedupePrependsInto is dedupePrepends appending into a caller-owned
-// buffer (the arena path reuses one across routes).
+// dedupePrependsInto appends p to out with consecutive duplicate ASes
+// (prepending) removed.
 func dedupePrependsInto(out, p []ir.ASN) []ir.ASN {
 	for i, a := range p {
 		if i > 0 && a == p[i-1] {
@@ -446,92 +290,84 @@ func dedupePrependsInto(out, p []ir.ASN) []ir.ASN {
 	return out
 }
 
-// dedupReasons sorts reasons deterministically and removes duplicates
-// (map-free: this runs once per check on the hot path). It always
-// copies out of its input: compiled programs return slices aliasing
-// either shared compile-time constants (which must never be mutated)
-// or the context's scratch buffer (which the next check overwrites).
-func dedupReasons(rs []Reason) []Reason {
-	switch len(rs) {
-	case 0:
-		return nil
-	case 1:
-		return []Reason{rs[0]}
-	}
-	rs = slices.Clone(rs)
-	sortReasons(rs)
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		if r != out[len(out)-1] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// VerifyAll verifies routes concurrently with the given number of
-// workers (0 means GOMAXPROCS) and returns reports in input order.
-// With Config.Shards > 1 routes instead scatter to per-shard child
-// verifiers (one goroutine and report arena per shard); the workers
-// argument is ignored on that path.
-func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
-	if len(v.children) > 0 {
-		return v.verifyAllSharded(routes)
+// partitions is the bulk drivers' fan-out: Config.Shards when set,
+// else the caller's worker count (0 means GOMAXPROCS).
+func (v *Verifier) partitions(workers int) int {
+	if v.cfg.Shards > 0 {
+		return v.cfg.Shards
 	}
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	if workers > len(routes) {
-		workers = len(routes)
+	return workers
+}
+
+// routeShard maps a route to the partition owning its origin AS. The
+// origin is the last path element even before prepend deduplication,
+// so no allocation is needed to route.
+func routeShard(r *bgpsim.Route, n int) int {
+	if len(r.Path) == 0 {
+		return 0
+	}
+	return shard.Of(r.Path[len(r.Path)-1], n)
+}
+
+// VerifyAll verifies routes and returns reports in input order. Routes
+// scatter by the stable origin-AS hash (the partition the sharded
+// irr.Database uses, so a partition's origin checks hit its home route
+// part) into Config.Shards partitions, or workers partitions when
+// Shards is unset (0 means GOMAXPROCS); each partition runs on its own
+// goroutine with its own report arena. Reports are byte-identical at
+// any partition count.
+func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
+	t0 := time.Now()
+	n := v.partitions(workers)
+	buckets := make([][]int32, n)
+	for i := range routes {
+		s := routeShard(&routes[i], n)
+		buckets[s] = append(buckets[s], int32(i))
 	}
 	reports := make([]RouteReport, len(routes))
-	if len(routes) == 0 {
-		return reports
-	}
 	var wg sync.WaitGroup
-	// Shard by contiguous stripes so each worker touches a distinct
-	// cache-friendly region.
-	idx := make(chan int, workers*4)
-	for w := 0; w < workers; w++ {
+	for _, idxs := range buckets {
+		if len(idxs) == 0 {
+			continue
+		}
 		wg.Add(1)
-		go func() {
+		go func(idxs []int32) {
 			defer wg.Done()
-			for i := range idx {
-				reports[i] = v.VerifyRoute(routes[i])
+			a := newBulkArena(len(idxs))
+			for _, i := range idxs {
+				reports[i] = v.verifyRoute(routes[i], a, nil, nil)
 			}
-		}()
+		}(idxs)
 	}
-	for i := range routes {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
+	v.shardMetrics.ObserveFanout(time.Since(t0).Seconds())
 	return reports
 }
 
-// VerifyStream verifies routes concurrently and hands each report to
-// sink as soon as it is ready. Reports arrive in arbitrary order; the
-// sink must be safe for the caller's use (VerifyStream serializes
-// calls to it).
+// VerifyStream verifies routes over the same partitions as VerifyAll
+// and hands each report to sink as soon as it is ready. Reports arrive
+// in arbitrary order; VerifyStream serializes the calls to sink.
 func (v *Verifier) VerifyStream(routes []bgpsim.Route, workers int, sink func(RouteReport)) {
-	if len(v.children) > 0 {
-		v.verifyStreamSharded(routes, sink)
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	in := make(chan bgpsim.Route, workers*4)
-	out := make(chan RouteReport, workers*4)
+	t0 := time.Now()
+	n := v.partitions(workers)
+	ins := make([]chan bgpsim.Route, n)
+	out := make(chan RouteReport, n*4)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for s := range ins {
+		// Buffered so the scatter loop keeps every partition fed while
+		// one of them is busy.
+		ins[s] = make(chan bgpsim.Route, 64)
 		wg.Add(1)
-		go func() {
+		go func(in <-chan bgpsim.Route) {
 			defer wg.Done()
+			a := newBulkArena(len(routes)/n + 1)
 			for r := range in {
-				out <- v.VerifyRoute(r)
+				out <- v.verifyRoute(r, a, nil, nil)
 			}
-		}()
+		}(ins[s])
 	}
 	done := make(chan struct{})
 	go func() {
@@ -540,11 +376,14 @@ func (v *Verifier) VerifyStream(routes []bgpsim.Route, workers int, sink func(Ro
 			sink(rep)
 		}
 	}()
-	for _, r := range routes {
-		in <- r
+	for i := range routes {
+		ins[routeShard(&routes[i], n)] <- routes[i]
 	}
-	close(in)
+	for _, ch := range ins {
+		close(ch)
+	}
 	wg.Wait()
 	close(out)
 	<-done
+	v.shardMetrics.ObserveFanout(time.Since(t0).Seconds())
 }

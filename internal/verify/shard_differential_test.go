@@ -1,7 +1,7 @@
-// Differential tests for the sharded scatter-gather drivers: with
-// Config.Shards = N (any N) VerifyAll and VerifyStream must produce
-// byte-identical reports to the unsharded engine over the full
-// synthetic corpus — same checks, same reason order, same JSONL.
+// Differential tests for the bulk drivers: VerifyAll and VerifyStream
+// must produce byte-identical reports at any partition count over the
+// full synthetic corpus — same checks, same reason order, same JSONL —
+// and the same reports as the memo-free single-route path.
 package verify_test
 
 import (
@@ -13,71 +13,76 @@ import (
 	"rpslyzer/internal/verify"
 )
 
-func diffShards(t *testing.T, cfg verify.Config, shards int) {
+// diffShards holds VerifyAll and VerifyStream at each of the given
+// shard counts to the Shards: 1 run, which is computed and rendered
+// once.
+func diffShards(t *testing.T, cfg verify.Config, shardCounts ...int) {
 	sys, routes := diffCorpus(t)
 
-	baseCfg := cfg
-	baseCfg.Shards = 0
-	shardCfg := cfg
-	shardCfg.Shards = shards
-	base := verify.New(sys.DB, sys.Rels, baseCfg)
-	sharded := verify.New(sys.DB, sys.Rels, shardCfg)
-	if sharded.Shards() != shards {
-		t.Fatalf("Shards() = %d, want %d", sharded.Shards(), shards)
+	cfg.Shards = 1
+	want := verify.New(sys.DB, sys.Rels, cfg).VerifyAll(routes, 0)
+	wantRendered := make([]string, len(want))
+	for i := range want {
+		wantRendered[i] = renderReport(want[i])
 	}
-
-	want := base.VerifyAll(routes, 0)
-	got := sharded.VerifyAll(routes, 0)
-	if len(got) != len(want) {
-		t.Fatalf("report counts differ: sharded %d, unsharded %d", len(got), len(want))
-	}
-	mismatches := 0
-	for i := range got {
-		g, w := renderReport(got[i]), renderReport(want[i])
-		if g != w {
-			mismatches++
-			if mismatches <= 5 {
-				t.Errorf("route %s path %v:\nshards=%d:\n%s\nshards=1:\n%s",
-					routes[i].Prefix, routes[i].Path, shards, g, w)
-			}
-		}
-	}
-	if mismatches > 0 {
-		t.Fatalf("%d/%d reports differ between shards=%d and unsharded", mismatches, len(got), shards)
-	}
-
-	// The JSONL export (what cmd/verify -json and the report store
-	// consume) must match byte for byte.
-	var wantJSON, gotJSON bytes.Buffer
+	var wantJSON bytes.Buffer
 	if err := report.WriteJSONL(&wantJSON, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := report.WriteJSONL(&gotJSON, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
-		t.Fatalf("JSONL differs between shards=%d and unsharded", shards)
-	}
 
-	// VerifyStream delivers the same set of reports (arbitrary order).
-	var mu sync.Mutex
-	seen := make(map[string]int)
-	sharded2 := verify.New(sys.DB, sys.Rels, shardCfg)
-	sharded2.VerifyStream(routes, 0, func(rep verify.RouteReport) {
-		mu.Lock()
-		seen[rep.Route.Prefix.String()+"|"+renderReport(rep)]++
-		mu.Unlock()
-	})
-	for _, rep := range want {
-		key := rep.Route.Prefix.String() + "|" + renderReport(rep)
-		if seen[key] == 0 {
-			t.Fatalf("VerifyStream shards=%d missing report for %s", shards, rep.Route.Prefix)
+	for _, shards := range shardCounts {
+		cfg.Shards = shards
+		sharded := verify.New(sys.DB, sys.Rels, cfg)
+		if sharded.Shards() != shards {
+			t.Fatalf("Shards() = %d, want %d", sharded.Shards(), shards)
 		}
-		seen[key]--
-	}
-	for key, nleft := range seen {
-		if nleft != 0 {
-			t.Fatalf("VerifyStream shards=%d produced %d extra reports for %q", shards, nleft, key)
+		got := sharded.VerifyAll(routes, 0)
+		if len(got) != len(want) {
+			t.Fatalf("report counts differ: shards=%d %d, shards=1 %d", shards, len(got), len(want))
+		}
+		mismatches := 0
+		for i := range got {
+			if g := renderReport(got[i]); g != wantRendered[i] {
+				mismatches++
+				if mismatches <= 5 {
+					t.Errorf("route %s path %v:\nshards=%d:\n%s\nshards=1:\n%s",
+						routes[i].Prefix, routes[i].Path, shards, g, wantRendered[i])
+				}
+			}
+		}
+		if mismatches > 0 {
+			t.Fatalf("%d/%d reports differ between shards=%d and shards=1", mismatches, len(got), shards)
+		}
+
+		// The JSONL export (what cmd/verify -json and the report store
+		// consume) must match byte for byte.
+		var gotJSON bytes.Buffer
+		if err := report.WriteJSONL(&gotJSON, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
+			t.Fatalf("JSONL differs between shards=%d and shards=1", shards)
+		}
+
+		// VerifyStream delivers the same set of reports (arbitrary order).
+		var mu sync.Mutex
+		seen := make(map[string]int)
+		verify.New(sys.DB, sys.Rels, cfg).VerifyStream(routes, 0, func(rep verify.RouteReport) {
+			mu.Lock()
+			seen[rep.Route.Prefix.String()+"|"+renderReport(rep)]++
+			mu.Unlock()
+		})
+		for i, rep := range want {
+			key := rep.Route.Prefix.String() + "|" + wantRendered[i]
+			if seen[key] == 0 {
+				t.Fatalf("VerifyStream shards=%d missing report for %s", shards, rep.Route.Prefix)
+			}
+			seen[key]--
+		}
+		for key, nleft := range seen {
+			if nleft != 0 {
+				t.Fatalf("VerifyStream shards=%d produced %d extra reports for %q", shards, nleft, key)
+			}
 		}
 	}
 }
@@ -86,16 +91,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential test")
 	}
-	for _, n := range []int{2, 4, 7, 8} {
-		diffShards(t, verify.Config{}, n)
-	}
-}
-
-func TestShardedMatchesUnshardedRouteCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus differential test")
-	}
-	diffShards(t, verify.Config{EnableRouteCache: true}, 4)
+	diffShards(t, verify.Config{}, 2, 4, 7, 8)
 }
 
 func TestShardedMatchesUnshardedStrict(t *testing.T) {
@@ -103,4 +99,36 @@ func TestShardedMatchesUnshardedStrict(t *testing.T) {
 		t.Skip("full-corpus differential test")
 	}
 	diffShards(t, verify.Config{Strict: true}, 3)
+}
+
+// TestVerifyRouteMatchesVerifyAll is the memo-free oracle: every bulk
+// run serves repeated (prefix, communities, path-suffix) pairs from the
+// pair memo, so comparing bulk runs with each other cannot show the
+// memo unsound. VerifyRoute evaluates every check of every route.
+func TestVerifyRouteMatchesVerifyAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-corpus differential test")
+	}
+	sys, routes := diffCorpus(t)
+	v := verify.New(sys.DB, sys.Rels, verify.Config{})
+	want := make([]string, len(routes))
+	for i := range routes {
+		want[i] = renderReport(v.VerifyRoute(routes[i]))
+	}
+	for _, n := range []int{1, 4} {
+		got := verify.New(sys.DB, sys.Rels, verify.Config{}).VerifyAll(routes, n)
+		mismatches := 0
+		for i := range got {
+			if g := renderReport(got[i]); g != want[i] {
+				mismatches++
+				if mismatches <= 5 {
+					t.Errorf("route %s path %v:\nVerifyAll(%d):\n%s\nVerifyRoute:\n%s",
+						routes[i].Prefix, routes[i].Path, n, g, want[i])
+				}
+			}
+		}
+		if mismatches > 0 {
+			t.Fatalf("%d/%d reports differ between VerifyAll(routes, %d) and VerifyRoute", mismatches, len(got), n)
+		}
+	}
 }

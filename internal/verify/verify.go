@@ -231,9 +231,9 @@ type Config struct {
 	// lowers each aut-num's rules once into flat predicate programs —
 	// set references resolved to flattened tables, filter-sets
 	// inlined, regexes compiled — and executes those; "interp" walks
-	// the ir policy trees directly on every check (the pre-compilation
-	// evaluator, kept as an escape hatch and differential-testing
-	// reference). Both engines produce identical reports.
+	// the ir policy trees directly on every check. The interpreter is
+	// the reference the differential tests hold the compiled engine to;
+	// both produce identical reports.
 	Eval string
 	// SkipComplexRegex makes the verifier skip rules whose AS-path
 	// regexes use ASN ranges or same-pattern operators, exactly
@@ -243,12 +243,6 @@ type Config struct {
 	SkipComplexRegex bool
 	// MaxFilterSetDepth bounds filter-set dereference chains.
 	MaxFilterSetDepth int
-	// EnableRouteCache memoizes whole-route verification results keyed
-	// by (prefix, AS-path). Collector feeds overlap heavily (the
-	// paper's 60 collectors see 779 M routes with far fewer distinct
-	// (prefix, path) pairs), so the cache trades memory for large
-	// speedups on multi-collector runs.
-	EnableRouteCache bool
 	// InterpretCommunities evaluates community(...) filters against
 	// the communities observed on the route instead of skipping the
 	// rule. The paper deliberately skips such rules because
@@ -262,14 +256,12 @@ type Config struct {
 	// genuine route leaks (see examples/leakdetect); strict mode is
 	// the filter-generation view of the data.
 	Strict bool
-	// Shards partitions the bulk drivers (VerifyAll, VerifyStream):
-	// routes scatter to per-shard child verifiers by a stable hash of
-	// their origin AS, each child owning its program/regex/cone caches
-	// and an arena-backed report accumulator, and reports gather back
-	// in input order. Reports are byte-identical at any shard count.
-	// <= 1 (the default) keeps the single unsharded engine with its
-	// original allocation behavior. Single-route entry points
-	// (VerifyRoute, PatchRoute) always use the parent engine.
+	// Shards is the number of partitions the bulk drivers (VerifyAll,
+	// VerifyStream) scatter routes into, by the same stable origin-AS
+	// hash the sharded irr.Database uses; each partition runs on its
+	// own goroutine with its own report arena, and reports gather back
+	// in input order, byte-identical at any count. When unset (<= 0)
+	// the drivers partition by their workers argument instead.
 	Shards int
 }
 
@@ -293,28 +285,9 @@ type Verifier struct {
 	// useInterp selects the tree-walking evaluator (Config.Eval).
 	useInterp bool
 
-	// onlyProviderPolicies precomputes the ASes whose rules only name
-	// their providers (Section 5.1.2).
-	onlyProviderPolicies map[ir.ASN]bool
-
-	// progCache memoizes compiled per-aut-num rule programs; progCount
-	// tracks its size for the cache-size gauge.
-	progCache sync.Map // *ir.AutNum -> *autnumProg
-	progCount atomic.Int64
-
-	// regexCache memoizes compiled AS-path regexes.
-	regexMu    sync.RWMutex
-	regexCache map[*ir.PathRegex]*asregex.Regex
-
-	// coneCache memoizes customer cones for the Export Self check.
-	coneMu    sync.RWMutex
-	coneCache map[ir.ASN]map[ir.ASN]bool
-
-	// routeCache memoizes whole-route reports when
-	// Config.EnableRouteCache is set.
-	routeCache sync.Map // string -> RouteReport
-	// cacheHits counts cache hits (read with CacheHits).
-	cacheHits atomic.Int64
+	// d is everything the verifier derives from DB and caches; see
+	// derived and rebind.
+	d *derived
 
 	// metrics, when non-nil, mirrors verification counters into a
 	// telemetry registry (set with SetMetrics).
@@ -331,83 +304,121 @@ type Verifier struct {
 	// SetDepGraph).
 	graph *depgraph.Graph
 
-	// children are the per-shard verifiers the scatter-gather drivers
-	// dispatch to when Config.Shards > 1; nil otherwise. Children share
-	// DB, Rels, the onlyProviderPolicies map, and every attached
-	// observer, but own their program/regex/cone/route caches.
-	children []*Verifier
-
 	// shardMetrics, when non-nil, records scatter-gather fan-out
 	// latency (set with SetShardMetrics).
 	shardMetrics *shard.Metrics
 }
 
+// derived is the state the verifier computes from one database
+// snapshot and caches: every partition of a bulk run and every
+// single-route call share it, and rebind is the only place it is
+// invalidated. A resync replaces the whole value, so nothing keyed by
+// the old snapshot's IR pointers can outlive that snapshot.
+type derived struct {
+	// programs memoizes compiled per-aut-num rule programs; progCount
+	// tracks its size for the cache-size gauge.
+	programs  sync.Map // *ir.AutNum -> *autnumProg
+	progCount atomic.Int64
+
+	// regexes memoizes compiled AS-path regexes.
+	regexMu sync.RWMutex
+	regexes map[*ir.PathRegex]*asregex.Regex
+
+	// cones memoizes customer cones for the Export Self check. They
+	// depend on Rels alone and ride along so that a resync has one
+	// value to replace.
+	coneMu sync.RWMutex
+	cones  map[ir.ASN]map[ir.ASN]bool
+
+	// onlyProviderPolicies holds the ASes whose rules only name their
+	// providers (Section 5.1.2). It is read lock-free on the hot path.
+	onlyProviderPolicies map[ir.ASN]bool
+}
+
+// newDerived builds the derived state for v.DB: the lazily filled
+// caches start empty, the Only Provider Policies set is precomputed.
+func (v *Verifier) newDerived() *derived {
+	d := &derived{
+		regexes:              make(map[*ir.PathRegex]*asregex.Regex),
+		cones:                make(map[ir.ASN]map[ir.ASN]bool),
+		onlyProviderPolicies: make(map[ir.ASN]bool),
+	}
+	for asn, an := range v.DB.IR.AutNums {
+		if v.onlyProviderPolicy(asn, an) {
+			d.onlyProviderPolicies[asn] = true
+		}
+	}
+	return d
+}
+
+// rebind moves the verifier to db and invalidates the derived state
+// the move makes stale. evict lists the ASes whose aut-num-derived
+// entries — compiled program, dependency edges, Only Provider Policies
+// flag — must be re-derived against db; a nil evict (a resync) drops
+// everything. Surviving programs read v.DB at call time, so they see
+// the new snapshot for their run-time lookups. Callers must not race
+// rebind with verification.
+func (v *Verifier) rebind(db *irr.Database, evict []ir.ASN) {
+	if evict == nil {
+		v.DB = db
+		v.d = v.newDerived()
+		if v.graph != nil {
+			v.graph.Reset()
+		}
+		return
+	}
+	for _, asn := range evict {
+		// Programs are keyed by object pointer, which the old snapshot
+		// still resolves even when the journal replaced or deleted the
+		// object (unchanged objects share the pointer across clones).
+		if an, ok := v.DB.AutNum(asn); ok {
+			if _, loaded := v.d.programs.LoadAndDelete(an); loaded {
+				v.d.progCount.Add(-1)
+			}
+		}
+		if v.graph != nil {
+			v.graph.RemoveProgram(asn)
+		}
+	}
+	v.DB = db
+	for _, asn := range evict {
+		if an, ok := db.AutNum(asn); ok && v.onlyProviderPolicy(asn, an) {
+			v.d.onlyProviderPolicies[asn] = true
+		} else {
+			delete(v.d.onlyProviderPolicies, asn)
+		}
+	}
+}
+
 // SetDepGraph attaches a dependency graph: every program compiled from
 // now on registers the objects it resolved. Attach it before the first
 // verification — programs compiled earlier have no recorded edges.
-func (v *Verifier) SetDepGraph(g *depgraph.Graph) {
-	v.graph = g
-	for _, c := range v.children {
-		c.graph = g
-	}
-}
+func (v *Verifier) SetDepGraph(g *depgraph.Graph) { v.graph = g }
 
 // SetShardMetrics attaches the rpslyzer_shard_* fan-out histogram.
 func (v *Verifier) SetShardMetrics(m *shard.Metrics) { v.shardMetrics = m }
 
 // Shards returns the configured shard count (minimum 1).
-func (v *Verifier) Shards() int { return max(1, len(v.children)) }
+func (v *Verifier) Shards() int { return max(1, v.cfg.Shards) }
 
 // New creates a Verifier.
 func New(db *irr.Database, rels *asrel.Database, cfg Config) *Verifier {
 	cfg.fill()
 	v := &Verifier{
-		DB:         db,
-		Rels:       rels,
-		cfg:        cfg,
-		useInterp:  cfg.Eval == "interp",
-		regexCache: make(map[*ir.PathRegex]*asregex.Regex),
-		coneCache:  make(map[ir.ASN]map[ir.ASN]bool),
+		DB:        db,
+		Rels:      rels,
+		cfg:       cfg,
+		useInterp: cfg.Eval == "interp",
 	}
-	v.precomputeOnlyProviderPolicies()
-	if cfg.Shards > 1 {
-		childCfg := cfg
-		childCfg.Shards = 0
-		v.children = make([]*Verifier, cfg.Shards)
-		for i := range v.children {
-			c := &Verifier{
-				DB:         db,
-				Rels:       rels,
-				cfg:        childCfg,
-				useInterp:  v.useInterp,
-				regexCache: make(map[*ir.PathRegex]*asregex.Regex),
-				coneCache:  make(map[ir.ASN]map[ir.ASN]bool),
-			}
-			// Shared by pointer: the Only Provider Policies property is
-			// global, and Incremental's refresh must be visible to every
-			// shard.
-			c.onlyProviderPolicies = v.onlyProviderPolicies
-			v.children[i] = c
-		}
-	}
+	v.d = v.newDerived()
 	return v
 }
 
-// precomputeOnlyProviderPolicies finds ASes all of whose rule peerings
-// are single AS numbers that are providers of the AS.
-func (v *Verifier) precomputeOnlyProviderPolicies() {
-	v.onlyProviderPolicies = make(map[ir.ASN]bool)
-	for asn, an := range v.DB.IR.AutNums {
-		if v.onlyProviderPolicy(asn, an) {
-			v.onlyProviderPolicies[asn] = true
-		}
-	}
-}
-
 // onlyProviderPolicy decides the Only Provider Policies property for
-// one aut-num. It depends only on the aut-num's own peerings and the
-// (static) relationship database, so an incremental update needs to
-// recompute it only for the aut-nums a journal touched.
+// one aut-num: all of its rule peerings are single AS numbers that are
+// providers of the AS. It depends only on the aut-num's own peerings
+// and the (static) relationship database, so an incremental update
+// needs to recompute it only for the aut-nums a journal touched.
 func (v *Verifier) onlyProviderPolicy(asn ir.ASN, an *ir.AutNum) bool {
 	if an.RuleCount() == 0 {
 		return false
@@ -430,18 +441,6 @@ func (v *Verifier) onlyProviderPolicy(asn ir.ASN, an *ir.AutNum) bool {
 		}
 	})
 	return ok && sawPeering
-}
-
-// refreshOnlyProviderPolicy re-derives the Only Provider Policies
-// entry for one AS against the current database. Callers must not race
-// it with verification (the map is read lock-free on the hot path).
-func (v *Verifier) refreshOnlyProviderPolicy(asn ir.ASN) {
-	an, ok := v.DB.AutNum(asn)
-	if ok && v.onlyProviderPolicy(asn, an) {
-		v.onlyProviderPolicies[asn] = true
-		return
-	}
-	delete(v.onlyProviderPolicies, asn)
 }
 
 // forEachPeering visits every peering in every rule of an aut-num.
@@ -470,15 +469,16 @@ func forEachPeering(an *ir.AutNum, visit func(*ir.Peering)) {
 // OnlyProviderPolicies reports whether the AS only defines rules for
 // its providers.
 func (v *Verifier) OnlyProviderPolicies(asn ir.ASN) bool {
-	return v.onlyProviderPolicies[asn]
+	return v.d.onlyProviderPolicies[asn]
 }
 
 // compiledRegex returns (and caches) the compiled form of a path
 // regex, or nil when it cannot be compiled.
 func (v *Verifier) compiledRegex(r *ir.PathRegex) *asregex.Regex {
-	v.regexMu.RLock()
-	re, ok := v.regexCache[r]
-	v.regexMu.RUnlock()
+	d := v.d
+	d.regexMu.RLock()
+	re, ok := d.regexes[r]
+	d.regexMu.RUnlock()
 	if ok {
 		return re
 	}
@@ -486,24 +486,25 @@ func (v *Verifier) compiledRegex(r *ir.PathRegex) *asregex.Regex {
 	if err != nil {
 		re = nil
 	}
-	v.regexMu.Lock()
-	v.regexCache[r] = re
-	v.regexMu.Unlock()
+	d.regexMu.Lock()
+	d.regexes[r] = re
+	d.regexMu.Unlock()
 	return re
 }
 
 // customerCone returns (and caches) the customer cone of an AS.
 func (v *Verifier) customerCone(asn ir.ASN) map[ir.ASN]bool {
-	v.coneMu.RLock()
-	cone, ok := v.coneCache[asn]
-	v.coneMu.RUnlock()
+	d := v.d
+	d.coneMu.RLock()
+	cone, ok := d.cones[asn]
+	d.coneMu.RUnlock()
 	if ok {
 		return cone
 	}
 	cone = v.Rels.CustomerCone(asn)
-	v.coneMu.Lock()
-	v.coneCache[asn] = cone
-	v.coneMu.Unlock()
+	d.coneMu.Lock()
+	d.cones[asn] = cone
+	d.coneMu.Unlock()
 	return cone
 }
 

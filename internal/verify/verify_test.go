@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -685,5 +686,39 @@ origin: AS56239
 	imp5 := checkFor(t, rep, 1299, 3257, ir.DirImport)
 	if imp5.Status != Safelisted {
 		t.Errorf("3257 import = %v", imp5)
+	}
+}
+
+// TestPatchRouteDoesNotPinHeap patches one route a thousand times,
+// each patch re-evaluating one AS's checks and copying the rest.
+// Single-route paths allocate exactly, so a patched report pins only
+// the memory it uses and the live heap stays where it was before the
+// first patch, whatever the patch count; carving patched reports out
+// of bulk arena blocks would pin a block (160 KiB of checks alone)
+// behind each.
+func TestPatchRouteDoesNotPinHeap(t *testing.T) {
+	v := fixture(t, basicRPSL, nil, Config{})
+	r := route("198.51.100.0/24", 999, 100, 200, 300)
+	dirty := map[ir.ASN]CheckMask{200: MaskBoth}
+	rep := v.VerifyRoute(r)
+	want := reportString(rep)
+
+	liveAfter := func(patches int) uint64 {
+		for i := 0; i < patches; i++ {
+			rep = v.PatchRoute(r, rep, dirty)
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := liveAfter(0)
+	for _, patches := range []int{10, 990} {
+		if live := liveAfter(patches); live > base+64<<10 {
+			t.Errorf("live heap grew from %d to %d bytes after %d more patches", base, live, patches)
+		}
+	}
+	if got := reportString(rep); got != want {
+		t.Fatalf("patched report diverged:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -91,6 +91,56 @@ func TestIncrementalReverifyMatchesFullOverJournals(t *testing.T) {
 	}
 }
 
+// TestReconcileMatchesFreshAtAnyShardCount pins the reconciliation
+// safety net: after a run of incremental steps, Reconcile re-verifies
+// from scratch through the bulk driver, so every partition must see the
+// invalidations the steps made. Per-shard program caches that the
+// engine did not evict once made it adopt stale reports at Shards > 1.
+func TestReconcileMatchesFreshAtAnyShardCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-step e2e differential")
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sys, err := core.BuildSynthetic(core.Options{Seed: 11, ASes: 250, Collectors: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			routes := sys.CollectRoutes(4, 11)
+			vcfg := verify.Config{Shards: shards}
+			mir := nrtm.NewMirrorDB(sys.DB, nil, nil)
+			inc, err := verify.NewIncremental(mir.DB(), sys.Rels, vcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc.Init(routes, 0)
+
+			cfg := irrgen.EvolveConfig{Seed: 11, PolicyChurnFrac: 0.02, SetChurnFrac: 0.02,
+				RouteAddFrac: 0.01, RouteWithdrawFrac: 0.01}
+			serials := make(map[string]uint64)
+			prev := sys.IR
+			for step := 1; step <= 8; step++ {
+				next := irrgen.Evolve(prev, step, cfg)
+				keys, err := mir.ApplyAllKeys(evolve.Compare(prev, next).ToJournals(prev, next, serials))
+				if err != nil {
+					t.Fatalf("step %d: apply: %v", step, err)
+				}
+				inc.Reverify(mir.DB(), keys, 0, nil)
+				prev = next
+			}
+
+			if rec := inc.Reconcile(0); rec.Drift != 0 {
+				t.Errorf("reconcile drift %d of %d routes", rec.Drift, rec.Routes)
+			}
+			fresh := verify.New(mir.DB(), sys.Rels, vcfg).VerifyAll(routes, 0)
+			got, want := reportsJSONL(t, inc.Reports()), reportsJSONL(t, fresh)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("reconciled JSONL diverged from a fresh verification\n%s", firstJSONLDiff(got, want))
+			}
+		})
+	}
+}
+
 func firstJSONLDiff(got, want []byte) string {
 	g := bytes.Split(got, []byte("\n"))
 	w := bytes.Split(want, []byte("\n"))
