@@ -47,25 +47,36 @@ type reportArena struct {
 	// observe the same announcement — share their checks verbatim.
 	// Cached Check values alias arena-backed Reasons; reports are
 	// read-only downstream, so sharing is safe. Nil disables the memo.
-	pairs map[string][2]Check
-	key   []byte // pair-key scratch
+	// At pairLimit entries the memo is emptied and refills, which bounds
+	// what it pins and keeps it serving the routes seen most recently
+	// (dumps list a prefix's paths together).
+	pairs     map[string][2]Check
+	pairLimit int
+	key       []byte // pair-key scratch
 }
 
 const (
 	// arenaBlock is the bulk drivers' block size, in checks or reasons.
 	arenaBlock = 4096
-	// pairCacheLimit bounds the suffix memo: past this many entries the
-	// arena keeps serving hits but stops inserting, so a pathological
-	// corpus (no suffix sharing) cannot grow the map without bound.
-	pairCacheLimit = 1 << 20
+	// allPairLimit bounds a VerifyAll partition's pair memo. The caller
+	// keeps every report, which the memo's entries alias, so the memo
+	// stays proportional to the output.
+	allPairLimit = 1 << 20
+	// streamPairLimit bounds a VerifyStream partition's pair memo. The
+	// sink may drop each report, so the memo is all a partition retains
+	// and has to stay small (~16 MiB) for the stream to run in constant
+	// memory.
+	streamPairLimit = 1 << 16
 )
 
-// newBulkArena returns a block-allocating arena with the pair memo on,
-// presized for a partition of the given number of routes.
-func newBulkArena(routes int) *reportArena {
+// newBulkArena returns a block-allocating arena with a pair memo of at
+// most pairLimit entries, presized for a partition of the given number
+// of routes.
+func newBulkArena(routes, pairLimit int) *reportArena {
 	return &reportArena{
-		block: arenaBlock,
-		pairs: make(map[string][2]Check, min(routes, arenaBlock)),
+		block:     arenaBlock,
+		pairs:     make(map[string][2]Check, min(routes, arenaBlock)),
+		pairLimit: pairLimit,
 	}
 }
 

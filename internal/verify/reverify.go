@@ -179,7 +179,7 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 	t0 := time.Now()
 	if touched == nil {
 		inv := parent.Child("invalidate")
-		inc.v.rebind(db, nil)
+		inc.v.resync(db)
 		if inv != nil {
 			inv.End()
 		}
@@ -196,23 +196,21 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 	invalidated := inc.graph.Dependents(touched)
 
 	// Dirty the routes each touched object's semantic delta can reach,
-	// given the programs depending on it (read before rebind tears their
+	// given the programs depending on it (read before evict tears their
 	// edges out of the graph). Invalidated programs need no blanket
 	// marking of their own: they recompile on demand against the new
 	// snapshot, and a recompiled program produces byte-identical checks
 	// except where a touched object's delta applies — exactly what
 	// markKeyDelta marks.
 	d := newDirt()
-	// evict must stay non-nil: to rebind, nil means everything.
-	evict := make([]ir.ASN, 0, len(invalidated)+len(touched))
-	evict = append(evict, invalidated...)
+	evict := slices.Clone(invalidated)
 	for _, k := range touched {
 		inc.markKeyDelta(d, k, oldDB, db, inc.graph.Dependents([]depgraph.Key{k}))
 		if k.Kind == depgraph.KindAutNum {
 			evict = append(evict, k.ASN)
 		}
 	}
-	inc.v.rebind(db, evict)
+	inc.v.evict(db, evict)
 	if inv != nil {
 		inv.SetInt("keys", int64(len(touched))).
 			SetInt("programs", int64(len(invalidated))).

@@ -154,7 +154,10 @@ func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, old *RouteRepor
 		} else {
 			pair[1] = old.Checks[k+1]
 		}
-		if memo && len(a.pairs) < pairCacheLimit {
+		if memo {
+			if len(a.pairs) >= a.pairLimit {
+				clear(a.pairs)
+			}
 			a.pairs[string(key)] = [2]Check{pair[0], pair[1]}
 		}
 	}
@@ -336,7 +339,7 @@ func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
 		wg.Add(1)
 		go func(idxs []int32) {
 			defer wg.Done()
-			a := newBulkArena(len(idxs))
+			a := newBulkArena(len(idxs), allPairLimit)
 			for _, i := range idxs {
 				reports[i] = v.verifyRoute(routes[i], a, nil, nil)
 			}
@@ -363,7 +366,7 @@ func (v *Verifier) VerifyStream(routes []bgpsim.Route, workers int, sink func(Ro
 		wg.Add(1)
 		go func(in <-chan bgpsim.Route) {
 			defer wg.Done()
-			a := newBulkArena(len(routes)/n + 1)
+			a := newBulkArena(len(routes)/n+1, streamPairLimit)
 			for r := range in {
 				out <- v.verifyRoute(r, a, nil, nil)
 			}

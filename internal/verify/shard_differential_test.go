@@ -33,9 +33,6 @@ func diffShards(t *testing.T, cfg verify.Config, shardCounts ...int) {
 	for _, shards := range shardCounts {
 		cfg.Shards = shards
 		sharded := verify.New(sys.DB, sys.Rels, cfg)
-		if sharded.Shards() != shards {
-			t.Fatalf("Shards() = %d, want %d", sharded.Shards(), shards)
-		}
 		got := sharded.VerifyAll(routes, 0)
 		if len(got) != len(want) {
 			t.Fatalf("report counts differ: shards=%d %d, shards=1 %d", shards, len(got), len(want))

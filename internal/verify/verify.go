@@ -286,7 +286,7 @@ type Verifier struct {
 	useInterp bool
 
 	// d is everything the verifier derives from DB and caches; see
-	// derived and rebind.
+	// derived, resync and evict.
 	d *derived
 
 	// metrics, when non-nil, mirrors verification counters into a
@@ -311,9 +311,9 @@ type Verifier struct {
 
 // derived is the state the verifier computes from one database
 // snapshot and caches: every partition of a bulk run and every
-// single-route call share it, and rebind is the only place it is
-// invalidated. A resync replaces the whole value, so nothing keyed by
-// the old snapshot's IR pointers can outlive that snapshot.
+// single-route call share it, and resync and evict are the only places
+// it is invalidated. A resync replaces the whole value, so nothing
+// keyed by the old snapshot's IR pointers can outlive that snapshot.
 type derived struct {
 	// programs memoizes compiled per-aut-num rule programs; progCount
 	// tracks its size for the cache-size gauge.
@@ -351,23 +351,25 @@ func (v *Verifier) newDerived() *derived {
 	return d
 }
 
-// rebind moves the verifier to db and invalidates the derived state
-// the move makes stale. evict lists the ASes whose aut-num-derived
-// entries — compiled program, dependency edges, Only Provider Policies
-// flag — must be re-derived against db; a nil evict (a resync) drops
-// everything. Surviving programs read v.DB at call time, so they see
-// the new snapshot for their run-time lookups. Callers must not race
-// rebind with verification.
-func (v *Verifier) rebind(db *irr.Database, evict []ir.ASN) {
-	if evict == nil {
-		v.DB = db
-		v.d = v.newDerived()
-		if v.graph != nil {
-			v.graph.Reset()
-		}
-		return
+// resync moves the verifier to a database that shares nothing with the
+// old one: the whole derived value is replaced and the dependency graph
+// reset, so nothing keyed by the old snapshot's IR pointers survives.
+// Callers must not race resync or evict with verification.
+func (v *Verifier) resync(db *irr.Database) {
+	v.DB = db
+	v.d = v.newDerived()
+	if v.graph != nil {
+		v.graph.Reset()
 	}
-	for _, asn := range evict {
+}
+
+// evict moves the verifier to db, a journal step ahead of v.DB, and
+// invalidates the aut-num-derived entries of asns — compiled program,
+// dependency edges, Only Provider Policies flag — which are re-derived
+// against db. Surviving programs read v.DB at call time, so they see
+// the new snapshot for their run-time lookups.
+func (v *Verifier) evict(db *irr.Database, asns []ir.ASN) {
+	for _, asn := range asns {
 		// Programs are keyed by object pointer, which the old snapshot
 		// still resolves even when the journal replaced or deleted the
 		// object (unchanged objects share the pointer across clones).
@@ -381,7 +383,7 @@ func (v *Verifier) rebind(db *irr.Database, evict []ir.ASN) {
 		}
 	}
 	v.DB = db
-	for _, asn := range evict {
+	for _, asn := range asns {
 		if an, ok := db.AutNum(asn); ok && v.onlyProviderPolicy(asn, an) {
 			v.d.onlyProviderPolicies[asn] = true
 		} else {
@@ -397,9 +399,6 @@ func (v *Verifier) SetDepGraph(g *depgraph.Graph) { v.graph = g }
 
 // SetShardMetrics attaches the rpslyzer_shard_* fan-out histogram.
 func (v *Verifier) SetShardMetrics(m *shard.Metrics) { v.shardMetrics = m }
-
-// Shards returns the configured shard count (minimum 1).
-func (v *Verifier) Shards() int { return max(1, v.cfg.Shards) }
 
 // New creates a Verifier.
 func New(db *irr.Database, rels *asrel.Database, cfg Config) *Verifier {
