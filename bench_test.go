@@ -27,6 +27,7 @@ import (
 	"rpslyzer/internal/prefix"
 	"rpslyzer/internal/render"
 	"rpslyzer/internal/report"
+	"rpslyzer/internal/reportstore"
 	"rpslyzer/internal/rpsl"
 	"rpslyzer/internal/stats"
 	"rpslyzer/internal/trace"
@@ -769,4 +770,33 @@ func BenchmarkOriginsOf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		db.OriginsOf(prefixes[i%n])
 	}
+}
+
+// BenchmarkBuildSnapshot measures the report-store freeze over the
+// fixture's retained sweep, the step reportd pays once per applied
+// journal: ns/op and B/op from the timed loop, then one more build
+// between heap fences for what the snapshot retains (live-B/route) and
+// what it allocated to get there (alloc-B/route). verify.sh gates the
+// ratio of the two and the retained figure.
+func BenchmarkBuildSnapshot(b *testing.B) {
+	f := getFixture(b)
+	var snap *reportstore.Snapshot
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap = reportstore.BuildSnapshot(f.reports)
+	}
+	b.StopTimer()
+	if snap.NumRoutes() != len(f.reports) {
+		b.Fatal("missing routes")
+	}
+	snap = nil // measureHeap collects first: the fences must see one snapshot, not two
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	live, _ := measureHeap(func() { snap = reportstore.BuildSnapshot(f.reports) })
+	runtime.ReadMemStats(&after)
+	n := float64(len(f.reports))
+	b.ReportMetric(float64(live)/n, "live-B/route")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "alloc-B/route")
+	runtime.KeepAlive(snap)
 }

@@ -12,11 +12,13 @@
 //
 // Layout follows the offset-arena idiom of the evaluation core rather
 // than per-check allocations: checks and their reasons live in two
-// flat slices addressed by (offset, length) pairs, reason names are
-// interned through symtab so the thousands of repeated set names cost
-// one string each, and every inverted index (status→checks/ASes,
-// reason kind→checks/ASes, cause→ASes) is a sorted slice built once at
-// freeze time.
+// flat slices addressed by (offset, length) pairs, the reason arena
+// holds one copy per distinct reason list (checks with the same
+// reasons point at the same range), reason names are symbols into one
+// string table so the thousands of repeated set names cost one string
+// each, and every inverted index (status→checks/ASes, reason
+// kind→checks/ASes, cause→ASes) is a sorted slice built once at freeze
+// time.
 package reportstore
 
 import (
@@ -31,8 +33,8 @@ import (
 	"rpslyzer/internal/verify"
 )
 
-// ReasonRef is the arena form of one verify.Reason: the name is an
-// interned symbol instead of a string.
+// ReasonRef is the arena form of one verify.Reason: the name is a
+// symbol into the snapshot's name table instead of a string.
 type ReasonRef struct {
 	Kind verify.ReasonKind
 	ASN  ir.ASN
@@ -40,7 +42,8 @@ type ReasonRef struct {
 }
 
 // CheckRec is the arena form of one verification check. Reasons live
-// in the snapshot's reason arena at [ReasonOff, ReasonOff+ReasonLen).
+// in the snapshot's reason arena at [ReasonOff, ReasonOff+ReasonLen),
+// a range any number of checks with the same reason list share.
 type CheckRec struct {
 	// Route indexes the snapshot's route arena.
 	Route     uint32
@@ -77,6 +80,12 @@ type ASEntry struct {
 	Stats  *report.ASStats
 	Checks []uint32
 	Routes []uint32
+
+	// statuses and reasons have one bit per status and reason kind
+	// among the AS's checks; Build expands them into the AS lists of
+	// the inverted indexes.
+	statuses uint8
+	reasons  uint32
 }
 
 // Index is one inverted-index bucket: the matching checks (in arena
@@ -90,13 +99,14 @@ type Index struct {
 // All methods are safe for concurrent use: nothing mutates after
 // Builder.Build returns.
 type Snapshot struct {
-	serial  uint64
-	builtAt time.Time
+	serial    uint64
+	builtAt   time.Time
+	buildTook time.Duration
 
 	routes  []RouteRec
 	checks  []CheckRec
 	reasons []ReasonRef
-	names   *symtab.Interner
+	names   []string // indexed by ReasonRef.Name
 
 	perAS map[ir.ASN]*ASEntry
 	asns  []ir.ASN
@@ -134,7 +144,7 @@ func (s *Snapshot) CheckReasons(c CheckRec) []verify.Reason {
 	}
 	out := make([]verify.Reason, c.ReasonLen)
 	for i, ref := range s.reasons[c.ReasonOff : c.ReasonOff+c.ReasonLen] {
-		out[i] = verify.Reason{Kind: ref.Kind, ASN: ref.ASN, Name: s.names.Name(ref.Name)}
+		out[i] = verify.Reason{Kind: ref.Kind, ASN: ref.ASN, Name: s.names[ref.Name]}
 	}
 	return out
 }
@@ -182,7 +192,9 @@ func (s *Store) Current() *Snapshot { return s.cur.Load() }
 // Swap stamps the snapshot with the next generation serial and
 // publishes it, returning the serial. In-flight readers keep the
 // snapshot they loaded. A nil snapshot is ignored (returns the current
-// swap count), mirroring whois.Server.SetDB.
+// swap count), mirroring whois.Server.SetDB. How long the snapshot took
+// to freeze is observed here, so BuildSeconds has one sample per swap
+// whichever way the snapshot was built.
 func (s *Store) Swap(snap *Snapshot) uint64 {
 	if snap == nil {
 		return s.swaps.Load()
@@ -192,6 +204,7 @@ func (s *Store) Swap(snap *Snapshot) uint64 {
 	s.cur.Store(snap)
 	if s.m != nil {
 		s.m.Swaps.Inc()
+		s.m.BuildSeconds.Observe(snap.buildTook.Seconds())
 		s.m.Routes.Set(int64(snap.NumRoutes()))
 		s.m.Checks.Set(int64(snap.NumChecks()))
 		s.m.ASes.Set(int64(len(snap.asns)))
@@ -223,7 +236,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Routes:       reg.Gauge("rpslyzer_report_store_routes", "Routes in the served snapshot."),
 		Checks:       reg.Gauge("rpslyzer_report_store_checks", "Checks in the served snapshot."),
 		ASes:         reg.Gauge("rpslyzer_report_store_ases", "Distinct ASes indexed in the served snapshot."),
-		BuildSeconds: reg.Histogram("rpslyzer_report_store_build_seconds", "Snapshot build (freeze) latency.", nil),
+		BuildSeconds: reg.Histogram("rpslyzer_report_store_build_seconds", "Freeze latency of each published snapshot: BuildSnapshot start to finish, or Build alone behind a streaming Builder; verification is not in it.", nil),
 		LastSwapUnix: reg.Gauge("rpslyzer_report_store_last_swap_unix", "Unix time of the last published snapshot."),
 	}
 }

@@ -8,8 +8,9 @@
 #   5. the same tests under the race detector — the ingestion pipeline
 #      and the verifier's caches are concurrent, so a green run here is
 #      part of the contract, not an extra — then the concurrency
-#      contracts (singleflight collapse, hot-swap races, concurrent
-#      verification) 20 times over, so they are pinned by repetition
+#      contracts (singleflight collapse, hot-swap races, a snapshot
+#      freeze beside API renders, concurrent verification) 20 times
+#      over, so they are pinned by repetition
 #   6. bench smoke — the ingestion benchmark (3 counts of 1 iteration),
 #      written to BENCH_ingest.json so perf regressions leave a paper
 #      trail; gates the parallel pipeline against the sequential loader
@@ -20,7 +21,11 @@
 #   8. verify bench smoke — compiled vs interpreted VerifyAll plus the
 #      radix OriginsOf lookup, written to BENCH_verify.json; gates
 #      tracing overhead (<= 5%), incremental re-verification speedup
-#      (>= 20x), and the sweep's retained heap in bytes per route
+#      (>= 20x), and the sweep's retained heap in bytes per route; then
+#      the report-store freeze over the same sweep
+#      (BenchmarkBuildSnapshot), printed and gated, not recorded: what
+#      the snapshot retains per route and how much it allocates to get
+#      there
 #   9. shard smoke — the end-to-end shard-count invariance test (byte-
 #      identical verify/whois/API output at -shards=1/2/4/7) and the
 #      origin-hash imbalance bound (<= 2x), run by name for the record
@@ -122,6 +127,19 @@ heap_live=$(grep '"Test":"BenchmarkVerifyAll/heap-compiled"' BENCH_verify.json |
 [ -n "$heap_live" ]
 echo "VerifyAll heap live-B/route: $heap_live"
 awk "BEGIN { exit !($heap_live <= 770) }"
+
+# Store freeze gate, beside the verifier's: the frozen snapshot must
+# stay under 555 live-B/route (it measures ~462 on this fixture, 844
+# before reason lists were shared; the ceiling leaves 20% headroom), and
+# freezing it must allocate at most 1.5x what it retains (~1.33x; 4.8x
+# when every arena and index grew by doubling). min-of-3, as above.
+freeze_out=$(go test -run '^$' -bench '^BenchmarkBuildSnapshot$' -benchtime 2x -count 3 .)
+echo "$freeze_out" | grep '^BenchmarkBuildSnapshot'
+freeze_live=$(echo "$freeze_out" | grep -o '[0-9][0-9.]* live-B/route' | awk '{print $1}' | sort -n | head -1)
+freeze_alloc=$(echo "$freeze_out" | grep -o '[0-9][0-9.]* alloc-B/route' | awk '{print $1}' | sort -n | head -1)
+[ -n "$freeze_live" ] && [ -n "$freeze_alloc" ]
+echo "BuildSnapshot B/route: live=$freeze_live alloc=$freeze_alloc"
+awk "BEGIN { ratio = $freeze_alloc / $freeze_live; printf \"freeze allocated/retained: %.2fx\n\", ratio; exit !($freeze_live <= 555 && ratio <= 1.5) }"
 
 echo "== shard smoke (count invariance + imbalance bound)"
 # Re-run the two shard contracts by name so a verify.sh transcript

@@ -7,12 +7,14 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/parser"
+	"rpslyzer/internal/reportstore"
 	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/verify"
 	"rpslyzer/internal/whois"
@@ -71,8 +73,9 @@ func pairMemoWork(routes []bgpsim.Route) (pairs, repeats int) {
 
 // TestTelemetryEndToEnd drives the full observability path: load dumps
 // through the instrumented pipeline, serve and query them over whois,
-// verify the routes in two bulk passes, then scrape /metrics over HTTP
-// and check the scraped counters match the work performed.
+// verify the routes in two bulk passes, freeze and publish the reports
+// three times, then scrape /metrics over HTTP and check the scraped
+// counters match the work performed.
 func TestTelemetryEndToEnd(t *testing.T) {
 	sys, err := core.BuildSynthetic(core.Options{Seed: 7, ASes: 300})
 	if err != nil {
@@ -124,7 +127,28 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal("no routes collected")
 	}
 	verifier.VerifyAll(routes, 4)
-	verifier.VerifyAll(routes, 4)
+	reports := verifier.VerifyAll(routes, 4)
+
+	// Stage 4: the report store, frozen both ways reportd freezes it —
+	// from a retained report slice, as every -mirror journal does, and
+	// behind a streaming Builder — and published. The freezes are timed
+	// from outside to bound what the store's own histogram may hold.
+	store := reportstore.New(reportstore.NewMetrics(reg))
+	var freezing time.Duration
+	for i := 0; i < 2; i++ {
+		t0 := time.Now()
+		snap := reportstore.BuildSnapshot(reports)
+		freezing += time.Since(t0)
+		store.Swap(snap)
+	}
+	sb := reportstore.NewBuilder()
+	for _, rep := range reports {
+		sb.Add(rep)
+	}
+	t0 := time.Now()
+	snap := sb.Build()
+	freezing += time.Since(t0)
+	store.Swap(snap)
 
 	// Scrape over HTTP and cross-check against the work performed.
 	ms, err := telemetry.Serve("127.0.0.1:0", reg)
@@ -182,6 +206,19 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(body, "# TYPE rpslyzer_whois_query_seconds histogram") {
 		t.Error("whois query latency histogram not exposed as TYPE histogram")
+	}
+
+	// The store's build histogram has one sample per swap, and the
+	// samples are the freezes alone: their sum fits inside the time the
+	// freeze calls took, which it could not with verification counted in.
+	if got := samples["rpslyzer_report_store_swaps_total"]; got != float64(store.Swaps()) || got != 3 {
+		t.Errorf("report_store_swaps_total = %g, want %d", got, store.Swaps())
+	}
+	if got := samples["rpslyzer_report_store_build_seconds_count"]; got != float64(store.Swaps()) {
+		t.Errorf("report_store_build_seconds count = %g, want one per swap (%d)", got, store.Swaps())
+	}
+	if got := samples["rpslyzer_report_store_build_seconds_sum"]; got <= 0 || got > freezing.Seconds() {
+		t.Errorf("report_store_build_seconds sum = %gs, want within the %v the freezes took", got, freezing)
 	}
 
 	// Pair memo: each pass evaluates every distinct (prefix,
