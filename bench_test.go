@@ -29,7 +29,9 @@ import (
 	"rpslyzer/internal/report"
 	"rpslyzer/internal/reportstore"
 	"rpslyzer/internal/rpsl"
+	"rpslyzer/internal/shard"
 	"rpslyzer/internal/stats"
+	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/trace"
 	"rpslyzer/internal/verify"
 )
@@ -646,11 +648,12 @@ func BenchmarkVerifyAll(b *testing.B) {
 					b.Fatal("missing reports")
 				}
 			}
+			b.ReportMetric(float64(b.N*len(f.routes))/b.Elapsed().Seconds(), "routes/s")
 		})
 	}
 	// The same sweep taken route by route, the way an incremental step
-	// re-verifies a dirty route: exact-size reports and no pair memo,
-	// which only a bulk pass over many routes can fill. It is the
+	// re-verifies a dirty route: exact-size reports and no pair sharing,
+	// which only a bulk pass over many routes can use. It is the
 	// denominator of verify.sh's incremental gate.
 	b.Run("per-route", func(b *testing.B) {
 		v := verify.New(f.sys.DB, f.sys.Rels, verify.Config{})
@@ -729,19 +732,24 @@ func BenchmarkReverify(b *testing.B) {
 	b.ReportMetric(float64(dirtyPrograms), "dirty-programs")
 }
 
-// BenchmarkVerifyAllTraced is BenchmarkVerifyAll/compiled with the
-// production observability stack attached: a sampling tracer
-// (verify 1-in-1024, compile 1-in-16, the reportd defaults) and a
-// heavy-hitter profiler. verify.sh gates the ratio against the
-// untraced compiled number — the instrumentation must cost <5%.
+// BenchmarkVerifyAllTraced is BenchmarkVerifyAll/compiled with what
+// reportd attaches to its verifier: verify.Metrics, a sampling tracer
+// (verify 1-in-1024, compile 1-in-16, the reportd defaults), a
+// heavy-hitter profiler and the shard fan-out metrics. verify.sh gates
+// the ratio against the bare compiled number — the instrumentation
+// must cost <5%.
 func BenchmarkVerifyAllTraced(b *testing.B) {
 	f := getFixture(b)
 	v := verify.New(f.sys.DB, f.sys.Rels, verify.Config{Eval: "compiled"})
+	reg := telemetry.NewRegistry("bench-traced")
 	tr := trace.New(trace.Config{Sample: map[string]int{"verify": 1024, "compile": 16}})
 	prof := verify.NewProfiler(64)
 	prof.Register(tr)
+	m := verify.NewMetrics(reg)
+	v.SetMetrics(m)
 	v.SetTracer(tr)
 	v.SetProfiler(prof)
+	v.SetShardMetrics(shard.NewMetrics(reg))
 	v.VerifyAll(f.routes[:min(len(f.routes), 1000)], 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -751,8 +759,12 @@ func BenchmarkVerifyAllTraced(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(b.N*len(f.routes))/b.Elapsed().Seconds(), "routes/s")
 	if len(prof.SlowRoutes.Top(1)) == 0 {
 		b.Fatal("profiler saw no routes")
+	}
+	if m.RoutesVerified.Value() == 0 {
+		b.Fatal("metrics saw no routes")
 	}
 }
 

@@ -2,10 +2,11 @@ package bgpsim
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
-	"strings"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/prefix"
@@ -47,54 +48,98 @@ func WriteDump(w io.Writer, routes []Route) error {
 	return bw.Flush()
 }
 
-// ReadDump parses the format written by WriteDump.
+// ReadDump allocates paths pathSlab ASNs at a time and routes up to
+// routeChunk at a time (chunks double from 64, so a one-line dump
+// stays small).
+const (
+	pathSlab   = 16 << 10
+	routeChunk = 32 << 10
+)
+
+// ReadDump parses the format written by WriteDump. Lines are parsed in
+// place from the scanner's buffer; each route's Path is cut from a
+// shared slab with its capacity capped to its length, so appending to
+// one route's path never writes into the next route's; and routes
+// collect in chunks joined once at the end, so the result is exact-size
+// and no route is copied more than once.
 func ReadDump(r io.Reader) ([]Route, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var routes []Route
+	var chunks [][]Route
+	chunk := make([]Route, 0, 64)
+	var slab []ir.ASN
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		pfxStr, rest, ok := strings.Cut(line, "|")
+		pfxStr, rest, ok := bytes.Cut(line, pipe)
 		if !ok {
 			return nil, fmt.Errorf("bgpsim: line %d: missing '|'", lineNo)
 		}
-		pathStr, commStr, _ := strings.Cut(rest, "|")
-		p, err := prefix.Parse(pfxStr)
+		pathStr, commStr, _ := bytes.Cut(rest, pipe)
+		p, err := prefix.Parse(string(pfxStr))
 		if err != nil {
 			return nil, fmt.Errorf("bgpsim: line %d: %v", lineNo, err)
 		}
 		route := Route{Prefix: p}
-		for _, f := range strings.Fields(commStr) {
-			c, err := ParseCommunity(f)
+		for f, rest := nextField(commStr); len(f) > 0; f, rest = nextField(rest) {
+			c, err := ParseCommunity(string(f))
 			if err != nil {
 				return nil, fmt.Errorf("bgpsim: line %d: %v", lineNo, err)
 			}
 			route.Communities = append(route.Communities, c)
 		}
-		for _, f := range strings.Fields(pathStr) {
-			if strings.HasPrefix(f, "{") {
+		n := 0
+		for f, rest := nextField(pathStr); len(f) > 0; f, rest = nextField(rest) {
+			n++
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("bgpsim: line %d: empty path", lineNo)
+		}
+		if len(slab) < n {
+			slab = make([]ir.ASN, max(pathSlab, n))
+		}
+		route.Path, slab = slab[:0:n], slab[n:]
+		for f, rest := nextField(pathStr); len(f) > 0; f, rest = nextField(rest) {
+			if f[0] == '{' {
 				route.HasASSet = true
-				f = strings.Trim(f, "{}")
+				f = bytes.Trim(f, "{}")
 				// Take the first member as a representative.
-				if i := strings.IndexByte(f, ','); i >= 0 {
+				if i := bytes.IndexByte(f, ','); i >= 0 {
 					f = f[:i]
 				}
 			}
-			n, err := strconv.ParseUint(f, 10, 32)
+			asn, err := strconv.ParseUint(string(f), 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("bgpsim: line %d: bad ASN %q", lineNo, f)
 			}
-			route.Path = append(route.Path, ir.ASN(n))
+			route.Path = append(route.Path, ir.ASN(asn))
 		}
-		if len(route.Path) == 0 {
-			return nil, fmt.Errorf("bgpsim: line %d: empty path", lineNo)
+		if len(chunk) == cap(chunk) {
+			chunks = append(chunks, chunk)
+			chunk = make([]Route, 0, min(2*cap(chunk), routeChunk))
 		}
-		routes = append(routes, route)
+		chunk = append(chunk, route)
 	}
-	return routes, sc.Err()
+	return slices.Concat(append(chunks, chunk)...), sc.Err()
+}
+
+var pipe = []byte{'|'}
+
+// nextField returns b's first field, as strings.Fields would cut it
+// from ASCII text, and what follows it; the field is empty when b holds
+// only white space.
+func nextField(b []byte) (field, rest []byte) {
+	isSpace := func(c byte) bool { return c == ' ' || c-'\t' < 5 }
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	i := 0
+	for i < len(b) && !isSpace(b[i]) {
+		i++
+	}
+	return b[:i], b[i:]
 }

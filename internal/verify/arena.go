@@ -1,23 +1,26 @@
 package verify
 
 import (
+	"cmp"
+	"slices"
+
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/prefix"
 )
 
 // reportArena is the allocator every route verification writes its
 // report through; one goroutine owns it for one driver call, during
 // which the database must not move (the memos below assume it).
 // Checks and reasons are handed out as subslices of blocks that are
-// never reused, so the subslices stay valid for the life of the
-// reports that reference them. The arena also carries the per-route
-// scratch (deduped path, eval context), so a bulk partition's whole
-// verification loop allocates only when a block fills — on paper-scale
-// corpora the difference between millions of small GC-scanned objects
-// and a few thousand blocks.
+// never reused, so they stay valid for the life of the reports that
+// reference them. The arena also carries the per-route scratch and the
+// instrumentation tally, so a bulk partition's verification loop
+// allocates only when a block fills and writes no memory another
+// partition reads.
 //
 // The zero value is the single-route arena: exact-size allocations and
-// no pair memo, so a report pins exactly the memory it uses — a
+// no pair sharing, so a report pins exactly the memory it uses — a
 // long-running mirror patches reports one at a time and must not keep
 // a bulk block alive behind each.
 type reportArena struct {
@@ -26,7 +29,7 @@ type reportArena struct {
 	block   int
 	checks  []Check
 	reasons []Reason
-	path    []ir.ASN // dedupePrepends scratch
+	path    []ir.ASN // the current route's prepend-deduplicated path
 	ctx     evalCtx  // reused route context
 
 	// 1-entry aut-num memo: the pair walk evaluates each AS as self
@@ -40,76 +43,84 @@ type reportArena struct {
 	lastProgAN *ir.AutNum
 	lastProg   *autnumProg
 
-	// pairs memoizes evaluated check pairs by (prefix, communities,
-	// path suffix). A pair's evaluation context never reads anything
-	// closer to the collector than the importer, so routes that share
-	// an origin-side suffix — the common case when several collectors
-	// observe the same announcement — share their checks verbatim.
-	// Cached Check values alias arena-backed Reasons; reports are
-	// read-only downstream, so sharing is safe. Nil disables the memo.
-	// At pairLimit entries the memo is emptied and refills, which bounds
-	// what it pins and keeps it serving the routes seen most recently
-	// (dumps list a prefix's paths together).
-	pairs     map[string][2]Check
-	pairLimit int
-	key       []byte // pair-key scratch
+	// share makes each route copy its leading pairs from the previous
+	// verified route, remembered below. A pair's evaluation never reads
+	// anything closer to the collector than the importer, so routes
+	// that agree on (prefix, communities, origin-side path suffix) —
+	// several collectors observing one announcement — agree on those
+	// pairs' checks verbatim. The bulk drivers feed routes in
+	// compareForSharing order, where the predecessor shares the longest
+	// suffix of any earlier route, so one remembered route finds every
+	// repeat. Copies alias the predecessor's reasons, which is safe:
+	// reports are read-only downstream.
+	share      bool
+	prevPfx    prefix.Prefix
+	prevComms  []bgpsim.Community
+	prevPath   []ir.ASN
+	prevChecks []Check
+
+	tally
 }
 
-const (
-	// arenaBlock is the bulk drivers' block size, in checks or reasons.
-	arenaBlock = 4096
-	// allPairLimit bounds a VerifyAll partition's pair memo. The caller
-	// keeps every report, which the memo's entries alias, so the memo
-	// stays proportional to the output.
-	allPairLimit = 1 << 20
-	// streamPairLimit bounds a VerifyStream partition's pair memo. The
-	// sink may drop each report, so the memo is all a partition retains
-	// and has to stay small (~16 MiB) for the stream to run in constant
-	// memory.
-	streamPairLimit = 1 << 16
-)
+// arenaBlock is the bulk drivers' block size, in checks or reasons.
+const arenaBlock = 4096
 
-// newBulkArena returns a block-allocating arena with a pair memo of at
-// most pairLimit entries, presized for a partition of the given number
-// of routes.
-func newBulkArena(routes, pairLimit int) *reportArena {
-	return &reportArena{
-		block:     arenaBlock,
-		pairs:     make(map[string][2]Check, min(routes, arenaBlock)),
-		pairLimit: pairLimit,
+// newBulkArena returns a block-allocating, pair-sharing arena.
+func newBulkArena() *reportArena { return &reportArena{block: arenaBlock, share: true} }
+
+// compareForSharing orders routes by (prefix, communities, prepend-
+// deduplicated path read from the origin): the order in which every
+// route's longest shared origin-side suffix is with its predecessor.
+func compareForSharing(x, y *bgpsim.Route) int {
+	if c := x.Prefix.Compare(y.Prefix); c != 0 {
+		return c
 	}
+	if c := slices.Compare(x.Communities, y.Communities); c != 0 {
+		return c
+	}
+	p, q := x.Path, y.Path
+	i, j := len(p)-1, len(q)-1
+	for i >= 0 && j >= 0 {
+		a := p[i]
+		if a != q[j] {
+			return cmp.Compare(a, q[j])
+		}
+		for i >= 0 && p[i] == a {
+			i--
+		}
+		for j >= 0 && q[j] == a {
+			j--
+		}
+	}
+	return cmp.Compare(i, j) // the path that ran out first is the suffix
 }
 
-// pairKey starts the route's pair-memo key in the arena's key scratch:
-// family tag, address (4 or 16 bytes), mask bits, community count,
-// communities, origin. The pair walk then appends one path AS per
-// pair, origin side first, so each pair costs one append plus one map
-// probe (the string(key) lookup does not allocate; only inserts do).
-// Fixed field widths per tag keep the encoding bijective; IPv4 keys
-// skip the 12 constant mapped-address bytes so the key hash stays
-// cheap.
-func (a *reportArena) pairKey(route *bgpsim.Route, origin ir.ASN) []byte {
-	key := a.key[:0]
-	if addr := route.Prefix.Addr(); addr.Is4() {
-		a4 := addr.As4()
-		key = append(key, 4)
-		key = append(key, a4[:]...)
-	} else {
-		a16 := addr.As16()
-		key = append(key, 16)
-		key = append(key, a16[:]...)
+// sharedPairs returns how many leading pairs of the route with the
+// given deduplicated path equal the previous route's: one fewer than
+// the ASes the two paths have in common from the origin.
+func (a *reportArena) sharedPairs(route *bgpsim.Route, path []ir.ASN) int {
+	if route.Prefix != a.prevPfx || !slices.Equal(route.Communities, a.prevComms) {
+		return 0
 	}
-	nc := len(route.Communities)
-	key = append(key, byte(route.Prefix.Bits()), byte(nc), byte(nc>>8))
-	for _, cm := range route.Communities {
-		key = appendASNKey(key, ir.ASN(cm))
+	prev, n := a.prevPath, 0
+	for n < len(path) && n < len(prev) && path[len(path)-1-n] == prev[len(prev)-1-n] {
+		n++
 	}
-	return appendASNKey(key, origin)
+	return max(n-1, 0)
 }
 
-// appendASNKey appends a little-endian ASN to a pair-memo key.
-func appendASNKey(b []byte, a ir.ASN) []byte {
-	return append(b, byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
+// checkCount is how many checks walkPairs produces for the route.
+func checkCount(r *bgpsim.Route) int {
+	if r.HasASSet {
+		return 0
+	}
+	n := 0
+	for i, a := range r.Path {
+		if i == 0 || a != r.Path[i-1] {
+			n++
+		}
+	}
+	return 2 * max(n-1, 0)
 }
 
 // checkSlice returns a length-n slice backed by the arena; the caller

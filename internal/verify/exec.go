@@ -14,11 +14,10 @@ import (
 // (SetDepGraph), compilation records every object the program resolved
 // and registers the key set — the loser of a concurrent compile skips
 // registration, since the winner records an identical set.
-func (v *Verifier) program(an *ir.AutNum) *autnumProg {
+func (v *Verifier) program(an *ir.AutNum) (prog *autnumProg, cached bool) {
 	d := v.d
 	if p, ok := d.programs.Load(an); ok {
-		v.metrics.programCacheHit()
-		return p.(*autnumProg)
+		return p.(*autnumProg), true
 	}
 	tsp := v.tracer.Start("compile", "compile-autnum")
 	var rec *depgraph.Recorder
@@ -35,13 +34,13 @@ func (v *Verifier) program(an *ir.AutNum) *autnumProg {
 		tsp.End()
 	}
 	if actual, loaded := d.programs.LoadOrStore(an, p); loaded {
-		return actual.(*autnumProg)
+		return actual.(*autnumProg), false
 	}
 	if v.graph != nil {
 		v.graph.SetProgram(an.ASN, rec.Keys())
 	}
 	v.metrics.programCompiled(d.progCount.Add(1))
-	return p
+	return p, false
 }
 
 // execAutNum runs the aut-num's compiled rule programs for the check
@@ -51,43 +50,44 @@ func (v *Verifier) execAutNum(an *ir.AutNum, ctx *evalCtx) (Status, []Reason) {
 	// The arena memoizes the last program looked up: consecutive checks
 	// share their self AS, so this skips half the cache-map loads.
 	a := ctx.arena
-	if a.lastProgAN != an {
-		a.lastProgAN, a.lastProg = an, v.program(an)
-	} else {
-		v.metrics.programCacheHit()
+	hit := a.lastProgAN == an
+	if !hit {
+		a.lastProgAN = an
+		a.lastProg, hit = v.program(an)
 	}
-	prog := a.lastProg
-	progs := prog.imports
+	if hit {
+		a.progHits++
+	}
+	progs := a.lastProg.imports
 	if ctx.dir == ir.DirExport {
-		progs = prog.exports
+		progs = a.lastProg.exports
 	}
-	sp := v.metrics.programSpan()
-	var execT0 time.Time
-	if sampled := v.profiler.sampleExec(); sampled {
-		execT0 = time.Now()
+	var t0 time.Time
+	if (v.metrics != nil || v.profiler != nil) && every(&a.execOps, DefaultExecSampleN) {
+		t0 = time.Now()
 	}
-	best := Unverified
 	// Accumulate into the context's scratch buffer: the arena's
 	// dedupReasons copies out, so the buffer is reused check after check.
-	reasons := ctx.scratch[:0]
+	best, reasons := Unverified, ctx.scratch[:0]
 	for _, rp := range progs {
 		st, rs := rp(ctx)
 		if st < best {
-			best = st
-			if st == Verified {
-				sp.End()
-				if !execT0.IsZero() {
-					v.profiler.observeExec(ctx.self, time.Since(execT0))
-				}
-				return Verified, nil
+			if best = st; st == Verified {
+				break
 			}
 		}
 		reasons = append(reasons, rs...)
 	}
 	ctx.scratch = reasons
-	sp.End()
-	if !execT0.IsZero() {
-		v.profiler.observeExec(ctx.self, time.Since(execT0))
+	if !t0.IsZero() {
+		d := time.Since(t0)
+		if m := v.metrics; m != nil {
+			m.ProgramSeconds.Observe(d.Seconds())
+		}
+		v.profiler.observeExec(ctx.self, d)
+	}
+	if best == Verified {
+		return Verified, nil
 	}
 	return best, reasons
 }

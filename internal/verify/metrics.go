@@ -18,12 +18,14 @@ type Metrics struct {
 	ChecksEvaluated *telemetry.Counter
 	ChecksByStatus  *telemetry.LabeledCounter
 	// PairMemoHits counts AS pairs whose two checks a bulk run copied
-	// from its (prefix, communities, path-suffix) memo instead of
-	// evaluating them; the copied checks still count in
-	// ChecksEvaluated and ChecksByStatus.
+	// from the previous route sharing their (prefix, communities,
+	// path-suffix) key instead of evaluating them; the copied checks
+	// still count in ChecksEvaluated and ChecksByStatus.
 	PairMemoHits *telemetry.Counter
 	// RouteSeconds and CheckSeconds are the whole-route and per-check
-	// verification latencies.
+	// verification latencies. Like ProgramSeconds they are sampled
+	// 1-in-N per arena, so their counts are samples taken, not work
+	// done; the counters above are the exact ones.
 	RouteSeconds *telemetry.Histogram
 	CheckSeconds *telemetry.Histogram
 	// ProgramsCompiled counts aut-num rule programs compiled by the
@@ -53,11 +55,11 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		ChecksByStatus: reg.LabeledCounter("rpslyzer_verify_checks_by_status_total",
 			"Import/export checks by verification status.", "status"),
 		PairMemoHits: reg.Counter("rpslyzer_verify_pair_memo_hits_total",
-			"AS pairs served from the bulk drivers' pair memo."),
+			"AS pairs copied from the previous route of a bulk run's sharing order."),
 		RouteSeconds: reg.Histogram("rpslyzer_verify_route_seconds",
-			"Whole-route verification latency.", nil),
+			"Whole-route verification latency (sampled).", nil),
 		CheckSeconds: reg.Histogram("rpslyzer_verify_check_seconds",
-			"Per-check verification latency.", nil),
+			"Per-check verification latency (sampled).", nil),
 		ProgramsCompiled: reg.Counter("rpslyzer_verify_programs_compiled_total",
 			"Aut-num rule programs compiled."),
 		ProgramCacheHits: reg.Counter("rpslyzer_verify_program_cache_hits_total",
@@ -65,7 +67,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		ProgramCacheSize: reg.Gauge("rpslyzer_verify_program_cache_size",
 			"Compiled aut-num programs resident in the cache."),
 		ProgramSeconds: reg.Histogram("rpslyzer_verify_program_exec_seconds",
-			"Compiled-program execution latency per check.", nil),
+			"Compiled-program execution latency per check (sampled).", nil),
 	}
 }
 
@@ -73,48 +75,46 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 // starts; the verifier reads the pointer without synchronization.
 func (v *Verifier) SetMetrics(m *Metrics) { v.metrics = m }
 
-func (m *Metrics) routeSpan() telemetry.Span {
-	if m == nil {
-		return telemetry.Span{}
-	}
-	return telemetry.StartSpan(m.RouteSeconds)
+// tally is the arena-local side of Metrics and of the samplers: the
+// hot path bumps plain integers its goroutine owns, and flush folds
+// them into the shared registry every tallyFlushRoutes routes and when
+// the arena's driver finishes, so the exported counters stay exact
+// while a scrape during a sweep still sees them advance.
+type tally struct {
+	routes, ignored    int64
+	byStatus           [len(statusNames)]int64
+	pairHits, progHits int64
+	// Offered to the route, check and program-execution samplers (flush
+	// keeps these); the first is sampled, so short runs feed the sketches.
+	routeOps, checkOps, execOps uint64
 }
 
-func (m *Metrics) checkSpan() telemetry.Span {
-	if m == nil {
-		return telemetry.Span{}
+const tallyFlushRoutes = 1024
+
+// flush adds the counts since the last flush to m and zeroes them.
+func (t *tally) flush(m *Metrics) {
+	if m != nil {
+		m.RoutesVerified.Add(t.routes)
+		m.RoutesIgnored.Add(t.ignored)
+		var checks int64
+		for st, n := range t.byStatus {
+			if n > 0 {
+				checks += n
+				m.ChecksByStatus.Add(Status(st).String(), n)
+			}
+		}
+		m.ChecksEvaluated.Add(checks)
+		m.PairMemoHits.Add(t.pairHits)
+		m.ProgramCacheHits.Add(t.progHits)
 	}
-	return telemetry.StartSpan(m.CheckSeconds)
+	*t = tally{routeOps: t.routeOps, checkOps: t.checkOps, execOps: t.execOps}
 }
 
-func (m *Metrics) observeRoute(rep *RouteReport) {
-	if m == nil {
-		return
-	}
-	if rep.Ignored != "" {
-		m.RoutesIgnored.Inc()
-	} else {
-		m.RoutesVerified.Inc()
-	}
-}
-
-func (m *Metrics) observeCheck(st Status) {
-	if m == nil {
-		return
-	}
-	m.ChecksEvaluated.Inc()
-	m.ChecksByStatus.Inc(st.String())
-}
-
-// pairMemoHit records a pair served from the memo. The status counters
-// stay exact; the per-check latency spans are skipped.
-func (m *Metrics) pairMemoHit(export, imp Status) {
-	if m == nil {
-		return
-	}
-	m.PairMemoHits.Inc()
-	m.observeCheck(export)
-	m.observeCheck(imp)
+// every counts an operation offered to a 1-in-period sampler and
+// reports whether it takes it (it takes the first).
+func every(n *uint64, period uint64) bool {
+	*n++
+	return (*n-1)%max(period, 1) == 0
 }
 
 func (m *Metrics) programCompiled(size int64) {
@@ -123,18 +123,4 @@ func (m *Metrics) programCompiled(size int64) {
 	}
 	m.ProgramsCompiled.Inc()
 	m.ProgramCacheSize.Set(size)
-}
-
-func (m *Metrics) programCacheHit() {
-	if m == nil {
-		return
-	}
-	m.ProgramCacheHits.Inc()
-}
-
-func (m *Metrics) programSpan() telemetry.Span {
-	if m == nil {
-		return telemetry.Span{}
-	}
-	return telemetry.StartSpan(m.ProgramSeconds)
 }

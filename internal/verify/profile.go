@@ -2,7 +2,6 @@ package verify
 
 import (
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"rpslyzer/internal/bgpsim"
@@ -26,9 +25,11 @@ const (
 //
 // A nil *Profiler is inert. Both observation paths are sampled so the
 // hot path stays hot: whole-route timing 1-in-RouteSampleN and
-// per-check program timing 1-in-ExecSampleN, with observed weights
-// scaled by the sampling factor so sketch weights remain estimates of
-// total seconds.
+// per-check program timing 1-in-DefaultExecSampleN, with observed
+// weights scaled by the sampling factor so sketch weights remain
+// estimates of total seconds. The samplers count on the calling
+// goroutine's arena (tally), so partitions share no counter, and the
+// same clock reads feed Metrics' latency histograms.
 type Profiler struct {
 	// SlowRoutes weighs prefixes by whole-route verification seconds.
 	SlowRoutes *trace.TopK
@@ -39,21 +40,17 @@ type Profiler struct {
 	HotPrograms *trace.TopK
 
 	routeSampleN uint64
-	routeOps     atomic.Uint64
-	execSampleN  uint64
-	execOps      atomic.Uint64
 }
 
-// DefaultExecSampleN is the default 1-in-N sampling rate for per-check
+// DefaultExecSampleN is the 1-in-N sampling rate for per-check and
 // program-execution timing.
-const DefaultExecSampleN = 16
+const DefaultExecSampleN = 64
 
 // DefaultRouteSampleN is the default 1-in-N sampling rate for
 // whole-route timing. Sampling bounds the sketch-mutex and clock
-// traffic the profiler adds per route; counter-based selection means
-// the first route is always observed, so short runs still populate
-// the sketches.
-const DefaultRouteSampleN = 8
+// traffic per route; counter-based selection means the first route of
+// every arena is observed, so short runs still populate the sketches.
+const DefaultRouteSampleN = 32
 
 // NewProfiler creates a Profiler whose sketches track the k heaviest
 // keys each (k < 1 defaults to 64).
@@ -66,7 +63,6 @@ func NewProfiler(k int) *Profiler {
 		SlowASes:     trace.NewTopK(k),
 		HotPrograms:  trace.NewTopK(k),
 		routeSampleN: DefaultRouteSampleN,
-		execSampleN:  DefaultExecSampleN,
 	}
 }
 
@@ -99,14 +95,13 @@ func asKey(a ir.ASN) string {
 	return "AS" + strconv.FormatUint(uint64(uint32(a)), 10)
 }
 
-// sampleRoute reports whether this route's verification should be
-// timed and fed to the sketches.
-func (p *Profiler) sampleRoute() bool {
+// routePeriod is the whole-route sampling period (Metrics alone, with
+// no profiler attached, samples at the default).
+func (p *Profiler) routePeriod() uint64 {
 	if p == nil {
-		return false
+		return DefaultRouteSampleN
 	}
-	n := p.routeOps.Add(1)
-	return p.routeSampleN <= 1 || (n-1)%p.routeSampleN == 0
+	return p.routeSampleN
 }
 
 // observeRoute folds one sampled route into the route/AS sketches,
@@ -116,24 +111,11 @@ func (p *Profiler) observeRoute(route *bgpsim.Route, rep *RouteReport, d time.Du
 	if p == nil || rep.Ignored != "" {
 		return
 	}
-	scale := float64(p.routeSampleN)
-	if scale < 1 {
-		scale = 1
-	}
-	secs := d.Seconds() * scale
+	secs := d.Seconds() * float64(max(p.routeSampleN, 1))
 	p.SlowRoutes.Observe(route.Prefix.String(), secs)
 	if n := len(route.Path); n > 0 {
 		p.SlowASes.Observe(asKey(route.Path[n-1]), secs)
 	}
-}
-
-// sampleExec reports whether this program execution should be timed.
-func (p *Profiler) sampleExec() bool {
-	if p == nil {
-		return false
-	}
-	n := p.execOps.Add(1)
-	return p.execSampleN <= 1 || (n-1)%p.execSampleN == 0
 }
 
 // observeExec folds one sampled program execution into the hot-program
@@ -143,11 +125,7 @@ func (p *Profiler) observeExec(self ir.ASN, d time.Duration) {
 	if p == nil {
 		return
 	}
-	scale := float64(p.execSampleN)
-	if scale < 1 {
-		scale = 1
-	}
-	p.HotPrograms.Observe(asKey(self), d.Seconds()*scale)
+	p.HotPrograms.Observe(asKey(self), d.Seconds()*DefaultExecSampleN)
 }
 
 // SetTracer attaches a tracer: route verification and program

@@ -143,14 +143,15 @@ func (inc *Incremental) Init(routes []bgpsim.Route, workers int) []RouteReport {
 // Ignored routes (AS-set paths, single-AS paths) are skipped: their
 // reports do not depend on the database.
 func (inc *Incremental) indexRoutes() {
-	inc.asRoutes = make(map[ir.ASN][]int32)
-	inc.pfxRoutes = make(map[prefix.Prefix][]int32)
+	inc.asRoutes = make(map[ir.ASN][]int32, len(inc.asRoutes))
+	inc.pfxRoutes = make(map[prefix.Prefix][]int32, len(inc.pfxRoutes))
+	var path []ir.ASN // scratch: the index keeps ASNs, not the slice
 	for i := range inc.routes {
 		r := &inc.routes[i]
 		if r.HasASSet {
 			continue
 		}
-		path := dedupePrependsInto(nil, r.Path)
+		path = dedupePrependsInto(path[:0], r.Path)
 		if len(path) <= 1 {
 			continue
 		}
@@ -240,7 +241,7 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 // writing reports in place: indexes with masks in part are patched
 // check by check, the rest verified from scratch. part is read-only
 // here and report writes are disjoint per index, so workers need no
-// locking. Each worker owns a zero-value (exact-size, memo-free) arena,
+// locking. Each worker owns a zero-value (exact-size, share-free) arena,
 // so patched reports never pin bulk blocks.
 func (inc *Incremental) reverifyIndexes(order []int32, part map[int32]map[ir.ASN]CheckMask, workers int) {
 	if workers <= 0 {
@@ -254,6 +255,7 @@ func (inc *Incremental) reverifyIndexes(order []int32, part map[int32]map[ir.ASN
 		go func() {
 			defer wg.Done()
 			a := &reportArena{}
+			defer a.flush(inc.v.metrics)
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(order) {
@@ -265,7 +267,7 @@ func (inc *Incremental) reverifyIndexes(order []int32, part map[int32]map[ir.ASN
 				if patch {
 					old = &inc.reports[i]
 				}
-				inc.reports[i] = inc.v.verifyRoute(inc.routes[i], a, old, masks)
+				inc.reports[i] = inc.v.verifyRoute(inc.routes[i], a, nil, old, masks)
 			}
 		}()
 	}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,9 +37,7 @@ const (
 // VerifyRoute verifies one route. Prepended ASes are removed first;
 // single-AS routes and AS-set routes are ignored, as in the paper
 // (0.06% and 0.03% of routes respectively).
-func (v *Verifier) VerifyRoute(route bgpsim.Route) RouteReport {
-	return v.verifyRoute(route, &reportArena{}, nil, nil)
-}
+func (v *Verifier) VerifyRoute(route bgpsim.Route) RouteReport { return v.verifyOne(route, nil, nil) }
 
 // PatchRoute re-evaluates only the checks of old whose evaluating AS
 // (ctx.self) appears in dirty with the check's direction set, copying
@@ -48,26 +47,43 @@ func (v *Verifier) VerifyRoute(route bgpsim.Route) RouteReport {
 // leaves the other checks' bytes untouched. An old report whose shape
 // does not line up with the pair walk is re-verified in full.
 func (v *Verifier) PatchRoute(route bgpsim.Route, old RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
-	return v.verifyRoute(route, &reportArena{}, &old, dirty)
+	return v.verifyOne(route, &old, dirty)
+}
+
+// verifyOne runs verifyRoute on a single-route arena of its own.
+func (v *Verifier) verifyOne(route bgpsim.Route, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
+	a := &reportArena{}
+	defer a.flush(v.metrics)
+	return v.verifyRoute(route, a, nil, old, dirty)
 }
 
 // verifyRoute is the metering and tracing envelope around walkPairs,
-// shared by every entry point. Both samplers decide up front, so
+// shared by every entry point. The samplers decide up front, so
 // unsampled routes skip the clock reads, the key allocations and the
-// sketch mutexes. The arena must be owned by the calling goroutine.
-func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
+// sketch mutexes, and everything counted lands in the tally of the
+// arena, which the calling goroutine owns and flushes when done.
+func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, dst []Check, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
 	tsp := v.tracer.Start("verify", "verify-route")
-	sampled := v.profiler.sampleRoute()
+	sampled := (v.metrics != nil || v.profiler != nil) && every(&a.routeOps, v.profiler.routePeriod())
 	var t0 time.Time
 	if tsp != nil || sampled {
 		t0 = time.Now()
 	}
-	sp := v.metrics.routeSpan()
-	rep := v.walkPairs(route, a, old, dirty)
-	sp.End()
-	v.metrics.observeRoute(&rep)
+	rep := v.walkPairs(route, a, dst, old, dirty)
 	if sampled {
-		v.profiler.observeRoute(&route, &rep, time.Since(t0))
+		d := time.Since(t0)
+		if m := v.metrics; m != nil {
+			m.RouteSeconds.Observe(d.Seconds())
+		}
+		v.profiler.observeRoute(&route, &rep, d)
+	}
+	if rep.Ignored != "" {
+		a.ignored++
+	} else {
+		a.routes++
+	}
+	if a.routes+a.ignored >= tallyFlushRoutes {
+		a.flush(v.metrics)
 	}
 	if tsp != nil {
 		tsp.Set("prefix", route.Prefix.String()).
@@ -86,8 +102,10 @@ func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, old *RouteRep
 // the exporter's export check and the importer's import check on each.
 // A full verification treats every check as dirty; with old non-nil
 // only the checks dirty selects are re-evaluated and the rest are
-// copied from old. Checks and reasons are written through the arena.
-func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
+// copied from old. Checks go into dst when the driver laid the slots
+// out beforehand (len(dst) == checkCount(&route)), else into arena
+// storage; reasons always go through the arena.
+func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, dst []Check, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
 	rep := RouteReport{Route: route}
 	if route.HasASSet {
 		rep.Ignored = "as-set"
@@ -103,35 +121,32 @@ func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, old *RouteRepor
 		old = nil
 	}
 	origin := path[len(path)-1]
-	// One context serves every check of the route: evalCheck copies
-	// everything it keeps out of it, so mutating the pair fields between
-	// checks is safe and avoids per-check allocations.
+	// One context serves every check of the route: evalCheck copies out
+	// everything it keeps, so mutating the pair fields between checks is
+	// safe and avoids per-check allocations.
 	ctx := &a.ctx
 	*ctx = evalCtx{
 		pfx: route.Prefix, origin: origin, communities: route.Communities,
 		scratch: ctx.scratch, arena: a,
 	}
-	// The check count is known up front, so checks are evaluated
-	// straight into their report slots.
-	rep.Checks = a.checkSlice(2 * (len(path) - 1))
-	memo := a.pairs != nil
-	var key []byte
-	if memo {
-		key = a.pairKey(&route, origin)
+	// The check count is known up front: evaluate straight into slots.
+	if rep.Checks = dst; dst == nil {
+		rep.Checks = a.checkSlice(2 * (len(path) - 1))
+	}
+	shared := 0
+	if a.share { // copy the pairs the previous route already evaluated
+		shared = a.sharedPairs(&route, path)
+		for k, c := range a.prevChecks[:2*shared] {
+			rep.Checks[k] = c
+			a.byStatus[c.Status]++
+		}
+		a.pairHits += int64(shared)
+		a.prevPfx, a.prevComms, a.prevChecks = route.Prefix, route.Communities, rep.Checks
+		a.path, a.prevPath = a.prevPath, path
 	}
 	// Exporter path[i+1] hands the route to importer path[i].
-	for i, k := len(path)-2, 0; i >= 0; i, k = i-1, k+2 {
+	for i, k := len(path)-2-shared, 2*shared; i >= 0; i, k = i-1, k+2 {
 		pair := rep.Checks[k : k+2]
-		if memo {
-			// Pairs whose (prefix, communities, suffix) key was already
-			// evaluated this driver call are copied instead of re-run.
-			key = appendASNKey(key, path[i])
-			if cc, ok := a.pairs[string(key)]; ok {
-				pair[0], pair[1] = cc[0], cc[1]
-				v.metrics.pairMemoHit(cc[0].Status, cc[1].Status)
-				continue
-			}
-		}
 		exporter, importer := path[i+1], path[i]
 		// Filters (in particular AS-path regexes) match the AS-path as
 		// it stands at this hop: the path the exporter announces,
@@ -154,25 +169,22 @@ func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, old *RouteRepor
 		} else {
 			pair[1] = old.Checks[k+1]
 		}
-		if memo {
-			if len(a.pairs) >= a.pairLimit {
-				clear(a.pairs)
-			}
-			a.pairs[string(key)] = [2]Check{pair[0], pair[1]}
-		}
 	}
-	a.key = key
 	return rep
 }
 
-// checkInto runs one import or export check for an AS pair, writing
-// the result in place and recording its latency and outcome in the
-// attached metrics.
+// checkInto runs one import or export check in place, tallies its
+// outcome and times one check in DefaultExecSampleN for the histogram.
 func (v *Verifier) checkInto(ctx *evalCtx, c *Check) {
-	sp := v.metrics.checkSpan()
-	v.evalCheck(ctx, c)
-	sp.End()
-	v.metrics.observeCheck(c.Status)
+	a := ctx.arena
+	if m := v.metrics; m != nil && every(&a.checkOps, DefaultExecSampleN) {
+		t0 := time.Now()
+		v.evalCheck(ctx, c)
+		m.CheckSeconds.ObserveSince(t0)
+	} else {
+		v.evalCheck(ctx, c)
+	}
+	a.byStatus[c.Status]++
 }
 
 // evalCheck runs one import or export check for an AS pair, applying
@@ -315,14 +327,15 @@ func routeShard(r *bgpsim.Route, n int) int {
 	return shard.Of(r.Path[len(r.Path)-1], n)
 }
 
-// VerifyAll verifies routes and returns reports in input order. Routes
-// scatter by the stable origin-AS hash (the partition the sharded
-// irr.Database uses, so a partition's origin checks hit its home route
-// part) into Config.Shards partitions, or workers partitions when
-// Shards is unset (0 means GOMAXPROCS); each partition runs on its own
-// goroutine with its own report arena. Reports are byte-identical at
-// any partition count.
-func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
+// sweep is the bulk drivers' scatter: route indexes bucket by the
+// stable origin-AS hash (the partition the sharded irr.Database uses,
+// so a partition's origin checks hit its home route part, and equal
+// sharing keys always meet) into Config.Shards partitions, or workers
+// partitions when Shards is unset (0 means GOMAXPROCS). Each non-empty
+// partition, on its own goroutine, hands layout its indexes in input
+// order, sorts them into sharing order, and runs each on them with its
+// own sharing arena, whose tally it flushes at the end.
+func (v *Verifier) sweep(routes []bgpsim.Route, workers int, layout func(idxs []int32), each func(a *reportArena, i int32)) {
 	t0 := time.Now()
 	n := v.partitions(workers)
 	buckets := make([][]int32, n)
@@ -330,7 +343,6 @@ func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
 		s := routeShard(&routes[i], n)
 		buckets[s] = append(buckets[s], int32(i))
 	}
-	reports := make([]RouteReport, len(routes))
 	var wg sync.WaitGroup
 	for _, idxs := range buckets {
 		if len(idxs) == 0 {
@@ -339,39 +351,55 @@ func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
 		wg.Add(1)
 		go func(idxs []int32) {
 			defer wg.Done()
-			a := newBulkArena(len(idxs), allPairLimit)
-			for _, i := range idxs {
-				reports[i] = v.verifyRoute(routes[i], a, nil, nil)
+			if layout != nil {
+				layout(idxs)
 			}
+			slices.SortFunc(idxs, func(x, y int32) int {
+				return compareForSharing(&routes[x], &routes[y])
+			})
+			a := newBulkArena()
+			for _, i := range idxs {
+				each(a, i)
+			}
+			a.flush(v.metrics)
 		}(idxs)
 	}
 	wg.Wait()
 	v.shardMetrics.ObserveFanout(time.Since(t0).Seconds())
+}
+
+// VerifyAll verifies routes and returns reports in input order, over
+// sweep's partitions. Reports are byte-identical at any partition
+// count. Each partition evaluates its routes in sharing order but lays
+// their checks out in input order, in one exact-size allocation, so
+// whoever walks the reports afterwards walks memory forwards.
+func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
+	reports := make([]RouteReport, len(routes))
+	v.sweep(routes, workers, func(idxs []int32) {
+		total := 0
+		for _, i := range idxs {
+			total += checkCount(&routes[i])
+		}
+		slots := make([]Check, total)
+		for _, i := range idxs {
+			n := checkCount(&routes[i])
+			reports[i].Checks, slots = slots[:n:n], slots[n:]
+		}
+	}, func(a *reportArena, i int32) {
+		reports[i] = v.verifyRoute(routes[i], a, reports[i].Checks, nil, nil)
+	})
 	return reports
 }
 
 // VerifyStream verifies routes over the same partitions as VerifyAll
 // and hands each report to sink as soon as it is ready. Reports arrive
-// in arbitrary order; VerifyStream serializes the calls to sink.
+// in arbitrary order; VerifyStream serializes the calls to sink. A
+// partition keeps no more of a sent report than the block it was cut
+// from, so a sink that drops reports streams in flat memory.
 func (v *Verifier) VerifyStream(routes []bgpsim.Route, workers int, sink func(RouteReport)) {
-	t0 := time.Now()
-	n := v.partitions(workers)
-	ins := make([]chan bgpsim.Route, n)
-	out := make(chan RouteReport, n*4)
-	var wg sync.WaitGroup
-	for s := range ins {
-		// Buffered so the scatter loop keeps every partition fed while
-		// one of them is busy.
-		ins[s] = make(chan bgpsim.Route, 64)
-		wg.Add(1)
-		go func(in <-chan bgpsim.Route) {
-			defer wg.Done()
-			a := newBulkArena(len(routes)/n+1, streamPairLimit)
-			for r := range in {
-				out <- v.verifyRoute(r, a, nil, nil)
-			}
-		}(ins[s])
-	}
+	// Room for a few finished reports per partition, so a partition
+	// keeps verifying while the sink is busy with another's report.
+	out := make(chan RouteReport, 4*v.partitions(workers))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -379,14 +407,9 @@ func (v *Verifier) VerifyStream(routes []bgpsim.Route, workers int, sink func(Ro
 			sink(rep)
 		}
 	}()
-	for i := range routes {
-		ins[routeShard(&routes[i], n)] <- routes[i]
-	}
-	for _, ch := range ins {
-		close(ch)
-	}
-	wg.Wait()
+	v.sweep(routes, workers, nil, func(a *reportArena, i int32) {
+		out <- v.verifyRoute(routes[i], a, nil, nil, nil)
+	})
 	close(out)
 	<-done
-	v.shardMetrics.ObserveFanout(time.Since(t0).Seconds())
 }

@@ -722,23 +722,3 @@ func TestPatchRouteDoesNotPinHeap(t *testing.T) {
 		t.Fatalf("patched report diverged:\n%s\nvs\n%s", got, want)
 	}
 }
-
-// TestPairMemoStaysBounded drives one bulk arena past its pair limit:
-// the memo is emptied and refills instead of growing, and the reports
-// are those of the memo-free single-route path throughout.
-func TestPairMemoStaysBounded(t *testing.T) {
-	v := fixture(t, basicRPSL, nil, Config{})
-	const limit = 3
-	a := newBulkArena(0, limit)
-	for i := 0; i < 40; i++ {
-		// Collectors 900..903 see each prefix over the same suffix.
-		r := route("198.51.100.0/24", ir.ASN(900+i%4), 100, 200, ir.ASN(300+i/4))
-		got := v.verifyRoute(r, a, nil, nil)
-		if g, w := reportString(got), reportString(v.VerifyRoute(r)); g != w {
-			t.Fatalf("route %d: memoized report diverged:\n%s\nvs\n%s", i, g, w)
-		}
-		if len(a.pairs) > limit {
-			t.Fatalf("route %d: pair memo holds %d entries, limit %d", i, len(a.pairs), limit)
-		}
-	}
-}
