@@ -224,8 +224,8 @@ func BenchmarkFigure6Special(b *testing.B) {
 // sizes. scripts/verify.sh gates this adaptively: on multi-core hosts
 // 8 workers must beat sequential outright; on a single CPU the
 // pipeline does strictly more work than the sequential loader, so the
-// gate instead caps its overhead. The heap-sharded8 sub-benchmark
-// records the retained and peak heap cost per route object so the
+// gate instead caps its overhead. The heap sub-benchmark records the
+// default loader's retained and peak heap cost per route object so the
 // bytes-per-route ceiling in verify.sh can catch regressions.
 func BenchmarkLoadDumpDir(b *testing.B) {
 	f := getFixture(b)
@@ -255,12 +255,12 @@ func BenchmarkLoadDumpDir(b *testing.B) {
 			run(b, core.LoadOptions{Workers: workers})
 		})
 	}
-	b.Run("heap-sharded8", func(b *testing.B) {
+	b.Run("heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var x *ir.IR
 			live, peak := measureHeap(func() {
 				var err error
-				x, _, err = core.LoadDumpDirOpts(dir, core.LoadOptions{Workers: 8, Shards: 8})
+				x, _, err = core.LoadDumpDir(dir)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -276,8 +276,8 @@ func BenchmarkLoadDumpDir(b *testing.B) {
 // BenchmarkIngestLarge is the opt-in paper-scale ingest benchmark: it
 // streams a corpus several times the standard fixture to disk with the
 // irrgen large-corpus mode (never materializing it in memory), then
-// measures the sequential loader against the sharded parallel pipeline
-// over it. Run it explicitly (go test -bench IngestLarge .); -short
+// measures the sequential loader against the parallel pipeline over
+// it. Run it explicitly (go test -bench IngestLarge .); -short
 // skips both the multi-minute generation and the runs.
 func BenchmarkIngestLarge(b *testing.B) {
 	if testing.Short() {
@@ -306,9 +306,7 @@ func BenchmarkIngestLarge(b *testing.B) {
 		}
 	}
 	b.Run("sequential", func(b *testing.B) { run(b, core.LoadOptions{Sequential: true}) })
-	b.Run("parallel-sharded", func(b *testing.B) {
-		run(b, core.LoadOptions{Workers: 8, Shards: 8})
-	})
+	b.Run("parallel", func(b *testing.B) { run(b, core.LoadOptions{Workers: 8}) })
 }
 
 // BenchmarkParseThroughput measures raw RPSL parse speed in bytes/sec

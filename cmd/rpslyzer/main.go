@@ -36,7 +36,6 @@ func main() {
 		renderDir   = flag.String("render", "", "re-emit the parsed IR as canonical RPSL dumps into this directory")
 		summary     = flag.Bool("summary", true, "print a parse summary")
 		workers     = flag.Int("workers", 0, "parse workers (0 = one per CPU, 1 = single worker)")
-		shards      = flag.Int("shards", runtime.GOMAXPROCS(0), "origin-AS shards for the merge stage's route accumulation (the IR is identical at any count)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -92,7 +91,6 @@ func main() {
 	start := time.Now()
 	x, sizes, err := core.LoadDumpDirOpts(*dumps, core.LoadOptions{
 		Workers: *workers,
-		Shards:  *shards,
 		Stats:   loadStats,
 	})
 	if err != nil {

@@ -9,28 +9,29 @@
 //	verify -dumps data/ -rels data/as-rel.txt -routes data/routes.txt
 //	verify -dumps data/ -rels data/as-rel.txt -route "103.162.114.0/23|3257 1299 6939" -report
 //
-// With -changed the command runs the incremental engine instead of a
-// plain pass: the file lists changed-object dependency keys (one
-// "kind:operand" per line, e.g. "aut-num:AS64500" or
-// "as-set:AS-EXAMPLE"), and verify prints which compiled programs the
-// changes invalidate, how many routes they dirty, and the affected
-// ASes — a dry run of what a reportd mirror apply would re-verify.
+// With -changed the command replays one NRTM journal file through the
+// step `reportd -mirror` runs for it (read, apply to a mirror of the
+// dumps, re-verify incrementally) and prints which dependency keys the
+// journal touched, which compiled programs they invalidate, how many
+// routes they dirty, and the affected ASes.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
 
+	"rpslyzer/internal/asrel"
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/core"
-	"rpslyzer/internal/depgraph"
+	"rpslyzer/internal/irr"
+	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/report"
 	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/trace"
@@ -47,7 +48,7 @@ func main() {
 		printRep  = flag.Bool("report", false, "print per-hop reports")
 		jsonOut   = flag.String("json", "", "write per-route reports as JSON lines to this file ('-' for stdout; importable by reportd -import)")
 		paperMode = flag.Bool("paper-skips", false, "skip complex regexes like the published RPSLyzer")
-		changed   = flag.String("changed", "", "file of changed-object keys (one 'kind:operand' per line); incrementally re-verify only affected routes and print the affected ASes")
+		changed   = flag.String("changed", "", "NRTM journal file (*.nrtm) to replay over the dumps: re-verify only the routes it can affect and print the affected ASes")
 		slowest   = flag.Int("slowest", 0, "after verifying, print the N slowest routes/ASes and hottest compiled programs (heavy-hitter estimates)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -109,34 +110,8 @@ func main() {
 	}
 
 	if *changed != "" {
-		keys, err := readChangedKeys(*changed)
-		if err != nil {
-			telemetry.Fatal("read changed keys failed", "path", *changed, "err", err)
-		}
-		inc, err := verify.NewIncremental(db, rels, vcfg)
-		if err != nil {
-			telemetry.Fatal("incremental engine failed", "err", err)
-		}
-		t0 := time.Now()
-		inc.Init(rts, *shards)
-		baseline := time.Since(t0)
-		t1 := time.Now()
-		res := inc.Reverify(db, keys, *shards, nil)
-		stats := inc.GraphStats()
-		fmt.Printf("baseline: verified %d routes in %v (depgraph: %d programs, %d keys, %d edges)\n",
-			len(rts), baseline.Round(time.Millisecond), stats.Programs, stats.Keys, stats.Edges)
-		fmt.Printf("changed keys: %d\n", res.TouchedKeys)
-		fmt.Printf("invalidated programs: %d", len(res.Programs))
-		for _, asn := range res.Programs {
-			fmt.Printf(" AS%d", uint32(asn))
-		}
-		fmt.Println()
-		fmt.Printf("re-verified %d of %d routes in %v\n",
-			res.Routes, len(rts), time.Since(t1).Round(time.Millisecond))
-		affected := inc.AffectedASes(res.Dirty)
-		fmt.Printf("affected ASes: %d\n", len(affected))
-		for _, asn := range affected {
-			fmt.Printf("  AS%d\n", uint32(asn))
+		if err := replayJournal(os.Stdout, *changed, db, rels, vcfg, rts); err != nil {
+			telemetry.Fatal("journal replay failed", "path", *changed, "err", err)
 		}
 		return
 	}
@@ -203,29 +178,52 @@ func main() {
 	}
 }
 
-// readChangedKeys parses a -changed file: one dependency key per line
-// in depgraph.ParseKey's "kind:operand" form; blank lines and #
-// comments are skipped.
-func readChangedKeys(path string) ([]depgraph.Key, error) {
-	f, err := os.Open(path)
+// replayJournal is -changed: one journal file through the calls
+// reportd's mirror hook makes (nrtm.ReadJournalFile, Mirror.ApplyAllKeys,
+// Incremental.Reverify) over a freshly verified corpus, with the step's
+// bookkeeping written to w instead of a snapshot being published. The
+// dumps are taken to stand at the serial the journal continues from.
+func replayJournal(w io.Writer, path string, db *irr.Database, rels *asrel.Database, vcfg verify.Config, rts []bgpsim.Route) error {
+	j, err := nrtm.ReadJournalFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer f.Close()
-	keys := []depgraph.Key{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		k, err := depgraph.ParseKey(line)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, k)
+	inc, err := verify.NewIncremental(db, rels, vcfg)
+	if err != nil {
+		return err
 	}
-	return keys, sc.Err()
+	t0 := time.Now()
+	inc.Init(rts, vcfg.Shards)
+	baseline := time.Since(t0)
+	stats := inc.GraphStats()
+
+	t1 := time.Now()
+	mir := nrtm.NewMirrorDB(db, map[string]uint64{j.Registry: j.First - 1}, nil)
+	keys, err := mir.ApplyAllKeys([]*nrtm.Journal{j})
+	if err != nil {
+		return err
+	}
+	res := inc.Reverify(mir.DB(), keys, vcfg.Shards, nil)
+	fmt.Fprintf(w, "baseline: verified %d routes in %v (depgraph: %d programs, %d keys, %d edges)\n",
+		len(rts), baseline.Round(time.Millisecond), stats.Programs, stats.Keys, stats.Edges)
+	fmt.Fprintf(w, "journal: %s serials %d-%d, %d operations\n", j.Registry, j.First, j.Last, len(j.Ops))
+	fmt.Fprintf(w, "changed keys: %d\n", res.TouchedKeys)
+	for _, k := range keys {
+		fmt.Fprintf(w, "  %s\n", k)
+	}
+	fmt.Fprintf(w, "invalidated programs: %d", len(res.Programs))
+	for _, asn := range res.Programs {
+		fmt.Fprintf(w, " AS%d", uint32(asn))
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "re-verified %d of %d routes (%d patched check by check) in %v\n",
+		res.Routes, len(rts), res.Patched, time.Since(t1).Round(time.Millisecond))
+	affected := inc.AffectedASes(res.Dirty)
+	fmt.Fprintf(w, "affected ASes: %d\n", len(affected))
+	for _, asn := range affected {
+		fmt.Fprintf(w, "  AS%d\n", uint32(asn))
+	}
+	return nil
 }
 
 // printTopK renders one heavy-hitter sketch. Weights are seconds;

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"rpslyzer/internal/core"
+	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/nrtm"
@@ -99,7 +100,7 @@ func main() {
 				x, _, err := core.LoadDumpDir(dumpDir)
 				return x, err
 			},
-			OnSwap: func(db *irr.Database, _ *trace.Span) {
+			OnApply: func(db *irr.Database, _ []depgraph.Key, _ *trace.Span) {
 				srv.SetDB(db)
 				shardMetrics.ObservePlan(db.ShardRouteCounts())
 			},

@@ -4,7 +4,6 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/prefix"
-	"rpslyzer/internal/shard"
 )
 
 // LoadOptions tunes the parallel ingestion pipeline.
@@ -14,12 +13,6 @@ type LoadOptions struct {
 	// ChunkSize is the splitter's target chunk payload in bytes; <= 0
 	// keeps the default.
 	ChunkSize int
-	// Shards partitions the merge stage's route accumulation by origin
-	// shard (the same partition irr.NewSharded uses); <= 1 keeps a
-	// single accumulator. The final IR is identical at every setting —
-	// per-shard streams are re-merged into feed order — but sharded
-	// accumulation keeps each dedup map and route slice shard-sized.
-	Shards int
 	// Stats, when non-nil, receives progress counters as the pipeline
 	// runs (bytes, objects, chunks, parse errors, per-worker tallies).
 	Stats *parser.LoadStats
@@ -75,7 +68,7 @@ func ParseDumpsParallel(opts LoadOptions, dumps ...Dump) *ir.IR {
 	// arrive in completion order; out-of-order ones wait in a ring
 	// buffer indexed by (seq - next), bounded by the number of in-flight
 	// chunks (pool size plus channel capacity).
-	m := newMerger(opts.Shards)
+	m := newMerger()
 	var ring []parser.ChunkResult
 	var present []bool
 	buffered := 0
@@ -105,23 +98,12 @@ func ParseDumpsParallel(opts LoadOptions, dumps ...Dump) *ir.IR {
 // semantics of the sequential Builder: first definition wins across the
 // whole feed, route objects deduplicate on (prefix, origin, source)
 // globally, and each dump's reader diagnostics land after all of that
-// dump's parse errors. Routes accumulate into per-origin-shard parts
-// (each with its own shard-sized dedup map), tagged with a global
-// sequence number so finish can re-merge them into exact feed order.
+// dump's parse errors.
 type merger struct {
-	out      *ir.IR
-	parts    []mergePart
-	nshards  int
-	routeSeq int64
-	curDump  int
-	diags    []ir.ParseError
-}
-
-// mergePart accumulates one origin shard's routes in feed order.
-type mergePart struct {
-	routes []*ir.RouteObject
-	seqs   []int64
-	seen   map[mergeRouteKey]bool
+	out     *ir.IR
+	seen    map[mergeRouteKey]bool
+	curDump int
+	diags   []ir.ParseError
 }
 
 type mergeRouteKey struct {
@@ -130,20 +112,8 @@ type mergeRouteKey struct {
 	source string
 }
 
-func newMerger(shards int) *merger {
-	if shards < 1 {
-		shards = 1
-	}
-	m := &merger{
-		out:     ir.New(),
-		parts:   make([]mergePart, shards),
-		nshards: shards,
-		curDump: -1,
-	}
-	for i := range m.parts {
-		m.parts[i].seen = make(map[mergeRouteKey]bool)
-	}
-	return m
+func newMerger() *merger {
+	return &merger{out: ir.New(), seen: make(map[mergeRouteKey]bool), curDump: -1}
 }
 
 func (m *merger) apply(res parser.ChunkResult) {
@@ -191,21 +161,14 @@ func (m *merger) apply(res parser.ChunkResult) {
 		}
 	}
 	// Route objects keep every (prefix, origin, source) tuple once, in
-	// feed order, accumulated per origin shard. The dedup key contains
-	// the origin, so a tuple's duplicates always land in the same part
-	// and per-part maps are exact.
+	// feed order.
 	for _, r := range f.Routes {
-		p := &m.parts[shard.Of(r.Origin, m.nshards)]
 		key := mergeRouteKey{r.Prefix, r.Origin, r.Source}
-		if p.seen[key] {
+		if m.seen[key] {
 			continue
 		}
-		p.seen[key] = true
-		p.routes = append(p.routes, r)
-		if m.nshards > 1 {
-			p.seqs = append(p.seqs, m.routeSeq)
-		}
-		m.routeSeq++
+		m.seen[key] = true
+		m.out.Routes = append(m.out.Routes, r)
 	}
 	m.out.Errors = append(m.out.Errors, res.IR.Errors...)
 	m.diags = append(m.diags, res.Diags...)
@@ -231,32 +194,5 @@ func (m *merger) flushDiags() {
 
 func (m *merger) finish() *ir.IR {
 	m.flushDiags()
-	if m.nshards == 1 {
-		m.out.Routes = m.parts[0].routes
-		return m.out
-	}
-	// K-way merge of the per-shard streams by global sequence number
-	// restores exact feed order; each part's seqs are increasing, so one
-	// cursor per part suffices.
-	total := 0
-	for i := range m.parts {
-		total += len(m.parts[i].routes)
-	}
-	m.out.Routes = make([]*ir.RouteObject, 0, total)
-	cursors := make([]int, len(m.parts))
-	for len(m.out.Routes) < total {
-		best, bestSeq := -1, int64(0)
-		for i := range m.parts {
-			c := cursors[i]
-			if c >= len(m.parts[i].routes) {
-				continue
-			}
-			if best == -1 || m.parts[i].seqs[c] < bestSeq {
-				best, bestSeq = i, m.parts[i].seqs[c]
-			}
-		}
-		m.out.Routes = append(m.out.Routes, m.parts[best].routes[cursors[best]])
-		cursors[best]++
-	}
 	return m.out
 }

@@ -19,7 +19,6 @@ package depgraph
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -94,8 +93,8 @@ func RoutesKey(asn ir.ASN) Key { return Key{Kind: KindRoutes, ASN: asn} }
 // PrefixKey returns the key for one exact prefix's origin set.
 func PrefixKey(p prefix.Prefix) Key { return Key{Kind: KindPrefix, Pfx: p} }
 
-// String renders the key in the "kind:operand" form ParseKey accepts,
-// e.g. "aut-num:AS64500", "as-set:AS-FOO", "prefix:10.0.0.0/8".
+// String renders the key as "kind:operand", e.g. "aut-num:AS64500",
+// "as-set:AS-FOO", "prefix:10.0.0.0/8".
 func (k Key) String() string {
 	switch k.Kind {
 	case KindAutNum, KindRoutes:
@@ -104,46 +103,6 @@ func (k Key) String() string {
 		return k.Kind.String() + ":" + k.Pfx.String()
 	default:
 		return k.Kind.String() + ":" + k.Name
-	}
-}
-
-// ParseKey parses the String form: "kind:operand" with kind one of
-// aut-num, as-set, route-set, filter-set, peering-set, routes, prefix.
-// AS numbers accept both "AS64500" and "64500".
-func ParseKey(s string) (Key, error) {
-	kindStr, operand, ok := strings.Cut(strings.TrimSpace(s), ":")
-	if !ok {
-		return Key{}, fmt.Errorf("depgraph: key %q: want kind:operand", s)
-	}
-	kind := -1
-	for i, n := range kindNames {
-		if n == kindStr {
-			kind = i
-			break
-		}
-	}
-	if kind < 0 {
-		return Key{}, fmt.Errorf("depgraph: key %q: unknown kind %q", s, kindStr)
-	}
-	switch Kind(kind) {
-	case KindAutNum, KindRoutes:
-		numStr := strings.TrimPrefix(strings.ToUpper(operand), "AS")
-		n, err := strconv.ParseUint(numStr, 10, 32)
-		if err != nil {
-			return Key{}, fmt.Errorf("depgraph: key %q: bad AS number %q", s, operand)
-		}
-		return Key{Kind: Kind(kind), ASN: ir.ASN(n)}, nil
-	case KindPrefix:
-		p, err := prefix.Parse(operand)
-		if err != nil {
-			return Key{}, fmt.Errorf("depgraph: key %q: %w", s, err)
-		}
-		return Key{Kind: KindPrefix, Pfx: p}, nil
-	default:
-		if operand == "" {
-			return Key{}, fmt.Errorf("depgraph: key %q: empty name", s)
-		}
-		return Key{Kind: Kind(kind), Name: operand}, nil
 	}
 }
 

@@ -10,45 +10,22 @@ import (
 	"rpslyzer/internal/prefix"
 )
 
-func TestKeyStringRoundTrip(t *testing.T) {
+func TestKeyString(t *testing.T) {
 	pfx, err := prefix.Parse("10.0.0.0/8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := []depgraph.Key{
-		depgraph.AutNumKey(64500),
-		depgraph.AsSetKey("AS-EXAMPLE"),
-		depgraph.RouteSetKey("RS-EXAMPLE"),
-		depgraph.FilterSetKey("FLTR-EX"),
-		depgraph.PeeringSetKey("PRNG-EX"),
-		depgraph.RoutesKey(64501),
-		depgraph.PrefixKey(pfx),
-	}
-	for _, k := range keys {
-		got, err := depgraph.ParseKey(k.String())
-		if err != nil {
-			t.Fatalf("ParseKey(%q): %v", k.String(), err)
-		}
-		if got != k {
-			t.Errorf("round trip %q: got %+v, want %+v", k.String(), got, k)
-		}
-	}
-}
-
-func TestParseKeyForms(t *testing.T) {
-	// Bare AS numbers and AS-prefixed both parse for the AS kinds.
-	for _, s := range []string{"aut-num:AS64500", "aut-num:64500", "aut-num:as64500"} {
-		k, err := depgraph.ParseKey(s)
-		if err != nil {
-			t.Fatalf("ParseKey(%q): %v", s, err)
-		}
-		if k != depgraph.AutNumKey(64500) {
-			t.Errorf("ParseKey(%q) = %+v", s, k)
-		}
-	}
-	for _, s := range []string{"", "aut-num", "bogus:AS1", "aut-num:ASx", "as-set:", "prefix:notaprefix"} {
-		if _, err := depgraph.ParseKey(s); err == nil {
-			t.Errorf("ParseKey(%q): expected error", s)
+	for k, want := range map[depgraph.Key]string{
+		depgraph.AutNumKey(64500):        "aut-num:AS64500",
+		depgraph.AsSetKey("AS-EXAMPLE"):  "as-set:AS-EXAMPLE",
+		depgraph.RouteSetKey("RS-EX"):    "route-set:RS-EX",
+		depgraph.FilterSetKey("FLTR-EX"): "filter-set:FLTR-EX",
+		depgraph.PeeringSetKey("PRNG-X"): "peering-set:PRNG-X",
+		depgraph.RoutesKey(64501):        "routes:AS64501",
+		depgraph.PrefixKey(pfx):          "prefix:10.0.0.0/8",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("%+v renders as %q, want %q", k, got, want)
 		}
 	}
 }

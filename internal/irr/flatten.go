@@ -86,113 +86,16 @@ func tarjan(nodes []string, edges map[string][]string) [][]string {
 	return sccs
 }
 
-// flattenAsSets computes the transitive member closure, depth, and
-// loop participation of every as-set using the SCC condensation.
-func (db *Database) flattenAsSets() {
-	sets := db.IR.AsSets
-	nodes := make([]string, 0, len(sets))
-	edges := make(map[string][]string, len(sets))
-	for name, s := range sets {
-		nodes = append(nodes, name)
-		for _, m := range s.MemberSets {
-			if _, recorded := sets[m]; recorded {
-				edges[name] = append(edges[name], m)
-			}
-		}
-	}
-	sort.Strings(nodes) // deterministic traversal
-	sccs := tarjan(nodes, edges)
-
-	sccOf := make(map[string]int, len(nodes))
-	for i, scc := range sccs {
-		for _, n := range scc {
-			sccOf[n] = i
-		}
-	}
-
-	flat := make(map[string]*FlatAsSet, len(sets))
-	// Per-SCC aggregates, filled in reverse topological order (the
-	// order tarjan returns).
-	type sccAgg struct {
-		asns       map[ir.ASN]struct{}
-		unrecorded map[string]struct{}
-		depth      int
-	}
-	aggs := make([]sccAgg, len(sccs))
-	for i, scc := range sccs {
-		agg := sccAgg{
-			asns:       make(map[ir.ASN]struct{}),
-			unrecorded: make(map[string]struct{}),
-		}
-		selfLoop := false
-		maxChildDepth := 0
-		recursive := false
-		for _, name := range scc {
-			s := sets[name]
-			for _, asn := range s.MemberASNs {
-				agg.asns[asn] = struct{}{}
-			}
-			for _, asn := range db.asSetIndirectOf(name) {
-				agg.asns[asn] = struct{}{}
-			}
-			for _, m := range s.MemberSets {
-				recursive = true
-				child, recorded := sccOf[m]
-				if !recorded {
-					agg.unrecorded[m] = struct{}{}
-					continue
-				}
-				if child == i {
-					selfLoop = true
-					continue
-				}
-				for a := range aggs[child].asns {
-					agg.asns[a] = struct{}{}
-				}
-				for u := range aggs[child].unrecorded {
-					agg.unrecorded[u] = struct{}{}
-				}
-				if aggs[child].depth > maxChildDepth {
-					maxChildDepth = aggs[child].depth
-				}
-			}
-		}
-		agg.depth = len(scc) + maxChildDepth
-		aggs[i] = agg
-		inLoop := len(scc) > 1 || selfLoop
-		for _, name := range scc {
-			unrec := make([]string, 0, len(agg.unrecorded))
-			for u := range agg.unrecorded {
-				unrec = append(unrec, u)
-			}
-			sort.Strings(unrec)
-			flat[name] = &FlatAsSet{
-				Name:       name,
-				ASNs:       agg.asns,
-				Unrecorded: unrec,
-				Depth:      agg.depth,
-				InLoop:     inLoop,
-				Recursive:  recursive || len(sets[name].MemberSets) > 0,
-			}
-		}
-	}
-	// Fix Recursive per set (it is a per-set property, not per-SCC).
-	for name, s := range sets {
-		flat[name].Recursive = len(s.MemberSets) > 0
-	}
-	out := make([]*FlatAsSet, 0, db.syms.AsSets.Len())
-	for name, f := range flat {
-		out = slicePut(out, db.syms.AsSets.Intern(name), f)
-	}
-	db.flatAsSets = out
-}
-
-// flattenRouteSets computes the prefix closure of every route-set.
-// Route-set members may be prefixes, other route-sets (with optional
-// range operators), as-sets, or ASNs; as-sets and ASNs contribute the
-// prefixes of their route objects, and the member origins are recorded
-// for the relaxed "missing routes" check.
-func (db *Database) flattenRouteSets() {
+// ReflattenRouteSets computes the prefix closure of every route-set
+// from the current indexes, for a full build and after a batch of
+// mutations alike. Route-set members may be prefixes, other route-sets
+// (with optional range operators), as-sets, or ASNs; as-sets and ASNs
+// contribute the prefixes of their route objects, and the member
+// origins are recorded for the relaxed "missing routes" check. Any
+// route or as-set change can shift the closure, and recomputing the
+// whole (comparatively small) route-set layer is simpler than tracking
+// that dependency graph.
+func (db *Database) ReflattenRouteSets() {
 	sets := db.IR.RouteSets
 	nodes := make([]string, 0, len(sets))
 	edges := make(map[string][]string, len(sets))
@@ -299,7 +202,7 @@ func (db *Database) flattenRouteSets() {
 		}
 	}
 	// Assign a fresh slice so snapshots sharing the old one are
-	// untouched (ReflattenRouteSets runs on clones).
+	// untouched (mutations run on clones).
 	out := make([]*FlatRouteSet, 0, db.syms.RouteSets.Len())
 	for name, f := range flat {
 		out = slicePut(out, db.syms.RouteSets.Intern(name), f)

@@ -1,9 +1,17 @@
 package irr
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/irrgen"
+	"rpslyzer/internal/parser"
+	"rpslyzer/internal/rpsl"
+	"rpslyzer/internal/topology"
 )
 
 // TestFlattenEdgeCases pins the flattening contract on the pathological
@@ -221,5 +229,86 @@ members: AS1
 		if _, ok := f.ASNs[1]; !ok {
 			t.Errorf("%s: closure should reach AS1 through the cycles", name)
 		}
+	}
+}
+
+// TestFullFlattenIsReflattenOfEverySet holds the one as-set kernel to
+// both of its jobs. Over five generated universes and the cycle and
+// unrecorded-member fixtures above, a clone re-flattened with every
+// name as a seed (memoized leaves and existing entries in play) equals
+// a fresh New (neither), and New's closures equal a per-set depth-first
+// walk that shares no code with the kernel.
+func TestFullFlattenIsReflattenOfEverySet(t *testing.T) {
+	corpora := map[string]*ir.IR{
+		"cycle-with-tail": dbFrom(t, "as-set: AS-A\nmembers: AS-B\n\n"+
+			"as-set: AS-B\nmembers: AS-C\n\n"+
+			"as-set: AS-C\nmembers: AS-A, AS-TAIL\n\n"+
+			"as-set: AS-TAIL\nmembers: AS9\n").IR,
+		"cycle-with-unrecorded-ref": dbFrom(t, "as-set: AS-A\nmembers: AS-B, AS-GHOST\n\n"+
+			"as-set: AS-B\nmembers: AS-A, AS4\n").IR,
+		"mbrs-by-ref-through-cycle": dbFrom(t, "as-set: AS-A\nmembers: AS-B\nmbrs-by-ref: MNT-M\n\n"+
+			"as-set: AS-B\nmembers: AS-A\n\n"+
+			"aut-num: AS11\nmember-of: AS-A\nmnt-by: MNT-M\n").IR,
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		u := irrgen.Generate(topology.Generate(topology.Config{ASes: 150, Seed: seed}), irrgen.Config{Seed: seed})
+		b := parser.NewBuilder()
+		for _, name := range irrgen.IRRs {
+			b.AddDump(rpsl.NewReader(strings.NewReader(u.DumpText(name)), name))
+		}
+		corpora[fmt.Sprintf("irrgen-seed-%d", seed)] = b.IR
+	}
+	for name, x := range corpora {
+		t.Run(name, func(t *testing.T) {
+			db := New(x)
+			if len(x.AsSets) == 0 {
+				t.Fatal("corpus has no as-sets")
+			}
+			c := db.Clone()
+			c.ReflattenAsSets(sortedMapKeys(x.AsSets))
+			assertMatchesRebuild(t, c)
+
+			for set := range x.AsSets {
+				asns := make(map[ir.ASN]struct{})
+				unrecorded := make(map[string]struct{})
+				seen := make(map[string]bool)
+				inLoop := false
+				var walk func(string)
+				walk = func(n string) {
+					seen[n] = true
+					for _, a := range x.AsSets[n].MemberASNs {
+						asns[a] = struct{}{}
+					}
+					for _, a := range db.asSetIndirectOf(n) {
+						asns[a] = struct{}{}
+					}
+					for _, m := range x.AsSets[n].MemberSets {
+						if m == set {
+							inLoop = true
+						}
+						if _, recorded := x.AsSets[m]; !recorded {
+							unrecorded[m] = struct{}{}
+						} else if !seen[m] {
+							walk(m)
+						}
+					}
+				}
+				walk(set)
+				f, ok := db.AsSet(set)
+				if !ok {
+					t.Fatalf("%s has no flat view", set)
+				}
+				if !maps.Equal(f.ASNs, asns) {
+					t.Errorf("%s: ASNs %v, depth-first walk %v", set, f.ASNs, asns)
+				}
+				if !slices.Equal(f.Unrecorded, sortedKeys(unrecorded)) {
+					t.Errorf("%s: Unrecorded %v, depth-first walk %v", set, f.Unrecorded, sortedKeys(unrecorded))
+				}
+				if f.InLoop != inLoop || f.Recursive != (len(x.AsSets[set].MemberSets) > 0) {
+					t.Errorf("%s: InLoop %v Recursive %v, depth-first walk %v %v",
+						set, f.InLoop, f.Recursive, inLoop, len(x.AsSets[set].MemberSets) > 0)
+				}
+			}
+		})
 	}
 }

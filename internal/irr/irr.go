@@ -154,8 +154,9 @@ func NewSharded(x *ir.IR, shards int) *Database {
 	db.internSymbols()
 	db.indexRoutes()
 	db.indexMembersByRef()
-	db.flattenAsSets()
-	db.flattenRouteSets()
+	// A full build is a re-flatten with every as-set affected.
+	db.ReflattenAsSets(sortedMapKeys(db.IR.AsSets))
+	db.ReflattenRouteSets()
 	return db
 }
 

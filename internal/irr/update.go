@@ -253,12 +253,14 @@ func (db *Database) ReindexRouteSet(name string) {
 	db.setRouteSetIndirect(name, ranges)
 }
 
-// ReflattenAsSets recomputes the flattened views of the seed sets and
-// every set that transitively references one of them, reusing the
-// flat views of unaffected sets as memoized leaves. Seeds must name
-// every as-set whose definition or indirect membership changed
-// (including removed sets, whose flat entries are dropped); a set
-// missed here keeps a stale flat view.
+// ReflattenAsSets computes the flattened views — transitive member
+// closure, depth and loop participation, by SCC condensation — of the
+// seed sets and of every set that transitively references one of them,
+// reusing the flat views of unaffected sets as memoized leaves. It is
+// the only as-set flatten kernel: NewSharded seeds it with every set.
+// Seeds must name every as-set whose definition or indirect membership
+// changed (including removed sets, whose flat entries are dropped); a
+// set missed here keeps a stale flat view.
 //
 // The restriction is sound because "affected" is closed under reverse
 // references: any reference cycle through an affected set consists
@@ -395,16 +397,6 @@ func (db *Database) ReflattenAsSets(seeds []string) {
 		}
 	}
 	db.invalidateAsSetTables()
-}
-
-// ReflattenRouteSets recomputes every flattened route-set from the
-// current indexes. Route-set flattening folds in per-origin route
-// tables and flattened as-sets, so any route or as-set change can
-// shift the closure; recomputing the whole (comparatively small)
-// route-set layer is simpler than tracking that dependency graph, and
-// it assigns a fresh slice so shared snapshots are untouched.
-func (db *Database) ReflattenRouteSets() {
-	db.flattenRouteSets()
 }
 
 // invalidateAsSetTables drops the lazily materialized as-set route

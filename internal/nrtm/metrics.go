@@ -30,7 +30,7 @@ type Metrics struct {
 	// resync (0 until the first).
 	LastApplyUnix *telemetry.Gauge
 	// ApplyToSwapSeconds is the end-to-end freshness latency of one
-	// journal: read + incremental apply + downstream OnSwap (report
+	// journal: read + incremental apply + downstream OnApply (report
 	// rebuild, store swap) until the new data is serveable.
 	ApplyToSwapSeconds *telemetry.Histogram
 }

@@ -300,40 +300,18 @@ func applyOp(db *irr.Database, st *applyState, registry string, op Op) error {
 		}
 	case "as-set":
 		for name, set := range one.AsSets {
-			old, existed := db.IR.AsSets[name]
-			if op.Action == OpAdd {
-				db.IR.AsSets[name] = set
-				oldSource := ""
-				if existed {
-					oldSource = old.Source
-				}
-				adjustCount(db.IR, oldSource, registry, obj.Class, !existed)
-			} else {
-				if !existed {
-					return fmt.Errorf("nrtm: DEL of unknown as-set %s", name)
-				}
-				uncount(db.IR, db.IR.AsSets[name].Source, obj.Class)
-				delete(db.IR.AsSets, name)
+			if err := upsert(db.IR, registry, obj.Class, op.Action, db.IR.AsSets, name, set,
+				func(s *ir.AsSet) string { return s.Source }); err != nil {
+				return err
 			}
 			st.reindexAsSets[name] = struct{}{}
 			st.dirtyAsSets[name] = struct{}{}
 		}
 	case "route-set":
 		for name, set := range one.RouteSets {
-			old, existed := db.IR.RouteSets[name]
-			if op.Action == OpAdd {
-				db.IR.RouteSets[name] = set
-				oldSource := ""
-				if existed {
-					oldSource = old.Source
-				}
-				adjustCount(db.IR, oldSource, registry, obj.Class, !existed)
-			} else {
-				if !existed {
-					return fmt.Errorf("nrtm: DEL of unknown route-set %s", name)
-				}
-				uncount(db.IR, db.IR.RouteSets[name].Source, obj.Class)
-				delete(db.IR.RouteSets, name)
+			if err := upsert(db.IR, registry, obj.Class, op.Action, db.IR.RouteSets, name, set,
+				func(s *ir.RouteSet) string { return s.Source }); err != nil {
+				return err
 			}
 			st.reindexRouteSets[name] = struct{}{}
 		}
@@ -384,8 +362,9 @@ func applyOp(db *irr.Database, st *applyState, registry string, op Op) error {
 	return nil
 }
 
-// upsert applies an ADD/DEL to one of the plain keyed-object maps
-// that need no index maintenance beyond the census.
+// upsert applies an ADD/DEL to one of the name-keyed object maps and
+// the per-source census; index maintenance, where a class has any, is
+// the caller's.
 func upsert[V any](x *ir.IR, registry, class string, a Action, m map[string]V, name string, v V,
 	source func(V) string) error {
 	old, existed := m[name]

@@ -29,20 +29,17 @@ type PollConfig struct {
 	// gap or corrupt journal (typically core.LoadDumpDir over the dump
 	// directory).
 	Reload func() (*ir.IR, error)
-	// OnSwap is called with the mirror's new database after every
-	// applied journal and after every resync — the hot-swap hook
-	// (whois.Server.SetDB, or a report-store rebuild). The span, when
-	// non-nil, is the enclosing journal-apply trace span; downstream
-	// work (verify, store build, swap) should hang child spans off it
-	// so one trace covers journal-apply → rebuild → swap.
-	OnSwap func(db *irr.Database, sp *trace.Span)
-	// OnDelta, when non-nil, takes precedence over OnSwap: it receives
-	// the touched-object dependency keys of each applied journal
-	// alongside the new database, so the downstream hook can re-verify
-	// incrementally (verify.Incremental.Reverify). After a resync the
-	// keys are nil — "unknown delta, redo everything" — and the hook
-	// must fall back to a full rebuild.
-	OnDelta func(db *irr.Database, touched []depgraph.Key, sp *trace.Span)
+	// OnApply, when non-nil, is called with the mirror's new database
+	// after every applied journal and after every resync — the one
+	// hot-swap hook (whois.Server.SetDB, or reportd's re-verify and
+	// report-store swap). keys are the dependency keys of the objects
+	// the journal touched, what verify.Incremental.Reverify needs to
+	// re-verify only those; after a resync they are nil — "unknown
+	// delta, redo everything". The span, when non-nil, is a child of the
+	// enclosing journal-apply or resync trace; downstream work (verify,
+	// store build, swap) should hang child spans off it so one trace
+	// covers journal-apply → re-verify → swap.
+	OnApply func(db *irr.Database, keys []depgraph.Key, sp *trace.Span)
 	// Tracer, when non-nil, traces each journal apply and resync under
 	// the "mirror" stage.
 	Tracer *trace.Tracer
@@ -55,9 +52,20 @@ func (c *PollConfig) logger() *slog.Logger {
 	return slog.Default()
 }
 
+// onApply runs the hook under an "onapply" child span of root.
+func (c *PollConfig) onApply(db *irr.Database, keys []depgraph.Key, root *trace.Span) {
+	if c.OnApply == nil {
+		return
+	}
+	sp := root.Child("onapply")
+	sp.SetInt("keys", int64(len(keys)))
+	c.OnApply(db, keys, sp)
+	sp.End()
+}
+
 // Poll watches the journal directory and applies new journals in
 // lexical order (irrgen names them <step>.<registry>.nrtm, so that is
-// serial order), invoking OnSwap after each applied journal. A serial
+// serial order), invoking OnApply after each applied journal. A serial
 // gap or corrupt journal triggers a full resync via Reload followed by
 // a replay of every journal on disk. Poll returns when stop closes.
 func Poll(mir *Mirror, cfg PollConfig, stop <-chan struct{}) {
@@ -135,17 +143,7 @@ func applyOne(mir *Mirror, cfg *PollConfig, path string) error {
 		root.Set("error", err.Error()).End()
 		return err
 	}
-	switch {
-	case cfg.OnDelta != nil:
-		swap := root.Child("ondelta")
-		swap.SetInt("keys", int64(len(keys)))
-		cfg.OnDelta(mir.DB(), keys, swap)
-		swap.End()
-	case cfg.OnSwap != nil:
-		swap := root.Child("onswap")
-		cfg.OnSwap(mir.DB(), swap)
-		swap.End()
-	}
+	cfg.onApply(mir.DB(), keys, root)
 	mir.metrics.swapDone(time.Now().Unix(), time.Since(t0).Seconds())
 	root.End()
 	cfg.logger().Info("mirror: applied journal",
@@ -169,16 +167,7 @@ func resync(mir *Mirror, cfg *PollConfig, applied map[string]bool) error {
 	}
 	t0 := time.Now()
 	mir.Resync(x, nil)
-	switch {
-	case cfg.OnDelta != nil:
-		swap := root.Child("ondelta")
-		cfg.OnDelta(mir.DB(), nil, swap)
-		swap.End()
-	case cfg.OnSwap != nil:
-		swap := root.Child("onswap")
-		cfg.OnSwap(mir.DB(), swap)
-		swap.End()
-	}
+	cfg.onApply(mir.DB(), nil, root)
 	mir.metrics.swapDone(time.Now().Unix(), time.Since(t0).Seconds())
 	root.End()
 	for name := range applied {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/evolve"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
@@ -42,7 +43,7 @@ func pollFixture(t *testing.T, dir string, steps int) (base, final *ir.IR) {
 
 // TestPollAppliesJournalsAndSwaps drives the shared mirror loop (the
 // one behind whoisd/reportd -mirror) against a journal directory:
-// every applied journal must invoke OnSwap, and the final database
+// every applied journal must invoke OnApply, and the final database
 // must equal a direct parse of the evolved universe.
 func TestPollAppliesJournalsAndSwaps(t *testing.T) {
 	dir := t.TempDir()
@@ -60,7 +61,7 @@ func TestPollAppliesJournalsAndSwaps(t *testing.T) {
 		nrtm.Poll(mir, nrtm.PollConfig{
 			JournalDir: dir,
 			Interval:   5 * time.Millisecond,
-			OnSwap: func(db *irr.Database, _ *trace.Span) {
+			OnApply: func(db *irr.Database, _ []depgraph.Key, _ *trace.Span) {
 				mu.Lock()
 				swaps++
 				lastDB = db
@@ -102,7 +103,7 @@ func TestPollAppliesJournalsAndSwaps(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if swaps == 0 {
-		t.Fatal("OnSwap never invoked")
+		t.Fatal("OnApply never invoked")
 	}
 	if mir.Resyncs() != 0 {
 		t.Errorf("unexpected resyncs: %d", mir.Resyncs())

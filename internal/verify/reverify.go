@@ -39,10 +39,9 @@ import (
 // proportional to the semantic size of the delta, not to the fan-out
 // of the dependency graph.
 //
-// Reverify, Reconcile, and SetRoutes must not run concurrently with
-// each other or with readers of Reports; downstream consumers should
-// copy the patched reports into an immutable snapshot (reportstore)
-// before publishing.
+// Reverify and Reconcile must not run concurrently with each other or
+// with readers of Reports; downstream consumers should copy the patched
+// reports into an immutable snapshot (reportstore) before publishing.
 type Incremental struct {
 	v     *Verifier
 	graph *depgraph.Graph
@@ -67,7 +66,7 @@ type ReverifyResult struct {
 	// TouchedKeys is the size of the touched-key input.
 	TouchedKeys int
 	// Programs lists the invalidated compiled programs (evicted, then
-	// recompiled on demand against the new database), by ASN, sorted.
+	// recompiled against the new database), by ASN, sorted.
 	Programs []ir.ASN
 	// Dirty lists the corpus indexes of the re-verified routes, sorted.
 	// On a full pass it is nil and every route was re-verified.
@@ -87,15 +86,6 @@ type ReconcileResult struct {
 	// dependency cover missed nothing).
 	Routes, Drift int
 	Duration      time.Duration
-}
-
-// RoutesDelta summarizes a corpus swap (SetRoutes).
-type RoutesDelta struct {
-	// Reused reports were carried over from identical routes in the old
-	// corpus; Verified routes were new and verified from scratch;
-	// Dropped counts old routes absent from the new corpus.
-	Reused, Verified, Dropped int
-	Duration                  time.Duration
 }
 
 // NewIncremental builds the engine around a fresh Verifier.
@@ -123,9 +113,6 @@ func (inc *Incremental) Verifier() *Verifier { return inc.v }
 // order. The slice is patched in place by Reverify; copy what must
 // survive the next step.
 func (inc *Incremental) Reports() []RouteReport { return inc.reports }
-
-// Routes returns the engine's current corpus.
-func (inc *Incremental) Routes() []bgpsim.Route { return inc.routes }
 
 // GraphStats returns the dependency graph's current sizes.
 func (inc *Incremental) GraphStats() depgraph.Stats { return inc.graph.Stats() }
@@ -199,7 +186,7 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 	// Dirty the routes each touched object's semantic delta can reach,
 	// given the programs depending on it (read before evict tears their
 	// edges out of the graph). Invalidated programs need no blanket
-	// marking of their own: they recompile on demand against the new
+	// marking of their own: evict recompiles them against the new
 	// snapshot, and a recompiled program produces byte-identical checks
 	// except where a touched object's delta applies — exactly what
 	// markKeyDelta marks.
@@ -308,65 +295,6 @@ func reportsEqual(a, b *RouteReport) bool {
 		}
 	}
 	return true
-}
-
-// SetRoutes swaps the corpus: reports for routes already present (by
-// verification identity — prefix, AS-set flag, path, communities) are
-// reused, new routes are verified against the current database, and
-// reports for withdrawn routes are dropped. The route indexes are
-// rebuilt.
-func (inc *Incremental) SetRoutes(routes []bgpsim.Route, workers int) RoutesDelta {
-	t0 := time.Now()
-	old := make(map[string]int32, len(inc.routes))
-	for i := range inc.routes {
-		key := routeKey(inc.routes[i])
-		if _, dup := old[key]; !dup {
-			old[key] = int32(i)
-		}
-	}
-	reports := make([]RouteReport, len(routes))
-	var fresh []int32
-	kept := make(map[string]struct{}, len(routes))
-	reused := 0
-	for i := range routes {
-		key := routeKey(routes[i])
-		kept[key] = struct{}{}
-		if j, ok := old[key]; ok {
-			reports[i] = inc.reports[j]
-			reports[i].Route = routes[i]
-			reused++
-			continue
-		}
-		fresh = append(fresh, int32(i))
-	}
-	dropped := 0
-	for key := range old {
-		if _, ok := kept[key]; !ok {
-			dropped++
-		}
-	}
-	inc.routes = routes
-	inc.reports = reports
-	inc.reverifyIndexes(fresh, nil, workers)
-	inc.indexRoutes()
-	return RoutesDelta{Reused: reused, Verified: len(fresh), Dropped: dropped, Duration: time.Since(t0)}
-}
-
-// routeKey encodes a route's verification identity (prefix, AS-set
-// flag, path, communities) compactly.
-func routeKey(route bgpsim.Route) string {
-	var b []byte
-	b = append(b, route.Prefix.String()...)
-	if route.HasASSet {
-		b = append(b, '!')
-	}
-	for _, a := range route.Path {
-		b = append(b, '|', byte(a), byte(a>>8), byte(a>>16), byte(a>>24))
-	}
-	for _, c := range route.Communities {
-		b = append(b, ':', byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return string(b)
 }
 
 // AffectedASes returns the sorted union of path ASes over the given

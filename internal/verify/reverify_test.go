@@ -2,15 +2,21 @@
 // journal-driven differential lives at the repo root
 // (reverify_e2e_test.go); these cover the engine's contract directly:
 // config rejection, targeted invalidation matching a from-scratch
-// verification, corpus swaps, and clean reconciliation.
+// verification, evicted programs keeping their dependency edges, and
+// clean reconciliation.
 package verify_test
 
 import (
+	"slices"
 	"testing"
 
+	"rpslyzer/internal/asrel"
 	"rpslyzer/internal/bgpsim"
+	"rpslyzer/internal/core"
 	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/nrtm"
+	"rpslyzer/internal/prefix"
 	"rpslyzer/internal/verify"
 )
 
@@ -112,29 +118,72 @@ func TestReverifyNilTouchedIsFull(t *testing.T) {
 	assertSameReports(t, inc.Reports(), fresh, routes)
 }
 
-func TestSetRoutesSwapsCorpus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus incremental test")
-	}
-	sys, routes := diffCorpus(t)
-	if len(routes) < 10 {
-		t.Fatalf("corpus too small: %d routes", len(routes))
-	}
-	inc, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{})
+// TestEvictedProgramKeepsItsEdges is the bench's universe-7 drift (32 of
+// 398 164 reports wrong after 26 journals) cut down to two steps. Step 1
+// invalidates AS1's program through a key whose delta reaches none of
+// AS1's routes; step 2 shrinks an as-set AS1 filters on. When eviction
+// retracted the program's dependency edges until some dirty route
+// happened to recompile it, step 2 found the as-set without dependents,
+// dirtied nothing, and AS1's export check stayed verified.
+func TestEvictedProgramKeepsItsEdges(t *testing.T) {
+	x := core.ParseText(`
+aut-num: AS1
+import: from AS3 accept AS3
+import: from AS9 accept AS9
+export: to AS2 announce AS-CUST
+
+as-set: AS-CUST
+members: AS3, AS4
+
+route: 192.0.2.0/24
+origin: AS3
+
+route: 198.51.100.0/24
+origin: AS9
+`, "TEST")
+	mir := nrtm.NewMirror(x, nil, nil)
+	rels := asrel.New()
+	routes := []bgpsim.Route{{Prefix: prefix.MustParse("192.0.2.0/24"), Path: []ir.ASN{2, 1, 3}}}
+	inc, err := verify.NewIncremental(mir.DB(), rels, verify.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.Init(routes[:len(routes)/2], 0)
-
-	// The new corpus keeps the first quarter, drops the rest of the old
-	// half, and adds the second half as fresh routes.
-	next := append(append([]bgpsim.Route{}, routes[:len(routes)/4]...), routes[len(routes)/2:]...)
-	delta := inc.SetRoutes(next, 0)
-	if delta.Reused == 0 || delta.Verified == 0 || delta.Dropped == 0 {
-		t.Fatalf("expected all three delta classes, got %+v", delta)
+	inc.Init(routes, 1)
+	exportOf := func() verify.Status {
+		for _, c := range inc.Reports()[0].Checks {
+			if c.From == 1 && c.To == 2 && c.Dir == ir.DirExport {
+				return c.Status
+			}
+		}
+		t.Fatalf("no AS1->AS2 export check in %v", inc.Reports()[0].Checks)
+		return 0
 	}
-	fresh := verify.New(sys.DB, sys.Rels, verify.Config{}).VerifyAll(next, 0)
-	assertSameReports(t, inc.Reports(), fresh, next)
+	if st := exportOf(); st != verify.Verified {
+		t.Fatalf("AS1 export before the journals: %v, want verified", st)
+	}
+	step := func(serial uint64, object string) verify.ReverifyResult {
+		t.Helper()
+		keys, err := mir.ApplyAllKeys([]*nrtm.Journal{{Registry: "TEST", First: serial, Last: serial,
+			Ops: []nrtm.Op{{Serial: serial, Action: nrtm.OpAdd, Object: object}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inc.Reverify(mir.DB(), keys, 1, nil)
+	}
+
+	res := step(1, "route: 203.0.113.0/24\norigin: AS9\nsource: TEST\n")
+	if !slices.Contains(res.Programs, ir.ASN(1)) || res.Routes != 0 {
+		t.Fatalf("step 1: invalidated %v and dirtied %d routes, want AS1 invalidated and no route dirty", res.Programs, res.Routes)
+	}
+	res = step(2, "as-set: AS-CUST\nmembers: AS4\nsource: TEST\n")
+	if res.Routes != 1 {
+		t.Errorf("step 2: %d routes dirty, want the one AS1 exports", res.Routes)
+	}
+	if st := exportOf(); st == verify.Verified {
+		t.Errorf("AS1 export still verified after AS3 left AS-CUST")
+	}
+	fresh := verify.New(mir.DB(), rels, verify.Config{}).VerifyAll(routes, 1)
+	assertSameReports(t, inc.Reports(), fresh, routes)
 }
 
 func TestAffectedASes(t *testing.T) {

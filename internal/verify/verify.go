@@ -368,7 +368,13 @@ func (v *Verifier) resync(db *irr.Database) {
 // dependency edges, Only Provider Policies flag — which are re-derived
 // against db. Surviving programs read v.DB at call time, so they see
 // the new snapshot for their run-time lookups.
+//
+// A program that was compiled is recompiled here, not when a dirty
+// route next needs it: its AS may hold reports the step dirties none
+// of, and those reports must keep current dependency edges or the next
+// delta to an object they rest on is handed no dependent to mark.
 func (v *Verifier) evict(db *irr.Database, asns []ir.ASN) {
+	var compiled []ir.ASN
 	for _, asn := range asns {
 		// Programs are keyed by object pointer, which the old snapshot
 		// still resolves even when the journal replaced or deleted the
@@ -376,6 +382,7 @@ func (v *Verifier) evict(db *irr.Database, asns []ir.ASN) {
 		if an, ok := v.DB.AutNum(asn); ok {
 			if _, loaded := v.d.programs.LoadAndDelete(an); loaded {
 				v.d.progCount.Add(-1)
+				compiled = append(compiled, asn)
 			}
 		}
 		if v.graph != nil {
@@ -388,6 +395,11 @@ func (v *Verifier) evict(db *irr.Database, asns []ir.ASN) {
 			v.d.onlyProviderPolicies[asn] = true
 		} else {
 			delete(v.d.onlyProviderPolicies, asn)
+		}
+	}
+	for _, asn := range compiled {
+		if an, ok := db.AutNum(asn); ok {
+			v.program(an)
 		}
 	}
 }

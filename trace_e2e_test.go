@@ -13,6 +13,7 @@ import (
 
 	"rpslyzer/internal/api"
 	"rpslyzer/internal/core"
+	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/evolve"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
@@ -84,7 +85,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal("no routes collected")
 	}
 
-	// Stage 2: the reportd rebuild closure — verify, build, hot-swap.
+	// Stage 2: a whole-corpus rebuild per publish — verify, build,
+	// hot-swap.
 	store := reportstore.New(reportstore.NewMetrics(reg))
 	rebuild := func(db *irr.Database, parent *trace.Span) {
 		root := trace.StartOrChild(tracer, parent, "rebuild", "rebuild")
@@ -127,7 +129,7 @@ func TestTraceEndToEnd(t *testing.T) {
 			x, _, err := core.LoadDumpDir(dumpDir)
 			return x, err
 		},
-		OnSwap: rebuild,
+		OnApply: func(db *irr.Database, _ []depgraph.Key, sp *trace.Span) { rebuild(db, sp) },
 	}, stop)
 
 	// Evolve the universe two steps; hold the second step back so the
