@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"strconv"
 	"strings"
@@ -28,8 +29,9 @@ import (
 
 	"rpslyzer/internal/api"
 	"rpslyzer/internal/core"
-	"rpslyzer/internal/reportstore"
+	"rpslyzer/internal/daemon"
 	"rpslyzer/internal/telemetry"
+	"rpslyzer/internal/verify"
 )
 
 // runJSON is one target's result plus the server-side cache numbers
@@ -172,23 +174,22 @@ func main() {
 	}
 }
 
-// buildSelfServe generates the synthetic universe, verifies its
-// collector routes, and wires an API server over the snapshot.
+// buildSelfServe generates the synthetic universe and serves what a
+// reportd started over it would: the daemon engine's in-memory boot
+// verifies the collector routes and publishes the snapshot.
 func buildSelfServe(ases, collectors int, seed int64) (*api.Server, *api.Metrics, []uint32) {
 	sys, err := core.BuildSynthetic(core.Options{Seed: seed, ASes: ases, Collectors: collectors})
 	if err != nil {
 		telemetry.Fatal("build synthetic universe failed", "err", err)
 	}
-	routes := sys.CollectRoutes(collectors, seed)
-	b := reportstore.NewBuilder()
-	sys.Verifier.VerifyStream(routes, 0, b.Add)
-	snap := b.Build()
-
-	store := reportstore.New(reportstore.NewMetrics(telemetry.Default()))
-	store.Swap(snap)
+	e := daemon.NewEngine(&daemon.Process{Logger: slog.Default(), Registry: telemetry.Default()}, nil)
+	if err := e.BootCorpus(sys.DB, sys.Rels, sys.CollectRoutes(collectors, seed), verify.Config{}, false); err != nil {
+		telemetry.Fatal("boot failed", "err", err)
+	}
 	m := api.NewMetrics(telemetry.Default())
-	srv := api.NewServer(store, api.Config{}, m)
+	srv := api.NewServer(e.Store(), api.Config{}, m)
 
+	snap := e.Store().Current()
 	asns := make([]uint32, len(snap.ASNs()))
 	for i, a := range snap.ASNs() {
 		asns[i] = uint32(a)

@@ -41,7 +41,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nrtm: -journals is required")
 		os.Exit(2)
 	}
-	paths, err := journalPaths(*journals)
+	paths, err := nrtm.JournalFiles(*journals)
 	if err != nil {
 		telemetry.Fatal("list journals failed", "err", err)
 	}
@@ -58,22 +58,6 @@ func main() {
 	if err := applyJournals(*dumps, paths, *expect); err != nil {
 		telemetry.Fatal("apply failed", "err", err)
 	}
-}
-
-// journalPaths lists *.nrtm files in dir in lexical (= replay) order.
-func journalPaths(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var paths []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".nrtm") {
-			paths = append(paths, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(paths)
-	return paths, nil
 }
 
 func inspectJournals(paths []string) error {

@@ -11,7 +11,7 @@
 //
 // With -changed the command replays one NRTM journal file through the
 // step `reportd -mirror` runs for it (read, apply to a mirror of the
-// dumps, re-verify incrementally) and prints which dependency keys the
+// dumps, the daemon engine's Step) and prints which dependency keys the
 // journal touched, which compiled programs they invalidate, how many
 // routes they dirty, and the affected ASes.
 package main
@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -30,6 +31,7 @@ import (
 	"rpslyzer/internal/asrel"
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/core"
+	"rpslyzer/internal/daemon"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/report"
@@ -178,24 +180,24 @@ func main() {
 	}
 }
 
-// replayJournal is -changed: one journal file through the calls
-// reportd's mirror hook makes (nrtm.ReadJournalFile, Mirror.ApplyAllKeys,
-// Incremental.Reverify) over a freshly verified corpus, with the step's
-// bookkeeping written to w instead of a snapshot being published. The
-// dumps are taken to stand at the serial the journal continues from.
+// replayJournal is -changed: the daemon engine booted over the corpus
+// as `reportd -mirror` boots it, then one journal file through what
+// nrtm.Poll does with it (ReadJournalFile, ApplyAllKeys, the engine's
+// Step), the step's bookkeeping written to w. The dumps are taken to
+// stand at the serial the journal continues from; both times include
+// the snapshot freeze and swap the daemon pays.
 func replayJournal(w io.Writer, path string, db *irr.Database, rels *asrel.Database, vcfg verify.Config, rts []bgpsim.Route) error {
 	j, err := nrtm.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}
-	inc, err := verify.NewIncremental(db, rels, vcfg)
-	if err != nil {
+	e := daemon.NewEngine(&daemon.Process{Logger: slog.Default(), Registry: telemetry.NewRegistry("verify")}, nil)
+	t0 := time.Now()
+	if err := e.BootCorpus(db, rels, rts, vcfg, true); err != nil {
 		return err
 	}
-	t0 := time.Now()
-	inc.Init(rts, vcfg.Shards)
 	baseline := time.Since(t0)
-	stats := inc.GraphStats()
+	stats := e.Incremental().GraphStats()
 
 	t1 := time.Now()
 	mir := nrtm.NewMirrorDB(db, map[string]uint64{j.Registry: j.First - 1}, nil)
@@ -203,7 +205,7 @@ func replayJournal(w io.Writer, path string, db *irr.Database, rels *asrel.Datab
 	if err != nil {
 		return err
 	}
-	res := inc.Reverify(mir.DB(), keys, vcfg.Shards, nil)
+	res := e.Step(mir.DB(), keys, nil)
 	fmt.Fprintf(w, "baseline: verified %d routes in %v (depgraph: %d programs, %d keys, %d edges)\n",
 		len(rts), baseline.Round(time.Millisecond), stats.Programs, stats.Keys, stats.Edges)
 	fmt.Fprintf(w, "journal: %s serials %d-%d, %d operations\n", j.Registry, j.First, j.Last, len(j.Ops))
@@ -218,7 +220,7 @@ func replayJournal(w io.Writer, path string, db *irr.Database, rels *asrel.Datab
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "re-verified %d of %d routes (%d patched check by check) in %v\n",
 		res.Routes, len(rts), res.Patched, time.Since(t1).Round(time.Millisecond))
-	affected := inc.AffectedASes(res.Dirty)
+	affected := e.Incremental().AffectedASes(res.Dirty)
 	fmt.Fprintf(w, "affected ASes: %d\n", len(affected))
 	for _, asn := range affected {
 		fmt.Fprintf(w, "  AS%d\n", uint32(asn))

@@ -16,109 +16,71 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"rpslyzer/internal/core"
-	"rpslyzer/internal/depgraph"
-	"rpslyzer/internal/ir"
+	"rpslyzer/internal/daemon"
 	"rpslyzer/internal/irr"
-	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/shard"
 	"rpslyzer/internal/telemetry"
-	"rpslyzer/internal/trace"
 	"rpslyzer/internal/whois"
 )
 
-func main() {
-	var (
-		dumps          = flag.String("dumps", "data", "directory with *.db IRR dumps")
-		listen         = flag.String("listen", "127.0.0.1:4343", "listen address")
-		metricsAddr    = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
-		logLevel       = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		shards         = flag.Int("shards", runtime.GOMAXPROCS(0), "origin-AS shards for the route indexes (1 = single-shard layout; responses are byte-identical at any count)")
-		mirrorDir      = flag.String("mirror", "", "watch this directory for *.nrtm journals and apply them incrementally")
-		mirrorInterval = flag.Duration("mirror-interval", 2*time.Second, "journal directory poll interval for -mirror")
-		traceSamples   = flag.String("trace-sample", "ingest=16,whois=64", "per-stage trace sampling as stage=N pairs (1-in-N); unlisted stages trace every operation")
-	)
-	flag.Parse()
+// flags is whoisd's command line.
+type flags struct {
+	dumps, listen, mirrorDir            string
+	metricsAddr, logLevel, traceSamples string
+	shards                              int
+	mirrorInterval                      time.Duration
+}
 
-	level, err := telemetry.ParseLevel(*logLevel)
+// parseFlags exits 2 on a bad command line, 0 on -h.
+func parseFlags(args []string) *flags {
+	f := &flags{}
+	fs := flag.NewFlagSet("whoisd", flag.ExitOnError)
+	fs.StringVar(&f.dumps, "dumps", "data", "directory with *.db IRR dumps")
+	fs.StringVar(&f.listen, "listen", "127.0.0.1:4343", "listen address")
+	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
+	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.IntVar(&f.shards, "shards", runtime.GOMAXPROCS(0), "origin-AS shards for the route indexes (1 = single-shard layout; responses are byte-identical at any count)")
+	fs.StringVar(&f.mirrorDir, "mirror", "", "watch this directory for *.nrtm journals and apply them incrementally")
+	fs.DurationVar(&f.mirrorInterval, "mirror-interval", 2*time.Second, "journal directory poll interval for -mirror")
+	fs.StringVar(&f.traceSamples, "trace-sample", "ingest=16,whois=64", "per-stage trace sampling as stage=N pairs (1-in-N); unlisted stages trace every operation")
+	fs.Parse(args)
+	return f
+}
+
+// serve loads the dumps and starts answering on f.listen, behind p's
+// mirror loop when -mirror names a journal directory.
+func serve(f *flags, p *daemon.Process) (*whois.Server, error) {
+	loadStats := &parser.LoadStats{Metrics: parser.NewPipelineMetrics(p.Registry), Trace: p.Tracer}
+	x, _, err := core.LoadDumpDirOpts(f.dumps, core.LoadOptions{Stats: loadStats})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return nil, fmt.Errorf("load dumps: %w", err)
 	}
-	logger := telemetry.SetupLogger("whoisd", level)
-
-	samples, err := trace.ParseSamples(*traceSamples)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	srv := whois.NewServer(irr.NewSharded(x, f.shards))
+	srv.Metrics, srv.Logger, srv.Tracer = whois.NewMetrics(p.Registry), p.Logger, p.Tracer
+	p.ObservePlan(srv.DB())
+	if f.mirrorDir != "" {
+		srv.SerialSource = p.MirrorDB(srv.DB(), f.dumps, f.mirrorDir, f.mirrorInterval, srv.SetDB)
 	}
-	tracer := trace.New(trace.Config{Sample: samples})
-
-	reg := telemetry.Default()
-	logger.Info("build info", telemetry.BuildInfoArgs(telemetry.RegisterBuildInfo(reg))...)
-	telemetry.RegisterRuntimeMetrics(reg)
-	if *metricsAddr != "" {
-		ms, err := telemetry.Serve(*metricsAddr, reg,
-			telemetry.Mount{Pattern: "/debug/trace/", Handler: tracer.Handler()})
-		if err != nil {
-			telemetry.Fatal("metrics endpoint failed", "addr", *metricsAddr, "err", err)
-		}
-		defer ms.Close()
-		logger.Info("metrics endpoint listening", "addr", ms.Addr().String())
+	if err := srv.Listen(f.listen); err != nil {
+		return nil, fmt.Errorf("listen on %s: %w", f.listen, err)
 	}
-
-	loadStats := &parser.LoadStats{Metrics: parser.NewPipelineMetrics(reg), Trace: tracer}
-	x, _, err := core.LoadDumpDirOpts(*dumps, core.LoadOptions{Stats: loadStats})
-	if err != nil {
-		telemetry.Fatal("load failed", "err", err)
-	}
-	srv := whois.NewServer(irr.NewSharded(x, *shards))
-	srv.Metrics = whois.NewMetrics(reg)
-	srv.Logger = logger
-	srv.Tracer = tracer
-	shardMetrics := shard.NewMetrics(reg)
-	shardMetrics.ObservePlan(srv.DB().ShardRouteCounts())
-
-	var stopMirror chan struct{}
-	if *mirrorDir != "" {
-		mir := nrtm.NewMirrorDB(srv.DB(), nil, nrtm.NewMetrics(reg))
-		srv.SerialSource = mir.Serials
-		stopMirror = make(chan struct{})
-		dumpDir := *dumps
-		go nrtm.Poll(mir, nrtm.PollConfig{
-			JournalDir: *mirrorDir,
-			Interval:   *mirrorInterval,
-			Logger:     logger,
-			Tracer:     tracer,
-			Reload: func() (*ir.IR, error) {
-				x, _, err := core.LoadDumpDir(dumpDir)
-				return x, err
-			},
-			OnApply: func(db *irr.Database, _ []depgraph.Key, _ *trace.Span) {
-				srv.SetDB(db)
-				shardMetrics.ObservePlan(db.ShardRouteCounts())
-			},
-		}, stopMirror)
-	}
-
-	if err := srv.Listen(*listen); err != nil {
-		telemetry.Fatal("listen failed", "addr", *listen, "err", err)
-	}
-	logger.Info("serving",
+	p.Logger.Info("serving",
 		"autnums", len(x.AutNums), "routes", len(x.Routes), "addr", srv.Addr().String())
+	return srv, nil
+}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	if stopMirror != nil {
-		close(stopMirror)
+func main() {
+	f := parseFlags(os.Args[1:])
+	p := daemon.Start("whoisd", f.logLevel, f.traceSamples, f.metricsAddr)
+	srv, err := serve(f, p)
+	if err != nil {
+		telemetry.Fatal("start-up failed", "err", err)
 	}
+	p.Wait()
 	if err := srv.Close(); err != nil {
 		telemetry.Fatal("shutdown failed", "err", err)
 	}

@@ -1,0 +1,247 @@
+package daemon
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"sort"
+	"testing"
+
+	"rpslyzer/internal/api"
+	"rpslyzer/internal/core"
+	"rpslyzer/internal/evolve"
+	"rpslyzer/internal/irr"
+	"rpslyzer/internal/irrgen"
+	"rpslyzer/internal/nrtm"
+	"rpslyzer/internal/report"
+	"rpslyzer/internal/telemetry"
+	"rpslyzer/internal/trace"
+	"rpslyzer/internal/verify"
+)
+
+// universe writes a 200-AS corpus the way `irrgen -evolve 1` does:
+// dumps, as-rel.txt, routes.txt and one evolution step of per-registry
+// journals under journals/.
+func universe(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	sys, err := core.BuildSynthetic(core.Options{Seed: 5, ASes: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteUniverse(sys, sys.CollectRoutes(3, 5), dir); err != nil {
+		t.Fatal(err)
+	}
+	jdir := filepath.Join(dir, "journals")
+	if err := os.Mkdir(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	next := irrgen.Evolve(sys.IR, 1, irrgen.EvolveConfig{Seed: 5, PolicyChurnFrac: 0.05, SetChurnFrac: 0.05,
+		RouteAddFrac: 0.02, RouteWithdrawFrac: 0.02})
+	for _, j := range evolve.Compare(sys.IR, next).ToJournals(sys.IR, next, nil) {
+		if err := nrtm.WriteJournalFile(filepath.Join(jdir, fmt.Sprintf("000001.%s.nrtm", j.Registry)), j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// testProcess is a Process as a test fills it: no log output, its own
+// registry, every operation traced.
+func testProcess(name string) *Process {
+	return &Process{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Registry: telemetry.NewRegistry(name), Tracer: trace.New(trace.Config{})}
+}
+
+// boot runs reportd's start-up in-process, from the flags that choose
+// the path to the first published snapshot.
+func boot(t *testing.T, args ...string) *Engine {
+	t.Helper()
+	var dumps, rels, routes, importPath, mirrorDir string
+	fs := flag.NewFlagSet("reportd", flag.ContinueOnError)
+	fs.StringVar(&dumps, "dumps", "", "")
+	fs.StringVar(&rels, "rels", "", "")
+	fs.StringVar(&routes, "routes", "", "")
+	fs.StringVar(&importPath, "import", "", "")
+	fs.StringVar(&mirrorDir, "mirror", "", "")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(testProcess("reportd_test"), trace.NewWatchdog(trace.WatchdogConfig{}))
+	var err error
+	if importPath != "" {
+		err = e.Import(importPath)
+	} else {
+		err = e.Boot(dumps, rels, routes, runtime.GOMAXPROCS(0), mirrorDir != "")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func corpusArgs(dumps, dir string, extra ...string) []string {
+	return append([]string{"-dumps", dumps, "-rels", filepath.Join(dir, "as-rel.txt"),
+		"-routes", filepath.Join(dir, "routes.txt")}, extra...)
+}
+
+// Fields that say when and how often a snapshot was published, not what
+// it holds.
+var (
+	builtAt = regexp.MustCompile(`"built_at": *"[^"]*"`)
+	serials = regexp.MustCompile(`"(serial|swaps)": *[0-9]+|"next_cursor": *"[^"]*"`)
+)
+
+// bodies returns /v1/summary, every page of /v1/ases and every page of
+// an unfiltered /v1/reports walk, in request order.
+func bodies(t *testing.T, d *Engine, ignoreSerials bool) [][]byte {
+	t.Helper()
+	h := api.NewServer(d.store, api.Config{}, nil).Handler()
+	get := func(path string) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	out := [][]byte{get("/v1/summary")}
+	for _, path := range []string{"/v1/ases?limit=50", "/v1/reports?limit=1000"} {
+		for next := path; next != ""; {
+			body := get(next)
+			out = append(out, body)
+			var page struct {
+				NextCursor string `json:"next_cursor"`
+			}
+			if err := json.Unmarshal(body, &page); err != nil {
+				t.Fatalf("GET %s: %v", next, err)
+			}
+			next = ""
+			if page.NextCursor != "" {
+				next = path + "&cursor=" + url.QueryEscape(page.NextCursor)
+			}
+		}
+	}
+	if len(out) < 4 {
+		t.Fatalf("walk made %d requests; the corpus is too small to paginate", len(out))
+	}
+	for i, b := range out {
+		b = builtAt.ReplaceAll(b, []byte(`"built_at":""`))
+		if ignoreSerials {
+			b = serials.ReplaceAll(b, nil)
+		}
+		out[i] = b
+	}
+	return out
+}
+
+func requireSameBodies(t *testing.T, what string, got, want [][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d responses, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: response %d differs\ngot:  %.400s\nwant: %.400s", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestOnePipeline holds every way into reportd to the same served
+// bytes: a fresh run, a -mirror run before any journal, and an -import
+// of the same reports publish identical snapshots; three journals
+// through the Poll hook end where a fresh run over the mirrored dumps
+// starts; and a resync (nil keys) publishes too.
+func TestOnePipeline(t *testing.T) {
+	dir := universe(t)
+	jdir := filepath.Join(dir, "journals")
+
+	fresh := boot(t, corpusArgs(dir, dir)...)
+	if fresh.inc != nil || fresh.db != nil {
+		t.Error("a run without -mirror kept its engine after the first publish")
+	}
+	want := bodies(t, fresh, false)
+
+	mirror := boot(t, corpusArgs(dir, dir, "-mirror", jdir)...)
+	requireSameBodies(t, "-mirror before any journal", bodies(t, mirror, false), want)
+
+	jsonl := filepath.Join(t.TempDir(), "reports.jsonl")
+	writeReports(t, dir, jsonl)
+	imported := boot(t, "-import", jsonl)
+	requireSameBodies(t, "-import", bodies(t, imported, false), want)
+
+	files, err := filepath.Glob(filepath.Join(jdir, "*.nrtm"))
+	if err != nil || len(files) < 3 {
+		t.Fatalf("want at least 3 journal files, have %d (%v)", len(files), err)
+	}
+	sort.Strings(files)
+	mir := nrtm.NewMirrorDB(mirror.db, nil, nil)
+	for _, path := range files[:3] {
+		j, err := nrtm.ReadJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := mir.ApplyAllKeys([]*nrtm.Journal{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mirror.Step(mir.DB(), keys, nil)
+	}
+	if got := mirror.store.Swaps(); got != 4 {
+		t.Fatalf("%d swaps after boot and three journals, want 4", got)
+	}
+	stepped := bodies(t, mirror, true)
+	if bytes.Equal(bytes.Join(stepped, nil), bytes.Join(bodies(t, fresh, true), nil)) {
+		t.Fatal("three journals changed no served byte; the differential below would prove nothing")
+	}
+	mirrored := t.TempDir()
+	if err := core.WriteIRDumps(mirrored, mir.DB().IR); err != nil {
+		t.Fatal(err)
+	}
+	requireSameBodies(t, "three journals against a fresh run over the mirrored dumps",
+		stepped, bodies(t, boot(t, corpusArgs(mirrored, dir)...), true))
+
+	mirror.Step(irr.NewSharded(mir.DB().IR, mir.DB().Shards()), nil, nil)
+	if got := mirror.store.Swaps(); got != 5 {
+		t.Fatalf("%d swaps after a resync, want 5", got)
+	}
+	requireSameBodies(t, "resync", bodies(t, mirror, true), stepped)
+}
+
+// writeReports writes what `verify -json` writes for the corpus in dir.
+func writeReports(t *testing.T, dir, path string) {
+	t.Helper()
+	x, _, err := core.LoadDumpDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels, err := core.LoadRels(filepath.Join(dir, "as-rel.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := core.LoadRoutes(filepath.Join(dir, "routes.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, v := core.BuildFromIR(x, rels, verify.Config{})
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report.WriteJSONL(f, v.VerifyAll(routes, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

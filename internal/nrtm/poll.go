@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -16,8 +15,8 @@ import (
 	"rpslyzer/internal/trace"
 )
 
-// PollConfig drives Poll, the shared mirror loop behind whoisd and
-// reportd's -mirror flags.
+// PollConfig drives Poll, the mirror loop behind `whoisd -mirror` and
+// `reportd -mirror`; daemon.Process.Mirror is its one owner.
 type PollConfig struct {
 	// JournalDir is watched for *.nrtm journal files.
 	JournalDir string
@@ -26,30 +25,19 @@ type PollConfig struct {
 	// Logger receives mirror diagnostics; nil means slog.Default.
 	Logger *slog.Logger
 	// Reload produces a fresh full snapshot for resync after a serial
-	// gap or corrupt journal (typically core.LoadDumpDir over the dump
-	// directory).
+	// gap or corrupt journal (core.LoadDumpDir over the dump directory).
 	Reload func() (*ir.IR, error)
 	// OnApply, when non-nil, is called with the mirror's new database
 	// after every applied journal and after every resync — the one
-	// hot-swap hook (whois.Server.SetDB, or reportd's re-verify and
-	// report-store swap). keys are the dependency keys of the objects
-	// the journal touched, what verify.Incremental.Reverify needs to
-	// re-verify only those; after a resync they are nil — "unknown
-	// delta, redo everything". The span, when non-nil, is a child of the
-	// enclosing journal-apply or resync trace; downstream work (verify,
-	// store build, swap) should hang child spans off it so one trace
-	// covers journal-apply → re-verify → swap.
+	// hot-swap hook. keys are the dependency keys of the objects the
+	// journal touched; after a resync they are nil — "unknown delta,
+	// redo everything". The span, when non-nil, is a child of the
+	// enclosing journal-apply or resync trace for downstream work
+	// (verify, store build, swap) to hang its spans off.
 	OnApply func(db *irr.Database, keys []depgraph.Key, sp *trace.Span)
 	// Tracer, when non-nil, traces each journal apply and resync under
 	// the "mirror" stage.
 	Tracer *trace.Tracer
-}
-
-func (c *PollConfig) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.Default()
 }
 
 // onApply runs the hook under an "onapply" child span of root.
@@ -69,6 +57,9 @@ func (c *PollConfig) onApply(db *irr.Database, keys []depgraph.Key, root *trace.
 // gap or corrupt journal triggers a full resync via Reload followed by
 // a replay of every journal on disk. Poll returns when stop closes.
 func Poll(mir *Mirror, cfg PollConfig, stop <-chan struct{}) {
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
+	}
 	applied := make(map[string]bool)
 	t := time.NewTicker(cfg.Interval)
 	defer t.Stop()
@@ -78,48 +69,48 @@ func Poll(mir *Mirror, cfg PollConfig, stop <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		names, err := journalNames(cfg.JournalDir)
+		paths, err := JournalFiles(cfg.JournalDir)
 		if err != nil {
-			cfg.logger().Warn("mirror: journal dir unreadable", "dir", cfg.JournalDir, "err", err)
+			cfg.Logger.Warn("mirror: journal dir unreadable", "dir", cfg.JournalDir, "err", err)
 			continue
 		}
 		pending := 0
-		for _, name := range names {
-			if !applied[name] {
+		for _, path := range paths {
+			if !applied[path] {
 				pending++
 			}
 		}
 		mir.metrics.pending(pending)
-		for _, name := range names {
-			if applied[name] {
+		for _, path := range paths {
+			if applied[path] {
 				continue
 			}
-			if err := applyOne(mir, &cfg, filepath.Join(cfg.JournalDir, name)); err != nil {
-				cfg.logger().Warn("mirror: apply failed; full resync", "journal", name, "err", err)
+			if err := applyOne(mir, &cfg, path); err != nil {
+				cfg.Logger.Warn("mirror: apply failed; full resync", "journal", filepath.Base(path), "err", err)
 				if err := resync(mir, &cfg, applied); err != nil {
-					cfg.logger().Error("mirror: resync failed", "err", err)
+					cfg.Logger.Error("mirror: resync failed", "err", err)
 				}
 				break
 			}
-			applied[name] = true
+			applied[path] = true
 		}
 	}
 }
 
-// journalNames lists *.nrtm files in lexical (= replay) order.
-func journalNames(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+// JournalFiles lists the *.nrtm files of dir, sorted: lexical order is
+// replay order.
+func JournalFiles(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir) // sorted by file name
 	if err != nil {
 		return nil, err
 	}
-	var names []string
+	var paths []string
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".nrtm") {
-			names = append(names, e.Name())
+			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
 	}
-	sort.Strings(names)
-	return names, nil
+	return paths, nil
 }
 
 func applyOne(mir *Mirror, cfg *PollConfig, path string) error {
@@ -146,7 +137,7 @@ func applyOne(mir *Mirror, cfg *PollConfig, path string) error {
 	cfg.onApply(mir.DB(), keys, root)
 	mir.metrics.swapDone(time.Now().Unix(), time.Since(t0).Seconds())
 	root.End()
-	cfg.logger().Info("mirror: applied journal",
+	cfg.Logger.Info("mirror: applied journal",
 		"registry", j.Registry, "serials", fmt.Sprintf("%d-%d", j.First, j.Last), "ops", len(j.Ops))
 	return nil
 }
@@ -170,29 +161,27 @@ func resync(mir *Mirror, cfg *PollConfig, applied map[string]bool) error {
 	cfg.onApply(mir.DB(), nil, root)
 	mir.metrics.swapDone(time.Now().Unix(), time.Since(t0).Seconds())
 	root.End()
-	for name := range applied {
-		delete(applied, name)
-	}
-	names, err := journalNames(cfg.JournalDir)
+	clear(applied)
+	paths, err := JournalFiles(cfg.JournalDir)
 	if err != nil {
 		return err
 	}
 	var firstErr error
-	for _, name := range names {
+	for _, path := range paths {
 		// Mark every journal handled whether or not it lands: ones
 		// behind the fresh dumps report gaps by design, and retrying
 		// them next tick would force a resync per poll forever. A
 		// journal skipped here that becomes applicable later (its
 		// predecessor arrives out of order) is recovered by the next
 		// resync, which clears the map and replays the directory.
-		applied[name] = true
-		if err := applyOne(mir, cfg, filepath.Join(cfg.JournalDir, name)); err != nil {
+		applied[path] = true
+		if err := applyOne(mir, cfg, path); err != nil {
 			var gap *SerialGapError
 			if !errors.As(err, &gap) && firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
-	cfg.logger().Info("mirror: resynced", "resyncs", mir.Resyncs())
+	cfg.Logger.Info("mirror: resynced", "resyncs", mir.Resyncs())
 	return firstErr
 }

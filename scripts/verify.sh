@@ -4,7 +4,9 @@
 #   1. gofmt — the tree must be gofmt-clean
 #   2. build everything
 #   3. vet
-#   4. tier-1 tests
+#   4. tier-1 tests (TestSingleCallSites among them: one production
+#      call site each for Store.Swap, Incremental.Reverify,
+#      verify.NewIncremental and nrtm.Poll, all in internal/daemon)
 #   5. the same tests under the race detector — the ingestion pipeline
 #      and the verifier's caches are concurrent, so a green run here is
 #      part of the contract, not an extra — then the concurrency

@@ -3,9 +3,10 @@ package rpslyzer
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,14 +14,12 @@ import (
 
 	"rpslyzer/internal/api"
 	"rpslyzer/internal/core"
-	"rpslyzer/internal/depgraph"
+	"rpslyzer/internal/daemon"
 	"rpslyzer/internal/evolve"
 	"rpslyzer/internal/ir"
-	"rpslyzer/internal/irr"
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/reportstore"
 	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/trace"
 	"rpslyzer/internal/verify"
@@ -46,11 +45,43 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
+// spanTree returns, for each span name of tr, the name of its parent
+// ("" for the root).
+func spanTree(tr trace.TraceJSON) map[string]string {
+	byID := map[uint32]string{}
+	for _, sp := range tr.Spans {
+		byID[sp.ID] = sp.Name
+	}
+	tree := map[string]string{}
+	for _, sp := range tr.Spans {
+		tree[sp.Name] = byID[sp.Parent]
+	}
+	return tree
+}
+
+// retainedTraces returns what the tracer's recent ring and slowest set
+// hold.
+func retainedTraces(t *testing.T, th http.Handler) []trace.TraceJSON {
+	t.Helper()
+	var retained []trace.TraceJSON
+	for _, ep := range []string{"/debug/trace/recent", "/debug/trace/slowest"} {
+		var page struct {
+			Traces []trace.TraceJSON `json:"traces"`
+		}
+		if err := json.Unmarshal(doReq(th, ep).Body.Bytes(), &page); err != nil {
+			t.Fatal(err)
+		}
+		retained = append(retained, page.Traces...)
+	}
+	return retained
+}
+
 // TestTraceEndToEnd drives the full mirror→verify→serve chain as
-// reportd -mirror wires it — instrumented ingest, an NRTM poll loop
-// whose journal applies trigger traced rebuilds and hot swaps, an API
-// server under load — and then checks the observability contract:
-// one trace spans journal-apply→rebuild→swap, the Chrome export is
+// reportd -mirror runs it — the daemon engine booted from the files on
+// disk, its Step behind the process's nrtm.Poll loop, an API server
+// under load — and then checks the observability contract: the boot is
+// one rebuild trace (initial-verify → swap), each journal one mirror
+// trace from journal-apply down to the swap, the Chrome export is
 // valid trace-event JSON covering the mirror/api stages, the
 // heavy-hitter sketches saw the verification work, every /v1/*
 // response carries the snapshot-age header, and /healthz degrades
@@ -61,8 +92,12 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	routes := sys.CollectRoutes(4, 11)
+	if len(routes) == 0 {
+		t.Fatal("no routes collected")
+	}
 	dumpDir := t.TempDir()
-	if err := core.WriteUniverse(sys, nil, dumpDir); err != nil {
+	if err := core.WriteUniverse(sys, routes, dumpDir); err != nil {
 		t.Fatal(err)
 	}
 	jdir := t.TempDir()
@@ -71,39 +106,32 @@ func TestTraceEndToEnd(t *testing.T) {
 	tracer := trace.New(trace.Config{}) // no sampling: every operation traces
 	const maxStale = 1200 * time.Millisecond
 	watchdog := trace.NewWatchdog(trace.WatchdogConfig{MaxStaleness: maxStale})
-	profiler := verify.NewProfiler(64)
-	profiler.Register(tracer)
+	p := &daemon.Process{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)), Registry: reg, Tracer: tracer}
+	th := tracer.Handler()
 
-	// Stage 1: ingest the dumps through the traced pipeline.
+	// Stage 1: ingest the dumps through the traced pipeline, as whoisd
+	// loads them.
 	loadStats := &parser.LoadStats{Metrics: parser.NewPipelineMetrics(reg), Trace: tracer}
-	x, _, err := core.LoadDumpDirOpts(dumpDir, core.LoadOptions{Workers: 4, Stats: loadStats})
-	if err != nil {
+	if _, _, err := core.LoadDumpDirOpts(dumpDir, core.LoadOptions{Workers: 4, Stats: loadStats}); err != nil {
 		t.Fatal(err)
 	}
-	routes := sys.CollectRoutes(4, 11)
-	if len(routes) == 0 {
-		t.Fatal("no routes collected")
-	}
 
-	// Stage 2: a whole-corpus rebuild per publish — verify, build,
-	// hot-swap.
-	store := reportstore.New(reportstore.NewMetrics(reg))
-	rebuild := func(db *irr.Database, parent *trace.Span) {
-		root := trace.StartOrChild(tracer, parent, "rebuild", "rebuild")
-		v := verify.New(db, sys.Rels, verify.Config{Eval: "compiled"})
-		v.SetTracer(tracer)
-		v.SetProfiler(profiler)
-		b := reportstore.NewBuilder()
-		vs := root.Child("verify-stream")
-		v.VerifyStream(routes, 2, b.Add)
-		vs.End()
-		sw := root.Child("swap")
-		store.Swap(b.Build())
-		sw.End()
-		watchdog.RecordRefresh()
-		root.End()
+	// Stage 2: the engine's boot — verify everything, freeze, swap.
+	e := daemon.NewEngine(p, watchdog)
+	if err := e.Boot(dumpDir, filepath.Join(dumpDir, "as-rel.txt"), filepath.Join(dumpDir, "routes.txt"), 2, true); err != nil {
+		t.Fatal(err)
 	}
-	rebuild(irr.New(x), nil)
+	store := e.Store()
+	bootTraced := false
+	for _, tr := range retainedTraces(t, th) {
+		tree := spanTree(tr)
+		if _, ok := tree["initial-verify"]; ok && tr.Stage == "rebuild" && tree["swap"] == "initial-verify" {
+			bootTraced = true
+		}
+	}
+	if !bootTraced {
+		t.Error("no rebuild trace spans initial-verify→swap after boot")
+	}
 
 	// Stage 3: the API server, traced and watched.
 	srv := api.NewServer(store, api.Config{Tracer: tracer, Watchdog: watchdog}, api.NewMetrics(reg))
@@ -113,24 +141,9 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// Stage 4: the mirror poll loop over an (initially empty) journal
-	// directory, rebuilding on every applied journal.
-	mir := nrtm.NewMirrorDB(irr.New(x), nil, nrtm.NewMetrics(reg))
-	stop := make(chan struct{})
-	defer func() {
-		if stop != nil {
-			close(stop)
-		}
-	}()
-	go nrtm.Poll(mir, nrtm.PollConfig{
-		JournalDir: jdir,
-		Interval:   20 * time.Millisecond,
-		Tracer:     tracer,
-		Reload: func() (*ir.IR, error) {
-			x, _, err := core.LoadDumpDir(dumpDir)
-			return x, err
-		},
-		OnApply: func(db *irr.Database, _ []depgraph.Key, sp *trace.Span) { rebuild(db, sp) },
-	}, stop)
+	// directory, stepping the engine on every applied journal.
+	e.Mirror(dumpDir, jdir, 20*time.Millisecond)
+	defer p.Stop()
 
 	// Evolve the universe two steps; hold the second step back so the
 	// mirror goes stale in between.
@@ -205,9 +218,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// The trace surface: summary, a mirror trace spanning
-	// journal-apply→rebuild→swap, a Perfetto-loadable Chrome export
+	// journal-apply→reverify→swap, a Perfetto-loadable Chrome export
 	// covering the chain's stages, and non-empty heavy-hitter sketches.
-	th := tracer.Handler()
 	var summary struct {
 		Stages []trace.StageSummary `json:"stages"`
 		TopKs  []string             `json:"topk_sketches"`
@@ -227,32 +239,26 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// The load run floods the recent ring with api traces, but the
 	// slow journal applies survive in the slowest set — check both.
-	var retained []trace.TraceJSON
-	for _, ep := range []string{"/debug/trace/recent", "/debug/trace/slowest"} {
-		var page struct {
-			Traces []trace.TraceJSON `json:"traces"`
-		}
-		if err := json.Unmarshal(doReq(th, ep).Body.Bytes(), &page); err != nil {
-			t.Fatal(err)
-		}
-		retained = append(retained, page.Traces...)
+	wantTree := map[string]string{
+		"journal-apply": "", "read-journal": "journal-apply", "apply": "journal-apply", "onapply": "journal-apply",
+		"reverify": "onapply", "invalidate": "reverify", "reverify-routes": "reverify",
+		"store-build": "reverify", "swap": "reverify",
 	}
-	foundChain := false
-	for _, tr := range retained {
-		if tr.Stage != "mirror" {
+	journalTraces := 0
+	for _, tr := range retainedTraces(t, th) {
+		tree := spanTree(tr)
+		if _, ok := tree["journal-apply"]; !ok || tr.Stage != "mirror" {
 			continue
 		}
-		names := map[string]bool{}
-		for _, sp := range tr.Spans {
-			names[sp.Name] = true
-		}
-		if names["journal-apply"] && names["rebuild"] && names["verify-stream"] && names["swap"] {
-			foundChain = true
-			break
+		journalTraces++
+		for name, parent := range wantTree {
+			if got, ok := tree[name]; !ok || got != parent {
+				t.Errorf("mirror trace %d: span %q under %q (present: %v), want under %q", tr.ID, name, got, ok, parent)
+			}
 		}
 	}
-	if !foundChain {
-		t.Error("no mirror trace spans journal-apply→rebuild→swap")
+	if journalTraces == 0 {
+		t.Error("no journal-apply trace retained")
 	}
 
 	var chrome struct {
@@ -298,8 +304,4 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("bad heavy-hitter entry %+v", e)
 		}
 	}
-
-	close(stop)
-	stop = nil
-	_ = os.RemoveAll(jdir)
 }
