@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -29,19 +30,25 @@ import (
 	"rpslyzer/internal/telemetry"
 )
 
-func main() {
+func main() { run(os.Args[1:], telemetry.Default(), os.Stdout) }
+
+// run is the whole command: args are the command line without the
+// program name, reg receives the pipeline metrics and build info, and
+// the summary and a "-o -" export go to stdout.
+func run(args []string, reg *telemetry.Registry, stdout io.Writer) {
+	fs := flag.NewFlagSet("rpslyzer", flag.ExitOnError)
 	var (
-		dumps       = flag.String("dumps", "data", "directory with *.db IRR dumps")
-		out         = flag.String("o", "", "write IR JSON to this file ('-' for stdout)")
-		renderDir   = flag.String("render", "", "re-emit the parsed IR as canonical RPSL dumps into this directory")
-		summary     = flag.Bool("summary", true, "print a parse summary")
-		workers     = flag.Int("workers", 0, "parse workers (0 = one per CPU, 1 = single worker)")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		dumps       = fs.String("dumps", "data", "directory with *.db IRR dumps")
+		out         = fs.String("o", "", "write IR JSON to this file ('-' for stdout)")
+		renderDir   = fs.String("render", "", "re-emit the parsed IR as canonical RPSL dumps into this directory")
+		summary     = fs.Bool("summary", true, "print a parse summary")
+		workers     = fs.Int("workers", 0, "parse workers (0 = one per CPU, 1 = single worker)")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
+		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
+		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf     = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	level, err := telemetry.ParseLevel(*logLevel)
 	if err != nil {
@@ -75,7 +82,6 @@ func main() {
 		}()
 	}
 
-	reg := telemetry.Default()
 	logger.Info("build info", telemetry.BuildInfoArgs(telemetry.RegisterBuildInfo(reg))...)
 	if *metricsAddr != "" {
 		telemetry.RegisterRuntimeMetrics(reg)
@@ -87,11 +93,11 @@ func main() {
 		logger.Info("metrics endpoint listening", "addr", ms.Addr().String())
 	}
 
-	loadStats := &parser.LoadStats{Metrics: parser.NewPipelineMetrics(reg)}
+	metrics := parser.NewPipelineMetrics(reg)
 	start := time.Now()
 	x, sizes, err := core.LoadDumpDirOpts(*dumps, core.LoadOptions{
 		Workers: *workers,
-		Stats:   loadStats,
+		Stats:   &parser.LoadStats{Metrics: metrics},
 	})
 	if err != nil {
 		if errors.Is(err, core.ErrNoDumps) {
@@ -107,22 +113,14 @@ func main() {
 		for _, sz := range sizes {
 			totalBytes += sz
 		}
-		fmt.Printf("parsed %.1f MiB across %d IRRs in %v\n",
+		fmt.Fprintf(stdout, "parsed %.1f MiB across %d IRRs in %v\n",
 			float64(totalBytes)/(1<<20), len(sizes), elapsed.Round(time.Millisecond))
-		bytesRead, objects, chunks, parseErrs := loadStats.Snapshot()
-		fmt.Println(stats.Throughput{
-			Bytes:        bytesRead,
-			Objects:      objects,
-			Chunks:       chunks,
-			Errors:       parseErrs,
-			Elapsed:      elapsed,
-			Workers:      parser.DefaultWorkers(*workers),
-			SourceErrors: loadStats.PerSourceErrors(),
-		})
-		fmt.Printf("aut-nums: %d  as-sets: %d  route-sets: %d  peering-sets: %d  filter-sets: %d  route objects: %d\n",
+		fmt.Fprintln(stdout, stats.ThroughputLine(metrics.BytesParsed.Value(), metrics.ObjectsParsed.Value(),
+			metrics.ChunksParsed.Value(), metrics.ParseErrors.Values(), parser.DefaultWorkers(*workers), elapsed))
+		fmt.Fprintf(stdout, "aut-nums: %d  as-sets: %d  route-sets: %d  peering-sets: %d  filter-sets: %d  route objects: %d\n",
 			len(x.AutNums), len(x.AsSets), len(x.RouteSets), len(x.PeeringSets), len(x.FilterSets), len(x.Routes))
 		census := stats.ErrorCensus(x)
-		fmt.Printf("errors: %d syntax, %d invalid as-set names, %d invalid route-set names\n",
+		fmt.Fprintf(stdout, "errors: %d syntax, %d invalid as-set names, %d invalid route-set names\n",
 			census["syntax"], census["invalid-as-set-name"], census["invalid-route-set-name"])
 	}
 
@@ -141,11 +139,11 @@ func main() {
 				telemetry.Fatal("render write", "path", path, "err", err)
 			}
 		}
-		fmt.Printf("rendered %d canonical dumps to %s\n", len(texts), *renderDir)
+		fmt.Fprintf(stdout, "rendered %d canonical dumps to %s\n", len(texts), *renderDir)
 	}
 
 	if *out != "" {
-		w := os.Stdout
+		w := stdout
 		if *out != "-" {
 			f, err := os.Create(*out)
 			if err != nil {
@@ -158,7 +156,7 @@ func main() {
 			telemetry.Fatal("write JSON", "err", err)
 		}
 		if *out != "-" {
-			fmt.Printf("wrote IR to %s\n", *out)
+			fmt.Fprintf(stdout, "wrote IR to %s\n", *out)
 		}
 	}
 }

@@ -44,12 +44,6 @@ func (db *Database) Add(customer ir.ASN, providers ...ir.ASN) {
 	}
 }
 
-// HasASPA reports whether the customer published an authorization.
-func (db *Database) HasASPA(customer ir.ASN) bool {
-	_, ok := db.auths[customer]
-	return ok
-}
-
 // Len returns the number of registered customers.
 func (db *Database) Len() int { return len(db.auths) }
 

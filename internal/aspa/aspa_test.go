@@ -98,7 +98,7 @@ func TestFromRelationshipsFullAdoption(t *testing.T) {
 	db := FromRelationships(topo.Rels, 1.0, 9)
 	// Every AS with providers is covered.
 	for _, asn := range topo.Order {
-		if len(topo.Rels.Providers(asn)) > 0 && !db.HasASPA(asn) {
+		if len(topo.Rels.Providers(asn)) > 0 && db.auths[asn] == nil {
 			t.Fatalf("AS%d missing ASPA under full adoption", asn)
 		}
 	}

@@ -136,12 +136,6 @@ func (db *Database) ASes() []ir.ASN {
 	return out
 }
 
-// IsTransit reports whether a has at least minCustomers customers (the
-// paper's transit-AS analyses use thresholds like 5).
-func (db *Database) IsTransit(a ir.ASN, minCustomers int) bool {
-	return len(db.customers[a]) >= minCustomers
-}
-
 // SetTier1 marks an AS as Tier-1 explicitly (used by generators that
 // know the ground truth).
 func (db *Database) SetTier1(a ir.ASN) { db.tier1[a] = true }

@@ -50,16 +50,6 @@ func TestDegreeAndASes(t *testing.T) {
 	}
 }
 
-func TestIsTransit(t *testing.T) {
-	db := New()
-	for c := ir.ASN(2); c <= 6; c++ {
-		db.AddP2C(1, c)
-	}
-	if !db.IsTransit(1, 5) || db.IsTransit(1, 6) || db.IsTransit(2, 1) {
-		t.Error("IsTransit thresholds wrong")
-	}
-}
-
 func TestComputeTier1(t *testing.T) {
 	db := New()
 	// Clique of 1,2,3; AS4 has a provider so cannot be Tier-1 even
@@ -161,63 +151,5 @@ func TestReadCAIDASkipsComments(t *testing.T) {
 	}
 	if db.Rel(1, 2) != Provider {
 		t.Error("relationship not read")
-	}
-}
-
-func TestInferGaoOnKnownTopology(t *testing.T) {
-	// Ground truth: 1 and 2 are Tier-1 peers; 1->10, 2->20 (p2c);
-	// 10->100, 20->200.
-	// Observed paths are valley-free routes to a collector peered with
-	// AS1 and AS2.
-	paths := [][]ir.ASN{
-		{1, 10, 100},
-		{1, 10},
-		{1, 2, 20, 200},
-		{1, 2, 20},
-		{2, 20, 200},
-		{2, 1, 10, 100},
-		{2, 1, 10},
-		{1, 2},
-		{2, 1},
-	}
-	db := InferGao(paths)
-	if db.Rel(1, 10) != Provider {
-		t.Errorf("Rel(1,10) = %v, want provider", db.Rel(1, 10))
-	}
-	if db.Rel(10, 100) != Provider {
-		t.Errorf("Rel(10,100) = %v, want provider", db.Rel(10, 100))
-	}
-	if db.Rel(1, 2) != Peer {
-		t.Errorf("Rel(1,2) = %v, want peer", db.Rel(1, 2))
-	}
-}
-
-func TestInferGaoHandlesPrepending(t *testing.T) {
-	paths := [][]ir.ASN{
-		{1, 10, 10, 10, 100},
-		{1, 10, 100},
-		{1, 10},
-		{1, 11},
-		{1, 12}, // give AS1 the top degree
-	}
-	db := InferGao(paths)
-	if db.Rel(10, 10) != None {
-		t.Error("self link created from prepending")
-	}
-	if db.Rel(1, 10) != Provider {
-		t.Errorf("Rel(1,10) = %v", db.Rel(1, 10))
-	}
-}
-
-func TestDedupe(t *testing.T) {
-	got := dedupe([]ir.ASN{1, 1, 2, 3, 3, 3, 4})
-	want := []ir.ASN{1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("dedupe = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("dedupe[%d] = %d", i, got[i])
-		}
 	}
 }

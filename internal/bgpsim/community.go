@@ -52,13 +52,3 @@ func ParseCommunity(s string) (Community, error) {
 	}
 	return NewCommunity(uint16(h), uint16(l)), nil
 }
-
-// HasCommunity reports whether the route carries c.
-func (r *Route) HasCommunity(c Community) bool {
-	for _, x := range r.Communities {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}

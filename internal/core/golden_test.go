@@ -8,6 +8,7 @@ import (
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/render"
+	"rpslyzer/internal/telemetry"
 )
 
 // TestGoldenParallelMatchesSequential pins the merge-determinism
@@ -32,11 +33,11 @@ func TestGoldenParallelMatchesSequential(t *testing.T) {
 	// A small chunk size forces every dump to fan out across many
 	// chunks, exercising reordering and cross-chunk duplicate merging.
 	for _, workers := range []int{1, 3, 8} {
-		stats := &parser.LoadStats{}
+		m := parser.NewPipelineMetrics(telemetry.NewRegistry("golden"))
 		par, parSizes, err := LoadDumpDirOpts(dir, LoadOptions{
 			Workers:   workers,
 			ChunkSize: 2 * 1024,
-			Stats:     stats,
+			Stats:     &parser.LoadStats{Metrics: m},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -47,10 +48,9 @@ func TestGoldenParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(seq, par) {
 			describeIRDiff(t, workers, seq, par)
 		}
-		bytes, objects, chunks, _ := stats.Snapshot()
-		if bytes == 0 || objects == 0 || chunks == 0 {
+		if m.BytesParsed.Value() == 0 || m.ObjectsParsed.Value() == 0 || m.ChunksParsed.Value() == 0 {
 			t.Errorf("workers=%d: stats not threaded: bytes=%d objects=%d chunks=%d",
-				workers, bytes, objects, chunks)
+				workers, m.BytesParsed.Value(), m.ObjectsParsed.Value(), m.ChunksParsed.Value())
 		}
 	}
 

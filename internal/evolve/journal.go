@@ -51,17 +51,6 @@ func (d *Diff) ToJournals(oldIR, newIR *ir.IR, serials map[string]uint64) []*nrt
 	return out
 }
 
-// ToJournal exports only the named registry's part of the old → new
-// delta, with serials starting at first. It returns nil when the
-// registry has no changes.
-func (d *Diff) ToJournal(oldIR, newIR *ir.IR, registry string, first uint64) *nrtm.Journal {
-	ops := diffOps(oldIR, newIR)[registry]
-	if len(ops) == 0 {
-		return nil
-	}
-	return assemble(registry, first, ops)
-}
-
 // opDraft is an operation before serial assignment.
 type opDraft struct {
 	action nrtm.Action

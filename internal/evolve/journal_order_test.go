@@ -93,7 +93,7 @@ origin: AS1
 	// The journal must replay cleanly onto the old snapshot (the DEL
 	// before-ADD order is what makes replacement-by-ADD legal).
 	mir := nrtm.NewMirror(core.ParseText(oldSnap, "RIPE"), nil, nil)
-	if err := mir.Apply(j); err != nil {
+	if err := mir.ApplyAll([]*nrtm.Journal{j}); err != nil {
 		t.Fatalf("journal does not replay: %v", err)
 	}
 }

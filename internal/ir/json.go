@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // WriteJSON exports the IR as JSON to w. The encoding is stable and
@@ -53,27 +52,4 @@ func ReadJSON(r io.Reader) (*IR, error) {
 		x.Counts = make(map[string]map[string]int)
 	}
 	return x, nil
-}
-
-// WriteJSONFile exports the IR to a file.
-func (x *IR) WriteJSONFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := x.WriteJSON(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// ReadJSONFile imports an IR from a file.
-func ReadJSONFile(path string) (*IR, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSON(f)
 }

@@ -207,11 +207,6 @@ func sortedMapKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// Symtab exposes the database's symbol table. Callers may intern
-// (interning is append-only and concurrency-safe) but typically only
-// Lookup, e.g. to pre-resolve a query name to an ID.
-func (db *Database) Symtab() *symtab.Table { return db.syms }
-
 // sliceAt is the bounds-checked lookup-table read: IDs past the end of
 // the slice (interned after this snapshot was indexed) read as zero.
 func sliceAt[T any](s []T, id symtab.ID) T {
@@ -574,17 +569,10 @@ func (db *Database) AsSet(name string) (*FlatAsSet, bool) {
 	return db.AsSetByID(id)
 }
 
-// AsSetByID returns the flattened as-set for a symbol ID from AsSetID
-// or Symtab().AsSets.
+// AsSetByID returns the flattened as-set for a symbol ID from AsSetID.
 func (db *Database) AsSetByID(id symtab.ID) (*FlatAsSet, bool) {
 	f := sliceAt(db.flatAsSets, id)
 	return f, f != nil
-}
-
-// RouteSetID resolves a route-set name to its symbol ID without
-// interning.
-func (db *Database) RouteSetID(name string) (symtab.ID, bool) {
-	return db.syms.RouteSets.Lookup(name)
 }
 
 // RouteSet returns the flattened route-set, if recorded.

@@ -8,11 +8,9 @@ import (
 // A nil *Metrics is a no-op, so the apply path calls through it
 // unconditionally.
 type Metrics struct {
-	// SerialsApplied counts journal serials (operations) applied;
-	// ObjectsTouched counts the objects those operations created,
-	// replaced, or deleted (currently one per op).
+	// SerialsApplied counts journal serials (operations) applied, each
+	// creating, replacing or deleting one object.
 	SerialsApplied *telemetry.Counter
-	ObjectsTouched *telemetry.Counter
 	// ApplySeconds is the per-journal incremental apply latency,
 	// including index maintenance and re-flattening.
 	ApplySeconds *telemetry.Histogram
@@ -44,8 +42,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{
 		SerialsApplied: reg.Counter("rpslyzer_nrtm_serials_applied_total",
 			"Journal serials applied incrementally."),
-		ObjectsTouched: reg.Counter("rpslyzer_nrtm_objects_touched_total",
-			"Objects created, replaced, or deleted by journal operations."),
 		ApplySeconds: reg.Histogram("rpslyzer_nrtm_apply_seconds",
 			"Per-journal incremental apply latency.", nil),
 		Resyncs: reg.Counter("rpslyzer_nrtm_resyncs_total",
@@ -75,7 +71,6 @@ func (m *Metrics) applied(ops int) {
 		return
 	}
 	m.SerialsApplied.Add(int64(ops))
-	m.ObjectsTouched.Add(int64(ops))
 	m.Swaps.Inc()
 }
 

@@ -87,25 +87,16 @@ func (m *Mirror) Resyncs() uint64 {
 	return m.resyncs.Load()
 }
 
-// Apply applies one journal and publishes the resulting snapshot.
-// The journal's first serial must be exactly one past the registry's
-// last applied serial; otherwise Apply returns a *SerialGapError and
-// changes nothing. Any other error (unparseable operation, DEL of a
-// missing object) likewise leaves the published snapshot and serials
-// untouched — operations are applied to a private clone that is only
-// published on full success.
-func (m *Mirror) Apply(j *Journal) error {
-	return m.ApplyAll([]*Journal{j})
-}
-
 // ApplyAll applies a batch of journals — possibly spanning several
 // registries and several consecutive serial ranges per registry — as
 // one transaction: a single snapshot clone, a single index settle, and
-// a single publish. Use it when several journals are ready at once
-// (catch-up after a poll interval, offline replay); the per-journal
-// clone-and-settle cost of repeated Apply calls is what it amortizes.
-// The batch is all-or-nothing: a serial gap or a bad operation in any
-// journal leaves the published snapshot and every serial untouched.
+// a single publish. Each journal's first serial must be exactly one
+// past its registry's last applied serial, else ApplyAll returns a
+// *SerialGapError. The batch is all-or-nothing: a serial gap or a bad
+// operation (unparseable, DEL of a missing object) in any journal
+// leaves the published snapshot and every serial untouched, because
+// operations are applied to a private clone that is only published on
+// full success.
 func (m *Mirror) ApplyAll(journals []*Journal) error {
 	_, err := m.ApplyAllKeys(journals)
 	return err

@@ -61,7 +61,7 @@ func TestMirrorEquivalence(t *testing.T) {
 			t.Fatalf("step %d: no journals from non-empty diff %s", step, diff.Summary())
 		}
 		for _, j := range journals {
-			if err := mir.Apply(j); err != nil {
+			if err := mir.ApplyAll([]*nrtm.Journal{j}); err != nil {
 				t.Fatalf("step %d: apply %s %d-%d: %v", step, j.Registry, j.First, j.Last, err)
 			}
 		}
@@ -103,7 +103,7 @@ func TestMirrorSerialGap(t *testing.T) {
 	obj := "aut-num:        AS64999\nas-name:        GAP\nsource:         RADB\n"
 	j := &nrtm.Journal{Registry: "RADB", First: 12, Last: 12,
 		Ops: []nrtm.Op{{Serial: 12, Action: nrtm.OpAdd, Object: obj}}}
-	err := mir.Apply(j)
+	err := mir.ApplyAll([]*nrtm.Journal{j})
 	var gap *nrtm.SerialGapError
 	if !errors.As(err, &gap) {
 		t.Fatalf("gap apply error = %v, want SerialGapError", err)
@@ -143,7 +143,7 @@ func TestMirrorApplyAtomic(t *testing.T) {
 		{Serial: 1, Action: nrtm.OpAdd, Object: good},
 		{Serial: 2, Action: nrtm.OpAdd, Object: bad},
 	}}
-	if err := mir.Apply(j); err == nil {
+	if err := mir.ApplyAll([]*nrtm.Journal{j}); err == nil {
 		t.Fatal("apply with garbage op should fail")
 	}
 	if mir.DB() != before {
@@ -174,7 +174,7 @@ func TestJournalFileReplayMatchesDirect(t *testing.T) {
 	viaDisk := nrtm.NewMirror(reparse(render.IR(gen)), nil, nil)
 	dir := t.TempDir()
 	for i, j := range journals {
-		if err := direct.Apply(j); err != nil {
+		if err := direct.ApplyAll([]*nrtm.Journal{j}); err != nil {
 			t.Fatal(err)
 		}
 		path := fmt.Sprintf("%s/%06d.%s.nrtm", dir, i, j.Registry)
@@ -185,7 +185,7 @@ func TestJournalFileReplayMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := viaDisk.Apply(rj); err != nil {
+		if err := viaDisk.ApplyAll([]*nrtm.Journal{rj}); err != nil {
 			t.Fatal(err)
 		}
 	}

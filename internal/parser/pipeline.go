@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/rpsl"
@@ -43,103 +42,16 @@ type ChunkResult struct {
 	Worker int
 }
 
-// WorkerSnapshot is one worker's counters at snapshot time.
-type WorkerSnapshot struct {
-	Chunks  int64
-	Objects int64
-	Errors  int64
-}
-
-// LoadStats collects pipeline progress counters. All fields are updated
-// atomically; a LoadStats may be read (via Snapshot/PerWorker) while the
-// pipeline runs.
+// LoadStats attaches instrumentation to a pipeline run. Set the fields
+// before the pipeline starts.
 type LoadStats struct {
-	// Metrics, when non-nil, mirrors the counters into a telemetry
-	// registry (and adds latency histograms the plain counters lack).
-	// Set it before the pipeline starts.
+	// Metrics, when non-nil, counts the run's chunks, objects, bytes and
+	// parse errors in a telemetry registry, with per-chunk latency.
 	Metrics *PipelineMetrics
 
 	// Trace, when non-nil, records sampled per-chunk spans under the
-	// "ingest" stage (source, bytes, objects per chunk). Set it before
-	// the pipeline starts.
+	// "ingest" stage (source, bytes, objects per chunk).
 	Trace *trace.Tracer
-
-	bytes   atomic.Int64
-	objects atomic.Int64
-	chunks  atomic.Int64
-	errors  atomic.Int64
-
-	mu        sync.Mutex
-	workers   []*workerCounters
-	srcErrors map[string]int64
-}
-
-type workerCounters struct {
-	chunks  atomic.Int64
-	objects atomic.Int64
-	errors  atomic.Int64
-}
-
-// Snapshot returns the total bytes, objects, chunks, and parse errors
-// processed so far.
-func (s *LoadStats) Snapshot() (bytes, objects, chunks, errors int64) {
-	return s.bytes.Load(), s.objects.Load(), s.chunks.Load(), s.errors.Load()
-}
-
-// PerWorker returns each worker's counters, indexed by worker id.
-func (s *LoadStats) PerWorker() []WorkerSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]WorkerSnapshot, len(s.workers))
-	for i, w := range s.workers {
-		out[i] = WorkerSnapshot{
-			Chunks:  w.chunks.Load(),
-			Objects: w.objects.Load(),
-			Errors:  w.errors.Load(),
-		}
-	}
-	return out
-}
-
-func (s *LoadStats) worker(id int) *workerCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.workers) <= id {
-		s.workers = append(s.workers, &workerCounters{})
-	}
-	return s.workers[id]
-}
-
-func (s *LoadStats) record(res *ChunkResult) {
-	s.bytes.Add(int64(res.Bytes))
-	s.objects.Add(int64(res.Objects))
-	s.chunks.Add(1)
-	nerr := int64(len(res.IR.Errors) + len(res.Diags))
-	s.errors.Add(nerr)
-	w := s.worker(res.Worker)
-	w.chunks.Add(1)
-	w.objects.Add(int64(res.Objects))
-	w.errors.Add(nerr)
-	if nerr > 0 {
-		s.mu.Lock()
-		if s.srcErrors == nil {
-			s.srcErrors = make(map[string]int64)
-		}
-		s.srcErrors[res.Source] += nerr
-		s.mu.Unlock()
-	}
-	s.Metrics.recordChunk(res)
-}
-
-// PerSourceErrors returns the parse-error count per source registry.
-func (s *LoadStats) PerSourceErrors() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.srcErrors))
-	for src, n := range s.srcErrors {
-		out[src] = n
-	}
-	return out
 }
 
 // DefaultWorkers resolves a worker-count setting: values <= 0 mean one
@@ -177,8 +89,8 @@ func ParseChunk(c Chunk, seq, worker int) ChunkResult {
 // ParseChunks runs a pool of workers (sized by DefaultWorkers) over the
 // chunk stream and emits one ChunkResult per chunk, in completion order
 // — callers needing feed order reorder by Seq. The result channel
-// closes after the last chunk; stats, when non-nil, is updated as each
-// chunk completes.
+// closes after the last chunk; stats, when non-nil, instruments the
+// run.
 func ParseChunks(in <-chan SeqChunk, workers int, stats *LoadStats) <-chan ChunkResult {
 	workers = DefaultWorkers(workers)
 	var (
@@ -204,9 +116,7 @@ func ParseChunks(in <-chan SeqChunk, workers int, stats *LoadStats) <-chan Chunk
 					SetInt("objects", int64(res.Objects)).
 					End()
 				sp.End()
-				if stats != nil {
-					stats.record(&res)
-				}
+				m.recordChunk(&res)
 				out <- res
 			}
 		}(w)

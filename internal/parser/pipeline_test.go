@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rpslyzer/internal/rpsl"
+	"rpslyzer/internal/telemetry"
 )
 
 // splitAll drains a splitter over text with the given chunk target.
@@ -126,7 +127,8 @@ func TestParseChunksPool(t *testing.T) {
 			}
 		}
 	}()
-	stats := &LoadStats{}
+	m := NewPipelineMetrics(telemetry.NewRegistry("pool"))
+	stats := &LoadStats{Metrics: m}
 	seen := make(map[int]bool)
 	totalObjects := 0
 	for res := range ParseChunks(in, 4, stats) {
@@ -142,16 +144,10 @@ func TestParseChunksPool(t *testing.T) {
 	if totalObjects != len(texts) {
 		t.Fatalf("parsed %d objects, want %d", totalObjects, len(texts))
 	}
-	bytes, objects, chunks, errors := stats.Snapshot()
-	if objects != int64(len(texts)) || chunks != int64(len(texts)) || bytes == 0 || errors != 0 {
-		t.Fatalf("stats = bytes:%d objects:%d chunks:%d errors:%d", bytes, objects, chunks, errors)
-	}
-	var workerChunks int64
-	for _, w := range stats.PerWorker() {
-		workerChunks += w.Chunks
-	}
-	if workerChunks != chunks {
-		t.Fatalf("per-worker chunks sum to %d, want %d", workerChunks, chunks)
+	n := int64(len(texts))
+	if m.ObjectsParsed.Value() != n || m.ChunksParsed.Value() != n || m.BytesParsed.Value() == 0 || len(m.ParseErrors.Values()) != 0 {
+		t.Fatalf("metrics = bytes:%d objects:%d chunks:%d errors:%v", m.BytesParsed.Value(),
+			m.ObjectsParsed.Value(), m.ChunksParsed.Value(), m.ParseErrors.Values())
 	}
 }
 

@@ -1,7 +1,6 @@
 package prefix
 
 import (
-	"net/netip"
 	"sort"
 )
 
@@ -128,15 +127,6 @@ func FromPrefixes(ps []Prefix) *Table {
 	rs := make([]Range, len(ps))
 	for i, p := range ps {
 		rs[i] = Range{Prefix: p}
-	}
-	return NewTable(rs)
-}
-
-// FromNetipPrefixes builds an exact-match table from netip prefixes.
-func FromNetipPrefixes(ps []netip.Prefix) *Table {
-	rs := make([]Range, len(ps))
-	for i, p := range ps {
-		rs[i] = Range{Prefix: FromNetip(p)}
 	}
 	return NewTable(rs)
 }

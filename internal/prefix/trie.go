@@ -151,35 +151,6 @@ func (t *Trie[V]) Walk(yield func(Prefix, V) bool) {
 	trieWalk(t.roots[1], yield)
 }
 
-// AnyInRange reports whether any stored prefix lies in the set the
-// range describes (base widened by its operator). Every member of that
-// set is covered by the base prefix, so the probe is a bounded subtree
-// walk with early exit.
-func (t *Trie[V]) AnyInRange(r Range) bool {
-	found := false
-	t.CoveredBy(r.Prefix, func(p Prefix, _ V) bool {
-		if r.Match(p) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// InRange returns the stored prefixes in the range's set, in
-// Prefix.Compare order.
-func (t *Trie[V]) InRange(r Range) []Prefix {
-	var out []Prefix
-	t.CoveredBy(r.Prefix, func(p Prefix, _ V) bool {
-		if r.Match(p) {
-			out = append(out, p)
-		}
-		return true
-	})
-	return out
-}
-
 // trieWalk runs a pre-order DFS: a node's own prefix sorts before
 // everything in its subtree under Prefix.Compare (same leading
 // address, fewer bits), and child 0 addresses sort before child 1, so

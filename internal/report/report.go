@@ -318,30 +318,6 @@ func (a *Aggregator) PerAS() []*ASStats {
 	return out
 }
 
-// PerPair returns directed pair stats with a deterministic order.
-func (a *Aggregator) PerPair() []struct {
-	Key   PairKey
-	Stats *PairStats
-} {
-	out := make([]struct {
-		Key   PairKey
-		Stats *PairStats
-	}, 0, len(a.perPair))
-	for k, s := range a.perPair {
-		out = append(out, struct {
-			Key   PairKey
-			Stats *PairStats
-		}{k, s})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.From != out[j].Key.From {
-			return out[i].Key.From < out[j].Key.From
-		}
-		return out[i].Key.To < out[j].Key.To
-	})
-	return out
-}
-
 // RouteMixes returns the per-route status mixes (Figure 4 input).
 func (a *Aggregator) RouteMixes() []RouteMix { return a.routeMixes }
 

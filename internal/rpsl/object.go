@@ -100,21 +100,3 @@ func StripComment(line string) string {
 	}
 	return line
 }
-
-// routingClasses are the object classes RPSLyzer interprets (Section 3 of
-// the paper): aut-num, as-set, route-set, peering-set, filter-set, route,
-// and route6. Other classes (person, mntner, inetnum, ...) are counted
-// but not decomposed.
-var routingClasses = map[string]bool{
-	"aut-num":     true,
-	"as-set":      true,
-	"route-set":   true,
-	"peering-set": true,
-	"filter-set":  true,
-	"route":       true,
-	"route6":      true,
-}
-
-// IsRoutingClass reports whether class is one of the routing-related
-// object classes RPSLyzer decomposes.
-func IsRoutingClass(class string) bool { return routingClasses[class] }

@@ -165,19 +165,6 @@ func TestObjectString(t *testing.T) {
 	}
 }
 
-func TestIsRoutingClass(t *testing.T) {
-	for _, c := range []string{"aut-num", "as-set", "route-set", "peering-set", "filter-set", "route", "route6"} {
-		if !IsRoutingClass(c) {
-			t.Errorf("IsRoutingClass(%q) = false", c)
-		}
-	}
-	for _, c := range []string{"person", "mntner", "inetnum", ""} {
-		if IsRoutingClass(c) {
-			t.Errorf("IsRoutingClass(%q) = true", c)
-		}
-	}
-}
-
 func TestReaderHugeFoldedValue(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("as-set: AS-HUGE\nmembers: AS1")

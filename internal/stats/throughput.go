@@ -21,74 +21,35 @@ func ClassTotals(x *ir.IR) map[string]int {
 	return totals
 }
 
-// ClassTotalsOrdered returns class totals sorted by descending count,
-// ties broken alphabetically, for stable summary output.
-func ClassTotalsOrdered(x *ir.IR) []ClassCount {
-	totals := ClassTotals(x)
-	out := make([]ClassCount, 0, len(totals))
-	for class, n := range totals {
-		out = append(out, ClassCount{Class: class, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Class < out[j].Class
-	})
-	return out
-}
-
-// ClassCount is one entry of an ordered class census.
-type ClassCount struct {
-	Class string
-	Count int
-}
-
-// Throughput summarizes one ingestion run for the -summary output.
-type Throughput struct {
-	Bytes   int64
-	Objects int64
-	Chunks  int64
-	Errors  int64
-	Elapsed time.Duration
-	Workers int
-	// SourceErrors breaks Errors down by source registry (from
-	// parser.LoadStats.PerSourceErrors).
-	SourceErrors map[string]int64
-}
-
-// String renders the throughput line, guarding against zero elapsed
-// time on tiny inputs. When SourceErrors is set, a per-registry error
+// ThroughputLine renders the -summary line of one ingestion run from
+// the pipeline counters' values, guarding against zero elapsed time on
+// tiny inputs. When errsBySource is not empty, a per-registry error
 // breakdown follows on a second line, sources sorted by descending
 // count then name.
-func (t Throughput) String() string {
-	sec := t.Elapsed.Seconds()
+func ThroughputLine(bytes, objects, chunks int64, errsBySource map[string]int64, workers int, elapsed time.Duration) string {
+	sec := elapsed.Seconds()
 	if sec <= 0 {
 		sec = 1e-9
 	}
+	sources := make([]string, 0, len(errsBySource))
+	var errs int64
+	for src, n := range errsBySource {
+		sources = append(sources, src)
+		errs += n
+	}
 	line := fmt.Sprintf("pipeline: %.1f MiB/s, %.0f objects/s (%d objects, %d chunks, %d workers, %d parse errors)",
-		float64(t.Bytes)/(1<<20)/sec, float64(t.Objects)/sec,
-		t.Objects, t.Chunks, t.Workers, t.Errors)
-	if len(t.SourceErrors) == 0 {
+		float64(bytes)/(1<<20)/sec, float64(objects)/sec, objects, chunks, workers, errs)
+	if len(sources) == 0 {
 		return line
 	}
-	type srcErr struct {
-		src string
-		n   int64
-	}
-	parts := make([]srcErr, 0, len(t.SourceErrors))
-	for src, n := range t.SourceErrors {
-		parts = append(parts, srcErr{src, n})
-	}
-	sort.Slice(parts, func(i, j int) bool {
-		if parts[i].n != parts[j].n {
-			return parts[i].n > parts[j].n
+	sort.Slice(sources, func(i, j int) bool {
+		if errsBySource[sources[i]] != errsBySource[sources[j]] {
+			return errsBySource[sources[i]] > errsBySource[sources[j]]
 		}
-		return parts[i].src < parts[j].src
+		return sources[i] < sources[j]
 	})
-	rendered := make([]string, len(parts))
-	for i, p := range parts {
-		rendered[i] = fmt.Sprintf("%s=%d", p.src, p.n)
+	for i, src := range sources {
+		sources[i] = fmt.Sprintf("%s=%d", src, errsBySource[src])
 	}
-	return line + "\nparse errors by registry: " + strings.Join(rendered, " ")
+	return line + "\nparse errors by registry: " + strings.Join(sources, " ")
 }

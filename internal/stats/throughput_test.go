@@ -18,56 +18,34 @@ func TestClassTotals(t *testing.T) {
 	if totals["route"] != 2 || totals["aut-num"] != 1 || totals["as-set"] != 1 {
 		t.Errorf("totals = %v", totals)
 	}
-	ordered := ClassTotalsOrdered(x)
-	if len(ordered) != 3 || ordered[0].Class != "route" {
-		t.Errorf("ordered = %v, want route first", ordered)
-	}
-	// Ties break alphabetically.
-	if ordered[1].Class != "as-set" || ordered[2].Class != "aut-num" {
-		t.Errorf("tie order = %v", ordered)
-	}
 }
 
 func TestThroughputString(t *testing.T) {
-	tp := Throughput{
-		Bytes:   2 << 20,
-		Objects: 1000,
-		Chunks:  4,
-		Errors:  3,
-		Elapsed: 2 * time.Second,
-		Workers: 8,
-	}
-	s := tp.String()
+	s := ThroughputLine(2<<20, 1000, 4, map[string]int64{"RIPE": 3}, 8, 2*time.Second)
 	for _, want := range []string{"1.0 MiB/s", "500 objects/s", "4 chunks", "8 workers", "3 parse errors"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("throughput %q missing %q", s, want)
 		}
 	}
 	// Zero elapsed must not divide by zero.
-	if s := (Throughput{Bytes: 1}).String(); s == "" || strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {
+	if s := ThroughputLine(1, 0, 0, nil, 0, 0); s == "" || strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {
 		t.Errorf("zero-elapsed throughput = %q", s)
 	}
 }
 
 func TestThroughputSourceErrors(t *testing.T) {
-	tp := Throughput{
-		Bytes: 1 << 20, Objects: 10, Chunks: 1, Errors: 7,
-		Elapsed: time.Second, Workers: 1,
-		SourceErrors: map[string]int64{"RIPE": 4, "RADB": 2, "ARIN": 1},
-	}
-	s := tp.String()
-	// Sorted by descending count, names carried through.
-	if !strings.Contains(s, "parse errors by registry: RIPE=4 RADB=2 ARIN=1") {
+	line := func(errs map[string]int64) string { return ThroughputLine(1<<20, 10, 1, errs, 1, time.Second) }
+	// Summed into the total; sorted by descending count, names carried through.
+	s := line(map[string]int64{"RIPE": 4, "RADB": 2, "ARIN": 1})
+	if !strings.Contains(s, "7 parse errors)\nparse errors by registry: RIPE=4 RADB=2 ARIN=1") {
 		t.Errorf("per-registry breakdown missing or misordered in %q", s)
 	}
 	// Count ties break alphabetically.
-	tp.SourceErrors = map[string]int64{"B": 1, "A": 1}
-	if s := tp.String(); !strings.Contains(s, "A=1 B=1") {
+	if s := line(map[string]int64{"B": 1, "A": 1}); !strings.Contains(s, "A=1 B=1") {
 		t.Errorf("tie order wrong in %q", s)
 	}
-	// Without the map the line stays single-line as before.
-	tp.SourceErrors = nil
-	if s := tp.String(); strings.Contains(s, "\n") {
+	// Without errors the line stays single-line.
+	if s := line(nil); strings.Contains(s, "\n") {
 		t.Errorf("unexpected breakdown line in %q", s)
 	}
 }

@@ -107,7 +107,7 @@ func TestHistogramConcurrentObserveWhileScrape(t *testing.T) {
 func TestLabeledCounterCardinalityCap(t *testing.T) {
 	r := NewRegistry("edge")
 	c := r.LabeledCounter("capped_total", "", "key")
-	c.SetLimit(3)
+	c.limit = 3
 	for i := 0; i < 10; i++ {
 		c.Inc("k" + strconv.Itoa(i))
 	}

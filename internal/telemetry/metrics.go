@@ -212,18 +212,6 @@ type LabeledCounter struct {
 	children map[string]*atomic.Int64
 }
 
-// SetLimit overrides the distinct-label cap. Values already tracked
-// stay; only the admission of new label values changes. Intended for
-// tests and for vectors with known-tiny cardinality.
-func (c *LabeledCounter) SetLimit(n int) {
-	if c == nil || n < 1 {
-		return
-	}
-	c.mu.Lock()
-	c.limit = n
-	c.mu.Unlock()
-}
-
 // Add adds n to the child counter for the label value.
 func (c *LabeledCounter) Add(labelValue string, n int64) {
 	if c == nil || n < 0 {

@@ -368,25 +368,3 @@ func (a *v6Allocator) alloc(bits int) prefix.Prefix {
 	}
 	return prefix.FromNetip(p)
 }
-
-// Transits returns ASes with at least one customer, ascending.
-func (t *Topology) Transits() []ir.ASN {
-	var out []ir.ASN
-	for _, a := range t.Order {
-		if len(t.Rels.Customers(a)) > 0 {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Stubs returns ASes with no customers, ascending.
-func (t *Topology) Stubs() []ir.ASN {
-	var out []ir.ASN
-	for _, a := range t.Order {
-		if len(t.Rels.Customers(a)) == 0 {
-			out = append(out, a)
-		}
-	}
-	return out
-}

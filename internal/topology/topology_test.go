@@ -127,20 +127,6 @@ func TestGenerateIPv6Present(t *testing.T) {
 	}
 }
 
-func TestTransitsAndStubs(t *testing.T) {
-	topo := Generate(Config{Seed: 3, ASes: 200})
-	transits := topo.Transits()
-	stubs := topo.Stubs()
-	if len(transits)+len(stubs) != len(topo.Order) {
-		t.Errorf("transits+stubs = %d+%d != %d", len(transits), len(stubs), len(topo.Order))
-	}
-	for _, a := range transits {
-		if len(topo.Rels.Customers(a)) == 0 {
-			t.Errorf("transit AS%d has no customers", a)
-		}
-	}
-}
-
 func TestCDNsPeerWidely(t *testing.T) {
 	topo := Generate(Config{Seed: 11, ASes: 500})
 	for _, asn := range topo.Order {

@@ -74,13 +74,6 @@ func (t *Trace) Duration() time.Duration {
 	return time.Duration(t.spans[0].durNS.Load())
 }
 
-// NumSpans returns how many spans the trace holds.
-func (t *Trace) NumSpans() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // Config tunes a Tracer. The zero value is usable: every operation is
 // sampled, 64 recent and 32 slowest traces are retained, and traces
 // are capped at 512 spans.
@@ -135,7 +128,7 @@ func (c *Config) fill() {
 
 // stageState carries one stage's sampling counter and statistics.
 type stageState struct {
-	sampleN   atomic.Int64
+	sampleN   int           // from Config.Sample; fixed at creation
 	ops       atomic.Uint64 // operations offered (sampled or not)
 	sampled   atomic.Uint64 // traces started
 	finished  atomic.Uint64 // traces whose root span ended
@@ -175,14 +168,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// SetSample overrides one stage's 1-in-N sampling rate at runtime.
-func (t *Tracer) SetSample(stage string, n int) {
-	if t == nil {
-		return
-	}
-	t.stage(stage).sampleN.Store(int64(n))
-}
-
 func (t *Tracer) stage(name string) *stageState {
 	if st, ok := (*t.stages.Load())[name]; ok {
 		return st
@@ -193,8 +178,7 @@ func (t *Tracer) stage(name string) *stageState {
 	if st, ok := old[name]; ok {
 		return st
 	}
-	st := &stageState{}
-	st.sampleN.Store(int64(t.cfg.Sample[name]))
+	st := &stageState{sampleN: max(t.cfg.Sample[name], 1)}
 	next := make(map[string]*stageState, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -212,15 +196,44 @@ func (t *Tracer) Start(stage, name string) *Span {
 		return nil
 	}
 	st := t.stage(stage)
-	n := st.ops.Add(1)
-	if sn := st.sampleN.Load(); sn > 1 && (n-1)%uint64(sn) != 0 {
+	if (st.ops.Add(1)-1)%uint64(st.sampleN) != 0 {
 		return nil
 	}
+	return t.root(st, stage, name, time.Now())
+}
+
+func (t *Tracer) root(st *stageState, stage, name string, start time.Time) *Span {
 	st.sampled.Add(1)
-	tr := &Trace{tracer: t, id: t.ids.Add(1), stage: stage, start: time.Now()}
-	sp := &Span{tr: tr, id: 1, name: name, start: tr.start}
+	tr := &Trace{tracer: t, id: t.ids.Add(1), stage: stage, start: start}
+	sp := &Span{tr: tr, id: 1, name: name, start: start}
 	tr.spans = append(tr.spans, sp)
 	return sp
+}
+
+// Period returns the stage's 1-in-N sampling period (at least 1), for
+// a hot path that keeps the sampling counter on memory it owns
+// instead of sharing the stage's: it takes one operation in Period
+// with StartSampled and reports all of them with Offered. A nil tracer
+// has period 0: nothing to take.
+func (t *Tracer) Period(stage string) uint64 {
+	if t == nil {
+		return 0
+	}
+	return uint64(t.stage(stage).sampleN)
+}
+
+// StartSampled starts a trace, begun at start, for an operation the
+// caller's own sampler took; the operation is counted by Offered.
+func (t *Tracer) StartSampled(stage, name string, start time.Time) *Span {
+	return t.root(t.stage(stage), stage, name, start)
+}
+
+// Offered counts n operations the caller's own sampler was offered,
+// taken or not, so the stage's ops stay exact.
+func (t *Tracer) Offered(stage string, n uint64) {
+	if t != nil && n > 0 {
+		t.stage(stage).ops.Add(n)
+	}
 }
 
 // StartOrChild returns a child of parent when parent is non-nil,
@@ -382,13 +395,9 @@ func (t *Tracer) Summary() []StageSummary {
 	out := make([]StageSummary, 0, len(names))
 	for _, n := range names {
 		st := stages[n]
-		sampleN := int(st.sampleN.Load())
-		if sampleN < 1 {
-			sampleN = 1
-		}
 		out = append(out, StageSummary{
 			Stage:     n,
-			SampleN:   sampleN,
+			SampleN:   st.sampleN,
 			Ops:       st.ops.Load(),
 			Sampled:   st.sampled.Load(),
 			Finished:  st.finished.Load(),

@@ -24,7 +24,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.Child("c").Set("k", "v").SetInt("n", 1).End()
 	sp.End()
-	tr.SetSample("x", 4)
 	if got := tr.Recent(); got != nil {
 		t.Errorf("nil Recent = %v", got)
 	}
@@ -117,17 +116,21 @@ func TestSampling(t *testing.T) {
 	if sp := tr.Start("cold", "op"); sp == nil {
 		t.Error("unlisted stage not sampled")
 	}
-	// Runtime override.
-	tr.SetSample("cold", 2)
-	var coldSampled int
-	for i := 0; i < 10; i++ {
-		if sp := tr.Start("cold", "op"); sp != nil {
-			coldSampled++
-			sp.End()
-		}
+	// A caller-owned sampler: the caller takes one operation in
+	// Period and reports all ten, and the stage reads the same.
+	if got := tr.Period("hot"); got != 4 {
+		t.Errorf("Period(hot) = %d, want 4", got)
 	}
-	if coldSampled != 5 {
-		t.Errorf("cold sampled %d of 10 at 1-in-2, want 5", coldSampled)
+	if got := tr.Period("cold"); got != 1 {
+		t.Errorf("Period(cold) = %d, want 1", got)
+	}
+	if got := (*Tracer)(nil).Period("hot"); got != 0 {
+		t.Errorf("nil tracer Period = %d, want 0", got)
+	}
+	tr.StartSampled("cold", "op", time.Now()).End()
+	tr.Offered("cold", 10)
+	if cold := tr.Summary()[0]; cold.Ops != 11 || cold.Sampled != 2 || cold.Finished != 1 {
+		t.Errorf("cold summary = %+v, want ops 11, sampled 2, finished 1", cold)
 	}
 	sum := tr.Summary()
 	if len(sum) != 2 {

@@ -334,7 +334,7 @@ func (v *Verifier) compileFilter(f *ir.Filter, depth int, rec *depgraph.Recorder
 		}
 	case ir.FilterFilterSet:
 		rec.Add(depgraph.FilterSetKey(f.Name))
-		if depth >= v.cfg.MaxFilterSetDepth {
+		if depth >= maxFilterSetDepth {
 			return constFilter(filterEval{state: triNoMatch,
 				reasons: bake(Reason{Kind: MatchFilter, Name: f.Name})})
 		}
@@ -491,7 +491,7 @@ func communitiesContainAll(want, have []bgpsim.Community) bool {
 func (v *Verifier) compilePeering(p *ir.Peering, depth int, rec *depgraph.Recorder) peeringProg {
 	if p.PeeringSet != "" {
 		rec.Add(depgraph.PeeringSetKey(p.PeeringSet))
-		if depth >= v.cfg.MaxFilterSetDepth {
+		if depth >= maxFilterSetDepth {
 			return func(_ *evalCtx, acc []Reason) (triState, []Reason) { return triNoMatch, acc }
 		}
 		ps, ok := v.DB.PeeringSet(p.PeeringSet)

@@ -235,7 +235,7 @@ func (v *Verifier) evalFilter(f *ir.Filter, ctx *evalCtx, depth int) filterEval 
 		}
 		return filterEval{state: triNoMatch, reasons: []Reason{{Kind: MatchFilter, Name: f.Name}}}
 	case ir.FilterFilterSet:
-		if depth >= v.cfg.MaxFilterSetDepth {
+		if depth >= maxFilterSetDepth {
 			return filterEval{state: triNoMatch, reasons: []Reason{{Kind: MatchFilter, Name: f.Name}}}
 		}
 		fs, ok := v.DB.FilterSet(f.Name)
@@ -398,7 +398,7 @@ func (v *Verifier) peeringMatches(pas []ir.PeeringAction, ctx *evalCtx) (triStat
 
 func (v *Verifier) evalPeering(p *ir.Peering, ctx *evalCtx, depth int, acc *[]Reason) triState {
 	if p.PeeringSet != "" {
-		if depth >= v.cfg.MaxFilterSetDepth {
+		if depth >= maxFilterSetDepth {
 			return triNoMatch
 		}
 		ps, ok := v.DB.PeeringSet(p.PeeringSet)

@@ -254,7 +254,7 @@ import: from AS99 accept ANY
 		// AS99 unrelated.
 	}
 	v := fixture(t, text, rels, Config{})
-	if v.OnlyProviderPolicies(1) {
+	if v.d.onlyProviderPolicies[1] {
 		t.Error("AS1 names a non-provider; not OPP")
 	}
 }
@@ -269,7 +269,7 @@ import: from AS10 accept ANY
 		d.AddP2P(1, 60) // peer
 	}
 	v := fixture(t, text, rels, Config{})
-	if !v.OnlyProviderPolicies(1) {
+	if !v.d.onlyProviderPolicies[1] {
 		t.Fatal("AS1 should be OPP")
 	}
 	// Peer import safelisted via OPP.

@@ -63,7 +63,7 @@ func (v *Verifier) execAutNum(an *ir.AutNum, ctx *evalCtx) (Status, []Reason) {
 		progs = a.lastProg.exports
 	}
 	var t0 time.Time
-	if (v.metrics != nil || v.profiler != nil) && every(&a.execOps, DefaultExecSampleN) {
+	if a.timed {
 		t0 = time.Now()
 	}
 	// Accumulate into the context's scratch buffer: the arena's

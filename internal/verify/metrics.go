@@ -23,8 +23,8 @@ type Metrics struct {
 	// still count in ChecksEvaluated and ChecksByStatus.
 	PairMemoHits *telemetry.Counter
 	// RouteSeconds and CheckSeconds are the whole-route and per-check
-	// verification latencies. Like ProgramSeconds they are sampled
-	// 1-in-N per arena, so their counts are samples taken, not work
+	// verification latencies. Like ProgramSeconds they are taken on one
+	// route in N per arena, so their counts are samples taken, not work
 	// done; the counters above are the exact ones.
 	RouteSeconds *telemetry.Histogram
 	CheckSeconds *telemetry.Histogram
@@ -75,25 +75,30 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 // starts; the verifier reads the pointer without synchronization.
 func (v *Verifier) SetMetrics(m *Metrics) { v.metrics = m }
 
-// tally is the arena-local side of Metrics and of the samplers: the
-// hot path bumps plain integers its goroutine owns, and flush folds
-// them into the shared registry every tallyFlushRoutes routes and when
-// the arena's driver finishes, so the exported counters stay exact
-// while a scrape during a sweep still sees them advance.
+// tally is the arena-local side of Metrics and of the route sampler:
+// the hot path bumps plain integers its goroutine owns, and flush folds
+// them into the shared registry and tracer every tallyFlushRoutes
+// routes and when the arena's driver finishes, so the exported counters
+// stay exact while a scrape during a sweep still sees them advance.
 type tally struct {
 	routes, ignored    int64
 	byStatus           [len(statusNames)]int64
 	pairHits, progHits int64
-	// Offered to the route, check and program-execution samplers (flush
-	// keeps these); the first is sampled, so short runs feed the sketches.
-	routeOps, checkOps, execOps uint64
+	// routeOps counts routes offered to verifyRoute's sampler (flush
+	// keeps it); it takes the first, so short runs feed the sketches.
+	// timed is set while a route it took is being walked: that route's
+	// checks and program executions are the ones timed.
+	routeOps uint64
+	timed    bool
 }
 
 const tallyFlushRoutes = 1024
 
-// flush adds the counts since the last flush to m and zeroes them.
-func (t *tally) flush(m *Metrics) {
-	if m != nil {
+// flush adds the counts since the last flush to v's metrics, offers
+// the routes to its tracer's verify stage, and zeroes them.
+func (t *tally) flush(v *Verifier) {
+	v.tracer.Offered("verify", uint64(t.routes+t.ignored))
+	if m := v.metrics; m != nil {
 		m.RoutesVerified.Add(t.routes)
 		m.RoutesIgnored.Add(t.ignored)
 		var checks int64
@@ -107,14 +112,7 @@ func (t *tally) flush(m *Metrics) {
 		m.PairMemoHits.Add(t.pairHits)
 		m.ProgramCacheHits.Add(t.progHits)
 	}
-	*t = tally{routeOps: t.routeOps, checkOps: t.checkOps, execOps: t.execOps}
-}
-
-// every counts an operation offered to a 1-in-period sampler and
-// reports whether it takes it (it takes the first).
-func every(n *uint64, period uint64) bool {
-	*n++
-	return (*n-1)%max(period, 1) == 0
+	*t = tally{routeOps: t.routeOps}
 }
 
 func (m *Metrics) programCompiled(size int64) {

@@ -23,13 +23,13 @@ const (
 // most execution time. All three are space-saving top-K sketches, so
 // memory stays bounded no matter how many routes flow through.
 //
-// A nil *Profiler is inert. Both observation paths are sampled so the
-// hot path stays hot: whole-route timing 1-in-RouteSampleN and
-// per-check program timing 1-in-DefaultExecSampleN, with observed
-// weights scaled by the sampling factor so sketch weights remain
-// estimates of total seconds. The samplers count on the calling
-// goroutine's arena (tally), so partitions share no counter, and the
-// same clock reads feed Metrics' latency histograms.
+// A nil *Profiler is inert. Observation is sampled so the hot path
+// stays hot: one route in routeSampleN is timed, whole and program
+// execution by program execution, with observed weights scaled by that
+// one factor so sketch weights remain estimates of total seconds. The
+// sampler counts on the calling goroutine's arena (verifyRoute), so
+// partitions share no counter, and the same clock reads feed Metrics'
+// latency histograms.
 type Profiler struct {
 	// SlowRoutes weighs prefixes by whole-route verification seconds.
 	SlowRoutes *trace.TopK
@@ -42,15 +42,11 @@ type Profiler struct {
 	routeSampleN uint64
 }
 
-// DefaultExecSampleN is the 1-in-N sampling rate for per-check and
-// program-execution timing.
-const DefaultExecSampleN = 64
-
-// DefaultRouteSampleN is the default 1-in-N sampling rate for
-// whole-route timing. Sampling bounds the sketch-mutex and clock
-// traffic per route; counter-based selection means the first route of
-// every arena is observed, so short runs still populate the sketches.
-const DefaultRouteSampleN = 32
+// DefaultRouteSampleN is the default 1-in-N sampling rate for route
+// timing. Sampling bounds the sketch-mutex and clock traffic per
+// route; counter-based selection means the first route of every arena
+// is observed, so short runs still populate the sketches.
+const DefaultRouteSampleN = 64
 
 // NewProfiler creates a Profiler whose sketches track the k heaviest
 // keys each (k < 1 defaults to 64).
@@ -66,7 +62,7 @@ func NewProfiler(k int) *Profiler {
 	}
 }
 
-// SetRouteSample overrides the 1-in-n whole-route sampling rate; n <= 1
+// SetRouteSample overrides the 1-in-n route sampling rate; n <= 1
 // observes every route (exact weights, as `verify -slowest` wants for
 // offline profiling). Call before verification starts.
 func (p *Profiler) SetRouteSample(n int) {
@@ -95,8 +91,8 @@ func asKey(a ir.ASN) string {
 	return "AS" + strconv.FormatUint(uint64(uint32(a)), 10)
 }
 
-// routePeriod is the whole-route sampling period (Metrics alone, with
-// no profiler attached, samples at the default).
+// routePeriod is the route sampling period (Metrics alone, with no
+// profiler attached, samples at the default).
 func (p *Profiler) routePeriod() uint64 {
 	if p == nil {
 		return DefaultRouteSampleN
@@ -111,27 +107,29 @@ func (p *Profiler) observeRoute(route *bgpsim.Route, rep *RouteReport, d time.Du
 	if p == nil || rep.Ignored != "" {
 		return
 	}
-	secs := d.Seconds() * float64(max(p.routeSampleN, 1))
+	secs := d.Seconds() * float64(p.routeSampleN)
 	p.SlowRoutes.Observe(route.Prefix.String(), secs)
 	if n := len(route.Path); n > 0 {
 		p.SlowASes.Observe(asKey(route.Path[n-1]), secs)
 	}
 }
 
-// observeExec folds one sampled program execution into the hot-program
-// sketch, scaling the weight by the sampling factor so weights remain
-// estimates of total seconds.
+// observeExec folds one program execution of a sampled route into the
+// hot-program sketch, scaling the weight by the sampling factor so
+// weights remain estimates of total seconds.
 func (p *Profiler) observeExec(self ir.ASN, d time.Duration) {
 	if p == nil {
 		return
 	}
-	p.HotPrograms.Observe(asKey(self), d.Seconds()*DefaultExecSampleN)
+	p.HotPrograms.Observe(asKey(self), d.Seconds()*float64(p.routeSampleN))
 }
 
 // SetTracer attaches a tracer: route verification and program
 // compilation emit sampled spans under the "verify" and "compile"
 // stages. Call before verification starts.
-func (v *Verifier) SetTracer(tr *trace.Tracer) { v.tracer = tr }
+func (v *Verifier) SetTracer(tr *trace.Tracer) {
+	v.tracer, v.tracePeriod = tr, tr.Period("verify")
+}
 
 // SetProfiler attaches a heavy-hitter profiler. Call before
 // verification starts.

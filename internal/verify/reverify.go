@@ -242,7 +242,7 @@ func (inc *Incremental) reverifyIndexes(order []int32, part map[int32]map[ir.ASN
 		go func() {
 			defer wg.Done()
 			a := &reportArena{}
-			defer a.flush(inc.v.metrics)
+			defer a.flush(inc.v)
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(order) {

@@ -53,24 +53,31 @@ func (v *Verifier) PatchRoute(route bgpsim.Route, old RouteReport, dirty map[ir.
 // verifyOne runs verifyRoute on a single-route arena of its own.
 func (v *Verifier) verifyOne(route bgpsim.Route, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
 	a := &reportArena{}
-	defer a.flush(v.metrics)
+	defer a.flush(v)
 	return v.verifyRoute(route, a, nil, old, dirty)
 }
 
 // verifyRoute is the metering and tracing envelope around walkPairs,
-// shared by every entry point. The samplers decide up front, so
-// unsampled routes skip the clock reads, the key allocations and the
-// sketch mutexes, and everything counted lands in the tally of the
-// arena, which the calling goroutine owns and flushes when done.
+// shared by every entry point. It makes the one sampling decision per
+// route, on a counter the arena owns: one route in the profiler's
+// period is timed — once, for RouteSeconds and the route sketches, and
+// check by check inside walkPairs for CheckSeconds, ProgramSeconds and
+// HotPrograms, all weighted by that one period — and one in the
+// tracer's "verify" period leaves a verify-route span. Other routes
+// read no clock, build no key and touch no shared memory: everything
+// counted lands in the arena's tally, flushed by the goroutine that
+// owns it.
 func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, dst []Check, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
-	tsp := v.tracer.Start("verify", "verify-route")
-	sampled := (v.metrics != nil || v.profiler != nil) && every(&a.routeOps, v.profiler.routePeriod())
+	n := a.routeOps
+	a.routeOps++
+	a.timed = (v.metrics != nil || v.profiler != nil) && n%v.profiler.routePeriod() == 0
+	traced := v.tracePeriod != 0 && n%v.tracePeriod == 0
 	var t0 time.Time
-	if tsp != nil || sampled {
+	if a.timed || traced {
 		t0 = time.Now()
 	}
 	rep := v.walkPairs(route, a, dst, old, dirty)
-	if sampled {
+	if a.timed {
 		d := time.Since(t0)
 		if m := v.metrics; m != nil {
 			m.RouteSeconds.Observe(d.Seconds())
@@ -83,10 +90,11 @@ func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, dst []Check, 
 		a.routes++
 	}
 	if a.routes+a.ignored >= tallyFlushRoutes {
-		a.flush(v.metrics)
+		a.flush(v)
 	}
-	if tsp != nil {
-		tsp.Set("prefix", route.Prefix.String()).
+	if traced {
+		tsp := v.tracer.StartSampled("verify", "verify-route", t0).
+			Set("prefix", route.Prefix.String()).
 			SetInt("path_len", int64(len(route.Path))).
 			SetInt("checks", int64(len(rep.Checks)))
 		if rep.Ignored != "" {
@@ -174,10 +182,10 @@ func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, dst []Check, ol
 }
 
 // checkInto runs one import or export check in place, tallies its
-// outcome and times one check in DefaultExecSampleN for the histogram.
+// outcome and, on a timed route, times it for the histogram.
 func (v *Verifier) checkInto(ctx *evalCtx, c *Check) {
 	a := ctx.arena
-	if m := v.metrics; m != nil && every(&a.checkOps, DefaultExecSampleN) {
+	if m := v.metrics; m != nil && a.timed {
 		t0 := time.Now()
 		v.evalCheck(ctx, c)
 		m.CheckSeconds.ObserveSince(t0)
@@ -361,7 +369,7 @@ func (v *Verifier) sweep(routes []bgpsim.Route, workers int, layout func(idxs []
 			for _, i := range idxs {
 				each(a, i)
 			}
-			a.flush(v.metrics)
+			a.flush(v)
 		}(idxs)
 	}
 	wg.Wait()

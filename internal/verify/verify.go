@@ -241,8 +241,6 @@ type Config struct {
 	// as future work). When false (the default), the symbolic engine
 	// interprets them.
 	SkipComplexRegex bool
-	// MaxFilterSetDepth bounds filter-set dereference chains.
-	MaxFilterSetDepth int
 	// InterpretCommunities evaluates community(...) filters against
 	// the communities observed on the route instead of skipping the
 	// rule. The paper deliberately skips such rules because
@@ -265,12 +263,12 @@ type Config struct {
 	Shards int
 }
 
+// maxFilterSetDepth bounds filter-set dereference chains.
+const maxFilterSetDepth = 10
+
 func (c *Config) fill() {
 	if c.Eval == "" {
 		c.Eval = "compiled"
-	}
-	if c.MaxFilterSetDepth == 0 {
-		c.MaxFilterSetDepth = 10
 	}
 }
 
@@ -294,10 +292,12 @@ type Verifier struct {
 	metrics *Metrics
 
 	// tracer, when non-nil, emits sampled route/compile trace spans
-	// (set with SetTracer); profiler, when non-nil, feeds heavy-hitter
-	// sketches (set with SetProfiler).
-	tracer   *trace.Tracer
-	profiler *Profiler
+	// (set with SetTracer), one route in tracePeriod (0 without a
+	// tracer); profiler, when non-nil, feeds heavy-hitter sketches (set
+	// with SetProfiler).
+	tracer      *trace.Tracer
+	tracePeriod uint64
+	profiler    *Profiler
 
 	// graph, when non-nil, records each compiled program's dependency
 	// keys so Incremental can invalidate programs selectively (set with
@@ -475,12 +475,6 @@ func forEachPeering(an *ir.AutNum, visit func(*ir.Peering)) {
 	for i := range an.Exports {
 		walkExpr(an.Exports[i].Expr)
 	}
-}
-
-// OnlyProviderPolicies reports whether the AS only defines rules for
-// its providers.
-func (v *Verifier) OnlyProviderPolicies(asn ir.ASN) bool {
-	return v.d.onlyProviderPolicies[asn]
 }
 
 // compiledRegex returns (and caches) the compiled form of a path

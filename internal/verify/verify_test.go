@@ -298,7 +298,7 @@ export: to AS133840 announce AS56239
 		d.AddP2C(56239, 141893)
 	}
 	v := fixture(t, text, rels, Config{})
-	if !v.OnlyProviderPolicies(56239) {
+	if !v.d.onlyProviderPolicies[56239] {
 		t.Fatal("AS56239 should be only-provider-policies")
 	}
 	rep := v.VerifyRoute(route("203.0.113.0/24", 133840, 56239, 141893))
