@@ -502,9 +502,11 @@ func BenchmarkReverify(b *testing.B) {
 }
 
 // maxInstrumentationOverhead bounds BenchmarkVerifyAllTraced's median
-// overhead fraction. The instrumentation measures +8% (80 pairs); on a
-// shared 2-CPU host the median of 15 pairs ranged +5% to +13%.
-const maxInstrumentationOverhead = 0.15
+// overhead fraction. With the sketches' eviction on a heap the
+// instrumentation measures +5% to +7% (14 runs of 30 pairs on a shared
+// 2-CPU host read -3% to +9.4%; runs of 15 pairs reached +12.6%, hence
+// the 30).
+const maxInstrumentationOverhead = 0.12
 
 // BenchmarkVerifyAllTraced measures what reportd's instrumentation
 // costs a sweep and asserts its bound: the compiled sweep bare, and
@@ -512,7 +514,7 @@ const maxInstrumentationOverhead = 0.15
 // sampling tracer (verify 1-in-1024, compile 1-in-16, the reportd
 // defaults), a heavy-hitter profiler and the shard fan-out metrics —
 // alternate in one process, whichever went second going first in the
-// next pair, for at least fifteen pairs, each sweep after a collection
+// next pair, for at least thirty pairs, each sweep after a collection
 // so none pays for its predecessor's garbage. The median of the pairs'
 // instrumented/bare − 1 is reported as overhead-frac and must stay
 // within maxInstrumentationOverhead, or the benchmark fails; ns/op and
@@ -540,7 +542,7 @@ func BenchmarkVerifyAllTraced(b *testing.B) {
 	}
 	sweep(bare)
 	sweep(v)
-	pairs := max(b.N, 15)
+	pairs := max(b.N, 30)
 	traced, fracs := make([]time.Duration, pairs), make([]float64, pairs)
 	for i := range pairs {
 		var base time.Duration

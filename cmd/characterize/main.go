@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"sort"
 
 	"rpslyzer/internal/core"
@@ -33,34 +34,13 @@ func main() {
 	db := irr.New(x)
 
 	fmt.Println("== Table 1: IRRs used, grouped and ordered by priority ==")
-	rows := stats.Table1(x, sizes, irrgen.IRRs)
-	fmt.Printf("%-10s %10s %9s %9s %9s %9s\n", "IRR", "SIZE(MiB)", "aut-num", "route", "import", "export")
-	for _, r := range rows {
-		fmt.Printf("%-10s %10.1f %9d %9d %9d %9d\n", r.IRR, r.SizeMiB, r.AutNums, r.Routes, r.Imports, r.Exports)
-	}
-	t := stats.Table1Total(rows)
-	fmt.Printf("%-10s %10.1f %9d %9d %9d %9d\n\n", "Total", t.SizeMiB, t.AutNums, t.Routes, t.Imports, t.Exports)
+	stats.WriteTable1(os.Stdout, x, sizes, irrgen.IRRs, 1)
 
 	fmt.Println("== Table 2: objects defined and referenced in rules ==")
-	t2 := stats.ComputeTable2(x)
-	fmt.Printf("%-12s %9s %9s %9s %9s\n", "", "defined", "overall", "peering", "filter")
-	printT2 := func(name string, c stats.Table2Counts) {
-		fmt.Printf("%-12s %9d %9d %9d %9d\n", name, c.Defined, c.RefOverall, c.RefPeering, c.RefFilter)
-	}
-	printT2("aut-num", t2.AutNum)
-	printT2("as-set", t2.AsSet)
-	printT2("route-set", t2.RouteSet)
-	printT2("peering-set", t2.PeeringSet)
-	printT2("filter-set", t2.FilterSet)
-	fmt.Println()
+	stats.WriteTable2(os.Stdout, x)
 
 	fmt.Println("== Figure 1: CCDF of rules per aut-num ==")
-	all, bq := stats.RuleCCDF(x)
-	fmt.Printf("%-8s %-12s %-12s\n", "rules>=", "all", "bgpq4-compat")
-	for _, xv := range []int{1, 2, 5, 10, 50, 100, 1000} {
-		fmt.Printf("%-8d %-12.4f %-12.4f\n", xv, stats.FracWithAtLeast(all, xv), stats.FracWithAtLeast(bq, xv))
-	}
-	fmt.Println()
+	stats.WriteFigure1(os.Stdout, x, []int{1, 2, 5, 10, 50, 100, 1000}, "bgpq4-compat", 12)
 
 	fmt.Println("== Section 4 in-text statistics ==")
 	s4 := stats.ComputeSection4(x)

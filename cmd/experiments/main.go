@@ -73,38 +73,17 @@ func main() {
 
 	if want("table1") {
 		fmt.Println("== Table 1: IRRs used (synthetic) ==")
-		rows := stats.Table1(sys.IR, sys.DumpSizes, irrgen.IRRs)
-		fmt.Printf("%-10s %10s %9s %9s %9s %9s\n", "IRR", "SIZE(MiB)", "aut-num", "route", "import", "export")
-		for _, r := range rows {
-			fmt.Printf("%-10s %10.2f %9d %9d %9d %9d\n", r.IRR, r.SizeMiB, r.AutNums, r.Routes, r.Imports, r.Exports)
-		}
-		t := stats.Table1Total(rows)
-		fmt.Printf("%-10s %10.2f %9d %9d %9d %9d\n\n", "Total", t.SizeMiB, t.AutNums, t.Routes, t.Imports, t.Exports)
+		stats.WriteTable1(os.Stdout, sys.IR, sys.DumpSizes, irrgen.IRRs, 2)
 	}
 
 	if want("table2") {
 		fmt.Println("== Table 2: objects defined and referenced in rules ==")
-		t2 := stats.ComputeTable2(sys.IR)
-		fmt.Printf("%-12s %9s %9s %9s %9s\n", "", "defined", "overall", "peering", "filter")
-		p := func(name string, c stats.Table2Counts) {
-			fmt.Printf("%-12s %9d %9d %9d %9d\n", name, c.Defined, c.RefOverall, c.RefPeering, c.RefFilter)
-		}
-		p("aut-num", t2.AutNum)
-		p("as-set", t2.AsSet)
-		p("route-set", t2.RouteSet)
-		p("peering-set", t2.PeeringSet)
-		p("filter-set", t2.FilterSet)
-		fmt.Println()
+		stats.WriteTable2(os.Stdout, sys.IR)
 	}
 
 	if want("figure1") {
 		fmt.Println("== Figure 1: CCDF of rules per aut-num ==")
-		all, bq := stats.RuleCCDF(sys.IR)
-		fmt.Printf("%-8s %-10s %-10s\n", "rules>=", "all", "bgpq4")
-		for _, xv := range []int{1, 2, 5, 10, 20, 50, 100} {
-			fmt.Printf("%-8d %-10.4f %-10.4f\n", xv, stats.FracWithAtLeast(all, xv), stats.FracWithAtLeast(bq, xv))
-		}
-		fmt.Println()
+		stats.WriteFigure1(os.Stdout, sys.IR, []int{1, 2, 5, 10, 20, 50, 100}, "bgpq4", 10)
 	}
 
 	if want("section4") {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	irrdiff -old snapshots/2023-06 -new snapshots/2023-07 [-v]
+//	irrdiff -old snapshots/2023-06 -new snapshots/2023-07
 package main
 
 import (
@@ -20,9 +20,8 @@ import (
 
 func main() {
 	var (
-		oldDir  = flag.String("old", "", "directory with the older *.db dumps")
-		newDir  = flag.String("new", "", "directory with the newer *.db dumps")
-		verbose = flag.Bool("v", false, "list individual changed objects")
+		oldDir = flag.String("old", "", "directory with the older *.db dumps")
+		newDir = flag.String("new", "", "directory with the newer *.db dumps")
 	)
 	flag.Parse()
 	telemetry.SetupLogger("irrdiff", nil)
@@ -45,27 +44,6 @@ func main() {
 		fmt.Println("snapshots are identical")
 		return
 	}
-	if *verbose {
-		for _, a := range d.AddedAutNums {
-			fmt.Printf("+ aut-num %s\n", a)
-		}
-		for _, a := range d.RemovedAutNums {
-			fmt.Printf("- aut-num %s\n", a)
-		}
-		for _, a := range d.PolicyChanged {
-			fmt.Printf("~ policy %s\n", a)
-		}
-		for _, s := range d.AddedAsSets {
-			fmt.Printf("+ as-set %s\n", s)
-		}
-		for _, s := range d.RemovedAsSets {
-			fmt.Printf("- as-set %s\n", s)
-		}
-		for _, s := range d.ChangedAsSets {
-			fmt.Printf("~ as-set %s\n", s)
-		}
-	}
-
 	pts := evolve.Series([]string{*oldDir, *newDir}, []*ir.IR{oldIR, newIR})
 	fmt.Println("\nadoption series:")
 	for _, p := range pts {

@@ -39,7 +39,7 @@ import (
 type flags struct {
 	dumps, rels, routes, importPath, mirrorDir            string
 	listen, metricsAddr, addrFile, logLevel, traceSamples string
-	shards, reconcileEvery, topK                          int
+	shards, reconcileEvery                                int
 	mirrorInterval                                        time.Duration
 	api                                                   api.Config
 	slo                                                   trace.WatchdogConfig
@@ -53,17 +53,15 @@ func parseFlags(args []string) (*flags, error) {
 	fs.StringVar(&f.routes, "routes", "data/routes.txt", "BGP route dump file")
 	fs.StringVar(&f.importPath, "import", "", "serve this `verify -json` report file instead of verifying (excludes -mirror)")
 	fs.StringVar(&f.listen, "listen", "127.0.0.1:8080", "API listen address")
-	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof, and /debug/trace on this address")
+	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/pprof, and /debug/trace on this address")
 	fs.StringVar(&f.addrFile, "addr-file", "", "write the bound api= and metrics= addresses to this file (for scripted smokes)")
 	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	fs.IntVar(&f.shards, "shards", runtime.GOMAXPROCS(0), "origin-AS shards for the database and verifier, one goroutine each (reports are byte-identical at any count)")
 	fs.IntVar(&f.api.CacheEntries, "cache-entries", 8192, "response cache capacity (entries; negative disables)")
-	fs.IntVar(&f.api.PageSize, "page-size", 100, "default page length")
 	fs.StringVar(&f.mirrorDir, "mirror", "", "watch this directory for *.nrtm journals; re-verify what each applied journal can affect and hot-swap the store")
 	fs.DurationVar(&f.mirrorInterval, "mirror-interval", 2*time.Second, "journal directory poll interval for -mirror")
 	fs.IntVar(&f.reconcileEvery, "reconcile-every", 64, "run a full-verification reconciliation pass every N incremental applies, alerting on drift (0 disables)")
 	fs.StringVar(&f.traceSamples, "trace-sample", "verify=1024,compile=16,ingest=16,api=64", "per-stage trace sampling as stage=N pairs (1-in-N); unlisted stages trace every operation")
-	fs.IntVar(&f.topK, "topk", 64, "heavy-hitter sketch capacity (slowest routes/ASes, hottest programs)")
 	fs.DurationVar(&f.slo.MaxStaleness, "stale-after", 0, "degrade /healthz when the served snapshot is older than this (0 disables; try 5x -mirror-interval)")
 	fs.Float64Var(&f.slo.MaxErrorRate, "max-error-rate", 0, "degrade /healthz when the windowed 5xx rate exceeds this fraction (0 disables)")
 	fs.Parse(args)
@@ -83,17 +81,8 @@ func main() {
 	}
 	p := daemon.Start("reportd", f.logLevel, f.traceSamples, f.metricsAddr)
 	watchdog := trace.NewWatchdog(f.slo)
-	p.Registry.GaugeFunc("rpslyzer_watchdog_healthy",
-		"1 while every armed SLO (staleness, error rate) holds, else 0.",
-		func() float64 {
-			if watchdog.Status().Health == trace.Healthy {
-				return 1
-			}
-			return 0
-		})
-
 	e := daemon.NewEngine(p, watchdog)
-	e.TopK, e.ReconcileEvery = f.topK, f.reconcileEvery
+	e.ReconcileEvery = f.reconcileEvery
 	if f.importPath != "" {
 		err = e.Import(f.importPath)
 	} else {

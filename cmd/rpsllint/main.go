@@ -26,7 +26,6 @@ func main() {
 		dumps    = flag.String("dumps", "data", "directory with *.db IRR dumps")
 		relsPath = flag.String("rels", "", "optional CAIDA-format relationship file (enables misuse checks)")
 		minSev   = flag.String("min", "info", "minimum severity to print: info, warning, error")
-		classify = flag.Bool("classify", true, "print the per-AS usage classification summary")
 	)
 	flag.Parse()
 	telemetry.SetupLogger("rpsllint", nil)
@@ -76,14 +75,12 @@ func main() {
 		fmt.Printf("  %-26s %d\n", r, summary[r])
 	}
 
-	if *classify {
-		counts := lint.ClassifyAll(db, x.SortedAutNums())
-		fmt.Println("\nusage classification (registered ASes):")
-		for u := lint.UsageNoAutNum; u < lint.NumUsageClasses; u++ {
-			if u == lint.UsageNoAutNum {
-				continue // not meaningful when iterating registered ASes
-			}
-			fmt.Printf("  %-12s %d\n", u, counts[u])
+	counts := lint.ClassifyAll(db, x.SortedAutNums())
+	fmt.Println("\nusage classification (registered ASes):")
+	for u := lint.UsageNoAutNum; u < lint.NumUsageClasses; u++ {
+		if u == lint.UsageNoAutNum {
+			continue // not meaningful when iterating registered ASes
 		}
+		fmt.Printf("  %-12s %d\n", u, counts[u])
 	}
 }

@@ -43,7 +43,7 @@ func run(args []string, reg *telemetry.Registry, stdout io.Writer) {
 		renderDir   = fs.String("render", "", "re-emit the parsed IR as canonical RPSL dumps into this directory")
 		summary     = fs.Bool("summary", true, "print a parse summary")
 		workers     = fs.Int("workers", 0, "parse workers (0 = one per CPU, 1 = single worker)")
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = fs.String("memprofile", "", "write a heap profile to this file on exit")

@@ -21,7 +21,6 @@ import (
 
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/daemon"
-	"rpslyzer/internal/irr"
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/whois"
@@ -41,7 +40,7 @@ func parseFlags(args []string) *flags {
 	fs := flag.NewFlagSet("whoisd", flag.ExitOnError)
 	fs.StringVar(&f.dumps, "dumps", "data", "directory with *.db IRR dumps")
 	fs.StringVar(&f.listen, "listen", "127.0.0.1:4343", "listen address")
-	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
+	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/pprof, and /debug/trace on this address")
 	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, error")
 	fs.IntVar(&f.shards, "shards", runtime.GOMAXPROCS(0), "origin-AS shards for the route indexes (1 = single-shard layout; responses are byte-identical at any count)")
 	fs.StringVar(&f.mirrorDir, "mirror", "", "watch this directory for *.nrtm journals and apply them incrementally")
@@ -55,11 +54,13 @@ func parseFlags(args []string) *flags {
 // mirror loop when -mirror names a journal directory.
 func serve(f *flags, p *daemon.Process) (*whois.Server, error) {
 	loadStats := &parser.LoadStats{Metrics: parser.NewPipelineMetrics(p.Registry), Trace: p.Tracer}
-	x, _, err := core.LoadDumpDirOpts(f.dumps, core.LoadOptions{Stats: loadStats})
+	root := p.BootSpan()
+	db, err := daemon.LoadDB(root, f.dumps, f.shards, core.LoadOptions{Stats: loadStats})
+	root.End()
 	if err != nil {
-		return nil, fmt.Errorf("load dumps: %w", err)
+		return nil, err
 	}
-	srv := whois.NewServer(irr.NewSharded(x, f.shards))
+	srv := whois.NewServer(db)
 	srv.Metrics, srv.Logger, srv.Tracer = whois.NewMetrics(p.Registry), p.Logger, p.Tracer
 	p.ObservePlan(srv.DB())
 	if f.mirrorDir != "" {
@@ -69,7 +70,7 @@ func serve(f *flags, p *daemon.Process) (*whois.Server, error) {
 		return nil, fmt.Errorf("listen on %s: %w", f.listen, err)
 	}
 	p.Logger.Info("serving",
-		"autnums", len(x.AutNums), "routes", len(x.Routes), "addr", srv.Addr().String())
+		"autnums", len(db.IR.AutNums), "routes", len(db.IR.Routes), "addr", srv.Addr().String())
 	return srv, nil
 }
 

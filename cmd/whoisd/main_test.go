@@ -78,6 +78,20 @@ pick:
 	defer srv.Close()
 	defer p.Stop()
 
+	// The start-up is one trace under the names reportd's boot and the
+	// benchmark's ingest-20k layers use.
+	booted := map[string]bool{}
+	for _, tr := range p.Tracer.Recent() {
+		if ex := tr.Export(); ex.Stage == "rebuild" && ex.Spans[0].Name == "boot" {
+			for _, sp := range ex.Spans[1:] {
+				booted[sp.Name] = sp.Parent == ex.Spans[0].ID
+			}
+		}
+	}
+	if !booted["core.load_dumps"] || !booted["irr.index"] {
+		t.Errorf("boot trace children = %v, want core.load_dumps and irr.index", booted)
+	}
+
 	before := ask(t, srv.Addr(), asn)
 	if !strings.Contains(before, asn) {
 		t.Fatalf("%s not served from the dumps:\n%s", asn, before)

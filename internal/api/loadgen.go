@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,8 +24,6 @@ type LoadConfig struct {
 	// Mix assigns relative weights to endpoints; zero or nil uses
 	// DefaultMix.
 	Mix map[string]int
-	// ZipfS / ZipfV parameterize AS popularity (defaults 1.2 / 1).
-	ZipfS, ZipfV float64
 	// Seed drives the deterministic query sequence.
 	Seed int64
 }
@@ -43,6 +40,10 @@ var DefaultMix = map[string]int{
 	"ases":      5,
 }
 
+// AS popularity is zipf(zipfS, zipfV), the skew bench/'s point walker
+// draws with too.
+const zipfS, zipfV = 1.2, 1
+
 func (c *LoadConfig) fill() {
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
@@ -52,12 +53,6 @@ func (c *LoadConfig) fill() {
 	}
 	if len(c.Mix) == 0 {
 		c.Mix = DefaultMix
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if c.ZipfV < 1 {
-		c.ZipfV = 1
 	}
 }
 
@@ -86,8 +81,8 @@ type LoadResult struct {
 	ErrorRate float64 `json:"error_rate"`
 }
 
-// MarshalJSON flattens durations to float fields so BENCH_api.json is
-// directly comparable across runs.
+// MarshalJSON flattens durations to float fields, so that apiload's
+// JSON compares across runs.
 func (r LoadResult) MarshalJSON() ([]byte, error) {
 	type alias LoadResult
 	return json.Marshal(struct {
@@ -107,13 +102,7 @@ func (r LoadResult) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// Target issues one API request and reports its HTTP status.
-type Target interface {
-	Do(path string) (status int, err error)
-}
-
-// HTTPTarget drives a real server over TCP with keep-alive
-// connections (the end-to-end number).
+// HTTPTarget drives a server over TCP with keep-alive connections.
 type HTTPTarget struct {
 	base   string
 	client *http.Client
@@ -144,37 +133,9 @@ func (t *HTTPTarget) Do(path string) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// InprocTarget calls the handler directly, measuring the serving stack
-// (router, cache, render) without kernel networking — the cache-hit
-// ceiling number.
-type InprocTarget struct {
-	h http.Handler
-}
-
-// NewInprocTarget wraps a handler (typically Server.Handler()).
-func NewInprocTarget(h http.Handler) *InprocTarget { return &InprocTarget{h: h} }
-
-// nullResponseWriter discards the body and keeps only the status.
-type nullResponseWriter struct {
-	code   int
-	header http.Header
-}
-
-func (w *nullResponseWriter) Header() http.Header         { return w.header }
-func (w *nullResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (w *nullResponseWriter) WriteHeader(code int)        { w.code = code }
-
-// Do dispatches one request through the handler.
-func (t *InprocTarget) Do(path string) (int, error) {
-	req := httptest.NewRequest(http.MethodGet, path, nil)
-	w := &nullResponseWriter{code: http.StatusOK, header: make(http.Header)}
-	t.h.ServeHTTP(w, req)
-	return w.code, nil
-}
-
 // RunLoad drives target with cfg over the given AS population and
 // returns achieved QPS and latency percentiles.
-func RunLoad(target Target, asns []uint32, cfg LoadConfig) (LoadResult, error) {
+func RunLoad(target *HTTPTarget, asns []uint32, cfg LoadConfig) (LoadResult, error) {
 	cfg.fill()
 	if len(asns) == 0 {
 		return LoadResult{}, fmt.Errorf("api: load generator needs a non-empty AS population")
@@ -197,7 +158,7 @@ func RunLoad(target Target, asns []uint32, cfg LoadConfig) (LoadResult, error) {
 		go func(w int) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
-			zipf := rand.NewZipf(rnd, cfg.ZipfS, cfg.ZipfV, uint64(len(asns)-1))
+			zipf := rand.NewZipf(rnd, zipfS, zipfV, uint64(len(asns)-1))
 			local := make([]int64, 0, 1<<16)
 			for time.Now().Before(deadline) {
 				path := picker.pick(rnd, asns[zipf.Uint64()])

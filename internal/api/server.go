@@ -38,6 +38,9 @@ import (
 // response without a second round-trip.
 const SnapshotAgeHeader = "X-RPSLyzer-Snapshot-Age"
 
+// maxPageSize caps the limit= parameter.
+const maxPageSize = 1000
+
 // Config tunes the server.
 type Config struct {
 	// CacheEntries caps the response cache (default 8192; negative
@@ -45,8 +48,6 @@ type Config struct {
 	CacheEntries int
 	// PageSize is the default page length (default 100).
 	PageSize int
-	// MaxPageSize caps the limit= parameter (default 1000).
-	MaxPageSize int
 	// Watchdog, when non-nil, receives every /v1/* response code for
 	// error-rate tracking and turns /healthz into an SLO probe: 503
 	// with reasons while the watchdog reports degraded.
@@ -62,9 +63,6 @@ func (c *Config) fill() {
 	}
 	if c.PageSize < 1 {
 		c.PageSize = 100
-	}
-	if c.MaxPageSize < 1 {
-		c.MaxPageSize = 1000
 	}
 }
 
@@ -301,7 +299,7 @@ func (s *Server) pageParams(snap *reportstore.Snapshot, r *http.Request) (offset
 		if err != nil || n < 1 {
 			return 0, 0, errf(http.StatusBadRequest, "bad limit %q", ls)
 		}
-		limit = min(n, s.cfg.MaxPageSize)
+		limit = min(n, maxPageSize)
 	}
 	if cur := q.Get("cursor"); cur != "" {
 		serial, off, err := parseCursor(cur)

@@ -75,15 +75,15 @@ func TestHealthzDegradesOnStaleness(t *testing.T) {
 }
 
 func TestWatchdogSeesRequestOutcomes(t *testing.T) {
-	wd := trace.NewWatchdog(trace.WatchdogConfig{MaxErrorRate: 0.5, MinRequests: 5})
+	wd := trace.NewWatchdog(trace.WatchdogConfig{MaxErrorRate: 0.5})
 	store := reportstore.New(nil) // no snapshot: every /v1/* request is a 503
 	s := NewServer(store, Config{Watchdog: wd}, nil)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 20; i++ { // the watchdog judges no fewer
 		get(t, s, "/v1/summary", nil)
 	}
 	st := wd.Status()
-	if st.Requests != 10 || st.ErrorRate != 1 {
-		t.Fatalf("watchdog window = %+v, want 10 requests at rate 1", st)
+	if st.Requests != 20 || st.ErrorRate != 1 {
+		t.Fatalf("watchdog window = %+v, want 20 requests at rate 1", st)
 	}
 	if st.Health != trace.Degraded {
 		t.Fatal("watchdog not degraded at 100% error rate")
@@ -120,8 +120,9 @@ func TestRequestTracing(t *testing.T) {
 func TestLoadResultSeparatesErrors(t *testing.T) {
 	store := reportstore.New(nil)
 	store.Swap(reportstore.BuildSnapshot(fixture(t)))
-	s := NewServer(store, Config{}, nil)
-	target := NewInprocTarget(s.Handler())
+	ts := httptest.NewServer(NewServer(store, Config{}, nil).Handler())
+	defer ts.Close()
+	target := NewHTTPTarget(ts.URL, 2)
 	// AS population: one real AS plus one absent AS, so the run mixes
 	// 2xx and 404 outcomes deterministically.
 	res, err := RunLoad(target, []uint32{64500, 4200000000}, LoadConfig{

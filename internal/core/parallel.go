@@ -89,7 +89,6 @@ func ParseDumpsParallel(opts LoadOptions, dumps ...Dump) *ir.IR {
 			buffered--
 			next++
 		}
-		metrics.ObserveReorderDepth(buffered)
 	}
 	return m.finish()
 }

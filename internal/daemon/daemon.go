@@ -2,7 +2,12 @@
 // their listener. Process is the scaffolding of both: logger, tracer,
 // metrics endpoint, the one nrtm.Poll loop, the signal wait. Engine is
 // the one path from a corpus to a served report snapshot and from a
-// journal to the next; `verify -changed` and `apiload -selfserve` use it.
+// journal to the next; `verify -changed` uses it too.
+//
+// A span opened around a call that BENCHMARK.json lists as a per_layer
+// `<layer>_s` row is named <layer> (core.load_dumps, verify.reverify,
+// reportstore.swap, ...), so a production trace and a bench row compare
+// line for line; every other span has an undotted name.
 package daemon
 
 import (
@@ -73,6 +78,25 @@ func Start(name, logLevel, traceSamples, metricsAddr string) *Process {
 	return p
 }
 
+// BootSpan opens the root span of a start-up trace: every layer from the
+// files on disk to what the daemon first serves hangs off it.
+func (p *Process) BootSpan() *trace.Span { return p.Tracer.Start("rebuild", "boot") }
+
+// LoadDB is the start-up both daemons share, under root: the dumps in
+// dir parsed as opts says, then indexed into shards origin-AS shards.
+func LoadDB(root *trace.Span, dir string, shards int, opts core.LoadOptions) (*irr.Database, error) {
+	sp := root.Child("core.load_dumps")
+	x, _, err := core.LoadDumpDirOpts(dir, opts)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("load dumps: %w", err)
+	}
+	sp = root.Child("irr.index")
+	db := irr.NewSharded(x, shards)
+	sp.End()
+	return db, nil
+}
+
 // ObservePlan exports how db's routes fall over its origin-AS shards.
 func (p *Process) ObservePlan(db *irr.Database) {
 	shard.NewMetrics(p.Registry).ObservePlan(db.ShardRouteCounts())
@@ -134,9 +158,9 @@ func (p *Process) Stop() {
 // BootCorpus publishes the first one, Step every later one, and
 // publish is the only place the store is swapped.
 type Engine struct {
-	// TopK and ReconcileEvery are reportd's -topk and -reconcile-every:
-	// sketch capacity, and steps between reconciliation passes (0: none).
-	TopK, ReconcileEvery int
+	// ReconcileEvery is reportd's -reconcile-every: steps between
+	// reconciliation passes (0: none).
+	ReconcileEvery int
 
 	p        *Process
 	watchdog *trace.Watchdog
@@ -166,6 +190,14 @@ func NewEngine(p *Process, watchdog *trace.Watchdog) *Engine {
 			}
 			return time.Since(snap.BuiltAt()).Seconds()
 		})
+	p.Registry.GaugeFunc("rpslyzer_watchdog_healthy",
+		"1 while every armed SLO (staleness, error rate) holds, else 0.",
+		func() float64 {
+			if watchdog.Status().Health == trace.Healthy {
+				return 1
+			}
+			return 0
+		})
 	return e
 }
 
@@ -192,46 +224,62 @@ func (e *Engine) Import(path string) error {
 }
 
 // Boot is BootCorpus over the corpus loaded from its files, the dumps
-// indexed into shards origin-AS shards.
+// indexed into shards origin-AS shards, in one trace: its root runs
+// from the files on disk to the swapped snapshot.
 func (e *Engine) Boot(dumps, relsPath, routesPath string, shards int, mirror bool) error {
+	t0 := time.Now()
+	root := e.p.BootSpan()
+	defer root.End()
+	sp := root.Child("core.load_rels")
 	rels, err := core.LoadRels(relsPath)
+	sp.End()
 	if err != nil {
 		return fmt.Errorf("load relationships: %w", err)
 	}
+	sp = root.Child("core.load_routes")
 	routes, err := core.LoadRoutes(routesPath)
+	sp.End()
 	if err != nil {
 		return fmt.Errorf("load routes: %w", err)
 	}
-	x, _, err := core.LoadDumpDir(dumps)
+	db, err := LoadDB(root, dumps, shards, core.LoadOptions{})
 	if err != nil {
-		return fmt.Errorf("load dumps: %w", err)
+		return err
 	}
-	return e.BootCorpus(irr.NewSharded(x, shards), rels, routes, verify.Config{Shards: shards}, mirror)
+	return e.bootCorpus(root, t0, db, rels, routes, verify.Config{Shards: shards}, mirror)
 }
 
 // BootCorpus publishes the first snapshot of a corpus in memory: every
 // route verified, by cfg.Shards workers, through the engine each later
 // Step patches — dropped after the publish unless mirror says steps follow.
 func (e *Engine) BootCorpus(db *irr.Database, rels *asrel.Database, routes []bgpsim.Route, cfg verify.Config, mirror bool) error {
+	root := e.p.BootSpan()
+	defer root.End()
+	return e.bootCorpus(root, time.Now(), db, rels, routes, cfg, mirror)
+}
+
+func (e *Engine) bootCorpus(root *trace.Span, t0 time.Time, db *irr.Database, rels *asrel.Database, routes []bgpsim.Route, cfg verify.Config, mirror bool) error {
 	e.shardM.ObservePlan(db.ShardRouteCounts())
+	sp := root.Child("verify.init")
 	inc, err := verify.NewIncremental(db, rels, cfg)
 	if err != nil {
+		sp.End()
 		return fmt.Errorf("verification engine: %w", err)
 	}
-	profiler := verify.NewProfiler(e.TopK)
+	profiler := verify.NewProfiler(64) // keys per heavy-hitter sketch
 	profiler.Register(e.p.Tracer)
 	inc.Verifier().SetMetrics(verify.NewMetrics(e.p.Registry))
 	inc.Verifier().SetTracer(e.p.Tracer)
 	inc.Verifier().SetProfiler(profiler)
 	inc.Verifier().SetShardMetrics(e.shardM)
-
-	t0 := time.Now()
-	root := e.p.Tracer.Start("rebuild", "initial-verify")
 	inc.Init(routes, cfg.Shards)
+	sp.End()
+
 	stats := inc.GraphStats()
-	e.publish(reportstore.BuildSnapshot(inc.Reports()), root, t0,
-		"depgraph_programs", stats.Programs, "depgraph_edges", stats.Edges)
-	root.End()
+	sp = root.Child("reportstore.build")
+	snap := reportstore.BuildSnapshot(inc.Reports())
+	sp.End()
+	e.publish(snap, root, t0, "depgraph_programs", stats.Programs, "depgraph_edges", stats.Edges)
 
 	if !mirror {
 		return nil
@@ -264,8 +312,10 @@ func (e *Engine) Mirror(dumps, dir string, interval time.Duration) {
 func (e *Engine) Step(db *irr.Database, keys []depgraph.Key, parent *trace.Span) verify.ReverifyResult {
 	t0 := time.Now()
 	e.shardM.ObservePlan(db.ShardRouteCounts())
-	root := trace.StartOrChild(e.p.Tracer, parent, "rebuild", "reverify")
-	res := e.inc.Reverify(db, keys, e.shards, root)
+	root := trace.StartOrChild(e.p.Tracer, parent, "rebuild", "step")
+	sp := root.Child("verify.reverify")
+	res := e.inc.Reverify(db, keys, e.shards, sp)
+	sp.End()
 	rm := e.rm
 	rm.routes.Add(int64(res.Routes))
 	rm.programs.Add(int64(len(res.Programs)))
@@ -273,10 +323,6 @@ func (e *Engine) Step(db *irr.Database, keys []depgraph.Key, parent *trace.Span)
 		rm.full.Inc()
 	}
 	rm.patched.Add(int64(res.Patched))
-	rm.lastRoutes.Set(int64(res.Routes))
-	rm.lastPrograms.Set(int64(len(res.Programs)))
-	rm.lastKeys.Set(int64(res.TouchedKeys))
-	rm.lastPatched.Set(int64(res.Patched))
 	rm.seconds.Observe(res.Duration.Seconds())
 	e.applies++
 	if e.ReconcileEvery > 0 && !res.Full && e.applies%e.ReconcileEvery == 0 {
@@ -293,9 +339,9 @@ func (e *Engine) Step(db *irr.Database, keys []depgraph.Key, parent *trace.Span)
 				"took", rec.Duration.Round(time.Millisecond))
 		}
 	}
-	sb := root.Child("store-build")
+	sp = root.Child("reportstore.build")
 	snap := reportstore.BuildSnapshot(e.inc.Reports())
-	sb.End()
+	sp.End()
 	root.SetInt("keys", int64(res.TouchedKeys)).
 		SetInt("programs", int64(len(res.Programs))).
 		SetInt("routes_reverified", int64(res.Routes))
@@ -306,9 +352,10 @@ func (e *Engine) Step(db *irr.Database, keys []depgraph.Key, parent *trace.Span)
 	return res
 }
 
-// publish swaps snap in under a "swap" child of root and logs it.
+// publish swaps snap in under a reportstore.swap child of root and logs
+// it; to_swap is the time since t0, where the boot or step began.
 func (e *Engine) publish(snap *reportstore.Snapshot, root *trace.Span, t0 time.Time, fields ...any) {
-	sw := root.Child("swap")
+	sw := root.Child("reportstore.swap")
 	serial := e.store.Swap(snap)
 	sw.End()
 	e.watchdog.RecordRefresh()
@@ -324,7 +371,6 @@ func (e *Engine) publish(snap *reportstore.Snapshot, root *trace.Span, t0 time.T
 // and whether reconciliation ever caught drift.
 type reverifyMetrics struct {
 	routes, patched, programs, full, reconciles, drift *telemetry.Counter
-	lastRoutes, lastPrograms, lastKeys, lastPatched    *telemetry.Gauge
 	seconds                                            *telemetry.Histogram
 }
 
@@ -342,14 +388,6 @@ func newReverifyMetrics(reg *telemetry.Registry) *reverifyMetrics {
 			"Full-verification reconciliation passes run."),
 		drift: reg.Counter("rpslyzer_reverify_reconcile_drift_total",
 			"Routes whose incremental report diverged from a reconciliation pass (should stay 0)."),
-		lastRoutes: reg.Gauge("rpslyzer_reverify_last_routes",
-			"Routes re-verified by the most recent apply."),
-		lastPrograms: reg.Gauge("rpslyzer_reverify_last_programs",
-			"Programs invalidated by the most recent apply."),
-		lastKeys: reg.Gauge("rpslyzer_reverify_last_keys",
-			"Touched dependency keys in the most recent apply."),
-		lastPatched: reg.Gauge("rpslyzer_reverify_last_patched",
-			"Routes patched (not fully re-verified) by the most recent apply."),
 		seconds: reg.Histogram("rpslyzer_reverify_seconds",
 			"Incremental re-verification latency per applied journal.", telemetry.DurationBuckets),
 	}

@@ -15,7 +15,9 @@ import (
 	"regexp"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
 	"rpslyzer/internal/api"
 	"rpslyzer/internal/core"
@@ -31,8 +33,8 @@ import (
 
 // universe writes a 200-AS corpus the way `irrgen -evolve 1` does:
 // dumps, as-rel.txt, routes.txt and one evolution step of per-registry
-// journals under journals/.
-func universe(t *testing.T) string {
+// journals under journals/. The universe it wrote is returned too.
+func universe(t *testing.T) (string, *core.System) {
 	t.Helper()
 	dir := t.TempDir()
 	sys, err := core.BuildSynthetic(core.Options{Seed: 5, ASes: 200})
@@ -53,7 +55,7 @@ func universe(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	return dir
+	return dir, sys
 }
 
 // testProcess is a Process as a test fills it: no log output, its own
@@ -159,11 +161,12 @@ func requireSameBodies(t *testing.T, what string, got, want [][]byte) {
 
 // TestOnePipeline holds every way into reportd to the same served
 // bytes: a fresh run, a -mirror run before any journal, and an -import
-// of the same reports publish identical snapshots; three journals
-// through the Poll hook end where a fresh run over the mirrored dumps
-// starts; and a resync (nil keys) publishes too.
+// of the same reports publish identical snapshots, and so does
+// BootCorpus over the universe in memory (where `verify -changed`
+// enters); three journals through the Poll hook end where a fresh run
+// over the mirrored dumps starts; and a resync (nil keys) publishes too.
 func TestOnePipeline(t *testing.T) {
-	dir := universe(t)
+	dir, sys := universe(t)
 	jdir := filepath.Join(dir, "journals")
 
 	fresh := boot(t, corpusArgs(dir, dir)...)
@@ -179,6 +182,12 @@ func TestOnePipeline(t *testing.T) {
 	writeReports(t, dir, jsonl)
 	imported := boot(t, "-import", jsonl)
 	requireSameBodies(t, "-import", bodies(t, imported, false), want)
+
+	inMemory := NewEngine(testProcess("reportd_test"), nil)
+	if err := inMemory.BootCorpus(sys.DB, sys.Rels, sys.CollectRoutes(3, 5), verify.Config{}, false); err != nil {
+		t.Fatal(err)
+	}
+	requireSameBodies(t, "BootCorpus over the universe in memory", bodies(t, inMemory, false), want)
 
 	files, err := filepath.Glob(filepath.Join(jdir, "*.nrtm"))
 	if err != nil || len(files) < 3 {
@@ -216,6 +225,104 @@ func TestOnePipeline(t *testing.T) {
 		t.Fatalf("%d swaps after a resync, want 5", got)
 	}
 	requireSameBodies(t, "resync", bodies(t, mirror, true), stepped)
+}
+
+// benchLayers returns the layers BENCHMARK.json times: its per_layer
+// rows named <layer>_s, without the suffix.
+func benchLayers(t *testing.T) map[string]bool {
+	t.Helper()
+	raw, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decl struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &decl); err != nil {
+		t.Fatal(err)
+	}
+	layers := map[string]bool{}
+	for _, row := range decl.PerLayer {
+		if layer, ok := strings.CutSuffix(row.Name, "_s"); ok {
+			layers[layer] = true
+		}
+	}
+	if len(layers) == 0 {
+		t.Fatal("BENCHMARK.json declares no per_layer *_s row")
+	}
+	return layers
+}
+
+// TestSpanVocabulary holds the daemon's traces to the benchmark's layer
+// names: a reportd -mirror boot and every journal behind nrtm.Poll leave
+// traces in which each dotted span name is a per_layer row of
+// BENCHMARK.json, and the boot, the step and the journal apply each have
+// a child for every layer call they make.
+func TestSpanVocabulary(t *testing.T) {
+	layers := benchLayers(t)
+	dir, _ := universe(t)
+	jdir := filepath.Join(dir, "journals")
+	files, err := nrtm.JournalFiles(jdir)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no journal files (%v)", err)
+	}
+	// Routes sample as in reportd, so that the rings keep the traces
+	// under test.
+	p := &Process{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)), Registry: telemetry.NewRegistry("vocabulary"),
+		Tracer: trace.New(trace.Config{Sample: map[string]int{"verify": 1024, "compile": 1024}})}
+	e := NewEngine(p, nil)
+	if err := e.Boot(dir, filepath.Join(dir, "as-rel.txt"), filepath.Join(dir, "routes.txt"), runtime.GOMAXPROCS(0), true); err != nil {
+		t.Fatal(err)
+	}
+	e.Mirror(dir, jdir, 5*time.Millisecond)
+	for deadline := time.Now().Add(30 * time.Second); e.store.Swaps() < uint64(1+len(files)); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			p.Stop()
+			t.Fatalf("%d swaps, want one per journal file after the boot: %d", e.store.Swaps(), 1+len(files))
+		}
+	}
+	p.Stop()
+
+	want := map[string][]string{
+		"boot": {"core.load_rels", "core.load_routes", "core.load_dumps", "irr.index",
+			"verify.init", "reportstore.build", "reportstore.swap"},
+		"step":          {"verify.reverify", "reportstore.build", "reportstore.swap"},
+		"journal-apply": {"nrtm.read", "nrtm.apply"},
+	}
+	found := map[string]bool{}
+	for _, tr := range append(p.Tracer.Recent(), p.Tracer.Slowest()...) {
+		ex := tr.Export()
+		name := map[uint32]string{}
+		for _, sp := range ex.Spans {
+			name[sp.ID] = sp.Name
+			if strings.Contains(sp.Name, ".") && !layers[sp.Name] {
+				t.Errorf("trace %d: span %q is dotted but %s_s is no per_layer row of BENCHMARK.json", ex.ID, sp.Name, sp.Name)
+			}
+		}
+		children := map[string]map[string]bool{}
+		for _, sp := range ex.Spans {
+			if children[name[sp.Parent]] == nil {
+				children[name[sp.Parent]] = map[string]bool{}
+			}
+			children[name[sp.Parent]][sp.Name] = true
+		}
+		for parent, rows := range want {
+			if _, ok := children[parent]; !ok {
+				continue
+			}
+			found[parent] = true
+			for _, row := range rows {
+				if !children[parent][row] {
+					t.Errorf("trace %d: %q has no %q child (has %v)", ex.ID, parent, row, children[parent])
+				}
+			}
+		}
+	}
+	for parent := range want {
+		if !found[parent] {
+			t.Errorf("no retained trace has a %q span", parent)
+		}
+	}
 }
 
 // writeReports writes what `verify -json` writes for the corpus in dir.

@@ -36,7 +36,7 @@ type PollConfig struct {
 	// (verify, store build, swap) to hang its spans off.
 	OnApply func(db *irr.Database, keys []depgraph.Key, sp *trace.Span)
 	// Tracer, when non-nil, traces each journal apply and resync under
-	// the "mirror" stage.
+	// the "mirror" stage, spans named by package daemon's rule.
 	Tracer *trace.Tracer
 }
 
@@ -118,7 +118,7 @@ func applyOne(mir *Mirror, cfg *PollConfig, path string) error {
 	root.Set("journal", filepath.Base(path))
 	t0 := time.Now()
 
-	read := root.Child("read-journal")
+	read := root.Child("nrtm.read")
 	j, err := ReadJournalFile(path)
 	read.End()
 	if err != nil {
@@ -127,7 +127,7 @@ func applyOne(mir *Mirror, cfg *PollConfig, path string) error {
 	}
 	root.Set("registry", j.Registry).SetInt("ops", int64(len(j.Ops)))
 
-	apply := root.Child("apply")
+	apply := root.Child("nrtm.apply")
 	keys, err := mir.ApplyAllKeys([]*Journal{j})
 	apply.End()
 	if err != nil {
@@ -149,7 +149,7 @@ func resync(mir *Mirror, cfg *PollConfig, applied map[string]bool) error {
 		return fmt.Errorf("nrtm: resync needed but no Reload configured")
 	}
 	root := cfg.Tracer.Start("mirror", "resync")
-	reload := root.Child("reload")
+	reload := root.Child("core.load_dumps")
 	x, err := cfg.Reload()
 	reload.End()
 	if err != nil {
@@ -157,7 +157,9 @@ func resync(mir *Mirror, cfg *PollConfig, applied map[string]bool) error {
 		return err
 	}
 	t0 := time.Now()
+	index := root.Child("irr.index")
 	mir.Resync(x, nil)
+	index.End()
 	cfg.onApply(mir.DB(), nil, root)
 	mir.metrics.swapDone(time.Now().Unix(), time.Since(t0).Seconds())
 	root.End()

@@ -22,9 +22,8 @@ type PipelineMetrics struct {
 	// ChunkParseSeconds is the per-chunk parse latency; its _sum is the
 	// pool's total busy time in seconds.
 	ChunkParseSeconds *telemetry.Histogram
-	// ReorderDepth is the merge stage's current reorder-buffer depth;
-	// ReorderDepthPeak is its high-water mark.
-	ReorderDepth     *telemetry.Gauge
+	// ReorderDepthPeak is the high-water mark of the merge stage's
+	// reorder buffer (its depth is 0 again whenever a load ends).
 	ReorderDepthPeak *telemetry.Gauge
 }
 
@@ -47,8 +46,6 @@ func NewPipelineMetrics(reg *telemetry.Registry) *PipelineMetrics {
 			"Parse errors and reader diagnostics by source registry.", "registry"),
 		ChunkParseSeconds: reg.Histogram("rpslyzer_pipeline_chunk_parse_seconds",
 			"Per-chunk parse latency; the sum is total worker busy time.", nil),
-		ReorderDepth: reg.Gauge("rpslyzer_pipeline_reorder_depth",
-			"Current merge-stage reorder-buffer depth."),
 		ReorderDepthPeak: reg.Gauge("rpslyzer_pipeline_reorder_depth_peak",
 			"High-water mark of the merge-stage reorder buffer."),
 	}
@@ -68,7 +65,6 @@ func (m *PipelineMetrics) ObserveReorderDepth(depth int) {
 	if m == nil {
 		return
 	}
-	m.ReorderDepth.Set(int64(depth))
 	m.ReorderDepthPeak.SetMax(int64(depth))
 }
 

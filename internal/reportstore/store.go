@@ -208,7 +208,6 @@ func (s *Store) Swap(snap *Snapshot) uint64 {
 		s.m.Routes.Set(int64(snap.NumRoutes()))
 		s.m.Checks.Set(int64(snap.NumChecks()))
 		s.m.ASes.Set(int64(len(snap.asns)))
-		s.m.LastSwapUnix.Set(time.Now().Unix())
 	}
 	return serial
 }
@@ -221,9 +220,6 @@ type Metrics struct {
 	Swaps                *telemetry.Counter
 	Routes, Checks, ASes *telemetry.Gauge
 	BuildSeconds         *telemetry.Histogram
-	// LastSwapUnix is the unix time of the last published snapshot —
-	// the numerator of the freshness SLO (snapshot age = now - this).
-	LastSwapUnix *telemetry.Gauge
 }
 
 // NewMetrics registers the store instruments on reg (idempotent).
@@ -237,6 +233,5 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Checks:       reg.Gauge("rpslyzer_report_store_checks", "Checks in the served snapshot."),
 		ASes:         reg.Gauge("rpslyzer_report_store_ases", "Distinct ASes indexed in the served snapshot."),
 		BuildSeconds: reg.Histogram("rpslyzer_report_store_build_seconds", "Freeze latency of each published snapshot: BuildSnapshot start to finish, or Build alone behind a streaming Builder; verification is not in it.", nil),
-		LastSwapUnix: reg.Gauge("rpslyzer_report_store_last_swap_unix", "Unix time of the last published snapshot."),
 	}
 }

@@ -161,14 +161,13 @@ func TestGaugeFuncAndInfoExposition(t *testing.T) {
 	if !strings.Contains(out, `edge_build_info{a="1",b="2"} 1`) {
 		t.Errorf("missing sorted info labels in:\n%s", out)
 	}
-	val = 2.5
-	ev := r.expvarValue()
-	if ev["fn_gauge"] != 2.5 {
-		t.Errorf("expvar gauge func = %v, want 2.5", ev["fn_gauge"])
+	val = 2.5 // the callback is read at every scrape
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	labels := ev["edge_build_info"].(map[string]string)
-	if labels["a"] != "1" || labels["b"] != "2" {
-		t.Errorf("expvar info = %v", labels)
+	if !strings.Contains(buf.String(), "fn_gauge 2.5") {
+		t.Errorf("gauge func not re-read in:\n%s", buf.String())
 	}
 	var nilG *GaugeFunc
 	if nilG.Value() != 0 {

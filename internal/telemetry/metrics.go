@@ -1,9 +1,9 @@
 // Package telemetry is the repo's stdlib-only observability layer: a
 // named metrics registry (counters, gauges, fixed-bucket histograms,
-// single-label counter vectors), Prometheus text-format and expvar
-// exposition, an operational HTTP endpoint bundling /metrics,
-// /debug/vars, and net/http/pprof, span timers for phase-level
-// tracing, and a shared log/slog setup helper for the CLI binaries.
+// single-label counter vectors), Prometheus text-format exposition, an
+// operational HTTP endpoint bundling /metrics and net/http/pprof, span
+// timers for phase-level tracing, and a shared log/slog setup helper
+// for the CLI binaries.
 //
 // Every metric type is atomic, safe for concurrent use, and nil-safe:
 // calling methods on a nil *Counter, *Gauge, *Histogram, or

@@ -13,8 +13,6 @@ import (
 // asking for it with a different metric kind panics — that is always
 // a programming error, not a runtime condition.
 type Registry struct {
-	name string
-
 	mu     sync.Mutex
 	byName map[string]metric
 }
@@ -34,10 +32,11 @@ func (h *Histogram) promType() string      { return "histogram" }
 func (c *LabeledCounter) describe() desc   { return c.d }
 func (c *LabeledCounter) promType() string { return "counter" }
 
-// NewRegistry creates an empty registry. The name identifies it in
-// expvar publication ("telemetry." + name).
-func NewRegistry(name string) *Registry {
-	return &Registry{name: name, byName: make(map[string]metric)}
+// NewRegistry creates an empty registry. The name labelled the expvar
+// copy of the registry and has no reader now; the parameter stays until
+// bench/, which compiles against it, can move (ROADMAP item 1b).
+func NewRegistry(string) *Registry {
+	return &Registry{byName: make(map[string]metric)}
 }
 
 // defaultRegistry is the process-wide registry the CLI binaries use.
@@ -45,9 +44,6 @@ var defaultRegistry = NewRegistry("rpslyzer")
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
-
-// Name returns the registry's name.
-func (r *Registry) Name() string { return r.name }
 
 // Counter registers (or returns the existing) counter.
 func (r *Registry) Counter(name, help string) *Counter {

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -10,9 +9,8 @@ import (
 )
 
 // MetricsServer is the operational HTTP endpoint of one process: it
-// serves the registry at /metrics (Prometheus text format), the
-// process expvar namespace at /debug/vars, and the net/http/pprof
-// profiling suite at /debug/pprof/.
+// serves the registry at /metrics (Prometheus text format) and the
+// net/http/pprof profiling suite at /debug/pprof/.
 type MetricsServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -27,18 +25,15 @@ type Mount struct {
 }
 
 // Serve starts the operational endpoint on addr (e.g. ":9090" or
-// "127.0.0.1:0") for the given registry, publishing it in expvar as a
-// side effect, plus any extra mounts. It returns once the listener is
-// bound.
+// "127.0.0.1:0") for the given registry, plus any extra mounts. It
+// returns once the listener is bound.
 func Serve(addr string, reg *Registry, mounts ...Mount) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	reg.PublishExpvar()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -18,6 +18,10 @@ type TopK struct {
 	mu  sync.Mutex
 	cap int
 	m   map[string]*topkEntry
+	// heap holds the entries of m as a binary min-heap on weight, so the
+	// eviction on a miss — nearly every prefix and AS key of a sweep is
+	// one — finds its victim at the root instead of scanning the map.
+	heap []*topkEntry
 }
 
 type topkEntry struct {
@@ -25,6 +29,7 @@ type topkEntry struct {
 	weight float64
 	count  int64
 	errW   float64 // weight inherited from the evicted minimum
+	pos    int     // index in TopK.heap
 }
 
 // Entry is one reported heavy hitter.
@@ -42,7 +47,7 @@ func NewTopK(capacity int) *TopK {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &TopK{cap: capacity, m: make(map[string]*topkEntry, capacity)}
+	return &TopK{cap: capacity, m: make(map[string]*topkEntry, capacity), heap: make([]*topkEntry, 0, capacity)}
 }
 
 // Observe adds weight w to key. Negative weights are ignored.
@@ -55,22 +60,59 @@ func (t *TopK) Observe(key string, w float64) {
 	if e, ok := t.m[key]; ok {
 		e.weight += w
 		e.count++
+		t.down(e.pos)
 		return
 	}
-	if len(t.m) < t.cap {
-		t.m[key] = &topkEntry{key: key, weight: w, count: 1}
+	if len(t.heap) < t.cap {
+		e := &topkEntry{key: key, weight: w, count: 1, pos: len(t.heap)}
+		t.m[key] = e
+		t.heap = append(t.heap, e)
+		t.up(e.pos)
 		return
 	}
-	// Full: evict the minimum-weight entry; the newcomer inherits its
-	// weight (the space-saving overestimate) and error bound.
-	var min *topkEntry
-	for _, e := range t.m {
-		if min == nil || e.weight < min.weight {
-			min = e
+	// Full: the newcomer takes over the minimum-weight entry, inheriting
+	// its weight (the space-saving overestimate) as its error bound.
+	e := t.heap[0]
+	delete(t.m, e.key)
+	e.key, e.errW = key, e.weight
+	e.weight += w
+	e.count++
+	t.m[key] = e
+	t.down(0)
+}
+
+// up and down restore the heap order around the entry at i after its
+// weight fell below its parent's or rose above a child's.
+func (t *TopK) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if t.heap[parent].weight <= t.heap[i].weight {
+			return
 		}
+		t.swap(i, parent)
+		i = parent
 	}
-	delete(t.m, min.key)
-	t.m[key] = &topkEntry{key: key, weight: min.weight + w, count: min.count + 1, errW: min.weight}
+}
+
+func (t *TopK) down(i int) {
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(t.heap); c++ {
+			if t.heap[c].weight < t.heap[least].weight {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		t.swap(i, least)
+		i = least
+	}
+}
+
+func (t *TopK) swap(i, j int) {
+	t.heap[i], t.heap[j] = t.heap[j], t.heap[i]
+	t.heap[i].pos, t.heap[j].pos = i, j
 }
 
 // Len returns the number of tracked keys.

@@ -74,19 +74,8 @@ func (t *Trace) Duration() time.Duration {
 	return time.Duration(t.spans[0].durNS.Load())
 }
 
-// Config tunes a Tracer. The zero value is usable: every operation is
-// sampled, 64 recent and 32 slowest traces are retained, and traces
-// are capped at 512 spans.
+// Config tunes a Tracer. The zero value samples every operation.
 type Config struct {
-	// Recent is how many finished traces the recency ring retains
-	// (default 64; negative disables).
-	Recent int
-	// Slowest is how many finished traces the slowest set retains,
-	// ranked by root-span duration (default 32; negative disables).
-	Slowest int
-	// MaxSpans caps the spans of one trace; Child returns nil past it
-	// and the drop is counted per stage (default 512).
-	MaxSpans int
 	// Sample maps a stage to its 1-in-N sampling rate; stages not
 	// listed trace every operation. N <= 1 means always.
 	Sample map[string]int
@@ -114,33 +103,27 @@ func ParseSamples(spec string) (map[string]int, error) {
 	return out, nil
 }
 
-func (c *Config) fill() {
-	if c.Recent == 0 {
-		c.Recent = 64
-	}
-	if c.Slowest == 0 {
-		c.Slowest = 32
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 512
-	}
-}
-
 // stageState carries one stage's sampling counter and statistics.
 type stageState struct {
 	sampleN   int           // from Config.Sample; fixed at creation
 	ops       atomic.Uint64 // operations offered (sampled or not)
 	sampled   atomic.Uint64 // traces started
 	finished  atomic.Uint64 // traces whose root span ended
-	dropped   atomic.Uint64 // spans dropped by MaxSpans
+	dropped   atomic.Uint64 // spans dropped by maxSpans
 	slowestNS atomic.Int64  // all-time slowest root duration
 }
 
 // Tracer samples operations into traces and retains a bounded set of
 // them for the /debug/trace endpoints. Safe for concurrent use.
 type Tracer struct {
-	cfg Config
-	ids atomic.Uint64
+	sample map[string]int
+	ids    atomic.Uint64
+
+	// Retention bounds, set by New and never changed outside the ring
+	// tests: finished traces kept by the recency ring and by the slowest
+	// set (ranked by root-span duration; 0 keeps none), and the spans one
+	// trace may hold — Child returns nil past it and counts the drop.
+	recentCap, slowCap, maxSpans int
 
 	// stages is a copy-on-write map: readers load it lock-free (Start
 	// runs on every operation of every instrumented hot path), and
@@ -159,9 +142,9 @@ type Tracer struct {
 
 // New creates a Tracer.
 func New(cfg Config) *Tracer {
-	cfg.fill()
 	t := &Tracer{
-		cfg:   cfg,
+		sample:    cfg.Sample,
+		recentCap: 64, slowCap: 32, maxSpans: 512,
 		topks: make(map[string]*TopK),
 	}
 	t.stages.Store(&map[string]*stageState{})
@@ -178,7 +161,7 @@ func (t *Tracer) stage(name string) *stageState {
 	if st, ok := old[name]; ok {
 		return st
 	}
-	st := &stageState{sampleN: max(t.cfg.Sample[name], 1)}
+	st := &stageState{sampleN: max(t.sample[name], 1)}
 	next := make(map[string]*stageState, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -255,7 +238,7 @@ func (s *Span) Child(name string) *Span {
 	}
 	tr := s.tr
 	tr.mu.Lock()
-	if len(tr.spans) >= tr.tracer.cfg.MaxSpans {
+	if len(tr.spans) >= tr.tracer.maxSpans {
 		tr.mu.Unlock()
 		tr.tracer.stage(tr.stage).dropped.Add(1)
 		return nil
@@ -314,17 +297,17 @@ func (t *Tracer) finish(tr *Trace, rootDur time.Duration) {
 	}
 	t.ringMu.Lock()
 	defer t.ringMu.Unlock()
-	if t.cfg.Recent > 0 {
-		if len(t.recent) < t.cfg.Recent {
+	if t.recentCap > 0 {
+		if len(t.recent) < t.recentCap {
 			t.recent = append(t.recent, tr)
-			t.recentPos = len(t.recent) % t.cfg.Recent
+			t.recentPos = len(t.recent) % t.recentCap
 		} else {
 			t.recent[t.recentPos] = tr
-			t.recentPos = (t.recentPos + 1) % t.cfg.Recent
+			t.recentPos = (t.recentPos + 1) % t.recentCap
 		}
 	}
-	if t.cfg.Slowest > 0 {
-		if len(t.slow) < t.cfg.Slowest {
+	if t.slowCap > 0 {
+		if len(t.slow) < t.slowCap {
 			t.slow = append(t.slow, tr)
 			return
 		}

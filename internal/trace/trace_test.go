@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -50,7 +53,8 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestRecentRingOrderingAndEviction(t *testing.T) {
-	tr := New(Config{Recent: 4, Slowest: -1})
+	tr := New(Config{})
+	tr.recentCap, tr.slowCap = 4, 0
 	for i := 1; i <= 10; i++ {
 		sp := tr.Start("s", "op"+strconv.Itoa(i))
 		sp.End()
@@ -69,7 +73,8 @@ func TestRecentRingOrderingAndEviction(t *testing.T) {
 }
 
 func TestRecentPartialRing(t *testing.T) {
-	tr := New(Config{Recent: 8, Slowest: -1})
+	tr := New(Config{})
+	tr.recentCap, tr.slowCap = 8, 0
 	finishTrace(tr, "s", "a")
 	finishTrace(tr, "s", "b")
 	got := tr.Recent()
@@ -79,7 +84,8 @@ func TestRecentPartialRing(t *testing.T) {
 }
 
 func TestSlowestSetEvictsMin(t *testing.T) {
-	tr := New(Config{Recent: -1, Slowest: 3})
+	tr := New(Config{})
+	tr.recentCap, tr.slowCap = 0, 3
 	durs := []time.Duration{5, 1, 3, 9, 2, 7} // ms
 	for i, d := range durs {
 		trc := &Trace{tracer: tr, id: uint64(i + 1), stage: "s", start: time.Now()}
@@ -142,7 +148,8 @@ func TestSampling(t *testing.T) {
 }
 
 func TestMaxSpansDrop(t *testing.T) {
-	tr := New(Config{MaxSpans: 3})
+	tr := New(Config{})
+	tr.maxSpans = 3
 	root := tr.Start("s", "root")
 	c1 := root.Child("c1")
 	c2 := root.Child("c2")
@@ -210,7 +217,8 @@ func TestDoubleEndKeepsFirstDuration(t *testing.T) {
 }
 
 func TestConcurrentTracing(t *testing.T) {
-	tr := New(Config{Recent: 16, Slowest: 8, Sample: map[string]int{"hot": 3}})
+	tr := New(Config{Sample: map[string]int{"hot": 3}})
+	tr.recentCap, tr.slowCap = 16, 8
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -283,6 +291,42 @@ func TestTopKEviction(t *testing.T) {
 	}
 }
 
+// TestTopKEvictsTheMinimum holds the heap to a whole-sketch scan: over
+// a skewed random stream the tracked weights stay those of a sketch
+// that searches every entry for its minimum on each miss.
+func TestTopKEvictsTheMinimum(t *testing.T) {
+	tk := NewTopK(16)
+	ref := map[string]float64{}
+	rnd := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rnd, 1.1, 1, 400)
+	for i := 0; i < 5000; i++ {
+		key, w := "k"+strconv.FormatUint(zipf.Uint64(), 10), float64(rnd.Intn(9))
+		tk.Observe(key, w)
+		if _, ok := ref[key]; !ok && len(ref) == 16 {
+			minKey := ""
+			for k, v := range ref {
+				if minKey == "" || v < ref[minKey] {
+					minKey = k
+				}
+			}
+			w += ref[minKey]
+			delete(ref, minKey)
+		}
+		ref[key] += w
+	}
+	var got, want []float64
+	for _, e := range tk.Top(0) {
+		got = append(got, e.Weight)
+	}
+	for _, v := range ref {
+		want = append(want, v)
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("weights = %v\nwant      %v", got, want)
+	}
+}
+
 func TestTopKConcurrent(t *testing.T) {
 	tk := NewTopK(8)
 	var wg sync.WaitGroup
@@ -332,10 +376,10 @@ func TestWatchdogStaleness(t *testing.T) {
 
 func TestWatchdogErrorRate(t *testing.T) {
 	now := time.Unix(5000, 0)
-	wd := NewWatchdog(WatchdogConfig{MaxErrorRate: 0.1, MinRequests: 10, Window: 10 * time.Second})
+	wd := NewWatchdog(WatchdogConfig{MaxErrorRate: 0.1})
 	wd.nowFn = func() time.Time { return now }
 
-	// Below MinRequests: one 500 among few requests stays healthy.
+	// Below minWindowRequests: one 500 among few requests stays healthy.
 	wd.RecordRequest(500)
 	wd.RecordRequest(200)
 	if st := wd.Status(); st.Health != Healthy {
@@ -349,7 +393,7 @@ func TestWatchdogErrorRate(t *testing.T) {
 		t.Fatalf("erroring status = %+v, want degraded", st)
 	}
 	// Two windows later the errors age out entirely.
-	now = now.Add(25 * time.Second)
+	now = now.Add(2*errorWindow + errorWindow/2)
 	for i := 0; i < 20; i++ {
 		wd.RecordRequest(200)
 	}
@@ -360,17 +404,17 @@ func TestWatchdogErrorRate(t *testing.T) {
 
 func TestWatchdogWindowRotation(t *testing.T) {
 	now := time.Unix(0, 0).Add(time.Hour)
-	wd := NewWatchdog(WatchdogConfig{MaxErrorRate: 0.5, MinRequests: 1, Window: 10 * time.Second})
+	wd := NewWatchdog(WatchdogConfig{MaxErrorRate: 0.5})
 	wd.nowFn = func() time.Time { return now }
-	for i := 0; i < 10; i++ {
+	for i := 0; i < minWindowRequests; i++ {
 		wd.RecordRequest(500)
 	}
 	// One window later the previous bucket still counts.
-	now = now.Add(10 * time.Second)
+	now = now.Add(errorWindow)
 	wd.RecordRequest(200)
 	st := wd.Status()
-	if st.Health != Degraded || st.Requests != 11 {
-		t.Fatalf("one-window-later status = %+v, want degraded with 11 reqs", st)
+	if st.Health != Degraded || st.Requests != minWindowRequests+1 {
+		t.Fatalf("one-window-later status = %+v, want degraded with %d reqs", st, minWindowRequests+1)
 	}
 }
 

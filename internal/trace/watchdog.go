@@ -25,37 +25,29 @@ func (h Health) String() string {
 	return "healthy"
 }
 
-// WatchdogConfig tunes a Watchdog. Zero values disable the respective
-// check except Window and MinRequests, which default.
+// The error rate is judged over errorWindow, and only once the window
+// holds minWindowRequests, so a single early 500 cannot degrade an idle
+// server.
+const (
+	errorWindow       = 30 * time.Second
+	minWindowRequests = 20
+)
+
+// WatchdogConfig arms a Watchdog's checks; a zero value disables one.
 type WatchdogConfig struct {
 	// MaxStaleness degrades health when the time since the last
 	// RecordRefresh exceeds it. 0 disables the staleness check.
 	MaxStaleness time.Duration
 	// MaxErrorRate degrades health when the fraction of 5xx responses
-	// over the last Window exceeds it (0 < rate <= 1). 0 disables.
+	// over the last errorWindow exceeds it (0 < rate <= 1). 0 disables.
 	MaxErrorRate float64
-	// MinRequests is how many requests the window must hold before the
-	// error rate is judged, so a single early 500 cannot degrade an
-	// idle server (default 20).
-	MinRequests uint64
-	// Window is the error-rate observation window (default 30s).
-	Window time.Duration
-}
-
-func (c *WatchdogConfig) fill() {
-	if c.MinRequests == 0 {
-		c.MinRequests = 20
-	}
-	if c.Window <= 0 {
-		c.Window = 30 * time.Second
-	}
 }
 
 // Watchdog tracks data freshness and request error rate and folds them
 // into a single health verdict for /healthz. All methods are safe for
 // concurrent use and inert on a nil receiver (always Healthy).
 //
-// The error rate uses two buckets rotated every Window: the current
+// The error rate uses two buckets rotated every errorWindow: the current
 // bucket accumulates, the previous bucket is included in the judged
 // total so the rate never evaluates over an almost-empty window right
 // after rotation.
@@ -74,7 +66,6 @@ type Watchdog struct {
 
 // NewWatchdog creates a Watchdog.
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	cfg.fill()
 	return &Watchdog{cfg: cfg, nowFn: time.Now}
 }
 
@@ -93,7 +84,7 @@ func (w *Watchdog) RecordRefresh() {
 // previous (or zeroing both when more than one window elapsed). Benign
 // races only lose a handful of counts at the boundary.
 func (w *Watchdog) rotate(now time.Time) {
-	wn := now.UnixNano() / int64(w.cfg.Window)
+	wn := now.UnixNano() / int64(errorWindow)
 	old := w.window.Load()
 	if wn == old {
 		return
@@ -175,7 +166,7 @@ func (w *Watchdog) Status() StatusReport {
 	if req > 0 {
 		rep.ErrorRate = float64(errs) / float64(req)
 	}
-	if w.cfg.MaxErrorRate > 0 && req >= w.cfg.MinRequests && rep.ErrorRate > w.cfg.MaxErrorRate {
+	if w.cfg.MaxErrorRate > 0 && req >= minWindowRequests && rep.ErrorRate > w.cfg.MaxErrorRate {
 		rep.Health = Degraded
 		rep.Reasons = append(rep.Reasons,
 			"error rate "+formatRate(rep.ErrorRate)+" exceeds "+formatRate(w.cfg.MaxErrorRate))

@@ -29,12 +29,14 @@
 #   8. mirror smoke — generate a universe plus 3 evolution steps of
 #      journals, replay them with cmd/nrtm, and prove the mirrored
 #      database renders identically to the final snapshot's dumps
-#   9. API smoke — apiload in self-serve mode drives the report API
-#      over both transports (in-process and loopback TCP) and exits
-#      non-zero past its -max-error-rate
-#  10. trace smoke — reportd -mirror over the generated universe, driven
-#      by apiload, then scraped: /debug/trace/summary answers, /metrics
+#   9. trace smoke — reportd -mirror over the generated universe, driven
+#      by apiload (which exits non-zero past its -max-error-rate), then
+#      scraped: /debug/trace/summary answers, /debug/trace/slowest holds
+#      the boot and a journal under the benchmark's layer names
+#      (core.load_dumps, reportstore.swap, verify.reverify), /metrics
 #      exposes rpslyzer_build_info, and /healthz reports healthy
+#  10. bench smoke — bench/ still compiles against the tree and its
+#      smallest run passes (go vet ./bench && go run ./bench -smoke)
 #
 # Timings and their trajectory are bench/'s (go run ./bench, committed
 # in bench/history.jsonl); this script only passes or fails.
@@ -87,9 +89,6 @@ cat "$smoke/nrtm.out"
 grep -q "equivalence: OK" "$smoke/nrtm.out"
 grep -q "applied " "$smoke/nrtm.out"
 
-echo "== API smoke (apiload -selfserve)"
-go run ./cmd/apiload -selfserve -ases 300 -seed 42 -duration 2s -out "$smoke/apiload-selfserve.json"
-
 echo "== trace smoke (reportd -mirror + apiload + /debug/trace scrape)"
 go build -o "$smoke/reportd" ./cmd/reportd
 "$smoke/reportd" -dumps "$smoke" -rels "$smoke/as-rel.txt" -routes "$smoke/routes.txt" \
@@ -114,8 +113,26 @@ go run ./cmd/apiload -addr "http://$api_addr" -duration 1s -out "$smoke/apiload.
 curl -fsS "http://$metrics_addr/debug/trace/summary" > "$smoke/trace-summary.json"
 grep -q '"stages"' "$smoke/trace-summary.json"
 grep -q '"api"' "$smoke/trace-summary.json"
+# The boot trace outlives the recent ring in the slowest set, and so do
+# the journal traces once the mirror loop has got to them.
+tries=0
+until curl -fsS "http://$metrics_addr/debug/trace/slowest" > "$smoke/trace-slowest.json" &&
+    grep -q '"verify.reverify"' "$smoke/trace-slowest.json"; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 100 ]; then
+        echo "no journal trace with a verify.reverify span in /debug/trace/slowest" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+grep -q '"core.load_dumps"' "$smoke/trace-slowest.json"
+grep -q '"reportstore.swap"' "$smoke/trace-slowest.json"
 curl -fsS "http://$metrics_addr/metrics" | grep -q '^rpslyzer_build_info{'
 curl -fsS "http://$api_addr/healthz" | grep -q '"health": *"healthy"'
 kill "$reportd_pid"
+
+echo "== bench smoke (go vet ./bench && go run ./bench -smoke)"
+go vet ./bench
+go run ./bench -smoke > "$smoke/bench-smoke.out"
 
 echo "verify: OK"

@@ -45,9 +45,10 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out after %v waiting for %s", d, what)
 }
 
-// spanTree returns, for each span name of tr, the name of its parent
-// ("" for the root).
-func spanTree(tr trace.TraceJSON) map[string]string {
+// requireTree fails unless tr holds every span named in want under the
+// parent want gives it ("" for the root).
+func requireTree(t *testing.T, tr trace.TraceJSON, want map[string]string) {
+	t.Helper()
 	byID := map[uint32]string{}
 	for _, sp := range tr.Spans {
 		byID[sp.ID] = sp.Name
@@ -56,7 +57,11 @@ func spanTree(tr trace.TraceJSON) map[string]string {
 	for _, sp := range tr.Spans {
 		tree[sp.Name] = byID[sp.Parent]
 	}
-	return tree
+	for name, parent := range want {
+		if got, ok := tree[name]; !ok || got != parent {
+			t.Errorf("%s trace %d: span %q under %q (present: %v), want under %q", tr.Stage, tr.ID, name, got, ok, parent)
+		}
+	}
 }
 
 // retainedTraces returns what the tracer's recent ring and slowest set
@@ -80,13 +85,13 @@ func retainedTraces(t *testing.T, th http.Handler) []trace.TraceJSON {
 // reportd -mirror runs it — the daemon engine booted from the files on
 // disk, its Step behind the process's nrtm.Poll loop, an API server
 // under load — and then checks the observability contract: the boot is
-// one rebuild trace (initial-verify → swap), each journal one mirror
-// trace from journal-apply down to the swap, the Chrome export is
-// valid trace-event JSON covering the mirror/api stages, the
-// heavy-hitter sketches saw the verification work, every /v1/*
-// response carries the snapshot-age header, and /healthz degrades
-// while the mirror is paused past the staleness SLO and recovers when
-// journals flow again.
+// one rebuild trace from the files on disk to the swap, each journal one
+// mirror trace from journal-apply down to the swap, both under the
+// benchmark's layer names, the Chrome export is valid trace-event JSON
+// covering the mirror/api stages, the heavy-hitter sketches saw the
+// verification work, every /v1/* response carries the snapshot-age
+// header, and /healthz degrades while the mirror is paused past the
+// staleness SLO and recovers when journals flow again.
 func TestTraceEndToEnd(t *testing.T) {
 	sys, err := core.BuildSynthetic(core.Options{Seed: 11, ASes: 200, Collectors: 4})
 	if err != nil {
@@ -122,15 +127,31 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := e.Store()
-	bootTraced := false
+	bootTree := map[string]string{
+		"boot": "", "core.load_rels": "boot", "core.load_routes": "boot", "core.load_dumps": "boot",
+		"irr.index": "boot", "verify.init": "boot", "reportstore.build": "boot", "reportstore.swap": "boot",
+	}
+	bootTraces := 0
 	for _, tr := range retainedTraces(t, th) {
-		tree := spanTree(tr)
-		if _, ok := tree["initial-verify"]; ok && tr.Stage == "rebuild" && tree["swap"] == "initial-verify" {
-			bootTraced = true
+		if tr.Stage != "rebuild" || tr.Spans[0].Name != "boot" {
+			continue
+		}
+		bootTraces++
+		requireTree(t, tr, bootTree)
+		// The layers run one after another inside the root, so dumps on
+		// disk → swapped is the root and nothing in it is counted twice.
+		var children float64
+		for _, sp := range tr.Spans[1:] {
+			if sp.Parent == tr.Spans[0].ID {
+				children += sp.DurUS
+			}
+		}
+		if tr.DurUS < children {
+			t.Errorf("boot root lasted %.0f µs, its children %.0f µs in sum", tr.DurUS, children)
 		}
 	}
-	if !bootTraced {
-		t.Error("no rebuild trace spans initial-verify→swap after boot")
+	if bootTraces == 0 {
+		t.Error("no boot trace retained after start-up")
 	}
 
 	// Stage 3: the API server, traced and watched.
@@ -195,12 +216,14 @@ func TestTraceEndToEnd(t *testing.T) {
 		return doReq(h, "/healthz").Code == http.StatusOK
 	})
 
-	// Stage 5: drive API load in-process, as cmd/apiload does.
+	// Stage 5: drive API load over loopback, as cmd/apiload does.
 	asns := make([]uint32, 0, len(store.Current().ASNs()))
 	for _, a := range store.Current().ASNs() {
 		asns = append(asns, uint32(a))
 	}
-	res, err := api.RunLoad(api.NewInprocTarget(h), asns, api.LoadConfig{
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	res, err := api.RunLoad(api.NewHTTPTarget(ts.URL, 4), asns, api.LoadConfig{
 		Concurrency: 4, Duration: 150 * time.Millisecond, Seed: 3,
 	})
 	if err != nil {
@@ -218,7 +241,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// The trace surface: summary, a mirror trace spanning
-	// journal-apply→reverify→swap, a Perfetto-loadable Chrome export
+	// journal-apply→step→swap, a Perfetto-loadable Chrome export
 	// covering the chain's stages, and non-empty heavy-hitter sketches.
 	var summary struct {
 		Stages []trace.StageSummary `json:"stages"`
@@ -239,23 +262,18 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// The load run floods the recent ring with api traces, but the
 	// slow journal applies survive in the slowest set — check both.
-	wantTree := map[string]string{
-		"journal-apply": "", "read-journal": "journal-apply", "apply": "journal-apply", "onapply": "journal-apply",
-		"reverify": "onapply", "invalidate": "reverify", "reverify-routes": "reverify",
-		"store-build": "reverify", "swap": "reverify",
+	journalTree := map[string]string{
+		"journal-apply": "", "nrtm.read": "journal-apply", "nrtm.apply": "journal-apply", "onapply": "journal-apply",
+		"step": "onapply", "verify.reverify": "step", "invalidate": "verify.reverify", "reverify-routes": "verify.reverify",
+		"reportstore.build": "step", "reportstore.swap": "step",
 	}
 	journalTraces := 0
 	for _, tr := range retainedTraces(t, th) {
-		tree := spanTree(tr)
-		if _, ok := tree["journal-apply"]; !ok || tr.Stage != "mirror" {
+		if tr.Stage != "mirror" || tr.Spans[0].Name != "journal-apply" {
 			continue
 		}
 		journalTraces++
-		for name, parent := range wantTree {
-			if got, ok := tree[name]; !ok || got != parent {
-				t.Errorf("mirror trace %d: span %q under %q (present: %v), want under %q", tr.ID, name, got, ok, parent)
-			}
-		}
+		requireTree(t, tr, journalTree)
 	}
 	if journalTraces == 0 {
 		t.Error("no journal-apply trace retained")
