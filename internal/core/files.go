@@ -229,7 +229,13 @@ func LoadDumpDirOpts(dir string, opts LoadOptions) (*ir.IR, map[string]int64, er
 		}
 		dumps = append(dumps, Dump{Name: name, R: f})
 	}
-	return ParseDumpsParallel(opts, dumps...), sizes, nil
+	x := ParseDumpsParallel(opts, dumps...)
+	for _, e := range x.Errors {
+		if e.Kind == "io" {
+			return nil, nil, fmt.Errorf("core: reading the %s dump: %s", e.Source, e.Msg)
+		}
+	}
+	return x, sizes, nil
 }
 
 // LoadRels reads a CAIDA-format relationship file.

@@ -59,6 +59,12 @@ func ParseDumpsParallel(opts LoadOptions, dumps ...Dump) *ir.IR {
 				chunks <- parser.SeqChunk{Chunk: c, Seq: seq}
 				seq++
 			}
+			if err := sp.Err(); err != nil {
+				// An empty last chunk carries the read error to the
+				// merge stage, behind the dump's diagnostics.
+				chunks <- parser.SeqChunk{Chunk: parser.Chunk{Source: d.Name, DumpIndex: i}, Seq: seq, Err: err}
+				seq++
+			}
 		}
 	}()
 
@@ -100,19 +106,30 @@ func ParseDumpsParallel(opts LoadOptions, dumps ...Dump) *ir.IR {
 // dump's parse errors.
 type merger struct {
 	out     *ir.IR
-	seen    map[mergeRouteKey]bool
 	curDump int
 	diags   []ir.ParseError
+	// routes holds every chunk's route objects in feed order, nroutes
+	// of them; finish deduplicates them once that number is known.
+	// sources numbers the registry names, so that the key hashes an
+	// int, not the name.
+	routes  []sourceRoutes
+	nroutes int
+	sources map[string]int
+}
+
+type sourceRoutes struct {
+	source int
+	routes []*ir.RouteObject
 }
 
 type mergeRouteKey struct {
 	prefix prefix.Prefix
 	origin ir.ASN
-	source string
+	source int
 }
 
 func newMerger() *merger {
-	return &merger{out: ir.New(), seen: make(map[mergeRouteKey]bool), curDump: -1}
+	return &merger{out: ir.New(), sources: make(map[string]int), curDump: -1}
 }
 
 func (m *merger) apply(res parser.ChunkResult) {
@@ -159,15 +176,14 @@ func (m *merger) apply(res parser.ChunkResult) {
 			m.out.RtrSets[s.Name] = s
 		}
 	}
-	// Route objects keep every (prefix, origin, source) tuple once, in
-	// feed order.
-	for _, r := range f.Routes {
-		key := mergeRouteKey{r.Prefix, r.Origin, r.Source}
-		if m.seen[key] {
-			continue
+	if len(f.Routes) > 0 {
+		id, ok := m.sources[res.Source]
+		if !ok {
+			id = len(m.sources)
+			m.sources[res.Source] = id
 		}
-		m.seen[key] = true
-		m.out.Routes = append(m.out.Routes, r)
+		m.routes = append(m.routes, sourceRoutes{id, f.Routes})
+		m.nroutes += len(f.Routes)
 	}
 	m.out.Errors = append(m.out.Errors, res.IR.Errors...)
 	m.diags = append(m.diags, res.Diags...)
@@ -191,7 +207,22 @@ func (m *merger) flushDiags() {
 	m.diags = nil
 }
 
+// finish keeps every (prefix, origin, source) route tuple once, in feed
+// order (none leaves Routes nil, as the Builder does), and returns the IR.
 func (m *merger) finish() *ir.IR {
 	m.flushDiags()
+	if m.nroutes == 0 {
+		return m.out
+	}
+	seen := make(map[mergeRouteKey]struct{}, m.nroutes)
+	m.out.Routes = make([]*ir.RouteObject, 0, m.nroutes)
+	for _, c := range m.routes {
+		for _, r := range c.routes {
+			seen[mergeRouteKey{r.Prefix, r.Origin, c.source}] = struct{}{}
+			if len(seen) > len(m.out.Routes) { // not a duplicate
+				m.out.Routes = append(m.out.Routes, r)
+			}
+		}
+	}
 	return m.out
 }

@@ -278,15 +278,32 @@ func (db *Database) indexRoutes() {
 
 // buildRoutePart indexes one shard's routes. seqs, parallel to routes,
 // carries each route's global feed position; nil on the unsharded
-// path, where merge ordering is never needed.
+// path, where merge ordering is never needed. No reader can see the
+// part yet, so the trie is built in place; Insert and Delete take over
+// once it is published (update.go).
 func buildRoutePart(db *Database, routes []*ir.RouteObject, seqs []int64) *routePart {
 	p := &routePart{nroutes: len(routes)}
-	byOrigin := make(map[ir.ASN][]prefix.Range)
-	var tr *prefix.Trie[prefixOrigins]
+	var tr prefix.TrieBuilder[prefixOrigins]
+	// Nearly every prefix has one origin: its one-element origins,
+	// counts and seq are slot i of three slabs (seqs itself is the
+	// third), cut to capacity one so that an append reallocates.
+	origins, counts := make([]ir.ASN, len(routes)), make([]int, len(routes))
+	// pairs lists each distinct (prefix, origin) as origin<<32 | index
+	// of its first route, so that sorting groups by origin.
+	pairs := make([]uint64, 0, len(routes))
 	for i, r := range routes {
-		po, _ := tr.Get(r.Prefix)
+		po := tr.At(r.Prefix)
 		if j := slices.Index(po.origins, r.Origin); j >= 0 {
 			po.counts[j]++ // fresh build: the backing array is unshared
+			continue
+		}
+		pairs = append(pairs, uint64(r.Origin)<<32|uint64(i))
+		if po.origins == nil {
+			origins[i], counts[i] = r.Origin, 1
+			po.origins, po.counts = origins[i:i+1:i+1], counts[i:i+1:i+1]
+			if seqs != nil {
+				po.seq = seqs[i : i+1 : i+1]
+			}
 			continue
 		}
 		po.origins = append(po.origins, r.Origin)
@@ -294,12 +311,21 @@ func buildRoutePart(db *Database, routes []*ir.RouteObject, seqs []int64) *route
 		if seqs != nil {
 			po.seq = append(po.seq, seqs[i])
 		}
-		byOrigin[r.Origin] = append(byOrigin[r.Origin], prefix.Range{Prefix: r.Prefix})
-		tr = tr.Insert(r.Prefix, po)
 	}
-	p.routeTrie = tr
-	for asn, ranges := range byOrigin {
-		p.setRouteTable(db.syms, asn, prefix.NewTable(ranges))
+	p.routeTrie = tr.Trie()
+	// Every origin's ranges are a run of one slab.
+	slices.Sort(pairs)
+	ranges := make([]prefix.Range, len(pairs))
+	for i, pr := range pairs {
+		ranges[i].Prefix = routes[uint32(pr)].Prefix
+	}
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j]>>32 == pairs[i]>>32 {
+			j++
+		}
+		p.setRouteTable(db.syms, ir.ASN(pairs[i]>>32), prefix.NewTable(ranges[i:j]))
+		i = j
 	}
 	return p
 }

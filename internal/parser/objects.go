@@ -96,12 +96,22 @@ func (b *Builder) AddObject(obj *rpsl.Object) {
 	}
 }
 
-// AddDump reads every object from one dump reader into the IR.
+// AddDump reads every object from one dump reader into the IR, then
+// records the reader's diagnostics and, if the dump was cut short, the
+// read error that did it.
 func (b *Builder) AddDump(r *rpsl.Reader) {
 	for obj := r.Next(); obj != nil; obj = r.Next() {
 		b.AddObject(obj)
 	}
 	b.IR.Errors = append(b.IR.Errors, diagErrors(r.Diagnostics())...)
+	if err := r.Err(); err != nil {
+		b.IR.Errors = append(b.IR.Errors, ioError(r.Source(), err))
+	}
+}
+
+// ioError is the parse error that stands for a dump's failed read.
+func ioError(source string, err error) ir.ParseError {
+	return ir.ParseError{Source: source, Kind: "io", Msg: err.Error()}
 }
 
 // diagErrors converts reader diagnostics into IR parse errors.

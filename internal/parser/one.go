@@ -2,7 +2,6 @@ package parser
 
 import (
 	"fmt"
-	"strings"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/rpsl"
@@ -19,7 +18,7 @@ import (
 // such an object must land exactly like its dump-parsed counterpart.
 // The diagnostics are preserved in the returned IR's Errors.
 func ParseOne(text, source string) (*rpsl.Object, *ir.IR, error) {
-	r := rpsl.NewReaderSized(strings.NewReader(text), source, 1, len(text)+1)
+	r := rpsl.NewTextReader([]byte(text), source, 1)
 	obj := r.Next()
 	if obj == nil {
 		return nil, nil, fmt.Errorf("parser: no object in text")

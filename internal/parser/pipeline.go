@@ -1,7 +1,6 @@
 package parser
 
 import (
-	"bytes"
 	"runtime"
 	"sync"
 
@@ -15,6 +14,10 @@ import (
 type SeqChunk struct {
 	Chunk
 	Seq int
+	// Err, on a dump's last chunk (which may be empty), is the read
+	// error that cut the dump short; it becomes that chunk's last
+	// diagnostic, where the sequential Builder.AddDump puts it.
+	Err error
 }
 
 // ChunkResult is the parse of one chunk: a chunk-local partial IR plus
@@ -67,7 +70,7 @@ func DefaultWorkers(n int) int {
 // lists (plus errors and counts on the partial IR).
 func ParseChunk(c Chunk, seq, worker int) ChunkResult {
 	b := NewFlatBuilder()
-	r := rpsl.NewReaderAt(bytes.NewReader(c.Text), c.Source, c.FirstLine)
+	r := rpsl.NewTextReader(c.Text, c.Source, c.FirstLine)
 	objects := 0
 	for obj := r.Next(); obj != nil; obj = r.Next() {
 		b.AddObject(obj)
@@ -111,6 +114,9 @@ func ParseChunks(in <-chan SeqChunk, workers int, stats *LoadStats) <-chan Chunk
 				sp := m.chunkSpan()
 				tsp := tr.Start("ingest", "parse-chunk")
 				res := ParseChunk(sc.Chunk, sc.Seq, worker)
+				if sc.Err != nil {
+					res.Diags = append(res.Diags, ioError(sc.Source, sc.Err))
+				}
 				tsp.Set("source", res.Source).
 					SetInt("bytes", int64(res.Bytes)).
 					SetInt("objects", int64(res.Objects)).

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func parseChunked(t *testing.T, text string, target int) *Builder {
 	b := NewBuilder()
 	var diags []rpsl.Diagnostic
 	for _, c := range splitAll(t, text, target) {
-		r := rpsl.NewReaderAt(strings.NewReader(string(c.Text)), c.Source, c.FirstLine)
+		r := rpsl.NewTextReader(c.Text, c.Source, c.FirstLine)
 		for obj := r.Next(); obj != nil; obj = r.Next() {
 			b.AddObject(obj)
 		}
@@ -68,18 +69,14 @@ func TestSplitterNeverSplitsObjects(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := parseSeq(text)
 			for _, target := range []int{1, 7, 64, 1 << 20} {
-				// Chunks must concatenate back to the normalized text.
+				// Chunks must concatenate back to the text, byte for byte.
 				var rejoined strings.Builder
 				for _, c := range splitAll(t, text, target) {
 					rejoined.Write(c.Text)
 				}
-				norm := strings.ReplaceAll(text, "\r\n", "\n")
-				if norm != "" && !strings.HasSuffix(norm, "\n") {
-					norm += "\n"
-				}
-				if rejoined.String() != norm {
+				if rejoined.String() != text {
 					t.Fatalf("target=%d: chunks do not reassemble input:\n%q\nvs\n%q",
-						target, rejoined.String(), norm)
+						target, rejoined.String(), text)
 				}
 				got := parseChunked(t, text, target)
 				if !reflect.DeepEqual(want.IR, got.IR) {
@@ -96,7 +93,7 @@ func TestSplitterLineNumbers(t *testing.T) {
 	text := "aut-num: AS1\n\naut-num: AS2\n\n  stray text line 5\n\naut-num: AS3\n"
 	var diags []rpsl.Diagnostic
 	for _, c := range splitAll(t, text, 1) {
-		r := rpsl.NewReaderAt(strings.NewReader(string(c.Text)), c.Source, c.FirstLine)
+		r := rpsl.NewTextReader(c.Text, c.Source, c.FirstLine)
 		for obj := r.Next(); obj != nil; obj = r.Next() {
 		}
 		diags = append(diags, r.Diagnostics()...)
@@ -165,5 +162,76 @@ func TestParseChunkErrorsStayOrdered(t *testing.T) {
 	}
 	if len(res.Diags) != 1 || !strings.Contains(res.Diags[0].Msg, "out-of-place text") {
 		t.Errorf("diags = %v, want one out-of-place text diagnostic", res.Diags)
+	}
+}
+
+// TestSplitterCutsAtBlankLines asserts every chunk but the last ends
+// just after a blank line and starts at the right line, at every target.
+func TestSplitterCutsAtBlankLines(t *testing.T) {
+	text := strings.Repeat("aut-num: AS1\nas-name: ONE\n\nroute: 10.0.0.0/8\norigin: AS1\n \t\r\n", 50) + "as-set: AS-LAST"
+	for _, target := range []int{1, 7, 64, 300, 1 << 20} {
+		line, read := 1, 0
+		for _, c := range splitAll(t, text, target) {
+			if c.FirstLine != line {
+				t.Fatalf("target %d: chunk starts at line %d, want %d", target, c.FirstLine, line)
+			}
+			line += strings.Count(string(c.Text), "\n")
+			read += len(c.Text)
+			if read < len(text) && lastBlankLine(c.Text) != len(c.Text) {
+				t.Fatalf("target %d: chunk does not end on a blank line: %q", target, c.Text)
+			}
+		}
+	}
+}
+
+// repeatReader yields n copies of the byte c.
+type repeatReader struct {
+	c byte
+	n int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	if len(p) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.c
+	}
+	r.n -= len(p)
+	return len(p), nil
+}
+
+// TestSplitterBoundsAnOverlongLine streams a 40 MiB line between two
+// objects: the chunks carry no more than rpsl.MaxLine+1 bytes of it,
+// the object it is in is dropped with one diagnostic naming the line,
+// and parsing carries on at the next blank line.
+func TestSplitterBoundsAnOverlongLine(t *testing.T) {
+	sp := NewSplitter(io.MultiReader(
+		strings.NewReader("aut-num: AS1\n\nas-set: AS-BIG\nmembers: "),
+		&repeatReader{'A', 40 << 20},
+		strings.NewReader("\nmnt-by: M\n\naut-num: AS2\n"),
+	), "T", 0, 0)
+	total := 0
+	var names []string
+	var diags []rpsl.Diagnostic
+	for c, ok := sp.Next(); ok; c, ok = sp.Next() {
+		total += len(c.Text)
+		r := rpsl.NewTextReader(c.Text, c.Source, c.FirstLine)
+		for obj := r.Next(); obj != nil; obj = r.Next() {
+			names = append(names, obj.Name)
+		}
+		diags = append(diags, r.Diagnostics()...)
+	}
+	if max := rpsl.MaxLine + 1 + 100; total > max || sp.Err() != nil {
+		t.Fatalf("chunks carry %d bytes (err %v), want at most %d", total, sp.Err(), max)
+	}
+	if !reflect.DeepEqual(names, []string{"AS1", "AS2"}) {
+		t.Fatalf("objects = %v, want AS1 and AS2", names)
+	}
+	if len(diags) != 1 || diags[0].Line != 4 || !strings.Contains(diags[0].Msg, "line 4 is longer than 16 MiB") {
+		t.Fatalf("diagnostics = %v, want one naming line 4", diags)
 	}
 }

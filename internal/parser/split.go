@@ -1,8 +1,11 @@
 package parser
 
 import (
-	"bufio"
+	"bytes"
 	"io"
+	"slices"
+
+	"rpslyzer/internal/rpsl"
 )
 
 // Chunk is a contiguous run of complete RPSL object blocks cut from one
@@ -15,9 +18,8 @@ type Chunk struct {
 	// DumpIndex is the position of the dump in the feed order; the
 	// merge stage uses it to detect dump boundaries.
 	DumpIndex int
-	// Text holds the chunk's lines joined with '\n'. CR/LF line endings
-	// are normalized to '\n' (the rpsl.Reader strips trailing '\r'
-	// either way, so parses are unaffected).
+	// Text is the chunk's bytes exactly as the dump has them, in a
+	// buffer of the chunk's own.
 	Text []byte
 	// FirstLine is the 1-based line number of the chunk's first line
 	// within the dump, so diagnostics keep whole-file line numbers.
@@ -30,20 +32,20 @@ type Chunk struct {
 const defaultChunkSize = 256 * 1024
 
 // Splitter streams a dump as a sequence of chunks without ever holding
-// the whole file: it scans line by line, accumulates complete
-// blank-line-delimited object blocks, and emits a chunk once the
-// accumulated text passes the target size.
+// the whole file. It reads straight into a chunk's own buffer (the only
+// copy a dump byte gets after read(2)), cuts after the buffer's last
+// blank line and carries the tail over into the next chunk.
 type Splitter struct {
-	scan      *bufio.Scanner
+	r         io.Reader
 	source    string
 	dumpIndex int
 	target    int
 
-	buf       []byte
-	startLine int // 1-based line number of buf's first line
-	line      int // lines consumed so far
-	atBlank   bool
-	done      bool
+	carry []byte // read past the previous chunk's cut
+	line  int    // 1-based line number of carry's first byte
+	skip  bool   // inside a line past rpsl.MaxLine: drop bytes up to its '\n'
+	done  bool
+	err   error
 }
 
 // NewSplitter creates a Splitter over one dump. target is the chunk
@@ -52,77 +54,74 @@ func NewSplitter(r io.Reader, source string, dumpIndex, target int) *Splitter {
 	if target <= 0 {
 		target = defaultChunkSize
 	}
-	sc := bufio.NewScanner(r)
-	// Match rpsl.Reader's tolerance for enormous folded attribute lines.
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	// The first chunk's buffer starts at a fraction of the target:
-	// small dumps stay cheap, big dumps reach the target in a couple of
-	// doublings instead of a dozen.
-	return &Splitter{
-		scan: sc, source: source, dumpIndex: dumpIndex, target: target,
-		startLine: 1, buf: make([]byte, 0, target/8),
-	}
+	return &Splitter{r: r, source: source, dumpIndex: dumpIndex, target: target, line: 1}
 }
 
-// isBlankLine reports whether the rpsl.Reader would treat the line as
-// an object delimiter. It is deliberately conservative (ASCII
-// whitespace only): a false negative merely delays a chunk boundary,
-// while a false positive would split an object in half.
-func isBlankLine(b []byte) bool {
-	for _, c := range b {
-		switch c {
-		case ' ', '\t', '\r', '\v', '\f':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// Next returns the next chunk, or ok=false at end of input. The final
-// chunk is emitted even when the dump's last object has no trailing
-// blank line.
+// Next returns the next chunk, or ok=false at end of input. Every chunk
+// but the last ends just after a blank line; the last is emitted even
+// when the dump's final object has no trailing blank line. An object
+// larger than the target grows its chunk; a line larger than
+// rpsl.MaxLine is cut down to MaxLine+1 bytes, by which rpsl.Reader
+// knows it.
 func (s *Splitter) Next() (Chunk, bool) {
 	if s.done {
 		return Chunk{}, false
 	}
-	for s.scan.Scan() {
-		line := s.scan.Bytes()
-		s.line++
-		if len(s.buf) == 0 {
-			s.startLine = s.line
+	buf := make([]byte, len(s.carry), len(s.carry)+s.target)
+	copy(buf, s.carry)
+	for {
+		old := len(buf)
+		n, err := io.ReadFull(s.r, buf[old:cap(buf)])
+		fresh := buf[old : old+n]
+		if s.skip {
+			if i := bytes.IndexByte(fresh, '\n'); i >= 0 {
+				fresh, s.skip = fresh[i:], false
+			} else {
+				fresh = nil
+			}
 		}
-		s.buf = append(s.buf, line...)
-		s.buf = append(s.buf, '\n')
-		s.atBlank = isBlankLine(line)
-		if s.atBlank && len(s.buf) >= s.target {
-			return s.emit(), true
+		buf = append(buf[:old], fresh...)
+		cut := len(buf)
+		if err != nil {
+			// End of input or a failed read: this is the last chunk.
+			s.done = true
+			if err != io.EOF && err != io.ErrUnexpectedEOF {
+				s.err = err
+			}
+		} else if s.skip {
+			continue
+		} else if cut = lastBlankLine(buf); cut == 0 {
+			if nl := bytes.LastIndexByte(buf, '\n'); len(buf)-nl-1 > rpsl.MaxLine {
+				buf, s.skip = buf[:nl+1+rpsl.MaxLine+1], true
+			}
+			if cap(buf)-len(buf) < s.target {
+				buf = slices.Grow(buf, max(len(buf), s.target))
+			}
+			continue
 		}
+		c := Chunk{Source: s.source, DumpIndex: s.dumpIndex, Text: buf[:cut:cut], FirstLine: s.line}
+		s.carry = append(s.carry[:0], buf[cut:]...)
+		s.line += bytes.Count(c.Text, []byte{'\n'})
+		return c, cut > 0
 	}
-	s.done = true
-	if len(s.buf) > 0 {
-		return s.emit(), true
-	}
-	return Chunk{}, false
 }
 
-// Err returns the first underlying I/O error, if any (mirroring
-// bufio.Scanner: a line longer than the buffer cap also lands here).
-func (s *Splitter) Err() error { return s.scan.Err() }
+// Err returns the read error that cut the dump short, if one did. The
+// bytes read before it have been emitted as the last chunk.
+func (s *Splitter) Err() error { return s.err }
 
-func (s *Splitter) emit() Chunk {
-	c := Chunk{
-		Source:    s.source,
-		DumpIndex: s.dumpIndex,
-		Text:      s.buf,
-		FirstLine: s.startLine,
+// lastBlankLine returns the offset just past the last blank line of
+// buf, or 0 if it has none. Blank here is ASCII whitespace only, less
+// than what rpsl.Reader takes for a delimiter: missing a blank line
+// merely delays a cut, while seeing one that is none would split an
+// object in half.
+func lastBlankLine(buf []byte) int {
+	for end := bytes.LastIndexByte(buf, '\n'); end >= 0; {
+		start := bytes.LastIndexByte(buf[:end], '\n')
+		if len(bytes.Trim(buf[start+1:end], " \t\r\v\f")) == 0 {
+			return end + 1
+		}
+		end = start
 	}
-	// Pre-size the next chunk's buffer from the one just emitted:
-	// growing from nil doubles through ~2 × target bytes of dead copies
-	// per chunk on big dumps, while a fixed target-sized buffer wastes
-	// most of its capacity on the many dumps smaller than one chunk.
-	// The just-emitted size predicts both cases well (a dump's final
-	// short chunk merely over-sizes once).
-	s.buf = make([]byte, 0, len(c.Text)+len(c.Text)/8)
-	return c
+	return 0
 }

@@ -57,6 +57,59 @@ func (t *Trie[V]) Insert(p Prefix, v V) *Trie[V] {
 	return nt
 }
 
+// TrieBuilder bulk-builds a Trie. While a trie is private to its
+// builder no reader can hold one of its roots, so the builder writes
+// nodes in place where Insert would copy the path to them. Trie hands
+// them over as an ordinary persistent *Trie and empties the builder:
+// nothing can write to a trie a reader has seen. The zero value is an
+// empty builder.
+type TrieBuilder[V any] struct{ t *Trie[V] }
+
+// At returns the address of p's value, adding p with the zero value
+// first if it is absent. The address is good until Trie is called.
+func (b *TrieBuilder[V]) At(p Prefix) *V {
+	if b.t == nil {
+		b.t = &Trie[V]{}
+	}
+	slot := &b.t.roots[famIndex(p)]
+	for {
+		n := *slot
+		if n == nil {
+			n = &trieNode[V]{prefix: p}
+			*slot = n
+		}
+		cpl := trieCommonBits(n.prefix.Addr(), p.Addr(), min(n.prefix.Bits(), p.Bits()))
+		switch {
+		case cpl == n.prefix.Bits() && cpl == p.Bits():
+			if !n.hasVal {
+				n.hasVal = true
+				b.t.size++
+			}
+			return &n.val
+		case cpl == n.prefix.Bits():
+			// p is under this node: descend.
+			slot = &n.child[trieBit(p.Addr(), cpl)]
+		default:
+			// p is an ancestor of this node, or the two diverge below
+			// cpl: p, or a valueless branch node at cpl, takes the
+			// node's place with the node under it. Then look again.
+			up := &trieNode[V]{prefix: p}
+			if cpl < p.Bits() {
+				up.prefix = Prefix{netip.PrefixFrom(p.Addr(), cpl).Masked()}
+			}
+			up.child[trieBit(n.prefix.Addr(), cpl)] = n
+			*slot = up
+		}
+	}
+}
+
+// Trie returns what was built (nil if nothing was), emptying the builder.
+func (b *TrieBuilder[V]) Trie() *Trie[V] {
+	t := b.t
+	b.t = nil
+	return t
+}
+
 // Delete returns a trie without p. The receiver is unchanged; if p was
 // absent the receiver itself is returned.
 func (t *Trie[V]) Delete(p Prefix) *Trie[V] {

@@ -90,13 +90,3 @@ func (o *Object) String() string {
 	}
 	return b.String()
 }
-
-// StripComment removes a trailing RPSL comment (# to end of line) from a
-// single physical line. RPSL has no quoting construct that protects '#',
-// so this is a plain scan.
-func StripComment(line string) string {
-	if i := strings.IndexByte(line, '#'); i >= 0 {
-		return line[:i]
-	}
-	return line
-}

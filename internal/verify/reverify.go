@@ -151,10 +151,11 @@ func (inc *Incremental) indexRoutes() {
 		}
 		inc.pfxRoutes[r.Prefix] = append(inc.pfxRoutes[r.Prefix], idx)
 	}
-	inc.pfxTrie = nil
+	var tr prefix.TrieBuilder[[]int32]
 	for pfx, idxs := range inc.pfxRoutes {
-		inc.pfxTrie = inc.pfxTrie.Insert(pfx, idxs)
+		*tr.At(pfx) = idxs
 	}
+	inc.pfxTrie = tr.Trie()
 }
 
 // Reverify moves the engine to db. With touched non-nil it invalidates

@@ -18,24 +18,29 @@
 #      the API and whois servers, a snapshot freeze beside API renders,
 #      concurrent verification, tracing and metrics) 20 times over, so
 #      they are pinned by repetition
-#   6. gate benchmarks — the two timing ratios no bench/ probe records
+#   6. fuzz — ten seconds each of the ingest path's three fuzz targets:
+#      the reader's invariants (FuzzReader), the in-place reader against
+#      the scanner-based reference it replaced
+#      (FuzzReaderMatchesReference) and chunked against whole-dump
+#      parsing at any chunk size (FuzzSplitDump)
+#   7. gate benchmarks — the two timing ratios no bench/ probe records
 #      yet, each computed and asserted by its own benchmark: one
 #      incremental step >= 20x faster than verifying every route
 #      (BenchmarkReverify), and reportd's instrumentation within its
 #      bound of the bare sweep (BenchmarkVerifyAllTraced)
-#   7. shard smoke — the end-to-end shard-count invariance test (byte-
+#   8. shard smoke — the end-to-end shard-count invariance test (byte-
 #      identical verify/whois/API output at -shards=1/2/4/7) and the
 #      origin-hash imbalance bound (<= 2x), run by name for the record
-#   8. mirror smoke — generate a universe plus 3 evolution steps of
+#   9. mirror smoke — generate a universe plus 3 evolution steps of
 #      journals, replay them with cmd/nrtm, and prove the mirrored
 #      database renders identically to the final snapshot's dumps
-#   9. trace smoke — reportd -mirror over the generated universe, driven
+#  10. trace smoke — reportd -mirror over the generated universe, driven
 #      by apiload (which exits non-zero past its -max-error-rate), then
 #      scraped: /debug/trace/summary answers, /debug/trace/slowest holds
 #      the boot and a journal under the benchmark's layer names
 #      (core.load_dumps, reportstore.swap, verify.reverify), /metrics
 #      exposes rpslyzer_build_info, and /healthz reports healthy
-#  10. bench smoke — bench/ still compiles against the tree and its
+#  11. bench smoke — bench/ still compiles against the tree and its
 #      smallest run passes (go vet ./bench && go run ./bench -smoke)
 #
 # Timings and their trajectory are bench/'s (go run ./bench, committed
@@ -71,6 +76,11 @@ go test -race -timeout 60m "$pkgs"
 
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
+
+echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump: 10s each)"
+go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
+go test -run '^$' -fuzz '^FuzzReaderMatchesReference$' -fuzztime 10s ./internal/rpsl
+go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
 
 echo "== gate benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced)"
 go test -run '^$' -bench '^(BenchmarkReverify|BenchmarkVerifyAllTraced)$' -benchtime 1x .
