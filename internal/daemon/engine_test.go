@@ -227,6 +227,42 @@ func TestOnePipeline(t *testing.T) {
 	requireSameBodies(t, "resync", bodies(t, mirror, true), stepped)
 }
 
+// TestImportRejectsWhatNoVerifierWrites: a line whose "ignored" is not
+// one of the verifier's two values, or that carries checks beside it,
+// would be counted by the summary and left out of every listing. The
+// import fails, naming the line, and the snapshot published before it
+// keeps serving.
+func TestImportRejectsWhatNoVerifierWrites(t *testing.T) {
+	dir, _ := universe(t)
+	good := filepath.Join(t.TempDir(), "reports.jsonl")
+	writeReports(t, dir, good)
+	e := boot(t, "-import", good)
+	want := bodies(t, e, false)
+	lines, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const check = `"checks":[{"from":1,"to":2,"dir":"import","status":"verified"}]`
+	for _, bad := range []string{
+		`{"prefix":"192.0.2.0/24","path":[2,1],"ignored":"x",` + check + `}`,
+		`{"prefix":"192.0.2.0/24","path":[2,1],"ignored":"x"}`,
+		`{"prefix":"192.0.2.0/24","path":[2,1],"ignored":"single-as",` + check + `}`,
+	} {
+		path := filepath.Join(t.TempDir(), "bad.jsonl")
+		first := bytes.IndexByte(lines, '\n') + 1
+		if err := os.WriteFile(path, []byte(string(lines[:first])+bad+"\n"+string(lines[first:])), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Import(path); err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("import of %s: error %v, want one naming line 2", bad, err)
+		}
+		if got := e.store.Swaps(); got != 1 {
+			t.Fatalf("%d swaps after a failed import, want the first one only", got)
+		}
+		requireSameBodies(t, "after a failed import", bodies(t, e, false), want)
+	}
+}
+
 // benchLayers returns the layers BENCHMARK.json times: its per_layer
 // rows named <layer>_s, without the suffix.
 func benchLayers(t *testing.T) map[string]bool {

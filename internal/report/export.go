@@ -40,11 +40,15 @@ func ToJSON(rep verify.RouteReport) RouteReportJSON {
 // Report reconstructs the in-memory route report. Only the route
 // fields the report pipeline consumes (prefix and AS-path) round-trip;
 // communities and the AS-set flag are already folded into Checks and
-// Ignored at verification time.
+// Ignored at verification time. A report no verifier writes is an
+// error: the aggregator and the store would count it differently.
 func (j RouteReportJSON) Report() (verify.RouteReport, error) {
 	p, err := prefix.Parse(j.Prefix)
 	if err != nil {
 		return verify.RouteReport{}, fmt.Errorf("report: bad prefix %q: %w", j.Prefix, err)
+	}
+	if j.Ignored != "" && (len(j.Checks) > 0 || j.Ignored != "as-set" && j.Ignored != "single-as") {
+		return verify.RouteReport{}, fmt.Errorf("report: %s: ignored %q with %d checks is no verifier's report", j.Prefix, j.Ignored, len(j.Checks))
 	}
 	rep := verify.RouteReport{
 		Route:   bgpsim.Route{Prefix: p},
@@ -74,17 +78,17 @@ func WriteJSONL(w io.Writer, reports []verify.RouteReport) error {
 // importers never materialize the whole file).
 func ReadJSONL(r io.Reader, sink func(verify.RouteReport)) error {
 	dec := json.NewDecoder(bufio.NewReader(r))
-	for {
+	for line := 1; ; line++ {
 		var j RouteReportJSON
 		if err := dec.Decode(&j); err != nil {
 			if err == io.EOF {
 				return nil
 			}
-			return err
+			return fmt.Errorf("line %d: %w", line, err)
 		}
 		rep, err := j.Report()
 		if err != nil {
-			return err
+			return fmt.Errorf("line %d: %w", line, err)
 		}
 		sink(rep)
 	}

@@ -116,6 +116,17 @@ func TestReadJSONLErrors(t *testing.T) {
 	if err := ReadJSONL(strings.NewReader(""), func(verify.RouteReport) {}); err != nil {
 		t.Errorf("empty input: %v", err)
 	}
+	// A report no verifier writes is rejected with its line: an unknown
+	// ignored value, or checks beside an ignore marker.
+	const check = `"checks":[{"from":1,"to":2,"dir":"import","status":"verified"}]`
+	ok := `{"prefix":"192.0.2.0/24","path":[1],"ignored":"single-as"}` + "\n"
+	for _, tail := range []string{`"ignored":"x",` + check, `"ignored":"x"`, `"ignored":"as-set",` + check} {
+		in := ok + `{"prefix":"192.0.2.0/24","path":[2,1],` + tail + "}\n"
+		err := ReadJSONL(strings.NewReader(in), func(verify.RouteReport) {})
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: error %v, want one naming line 2", tail, err)
+		}
+	}
 	// A bad reason kind fails text unmarshaling.
 	badKind := `{"prefix":"192.0.2.0/24","path":[2,1],"checks":[{"from":1,"to":2,"dir":"import","status":"unrecorded","reasons":[{"kind":"NotAKind"}]}]}` + "\n"
 	if err := ReadJSONL(strings.NewReader(badKind), func(verify.RouteReport) {}); err == nil {

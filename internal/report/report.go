@@ -219,15 +219,6 @@ func NewAggregator() *Aggregator {
 	}
 }
 
-func (a *Aggregator) asStats(asn ir.ASN) *ASStats {
-	s := a.perAS[asn]
-	if s == nil {
-		s = &ASStats{ASN: asn}
-		a.perAS[asn] = s
-	}
-	return s
-}
-
 // Add ingests one route report.
 func (a *Aggregator) Add(rep verify.RouteReport) {
 	switch rep.Ignored {
@@ -240,7 +231,11 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 	}
 	a.Routes++
 	var mix RouteMix
-	for i, c := range rep.Checks {
+	var s *ASStats   // of the previous check's owner
+	var p *PairStats // of the previous check's pair
+	var pair PairKey
+	for i := range rep.Checks {
+		c := &rep.Checks[i]
 		a.Checks.Add(c.Status)
 		if mix[c.Status] < ^uint16(0) {
 			mix[c.Status]++
@@ -251,38 +246,44 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 			a.FirstHop.Add(c.Status)
 		}
 
-		// Attribute the check to the AS whose rule was checked.
-		var owner ir.ASN
+		// Attribute the check to the AS whose rule was checked. A path's
+		// importer is the next pair's exporter and a pair's two checks
+		// follow each other, so each map is asked only on a change.
+		owner := c.To
 		if c.Dir == ir.DirExport {
 			owner = c.From
-		} else {
-			owner = c.To
 		}
-		s := a.asStats(owner)
+		if s == nil || s.ASN != owner {
+			if s = a.perAS[owner]; s == nil {
+				s = &ASStats{ASN: owner}
+				a.perAS[owner] = s
+			}
+		}
 		if c.Dir == ir.DirExport {
 			s.Exports.Add(c.Status)
 		} else {
 			s.Imports.Add(c.Status)
 		}
-		for _, r := range c.Reasons {
-			if cause, ok := CauseOfReason(r.Kind); ok {
-				switch c.Status {
-				case verify.Unrecorded:
-					if cause <= CauseMissingSet {
-						s.UnrecCauses = s.UnrecCauses.With(cause)
-					}
-				case verify.Relaxed, verify.Safelisted:
-					if cause >= CauseExportSelf {
-						s.SpecialCauses = s.SpecialCauses.With(cause)
-					}
+		switch c.Status {
+		case verify.Unrecorded:
+			for j := range c.Reasons {
+				if cause, ok := CauseOfReason(c.Reasons[j].Kind); ok && cause <= CauseMissingSet {
+					s.UnrecCauses = s.UnrecCauses.With(cause)
+				}
+			}
+		case verify.Relaxed, verify.Safelisted:
+			for j := range c.Reasons {
+				if cause, ok := CauseOfReason(c.Reasons[j].Kind); ok && cause >= CauseExportSelf {
+					s.SpecialCauses = s.SpecialCauses.With(cause)
 				}
 			}
 		}
 
-		p := a.perPair[PairKey{c.From, c.To}]
-		if p == nil {
-			p = &PairStats{}
-			a.perPair[PairKey{c.From, c.To}] = p
+		if key := (PairKey{c.From, c.To}); p == nil || key != pair {
+			if pair, p = key, a.perPair[key]; p == nil {
+				p = &PairStats{}
+				a.perPair[key] = p
+			}
 		}
 		if c.Dir == ir.DirExport {
 			p.Exports.Add(c.Status)
@@ -323,9 +324,9 @@ func (a *Aggregator) RouteMixes() []RouteMix { return a.routeMixes }
 
 // checkFilterMismatched reports whether an unverified check had at
 // least one rule whose peering matched (so the filter was the cause).
-func checkFilterMismatched(c verify.Check) bool {
-	for _, r := range c.Reasons {
-		switch r.Kind {
+func checkFilterMismatched(c *verify.Check) bool {
+	for i := range c.Reasons {
+		switch c.Reasons[i].Kind {
 		case verify.MatchFilter, verify.MatchFilterAsNum:
 			return true
 		}

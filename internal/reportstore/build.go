@@ -30,26 +30,25 @@ type Builder struct {
 	// byHash finds one by the hash of its content, so a check whose
 	// list was seen before points at that copy instead of appending
 	// its own; nameIDs interns the names of the lists that do get
-	// appended.
+	// appended. byAddr, BuildSnapshot's only, finds one by its address.
 	seed    maphash.Seed
 	lists   []reasonList
 	byHash  map[uint64]uint32
+	byAddr  map[*verify.Reason]uint32
 	nameIDs map[string]symtab.ID
 
-	// statusChecks counts checks per status; with reasonList.uses it
-	// gives Build the exact length of every check index.
+	// statusChecks counts checks per status and origins the routes that
+	// have one; with reasonList.uses and the per-AS counts they give
+	// Build the exact length of every index. fill finds the AS entries.
 	statusChecks [report.NumStatuses]int
+	origins      int
+	fill         asCursor
 
-	// lastASN/last remember the previous asEntry answer: along a path
-	// the AS that imported a route is the next one to export it.
-	lastASN ir.ASN
-	last    *ASEntry
-
-	// start is when the freeze began and aggDone, when non-nil, closes
-	// once the aggregator has seen every report: BuildSnapshot sets
-	// both, a streaming caller neither.
-	start   time.Time
-	aggDone chan struct{}
+	// start is when the freeze began and side, when non-nil, closes once
+	// the goroutine beside the fill has aggregated every report and filled
+	// the per-AS lists: BuildSnapshot sets both, a streaming caller neither.
+	start time.Time
+	side  chan struct{}
 }
 
 // reasonList is one distinct reason list in the reason arena.
@@ -61,30 +60,45 @@ type reasonList struct {
 
 // NewBuilder creates an empty builder.
 func NewBuilder() *Builder {
+	perAS := make(map[ir.ASN]*ASEntry)
 	return &Builder{
 		snap: &Snapshot{
 			// Symbol 0 is the empty name, so zero-valued ReasonRefs
 			// round-trip to reasons without a name.
 			names: []string{""},
-			perAS: make(map[ir.ASN]*ASEntry),
+			perAS: perAS,
 			agg:   report.NewAggregator(),
 		},
 		seed:    maphash.MakeSeed(),
 		byHash:  make(map[uint64]uint32),
 		nameIDs: map[string]symtab.ID{"": 0},
+		fill:    asCursor{perAS: perAS},
 	}
 }
 
-func (b *Builder) asEntry(asn ir.ASN) *ASEntry {
-	if b.last != nil && b.lastASN == asn {
-		return b.last
+// asCursor finds AS entries through a direct-mapped memo of its last
+// answers: along a path the AS that imported a route is the next one to
+// export it, and most checks belong to the few ASes most paths cross.
+type asCursor struct {
+	perAS map[ir.ASN]*ASEntry
+	memo  [1024]struct {
+		asn ir.ASN
+		e   *ASEntry
 	}
-	e := b.snap.perAS[asn]
+}
+
+// at returns the entry of asn, which it makes if there is none.
+func (c *asCursor) at(asn ir.ASN) *ASEntry {
+	m := &c.memo[int(asn)%len(c.memo)]
+	if m.e != nil && m.asn == asn {
+		return m.e
+	}
+	e := c.perAS[asn]
 	if e == nil {
 		e = &ASEntry{}
-		b.snap.perAS[asn] = e
+		c.perAS[asn] = e
 	}
-	b.lastASN, b.last = asn, e
+	m.asn, m.e = asn, e
 	return e
 }
 
@@ -95,9 +109,9 @@ func (b *Builder) Add(rep verify.RouteReport) {
 }
 
 // add is the fill kernel behind both Add and BuildSnapshot: it appends
-// one report to the arenas and the per-AS entries and leaves the
-// aggregator to its caller and the check indexes to Build. The slices
-// it appends to simply grow unless BuildSnapshot sized them first.
+// one report to the arenas, counts it into the per-AS entries and leaves
+// the aggregator to its caller and every index to Build. The arenas it
+// appends to simply grow unless BuildSnapshot sized them first.
 func (b *Builder) add(rep *verify.RouteReport) {
 	s := b.snap
 	routeIdx := uint32(len(s.routes))
@@ -114,11 +128,11 @@ func (b *Builder) add(rep *verify.RouteReport) {
 		rec.CheckLen = uint32(len(rep.Checks))
 	}
 	s.routes = append(s.routes, rec)
-	// Index the route under its origin (last AS on the path) so
+	// The route is indexed under its origin (last AS on the path) so
 	// /v1/as/{asn}/routes answers "what does this AS originate".
 	if n := len(rep.Route.Path); n > 0 {
-		e := b.asEntry(rep.Route.Path[n-1])
-		e.Routes = append(e.Routes, routeIdx)
+		b.fill.at(rep.Route.Path[n-1]).nRoutes++
+		b.origins++
 	}
 	if rep.Ignored != "" {
 		return
@@ -133,12 +147,12 @@ func (b *Builder) add(rep *verify.RouteReport) {
 			Dir:    c.Dir,
 			Status: c.Status,
 		}
-		e := b.asEntry(cr.Owner())
-		e.Checks = append(e.Checks, uint32(len(s.checks)))
+		e := b.fill.at(cr.Owner())
+		e.nChecks++
 		e.statuses |= 1 << c.Status
 		b.statusChecks[c.Status]++
 		if len(c.Reasons) > 0 {
-			l := b.share(b.hashReasons(c.Reasons), c.Reasons)
+			l := b.list(c.Reasons)
 			l.uses++
 			cr.ReasonOff, cr.ReasonLen = l.off, l.n
 			e.reasons |= l.kinds
@@ -147,19 +161,21 @@ func (b *Builder) add(rep *verify.RouteReport) {
 	}
 }
 
+// list returns the arena copy of rs; the pointer is good until the next
+// call. Under BuildSnapshot no report changes while the builder reads,
+// so a backing array seen before at this length is the list it was then:
+// the address is a hint in front of share, which decides the lists the
+// hint does not know (a mirror's patches, a sub-slice of a longer list).
+func (b *Builder) list(rs []verify.Reason) *reasonList {
+	if i, ok := b.byAddr[&rs[0]]; ok && int(b.lists[i].n) == len(rs) {
+		return &b.lists[i]
+	}
+	return b.share(b.hashReasons(rs), rs)
+}
+
 // hashReasons hashes a reason list over (kind, ASN, name) in order.
 func (b *Builder) hashReasons(rs []verify.Reason) uint64 {
-	const mul = 0x9E3779B97F4A7C15
-	h := uint64(len(rs))
-	for i := range rs {
-		r := &rs[i]
-		h = (h ^ uint64(r.Kind) ^ uint64(r.ASN)<<8) * mul
-		if r.Name != "" {
-			h = (h ^ maphash.String(b.seed, r.Name)) * mul
-		}
-		h ^= h >> 32
-	}
-	return h
+	return verify.HashReasons(b.seed, uint64(len(rs)), rs)
 }
 
 // share returns the arena copy of rs: the list already stored under
@@ -167,27 +183,30 @@ func (b *Builder) hashReasons(rs []verify.Reason) uint64 {
 // makes the hash a hint only: a collision costs one more copy and never
 // a wrong reason. It reads the arena's copy, not the report the list
 // first came in, so a streaming caller may reuse that report's memory.
-// The pointer is good until the next call.
 func (b *Builder) share(h uint64, rs []verify.Reason) *reasonList {
 	s := b.snap
-	if i, ok := b.byHash[h]; ok && b.holds(b.lists[i], rs) {
-		return &b.lists[i]
-	}
-	l := reasonList{off: uint32(len(s.reasons)), n: uint32(len(rs))}
-	for i := range rs {
-		r := &rs[i]
-		id, ok := b.nameIDs[r.Name]
-		if !ok {
-			id = symtab.ID(len(s.names))
-			s.names = append(s.names, r.Name)
-			b.nameIDs[r.Name] = id
+	i, ok := b.byHash[h]
+	if !ok || !b.holds(b.lists[i], rs) {
+		l := reasonList{off: uint32(len(s.reasons)), n: uint32(len(rs))}
+		for j := range rs {
+			r := &rs[j]
+			id, ok := b.nameIDs[r.Name]
+			if !ok {
+				id = symtab.ID(len(s.names))
+				s.names = append(s.names, r.Name)
+				b.nameIDs[r.Name] = id
+			}
+			s.reasons = append(s.reasons, ReasonRef{Kind: r.Kind, ASN: r.ASN, Name: id})
+			l.kinds |= 1 << r.Kind
 		}
-		s.reasons = append(s.reasons, ReasonRef{Kind: r.Kind, ASN: r.ASN, Name: id})
-		l.kinds |= 1 << r.Kind
+		i = uint32(len(b.lists))
+		b.byHash[h] = i
+		b.lists = append(b.lists, l)
 	}
-	b.byHash[h] = uint32(len(b.lists))
-	b.lists = append(b.lists, l)
-	return &b.lists[len(b.lists)-1]
+	if b.byAddr != nil {
+		b.byAddr[&rs[0]] = i
+	}
+	return &b.lists[i]
 }
 
 // holds reports whether the arena list l is rs, reason for reason.
@@ -205,30 +224,19 @@ func (b *Builder) holds(l reasonList, rs []verify.Reason) bool {
 	return true
 }
 
-// Build freezes the snapshot: aggregate stats are attached to their AS
-// entries, the check indexes are filled at their exact lengths from
-// the check arena, the per-AS status and reason masks are expanded
+// Build freezes the snapshot: every check and route index is filled at
+// its exact length from the arenas, aggregate stats are attached to
+// their AS entries, the per-AS status and reason masks are expanded
 // into the sorted AS lists, and the result is immutable from here on
 // (ready for Store.Swap).
 func (b *Builder) Build() *Snapshot {
 	if b.start.IsZero() {
 		b.start = time.Now()
 	}
-	if b.aggDone != nil {
-		<-b.aggDone
-	}
 	s := b.snap
 	b.snap = nil
-
-	for _, st := range s.agg.PerAS() {
-		e := s.perAS[st.ASN]
-		if e == nil {
-			// Cannot happen — every aggregated AS owned a check — but
-			// degrade to an empty entry rather than panic.
-			e = &ASEntry{}
-			s.perAS[st.ASN] = e
-		}
-		e.Stats = st
+	if b.side == nil {
+		s.indexASes(b.origins)
 	}
 
 	// A check is listed under a kind once per reason of that kind, not
@@ -255,6 +263,20 @@ func (b *Builder) Build() *Snapshot {
 		for _, ref := range s.reasons[c.ReasonOff : c.ReasonOff+c.ReasonLen] {
 			s.byReason[ref.Kind].Checks = append(s.byReason[ref.Kind].Checks, uint32(i))
 		}
+	}
+
+	if b.side != nil {
+		<-b.side
+	}
+	for _, st := range s.agg.PerAS() {
+		e := s.perAS[st.ASN]
+		if e == nil {
+			// Cannot happen — every aggregated AS owned a check — but
+			// degrade to an empty entry rather than panic.
+			e = &ASEntry{}
+			s.perAS[st.ASN] = e
+		}
+		e.Stats = st
 	}
 
 	s.asns = make([]ir.ASN, 0, len(s.perAS))
@@ -293,9 +315,34 @@ func (b *Builder) Build() *Snapshot {
 	return s
 }
 
+// indexASes lays the per-AS check and route lists out as exact-size
+// ranges of one array each, sized by what add counted, and fills them
+// in one forward walk of the arenas. It makes no entry, so it may run
+// beside readers of the AS map.
+func (s *Snapshot) indexASes(origins int) {
+	checks, routes := make([]uint32, len(s.checks)), make([]uint32, origins)
+	for _, e := range s.perAS {
+		e.Checks, checks = checks[:0:e.nChecks], checks[e.nChecks:]
+		e.Routes, routes = routes[:0:e.nRoutes], routes[e.nRoutes:]
+	}
+	cur := asCursor{perAS: s.perAS}
+	for ri := range s.routes {
+		r := &s.routes[ri]
+		if n := len(r.Path); n > 0 {
+			e := cur.at(r.Path[n-1])
+			e.Routes = append(e.Routes, uint32(ri))
+		}
+		for ci := r.CheckOff; ci < r.CheckOff+r.CheckLen; ci++ {
+			e := cur.at(s.checks[ci].Owner())
+			e.Checks = append(e.Checks, ci)
+		}
+	}
+}
+
 // BuildSnapshot freezes a full report slice. It is Builder with the
-// route and check arenas sized up front and the aggregator, which like
-// the fill only reads the reports, run beside it.
+// route and check arenas sized up front, reason lists known by address
+// before content, and one goroutine beside the fill, which aggregates
+// (it too only reads the reports) and then fills the per-AS lists.
 func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	b := NewBuilder()
 	b.start = time.Now()
@@ -306,18 +353,24 @@ func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 			checks += len(reports[i].Checks)
 		}
 	}
-	b.snap.routes = make([]RouteRec, 0, len(reports))
-	b.snap.checks = make([]CheckRec, 0, checks)
+	s := b.snap
+	s.routes = make([]RouteRec, 0, len(reports))
+	s.checks = make([]CheckRec, 0, checks)
+	b.byAddr = make(map[*verify.Reason]uint32)
 
-	b.aggDone = make(chan struct{})
-	go func(agg *report.Aggregator) {
-		defer close(b.aggDone)
+	filled := make(chan struct{})
+	b.side = make(chan struct{})
+	go func() {
+		defer close(b.side)
 		for i := range reports {
-			agg.Add(reports[i])
+			s.agg.Add(reports[i])
 		}
-	}(b.snap.agg)
+		<-filled
+		s.indexASes(b.origins)
+	}()
 	for i := range reports {
 		b.add(&reports[i])
 	}
+	close(filled)
 	return b.Build()
 }

@@ -7,8 +7,10 @@ import (
 	"slices"
 	"testing"
 
+	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/prefix"
 	"rpslyzer/internal/report"
 	"rpslyzer/internal/verify"
 )
@@ -340,4 +342,174 @@ func TestAddSurvivesReusedBuffers(t *testing.T) {
 		}
 	}
 	diffAgainstRef(t, "reused buffers", b.Build(), offered)
+}
+
+// listPool is the memory every decoded reason list is cut from. Its two
+// halves hold the same four reasons, so equal lists come out of
+// different arrays as well as out of one.
+var listPool = func() []verify.Reason {
+	half := []verify.Reason{
+		{Kind: verify.MatchFilter, ASN: 1, Name: "AS-ONE"},
+		{Kind: verify.MatchRemoteAsNum, ASN: 2},
+		{Kind: verify.UnrecordedAsSet, Name: "AS-TWO"},
+		{Kind: verify.SpecUphill},
+	}
+	return append(slices.Clone(half), half...)
+}()
+
+// decodeReports turns bytes into a few reports over four ASes, every
+// byte string a valid input. A route is a header (bits 0-1 path length;
+// 2-3 kind: 2 is single-as, 3 as-set; 4-6 number of checks), its path
+// and two bytes per check: one for from (bits 0-1), to (2-3), direction
+// (4) and status (5-7), one for the reason list, listPool[off:off+n]
+// with off in bits 0-2 and n in 3-4, where n = 0 is nil unless bit 5
+// asks for an empty list. So paths loop and repeat, checks need not
+// follow their path, ignored routes may carry checks, and lists alias,
+// nest and overlap.
+func decodeReports(data []byte) []verify.RouteReport {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	var reports []verify.RouteReport
+	for len(data) > 0 && len(reports) < 24 {
+		h := next()
+		r := verify.RouteReport{Route: bgpsim.Route{Prefix: prefix.MustParse(fmt.Sprintf("10.%d.0.0/16", len(reports)))}}
+		for n := h & 3; n > 0; n-- {
+			r.Route.Path = append(r.Route.Path, ir.ASN(1+next()&3))
+		}
+		switch h >> 2 & 3 {
+		case 2:
+			r.Ignored = "single-as"
+		case 3:
+			r.Ignored = "as-set"
+		}
+		for n := h >> 4 & 7; n > 0; n-- {
+			b, l := next(), next()
+			c := verify.Check{From: ir.ASN(1 + b&3), To: ir.ASN(1 + b>>2&3), Dir: ir.Direction(b >> 4 & 1), Status: verify.Status(b >> 5 % 6)}
+			if off, n := int(l&7), int(l>>3&3); n > 0 || l>>5&1 == 1 {
+				c.Reasons = listPool[off:min(off+n, len(listPool))]
+			}
+			r.Checks = append(r.Checks, c)
+		}
+		reports = append(reports, r)
+	}
+	return reports
+}
+
+// lists returns the reason lists of every check that has one, nil
+// lists left out.
+func lists(reports []verify.RouteReport) [][]verify.Reason {
+	var out [][]verify.Reason
+	for _, rep := range reports {
+		for _, c := range rep.Checks {
+			if c.Reasons != nil {
+				out = append(out, c.Reasons)
+			}
+		}
+	}
+	return out
+}
+
+// somePair reports whether two of the lists stand in the given relation.
+func somePair(ls [][]verify.Reason, rel func(a, b []verify.Reason) bool) bool {
+	for i := range ls {
+		for _, b := range ls[i+1:] {
+			if rel(ls[i], b) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func sameStart(a, b []verify.Reason) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// adversarial are the inputs that set a list's address against its
+// content, as decodeReports reads them; shape says what each must
+// decode to, so that a change to the decoder cannot quietly disarm one.
+var adversarial = []struct {
+	name  string
+	in    []byte
+	shape func(ls [][]verify.Reason) bool
+}{
+	{"equal lists in different arrays", []byte{0x22, 0, 1, 0xa4, 0x10, 0xb4, 0x14}, func(ls [][]verify.Reason) bool {
+		return somePair(ls, func(a, b []verify.Reason) bool { return slices.Equal(a, b) && !sameStart(a, b) })
+	}},
+	{"a list and its sub-slice, and the list again", []byte{0x32, 0, 1, 0xa4, 0x18, 0xb4, 0x10, 0x44, 0x18}, func(ls [][]verify.Reason) bool {
+		return somePair(ls, func(a, b []verify.Reason) bool { return sameStart(a, b) && len(a) != len(b) })
+	}},
+	{"an empty list that is not nil", []byte{0x22, 0, 1, 0xa4, 0x20, 0x54, 0x08}, func(ls [][]verify.Reason) bool {
+		return slices.ContainsFunc(ls, func(l []verify.Reason) bool { return len(l) == 0 })
+	}},
+	{"every check sharing one list", []byte{0x42, 0, 1, 0xa4, 0x11, 0xb4, 0x11, 0x44, 0x11, 0x54, 0x11, 0x23, 3, 2, 0, 0xa6, 0x11, 0xb6, 0x11}, func(ls [][]verify.Reason) bool {
+		return len(ls) == 6 && !somePair(ls, func(a, b []verify.Reason) bool { return !sameStart(a, b) || len(a) != len(b) })
+	}},
+	{"no two checks sharing any", []byte{0x42, 0, 1, 0xa4, 0x08, 0xb4, 0x09, 0x44, 0x12, 0x54, 0x1b}, func(ls [][]verify.Reason) bool {
+		return len(ls) == 4 && !somePair(ls, func(a, b []verify.Reason) bool { return slices.Equal(a, b) || sameStart(a, b) })
+	}},
+	{"ignored routes with checks, a path loop, a route with no path", []byte{0x2a, 1, 1, 0xa4, 0x10, 0xb4, 0x10, 0x13, 2, 1, 2, 0x00, 0x19, 0x10, 0xa4, 0x14}, func(ls [][]verify.Reason) bool {
+		return len(ls) == 4
+	}},
+}
+
+// freezeBothWays holds BuildSnapshot and the streaming Builder to the
+// reference over the same reports.
+func freezeBothWays(t *testing.T, reports []verify.RouteReport) {
+	t.Helper()
+	diffAgainstRef(t, "BuildSnapshot", BuildSnapshot(reports), reports)
+	diffAgainstRef(t, "Builder.Add", viaBuilder(reports), reports)
+}
+
+// TestStoreDifferentialAdversarialLists: the freeze may take a list's
+// address for its content only where that cannot be told from comparing
+// the content.
+func TestStoreDifferentialAdversarialLists(t *testing.T) {
+	for _, tc := range adversarial {
+		t.Run(tc.name, func(t *testing.T) {
+			reports := decodeReports(tc.in)
+			if !tc.shape(lists(reports)) {
+				t.Fatalf("input no longer decodes to its shape: %+v", reports)
+			}
+			freezeBothWays(t, reports)
+		})
+	}
+}
+
+// FuzzFreeze checks both ways into a snapshot against the reference on
+// whatever reports the bytes decode to.
+func FuzzFreeze(f *testing.F) {
+	for _, tc := range adversarial {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { freezeBothWays(t, decodeReports(data)) })
+}
+
+// storeFixture is the reports of TestStoreDifferential's larger universe
+// at its first seed.
+func storeFixture(tb testing.TB) []verify.RouteReport {
+	tb.Helper()
+	sys, err := core.BuildSynthetic(core.Options{Seed: 1, ASes: 120, Collectors: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys.Verifier.VerifyAll(sys.CollectRoutes(4, 1), 0)
+}
+
+// frozen keeps BenchmarkBuildSnapshot's result reachable.
+var frozen *Snapshot
+
+// BenchmarkBuildSnapshot is the whole-corpus freeze on its own, for
+// profiles (-cpuprofile, -memprofile); it asserts nothing.
+func BenchmarkBuildSnapshot(b *testing.B) {
+	reports := storeFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frozen = BuildSnapshot(reports)
+	}
 }

@@ -83,9 +83,10 @@ type ASEntry struct {
 
 	// statuses and reasons have one bit per status and reason kind
 	// among the AS's checks; Build expands them into the AS lists of
-	// the inverted indexes.
-	statuses uint8
-	reasons  uint32
+	// the inverted indexes; nChecks and nRoutes count Checks and Routes.
+	statuses         uint8
+	reasons          uint32
+	nChecks, nRoutes uint32
 }
 
 // Index is one inverted-index bucket: the matching checks (in arena

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"cmp"
+	"hash/maphash"
 	"slices"
 
 	"rpslyzer/internal/bgpsim"
@@ -59,8 +60,21 @@ type reportArena struct {
 	prevPath   []ir.ASN
 	prevChecks []Check
 
+	// canon, when non-nil, finds the reason lists handed out so far by
+	// the hash of their content, so that an equal list is handed out
+	// again, not stored again. Only sweep sets it, for a driver that
+	// keeps every report: a stream's table would grow with the stream
+	// and pin a block per entry, a single-route patch's outlive its report.
+	canon map[uint64]canonList
+
 	tally
 }
+
+// canonList is one canon entry: out was handed out for the input in,
+// which is out itself unless in came unsorted. canonSeed keys the hash.
+type canonList struct{ in, out []Reason }
+
+var canonSeed = maphash.MakeSeed()
 
 // arenaBlock is the bulk drivers' block size, in checks or reasons.
 const arenaBlock = 4096
@@ -123,60 +137,100 @@ func checkCount(r *bgpsim.Route) int {
 	return 2 * max(n-1, 0)
 }
 
-// checkSlice returns a length-n slice backed by the arena; the caller
-// fills the slots in place.
-func (a *reportArena) checkSlice(n int) []Check {
-	if len(a.checks)+n > cap(a.checks) {
-		a.checks = make([]Check, 0, max(a.block, n))
+// cut returns a length-n slice of arena storage for the caller to fill:
+// the next n slots of *buf, or of a new block when it has no room.
+func cut[T any](buf *[]T, block, n int) []T {
+	if len(*buf)+n > cap(*buf) {
+		*buf = make([]T, 0, max(block, n))
 	}
-	off := len(a.checks)
-	a.checks = a.checks[:off+n]
-	return a.checks[off : off+n : off+n]
-}
-
-// reasonSlice returns a length-n slice backed by the arena for the
-// caller to fill.
-func (a *reportArena) reasonSlice(n int) []Reason {
-	if len(a.reasons)+n > cap(a.reasons) {
-		a.reasons = make([]Reason, 0, max(a.block, n))
-	}
-	off := len(a.reasons)
-	a.reasons = a.reasons[:off+n]
-	return a.reasons[off : off+n : off+n]
-}
-
-// one stores a single reason in the arena.
-func (a *reportArena) one(r Reason) []Reason {
-	out := a.reasonSlice(1)
-	out[0] = r
-	return out
+	off := len(*buf)
+	*buf = (*buf)[:off+n]
+	return (*buf)[off : off+n : off+n]
 }
 
 // dedupReasons sorts rs deterministically and removes duplicates, in
 // place — safe because evalCheck only ever passes it the context's
 // scratch aggregate or a private allocation, never a compile-time
-// constant slice — then copies the result followed by extra into arena
-// storage.
+// constant slice — then stores the result followed by extra. A canon
+// table also keeps the answer under the unsorted input: no second sort.
 func (a *reportArena) dedupReasons(rs, extra []Reason) []Reason {
-	if len(rs) == 0 {
-		if len(extra) == 0 {
-			return nil
-		}
-		out := a.reasonSlice(len(extra))
-		copy(out, extra)
-		return out
+	if len(rs) < 2 {
+		return a.canonical(rs, extra)
 	}
+	var h uint64
+	var in []Reason
+	if a.canon != nil {
+		h = hashReasons(rs, extra)
+		if out := a.find(h, rs, extra); out != nil {
+			return out
+		}
+		in = a.store(rs, extra) // the sort reorders rs
+	}
+	slices.SortFunc(rs, compareReason)
 	d := rs[:1]
-	if len(rs) > 1 {
-		sortReasons(rs)
-		for _, r := range rs[1:] {
-			if r != d[len(d)-1] {
-				d = append(d, r)
-			}
+	for _, r := range rs[1:] {
+		if r != d[len(d)-1] {
+			d = append(d, r)
 		}
 	}
-	out := a.reasonSlice(len(d) + len(extra))
-	copy(out, d)
-	copy(out[len(d):], extra)
+	out := a.canonical(d, extra)
+	if a.canon != nil {
+		a.canon[h] = canonList{in, out}
+	}
 	return out
+}
+
+// canonical returns arena storage holding head followed by tail: the
+// list handed out before for that content if a canon table has it.
+func (a *reportArena) canonical(head, tail []Reason) []Reason {
+	if len(head)+len(tail) == 0 {
+		return nil
+	}
+	if a.canon == nil {
+		return a.store(head, tail)
+	}
+	h := hashReasons(head, tail)
+	out := a.find(h, head, tail)
+	if out == nil {
+		out = a.store(head, tail)
+		a.canon[h] = canonList{out, out}
+	}
+	return out
+}
+
+// store copies head followed by tail into arena storage.
+func (a *reportArena) store(head, tail []Reason) []Reason {
+	out := cut(&a.reasons, a.block, len(head)+len(tail))
+	copy(out[copy(out, head):], tail)
+	return out
+}
+
+// find returns what the canon table handed out for head followed by
+// tail, or nil. The compare decides, the hash is a hint: a collision
+// costs one more copy of a list, never a wrong reason.
+func (a *reportArena) find(h uint64, head, tail []Reason) []Reason {
+	e, n := a.canon[h], len(head)
+	if len(e.in) == n+len(tail) && slices.Equal(e.in[:n], head) && slices.Equal(e.in[n:], tail) {
+		return e.out
+	}
+	return nil
+}
+
+// HashReasons folds rs into h over (kind, ASN, name) in order, names
+// keyed by seed: how equal lists are found, here and in the store.
+func HashReasons(seed maphash.Seed, h uint64, rs []Reason) uint64 {
+	const mul = 0x9E3779B97F4A7C15
+	for i := range rs {
+		h = (h ^ uint64(rs[i].Kind) ^ uint64(rs[i].ASN)<<8) * mul
+		if rs[i].Name != "" {
+			h = (h ^ maphash.String(seed, rs[i].Name)) * mul
+		}
+		h ^= h >> 32
+	}
+	return h
+}
+
+// hashReasons hashes head followed by tail.
+func hashReasons(head, tail []Reason) uint64 {
+	return HashReasons(canonSeed, HashReasons(canonSeed, uint64(len(head)+len(tail)), head), tail)
 }

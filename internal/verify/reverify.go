@@ -128,10 +128,16 @@ func (inc *Incremental) Init(routes []bgpsim.Route, workers int) []RouteReport {
 
 // indexRoutes rebuilds asRoutes/pfxRoutes for the current corpus.
 // Ignored routes (AS-set paths, single-AS paths) are skipped: their
-// reports do not depend on the database.
+// reports do not depend on the database. One walk notes every (key,
+// route) hit, keys numbered by first appearance; group counts and fills.
 func (inc *Incremental) indexRoutes() {
-	inc.asRoutes = make(map[ir.ASN][]int32, len(inc.asRoutes))
-	inc.pfxRoutes = make(map[prefix.Prefix][]int32, len(inc.pfxRoutes))
+	asIDs := make(map[ir.ASN]int32, len(inc.asRoutes))
+	pfxIDs := make(map[prefix.Prefix]int32, len(inc.pfxRoutes))
+	hops := 0
+	for i := range inc.routes {
+		hops += len(inc.routes[i].Path)
+	}
+	asHits, pfxHits := make([]hit, 0, hops), make([]hit, 0, len(inc.routes))
 	var path []ir.ASN // scratch: the index keeps ASNs, not the slice
 	for i := range inc.routes {
 		r := &inc.routes[i]
@@ -142,20 +148,54 @@ func (inc *Incremental) indexRoutes() {
 		if len(path) <= 1 {
 			continue
 		}
-		idx := int32(i)
 		for j, asn := range path {
 			if slices.Contains(path[:j], asn) {
 				continue // AS appears twice on a path loop, index it once
 			}
-			inc.asRoutes[asn] = append(inc.asRoutes[asn], idx)
+			asHits = append(asHits, hit{idOf(asIDs, asn), int32(i)})
 		}
-		inc.pfxRoutes[r.Prefix] = append(inc.pfxRoutes[r.Prefix], idx)
+		pfxHits = append(pfxHits, hit{idOf(pfxIDs, r.Prefix), int32(i)})
 	}
+	inc.asRoutes, inc.pfxRoutes = group(asIDs, asHits), group(pfxIDs, pfxHits)
 	var tr prefix.TrieBuilder[[]int32]
 	for pfx, idxs := range inc.pfxRoutes {
 		*tr.At(pfx) = idxs
 	}
 	inc.pfxTrie = tr.Trie()
+}
+
+// hit is one route under one index key, idOf the key's number.
+type hit struct{ key, route int32 }
+
+func idOf[K comparable](ids map[K]int32, k K) int32 {
+	id, ok := ids[k]
+	if !ok {
+		id = int32(len(ids))
+		ids[k] = id
+	}
+	return id
+}
+
+// group returns each key's routes in hit order, every list an
+// exact-size range of one array: count, then fill.
+func group[K comparable](ids map[K]int32, hits []hit) map[K][]int32 {
+	end := make([]int32, len(ids)+1)
+	for _, h := range hits {
+		end[h.key+1]++
+	}
+	lists, arena := make([][]int32, len(ids)), make([]int32, len(hits))
+	for id := range lists {
+		end[id+1] += end[id]
+		lists[id] = arena[end[id]:end[id]:end[id+1]]
+	}
+	for _, h := range hits {
+		lists[h.key] = append(lists[h.key], h.route)
+	}
+	out := make(map[K][]int32, len(ids))
+	for k, id := range ids {
+		out[k] = lists[id]
+	}
+	return out
 }
 
 // Reverify moves the engine to db. With touched non-nil it invalidates

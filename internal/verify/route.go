@@ -139,7 +139,7 @@ func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, dst []Check, ol
 	}
 	// The check count is known up front: evaluate straight into slots.
 	if rep.Checks = dst; dst == nil {
-		rep.Checks = a.checkSlice(2 * (len(path) - 1))
+		rep.Checks = cut(&a.checks, a.block, 2*(len(path)-1))
 	}
 	shared := 0
 	if a.share { // copy the pairs the previous route already evaluated
@@ -216,7 +216,7 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 	an := a.lastAN
 	if !a.lastOK {
 		c.Status = Unrecorded
-		c.Reasons = a.one(Reason{Kind: UnrecordedAutNum, ASN: ctx.self})
+		c.Reasons = a.canonical([]Reason{{Kind: UnrecordedAutNum, ASN: ctx.self}}, nil)
 		return
 	}
 	rules := an.Imports
@@ -226,7 +226,7 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 	if len(rules) == 0 {
 		c.Status = v.safelist(ctx, Unrecorded, c)
 		if c.Status == Unrecorded {
-			c.Reasons = a.one(Reason{Kind: UnrecordedNoRules})
+			c.Reasons = a.canonical([]Reason{{Kind: UnrecordedNoRules}}, nil)
 		}
 		return
 	}
@@ -271,13 +271,13 @@ func (v *Verifier) safelist(ctx *evalCtx, fallback Status, c *Check) Status {
 	if ctx.dir == ir.DirImport && v.d.onlyProviderPolicies[ctx.self] {
 		rel := v.Rels.Rel(ctx.peer, ctx.self)
 		if rel == asrel.Customer || rel == asrel.Peer {
-			c.Reasons = append(c.Reasons, Reason{Kind: SpecOnlyProviderPolicies})
+			c.Reasons = ctx.arena.canonical([]Reason{{Kind: SpecOnlyProviderPolicies}}, nil)
 			return Safelisted
 		}
 	}
 	// Tier-1 peering.
 	if v.Rels.IsTier1(ctx.self) && v.Rels.IsTier1(ctx.peer) {
-		c.Reasons = append(c.Reasons, Reason{Kind: SpecTier1Pair})
+		c.Reasons = ctx.arena.canonical([]Reason{{Kind: SpecTier1Pair}}, nil)
 		return Safelisted
 	}
 	// Uphill customer-provider propagation: the exporter is a customer
@@ -295,7 +295,7 @@ func (v *Verifier) safelist(ctx *evalCtx, fallback Status, c *Check) Status {
 		exporter, importer = ctx.peer, ctx.self
 	}
 	if v.Rels.Rel(exporter, importer) == asrel.Customer {
-		c.Reasons = append(c.Reasons, Reason{Kind: SpecUphill})
+		c.Reasons = ctx.arena.canonical([]Reason{{Kind: SpecUphill}}, nil)
 		return Safelisted
 	}
 	return fallback
@@ -342,7 +342,8 @@ func routeShard(r *bgpsim.Route, n int) int {
 // partitions when Shards is unset (0 means GOMAXPROCS). Each non-empty
 // partition, on its own goroutine, hands layout its indexes in input
 // order, sorts them into sharing order, and runs each on them with its
-// own sharing arena, whose tally it flushes at the end.
+// own sharing arena, whose tally it flushes at the end. A driver with a
+// layout keeps every report, so its arenas store equal reason lists once.
 func (v *Verifier) sweep(routes []bgpsim.Route, workers int, layout func(idxs []int32), each func(a *reportArena, i int32)) {
 	t0 := time.Now()
 	n := v.partitions(workers)
@@ -366,6 +367,9 @@ func (v *Verifier) sweep(routes []bgpsim.Route, workers int, layout func(idxs []
 				return compareForSharing(&routes[x], &routes[y])
 			})
 			a := newBulkArena()
+			if layout != nil {
+				a.canon = make(map[uint64]canonList)
+			}
 			for _, i := range idxs {
 				each(a, i)
 			}

@@ -181,6 +181,62 @@ func TestSharingMatchesKeyedMemo(t *testing.T) {
 	}
 }
 
+// TestVerifyAllStoresEachListOnce: the driver that keeps every report
+// hands an equal reason list out as one backing array per partition.
+// The stream and the single-route call keep no table, so they alias only
+// what copying a predecessor's pairs always did: no array serves two
+// prefixes in a stream, and none serves two checks of single calls.
+func TestVerifyAllStoresEachListOnce(t *testing.T) {
+	sys, err := core.BuildSynthetic(core.Options{Seed: 1, ASes: 80, Collectors: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := sys.CollectRoutes(3, 1)
+	type tally struct{ lists, arrays, contents, crossPrefix int }
+	count := func(reports []verify.RouteReport) tally {
+		var n tally
+		first := make(map[*verify.Reason]int) // array -> the report it was first seen in
+		contents := make(map[string]bool)
+		for i := range reports {
+			for _, c := range reports[i].Checks {
+				if len(c.Reasons) == 0 {
+					continue
+				}
+				n.lists++
+				contents[fmt.Sprint(c.Reasons)] = true
+				if j, seen := first[&c.Reasons[0]]; !seen {
+					first[&c.Reasons[0]] = i
+				} else if reports[j].Route.Prefix != reports[i].Route.Prefix {
+					n.crossPrefix++
+				}
+			}
+		}
+		n.arrays, n.contents = len(first), len(contents)
+		return n
+	}
+	for _, shards := range []int{1, 3} {
+		v := verify.New(sys.DB, sys.Rels, verify.Config{Shards: shards})
+		all := count(v.VerifyAll(routes, 0))
+		if all.arrays > all.contents*shards || all.crossPrefix == 0 {
+			t.Errorf("shards %d: VerifyAll keeps %d lists of %d distinct contents in %d arrays, want at most %d",
+				shards, all.lists, all.contents, all.arrays, all.contents*shards)
+		}
+		var streamed []verify.RouteReport
+		v.VerifyStream(routes, 0, func(rep verify.RouteReport) { streamed = append(streamed, rep) })
+		if s := count(streamed); s.crossPrefix != 0 || s.lists != all.lists {
+			t.Errorf("shards %d: VerifyStream handed out %d of %d lists from an array another prefix has", shards, s.crossPrefix, s.lists)
+		}
+	}
+	v := verify.New(sys.DB, sys.Rels, verify.Config{})
+	var single []verify.RouteReport
+	for _, r := range routes[:200] {
+		single = append(single, v.VerifyRoute(r), v.VerifyRoute(r))
+	}
+	if s := count(single); s.arrays != s.lists || s.lists == 0 {
+		t.Errorf("VerifyRoute: %d lists in %d arrays, want one each", s.lists, s.arrays)
+	}
+}
+
 // TestCountersAdvanceDuringSweep takes its scrapes from inside a
 // running stream: the partition flushes its tally every 1024 routes,
 // so a scrape mid-sweep sees most of the routes verified so far, not

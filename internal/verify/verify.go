@@ -9,7 +9,6 @@ package verify
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -513,13 +512,7 @@ func (v *Verifier) customerCone(asn ir.ASN) map[ir.ASN]bool {
 	return cone
 }
 
-// sortReasons orders reasons deterministically for stable output. It
-// uses slices.SortFunc (no reflection) because it sits on the
-// verification hot path.
-func sortReasons(rs []Reason) {
-	slices.SortFunc(rs, compareReason)
-}
-
+// compareReason orders reasons deterministically for stable output.
 func compareReason(a, b Reason) int {
 	if a.Kind != b.Kind {
 		return int(a.Kind) - int(b.Kind)

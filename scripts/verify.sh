@@ -22,7 +22,10 @@
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
 #      (FuzzReaderMatchesReference) and chunked against whole-dump
-#      parsing at any chunk size (FuzzSplitDump)
+#      parsing at any chunk size (FuzzSplitDump); and of the store
+#      freeze, one-shot and streamed, against its maps-and-sort
+#      reference over reports whose reason lists alias, nest and repeat
+#      (FuzzFreeze)
 #   7. gate benchmarks — the two timing ratios no bench/ probe records
 #      yet, each computed and asserted by its own benchmark: one
 #      incremental step >= 20x faster than verifying every route
@@ -77,10 +80,11 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump: 10s each)"
+echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzFreeze: 10s each)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzReaderMatchesReference$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
+go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
 
 echo "== gate benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced)"
 go test -run '^$' -bench '^(BenchmarkReverify|BenchmarkVerifyAllTraced)$' -benchtime 1x .
