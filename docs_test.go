@@ -2,6 +2,7 @@ package rpslyzer
 
 import (
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -24,6 +25,8 @@ var (
 	docMetric = regexp.MustCompile(`rpslyzer_(?:[a-z0-9_]|\*|\{[a-z0-9_,]+\})*`)
 	docDebug  = regexp.MustCompile(`/debug/[a-z]+(?:/[a-z]+)*/?`)
 	docChoice = regexp.MustCompile(`\{([a-z0-9_,]+)\}`)
+	docTest   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	declTest  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 )
 
 // TestDocsNameWhatIsServed holds the operator-facing documents to the
@@ -114,6 +117,47 @@ func TestDocsNameWhatIsServed(t *testing.T) {
 		for _, path := range docDebug.FindAllString(string(raw), -1) {
 			if code, _ := get(path); code == http.StatusNotFound {
 				t.Errorf("%s names %s, which the metrics endpoint answers 404", doc, path)
+			}
+		}
+	}
+}
+
+// TestDocsNameDeclaredTests holds every Test…, Fuzz… or Benchmark… name
+// that README.md, DESIGN.md, the verify skill and scripts/verify.sh cite
+// to a declaration in some _test.go file: a test deleted or renamed and
+// left in the docs fails here, and so does a CI step that would run it
+// by name and match nothing.
+func TestDocsNameDeclaredTests(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.Name() == ".git" {
+			return fs.SkipDir
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range declTest.FindAllSubmatch(src, -1) {
+				declared[string(m[1])] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", "scripts/verify.sh"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range docTest.FindAllString(string(raw), -1) {
+			if !declared[name] {
+				t.Errorf("%s names %s, which no _test.go file declares", doc, name)
 			}
 		}
 	}

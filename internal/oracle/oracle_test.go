@@ -1,0 +1,139 @@
+// Package oracle is the repository's one differential oracle. Every
+// fast path — the pipeline loader, the compiled engine, the sharded
+// sweep with its suffix sharing, the incremental engine, the NRTM
+// mirror, the store freeze — is trusted only because it answers
+// byte-identically to a slower reference, and FuzzContracts holds all
+// of them to their references in one pass over one generated universe
+// per draw:
+//
+//	C1 load: sequential load ≡ pipeline load; render → reparse → render
+//	   is a fixed point
+//	C2 compiled ≡ interpreter (Config.Eval "interp")
+//	C3 bulk drivers: VerifyAll at any partition count ≡ VerifyAll at one
+//	   ≡ VerifyStream as a multiset ≡ VerifyRoute route by route
+//	C4 sharded ≡ unsharded: whois answers and verify JSONL
+//	C5 incremental ≡ full after every apply, a resync ≡ fresh, and
+//	   Reconcile finds no drift
+//	C6 mirrored ≡ reparsed, through journal files on disk
+//	C7 store: a freeze of the engine's reports ≡ a freeze of fresh ones
+//	   ≡ one streamed through the JSONL export
+//
+// Go's fuzzing engine is the generator, the corpus and the shrinker:
+// a shorter input decodes to a smaller universe, so its minimizer
+// shrinks a counterexample without a line of shrinking code here. The
+// package has no non-test files.
+package oracle
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"rpslyzer/internal/verify"
+)
+
+// draw is one fuzz input decoded: the universe cmd/irrgen writes for
+// (seed, ases, collectors, steps, churn), and how the contracts drive it.
+type draw struct {
+	seed             int64
+	ases, collectors int
+	steps            int     // evolution steps, one journal per changed registry each
+	churn            float64 // irrgen -churn: policy and set churn, routes at half
+	shards, workers  int
+	cfg              verify.Config // only Strict, SkipComplexRegex and InterpretCommunities are drawn
+	perRegistry      bool          // each journal its own apply, as nrtm.Poll does; else one batch per step
+	resync           bool          // the middle step re-verifies from scratch: Reverify(db, nil, …)
+}
+
+const minASes = 20
+
+// decode reads one byte per field. A missing byte reads as 0, the
+// field's smallest value, so a shorter input is a smaller draw; the
+// fields that cost the most, collectors and ASes, come last, where the
+// minimizer cuts first.
+func decode(b []byte) draw {
+	at := func(i int) int {
+		if i < len(b) {
+			return int(b[i])
+		}
+		return 0
+	}
+	flags := at(3)
+	return draw{
+		seed:  int64(at(0)) + 1,
+		steps: at(1) % 9,
+		churn: float64(1+at(2)%8) / 200,
+		cfg: verify.Config{
+			Strict:               flags&1 != 0,
+			SkipComplexRegex:     flags&2 != 0,
+			InterpretCommunities: flags&4 != 0,
+		},
+		perRegistry: flags&8 != 0,
+		resync:      flags&16 != 0,
+		shards:      1 + at(4)%8,
+		workers:     1 + at(5)%4,
+		collectors:  1 + at(6)%4,
+		ases:        minASes + at(7),
+	}
+}
+
+// bytes is decode's inverse.
+func (d draw) bytes() []byte {
+	flags := 0
+	for i, on := range []bool{d.cfg.Strict, d.cfg.SkipComplexRegex, d.cfg.InterpretCommunities, d.perRegistry, d.resync} {
+		if on {
+			flags |= 1 << i
+		}
+	}
+	return []byte{byte(d.seed - 1), byte(d.steps), byte(math.Round(d.churn*200) - 1), byte(flags),
+		byte(d.shards - 1), byte(d.workers - 1), byte(d.collectors - 1), byte(d.ases - minASes)}
+}
+
+// replay is the command line that writes the draw's universe: dumps,
+// as-rel.txt, routes.txt, journals/ and final/, for cmd/nrtm and
+// cmd/verify -changed to replay.
+func (d draw) replay() string {
+	return fmt.Sprintf("go run ./cmd/irrgen -out DIR -seed %d -ases %d -collectors %d -evolve %d -churn %g",
+		d.seed, d.ases, d.collectors, d.steps, d.churn)
+}
+
+// seeds is the tier-1 corpus. Together the draws cover the four
+// verifier configs, shards 1, 2, 4 and 7, one worker and several,
+// batched and per-registry journals, and a resync.
+var seeds = []draw{
+	// The smallest universe, where a run from an empty corpus starts.
+	decode(nil),
+	{seed: 1, ases: 60, collectors: 2, steps: 3, churn: 0.02, shards: 1, workers: 1},
+	{seed: 2, ases: 80, collectors: 2, steps: 3, churn: 0.03, shards: 2, workers: 2, perRegistry: true,
+		cfg: verify.Config{Strict: true}},
+	{seed: 3, ases: 80, collectors: 3, steps: 4, churn: 0.02, shards: 7, workers: 3, resync: true,
+		cfg: verify.Config{SkipComplexRegex: true}},
+	{seed: 5, ases: 100, collectors: 2, steps: 4, churn: 0.03, shards: 4, workers: 4, perRegistry: true, resync: true,
+		cfg: verify.Config{InterpretCommunities: true}},
+	// The stale child (PR 12): per-partition program caches that no step
+	// evicted made Reconcile at 4 shards adopt 767 stale reports of
+	// 30 475 after 8 steps of this universe.
+	{seed: 11, ases: 250, collectors: 4, steps: 8, churn: 0.02, shards: 4, workers: 2},
+	// The evicted program (PR 16): with evict recompiling nothing, after
+	// the first step's NTTCOM journal 11.9.196.0/22 [30 42 313] keeps a
+	// verified AS42→AS30 export that a fresh sweep fails on
+	// AS42:AS-CUSTOMERS — universe 7's drift, at 100 ASes and one step.
+	{seed: 21, ases: 100, collectors: 1, steps: 1, churn: 0.04, shards: 3, workers: 2, perRegistry: true},
+}
+
+// FuzzContracts runs every contract over the universe each input
+// decodes to. Tier-1 runs the seeds; scripts/verify.sh fuzzes.
+func FuzzContracts(f *testing.F) {
+	for _, d := range seeds {
+		if decode(d.bytes()) != d {
+			f.Fatalf("seed %+v decodes to %+v", d, decode(d.bytes()))
+		}
+		f.Add(d.bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p := &pass{t: t, d: decode(b), dir: t.TempDir()}
+		p.load()
+		p.base()
+		p.steps()
+	})
+}

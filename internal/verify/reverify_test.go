@@ -1,6 +1,6 @@
-// Unit tests for the incremental re-verification engine. The e2e
-// journal-driven differential lives at the repo root
-// (reverify_e2e_test.go); these cover the engine's contract directly:
+// Unit tests for the incremental re-verification engine. The
+// journal-driven differential over generated universes is
+// internal/oracle's C5; these cover the engine's contract directly:
 // config rejection, targeted invalidation matching a from-scratch
 // verification, evicted programs keeping their dependency edges, and
 // clean reconciliation.
@@ -15,17 +15,38 @@ import (
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/irr"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/prefix"
 	"rpslyzer/internal/verify"
 )
 
+// custRPSL is a database with one verifiable route, 192.0.2.0/24 over
+// [2 1 3]: AS1 exports AS-CUST to AS2 and imports AS3 and AS9.
+const custRPSL = `
+aut-num: AS1
+import: from AS3 accept AS3
+import: from AS9 accept AS9
+export: to AS2 announce AS-CUST
+
+as-set: AS-CUST
+members: AS3, AS4
+
+route: 192.0.2.0/24
+origin: AS3
+
+route: 198.51.100.0/24
+origin: AS9
+`
+
+var custRoutes = []bgpsim.Route{{Prefix: prefix.MustParse("192.0.2.0/24"), Path: []ir.ASN{2, 1, 3}}}
+
 func TestNewIncrementalRejectsConfigs(t *testing.T) {
-	sys, _ := diffCorpus(t)
-	if _, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{Eval: "interp"}); err == nil {
+	db := irr.New(core.ParseText(custRPSL, "TEST"))
+	if _, err := verify.NewIncremental(db, asrel.New(), verify.Config{Eval: "interp"}); err == nil {
 		t.Error("interp engine accepted")
 	}
-	if _, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{}); err != nil {
+	if _, err := verify.NewIncremental(db, asrel.New(), verify.Config{}); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
 }
@@ -126,29 +147,13 @@ func TestReverifyNilTouchedIsFull(t *testing.T) {
 // happened to recompile it, step 2 found the as-set without dependents,
 // dirtied nothing, and AS1's export check stayed verified.
 func TestEvictedProgramKeepsItsEdges(t *testing.T) {
-	x := core.ParseText(`
-aut-num: AS1
-import: from AS3 accept AS3
-import: from AS9 accept AS9
-export: to AS2 announce AS-CUST
-
-as-set: AS-CUST
-members: AS3, AS4
-
-route: 192.0.2.0/24
-origin: AS3
-
-route: 198.51.100.0/24
-origin: AS9
-`, "TEST")
-	mir := nrtm.NewMirror(x, nil, nil)
+	mir := nrtm.NewMirror(core.ParseText(custRPSL, "TEST"), nil, nil)
 	rels := asrel.New()
-	routes := []bgpsim.Route{{Prefix: prefix.MustParse("192.0.2.0/24"), Path: []ir.ASN{2, 1, 3}}}
 	inc, err := verify.NewIncremental(mir.DB(), rels, verify.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc.Init(routes, 1)
+	inc.Init(custRoutes, 1)
 	exportOf := func() verify.Status {
 		for _, c := range inc.Reports()[0].Checks {
 			if c.From == 1 && c.To == 2 && c.Dir == ir.DirExport {
@@ -182,41 +187,18 @@ origin: AS9
 	if st := exportOf(); st == verify.Verified {
 		t.Errorf("AS1 export still verified after AS3 left AS-CUST")
 	}
-	fresh := verify.New(mir.DB(), rels, verify.Config{}).VerifyAll(routes, 1)
-	assertSameReports(t, inc.Reports(), fresh, routes)
+	fresh := verify.New(mir.DB(), rels, verify.Config{}).VerifyAll(custRoutes, 1)
+	assertSameReports(t, inc.Reports(), fresh, custRoutes)
 }
 
 func TestAffectedASes(t *testing.T) {
-	sys, routes := diffCorpus(t)
-	inc, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{})
+	inc, err := verify.NewIncremental(irr.New(core.ParseText(custRPSL, "TEST")), asrel.New(), verify.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var idx int32 = -1
-	for i, r := range routes {
-		if !r.HasASSet && len(r.Path) > 1 {
-			idx = int32(i)
-			break
-		}
-	}
-	if idx < 0 {
-		t.Skip("no verifiable route")
-	}
-	inc.Init(routes, 0)
-	ases := inc.AffectedASes([]int32{idx})
-	if len(ases) == 0 {
-		t.Fatal("no affected ASes for a verifiable route")
-	}
-	for _, asn := range routes[idx].Path {
-		found := false
-		for _, a := range ases {
-			if a == asn {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("path AS%d missing from affected set %v", uint32(asn), ases)
-		}
+	inc.Init(custRoutes, 1)
+	if got := inc.AffectedASes([]int32{0}); !slices.Equal(got, []ir.ASN{1, 2, 3}) {
+		t.Errorf("affected ASes of the route over [2 1 3] = %v, want [1 2 3]", got)
 	}
 }
 

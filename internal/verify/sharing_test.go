@@ -5,7 +5,6 @@
 package verify_test
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
-	"rpslyzer/internal/report"
 	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/verify"
 )
@@ -109,19 +107,11 @@ func checkCounters(t *testing.T, what string, m *verify.Metrics, w sweepWork, re
 	}
 }
 
-func renderAll(t *testing.T, reports []verify.RouteReport) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := report.WriteJSONL(&buf, reports); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestSharingMatchesKeyedMemo runs the bulk drivers over several
 // generated universes at 1, 2 and 8 partitions: the pairs a sweep
-// copies are exactly the repeated keys, the counters are exact, and
-// the reports are those of VerifyRoute, which shares nothing.
+// copies are exactly the repeated keys a keyed memo would serve, and the
+// counters are exact. That the reports are VerifyRoute's, which shares
+// nothing, is internal/oracle's C3.
 func TestSharingMatchesKeyedMemo(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 5, 8} {
 		sys, err := core.BuildSynthetic(core.Options{Seed: seed, ASes: 80, Collectors: 3})
@@ -134,48 +124,27 @@ func TestSharingMatchesKeyedMemo(t *testing.T) {
 			t.Fatalf("seed %d: corpus has %d repeated keys and %d ignored routes; the test needs both", seed, w.repeats, w.ignored)
 		}
 
-		oracle := verify.New(sys.DB, sys.Rels, verify.Config{})
-		om := verify.NewMetrics(telemetry.NewRegistry("oracle"))
-		oracle.SetMetrics(om)
-		want := make([]verify.RouteReport, len(routes))
+		v := verify.New(sys.DB, sys.Rels, verify.Config{})
+		m := verify.NewMetrics(telemetry.NewRegistry("single"))
+		v.SetMetrics(m)
+		single := make([]verify.RouteReport, len(routes))
 		for i := range routes {
-			want[i] = oracle.VerifyRoute(routes[i])
+			single[i] = v.VerifyRoute(routes[i])
 		}
-		checkCounters(t, fmt.Sprintf("seed %d VerifyRoute", seed), om, countSweep(sys.DB, routes, false), want, true)
-		wantJSON := renderAll(t, want)
-		wantSet := make(map[string]int)
-		for _, rep := range want {
-			wantSet[rep.Route.Prefix.String()+"|"+renderReport(rep)]++
-		}
+		checkCounters(t, fmt.Sprintf("seed %d VerifyRoute", seed), m, countSweep(sys.DB, routes, false), single, true)
 
 		for _, shards := range []int{1, 2, 8} {
 			what := fmt.Sprintf("seed %d shards %d", seed, shards)
 			v := verify.New(sys.DB, sys.Rels, verify.Config{Shards: shards})
 			m := verify.NewMetrics(telemetry.NewRegistry("all"))
 			v.SetMetrics(m)
-			got := v.VerifyAll(routes, 0)
-			if !bytes.Equal(renderAll(t, got), wantJSON) {
-				t.Fatalf("%s: VerifyAll differs from VerifyRoute", what)
-			}
-			checkCounters(t, what+" VerifyAll", m, w, got, shards == 1)
+			checkCounters(t, what+" VerifyAll", m, w, v.VerifyAll(routes, 0), shards == 1)
 
 			v = verify.New(sys.DB, sys.Rels, verify.Config{Shards: shards})
 			m = verify.NewMetrics(telemetry.NewRegistry("stream"))
 			v.SetMetrics(m)
-			gotSet := make(map[string]int)
 			var streamed []verify.RouteReport
-			v.VerifyStream(routes, 0, func(rep verify.RouteReport) {
-				gotSet[rep.Route.Prefix.String()+"|"+renderReport(rep)]++
-				streamed = append(streamed, rep)
-			})
-			if len(streamed) != len(routes) {
-				t.Fatalf("%s: VerifyStream delivered %d reports for %d routes", what, len(streamed), len(routes))
-			}
-			for key, n := range wantSet {
-				if gotSet[key] != n {
-					t.Fatalf("%s: VerifyStream delivered %d of %q, want %d", what, gotSet[key], key, n)
-				}
-			}
+			v.VerifyStream(routes, 0, func(rep verify.RouteReport) { streamed = append(streamed, rep) })
 			checkCounters(t, what+" VerifyStream", m, w, streamed, shards == 1)
 		}
 	}

@@ -2,7 +2,8 @@
 // reportd-style pipeline — evolve the registry universe, export NRTM
 // journals, apply them to a mirror, Reverify with the apply's touched
 // keys — must produce byte-identical JSONL reports to a from-scratch
-// VerifyAll against the same snapshot, after every one of 20+ steps.
+// VerifyAll against the same snapshot, after every one of 20+ steps
+// (internal/oracle's C5 holds the same on every generated draw).
 // A second test races API reads against the apply/reverify/swap loop
 // (meaningful under -race, which scripts/verify.sh runs).
 package rpslyzer
@@ -44,18 +45,13 @@ func TestIncrementalReverifyMatchesFullOverJournals(t *testing.T) {
 		seed                   int64
 		ases, collectors, step int
 		churn                  float64
-		// perRegistry applies each registry's journal as its own step, in
-		// file-name order, the way nrtm.Poll does; otherwise a step is one
-		// batch of every registry's journal.
-		perRegistry bool
 	}{
 		{name: "seed11-250as", seed: 11, ases: 250, collectors: 4, step: reverifySteps, churn: 0.02},
 		// bench/'s corpus-2k at universe 7, the only universe on which
-		// incremental and full ever disagreed (32 of 398 164 routes after
-		// journal 26): a program evicted by journal 16 through a key that
-		// dirtied none of its routes had lost its dependency edges by the
-		// time journal 26 shrank an as-set it filters on.
-		{name: "seed7-2000as", seed: 7, ases: 2000, collectors: 8, step: 2, churn: 0.01, perRegistry: true},
+		// incremental and full ever disagreed, was a 2 000-AS case here;
+		// its evict bug is now pinned by TestEvictedProgramKeepsItsEdges
+		// and internal/oracle's evicted-program seeds, and per-registry
+		// applies by the oracle's per-registry draws.
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, err := core.BuildSynthetic(core.Options{Seed: tc.seed, ASes: tc.ases, Collectors: tc.collectors})
@@ -85,40 +81,22 @@ func TestIncrementalReverifyMatchesFullOverJournals(t *testing.T) {
 				if diff.Empty() {
 					t.Fatalf("step %d: evolution produced no changes", step)
 				}
-				journals := diff.ToJournals(prev, next, serials)
-				batches := [][]*nrtm.Journal{journals}
-				if tc.perRegistry {
-					batches = nil
-					for _, j := range journals {
-						batches = append(batches, []*nrtm.Journal{j})
-					}
+				keys, err := mir.ApplyAllKeys(diff.ToJournals(prev, next, serials))
+				if err != nil {
+					t.Fatalf("step %d: apply: %v", step, err)
 				}
-				var res verify.ReverifyResult
-				for _, batch := range batches {
-					keys, err := mir.ApplyAllKeys(batch)
-					if err != nil {
-						t.Fatalf("step %d: apply: %v", step, err)
-					}
-					res = inc.Reverify(mir.DB(), keys, 0, nil)
-					if res.Full {
-						t.Fatalf("step %d: incremental step fell back to full", step)
-					}
-					if res.Routes > 0 && res.Routes < len(routes) {
-						sawPartial = true
-					}
+				res := inc.Reverify(mir.DB(), keys, 0, nil)
+				if res.Full {
+					t.Fatalf("step %d: incremental step fell back to full", step)
+				}
+				if res.Routes > 0 && res.Routes < len(routes) {
+					sawPartial = true
 				}
 
 				fresh := verify.New(mir.DB(), sys.Rels, verify.Config{}).VerifyAll(routes, 0)
-				// Rendered a slice at a time: the 2 000-AS corpus is half a
-				// gigabyte of JSONL per side.
-				const chunk = 1 << 14
-				for lo := 0; lo < len(routes); lo += chunk {
-					hi := min(lo+chunk, len(routes))
-					got, want := reportsJSONL(t, inc.Reports()[lo:hi]), reportsJSONL(t, fresh[lo:hi])
-					if !bytes.Equal(got, want) {
-						t.Fatalf("step %d (last apply: %d keys, %d programs, %d routes re-verified): incremental JSONL diverged from full verification in routes [%d,%d)\n%s",
-							step, res.TouchedKeys, len(res.Programs), res.Routes, lo, hi, firstJSONLDiff(got, want))
-					}
+				if got, want := reportsJSONL(t, inc.Reports()), reportsJSONL(t, fresh); !bytes.Equal(got, want) {
+					t.Fatalf("step %d (%d keys, %d programs, %d routes re-verified): incremental JSONL diverged from full verification\n%s",
+						step, res.TouchedKeys, len(res.Programs), res.Routes, firstJSONLDiff(got, want))
 				}
 				prev = next
 			}

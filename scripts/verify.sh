@@ -11,39 +11,47 @@
 #      freeze retain per route)
 #   5. the same tests under the race detector — the ingestion pipeline
 #      and the verifier's caches are concurrent, so a green run here is
-#      part of the contract, not an extra (internal/verify and the
-#      root package each take 12 minutes under it on a 2-CPU host,
-#      hence the timeout) — then every package's
-#      concurrency contracts (singleflight collapse, hot-swap races in
+#      part of the contract, not an extra (on a 2-CPU host
+#      internal/verify takes 404 s under it, the root package 171 s
+#      and internal/oracle 59–73 s, hence the timeout) — then every
+#      package's concurrency contracts (singleflight collapse, hot-swap races in
 #      the API and whois servers, a snapshot freeze beside API renders,
 #      concurrent verification, tracing and metrics) 20 times over, so
 #      they are pinned by repetition
-#   6. fuzz — ten seconds each of the ingest path's three fuzz targets:
+#   6. any core count — the differential oracle's seed corpus
+#      (FuzzContracts in internal/oracle: every equivalence contract
+#      over one generated universe per draw) at GOMAXPROCS 1, 2 and 4,
+#      which move every default partition and worker count
+#   7. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
 #      (FuzzReaderMatchesReference) and chunked against whole-dump
 #      parsing at any chunk size (FuzzSplitDump); and of the store
 #      freeze, one-shot and streamed, against its maps-and-sort
 #      reference over reports whose reason lists alias, nest and repeat
-#      (FuzzFreeze)
-#   7. gate benchmarks — the two timing ratios no bench/ probe records
+#      (FuzzFreeze); then the oracle's long budget, a minute of
+#      FuzzContracts — a failing draw lands, minimized, under
+#      internal/oracle/testdata/fuzz/FuzzContracts/
+#   8. gate benchmarks — the two timing ratios no bench/ probe records
 #      yet, each computed and asserted by its own benchmark: one
 #      incremental step >= 20x faster than verifying every route
 #      (BenchmarkReverify), and reportd's instrumentation within its
 #      bound of the bare sweep (BenchmarkVerifyAllTraced)
-#   8. shard smoke — the end-to-end shard-count invariance test (byte-
-#      identical verify/whois/API output at -shards=1/2/4/7) and the
-#      origin-hash imbalance bound (<= 2x), run by name for the record
-#   9. mirror smoke — generate a universe plus 3 evolution steps of
+#   9. named smoke — the oracle's seed corpus (FuzzContracts) and the
+#      origin-hash imbalance bound (TestShardImbalanceBounded, <= 2x),
+#      run by name for the record; the step fails unless each name
+#      prints its own --- PASS line, so a name that stops matching
+#      cannot pass by running nothing
+#  10. mirror smoke — generate a universe plus 3 evolution steps of
 #      journals, replay them with cmd/nrtm, and prove the mirrored
 #      database renders identically to the final snapshot's dumps
-#  10. trace smoke — reportd -mirror over the generated universe, driven
+#  11. trace smoke — reportd -mirror over the generated universe, driven
 #      by apiload (which exits non-zero past its -max-error-rate), then
 #      scraped: /debug/trace/summary answers, /debug/trace/slowest holds
 #      the boot and a journal under the benchmark's layer names
 #      (core.load_dumps, reportstore.swap, verify.reverify), /metrics
 #      exposes rpslyzer_build_info, and /healthz reports healthy
-#  11. bench smoke — bench/ still compiles against the tree and its
+#  12. bench smoke — bench/ still compiles against the tree and its
 #      smallest run passes (go vet ./bench && go run ./bench -smoke)
 #
 # Timings and their trajectory are bench/'s (go run ./bench, committed
@@ -80,21 +88,30 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzFreeze: 10s each)"
+echo "== any core count (FuzzContracts seed corpus at -cpu 1,2,4)"
+go test -cpu 1,2,4 -run '^FuzzContracts$' ./internal/oracle
+
+echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzFreeze: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzReaderMatchesReference$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
+go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 
 echo "== gate benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced)"
 go test -run '^$' -bench '^(BenchmarkReverify|BenchmarkVerifyAllTraced)$' -benchtime 1x .
 
-echo "== shard smoke (count invariance + imbalance bound)"
-# Re-run the two shard contracts by name so a verify.sh transcript
-# shows them explicitly: byte-identical output at -shards=1/2/4/7 and
-# origin-hash imbalance <= 2x on the standard corpus.
-shard_out=$(go test -run '^(TestShardCountInvarianceEndToEnd|TestShardImbalanceBounded)$' -v .)
-echo "$shard_out" | grep -E '^(--- PASS|ok)'
+echo "== named smoke (FuzzContracts seed corpus + imbalance bound)"
+# go test -run prints "no tests to run" and then ok when a name matches
+# nothing, so each name must print its own PASS line.
+named_out=$(go test -count=1 -run '^(FuzzContracts|TestShardImbalanceBounded)$' -v ./internal/oracle .)
+for name in FuzzContracts TestShardImbalanceBounded; do
+    if ! echo "$named_out" | grep -q "^--- PASS: $name "; then
+        echo "$name printed no --- PASS line" >&2
+        exit 1
+    fi
+    echo "--- PASS: $name"
+done
 
 echo "== mirror smoke (irrgen -evolve 3 + cmd/nrtm replay)"
 go run ./cmd/irrgen -out "$smoke" -ases 300 -seed 42 -evolve 3 > "$smoke/irrgen.out"
@@ -110,7 +127,7 @@ go build -o "$smoke/reportd" ./cmd/reportd
     -listen 127.0.0.1:0 -metrics-addr 127.0.0.1:0 -addr-file "$smoke/addrs" \
     > "$smoke/reportd.out" 2>&1 &
 reportd_pid=$!
-trap 'kill "$reportd_pid" 2>/dev/null; rm -rf "$smoke"' EXIT
+trap 'kill "$reportd_pid" 2>/dev/null || true; rm -rf "$smoke"' EXIT
 tries=0
 while [ ! -s "$smoke/addrs" ]; do
     tries=$((tries + 1))

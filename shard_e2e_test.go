@@ -1,4 +1,5 @@
-// System-level contract of the sharded core: over the full 13-registry
+// System-level contract of the sharded core (internal/oracle's C4 and
+// C7 hold it on every generated draw): over the full 13-registry
 // synthetic corpus, the verify JSONL stream, every whois/irrd response,
 // and the report-store API bodies must be byte-identical at -shards=1,
 // 2, 4, and 7 — sharding is a layout choice, never a semantic one. A
@@ -261,7 +262,10 @@ func TestConcurrentShardedJournalApplyDuringAPIReads(t *testing.T) {
 // corpus's route objects across shards with a peak-to-mean ratio of at
 // most 2x at every shard count the tools default to.
 func TestShardImbalanceBounded(t *testing.T) {
-	sys, _ := buildShardedSystem(t, 1)
+	sys, err := core.BuildSynthetic(core.Options{Seed: 19, ASes: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
 	origins := make([]ir.ASN, 0, len(sys.IR.Routes))
 	for _, r := range sys.IR.Routes {
 		origins = append(origins, r.Origin)
