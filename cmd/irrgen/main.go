@@ -1,6 +1,8 @@
 // Command irrgen generates the synthetic universe: an AS topology, the
 // 13 IRR dumps, the ground-truth AS-relationship file (CAIDA format),
-// and the BGP route dumps observed by the collectors.
+// and the BGP route dumps observed by the collectors. Each registry's
+// dump streams to disk as it is generated, so corpus size is bounded
+// by disk, not memory.
 //
 // Usage:
 //
@@ -10,82 +12,71 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/evolve"
+	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/telemetry"
 )
 
 func main() {
-	var (
-		out        = flag.String("out", "data", "output directory")
-		ases       = flag.Int("ases", 2000, "number of ASes in the topology")
-		collectors = flag.Int("collectors", 20, "number of BGP collectors")
-		seed       = flag.Int64("seed", 42, "deterministic seed")
-		writeMRT   = flag.Bool("mrt", false, "also write routes.mrt in MRT TABLE_DUMP_V2 format")
-		evolveN    = flag.Int("evolve", 0, "also emit N evolution steps as NRTM journals under <out>/journals, with the final snapshot's dumps under <out>/final")
-		churn      = flag.Float64("churn", 0.01, "per-step policy and set churn fraction for -evolve (route add/withdraw run at half this rate)")
-		stream     = flag.Bool("stream", false, "stream dumps to disk as they generate instead of building them in memory (large corpora; incompatible with -mrt and -evolve)")
-	)
-	flag.Parse()
 	telemetry.SetupLogger("irrgen", nil)
-
-	if *stream {
-		if *writeMRT || *evolveN > 0 {
-			telemetry.Fatal("-stream is incompatible with -mrt and -evolve (both need the universe in memory)")
-		}
-		sizes, nroutes, err := core.WriteUniverseStream(
-			core.Options{Seed: *seed, ASes: *ases}, *collectors, *seed, *out)
-		if err != nil {
-			telemetry.Fatal("stream write failed", "err", err)
-		}
-		var total int64
-		for _, sz := range sizes {
-			total += sz
-		}
-		fmt.Fprintf(os.Stdout, "streamed %d IRR dumps (%.1f MiB), as-rel.txt, and %d routes to %s\n",
-			len(sizes), float64(total)/(1<<20), nroutes, *out)
-		return
-	}
-
-	sys, err := core.BuildSynthetic(core.Options{Seed: *seed, ASes: *ases})
-	if err != nil {
-		telemetry.Fatal("build failed", "err", err)
-	}
-	routes := sys.CollectRoutes(*collectors, *seed)
-	if err := core.WriteUniverse(sys, routes, *out); err != nil {
-		telemetry.Fatal("write universe failed", "err", err)
-	}
-	if *writeMRT {
-		if err := core.WriteRoutesMRT(filepath.Join(*out, "routes.mrt"), routes); err != nil {
-			telemetry.Fatal("write MRT failed", "err", err)
-		}
-	}
-	fmt.Fprintf(os.Stdout, "wrote %d IRR dumps, as-rel.txt, and %d routes to %s\n",
-		len(sys.DumpSizes), len(routes), *out)
-	var total int64
-	for _, sz := range sys.DumpSizes {
-		total += sz
-	}
-	fmt.Fprintf(os.Stdout, "total dump size: %.1f MiB; ASes: %d; aut-nums: %d; route objects: %d\n",
-		float64(total)/(1<<20), len(sys.Topo.Order), len(sys.IR.AutNums), len(sys.IR.Routes))
-
-	if *evolveN > 0 {
-		if err := emitEvolution(sys, *out, *evolveN, *seed, *churn); err != nil {
-			telemetry.Fatal("evolve failed", "err", err)
-		}
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		telemetry.Fatal("irrgen failed", "err", err)
 	}
 }
 
-// emitEvolution mutates the generated universe steps times, writing
-// one journal per affected registry and step under <out>/journals
-// (named so a lexical sort replays them in order) and the final
-// snapshot's dumps under <out>/final.
-func emitEvolution(sys *core.System, out string, steps int, seed int64, churn float64) error {
+// run is the whole command: args are the command line without the
+// program name, and the summary goes to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("irrgen", flag.ExitOnError)
+	var (
+		out        = fs.String("out", "data", "output directory")
+		ases       = fs.Int("ases", 2000, "number of ASes in the topology")
+		collectors = fs.Int("collectors", 20, "number of BGP collectors")
+		seed       = fs.Int64("seed", 42, "deterministic seed")
+		writeMRT   = fs.Bool("mrt", false, "also write routes.mrt in MRT TABLE_DUMP_V2 format")
+		evolveN    = fs.Int("evolve", 0, "also emit N evolution steps as NRTM journals under <out>/journals, with the final snapshot's dumps under <out>/final")
+		churn      = fs.Float64("churn", 0.01, "per-step policy and set churn fraction for -evolve (route add/withdraw run at half this rate)")
+	)
+	fs.Parse(args)
+
+	u, routes, err := core.WriteUniverseStream(core.Options{Seed: *seed, ASes: *ases}, *collectors, *seed, *out)
+	if err != nil {
+		return err
+	}
+	if *writeMRT {
+		if err := core.WriteRoutesMRT(filepath.Join(*out, "routes.mrt"), routes); err != nil {
+			return err
+		}
+	}
+	var total int64
+	for _, sz := range u.DumpSizes() {
+		total += sz
+	}
+	fmt.Fprintf(stdout, "wrote %d IRR dumps (%.1f MiB), as-rel.txt, and %d routes over %d ASes to %s\n",
+		len(irrgen.IRRs), float64(total)/(1<<20), len(routes), len(u.Topo.Order), *out)
+
+	if *evolveN > 0 {
+		x, _, err := core.LoadDumpDir(*out)
+		if err != nil {
+			return err
+		}
+		return emitEvolution(stdout, x, *out, *evolveN, *seed, *churn)
+	}
+	return nil
+}
+
+// emitEvolution mutates the universe read back from out steps times,
+// writing one journal per affected registry and step under
+// <out>/journals (named so a lexical sort replays them in order) and
+// the final snapshot's dumps under <out>/final.
+func emitEvolution(stdout io.Writer, prev *ir.IR, out string, steps int, seed int64, churn float64) error {
 	jdir := filepath.Join(out, "journals")
 	if err := os.MkdirAll(jdir, 0o755); err != nil {
 		return err
@@ -98,7 +89,6 @@ func emitEvolution(sys *core.System, out string, steps int, seed int64, churn fl
 		RouteWithdrawFrac: churn / 2,
 	}
 	serials := make(map[string]uint64)
-	prev := sys.IR
 	journals := 0
 	for step := 1; step <= steps; step++ {
 		next := irrgen.Evolve(prev, step, cfg)
@@ -115,7 +105,7 @@ func emitEvolution(sys *core.System, out string, steps int, seed int64, churn fl
 	if err := core.WriteIRDumps(filepath.Join(out, "final"), prev); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stdout, "evolved %d steps: %d journals in %s, final dumps in %s\n",
+	fmt.Fprintf(stdout, "evolved %d steps: %d journals in %s, final dumps in %s\n",
 		steps, journals, jdir, filepath.Join(out, "final"))
 	return nil
 }

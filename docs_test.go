@@ -25,8 +25,12 @@ var (
 	docMetric = regexp.MustCompile(`rpslyzer_(?:[a-z0-9_]|\*|\{[a-z0-9_,]+\})*`)
 	docDebug  = regexp.MustCompile(`/debug/[a-z]+(?:/[a-z]+)*/?`)
 	docChoice = regexp.MustCompile(`\{([a-z0-9_,]+)\}`)
-	docTest   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	docTest   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*\*?`)
 	declTest  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	docDir    = regexp.MustCompile(`\b(?:cmd|examples)/[a-z0-9_]+`)
+
+	// The documents that name tests, commands and examples.
+	citingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "scripts/verify.sh"}
 )
 
 // TestDocsNameWhatIsServed holds the operator-facing documents to the
@@ -123,10 +127,10 @@ func TestDocsNameWhatIsServed(t *testing.T) {
 }
 
 // TestDocsNameDeclaredTests holds every Test…, Fuzz… or Benchmark… name
-// that README.md, DESIGN.md, the verify skill and scripts/verify.sh cite
-// to a declaration in some _test.go file: a test deleted or renamed and
-// left in the docs fails here, and so does a CI step that would run it
-// by name and match nothing.
+// that citingDocs cite to a declaration in some _test.go file (a name
+// ending in * to at least one declaration it prefixes): a test deleted
+// or renamed and left in the docs fails here, and so does a CI step
+// that would run it by name and match nothing.
 func TestDocsNameDeclaredTests(t *testing.T) {
 	declared := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -150,14 +154,39 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md", "scripts/verify.sh"} {
+	prefixes := func(prefix string) bool {
+		for name := range declared {
+			if strings.HasPrefix(name, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range citingDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range docTest.FindAllString(string(raw), -1) {
-			if !declared[name] {
+			if prefix, ok := strings.CutSuffix(name, "*"); ok && !prefixes(prefix) || !ok && !declared[name] {
 				t.Errorf("%s names %s, which no _test.go file declares", doc, name)
+			}
+		}
+	}
+}
+
+// TestDocsNameExistingDirs holds every cmd/<name> and examples/<name>
+// that citingDocs cite to a directory: a command or example deleted and
+// left in the docs fails here.
+func TestDocsNameExistingDirs(t *testing.T) {
+	for _, doc := range citingDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range docDir.FindAllString(string(raw), -1) {
+			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+				t.Errorf("%s names %s, which is not a directory", doc, dir)
 			}
 		}
 	}

@@ -65,13 +65,14 @@ func WriteUniverse(sys *System, routes []bgpsim.Route, dir string) error {
 // writer to "<irr>.db" as it is generated. The topology, ground-truth
 // relationships ("as-rel.txt"), and collected routes ("routes.txt",
 // collectors/routeSeed as in System.CollectRoutes) are written the
-// same as WriteUniverse. This is the large-corpus path: peak heap is
-// the topology plus one route table, not the multi-GiB dump text.
-// It returns per-IRR dump sizes and the number of routes written.
-func WriteUniverseStream(opts Options, collectors int, routeSeed int64, dir string) (map[string]int64, int, error) {
+// same as WriteUniverse. Peak heap is the topology plus one route
+// table, not the multi-GiB dump text. It returns the universe, whose
+// Topo, Profiles and DumpSizes are the generator's ground truth, and
+// the routes it wrote.
+func WriteUniverseStream(opts Options, collectors int, routeSeed int64, dir string) (*irrgen.Universe, []bgpsim.Route, error) {
 	opts.fill()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	topo := topology.Generate(opts.Topo)
 
@@ -96,7 +97,7 @@ func WriteUniverseStream(opts Options, collectors int, routeSeed int64, dir stri
 	})
 	if err != nil {
 		closeAll()
-		return nil, 0, err
+		return nil, nil, err
 	}
 	for i, w := range bufs {
 		if err := w.Flush(); err == nil {
@@ -105,36 +106,36 @@ func WriteUniverseStream(opts Options, collectors int, routeSeed int64, dir stri
 		}
 		if err != nil {
 			closeAll()
-			return nil, 0, err
+			return nil, nil, err
 		}
 	}
 
 	relF, err := os.Create(filepath.Join(dir, "as-rel.txt"))
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if err := topo.Rels.WriteCAIDA(relF); err != nil {
 		relF.Close()
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if err := relF.Close(); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 
 	sim := bgpsim.NewSimulator(topo)
 	routes := sim.CollectRoutes(sim.DefaultCollectors(collectors), bgpsim.Options{Seed: routeSeed})
 	rf, err := os.Create(filepath.Join(dir, "routes.txt"))
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if err := bgpsim.WriteDump(rf, routes); err != nil {
 		rf.Close()
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if err := rf.Close(); err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	return u.DumpSizes(), len(routes), nil
+	return u, routes, nil
 }
 
 // WriteIRDumps renders x as per-registry RPSL dumps in dir, one

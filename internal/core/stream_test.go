@@ -3,13 +3,15 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // TestWriteUniverseStreamMatchesInMemory holds the streaming
 // generator to the in-memory one byte for byte: same seed and size
 // must produce identical dump, relationship, and route files whether
-// the corpus was materialized or streamed.
+// the corpus was materialized or streamed, and the streamed universe
+// returns the same routes and ground truth.
 func TestWriteUniverseStreamMatchesInMemory(t *testing.T) {
 	opts := Options{Seed: 77, ASes: 150}
 	const collectors = 3
@@ -25,13 +27,17 @@ func TestWriteUniverseStreamMatchesInMemory(t *testing.T) {
 	}
 
 	streamDir := t.TempDir()
-	sizes, nroutes, err := WriteUniverseStream(opts, collectors, opts.Seed, streamDir)
+	u, streamed, err := WriteUniverseStream(opts, collectors, opts.Seed, streamDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nroutes != len(routes) {
-		t.Errorf("streamed %d routes, in-memory collected %d", nroutes, len(routes))
+	if !reflect.DeepEqual(streamed, routes) {
+		t.Errorf("streamed %d routes, in-memory collected %d, or they differ", len(streamed), len(routes))
 	}
+	if !reflect.DeepEqual(u.Profiles, sys.Universe.Profiles) || !reflect.DeepEqual(u.Topo.Order, sys.Topo.Order) {
+		t.Error("the streamed universe's ground truth differs from the in-memory one's")
+	}
+	sizes := u.DumpSizes()
 
 	memFiles, err := os.ReadDir(memDir)
 	if err != nil {

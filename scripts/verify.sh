@@ -43,15 +43,19 @@
 #      prints its own --- PASS line, so a name that stops matching
 #      cannot pass by running nothing
 #  10. mirror smoke — generate a universe plus 3 evolution steps of
-#      journals, replay them with cmd/nrtm, and prove the mirrored
-#      database renders identically to the final snapshot's dumps
-#  11. trace smoke — reportd -mirror over the generated universe, driven
+#      journals and an MRT route dump, replay the journals with
+#      cmd/nrtm, and prove the mirrored database renders identically to
+#      the final snapshot's dumps
+#  11. corpus smoke — cmd/experiments -corpus over that universe: every
+#      row heading prints, and every row that needs the generator
+#      prints its skip line instead of a body
+#  12. trace smoke — reportd -mirror over the generated universe, driven
 #      by apiload (which exits non-zero past its -max-error-rate), then
 #      scraped: /debug/trace/summary answers, /debug/trace/slowest holds
 #      the boot and a journal under the benchmark's layer names
 #      (core.load_dumps, reportstore.swap, verify.reverify), /metrics
 #      exposes rpslyzer_build_info, and /healthz reports healthy
-#  12. bench smoke — bench/ still compiles against the tree and its
+#  13. bench smoke — bench/ still compiles against the tree and its
 #      smallest run passes (go vet ./bench && go run ./bench -smoke)
 #
 # Timings and their trajectory are bench/'s (go run ./bench, committed
@@ -113,12 +117,29 @@ for name in FuzzContracts TestShardImbalanceBounded; do
     echo "--- PASS: $name"
 done
 
-echo "== mirror smoke (irrgen -evolve 3 + cmd/nrtm replay)"
-go run ./cmd/irrgen -out "$smoke" -ases 300 -seed 42 -evolve 3 > "$smoke/irrgen.out"
+echo "== mirror smoke (irrgen -evolve 3 -mrt + cmd/nrtm replay)"
+go run ./cmd/irrgen -out "$smoke" -ases 300 -seed 42 -evolve 3 -mrt > "$smoke/irrgen.out"
 go run ./cmd/nrtm -dumps "$smoke" -journals "$smoke/journals" -expect "$smoke/final" > "$smoke/nrtm.out"
 cat "$smoke/nrtm.out"
 grep -q "equivalence: OK" "$smoke/nrtm.out"
 grep -q "applied " "$smoke/nrtm.out"
+
+echo "== corpus smoke (experiments -corpus over the mirror smoke's universe)"
+go run ./cmd/experiments -corpus "$smoke" > "$smoke/experiments.out"
+for heading in 'Table 1' 'Table 2' 'Figure 1' 'Section 4' 'Registered vs announced' \
+    'Figure 2' 'Figure 3' 'Figure 4' 'Figure 5' 'Figure 6' 'Appendix E' 'Performance' \
+    'Extension: RPSL vs ASPA' 'Extension: ROV' 'Extension: counterfactual' \
+    'Extension: community-filter' 'Usage classification' 'Overall check statuses' 'Telemetry'; do
+    if ! grep -q "^== $heading" "$smoke/experiments.out"; then
+        echo "experiments -corpus printed no '$heading' row" >&2
+        exit 1
+    fi
+done
+skips=$(grep -c "^skipped: needs the generator's ground truth$" "$smoke/experiments.out" || true)
+if [ "$skips" -ne 6 ]; then
+    echo "experiments -corpus printed $skips skip lines, want 6" >&2
+    exit 1
+fi
 
 echo "== trace smoke (reportd -mirror + apiload + /debug/trace scrape)"
 go build -o "$smoke/reportd" ./cmd/reportd
