@@ -463,7 +463,7 @@ func recommendations(e *env) {
 	if e.err = err; err != nil {
 		return
 	}
-	ragg := rsys.VerifyRoutes(rsys.CollectRoutes(e.collectors, e.seed), 0)
+	ragg := rsys.VerifyRoutes(rsys.CollectRoutes(e.collectors, e.seed))
 	fr, rfr := e.agg.Checks.Fractions(), ragg.Checks.Fractions()
 	fmt.Fprintf(e.w, "%-12s %14s %16s\n", "status", "as-measured", "recommendations")
 	for st := verify.Verified; st <= verify.Unverified; st++ {
@@ -489,7 +489,7 @@ func communities(e *env) {
 		Seed: e.seed, CommunityFrac: 0.5, StripCommunityFrac: 0.3,
 	})
 	_, vInt := core.BuildFromIR(csys.IR, csys.Rels, verify.Config{InterpretCommunities: true})
-	aggSkip := csys.VerifyRoutes(tagged, 0)
+	aggSkip := csys.VerifyRoutes(tagged)
 	aggInt := report.NewAggregator()
 	vInt.VerifyStream(tagged, 0, aggInt.Add)
 	fmt.Fprintf(e.w, "skip mode (paper):    skip=%d verified=%d unverified=%d\n",

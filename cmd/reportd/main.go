@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"rpslyzer/internal/api"
@@ -39,7 +38,7 @@ import (
 type flags struct {
 	dumps, rels, routes, importPath, mirrorDir            string
 	listen, metricsAddr, addrFile, logLevel, traceSamples string
-	shards, reconcileEvery                                int
+	reconcileEvery                                        int
 	mirrorInterval                                        time.Duration
 	api                                                   api.Config
 	slo                                                   trace.WatchdogConfig
@@ -56,7 +55,6 @@ func parseFlags(args []string) (*flags, error) {
 	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/pprof, and /debug/trace on this address")
 	fs.StringVar(&f.addrFile, "addr-file", "", "write the bound api= and metrics= addresses to this file (for scripted smokes)")
 	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, error")
-	fs.IntVar(&f.shards, "shards", runtime.GOMAXPROCS(0), "origin-AS shards for the database and verifier, one goroutine each (reports are byte-identical at any count)")
 	fs.IntVar(&f.api.CacheEntries, "cache-entries", 8192, "response cache capacity (entries; negative disables)")
 	fs.StringVar(&f.mirrorDir, "mirror", "", "watch this directory for *.nrtm journals; re-verify what each applied journal can affect and hot-swap the store")
 	fs.DurationVar(&f.mirrorInterval, "mirror-interval", 2*time.Second, "journal directory poll interval for -mirror")
@@ -86,7 +84,7 @@ func main() {
 	if f.importPath != "" {
 		err = e.Import(f.importPath)
 	} else {
-		err = e.Boot(f.dumps, f.rels, f.routes, f.shards, f.mirrorDir != "")
+		err = e.Boot(f.dumps, f.rels, f.routes, f.mirrorDir != "")
 	}
 	if err != nil {
 		telemetry.Fatal("start-up failed", "err", err)

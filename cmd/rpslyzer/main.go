@@ -42,7 +42,6 @@ func run(args []string, reg *telemetry.Registry, stdout io.Writer) {
 		out         = fs.String("o", "", "write IR JSON to this file ('-' for stdout)")
 		renderDir   = fs.String("render", "", "re-emit the parsed IR as canonical RPSL dumps into this directory")
 		summary     = fs.Bool("summary", true, "print a parse summary")
-		workers     = fs.Int("workers", 0, "parse workers (0 = one per CPU, 1 = single worker)")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		cpuProf     = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -95,10 +94,7 @@ func run(args []string, reg *telemetry.Registry, stdout io.Writer) {
 
 	metrics := parser.NewPipelineMetrics(reg)
 	start := time.Now()
-	x, sizes, err := core.LoadDumpDirOpts(*dumps, core.LoadOptions{
-		Workers: *workers,
-		Stats:   &parser.LoadStats{Metrics: metrics},
-	})
+	x, sizes, err := core.LoadDumpDirOpts(*dumps, core.LoadOptions{Stats: &parser.LoadStats{Metrics: metrics}})
 	if err != nil {
 		if errors.Is(err, core.ErrNoDumps) {
 			telemetry.Fatal(err.Error(),
@@ -116,7 +112,7 @@ func run(args []string, reg *telemetry.Registry, stdout io.Writer) {
 		fmt.Fprintf(stdout, "parsed %.1f MiB across %d IRRs in %v\n",
 			float64(totalBytes)/(1<<20), len(sizes), elapsed.Round(time.Millisecond))
 		fmt.Fprintln(stdout, stats.ThroughputLine(metrics.BytesParsed.Value(), metrics.ObjectsParsed.Value(),
-			metrics.ChunksParsed.Value(), metrics.ParseErrors.Values(), parser.DefaultWorkers(*workers), elapsed))
+			metrics.ChunksParsed.Value(), metrics.ParseErrors.Values(), parser.DefaultWorkers(0), elapsed))
 		fmt.Fprintf(stdout, "aut-nums: %d  as-sets: %d  route-sets: %d  peering-sets: %d  filter-sets: %d  route objects: %d\n",
 			len(x.AutNums), len(x.AsSets), len(x.RouteSets), len(x.PeeringSets), len(x.FilterSets), len(x.Routes))
 		census := stats.ErrorCensus(x)

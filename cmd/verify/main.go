@@ -46,7 +46,6 @@ func main() {
 		relsPath  = flag.String("rels", "data/as-rel.txt", "CAIDA-format AS relationship file")
 		routes    = flag.String("routes", "data/routes.txt", "BGP route dump file")
 		oneRoute  = flag.String("route", "", "verify a single 'prefix|asn asn ...' route instead")
-		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "origin-AS shards for the database and verifier, one goroutine each (output is byte-identical at any count)")
 		printRep  = flag.Bool("report", false, "print per-hop reports")
 		jsonOut   = flag.String("json", "", "write per-route reports as JSON lines to this file ('-' for stdout; importable by reportd -import)")
 		paperMode = flag.Bool("paper-skips", false, "skip complex regexes like the published RPSLyzer")
@@ -91,7 +90,7 @@ func main() {
 	if err != nil {
 		telemetry.Fatal("load relationships failed", "err", err)
 	}
-	vcfg := verify.Config{SkipComplexRegex: *paperMode, Shards: *shards}
+	vcfg := verify.Config{SkipComplexRegex: *paperMode}
 	db, verifier := core.BuildFromIR(x, rels, vcfg)
 	var prof *verify.Profiler
 	if *slowest > 0 {
@@ -155,7 +154,7 @@ func main() {
 			}
 		}
 	} else {
-		verifier.VerifyStream(rts, *shards, agg.Add)
+		verifier.VerifyStream(rts, 0, agg.Add)
 	}
 	elapsed := time.Since(start)
 
@@ -163,7 +162,7 @@ func main() {
 	fr := agg.Checks.Fractions()
 	fmt.Printf("verified %d routes (%d checks) in %v (%.0f routes/s, %d shards)\n",
 		agg.Routes, total, elapsed.Round(time.Millisecond),
-		float64(agg.Routes)/elapsed.Seconds(), *shards)
+		float64(agg.Routes)/elapsed.Seconds(), db.Shards())
 	fmt.Printf("ignored: %d AS-set routes, %d single-AS routes\n", agg.IgnoredASSet, agg.IgnoredSingleAS)
 	for st := verify.Verified; st <= verify.Unverified; st++ {
 		fmt.Printf("  %-11s %9d  (%.2f%%)\n", st, agg.Checks[st], 100*fr[st])

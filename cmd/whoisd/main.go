@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"rpslyzer/internal/core"
@@ -30,7 +29,6 @@ import (
 type flags struct {
 	dumps, listen, mirrorDir            string
 	metricsAddr, logLevel, traceSamples string
-	shards                              int
 	mirrorInterval                      time.Duration
 }
 
@@ -42,7 +40,6 @@ func parseFlags(args []string) *flags {
 	fs.StringVar(&f.listen, "listen", "127.0.0.1:4343", "listen address")
 	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/pprof, and /debug/trace on this address")
 	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, error")
-	fs.IntVar(&f.shards, "shards", runtime.GOMAXPROCS(0), "origin-AS shards for the route indexes (1 = single-shard layout; responses are byte-identical at any count)")
 	fs.StringVar(&f.mirrorDir, "mirror", "", "watch this directory for *.nrtm journals and apply them incrementally")
 	fs.DurationVar(&f.mirrorInterval, "mirror-interval", 2*time.Second, "journal directory poll interval for -mirror")
 	fs.StringVar(&f.traceSamples, "trace-sample", "ingest=16,whois=64", "per-stage trace sampling as stage=N pairs (1-in-N); unlisted stages trace every operation")
@@ -55,7 +52,7 @@ func parseFlags(args []string) *flags {
 func serve(f *flags, p *daemon.Process) (*whois.Server, error) {
 	loadStats := &parser.LoadStats{Metrics: parser.NewPipelineMetrics(p.Registry), Trace: p.Tracer}
 	root := p.BootSpan()
-	db, err := daemon.LoadDB(root, f.dumps, f.shards, core.LoadOptions{Stats: loadStats})
+	db, err := daemon.LoadDB(root, f.dumps, core.LoadOptions{Stats: loadStats})
 	root.End()
 	if err != nil {
 		return nil, err

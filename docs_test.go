@@ -1,12 +1,16 @@
 package rpslyzer
 
 import (
+	"go/ast"
+	goparser "go/parser"
+	"go/token"
 	"io"
 	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +32,13 @@ var (
 	docTest   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*\*?`)
 	declTest  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	docDir    = regexp.MustCompile(`\b(?:cmd|examples)/[a-z0-9_]+`)
+
+	// A README section heading names its command first in backticks, a
+	// flag-table row its flags (`-name` or `-name ARG`) in the first cell,
+	// and a flag-defining call is one of the flag package's definers.
+	docSectionCmd = regexp.MustCompile("^## [^`]*`([a-z]+)")
+	docFlag       = regexp.MustCompile("`-([a-z][a-z0-9-]*)[` ]")
+	flagCall      = regexp.MustCompile(`^(?:String|Int|Int64|Uint|Uint64|Bool|Float64|Duration|Text|Func|BoolFunc)?(?:Var)?$`)
 
 	// The documents that name tests, commands and examples.
 	citingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", "scripts/verify.sh"}
@@ -53,7 +64,7 @@ func TestDocsNameWhatIsServed(t *testing.T) {
 	p := daemon.Start("docs_test", "error", "verify=1024,compile=16", "127.0.0.1:0")
 	defer p.Stop()
 	e := daemon.NewEngine(p, trace.NewWatchdog(trace.WatchdogConfig{}))
-	if err := e.Boot(dir, filepath.Join(dir, "as-rel.txt"), filepath.Join(dir, "routes.txt"), 2, true); err != nil {
+	if err := e.Boot(dir, filepath.Join(dir, "as-rel.txt"), filepath.Join(dir, "routes.txt"), true); err != nil {
 		t.Fatal(err)
 	}
 	e.Mirror(dir, t.TempDir(), time.Hour)
@@ -172,6 +183,81 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 				t.Errorf("%s names %s, which no _test.go file declares", doc, name)
 			}
 		}
+	}
+}
+
+// TestDocsNameDeclaredFlags holds every flag in a README flag-table row
+// to a declaration in the cmd/<name>/main.go of the command the row's
+// section heading names first: a flag deleted from a command and left
+// in its table fails here. A declaration is the first string literal of
+// a flag-defining call (flag.String, fs.IntVar, ...).
+func TestDocsNameDeclaredFlags(t *testing.T) {
+	declared := func(cmd string) map[string]bool {
+		f, err := goparser.ParseFile(token.NewFileSet(), filepath.Join("cmd", cmd, "main.go"), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !flagCall.MatchString(sel.Sel.Name) {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					names[name] = true
+					break
+				}
+			}
+			return true
+		})
+		return names
+	}
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmd string
+	var flags map[string]bool
+	rows, inTable := 0, false
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			cmd, flags = "", nil
+			if m := docSectionCmd.FindStringSubmatch(line); m != nil {
+				cmd = m[1]
+			}
+		}
+		if !strings.HasPrefix(line, "|") {
+			inTable = false
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if strings.TrimSpace(cells[1]) == "Flag" {
+			if cmd == "" {
+				t.Fatalf("README.md: a flag table under a heading that names no command: %s", line)
+			}
+			inTable, flags = true, declared(cmd)
+			continue
+		}
+		if !inTable {
+			continue
+		}
+		for _, m := range docFlag.FindAllStringSubmatch(cells[1], -1) {
+			rows++
+			if !flags[m[1]] {
+				t.Errorf("README.md's %s flag table names -%s, which cmd/%s/main.go does not declare", cmd, m[1], cmd)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("README.md has no flag-table row naming a flag")
 	}
 }
 

@@ -53,12 +53,8 @@ type Options struct {
 	// Collectors is the number of BGP route collectors (default 20,
 	// standing in for the paper's 60).
 	Collectors int
-	// Shards partitions the route database and the verifier's bulk
-	// drivers by origin-AS shard (see irr.NewSharded and
-	// verify.Config.Shards). <= 1 keeps the database in one part; an
-	// explicit Verify.Shards takes precedence for the verifier.
-	Shards int
-	// Verify tunes the verifier.
+	// Verify tunes the verifier; its Shards also partitions the route
+	// database (0: GOMAXPROCS parts, as in the daemons).
 	Verify verify.Config
 	// Gen overrides generator rates (zero fields keep paper-calibrated
 	// defaults).
@@ -82,9 +78,6 @@ func (o *Options) fill() {
 	}
 	if o.Gen.Seed == 0 {
 		o.Gen.Seed = o.Seed
-	}
-	if o.Verify.Shards == 0 {
-		o.Verify.Shards = o.Shards
 	}
 }
 
@@ -114,8 +107,7 @@ func BuildSynthetic(opts Options) (*System, error) {
 		dumps = append(dumps, Dump{Name: name, R: strings.NewReader(universe.DumpText(name))})
 	}
 	x := ParseDumps(dumps...)
-	db := irr.NewSharded(x, opts.Shards)
-	verifier := verify.New(db, topo.Rels, opts.Verify)
+	db, verifier := BuildFromIR(x, topo.Rels, opts.Verify)
 	return &System{
 		Topo:      topo,
 		Universe:  universe,
@@ -136,16 +128,16 @@ func (s *System) CollectRoutes(n int, seed int64) []bgpsim.Route {
 }
 
 // VerifyRoutes verifies routes concurrently and aggregates them.
-func (s *System) VerifyRoutes(routes []bgpsim.Route, workers int) *report.Aggregator {
+func (s *System) VerifyRoutes(routes []bgpsim.Route) *report.Aggregator {
 	agg := report.NewAggregator()
-	s.Verifier.VerifyStream(routes, workers, agg.Add)
+	s.Verifier.VerifyStream(routes, 0, agg.Add)
 	return agg
 }
 
 // BuildFromIR wires a verifier over an already-parsed IR and an
 // externally supplied relationship database (e.g. loaded from a CAIDA
 // file) — the path real-dump users take. cfg.Shards partitions the
-// database and the verifier together (one knob, same partition).
+// database and the verifier together; 0 means GOMAXPROCS parts.
 func BuildFromIR(x *ir.IR, rels *asrel.Database, cfg verify.Config) (*irr.Database, *verify.Verifier) {
 	db := irr.NewSharded(x, cfg.Shards)
 	return db, verify.New(db, rels, cfg)

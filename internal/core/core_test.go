@@ -58,7 +58,7 @@ func TestEndToEndVerification(t *testing.T) {
 	if len(routes) < 1000 {
 		t.Fatalf("routes = %d, too few", len(routes))
 	}
-	agg := sys.VerifyRoutes(routes, 4)
+	agg := sys.VerifyRoutes(routes)
 	if agg.Routes == 0 {
 		t.Fatal("no routes verified")
 	}
@@ -94,7 +94,7 @@ func TestEndToEndVerification(t *testing.T) {
 func TestEndToEndFigures(t *testing.T) {
 	sys := buildSmall(t)
 	routes := sys.CollectRoutes(6, 1)
-	agg := sys.VerifyRoutes(routes, 4)
+	agg := sys.VerifyRoutes(routes)
 
 	f2 := agg.Figure2()
 	if f2.ASes == 0 {

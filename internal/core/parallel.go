@@ -8,7 +8,7 @@ import (
 
 // LoadOptions tunes the parallel ingestion pipeline.
 type LoadOptions struct {
-	// Workers sizes the parse pool; <= 0 means one worker per CPU.
+	// Workers sizes the parse pool; <= 0 means GOMAXPROCS workers.
 	Workers int
 	// ChunkSize is the splitter's target chunk payload in bytes; <= 0
 	// keeps the default.

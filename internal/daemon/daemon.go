@@ -83,8 +83,8 @@ func Start(name, logLevel, traceSamples, metricsAddr string) *Process {
 func (p *Process) BootSpan() *trace.Span { return p.Tracer.Start("rebuild", "boot") }
 
 // LoadDB is the start-up both daemons share, under root: the dumps in
-// dir parsed as opts says, then indexed into shards origin-AS shards.
-func LoadDB(root *trace.Span, dir string, shards int, opts core.LoadOptions) (*irr.Database, error) {
+// dir parsed as opts says, then indexed into GOMAXPROCS origin-AS shards.
+func LoadDB(root *trace.Span, dir string, opts core.LoadOptions) (*irr.Database, error) {
 	sp := root.Child("core.load_dumps")
 	x, _, err := core.LoadDumpDirOpts(dir, opts)
 	sp.End()
@@ -92,7 +92,7 @@ func LoadDB(root *trace.Span, dir string, shards int, opts core.LoadOptions) (*i
 		return nil, fmt.Errorf("load dumps: %w", err)
 	}
 	sp = root.Child("irr.index")
-	db := irr.NewSharded(x, shards)
+	db := irr.NewSharded(x, 0)
 	sp.End()
 	return db, nil
 }
@@ -168,11 +168,11 @@ type Engine struct {
 	shardM   *shard.Metrics
 	rm       *reverifyMetrics
 
-	// The booted database and the verification engine over it, stepped
-	// by shards workers: kept only by a boot told that a mirror follows.
-	db              *irr.Database
-	inc             *verify.Incremental
-	shards, applies int
+	// The booted database and the verification engine over it: kept
+	// only by a boot told that a mirror follows.
+	db      *irr.Database
+	inc     *verify.Incremental
+	applies int
 }
 
 // NewEngine returns an engine with an empty store; watchdog may be nil.
@@ -223,10 +223,9 @@ func (e *Engine) Import(path string) error {
 	return nil
 }
 
-// Boot is BootCorpus over the corpus loaded from its files, the dumps
-// indexed into shards origin-AS shards, in one trace: its root runs
-// from the files on disk to the swapped snapshot.
-func (e *Engine) Boot(dumps, relsPath, routesPath string, shards int, mirror bool) error {
+// Boot is BootCorpus over the corpus loaded from its files, in one
+// trace: its root runs from the files on disk to the swapped snapshot.
+func (e *Engine) Boot(dumps, relsPath, routesPath string, mirror bool) error {
 	t0 := time.Now()
 	root := e.p.BootSpan()
 	defer root.End()
@@ -242,16 +241,16 @@ func (e *Engine) Boot(dumps, relsPath, routesPath string, shards int, mirror boo
 	if err != nil {
 		return fmt.Errorf("load routes: %w", err)
 	}
-	db, err := LoadDB(root, dumps, shards, core.LoadOptions{})
+	db, err := LoadDB(root, dumps, core.LoadOptions{})
 	if err != nil {
 		return err
 	}
-	return e.bootCorpus(root, t0, db, rels, routes, verify.Config{Shards: shards}, mirror)
+	return e.bootCorpus(root, t0, db, rels, routes, verify.Config{}, mirror)
 }
 
 // BootCorpus publishes the first snapshot of a corpus in memory: every
-// route verified, by cfg.Shards workers, through the engine each later
-// Step patches — dropped after the publish unless mirror says steps follow.
+// route verified through the engine each later Step patches — dropped
+// after the publish unless mirror says steps follow.
 func (e *Engine) BootCorpus(db *irr.Database, rels *asrel.Database, routes []bgpsim.Route, cfg verify.Config, mirror bool) error {
 	root := e.p.BootSpan()
 	defer root.End()
@@ -272,7 +271,7 @@ func (e *Engine) bootCorpus(root *trace.Span, t0 time.Time, db *irr.Database, re
 	inc.Verifier().SetTracer(e.p.Tracer)
 	inc.Verifier().SetProfiler(profiler)
 	inc.Verifier().SetShardMetrics(e.shardM)
-	inc.Init(routes, cfg.Shards)
+	inc.Init(routes, 0)
 	sp.End()
 
 	stats := inc.GraphStats()
@@ -284,7 +283,7 @@ func (e *Engine) bootCorpus(root *trace.Span, t0 time.Time, db *irr.Database, re
 	if !mirror {
 		return nil
 	}
-	e.db, e.inc, e.shards, e.rm = db, inc, cfg.Shards, newReverifyMetrics(e.p.Registry)
+	e.db, e.inc, e.rm = db, inc, newReverifyMetrics(e.p.Registry)
 	e.p.Registry.GaugeFunc("rpslyzer_depgraph_programs",
 		"Compiled programs registered in the dependency graph.",
 		func() float64 { return float64(inc.GraphStats().Programs) })
@@ -314,7 +313,7 @@ func (e *Engine) Step(db *irr.Database, keys []depgraph.Key, parent *trace.Span)
 	e.shardM.ObservePlan(db.ShardRouteCounts())
 	root := trace.StartOrChild(e.p.Tracer, parent, "rebuild", "step")
 	sp := root.Child("verify.reverify")
-	res := e.inc.Reverify(db, keys, e.shards, sp)
+	res := e.inc.Reverify(db, keys, 0, sp)
 	sp.End()
 	rm := e.rm
 	rm.routes.Add(int64(res.Routes))
@@ -327,7 +326,7 @@ func (e *Engine) Step(db *irr.Database, keys []depgraph.Key, parent *trace.Span)
 	e.applies++
 	if e.ReconcileEvery > 0 && !res.Full && e.applies%e.ReconcileEvery == 0 {
 		rc := root.Child("reconcile")
-		rec := e.inc.Reconcile(e.shards)
+		rec := e.inc.Reconcile(0)
 		rc.SetInt("drift", int64(rec.Drift)).End()
 		rm.reconciles.Inc()
 		rm.drift.Add(int64(rec.Drift))

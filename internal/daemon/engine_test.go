@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -84,7 +83,7 @@ func boot(t *testing.T, args ...string) *Engine {
 	if importPath != "" {
 		err = e.Import(importPath)
 	} else {
-		err = e.Boot(dumps, rels, routes, runtime.GOMAXPROCS(0), mirrorDir != "")
+		err = e.Boot(dumps, rels, routes, mirrorDir != "")
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +306,7 @@ func TestSpanVocabulary(t *testing.T) {
 	p := &Process{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)), Registry: telemetry.NewRegistry("vocabulary"),
 		Tracer: trace.New(trace.Config{Sample: map[string]int{"verify": 1024, "compile": 1024}})}
 	e := NewEngine(p, nil)
-	if err := e.Boot(dir, filepath.Join(dir, "as-rel.txt"), filepath.Join(dir, "routes.txt"), runtime.GOMAXPROCS(0), true); err != nil {
+	if err := e.Boot(dir, filepath.Join(dir, "as-rel.txt"), filepath.Join(dir, "routes.txt"), true); err != nil {
 		t.Fatal(err)
 	}
 	e.Mirror(dir, jdir, 5*time.Millisecond)

@@ -13,6 +13,7 @@
 package irr
 
 import (
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -136,14 +137,15 @@ type routePart struct {
 func New(x *ir.IR) *Database { return NewSharded(x, 1) }
 
 // NewSharded builds the indexed database with the route indexes
-// partitioned into shards parts keyed by a stable hash of the origin
-// ASN. Sets, aut-nums, and the flattened set plane stay shared across
-// shards (set flattening needs the whole route universe); only the
-// per-origin tables and the prefix→origins trie are partitioned.
-// Queries return byte-identical results at any shard count.
+// partitioned into shards parts (GOMAXPROCS when shards <= 0) keyed by
+// a stable hash of the origin ASN. Sets, aut-nums, and the flattened
+// set plane stay shared across shards (set flattening needs the whole
+// route universe); only the per-origin tables and the prefix→origins
+// trie are partitioned. Queries return byte-identical results at any
+// shard count.
 func NewSharded(x *ir.IR, shards int) *Database {
 	if shards < 1 {
-		shards = 1
+		shards = runtime.GOMAXPROCS(0)
 	}
 	db := &Database{
 		IR:          x,

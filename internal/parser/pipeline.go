@@ -57,13 +57,13 @@ type LoadStats struct {
 	Trace *trace.Tracer
 }
 
-// DefaultWorkers resolves a worker-count setting: values <= 0 mean one
-// worker per CPU.
+// DefaultWorkers resolves a worker-count setting: values <= 0 mean
+// GOMAXPROCS workers.
 func DefaultWorkers(n int) int {
 	if n > 0 {
 		return n
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // ParseChunk parses one chunk into flat, encounter-ordered object

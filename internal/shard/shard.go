@@ -14,6 +14,8 @@
 package shard
 
 import (
+	"strconv"
+
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/telemetry"
 )
@@ -70,7 +72,6 @@ func Imbalance(counts []int) float64 {
 
 // Metrics mirrors shard-plan figures into a telemetry registry.
 type Metrics struct {
-	routes    *telemetry.LabeledCounter
 	imbalance *telemetry.Gauge // imbalance x1000, integer gauge
 	shards    *telemetry.Gauge
 	fanout    *telemetry.Histogram
@@ -82,8 +83,6 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		routes: r.LabeledCounter("rpslyzer_shard_routes_total",
-			"Route objects owned by each shard at the last (re)build.", "shard"),
 		imbalance: r.Gauge("rpslyzer_shard_imbalance_millis",
 			"Peak-to-mean shard route imbalance x1000 (1000 = perfectly even)."),
 		shards: r.Gauge("rpslyzer_shard_count",
@@ -94,21 +93,13 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// ObservePlan records a shard plan: per-shard route counts and the
-// derived imbalance gauge.
+// ObservePlan records a shard plan, given its per-shard route counts:
+// the shard count and the imbalance gauge, both of the current plan.
 func (m *Metrics) ObservePlan(counts []int) {
 	if m == nil {
 		return
 	}
 	m.shards.Set(int64(len(counts)))
-	for s, c := range counts {
-		// LabeledCounter is monotonic; record the delta since the last
-		// plan so the exposed value tracks the current plan's count.
-		prev := m.routes.Value(shardLabel(s))
-		if d := int64(c) - prev; d > 0 {
-			m.routes.Add(shardLabel(s), d)
-		}
-	}
 	m.imbalance.Set(int64(Imbalance(counts) * 1000))
 }
 
@@ -120,33 +111,5 @@ func (m *Metrics) ObserveFanout(seconds float64) {
 	m.fanout.Observe(seconds)
 }
 
-func shardLabel(s int) string {
-	// Shard counts are small (GOMAXPROCS-scale); avoid strconv on the
-	// observe path for the common range.
-	if s >= 0 && s < len(smallLabels) {
-		return smallLabels[s]
-	}
-	return itoa(s)
-}
-
-var smallLabels = [...]string{
-	"0", "1", "2", "3", "4", "5", "6", "7",
-	"8", "9", "10", "11", "12", "13", "14", "15",
-}
-
-func itoa(n int) string {
-	if n < 0 {
-		return "-" + itoa(-n)
-	}
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-		if n == 0 {
-			break
-		}
-	}
-	return string(buf[i:])
-}
+// shardLabel is a shard index as a metric label value.
+func shardLabel(s int) string { return strconv.Itoa(s) }

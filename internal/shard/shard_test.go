@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"strings"
 	"testing"
 
 	"rpslyzer/internal/ir"
@@ -59,21 +60,35 @@ func TestImbalanceEdge(t *testing.T) {
 	}
 }
 
+// TestMetrics: every plan figure the registry exports is the current
+// plan's, including after a plan shrinks (a journal withdrew routes, a
+// resync rebuilt a smaller shard).
 func TestMetrics(t *testing.T) {
 	r := telemetry.NewRegistry("test-shard")
 	m := NewMetrics(r)
-	m.ObservePlan([]int{10, 30})
 	m.ObserveFanout(0.001)
-	if m.imbalance.Value() != 1500 {
-		t.Fatalf("imbalance gauge = %d, want 1500", m.imbalance.Value())
-	}
-	if m.routes.Value("1") != 30 {
-		t.Fatalf("shard 1 routes = %d, want 30", m.routes.Value("1"))
-	}
-	// A rebuild with the same plan must not double-count.
-	m.ObservePlan([]int{10, 30})
-	if m.routes.Value("1") != 30 {
-		t.Fatalf("shard 1 routes after rebuild = %d, want 30", m.routes.Value("1"))
+	for _, plan := range []struct {
+		counts []int
+		want   string
+	}{
+		{[]int{10, 30}, "rpslyzer_shard_count 2\nrpslyzer_shard_imbalance_millis 1500\n"},
+		{[]int{10, 30}, "rpslyzer_shard_count 2\nrpslyzer_shard_imbalance_millis 1500\n"},
+		{[]int{10, 20}, "rpslyzer_shard_count 2\nrpslyzer_shard_imbalance_millis 1333\n"},
+	} {
+		m.ObservePlan(plan.counts)
+		var exposition strings.Builder
+		if err := r.WritePrometheus(&exposition); err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, line := range strings.SplitAfter(exposition.String(), "\n") {
+			if strings.HasPrefix(line, "rpslyzer_shard_") && !strings.HasPrefix(line, "rpslyzer_shard_fanout_") {
+				got.WriteString(line)
+			}
+		}
+		if got.String() != plan.want {
+			t.Fatalf("after plan %v the registry exports\n%swant\n%s", plan.counts, got.String(), plan.want)
+		}
 	}
 	var nilM *Metrics
 	nilM.ObservePlan([]int{1})

@@ -18,10 +18,14 @@
 #      the API and whois servers, a snapshot freeze beside API renders,
 #      concurrent verification, tracing and metrics) 20 times over, so
 #      they are pinned by repetition
-#   6. any core count — the differential oracle's seed corpus
-#      (FuzzContracts in internal/oracle: every equivalence contract
-#      over one generated universe per draw) at GOMAXPROCS 1, 2 and 4,
-#      which move every default partition and worker count
+#   6. any core count — GOMAXPROCS is the only parallelism setting (no
+#      command has a -shards or -workers flag), so these runs at
+#      GOMAXPROCS 1, 2 and 4 are what move every partition and worker
+#      count: the differential oracle's seed corpus (FuzzContracts in
+#      internal/oracle: every equivalence contract over one generated
+#      universe per draw), and the two daemons' start-up and mirror paths
+#      as shipped (TestOnePipeline: every way into reportd serves the
+#      same bytes; TestMirrorMovesAnswers: whoisd -mirror in-process)
 #   7. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
@@ -92,8 +96,10 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts seed corpus at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, TestOnePipeline, TestMirrorMovesAnswers at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^FuzzContracts$' ./internal/oracle
+go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
+go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 
 echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzFreeze: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl

@@ -123,7 +123,7 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	// Stage 2: the engine's boot — verify everything, freeze, swap.
 	e := daemon.NewEngine(p, watchdog)
-	if err := e.Boot(dumpDir, filepath.Join(dumpDir, "as-rel.txt"), filepath.Join(dumpDir, "routes.txt"), 2, true); err != nil {
+	if err := e.Boot(dumpDir, filepath.Join(dumpDir, "as-rel.txt"), filepath.Join(dumpDir, "routes.txt"), true); err != nil {
 		t.Fatal(err)
 	}
 	store := e.Store()
