@@ -1,48 +1,35 @@
-// Package rpslyzer's root benchmark harness: one benchmark per table
-// and figure in the paper's evaluation, the two performance claims
-// (parse throughput, Section 3; verification throughput, Section 5),
-// the ablations DESIGN.md calls out, and the two timing gates of
-// scripts/verify.sh, which assert their own bounds. The system's
-// end-to-end and per-layer timings are bench/'s. Run with:
-//
-//	go test -bench=. -benchmem
+// Package rpslyzer's root benchmarks are the two timing gates of
+// scripts/verify.sh, each asserting its own bound. The paper's tables
+// and figures are cmd/experiments' rows; the system's end-to-end and
+// per-layer timings are bench/'s.
 package rpslyzer
 
 import (
 	"cmp"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"rpslyzer/internal/asregex"
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/evolve"
-	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/irrgen"
-	"rpslyzer/internal/lint"
 	"rpslyzer/internal/nrtm"
-	"rpslyzer/internal/parser"
-	"rpslyzer/internal/prefix"
-	"rpslyzer/internal/report"
-	"rpslyzer/internal/rpsl"
 	"rpslyzer/internal/shard"
-	"rpslyzer/internal/stats"
 	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/trace"
 	"rpslyzer/internal/verify"
 )
 
-// fixture builds the shared synthetic universe once.
+// fixture is the 800-AS universe the gates and heap_test.go share,
+// built once.
 type fixture struct {
 	sys     *core.System
 	routes  []bgpsim.Route
 	reports []verify.RouteReport
-	agg     *report.Aggregator
 }
 
 var (
@@ -58,364 +45,9 @@ func getFixture(tb testing.TB) *fixture {
 			panic(err)
 		}
 		routes := sys.CollectRoutes(8, 42)
-		reports := sys.Verifier.VerifyAll(routes, 0)
-		fix = fixture{sys: sys, routes: routes, reports: reports, agg: aggregateReports(reports)}
+		fix = fixture{sys: sys, routes: routes, reports: sys.Verifier.VerifyAll(routes, 0)}
 	})
 	return &fix
-}
-
-// BenchmarkTable1ParseIRRs regenerates Table 1: parse the 13 IRR dumps
-// and count objects per registry. Throughput corresponds to the
-// paper's "13 IRRs ... in under five minutes" claim.
-func BenchmarkTable1ParseIRRs(b *testing.B) {
-	f := getFixture(b)
-	var totalBytes int64
-	texts := make(map[string]string, len(irrgen.IRRs))
-	for _, name := range irrgen.IRRs {
-		texts[name] = f.sys.Universe.DumpText(name)
-		totalBytes += int64(len(texts[name]))
-	}
-	b.SetBytes(totalBytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var dumps []core.Dump
-		for _, name := range irrgen.IRRs {
-			dumps = append(dumps, core.Dump{Name: name, R: strings.NewReader(texts[name])})
-		}
-		x := core.ParseDumps(dumps...)
-		rows := stats.Table1(x, f.sys.DumpSizes, irrgen.IRRs)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkTable2References regenerates Table 2 from the parsed IR.
-func BenchmarkTable2References(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t2 := stats.ComputeTable2(f.sys.IR)
-		if t2.AutNum.Defined == 0 {
-			b.Fatal("empty table 2")
-		}
-	}
-}
-
-// BenchmarkFigure1RuleCCDF regenerates Figure 1's two CCDF series.
-func BenchmarkFigure1RuleCCDF(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		all, bq := stats.RuleCCDF(f.sys.IR)
-		if len(all) == 0 || len(bq) == 0 {
-			b.Fatal("empty CCDF")
-		}
-	}
-}
-
-// BenchmarkSection4Stats regenerates the Section 4 in-text numbers.
-func BenchmarkSection4Stats(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s4 := stats.ComputeSection4(f.sys.IR)
-		ro := stats.ComputeRouteObjectStats(f.sys.IR)
-		as := stats.ComputeAsSetStats(f.sys.DB)
-		if s4.AutNums == 0 || ro.Objects == 0 || as.Total == 0 {
-			b.Fatal("empty stats")
-		}
-	}
-}
-
-// aggregateReports rebuilds an aggregator from cached route reports
-// (the common work of the figure benchmarks).
-func aggregateReports(reports []verify.RouteReport) *report.Aggregator {
-	agg := report.NewAggregator()
-	for _, r := range reports {
-		agg.Add(r)
-	}
-	return agg
-}
-
-// BenchmarkFigure2PerAS regenerates the per-AS status panel.
-func BenchmarkFigure2PerAS(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := aggregateReports(f.reports)
-		if agg.Figure2().ASes == 0 {
-			b.Fatal("empty figure 2")
-		}
-	}
-}
-
-// BenchmarkFigure3PerASPair regenerates the per-AS-pair panel.
-func BenchmarkFigure3PerASPair(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f.agg.Figure3().Pairs == 0 {
-			b.Fatal("empty figure 3")
-		}
-	}
-}
-
-// BenchmarkFigure4PerRoute regenerates the per-route status mixes.
-func BenchmarkFigure4PerRoute(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f.agg.Figure4().Routes == 0 {
-			b.Fatal("empty figure 4")
-		}
-	}
-}
-
-// BenchmarkFigure5Unrecorded regenerates the unrecorded breakdown.
-func BenchmarkFigure5Unrecorded(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f.agg.Figure5().ASesWithUnrecorded == 0 {
-			b.Fatal("empty figure 5")
-		}
-	}
-}
-
-// BenchmarkFigure6Special regenerates the special-case breakdown.
-func BenchmarkFigure6Special(b *testing.B) {
-	f := getFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f.agg.Figure6().ASesWithSpecial == 0 {
-			b.Fatal("empty figure 6")
-		}
-	}
-}
-
-// BenchmarkParseThroughput measures raw RPSL parse speed in bytes/sec
-// over the biggest dump (Section 3's performance claim), then indexes
-// what it parsed: with -benchmem -cpuprofile -memprofile it is the
-// profile of an ingest, reader to route trie, on one goroutine.
-func BenchmarkParseThroughput(b *testing.B) {
-	f := getFixture(b)
-	text := f.sys.Universe.DumpText("RIPE")
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bl := parser.NewBuilder()
-		bl.AddDump(rpsl.NewReader(strings.NewReader(text), "RIPE"))
-		if len(bl.IR.AutNums) == 0 {
-			b.Fatal("parse produced nothing")
-		}
-		if db := irr.NewSharded(bl.IR, 1); db.Shards() != 1 {
-			b.Fatal("index not built")
-		}
-	}
-}
-
-// BenchmarkVerifyThroughput measures route verifications per second
-// (Section 5's performance claim: 779 M routes in 2 h 49 m).
-func BenchmarkVerifyThroughput(b *testing.B) {
-	f := getFixture(b)
-	routes := f.routes
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		rep := f.sys.Verifier.VerifyRoute(routes[n])
-		_ = rep
-		n++
-		if n == len(routes) {
-			n = 0
-		}
-	}
-}
-
-// BenchmarkASRegexMatch measures the symbolic AS-path regex engine
-// (Appendix B) on the paper's Section 2 example pattern.
-func BenchmarkASRegexMatch(b *testing.B) {
-	re, err := parser.ParsePathRegex("^AS13911 AS6327+$")
-	if err != nil {
-		b.Fatal(err)
-	}
-	compiled, err := asregex.Compile(re)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := []ir.ASN{13911, 6327, 6327, 6327}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !compiled.Match(path, 13911, nil) {
-			b.Fatal("should match")
-		}
-	}
-}
-
-// BenchmarkAblationRegexProductVsNFA compares the production NFA
-// matcher against the paper's literal Cartesian-product construction.
-func BenchmarkAblationRegexProductVsNFA(b *testing.B) {
-	re, err := parser.ParsePathRegex("^(AS1|AS2) .* AS9+$")
-	if err != nil {
-		b.Fatal(err)
-	}
-	compiled, err := asregex.Compile(re)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := []ir.ASN{1, 4, 5, 6, 7, 9, 9}
-	b.Run("nfa", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !compiled.Match(path, 1, nil) {
-				b.Fatal("should match")
-			}
-		}
-	})
-	b.Run("product", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !compiled.MatchProduct(path, 1, nil, 1<<22) {
-				b.Fatal("should match")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationRouteLookup compares the binary-search prefix table
-// (the paper's Appendix B design) with a linear scan.
-func BenchmarkAblationRouteLookup(b *testing.B) {
-	f := getFixture(b)
-	var ranges []prefix.Range
-	for _, r := range f.sys.IR.Routes {
-		ranges = append(ranges, prefix.Range{Prefix: r.Prefix})
-	}
-	tbl := prefix.NewTable(ranges)
-	probe := ranges[len(ranges)/2].Prefix
-	miss := prefix.MustParse("203.0.113.0/24")
-	b.Run("binary-search", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !tbl.Contains(probe) || tbl.Contains(miss) {
-				b.Fatal("lookup wrong")
-			}
-		}
-	})
-	b.Run("linear-scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			found := false
-			for _, r := range ranges {
-				if r.Match(probe) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				b.Fatal("lookup wrong")
-			}
-		}
-	})
-}
-
-// BenchmarkAblationParallelVerify compares single-threaded and
-// parallel verification over the same batch.
-func BenchmarkAblationParallelVerify(b *testing.B) {
-	f := getFixture(b)
-	batch := f.routes
-	if len(batch) > 4000 {
-		batch = batch[:4000]
-	}
-	for _, workers := range []int{1, 4} {
-		name := "workers-1"
-		if workers != 1 {
-			name = "workers-4"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				reps := f.sys.Verifier.VerifyAll(batch, workers)
-				if len(reps) != len(batch) {
-					b.Fatal("missing reports")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationFlattenMemo compares the SCC-based as-set
-// flattening (built once per database) against naive per-query
-// recursive flattening with a visited set.
-func BenchmarkAblationFlattenMemo(b *testing.B) {
-	f := getFixture(b)
-	x := f.sys.IR
-	// Pick the deepest generated chain's root.
-	const root = "AS-DEEP0-L0"
-	if _, ok := x.AsSets[root]; !ok {
-		b.Skip("deep chain not present at this scale")
-	}
-	b.Run("scc-precomputed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			flat, ok := f.sys.DB.AsSet(root)
-			if !ok || len(flat.ASNs) == 0 {
-				b.Fatal("flatten failed")
-			}
-		}
-	})
-	b.Run("naive-recursion", func(b *testing.B) {
-		var flatten func(name string, seen map[string]bool, out map[ir.ASN]struct{})
-		flatten = func(name string, seen map[string]bool, out map[ir.ASN]struct{}) {
-			if seen[name] {
-				return
-			}
-			seen[name] = true
-			set, ok := x.AsSets[name]
-			if !ok {
-				return
-			}
-			for _, a := range set.MemberASNs {
-				out[a] = struct{}{}
-			}
-			for _, m := range set.MemberSets {
-				flatten(m, seen, out)
-			}
-		}
-		for i := 0; i < b.N; i++ {
-			out := make(map[ir.ASN]struct{})
-			flatten(root, make(map[string]bool), out)
-			if len(out) == 0 {
-				b.Fatal("flatten failed")
-			}
-		}
-	})
-}
-
-// BenchmarkLint measures the linter over the synthetic registry.
-func BenchmarkLint(b *testing.B) {
-	f := getFixture(b)
-	l := lint.New(f.sys.DB, f.sys.Rels)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(l.Run()) == 0 {
-			b.Fatal("no findings on synthetic data")
-		}
-	}
-}
-
-// BenchmarkVerifyAll measures one full verification sweep over the
-// collector batch on the tree-walking interpreter the differential
-// tests hold the compiled core to (Config.Eval "interp"; the compiled
-// sweep is bench/'s verify.cold_sweep_s and verify.warm_sweep_s). The
-// engine is warmed once so lazy as-set table builds land outside the
-// timed region.
-func BenchmarkVerifyAll(b *testing.B) {
-	f := getFixture(b)
-	b.Run("interp", func(b *testing.B) {
-		v := verify.New(f.sys.DB, f.sys.Rels, verify.Config{Eval: "interp"})
-		v.VerifyAll(f.routes[:min(len(f.routes), 1000)], 0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(v.VerifyAll(f.routes, 0)) != len(f.routes) {
-				b.Fatal("missing reports")
-			}
-		}
-		b.ReportMetric(float64(b.N*len(f.routes))/b.Elapsed().Seconds(), "routes/s")
-	})
 }
 
 // median sorts xs and returns its middle element.

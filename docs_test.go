@@ -33,6 +33,13 @@ var (
 	declTest  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	docDir    = regexp.MustCompile(`\b(?:cmd|examples)/[a-z0-9_]+`)
 
+	// Code in a document: a fenced block, else a backticked span. In it a
+	// package-qualified exported name; the lowercase pkg.name the docs
+	// write are the benchmark's layer rows (core.load_dumps), not Go.
+	docFence = regexp.MustCompile("(?s)```.*?```")
+	docSpan  = regexp.MustCompile("`[^`]+`")
+	docIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
+
 	// A README section heading names its command first in backticks, a
 	// flag-table row its flags (`-name` or `-name ARG`) in the first cell,
 	// and a flag-defining call is one of the flag package's definers.
@@ -181,6 +188,64 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 		for _, name := range docTest.FindAllString(string(raw), -1) {
 			if prefix, ok := strings.CutSuffix(name, "*"); ok && !prefixes(prefix) || !ok && !declared[name] {
 				t.Errorf("%s names %s, which no _test.go file declares", doc, name)
+			}
+		}
+	}
+}
+
+// TestDocsNameDeclaredIdents holds every pkg.Name in the code of
+// citingDocs (fenced blocks and backticked spans) whose pkg is a
+// directory under internal/ to a top-level func, type, var or const, or
+// a method, declared in that package's non-test files: a function
+// renamed or deleted and left in the docs fails here.
+func TestDocsNameDeclaredIdents(t *testing.T) {
+	declared := map[string]map[string]bool{} // directory under internal/ → names its package declares
+	files, err := filepath.Glob(filepath.Join("internal", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := goparser.ParseFile(token.NewFileSet(), file, nil, goparser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := filepath.Base(filepath.Dir(file))
+		if declared[pkg] == nil {
+			declared[pkg] = map[string]bool{}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl: // functions and methods
+				declared[pkg][d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						declared[pkg][s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							declared[pkg][n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, doc := range citingDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := docFence.FindAllString(string(raw), -1)
+		code = append(code, docSpan.FindAllString(docFence.ReplaceAllString(string(raw), ""), -1)...)
+		for _, c := range code {
+			for _, m := range docIdent.FindAllStringSubmatch(c, -1) {
+				if names, ok := declared[m[1]]; ok && !names[m[2]] {
+					t.Errorf("%s names %s, which internal/%s does not declare", doc, m[0], m[1])
+				}
 			}
 		}
 	}

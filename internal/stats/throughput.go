@@ -5,21 +5,7 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"rpslyzer/internal/ir"
 )
-
-// ClassTotals sums the IR's per-source object counts into per-class
-// totals (the summary view of Table 1's columns).
-func ClassTotals(x *ir.IR) map[string]int {
-	totals := make(map[string]int)
-	for _, classes := range x.Counts {
-		for class, n := range classes {
-			totals[class] += n
-		}
-	}
-	return totals
-}
 
 // ThroughputLine renders the -summary line of one ingestion run from
 // the pipeline counters' values, guarding against zero elapsed time on

@@ -4,21 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"rpslyzer/internal/ir"
 )
-
-func TestClassTotals(t *testing.T) {
-	x := ir.New()
-	x.CountObject("RIPE", "aut-num")
-	x.CountObject("RIPE", "route")
-	x.CountObject("RADB", "route")
-	x.CountObject("RADB", "as-set")
-	totals := ClassTotals(x)
-	if totals["route"] != 2 || totals["aut-num"] != 1 || totals["as-set"] != 1 {
-		t.Errorf("totals = %v", totals)
-	}
-}
 
 func TestThroughputString(t *testing.T) {
 	s := ThroughputLine(2<<20, 1000, 4, map[string]int64{"RIPE": 3}, 8, 2*time.Second)

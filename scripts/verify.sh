@@ -36,11 +36,14 @@
 #      (FuzzFreeze); then the oracle's long budget, a minute of
 #      FuzzContracts — a failing draw lands, minimized, under
 #      internal/oracle/testdata/fuzz/FuzzContracts/
-#   8. gate benchmarks — the two timing ratios no bench/ probe records
-#      yet, each computed and asserted by its own benchmark: one
-#      incremental step >= 20x faster than verifying every route
-#      (BenchmarkReverify), and reportd's instrumentation within its
-#      bound of the bare sweep (BenchmarkVerifyAllTraced)
+#   8. benchmarks — one iteration of every benchmark outside bench/, so
+#      none drifts from the code it times unnoticed: the two timing
+#      ratios no bench/ probe records yet, each computed and asserted by
+#      its own benchmark — one incremental step >= 20x faster than
+#      verifying every route (BenchmarkReverify), and reportd's
+#      instrumentation within its bound of the bare sweep
+#      (BenchmarkVerifyAllTraced) — and the store freeze on its own, the
+#      one the freeze-profiling recipe runs (BenchmarkBuildSnapshot)
 #   9. named smoke — the oracle's seed corpus (FuzzContracts) and the
 #      origin-hash imbalance bound (TestShardImbalanceBounded, <= 2x),
 #      run by name for the record; the step fails unless each name
@@ -108,8 +111,8 @@ go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
 go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 
-echo "== gate benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced)"
-go test -run '^$' -bench '^(BenchmarkReverify|BenchmarkVerifyAllTraced)$' -benchtime 1x .
+echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot: 1x each)"
+go test -run '^$' -bench . -benchtime 1x . ./internal/reportstore
 
 echo "== named smoke (FuzzContracts seed corpus + imbalance bound)"
 # go test -run prints "no tests to run" and then ok when a name matches

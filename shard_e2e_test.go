@@ -1,12 +1,15 @@
 // System-level tests of the sharded core. Byte identity at any shard
-// count is internal/oracle's C4 and C7, on every generated draw; here
-// whois and API readers race per-shard journal application (meaningful
+// count is internal/oracle's C4 and C7, and incremental ≡ full is its
+// C5, on every generated draw; here whois and API readers race
+// per-shard journal application through the engine's Step (meaningful
 // under -race, which scripts/verify.sh runs), and the origin-hash
 // imbalance on the corpus is held under 2x.
 package rpslyzer
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -14,13 +17,14 @@ import (
 
 	"rpslyzer/internal/api"
 	"rpslyzer/internal/core"
+	"rpslyzer/internal/daemon"
 	"rpslyzer/internal/evolve"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/nrtm"
-	"rpslyzer/internal/reportstore"
 	"rpslyzer/internal/shard"
+	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/verify"
 	"rpslyzer/internal/whois"
 )
@@ -67,11 +71,12 @@ func whoisQueries(x *ir.IR) []string {
 }
 
 // TestConcurrentShardedJournalApplyDuringAPIReads races the reportd
-// publication pattern over a sharded database: journals apply to the
-// mirror (per-shard route index updates), the incremental engine
-// re-verifies with sharded drivers, the whois server hot-swaps, and
-// the report store swaps snapshots — all while whois and API readers
-// hammer the old snapshots.
+// publication path over a sharded database: journals apply to the
+// mirror (per-shard route index updates), daemon.Engine's Step
+// re-verifies with the sharded drivers and swaps each snapshot in, and
+// the whois server hot-swaps — all while whois and API readers hammer
+// the old snapshots. Readers may only ever touch the published copies,
+// never the engine's mutable state.
 func TestConcurrentShardedJournalApplyDuringAPIReads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrency e2e")
@@ -80,24 +85,20 @@ func TestConcurrentShardedJournalApplyDuringAPIReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes := sys.CollectRoutes(3, 23)
-
-	mir := nrtm.NewMirrorDB(irr.NewSharded(sys.IR, 4), nil, nil)
-	inc, err := verify.NewIncremental(mir.DB(), sys.Rels, verify.Config{Shards: 4})
-	if err != nil {
+	db := irr.NewSharded(sys.IR, 4)
+	p := &daemon.Process{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)), Registry: telemetry.NewRegistry("shard_e2e")}
+	e := daemon.NewEngine(p, nil)
+	if err := e.BootCorpus(db, sys.Rels, sys.CollectRoutes(3, 23), verify.Config{Shards: 4}, true); err != nil {
 		t.Fatal(err)
 	}
-	inc.Init(routes, 0)
-
-	store := reportstore.New(nil)
-	store.Swap(reportstore.BuildSnapshot(inc.Reports()))
-	apiSrv := api.NewServer(store, api.Config{}, nil)
-	whoisSrv := whois.NewServer(mir.DB())
+	mir := nrtm.NewMirrorDB(db, nil, nil)
+	apiSrv := api.NewServer(e.Store(), api.Config{}, nil)
+	whoisSrv := whois.NewServer(db)
 	whoisQ := whoisQueries(sys.IR)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	for w := 0; w < 2; w++ {
+	for w := 0; w < 4; w++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
@@ -143,19 +144,18 @@ func TestConcurrentShardedJournalApplyDuringAPIReads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: apply: %v", step, err)
 		}
-		db := mir.DB()
+		db = mir.DB()
 		if db.Shards() != 4 {
 			t.Fatalf("step %d: snapshot lost shard count: %d", step, db.Shards())
 		}
 		whoisSrv.SetDB(db)
-		inc.Reverify(db, keys, 2, nil)
-		store.Swap(reportstore.BuildSnapshot(inc.Reports()))
+		e.Step(db, keys, nil)
 		prev = next
 	}
 	close(stop)
 	readers.Wait()
-	if store.Swaps() < 7 {
-		t.Fatalf("expected 7 swaps, got %d", store.Swaps())
+	if n := e.Store().Swaps(); n < 7 {
+		t.Fatalf("expected 7 swaps, got %d", n)
 	}
 }
 
