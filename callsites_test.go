@@ -23,6 +23,7 @@ func TestSingleCallSites(t *testing.T) {
 		pkg, name string
 		method    bool
 	}{
+		{"rpslyzer/internal/reportstore", "BuildSnapshot", false},
 		{"rpslyzer/internal/reportstore", "Swap", true},
 		{"rpslyzer/internal/verify", "Reverify", true},
 		{"rpslyzer/internal/verify", "NewIncremental", false},

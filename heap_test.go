@@ -1,13 +1,21 @@
 package rpslyzer
 
 import (
+	"io"
+	"log/slog"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"rpslyzer/internal/core"
+	"rpslyzer/internal/daemon"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
+	"rpslyzer/internal/report"
 	"rpslyzer/internal/reportstore"
+	"rpslyzer/internal/telemetry"
+	"rpslyzer/internal/trace"
 	"rpslyzer/internal/verify"
 )
 
@@ -27,14 +35,18 @@ func retainedBy(build func()) (live, allocated float64) {
 	return float64(after.HeapAlloc) - float64(before.HeapAlloc), float64(after.TotalAlloc - before.TotalAlloc)
 }
 
-// TestRetainedHeapCeilings holds the three structures that scale with
-// the corpus to bytes-per-route ceilings, each about 20% over what it
+// TestRetainedHeapCeilings holds the structures that scale with the
+// corpus to bytes-per-route ceilings, each about 20% over what it
 // measures on the 800-AS fixture: the IR the default loader retains
 // (329 B per route object), the reports of a bulk sweep (439 B per
 // route — 614 when every check carried its own copy of its reason
-// list), and the frozen report snapshot (454 B per route, allocating
-// 1.13x what it retains — 1.33x when the per-AS lists grew by
-// doubling, 4.8x when every arena did).
+// list), the frozen report snapshot beside the reports it reads (306 B
+// per route, allocating 1.01x what it retains — 454 B and 1.13x when it
+// copied every check, 1.33x when its per-AS lists grew by doubling,
+// 4.8x when every arena did), and reportd -import's engine after it
+// read and froze the sweep's JSONL (641 B per route; 1 630 B when the
+// import kept every decoded reason list, 517 B when the snapshot kept
+// 24-byte copies of the checks instead of the decoded ones).
 func TestRetainedHeapCeilings(t *testing.T) {
 	f := getFixture(t)
 	check := func(t *testing.T, what string, got, ceiling float64) {
@@ -70,9 +82,33 @@ func TestRetainedHeapCeilings(t *testing.T) {
 	t.Run("freeze", func(t *testing.T) {
 		var snap *reportstore.Snapshot
 		live, allocated := retainedBy(func() { snap = reportstore.BuildSnapshot(f.reports) })
-		check(t, "live B/route", live/float64(snap.NumRoutes()), 545)
+		check(t, "live B/route", live/float64(snap.NumRoutes()), 370)
 		check(t, "allocated/retained", allocated/live, 1.25)
 		runtime.KeepAlive(snap)
+	})
+	t.Run("import", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "reports.jsonl")
+		out, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := report.WriteJSONL(out, f.reports); err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+		p := &daemon.Process{Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+			Registry: telemetry.NewRegistry("heap_test"), Tracer: trace.New(trace.Config{})}
+		var e *daemon.Engine
+		live, _ := retainedBy(func() {
+			e = daemon.NewEngine(p, nil)
+			if err := e.Import(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+		check(t, "live B/route", live/float64(e.Store().Current().NumRoutes()), 770)
+		runtime.KeepAlive(e)
 	})
 }
 

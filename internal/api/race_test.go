@@ -98,9 +98,9 @@ var (
 
 // TestConcurrentBuildSnapshotDuringRenders is reportd -mirror's steady
 // state under the race detector: BuildSnapshot freezes the engine's
-// report slice (its aggregator on a goroutine of its own) while API
-// readers render the previous snapshot, which was frozen from the same
-// slice and whose route paths still alias it. Every generation holds
+// report slice (a goroutine per partition) while API readers render the
+// previous snapshot, which was frozen from the same slice and whose
+// paths, checks and reasons still alias it. Every generation holds
 // the same reports, so every render must equal the first generation's.
 func TestConcurrentBuildSnapshotDuringRenders(t *testing.T) {
 	concOnce.Do(func() {
@@ -115,7 +115,7 @@ func TestConcurrentBuildSnapshotDuringRenders(t *testing.T) {
 	store := reportstore.New(nil)
 	first := reportstore.BuildSnapshot(reports)
 	store.Swap(first)
-	// No response cache: every request renders from the arenas.
+	// No response cache: every request renders from the snapshot.
 	srv := NewServer(store, Config{CacheEntries: -1}, nil)
 
 	// A page of checks (reasons, names) and a page of routes (paths) for

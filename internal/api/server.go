@@ -436,18 +436,18 @@ type ASListJSON struct {
 // ---- endpoint handlers ----
 
 func (s *Server) handleSummary(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
-	agg := snap.Aggregator()
+	sum := snap.Summary()
 	return SummaryJSON{
 		Serial:          snap.Serial(),
 		BuiltAt:         snap.BuiltAt(),
 		Swaps:           s.store.Swaps(),
-		Routes:          agg.Routes,
-		IgnoredASSet:    agg.IgnoredASSet,
-		IgnoredSingleAS: agg.IgnoredSingleAS,
-		ASes:            agg.NumASes(),
-		Pairs:           agg.NumPairs(),
-		Checks:          statusMap(&agg.Checks),
-		FirstHop:        statusMap(&agg.FirstHop),
+		Routes:          sum.Routes,
+		IgnoredASSet:    sum.IgnoredASSet,
+		IgnoredSingleAS: sum.IgnoredSingleAS,
+		ASes:            sum.ASes,
+		Pairs:           sum.Pairs,
+		Checks:          statusMap(&sum.Checks),
+		FirstHop:        statusMap(&sum.FirstHop),
 	}, nil
 }
 
@@ -528,7 +528,7 @@ func (s *Server) handleASRoutes(snap *reportstore.Snapshot, r *http.Request) (an
 
 // handleReports pages over checks filtered by status and/or reason.
 // The cursor offset indexes the underlying scan (the narrower of the
-// two inverted indexes, or the whole check arena), so pages are stable
+// two inverted indexes, or every check), so pages are stable
 // within a snapshot no matter how selective the residual filter is.
 func (s *Server) handleReports(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
 	q := r.URL.Query()
@@ -562,7 +562,7 @@ func (s *Server) handleReports(snap *reportstore.Snapshot, r *http.Request) (any
 
 	// Scan the most selective precomputed index; apply the other
 	// filter (if any) per record.
-	var scan func(i int) (uint32, bool) // arena index, matches residual filter
+	var scan func(i int) (uint32, bool) // check number, matches residual filter
 	var total int
 	switch {
 	case reasonSet:
@@ -690,7 +690,7 @@ func checkJSON(snap *reportstore.Snapshot, idx uint32) CheckJSON {
 		To:      uint32(c.To),
 		Dir:     c.Dir.String(),
 		Status:  c.Status.String(),
-		Reasons: snap.CheckReasons(c),
+		Reasons: c.Reasons,
 	}
 }
 

@@ -10,8 +10,8 @@
 // in path length, so the production matcher here is a Thompson NFA
 // simulated with a Pike-style VM directly over symbol sets, which is
 // equivalent but linear in path length times program size. The literal
-// product construction is retained as MatchProduct for differential
-// testing and as an ablation benchmark.
+// product construction is retained as MatchProduct, the reference the
+// NFA is tested against (TestDifferentialNFAvsProduct).
 //
 // The engine also supports the constructs the paper leaves as future
 // work — ASN ranges (AS1 - AS99) and same-pattern unary postfix

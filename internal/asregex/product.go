@@ -10,8 +10,8 @@ import "rpslyzer/internal/ir"
 //
 // The construction is exponential in path length, so it is capped at
 // maxStrings generated strings (beyond which it falls back to the NFA
-// matcher). It exists for differential testing and as the ablation
-// baseline benchmarked against the production NFA.
+// matcher). It exists as the reference the production NFA is tested
+// against.
 func (re *Regex) MatchProduct(path []ir.ASN, peerAS ir.ASN, res Resolver, maxStrings int) bool {
 	if res == nil {
 		res = EmptyResolver
@@ -73,7 +73,7 @@ func (re *Regex) MatchProduct(path []ir.ASN, peerAS ir.ASN, res Resolver, maxStr
 // matchSymbolic runs the VM over a symbol string: a term instruction
 // matches a position iff the position's symbol is exactly that term.
 // The ~ same-register degenerates to symbol equality, which is a sound
-// over-approximation used only by the ablation path; the differential
+// over-approximation used only by this reference path; the differential
 // tests restrict ~ comparisons to the NFA matcher.
 func (re *Regex) matchSymbolic(symbols []int, index map[*ir.PathTerm]int) bool {
 	type sthread struct {

@@ -156,7 +156,7 @@ func (p *Process) Stop() {
 
 // Engine is the one path to a served report snapshot: Import, Boot or
 // BootCorpus publishes the first one, Step every later one, and
-// publish is the only place the store is swapped.
+// publish is the only place a snapshot is frozen and swapped.
 type Engine struct {
 	// ReconcileEvery is reportd's -reconcile-every: steps between
 	// reconciliation passes (0: none).
@@ -215,11 +215,11 @@ func (e *Engine) Import(path string) error {
 		return fmt.Errorf("open import: %w", err)
 	}
 	defer f.Close()
-	b := reportstore.NewBuilder()
-	if err := report.ReadJSONL(f, b.Add); err != nil {
+	var reports []verify.RouteReport
+	if err := report.ReadJSONL(f, func(rep verify.RouteReport) { reports = append(reports, rep) }); err != nil {
 		return fmt.Errorf("import %s: %w", path, err)
 	}
-	e.publish(b.Build(), nil, t0, "imported", path)
+	e.publish(reports, nil, t0, "imported", path)
 	return nil
 }
 
@@ -275,10 +275,7 @@ func (e *Engine) bootCorpus(root *trace.Span, t0 time.Time, db *irr.Database, re
 	sp.End()
 
 	stats := inc.GraphStats()
-	sp = root.Child("reportstore.build")
-	snap := reportstore.BuildSnapshot(inc.Reports())
-	sp.End()
-	e.publish(snap, root, t0, "depgraph_programs", stats.Programs, "depgraph_edges", stats.Edges)
+	e.publish(inc.Reports(), root, t0, "depgraph_programs", stats.Programs, "depgraph_edges", stats.Edges)
 
 	if !mirror {
 		return nil
@@ -338,22 +335,23 @@ func (e *Engine) Step(db *irr.Database, keys []depgraph.Key, parent *trace.Span)
 				"took", rec.Duration.Round(time.Millisecond))
 		}
 	}
-	sp = root.Child("reportstore.build")
-	snap := reportstore.BuildSnapshot(e.inc.Reports())
-	sp.End()
 	root.SetInt("keys", int64(res.TouchedKeys)).
 		SetInt("programs", int64(len(res.Programs))).
 		SetInt("routes_reverified", int64(res.Routes))
-	e.publish(snap, root, t0,
+	e.publish(e.inc.Reports(), root, t0,
 		"keys", res.TouchedKeys, "programs_invalidated", len(res.Programs),
 		"routes_reverified", res.Routes, "routes_patched", res.Patched, "full", res.Full)
 	root.End()
 	return res
 }
 
-// publish swaps snap in under a reportstore.swap child of root and logs
-// it; to_swap is the time since t0, where the boot or step began.
-func (e *Engine) publish(snap *reportstore.Snapshot, root *trace.Span, t0 time.Time, fields ...any) {
+// publish freezes reports under a reportstore.build child of root, swaps
+// the snapshot in under a reportstore.swap child and logs it; to_swap is
+// the time since t0, where the boot, step or import began.
+func (e *Engine) publish(reports []verify.RouteReport, root *trace.Span, t0 time.Time, fields ...any) {
+	sp := root.Child("reportstore.build")
+	snap := reportstore.BuildSnapshot(reports)
+	sp.End()
 	sw := root.Child("reportstore.swap")
 	serial := e.store.Swap(snap)
 	sw.End()

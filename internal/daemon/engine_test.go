@@ -13,8 +13,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +28,7 @@ import (
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/report"
+	"rpslyzer/internal/reportstore"
 	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/trace"
 	"rpslyzer/internal/verify"
@@ -224,6 +228,117 @@ func TestOnePipeline(t *testing.T) {
 		t.Fatalf("%d swaps after a resync, want 5", got)
 	}
 	requireSameBodies(t, "resync", bodies(t, mirror, true), stepped)
+}
+
+// TestConcurrentStepsKeepOldSnapshot: a published snapshot reads its
+// checks and reasons from the engine's reports, which every Step patches
+// and a resync replaces. Two readers re-render a sample of the first
+// snapshot's API while the journals and a resync go through Step, and
+// every body must stay what it was before the first step.
+func TestConcurrentStepsKeepOldSnapshot(t *testing.T) {
+	dir, _ := universe(t)
+	jdir := filepath.Join(dir, "journals")
+	e := boot(t, corpusArgs(dir, dir, "-mirror", jdir)...)
+	old := e.Store().Current()
+	// A spread of the check listing, since which checks the steps patch
+	// no one can name beforehand; then the other listings and a spread
+	// of ASes.
+	paths := []string{"/v1/summary", "/v1/ases?limit=100"}
+	for page := 0; page*1000 < old.NumChecks(); page += 8 {
+		paths = append(paths, fmt.Sprintf("/v1/reports?limit=1000&page=%d", page))
+	}
+	for st := verify.Verified; st <= verify.Unverified; st++ {
+		paths = append(paths, "/v1/reports?limit=20&status="+st.String(), "/v1/reverse/status/"+st.String())
+	}
+	for k := verify.ReasonKind(0); int(k) < verify.NumReasons; k++ {
+		paths = append(paths, "/v1/reports?limit=20&reason="+k.String())
+	}
+	asns := old.ASNs()
+	for i := 0; i < len(asns); i += max(1, len(asns)/12) {
+		paths = append(paths, fmt.Sprintf("/v1/as/%d/report?limit=50", asns[i]), fmt.Sprintf("/v1/as/%d/routes?limit=50", asns[i]))
+	}
+	// render answers paths from store, uncached.
+	render := func(store *reportstore.Store) []string {
+		h := api.NewServer(store, api.Config{CacheEntries: -1}, nil).Handler()
+		out := make([]string, len(paths))
+		for i, path := range paths {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			out[i] = fmt.Sprintf("%d %s", rec.Code, rec.Body)
+		}
+		return out
+	}
+	oldStore := reportstore.New(nil)
+	oldStore.Swap(old)
+	want := render(oldStore)
+
+	var rendered [2]atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := range rendered {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, body := range render(oldStore) {
+					if body != want[i] {
+						t.Errorf("GET %s on the first snapshot changed beside a step:\n got: %.300s\nwant: %.300s", paths[i], body, want[i])
+						return
+					}
+				}
+				rendered[r].Add(1)
+			}
+		}()
+	}
+	// Each reader finishes a render that began after what came before.
+	waitRenders := func() {
+		var since [len(rendered)]int64
+		for r := range rendered {
+			since[r] = rendered[r].Load()
+		}
+		for r := range rendered {
+			for rendered[r].Load() < since[r]+2 && !t.Failed() {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	files, err := filepath.Glob(filepath.Join(jdir, "*.nrtm"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no journal files (%v)", err)
+	}
+	sort.Strings(files)
+	mir := nrtm.NewMirrorDB(e.db, nil, nil)
+	waitRenders()
+	for _, path := range files {
+		j, err := nrtm.ReadJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, err := mir.ApplyAllKeys([]*nrtm.Journal{j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Step(mir.DB(), keys, nil)
+	}
+	e.Step(irr.NewSharded(mir.DB().IR, mir.DB().Shards()), nil, nil)
+	waitRenders()
+	close(stop)
+	wg.Wait()
+
+	changed := false
+	for i := uint32(0); int(i) < old.NumChecks() && !changed; i++ {
+		a, b := old.Check(i), e.Store().Current().Check(i)
+		changed = a.Status != b.Status || !slices.Equal(a.Reasons, b.Reasons)
+	}
+	if !changed {
+		t.Fatal("the steps changed no check; the test would prove nothing")
+	}
 }
 
 // TestImportRejectsWhatNoVerifierWrites: a line whose "ignored" is not

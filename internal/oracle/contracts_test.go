@@ -254,8 +254,7 @@ func (p *pass) steps() {
 
 // store is C7 at one point of the run: the engine's reports, frozen,
 // answer a sample of the API as fresh reports frozen do; with stream,
-// so do the engine's reports streamed through the JSONL export into a
-// Builder.
+// so do the engine's reports after a trip through the JSONL export.
 func (p *pass) store(at string, engine []verify.RouteReport, stream bool) {
 	p.t.Helper()
 	want := reportstore.BuildSnapshot(p.fresh)
@@ -271,11 +270,11 @@ func (p *pass) store(at string, engine []verify.RouteReport, stream bool) {
 	}
 	check("the freeze of the engine's reports", reportstore.BuildSnapshot(engine))
 	if stream {
-		b := reportstore.NewBuilder()
-		if err := report.ReadJSONL(bytes.NewReader(jsonl(p.t, engine)), b.Add); err != nil {
+		var read []verify.RouteReport
+		if err := report.ReadJSONL(bytes.NewReader(jsonl(p.t, engine)), func(rep verify.RouteReport) { read = append(read, rep) }); err != nil {
 			p.fail(c7, "%s: the engine's JSONL does not read back: %v", at, err)
 		}
-		check("the engine's reports through WriteJSONL → ReadJSONL → Builder.Add", b.Build())
+		check("the engine's reports through WriteJSONL → ReadJSONL", reportstore.BuildSnapshot(read))
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"slices"
 
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/ir"
@@ -55,8 +57,11 @@ func (j RouteReportJSON) Report() (verify.RouteReport, error) {
 		Ignored: j.Ignored,
 		Checks:  j.Checks,
 	}
-	for _, a := range j.Path {
-		rep.Route.Path = append(rep.Route.Path, ir.ASN(a))
+	if len(j.Path) > 0 {
+		rep.Route.Path = make([]ir.ASN, len(j.Path))
+		for i, a := range j.Path {
+			rep.Route.Path[i] = ir.ASN(a)
+		}
 	}
 	return rep, nil
 }
@@ -74,10 +79,12 @@ func WriteJSONL(w io.Writer, reports []verify.RouteReport) error {
 }
 
 // ReadJSONL reads a JSONL report stream back into route reports,
-// calling sink for each (the streaming mirror of WriteJSONL, so
-// importers never materialize the whole file).
+// calling sink for each (the streaming mirror of WriteJSONL). Like a
+// sweep's, the reports share memory: one copy of each distinct reason
+// list and name, checks cut from blocks. Read them, never write them.
 func ReadJSONL(r io.Reader, sink func(verify.RouteReport)) error {
 	dec := json.NewDecoder(bufio.NewReader(r))
+	in := interner{seed: maphash.MakeSeed(), lists: make(map[uint64][]verify.Reason), names: make(map[string]string)}
 	for line := 1; ; line++ {
 		var j RouteReportJSON
 		if err := dec.Decode(&j); err != nil {
@@ -90,6 +97,55 @@ func ReadJSONL(r io.Reader, sink func(verify.RouteReport)) error {
 		if err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
 		}
+		in.keep(&rep)
 		sink(rep)
 	}
+}
+
+// interner lays out what the reports of one stream keep the way a sweep
+// lays out its own: checks in exact-size ranges of shared blocks, one
+// copy of each distinct reason list and of each name in those lists.
+type interner struct {
+	seed  maphash.Seed
+	lists map[uint64][]verify.Reason
+	names map[string]string
+	block []verify.Check
+}
+
+// keep moves rep's checks into the current block, replacing each reason
+// list with the first one of the same content.
+func (in *interner) keep(rep *verify.RouteReport) {
+	if len(rep.Checks) == 0 {
+		return
+	}
+	if len(in.block)+len(rep.Checks) > cap(in.block) {
+		in.block = make([]verify.Check, 0, max(4096, len(rep.Checks)))
+	}
+	off := len(in.block)
+	in.block = append(in.block, rep.Checks...)
+	rep.Checks = in.block[off:len(in.block):len(in.block)]
+	for i := range rep.Checks {
+		rep.Checks[i].Reasons = in.list(rep.Checks[i].Reasons)
+	}
+}
+
+// list returns the copy of rs to keep. The hash is a hint and the compare
+// decides: a collision costs a second copy, never a wrong reason.
+func (in *interner) list(rs []verify.Reason) []verify.Reason {
+	if len(rs) == 0 {
+		return rs
+	}
+	h := verify.HashReasons(in.seed, uint64(len(rs)), rs)
+	if l, ok := in.lists[h]; ok && slices.Equal(l, rs) {
+		return l
+	}
+	for i := range rs {
+		if name, ok := in.names[rs[i].Name]; ok {
+			rs[i].Name = name
+		} else {
+			in.names[rs[i].Name] = rs[i].Name
+		}
+	}
+	in.lists[h] = rs
+	return rs
 }

@@ -61,6 +61,41 @@ type ASStats struct {
 	SpecialCauses CauseSet
 }
 
+// Add counts one check of a's AS, the AS whose rule it exercised (From
+// of an export, To of an import), recording the Figure 5 causes of an
+// unrecorded check and the Figure 6 causes of a relaxed or safelisted
+// one. It is the one per-check kernel of Aggregator.Add and the report
+// store's freeze.
+func (a *ASStats) Add(c *verify.Check) {
+	if c.Dir == ir.DirExport {
+		a.Exports.Add(c.Status)
+	} else {
+		a.Imports.Add(c.Status)
+	}
+	switch c.Status {
+	case verify.Unrecorded:
+		for j := range c.Reasons {
+			if cause, ok := CauseOfReason(c.Reasons[j].Kind); ok && cause <= CauseMissingSet {
+				a.UnrecCauses = a.UnrecCauses.With(cause)
+			}
+		}
+	case verify.Relaxed, verify.Safelisted:
+		for j := range c.Reasons {
+			if cause, ok := CauseOfReason(c.Reasons[j].Kind); ok && cause >= CauseExportSelf {
+				a.SpecialCauses = a.SpecialCauses.With(cause)
+			}
+		}
+	}
+}
+
+// Merge adds the checks o counted into a, as if a had been given them.
+func (a *ASStats) Merge(o *ASStats) {
+	a.Imports.Merge(&o.Imports)
+	a.Exports.Merge(&o.Exports)
+	a.UnrecCauses |= o.UnrecCauses
+	a.SpecialCauses |= o.SpecialCauses
+}
+
 // All returns imports+exports combined.
 func (a *ASStats) All() StatusCounts {
 	var s StatusCounts
@@ -259,25 +294,7 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 				a.perAS[owner] = s
 			}
 		}
-		if c.Dir == ir.DirExport {
-			s.Exports.Add(c.Status)
-		} else {
-			s.Imports.Add(c.Status)
-		}
-		switch c.Status {
-		case verify.Unrecorded:
-			for j := range c.Reasons {
-				if cause, ok := CauseOfReason(c.Reasons[j].Kind); ok && cause <= CauseMissingSet {
-					s.UnrecCauses = s.UnrecCauses.With(cause)
-				}
-			}
-		case verify.Relaxed, verify.Safelisted:
-			for j := range c.Reasons {
-				if cause, ok := CauseOfReason(c.Reasons[j].Kind); ok && cause >= CauseExportSelf {
-					s.SpecialCauses = s.SpecialCauses.With(cause)
-				}
-			}
-		}
+		s.Add(c)
 
 		if key := (PairKey{c.From, c.To}); p == nil || key != pair {
 			if pair, p = key, a.perPair[key]; p == nil {

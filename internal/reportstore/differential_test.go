@@ -17,10 +17,11 @@ import (
 
 // refStore is the snapshot written the dumbest way: every index a map
 // of appended slices or of sets, sorted where the store promises order.
-// It shares no code with Builder.
+// It shares no code with BuildSnapshot.
 type refStore struct {
-	checks   []verify.Check // arena order: route by route, ignored routes skipped
-	route    []uint32       // checks[i] belongs to reports[route[i]]
+	reports  []verify.RouteReport // the headers it was built from
+	checks   []verify.Check       // route by route, ignored routes skipped
+	route    []uint32             // checks[i] belongs to reports[route[i]]
 	byStatus map[verify.Status][]uint32
 	byReason map[verify.ReasonKind][]uint32
 	statusAS map[verify.Status]map[ir.ASN]bool
@@ -31,7 +32,7 @@ type refStore struct {
 	agg      *report.Aggregator
 }
 
-func owner(c verify.Check) ir.ASN {
+func refOwner(c verify.Check) ir.ASN {
 	if c.Dir == ir.DirExport {
 		return c.From
 	}
@@ -57,6 +58,7 @@ func sorted(set map[ir.ASN]bool) []ir.ASN {
 
 func buildRef(reports []verify.RouteReport) *refStore {
 	ref := &refStore{
+		reports:  slices.Clone(reports),
 		byStatus: make(map[verify.Status][]uint32),
 		byReason: make(map[verify.ReasonKind][]uint32),
 		statusAS: make(map[verify.Status]map[ir.ASN]bool),
@@ -79,7 +81,7 @@ func buildRef(reports []verify.RouteReport) *refStore {
 			ci := uint32(len(ref.checks))
 			ref.checks = append(ref.checks, c)
 			ref.route = append(ref.route, uint32(ri))
-			o := owner(c)
+			o := refOwner(c)
 			ref.asChecks[o] = append(ref.asChecks[o], ci)
 			ref.byStatus[c.Status] = append(ref.byStatus[c.Status], ci)
 			mark(ref.statusAS, c.Status, o)
@@ -95,11 +97,10 @@ func buildRef(reports []verify.RouteReport) *refStore {
 	return ref
 }
 
-// diffAgainstRef reports every way snap departs from the reference
-// built over the same reports.
-func diffAgainstRef(t *testing.T, label string, snap *Snapshot, reports []verify.RouteReport) {
+// diffAgainstRef reports every way snap departs from the reference.
+func diffAgainstRef(t *testing.T, label string, snap *Snapshot, ref *refStore) {
 	t.Helper()
-	ref := buildRef(reports)
+	reports := ref.reports
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Errorf("%s: %s", label, fmt.Sprintf(format, args...))
@@ -129,13 +130,11 @@ func diffAgainstRef(t *testing.T, label string, snap *Snapshot, reports []verify
 	for ci, want := range ref.checks {
 		got := snap.Check(uint32(ci))
 		if got.Route != ref.route[ci] || got.From != want.From || got.To != want.To ||
-			got.Dir != want.Dir || got.Status != want.Status || got.Owner() != owner(want) {
+			got.Dir != want.Dir || got.Status != want.Status || got.Owner() != refOwner(want) {
 			fail("check %d = %+v, want %+v of route %d", ci, got, want, ref.route[ci])
 		}
-		// CheckReasons gives nil for no reasons; a decoded report may
-		// carry an empty slice there.
-		if reasons := snap.CheckReasons(got); !slices.Equal(reasons, want.Reasons) {
-			fail("check %d reasons = %v, want %v", ci, reasons, want.Reasons)
+		if !slices.Equal(got.Reasons, want.Reasons) {
+			fail("check %d reasons = %v, want %v", ci, got.Reasons, want.Reasons)
 		}
 	}
 
@@ -194,28 +193,36 @@ func diffAgainstRef(t *testing.T, label string, snap *Snapshot, reports []verify
 		}
 	}
 
-	agg := snap.Aggregator()
-	if agg.Routes != ref.agg.Routes || agg.Checks != ref.agg.Checks || agg.FirstHop != ref.agg.FirstHop ||
-		agg.IgnoredASSet != ref.agg.IgnoredASSet || agg.IgnoredSingleAS != ref.agg.IgnoredSingleAS ||
-		agg.NumPairs() != ref.agg.NumPairs() || !reflect.DeepEqual(agg.RouteMixes(), ref.agg.RouteMixes()) {
-		fail("aggregator departs from one fed the same reports")
+	sum, agg := snap.Summary(), ref.agg
+	if want := (Summary{Routes: agg.Routes, IgnoredASSet: agg.IgnoredASSet, IgnoredSingleAS: agg.IgnoredSingleAS,
+		ASes: agg.NumASes(), Pairs: agg.NumPairs(), Checks: agg.Checks, FirstHop: agg.FirstHop}); sum != want {
+		fail("summary = %+v, want the aggregator's %+v", sum, want)
 	}
 }
 
-// viaBuilder is the streaming way to the same snapshot.
-func viaBuilder(reports []verify.RouteReport) *Snapshot {
-	b := NewBuilder()
-	for _, rep := range reports {
-		b.Add(rep)
+// freeze holds BuildSnapshot to the reference over reports. Then it
+// replaces every report the way Reverify does, wholesale and in fresh
+// memory, and holds the snapshot to the same reference again: what the
+// snapshot reads of the reports' memory, no replacement may reach.
+func freeze(t *testing.T, label string, reports []verify.RouteReport) *Snapshot {
+	t.Helper()
+	ref := buildRef(reports)
+	snap := BuildSnapshot(reports)
+	diffAgainstRef(t, label, snap, ref)
+	for i := range reports {
+		reports[i] = verify.RouteReport{
+			Route: bgpsim.Route{Prefix: prefix.MustParse("192.0.2.0/24"), Path: []ir.ASN{666, 667}},
+			Checks: []verify.Check{chk(667, 666, ir.DirExport, verify.Skip,
+				verify.Reason{Kind: verify.SpecTier1Pair, ASN: 666, Name: "OVERWRITTEN"})},
+		}
 	}
-	return b.Build()
+	diffAgainstRef(t, label+", every report replaced after the freeze", snap, ref)
+	return snap
 }
 
 // TestStoreDifferential holds the store to the reference over several
-// generated universes at two sizes: built in one shot and streamed,
-// from the verifier's reports and from the same reports after a trip
-// through the JSONL export. Both ways are held to one reference, so
-// BuildSnapshot ≡ Builder.Add follows.
+// generated universes at two sizes, from the verifier's reports and
+// from the same reports after a trip through the JSONL export.
 func TestStoreDifferential(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8}
 	if testing.Short() {
@@ -229,7 +236,7 @@ func TestStoreDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				reports := sys.Verifier.VerifyAll(sys.CollectRoutes(4, seed), 0)
-				ignored, offered := 0, 0
+				ignored := 0
 				for _, rep := range reports {
 					if rep.Ignored != "" {
 						ignored++
@@ -254,94 +261,23 @@ func TestStoreDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				oneShot := BuildSnapshot(reports)
-				diffAgainstRef(t, "BuildSnapshot", oneShot, reports)
-				diffAgainstRef(t, "Builder.Add", viaBuilder(reports), reports)
-				diffAgainstRef(t, "BuildSnapshot after JSONL", BuildSnapshot(decoded), decoded)
-				diffAgainstRef(t, "Builder.Add after JSONL", viaBuilder(decoded), decoded)
+				verified := slices.Clone(reports)
+				snap := freeze(t, "BuildSnapshot", reports)
+				freeze(t, "BuildSnapshot after JSONL", decoded)
 
-				// The universes repeat reason lists (the property the
-				// arena's sharing lives on); say so if one stops.
-				for i := 0; i < oneShot.NumChecks(); i++ {
-					offered += int(oneShot.Check(uint32(i)).ReasonLen)
-				}
-				if offered <= len(oneShot.reasons) {
-					t.Errorf("%d reasons offered, %d stored: no list was shared", offered, len(oneShot.reasons))
+				// The snapshot holds no check or reason memory of its own:
+				// each check it serves is the verifier's, reasons and all.
+				for ci := range snap.NumChecks() {
+					c := snap.Check(uint32(ci))
+					r := &snap.routes[c.Route]
+					want := &verified[c.Route].Checks[uint32(ci)-r.off]
+					if &r.checks[uint32(ci)-r.off] != want || len(c.Reasons) > 0 && &c.Reasons[0] != &want.Reasons[0] {
+						t.Fatalf("check %d is a copy, not the verifier's", ci)
+					}
 				}
 			})
 		}
 	}
-}
-
-// TestSharedListsSurviveHashCollision offers two different reason
-// lists under one hash: the content compare must keep them apart, so
-// both read back intact whichever the table remembers.
-func TestSharedListsSurviveHashCollision(t *testing.T) {
-	a := []verify.Reason{{Kind: verify.MatchFilter, ASN: 10, Name: "AS-A"}, {Kind: verify.MatchRemoteAsNum, ASN: 7}}
-	c := []verify.Reason{{Kind: verify.MatchFilter, ASN: 10, Name: "AS-C"}, {Kind: verify.MatchRemoteAsNum, ASN: 7}}
-	b := NewBuilder()
-	const h = 42
-	la, lc := *b.share(h, a), *b.share(h, c)
-	if la.off == lc.off {
-		t.Fatalf("different lists share arena range %d+%d", la.off, la.n)
-	}
-	// Each list again: whichever the table holds is found, the other
-	// is appended once more; neither may come back as its rival.
-	la2, lc2 := *b.share(h, a), *b.share(h, c)
-	for _, tc := range []struct {
-		l    reasonList
-		want []verify.Reason
-	}{{la, a}, {lc, c}, {la2, a}, {lc2, c}} {
-		got := b.snap.CheckReasons(CheckRec{ReasonOff: tc.l.off, ReasonLen: tc.l.n})
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("list at %d+%d = %v, want %v", tc.l.off, tc.l.n, got, tc.want)
-		}
-	}
-	// Without a collision a repeated list is stored once.
-	if l1, l2 := *b.share(b.hashReasons(a), a), *b.share(b.hashReasons(a), a); l1.off != l2.off {
-		t.Errorf("repeated list stored twice, at %d and %d", l1.off, l2.off)
-	}
-}
-
-// TestAddSurvivesReusedBuffers streams reports whose check and reason
-// slices all live in two buffers the caller overwrites between Adds,
-// the way a decoder reusing its scratch space would. The store must
-// have copied what it keeps: every check reads back as it was offered.
-func TestAddSurvivesReusedBuffers(t *testing.T) {
-	checkBuf := make([]verify.Check, 2)
-	reasonBuf := make([]verify.Reason, 4)
-	lists := [][]verify.Reason{
-		{{Kind: verify.MatchFilter, ASN: 1, Name: "AS-ONE"}, {Kind: verify.MatchRemoteAsNum, ASN: 2}},
-		{{Kind: verify.UnrecordedAsSet, Name: "AS-TWO"}, {Kind: verify.MatchFilter, ASN: 1, Name: "AS-ONE"}},
-		{{Kind: verify.SpecUphill}},
-	}
-	var offered []verify.RouteReport // deep copies, untouched by the overwriting
-	b := NewBuilder()
-	for i := 0; i < 12; i++ {
-		// Two checks per route, their lists rotating so that each list
-		// recurs after its first backing bytes are long gone.
-		la, lb := lists[i%len(lists)], lists[(i+1)%len(lists)]
-		ra := reasonBuf[:copy(reasonBuf, la)]
-		rb := reasonBuf[len(ra) : len(ra)+copy(reasonBuf[len(ra):], lb)]
-		checkBuf[0] = chk(ir.ASN(100+i), 200, ir.DirExport, verify.Unverified, ra...)
-		checkBuf[1] = chk(ir.ASN(100+i), 200, ir.DirImport, verify.Unrecorded, rb...)
-		r := rep(t, fmt.Sprintf("10.%d.0.0/16", i), []ir.ASN{200, ir.ASN(100 + i)}, checkBuf...)
-		b.Add(r)
-
-		keep := r
-		keep.Checks = []verify.Check{checkBuf[0], checkBuf[1]}
-		keep.Checks[0].Reasons = slices.Clone(la)
-		keep.Checks[1].Reasons = slices.Clone(lb)
-		offered = append(offered, keep)
-
-		for j := range reasonBuf {
-			reasonBuf[j] = verify.Reason{Kind: verify.SpecTier1Pair, ASN: 666, Name: "OVERWRITTEN"}
-		}
-		for j := range checkBuf {
-			checkBuf[j] = verify.Check{From: 666, To: 666, Status: verify.Skip}
-		}
-	}
-	diffAgainstRef(t, "reused buffers", b.Build(), offered)
 }
 
 // listPool is the memory every decoded reason list is cut from. Its two
@@ -457,17 +393,10 @@ var adversarial = []struct {
 	}},
 }
 
-// freezeBothWays holds BuildSnapshot and the streaming Builder to the
-// reference over the same reports.
-func freezeBothWays(t *testing.T, reports []verify.RouteReport) {
-	t.Helper()
-	diffAgainstRef(t, "BuildSnapshot", BuildSnapshot(reports), reports)
-	diffAgainstRef(t, "Builder.Add", viaBuilder(reports), reports)
-}
-
-// TestStoreDifferentialAdversarialLists: the freeze may take a list's
-// address for its content only where that cannot be told from comparing
-// the content.
+// TestStoreDifferentialAdversarialLists: whatever memory a check's
+// reason list shares with others', the snapshot serves each check its
+// own reasons and indexes it under their kinds, and keeps doing so once
+// the reports are replaced.
 func TestStoreDifferentialAdversarialLists(t *testing.T) {
 	for _, tc := range adversarial {
 		t.Run(tc.name, func(t *testing.T) {
@@ -475,18 +404,18 @@ func TestStoreDifferentialAdversarialLists(t *testing.T) {
 			if !tc.shape(lists(reports)) {
 				t.Fatalf("input no longer decodes to its shape: %+v", reports)
 			}
-			freezeBothWays(t, reports)
+			freeze(t, "BuildSnapshot", reports)
 		})
 	}
 }
 
-// FuzzFreeze checks both ways into a snapshot against the reference on
-// whatever reports the bytes decode to.
+// FuzzFreeze checks the freeze against the reference on whatever
+// reports the bytes decode to.
 func FuzzFreeze(f *testing.F) {
 	for _, tc := range adversarial {
 		f.Add(tc.in)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { freezeBothWays(t, decodeReports(data)) })
+	f.Fuzz(func(t *testing.T, data []byte) { freeze(t, "BuildSnapshot", decodeReports(data)) })
 }
 
 // storeFixture is the reports of TestStoreDifferential's larger universe

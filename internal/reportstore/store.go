@@ -1,24 +1,21 @@
 // Package reportstore is the serving-side home of verification
 // results: an indexed, immutable snapshot of every per-import/export
-// check produced by verify.VerifyAll / VerifyStream, plus the
+// check produced by verify.VerifyAll or an Incremental engine, plus the
 // hot-swappable Store the HTTP API reads from.
 //
-// A Snapshot is append-built (Builder), then frozen and published via
-// Store.Swap behind an atomic pointer — the same zero-downtime
+// A Snapshot is frozen from a report slice (BuildSnapshot) and published
+// via Store.Swap behind an atomic pointer — the same zero-downtime
 // contract as the whois server's database hot-swap: every API request
 // loads the pointer once and answers entirely from that snapshot, so
 // in-flight requests finish on the generation they started with while
 // a mirror-driven rebuild publishes the next one.
 //
-// Layout follows the offset-arena idiom of the evaluation core rather
-// than per-check allocations: checks and their reasons live in two
-// flat slices addressed by (offset, length) pairs, the reason arena
-// holds one copy per distinct reason list (checks with the same
-// reasons point at the same range), reason names are symbols into one
-// string table so the thousands of repeated set names cost one string
-// each, and every inverted index (status→checks/ASes, reason
-// kind→checks/ASes, cause→ASes) is a sorted slice built once at freeze
-// time.
+// The snapshot copies no check: it keeps the report headers and reads
+// checks and reason lists from the verifier's own memory, which nothing
+// writes once it is handed out. A check is numbered by its position in
+// the reports, route by route, and every inverted index (status→checks/
+// ASes, reason kind→checks/ASes, cause→ASes) is a sorted slice of those
+// numbers built once at freeze time.
 package reportstore
 
 import (
@@ -28,49 +25,51 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/prefix"
 	"rpslyzer/internal/report"
-	"rpslyzer/internal/symtab"
 	"rpslyzer/internal/telemetry"
 	"rpslyzer/internal/verify"
 )
 
-// ReasonRef is the arena form of one verify.Reason: the name is a
-// symbol into the snapshot's name table instead of a string.
-type ReasonRef struct {
-	Kind verify.ReasonKind
-	ASN  ir.ASN
-	Name symtab.ID
-}
-
-// CheckRec is the arena form of one verification check. Reasons live
-// in the snapshot's reason arena at [ReasonOff, ReasonOff+ReasonLen),
-// a range any number of checks with the same reason list share.
+// CheckRec is one verification check as the snapshot serves it.
 type CheckRec struct {
-	// Route indexes the snapshot's route arena.
-	Route     uint32
-	From, To  ir.ASN
-	Dir       ir.Direction
-	Status    verify.Status
-	ReasonOff uint32
-	ReasonLen uint32
+	// Route indexes the snapshot's routes.
+	Route    uint32
+	From, To ir.ASN
+	Dir      ir.Direction
+	Status   verify.Status
+	// Reasons is the verifier's own list, shared with every check that
+	// has the same reasons: read it, never write it.
+	Reasons []verify.Reason
 }
 
 // Owner returns the AS whose rule the check exercised (the AS the
-// check is attributed to, matching report.Aggregator).
-func (c CheckRec) Owner() ir.ASN {
-	if c.Dir == ir.DirExport {
-		return c.From
+// check is attributed to, matching report.ASStats.Add).
+func (c CheckRec) Owner() ir.ASN { return owner(c.Dir, c.From, c.To) }
+
+func owner(dir ir.Direction, from, to ir.ASN) ir.ASN {
+	if dir == ir.DirExport {
+		return from
 	}
-	return c.To
+	return to
 }
 
 // RouteRec is one verified (or ignored) route. Its checks are the
-// contiguous arena range [CheckOff, CheckOff+CheckLen).
+// numbers [CheckOff, CheckOff+CheckLen).
 type RouteRec struct {
 	Prefix   prefix.Prefix
 	Path     []ir.ASN
 	Ignored  string
 	CheckOff uint32
 	CheckLen uint32
+}
+
+// route is what the snapshot keeps of one report: its checks are the
+// report's, none when it is ignored, and the first is numbered off.
+type route struct {
+	prefix  prefix.Prefix
+	path    []ir.ASN
+	ignored string
+	checks  []verify.Check
+	off     uint32
 }
 
 // ASEntry indexes one AS: the checks attributed to it, the routes it
@@ -82,32 +81,44 @@ type ASEntry struct {
 	Routes []uint32
 
 	// statuses and reasons have one bit per status and reason kind
-	// among the AS's checks; Build expands them into the AS lists of
-	// the inverted indexes; nChecks and nRoutes count Checks and Routes.
+	// among the AS's checks, which the freeze expands into the AS lists
+	// of the inverted indexes; nChecks and nRoutes count Checks and Routes.
 	statuses         uint8
 	reasons          uint32
-	nChecks, nRoutes uint32
+	nChecks, nRoutes int
 }
 
-// Index is one inverted-index bucket: the matching checks (in arena
+// Index is one inverted-index bucket: the matching checks (in report
 // order) and the distinct owner ASes (sorted).
 type Index struct {
 	Checks []uint32
 	ASes   []ir.ASN
 }
 
+// Summary is what /v1/summary serves: the counts of report.Aggregator
+// over the same reports.
+type Summary struct {
+	// Routes counts verified routes; IgnoredASSet and IgnoredSingleAS
+	// the excluded ones.
+	Routes, IgnoredASSet, IgnoredSingleAS int64
+	// ASes counts the ASes checks are attributed to, Pairs the distinct
+	// directed (From, To) pairs checked.
+	ASes, Pairs int
+	// Checks counts every check by status, FirstHop the first two
+	// checks of each route (the origin-side pair).
+	Checks, FirstHop report.StatusCounts
+}
+
 // Snapshot is a frozen, fully indexed view of one verification run.
 // All methods are safe for concurrent use: nothing mutates after
-// Builder.Build returns.
+// BuildSnapshot returns.
 type Snapshot struct {
 	serial    uint64
 	builtAt   time.Time
 	buildTook time.Duration
 
-	routes  []RouteRec
-	checks  []CheckRec
-	reasons []ReasonRef
-	names   []string // indexed by ReasonRef.Name
+	routes     []route
+	checkRoute []uint32 // the route of each check
 
 	perAS map[ir.ASN]*ASEntry
 	asns  []ir.ASN
@@ -116,7 +127,7 @@ type Snapshot struct {
 	byReason [verify.NumReasons]Index
 	byCause  [report.NumCauses][]ir.ASN
 
-	agg *report.Aggregator
+	summary Summary
 }
 
 // Serial is the store generation this snapshot was published as (0
@@ -130,24 +141,20 @@ func (s *Snapshot) BuiltAt() time.Time { return s.builtAt }
 func (s *Snapshot) NumRoutes() int { return len(s.routes) }
 
 // NumChecks returns the number of checks.
-func (s *Snapshot) NumChecks() int { return len(s.checks) }
+func (s *Snapshot) NumChecks() int { return len(s.checkRoute) }
 
 // Route returns one route record.
-func (s *Snapshot) Route(i uint32) RouteRec { return s.routes[i] }
+func (s *Snapshot) Route(i uint32) RouteRec {
+	r := &s.routes[i]
+	return RouteRec{Prefix: r.prefix, Path: r.path, Ignored: r.ignored, CheckOff: r.off, CheckLen: uint32(len(r.checks))}
+}
 
 // Check returns one check record.
-func (s *Snapshot) Check(i uint32) CheckRec { return s.checks[i] }
-
-// CheckReasons materializes a check's reasons back into verify form.
-func (s *Snapshot) CheckReasons(c CheckRec) []verify.Reason {
-	if c.ReasonLen == 0 {
-		return nil
-	}
-	out := make([]verify.Reason, c.ReasonLen)
-	for i, ref := range s.reasons[c.ReasonOff : c.ReasonOff+c.ReasonLen] {
-		out[i] = verify.Reason{Kind: ref.Kind, ASN: ref.ASN, Name: s.names[ref.Name]}
-	}
-	return out
+func (s *Snapshot) Check(i uint32) CheckRec {
+	ri := s.checkRoute[i]
+	r := &s.routes[ri]
+	c := &r.checks[i-r.off]
+	return CheckRec{Route: ri, From: c.From, To: c.To, Dir: c.Dir, Status: c.Status, Reasons: c.Reasons}
 }
 
 // ASNs returns every indexed AS, sorted ascending. Callers must not
@@ -169,9 +176,8 @@ func (s *Snapshot) ByReason(k verify.ReasonKind) Index { return s.byReason[k] }
 // ByCause returns the ASes exhibiting one Figure 5/6 cause, sorted.
 func (s *Snapshot) ByCause(c report.Cause) []ir.ASN { return s.byCause[c] }
 
-// Aggregator exposes the aggregate statistics accumulated alongside
-// the arenas (the summary endpoint's data source). Read-only.
-func (s *Snapshot) Aggregator() *report.Aggregator { return s.agg }
+// Summary returns the snapshot's aggregate counts.
+func (s *Snapshot) Summary() Summary { return s.summary }
 
 // Store publishes snapshots to concurrent readers with atomic swap
 // semantics. The zero value is not ready; use New.
@@ -194,8 +200,7 @@ func (s *Store) Current() *Snapshot { return s.cur.Load() }
 // publishes it, returning the serial. In-flight readers keep the
 // snapshot they loaded. A nil snapshot is ignored (returns the current
 // swap count), mirroring whois.Server.SetDB. How long the snapshot took
-// to freeze is observed here, so BuildSeconds has one sample per swap
-// whichever way the snapshot was built.
+// to freeze is observed here, so BuildSeconds has one sample per swap.
 func (s *Store) Swap(snap *Snapshot) uint64 {
 	if snap == nil {
 		return s.swaps.Load()
@@ -233,6 +238,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Routes:       reg.Gauge("rpslyzer_report_store_routes", "Routes in the served snapshot."),
 		Checks:       reg.Gauge("rpslyzer_report_store_checks", "Checks in the served snapshot."),
 		ASes:         reg.Gauge("rpslyzer_report_store_ases", "Distinct ASes indexed in the served snapshot."),
-		BuildSeconds: reg.Histogram("rpslyzer_report_store_build_seconds", "Freeze latency of each published snapshot: BuildSnapshot start to finish, or Build alone behind a streaming Builder; verification is not in it.", nil),
+		BuildSeconds: reg.Histogram("rpslyzer_report_store_build_seconds", "Freeze latency of each published snapshot: BuildSnapshot start to finish; verification is not in it.", nil),
 	}
 }

@@ -87,22 +87,21 @@ func TestBuilderArenas(t *testing.T) {
 		t.Errorf("check2 owner = %v, want 20", got)
 	}
 
-	// Reasons round-trip through the interner.
+	// Reasons are served as the reports hold them.
 	want := []verify.Reason{{Kind: verify.MatchFilter, ASN: 10, Name: "AS-EXAMPLE"}}
-	if got := snap.CheckReasons(snap.Check(1)); !reflect.DeepEqual(got, want) {
+	if got := snap.Check(1).Reasons; !reflect.DeepEqual(got, want) {
 		t.Errorf("reasons = %+v, want %+v", got, want)
 	}
-	if got := snap.CheckReasons(snap.Check(0)); got != nil {
+	if got := snap.Check(0).Reasons; got != nil {
 		t.Errorf("check0 reasons = %+v, want nil", got)
 	}
 }
 
-// TestIgnoredRouteWithChecks feeds the builder a report that carries
+// TestIgnoredRouteWithChecks freezes a report that carries
 // both an ignore marker and checks — impossible from the verifier, but
 // reachable through reportd -import reading an external JSONL file.
 // The ignored route must get an empty check range rather than a
-// dangling one aliasing the next route's checks (or running off the
-// arena end).
+// dangling one aliasing the next route's checks.
 func TestIgnoredRouteWithChecks(t *testing.T) {
 	bad := rep(t, "10.0.0.0/24", []ir.ASN{20, 10},
 		chk(10, 20, ir.DirImport, verify.Verified))
@@ -165,7 +164,7 @@ func TestBuilderIndexes(t *testing.T) {
 }
 
 // TestSnapshotMatchesAggregator is the store-side equivalence check:
-// the stats the snapshot serves must be the Aggregator's own output.
+// the stats and summary the snapshot serves must be the Aggregator's.
 func TestSnapshotMatchesAggregator(t *testing.T) {
 	reports := corpus(t)
 	snap := BuildSnapshot(reports)
@@ -175,10 +174,11 @@ func TestSnapshotMatchesAggregator(t *testing.T) {
 		want.Add(r)
 	}
 
-	agg := snap.Aggregator()
-	if agg.Routes != want.Routes || agg.Checks != want.Checks ||
-		agg.IgnoredASSet != want.IgnoredASSet || agg.IgnoredSingleAS != want.IgnoredSingleAS {
-		t.Fatalf("aggregate mismatch: got %+v want %+v", agg.Checks, want.Checks)
+	sum := snap.Summary()
+	if sum.Routes != want.Routes || sum.Checks != want.Checks || sum.FirstHop != want.FirstHop ||
+		sum.IgnoredASSet != want.IgnoredASSet || sum.IgnoredSingleAS != want.IgnoredSingleAS ||
+		sum.ASes != want.NumASes() || sum.Pairs != want.NumPairs() {
+		t.Fatalf("summary %+v departs from the aggregator's counts", sum)
 	}
 	for _, st := range want.PerAS() {
 		e, ok := snap.AS(st.ASN)
@@ -233,7 +233,7 @@ func TestEmptySnapshot(t *testing.T) {
 	if _, ok := snap.AS(1); ok {
 		t.Error("AS lookup on empty snapshot returned ok")
 	}
-	if agg := snap.Aggregator(); agg.Routes != 0 || agg.Checks.Total() != 0 {
-		t.Error("empty snapshot aggregator not zero")
+	if sum := snap.Summary(); sum != (Summary{}) {
+		t.Errorf("empty snapshot summary = %+v, want zero", sum)
 	}
 }

@@ -5,10 +5,10 @@
 #   2. build everything
 #   3. vet
 #   4. tier-1 tests (among them TestSingleCallSites: one production
-#      call site each for Store.Swap, Incremental.Reverify,
-#      verify.NewIncremental and nrtm.Poll, all in internal/daemon; and
-#      TestRetainedHeapCeilings: what ingest, a sweep and the store
-#      freeze retain per route)
+#      call site each for reportstore.BuildSnapshot, Store.Swap,
+#      Incremental.Reverify, verify.NewIncremental and nrtm.Poll, all in
+#      internal/daemon; and TestRetainedHeapCeilings: what ingest, a
+#      sweep, the store freeze and an -import retain per route)
 #   5. the same tests under the race detector — the ingestion pipeline
 #      and the verifier's caches are concurrent, so a green run here is
 #      part of the contract, not an extra (on a 2-CPU host
@@ -16,6 +16,7 @@
 #      and internal/oracle 59–73 s, hence the timeout) — then every
 #      package's concurrency contracts (singleflight collapse, hot-swap races in
 #      the API and whois servers, a snapshot freeze beside API renders,
+#      engine steps beside renders of the snapshot before them,
 #      concurrent verification, tracing and metrics) 20 times over, so
 #      they are pinned by repetition
 #   6. any core count — GOMAXPROCS is the only parallelism setting (no
@@ -23,17 +24,20 @@
 #      GOMAXPROCS 1, 2 and 4 are what move every partition and worker
 #      count: the differential oracle's seed corpus (FuzzContracts in
 #      internal/oracle: every equivalence contract over one generated
-#      universe per draw), and the two daemons' start-up and mirror paths
-#      as shipped (TestOnePipeline: every way into reportd serves the
-#      same bytes; TestMirrorMovesAnswers: whoisd -mirror in-process)
+#      universe per draw), the store freeze, whose partitions are
+#      GOMAXPROCS route ranges, against its reference (the differential
+#      and adversarial inputs, which give more partitions than routes),
+#      and the two daemons' start-up and mirror paths as shipped
+#      (TestOnePipeline: every way into reportd serves the same bytes;
+#      TestMirrorMovesAnswers: whoisd -mirror in-process)
 #   7. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
 #      (FuzzReaderMatchesReference) and chunked against whole-dump
 #      parsing at any chunk size (FuzzSplitDump); and of the store
-#      freeze, one-shot and streamed, against its maps-and-sort
-#      reference over reports whose reason lists alias, nest and repeat
-#      (FuzzFreeze); then the oracle's long budget, a minute of
+#      freeze against its maps-and-sort reference over reports whose
+#      reason lists alias, nest and repeat (FuzzFreeze); then the
+#      oracle's long budget, a minute of
 #      FuzzContracts — a failing draw lands, minimized, under
 #      internal/oracle/testdata/fuzz/FuzzContracts/
 #   8. benchmarks — one iteration of every benchmark outside bench/, so
@@ -99,8 +103,9 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, TestOnePipeline, TestMirrorMovesAnswers at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, the store freeze, TestOnePipeline, TestMirrorMovesAnswers at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^FuzzContracts$' ./internal/oracle
+go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 
