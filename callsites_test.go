@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// TestSingleCallSites pins the calls that make up "dumps → served
+// TestSingleCallSites pins the calls that make up "dumps → IR → served
 // snapshot" and "journal → swapped snapshot" to one production call
 // site each, so a second wiring of that path is a red build. bench/
 // (the benchmark's replica), test files and the defining package are
@@ -28,6 +28,9 @@ func TestSingleCallSites(t *testing.T) {
 		{"rpslyzer/internal/verify", "Reverify", true},
 		{"rpslyzer/internal/verify", "NewIncremental", false},
 		{"rpslyzer/internal/nrtm", "Poll", false},
+		// Every IR from dumps comes out of the one chunk pool (and
+		// parser.Merge): a second loader beside core.ParseDumps is red.
+		{"rpslyzer/internal/parser", "ParseChunks", false},
 	}
 	sites := make([][]string, len(pins))
 	fset := token.NewFileSet()

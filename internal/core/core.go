@@ -16,7 +16,6 @@ import (
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/report"
-	"rpslyzer/internal/rpsl"
 	"rpslyzer/internal/topology"
 	"rpslyzer/internal/verify"
 )
@@ -29,19 +28,65 @@ type Dump struct {
 	R    io.Reader
 }
 
-// ParseDumps lexes and parses IRR dumps into the IR.
-func ParseDumps(dumps ...Dump) *ir.IR {
-	b := parser.NewBuilder()
-	for _, d := range dumps {
-		b.AddDump(rpsl.NewReader(d.R, d.Name))
+// LoadOptions tunes the ingestion pipeline.
+type LoadOptions struct {
+	// Workers sizes the parse pool; <= 0 means GOMAXPROCS workers.
+	Workers int
+	// ChunkSize is the splitter's target chunk payload in bytes; <= 0
+	// keeps the default.
+	ChunkSize int
+	// Stats, when non-nil, receives progress counters as the pipeline
+	// runs (bytes, objects, chunks, parse errors, per-worker tallies).
+	Stats *parser.LoadStats
+	// Sequential is Workers: 1 under the name bench/ compiles against;
+	// ROADMAP item 1(b) deletes it.
+	Sequential bool
+}
+
+// ParseDumps parses IRR dumps, fed in priority order, through the
+// streaming pipeline: each dump is split into chunks of whole RPSL
+// objects, a pool of workers parses the chunks into flat object lists,
+// and parser.Merge applies the results in feed order. The output does
+// not depend on the worker count or the chunk size.
+func ParseDumps(opts LoadOptions, dumps ...Dump) *ir.IR {
+	workers := parser.DefaultWorkers(opts.Workers)
+	if opts.Sequential {
+		workers = 1
 	}
-	return b.IR
+	var metrics *parser.PipelineMetrics
+	if opts.Stats != nil {
+		metrics = opts.Stats.Metrics
+	}
+
+	// Producer: split dumps in priority order into globally sequenced
+	// chunks. The channel bound keeps in-flight raw text proportional to
+	// the pool size, not the dump size.
+	chunks := make(chan parser.SeqChunk, 2*workers)
+	go func() {
+		defer close(chunks)
+		seq := 0
+		for i, d := range dumps {
+			sp := parser.NewSplitter(d.R, d.Name, i, opts.ChunkSize)
+			for c, ok := sp.Next(); ok; c, ok = sp.Next() {
+				metrics.ChunkSplit()
+				chunks <- parser.SeqChunk{Chunk: c, Seq: seq}
+				seq++
+			}
+			if err := sp.Err(); err != nil {
+				// An empty last chunk carries the read error to the
+				// merge, behind the dump's diagnostics.
+				chunks <- parser.SeqChunk{Chunk: parser.Chunk{Source: d.Name, DumpIndex: i}, Seq: seq, Err: err}
+				seq++
+			}
+		}
+	}()
+	return parser.Merge(parser.ParseChunks(chunks, workers, opts.Stats), metrics)
 }
 
 // ParseText parses RPSL text from a single source (convenience for
 // examples and tests).
 func ParseText(text, source string) *ir.IR {
-	return ParseDumps(Dump{Name: source, R: strings.NewReader(text)})
+	return parser.ParseText(text, source)
 }
 
 // Options configures BuildSynthetic.
@@ -106,7 +151,7 @@ func BuildSynthetic(opts Options) (*System, error) {
 	for _, name := range irrgen.IRRs {
 		dumps = append(dumps, Dump{Name: name, R: strings.NewReader(universe.DumpText(name))})
 	}
-	x := ParseDumps(dumps...)
+	x := ParseDumps(LoadOptions{}, dumps...)
 	db, verifier := BuildFromIR(x, topo.Rels, opts.Verify)
 	return &System{
 		Topo:      topo,

@@ -166,7 +166,7 @@ var ErrNoDumps = errors.New("no *.db dumps")
 // LoadDumpDir parses every "*.db" RPSL dump in dir, feeding them in
 // the standard IRR priority order (Table 1); unknown registries come
 // last alphabetically. It returns the IR and per-dump sizes. Parsing
-// runs through the parallel pipeline with one worker per CPU; use
+// runs through the pipeline with one worker per CPU; use
 // LoadDumpDirOpts to tune it.
 func LoadDumpDir(dir string) (*ir.IR, map[string]int64, error) {
 	return LoadDumpDirOpts(dir, LoadOptions{})
@@ -230,7 +230,7 @@ func LoadDumpDirOpts(dir string, opts LoadOptions) (*ir.IR, map[string]int64, er
 		}
 		dumps = append(dumps, Dump{Name: name, R: f})
 	}
-	x := ParseDumpsParallel(opts, dumps...)
+	x := ParseDumps(opts, dumps...)
 	for _, e := range x.Errors {
 		if e.Kind == "io" {
 			return nil, nil, fmt.Errorf("core: reading the %s dump: %s", e.Source, e.Msg)

@@ -17,20 +17,28 @@ import (
 
 var errDisk = errors.New("input/output error")
 
-// bothPaths parses the dumps mk returns through the sequential builder
-// and through the pipeline (small chunks, several workers), requires the
-// two IRs to be deeply equal, error order included, and returns the IR
-// and what the pipeline counted as parse errors per registry.
+// bothPaths parses the dumps mk returns twice: each dump read whole and
+// parsed as one chunk (the reference), and through the pipeline in
+// small chunks on several workers. It requires the two IRs to be deeply
+// equal, error order included, and returns the IR and what the pipeline
+// counted as parse errors per registry.
 func bothPaths(t *testing.T, mk func() []Dump) (*ir.IR, map[string]int64) {
 	t.Helper()
-	seq := ParseDumps(mk()...)
-	m := parser.NewPipelineMetrics(telemetry.NewRegistry("t"))
-	par := ParseDumpsParallel(LoadOptions{Workers: 3, ChunkSize: 64, Stats: &parser.LoadStats{Metrics: m}}, mk()...)
-	if !reflect.DeepEqual(seq.Errors, par.Errors) {
-		t.Fatalf("errors differ:\nsequential %v\npipeline   %v", seq.Errors, par.Errors)
+	dumps := mk()
+	in := make(chan parser.SeqChunk, len(dumps))
+	for i, d := range dumps {
+		text, err := io.ReadAll(d.R)
+		in <- parser.SeqChunk{Chunk: parser.Chunk{Source: d.Name, DumpIndex: i, Text: text, FirstLine: 1}, Seq: i, Err: err}
 	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("pipeline IR differs from the sequential IR")
+	close(in)
+	whole := parser.Merge(parser.ParseChunks(in, 1, nil), nil)
+	m := parser.NewPipelineMetrics(telemetry.NewRegistry("t"))
+	par := ParseDumps(LoadOptions{Workers: 3, ChunkSize: 64, Stats: &parser.LoadStats{Metrics: m}}, mk()...)
+	if !reflect.DeepEqual(whole.Errors, par.Errors) {
+		t.Fatalf("errors differ:\none chunk a dump %v\npipeline         %v", whole.Errors, par.Errors)
+	}
+	if !reflect.DeepEqual(whole, par) {
+		t.Fatal("pipeline IR differs from the one-chunk-a-dump IR")
 	}
 	return par, m.ParseErrors.Values()
 }
@@ -38,7 +46,7 @@ func bothPaths(t *testing.T, mk func() []Dump) (*ir.IR, map[string]int64) {
 // TestReadErrorIsRecorded cuts the first registry's dump short with a
 // failing reader: what was read before the failure is parsed, the error
 // is recorded as that dump's last parse error (kind "io") ahead of the
-// next dump's, identically in both paths, and it is counted.
+// next dump's, at any chunking, and it is counted.
 func TestReadErrorIsRecorded(t *testing.T) {
 	ripe := "aut-num: AS1\n\nstray text\n\naut-num: AS2\n\n" + strings.Repeat("aut-num: AS3\nas-name: THREE\n\n", 40)
 	radb := "route: bad\norigin: AS1\n\naut-num: AS9\n"
@@ -73,8 +81,9 @@ func TestReadErrorIsRecorded(t *testing.T) {
 }
 
 // TestOverlongLineCostsItsObject puts a 17 MiB members: line in the
-// second of three objects: both paths drop that object, record one
-// syntax error naming the registry and the line, and keep going.
+// second of three objects: at any chunking the parse drops that object,
+// records one syntax error naming the registry and the line, and keeps
+// going.
 func TestOverlongLineCostsItsObject(t *testing.T) {
 	text := "as-set: AS-ONE\nmembers: AS1\n\nas-set: AS-TWO\ndescr: big\nmembers: " +
 		strings.Repeat("AS65000, ", (17<<20)/9) + "AS1\nmnt-by: M\n\nas-set: AS-THREE\nmembers: AS3\n"
@@ -104,7 +113,7 @@ func TestLoadDumpDirFailsOnReadError(t *testing.T) {
 	if err := os.Symlink(t.TempDir(), filepath.Join(dir, "ripe.db")); err != nil {
 		t.Skip("no symlinks here:", err)
 	}
-	for _, opts := range []LoadOptions{{}, {Sequential: true}} {
+	for _, opts := range []LoadOptions{{}, {Workers: 1}} {
 		if _, _, err := LoadDumpDirOpts(dir, opts); err == nil || !strings.Contains(err.Error(), "RIPE") {
 			t.Fatalf("LoadDumpDirOpts(%+v) error = %v, want a read error naming RIPE", opts, err)
 		}

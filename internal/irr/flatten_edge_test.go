@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"testing"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/rpsl"
 	"rpslyzer/internal/topology"
 )
 
@@ -252,11 +250,11 @@ func TestFullFlattenIsReflattenOfEverySet(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		u := irrgen.Generate(topology.Generate(topology.Config{ASes: 150, Seed: seed}), irrgen.Config{Seed: seed})
-		b := parser.NewBuilder()
+		var dumps []parser.DumpText
 		for _, name := range irrgen.IRRs {
-			b.AddDump(rpsl.NewReader(strings.NewReader(u.DumpText(name)), name))
+			dumps = append(dumps, parser.DumpText{Source: name, Text: u.DumpText(name)})
 		}
-		corpora[fmt.Sprintf("irrgen-seed-%d", seed)] = b.IR
+		corpora[fmt.Sprintf("irrgen-seed-%d", seed)] = parser.ParseTexts(dumps...)
 	}
 	for name, x := range corpora {
 		t.Run(name, func(t *testing.T) {

@@ -8,14 +8,11 @@ import (
 
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/prefix"
-	"rpslyzer/internal/rpsl"
 )
 
 func dbFrom(t *testing.T, text string) *Database {
 	t.Helper()
-	b := parser.NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(text), "TEST"))
-	return New(b.IR)
+	return New(parser.ParseText(text, "TEST"))
 }
 
 func TestRouteTable(t *testing.T) {

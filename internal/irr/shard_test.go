@@ -10,7 +10,6 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/prefix"
-	"rpslyzer/internal/rpsl"
 )
 
 // shardFixtureIR builds a randomized route universe with multi-origin
@@ -33,12 +32,10 @@ func shardFixtureIR(t *testing.T, seed int64) *ir.IR {
 	for asn := 64496; asn < 64536; asn++ {
 		fmt.Fprintf(&sb, "aut-num: AS%d\nimport: from AS64400 accept ANY\n\n", asn)
 	}
-	bld := parser.NewBuilder()
-	bld.AddDump(rpsl.NewReader(strings.NewReader(sb.String()), "T1"))
 	// A second source re-registers a slice of the routes, so pair
 	// multiplicities exceed 1.
-	bld.AddDump(rpsl.NewReader(strings.NewReader(sb.String()[:sb.Len()/3]), "T2"))
-	return bld.IR
+	return parser.ParseTexts(parser.DumpText{Source: "T1", Text: sb.String()},
+		parser.DumpText{Source: "T2", Text: sb.String()[:sb.Len()/3]})
 }
 
 // assertShardEquivalent checks every route-index query surface of a

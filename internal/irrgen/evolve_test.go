@@ -7,17 +7,16 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/render"
-	"rpslyzer/internal/rpsl"
 )
 
 func evolveBaseIR(t *testing.T) *ir.IR {
 	t.Helper()
 	u := genSmall(t, 5)
-	b := parser.NewBuilder()
+	var dumps []parser.DumpText
 	for _, name := range IRRs {
-		b.AddDump(rpsl.NewReader(strings.NewReader(u.DumpText(name)), name))
+		dumps = append(dumps, parser.DumpText{Source: name, Text: u.DumpText(name)})
 	}
-	return b.IR
+	return parser.ParseTexts(dumps...)
 }
 
 func TestEvolveDeterministic(t *testing.T) {

@@ -8,14 +8,11 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/rpsl"
 )
 
 func dbFrom(t *testing.T, text string) *irr.Database {
 	t.Helper()
-	b := parser.NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(text), "TEST"))
-	return irr.New(b.IR)
+	return irr.New(parser.ParseText(text, "TEST"))
 }
 
 func findingsByRule(fs []Finding) map[string][]Finding {

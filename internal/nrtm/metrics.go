@@ -11,6 +11,11 @@ type Metrics struct {
 	// SerialsApplied counts journal serials (operations) applied, each
 	// creating, replacing or deleting one object.
 	SerialsApplied *telemetry.Counter
+	// RejectedObjects counts applied operations whose object the parser
+	// rejected (an aut-num with a bad name, a route without a valid
+	// prefix or origin): like a dump parse, the mirror counts them in
+	// the class census and indexes nothing.
+	RejectedObjects *telemetry.Counter
 	// ApplySeconds is the per-journal incremental apply latency,
 	// including index maintenance and re-flattening.
 	ApplySeconds *telemetry.Histogram
@@ -42,6 +47,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{
 		SerialsApplied: reg.Counter("rpslyzer_nrtm_serials_applied_total",
 			"Journal serials applied incrementally."),
+		RejectedObjects: reg.Counter("rpslyzer_nrtm_rejected_objects_total",
+			"Applied journal operations whose object the parser rejected."),
 		ApplySeconds: reg.Histogram("rpslyzer_nrtm_apply_seconds",
 			"Per-journal incremental apply latency.", nil),
 		Resyncs: reg.Counter("rpslyzer_nrtm_resyncs_total",
@@ -66,11 +73,12 @@ func (m *Metrics) applySpan() telemetry.Span {
 	return telemetry.StartSpan(m.ApplySeconds)
 }
 
-func (m *Metrics) applied(ops int) {
+func (m *Metrics) applied(ops, rejected int) {
 	if m == nil {
 		return
 	}
 	m.SerialsApplied.Add(int64(ops))
+	m.RejectedObjects.Add(int64(rejected))
 	m.Swaps.Inc()
 }
 

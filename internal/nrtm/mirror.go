@@ -145,7 +145,7 @@ func (m *Mirror) ApplyAllKeys(journals []*Journal) ([]depgraph.Key, error) {
 	m.db.Store(db)
 	m.serials = next
 	span.End()
-	m.metrics.applied(ops)
+	m.metrics.applied(ops, st.rejected)
 	return st.keys(), nil
 }
 
@@ -195,6 +195,8 @@ type applyState struct {
 	// for ApplyAllKeys; keys() merges in the indirect moves tracked
 	// above (dirty as-sets, reindexed route-sets).
 	touched map[depgraph.Key]struct{}
+	// rejected counts operations whose object the parser rejected.
+	rejected int
 }
 
 func newApplyState() *applyState {
@@ -263,91 +265,79 @@ func sortedNames(set map[string]struct{}) []string {
 
 // applyOp applies one operation to the private clone.
 func applyOp(db *irr.Database, st *applyState, registry string, op Op) error {
-	obj, one, err := parser.ParseOne(op.Object, registry)
+	class, res, err := parser.ParseOne(op.Object, registry)
 	if err != nil {
 		return err
 	}
-	switch obj.Class {
-	case "aut-num":
-		for asn, an := range one.AutNums {
-			st.touched[depgraph.AutNumKey(asn)] = struct{}{}
-			old := db.IR.AutNums[asn]
-			if op.Action == OpAdd {
-				db.IR.AutNums[asn] = an
-				oldSource := ""
-				if old != nil {
-					oldSource = old.Source
-				}
-				adjustCount(db.IR, oldSource, registry, obj.Class, old == nil)
-				markDirty(st.dirtyAsSets, db.UpdateAutNumRefs(asn, old, an))
-			} else {
-				if old == nil {
-					return fmt.Errorf("nrtm: DEL of unknown aut-num AS%d", asn)
-				}
-				delete(db.IR.AutNums, asn)
-				uncount(db.IR, old.Source, obj.Class)
-				markDirty(st.dirtyAsSets, db.UpdateAutNumRefs(asn, old, nil))
-			}
-		}
-	case "as-set":
-		for name, set := range one.AsSets {
-			if err := upsert(db.IR, registry, obj.Class, op.Action, db.IR.AsSets, name, set,
-				func(s *ir.AsSet) string { return s.Source }); err != nil {
-				return err
-			}
-			st.reindexAsSets[name] = struct{}{}
-			st.dirtyAsSets[name] = struct{}{}
-		}
-	case "route-set":
-		for name, set := range one.RouteSets {
-			if err := upsert(db.IR, registry, obj.Class, op.Action, db.IR.RouteSets, name, set,
-				func(s *ir.RouteSet) string { return s.Source }); err != nil {
-				return err
-			}
-			st.reindexRouteSets[name] = struct{}{}
-		}
-	case "route", "route6":
-		if len(one.Routes) != 1 {
-			return fmt.Errorf("nrtm: route operation decoded %d routes", len(one.Routes))
-		}
-		return applyRouteOp(db, st, registry, op.Action, one.Routes[0], obj.Class)
-	case "peering-set":
-		for name, set := range one.PeeringSets {
-			st.touched[depgraph.PeeringSetKey(name)] = struct{}{}
-			if err := upsert(db.IR, registry, obj.Class, op.Action, db.IR.PeeringSets, name, set,
-				func(s *ir.PeeringSet) string { return s.Source }); err != nil {
-				return err
-			}
-		}
-	case "filter-set":
-		for name, set := range one.FilterSets {
-			st.touched[depgraph.FilterSetKey(name)] = struct{}{}
-			if err := upsert(db.IR, registry, obj.Class, op.Action, db.IR.FilterSets, name, set,
-				func(s *ir.FilterSet) string { return s.Source }); err != nil {
-				return err
-			}
-		}
-	case "inet-rtr":
-		for name, rtr := range one.InetRtrs {
-			if err := upsert(db.IR, registry, obj.Class, op.Action, db.IR.InetRtrs, name, rtr,
-				func(s *ir.InetRtr) string { return s.Source }); err != nil {
-				return err
-			}
-		}
-	case "rtr-set":
-		for name, set := range one.RtrSets {
-			if err := upsert(db.IR, registry, obj.Class, op.Action, db.IR.RtrSets, name, set,
-				func(s *ir.RtrSet) string { return s.Source }); err != nil {
-				return err
-			}
-		}
-	default:
-		// Non-routing classes (mntner, person, ...) carry no indexed
-		// state; only the per-source census moves.
+	one := res.Flat
+	switch {
+	case len(one.AutNums) == 1:
+		an := one.AutNums[0]
+		st.touched[depgraph.AutNumKey(an.ASN)] = struct{}{}
+		old := db.IR.AutNums[an.ASN]
 		if op.Action == OpAdd {
-			db.IR.CountObject(registry, obj.Class)
+			db.IR.AutNums[an.ASN] = an
+			oldSource := ""
+			if old != nil {
+				oldSource = old.Source
+			}
+			adjustCount(db.IR, oldSource, registry, class, old == nil)
+			markDirty(st.dirtyAsSets, db.UpdateAutNumRefs(an.ASN, old, an))
 		} else {
-			uncount(db.IR, registry, obj.Class)
+			if old == nil {
+				return fmt.Errorf("nrtm: DEL of unknown aut-num AS%d", an.ASN)
+			}
+			delete(db.IR.AutNums, an.ASN)
+			uncount(db.IR, old.Source, class)
+			markDirty(st.dirtyAsSets, db.UpdateAutNumRefs(an.ASN, old, nil))
+		}
+	case len(one.AsSets) == 1:
+		set := one.AsSets[0]
+		if err := upsert(db.IR, registry, class, op.Action, db.IR.AsSets, set.Name, set,
+			func(s *ir.AsSet) string { return s.Source }); err != nil {
+			return err
+		}
+		st.reindexAsSets[set.Name] = struct{}{}
+		st.dirtyAsSets[set.Name] = struct{}{}
+	case len(one.RouteSets) == 1:
+		set := one.RouteSets[0]
+		if err := upsert(db.IR, registry, class, op.Action, db.IR.RouteSets, set.Name, set,
+			func(s *ir.RouteSet) string { return s.Source }); err != nil {
+			return err
+		}
+		st.reindexRouteSets[set.Name] = struct{}{}
+	case len(one.Routes) == 1:
+		return applyRouteOp(db, st, registry, op.Action, one.Routes[0], class)
+	case len(one.PeeringSets) == 1:
+		set := one.PeeringSets[0]
+		st.touched[depgraph.PeeringSetKey(set.Name)] = struct{}{}
+		return upsert(db.IR, registry, class, op.Action, db.IR.PeeringSets, set.Name, set,
+			func(s *ir.PeeringSet) string { return s.Source })
+	case len(one.FilterSets) == 1:
+		set := one.FilterSets[0]
+		st.touched[depgraph.FilterSetKey(set.Name)] = struct{}{}
+		return upsert(db.IR, registry, class, op.Action, db.IR.FilterSets, set.Name, set,
+			func(s *ir.FilterSet) string { return s.Source })
+	case len(one.InetRtrs) == 1:
+		rtr := one.InetRtrs[0]
+		return upsert(db.IR, registry, class, op.Action, db.IR.InetRtrs, rtr.Name, rtr,
+			func(s *ir.InetRtr) string { return s.Source })
+	case len(one.RtrSets) == 1:
+		set := one.RtrSets[0]
+		return upsert(db.IR, registry, class, op.Action, db.IR.RtrSets, set.Name, set,
+			func(s *ir.RtrSet) string { return s.Source })
+	default:
+		// A class the parser does not decompose (mntner, person, ...)
+		// or an object it rejected (the parse errors say why). A dump
+		// parse counts either in the per-source census and indexes
+		// nothing; so does the mirror.
+		if len(res.IR.Errors) > 0 {
+			st.rejected++
+		}
+		if op.Action == OpAdd {
+			db.IR.CountObject(registry, class)
+		} else {
+			uncount(db.IR, registry, class)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package nrtm_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,7 +12,9 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/nrtm"
+	"rpslyzer/internal/parser"
 	"rpslyzer/internal/render"
+	"rpslyzer/internal/telemetry"
 )
 
 // reparse feeds per-registry dump texts back through the parser in the
@@ -24,7 +27,7 @@ func reparse(texts map[string]string) *ir.IR {
 			dumps = append(dumps, core.Dump{Name: name, R: strings.NewReader(text)})
 		}
 	}
-	return core.ParseDumps(dumps...)
+	return core.ParseDumps(core.LoadOptions{}, dumps...)
 }
 
 func synthIR(t *testing.T, ases int) *ir.IR {
@@ -154,6 +157,49 @@ func TestMirrorApplyAtomic(t *testing.T) {
 	}
 	if mir.Serials()["RADB"] != 0 {
 		t.Errorf("serial advanced to %d on failed apply", mir.Serials()["RADB"])
+	}
+}
+
+// TestApplyRejectedObjectLikeDump applies a journal of two objects the
+// parser rejects, a route whose prefix is no prefix and an aut-num whose
+// name is no AS number, then a good object in the registry's next
+// journal. Both journals apply and the serials advance, with no resync:
+// like a dump parse of the same objects, the mirror counts the rejected
+// two in the class census, indexes neither and touches no key.
+func TestApplyRejectedObjectLikeDump(t *testing.T) {
+	route := "route:          192.0.2.0/33\norigin:         AS1\nsource:         RADB\n"
+	autnum := "aut-num:        ASX1\nas-name:        BAD\nsource:         RADB\n"
+	good := "aut-num:        AS1\nas-name:        GOOD\nsource:         RADB\n"
+	m := nrtm.NewMetrics(telemetry.NewRegistry("t"))
+	mir := nrtm.NewMirror(ir.New(), nil, m)
+	keys, err := mir.ApplyAllKeys([]*nrtm.Journal{{Registry: "RADB", First: 1, Last: 2, Ops: []nrtm.Op{
+		{Serial: 1, Action: nrtm.OpAdd, Object: route},
+		{Serial: 2, Action: nrtm.OpAdd, Object: autnum},
+	}}})
+	if err != nil {
+		t.Fatalf("journal of rejected objects: %v", err)
+	}
+	if len(keys) != 0 {
+		t.Errorf("rejected objects touched %v, want no key", keys)
+	}
+	if err := mir.ApplyAll([]*nrtm.Journal{{Registry: "RADB", First: 3, Last: 3, Ops: []nrtm.Op{
+		{Serial: 3, Action: nrtm.OpAdd, Object: good},
+	}}}); err != nil {
+		t.Fatalf("the next journal: %v", err)
+	}
+	if got := mir.Serials()["RADB"]; got != 3 {
+		t.Errorf("RADB serial = %d, want 3", got)
+	}
+	got := mir.DB().IR
+	want := parser.ParseText(route+"\n"+autnum+"\n"+good, "RADB")
+	if !reflect.DeepEqual(got.Counts, want.Counts) {
+		t.Errorf("Counts = %v, a dump parse of the same objects counts %v", got.Counts, want.Counts)
+	}
+	if len(got.Routes) != 0 || len(got.AutNums) != 1 || got.AutNums[1] == nil {
+		t.Errorf("indexed %d routes and aut-nums %v, want no route and AS1", len(got.Routes), got.AutNums)
+	}
+	if n := m.RejectedObjects.Value(); n != 2 {
+		t.Errorf("rpslyzer_nrtm_rejected_objects_total = %d, want 2", n)
 	}
 }
 

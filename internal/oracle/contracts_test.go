@@ -52,7 +52,7 @@ type pass struct {
 	evolved  *ir.IR // the generator's IR, which irrgen evolves
 	rels     *asrel.Database
 	routes   []bgpsim.Route
-	db1, dbN *irr.Database        // the sequential load at one shard, the pipeline's at the drawn count
+	db1, dbN *irr.Database        // the one-worker load at one shard, the drawn workers' at the drawn count
 	fresh    []verify.RouteReport // a fresh VerifyAll at the drawn shards, of the latest database
 }
 
@@ -78,10 +78,11 @@ func (p *pass) interpret(db *irr.Database) []verify.RouteReport {
 }
 
 // load is C1. The universe goes to disk as cmd/irrgen writes it and
-// comes back through the sequential reference loader and through the
-// pipeline at the drawn worker count in small chunks; the two must be
-// deeply equal, and the canonical text must reparse to itself. Each
-// load is indexed into one of the two databases base compares.
+// comes back through the pipeline twice: on one worker in default
+// chunks, the reference, and at the drawn worker count in 2 KiB chunks,
+// which moves every chunk boundary and reorders the results. The two
+// must be deeply equal, and the canonical text must reparse to itself.
+// Each load is indexed into one of the two databases base compares.
 func (p *pass) load() {
 	sys, err := core.BuildSynthetic(core.Options{Seed: p.d.seed, ASes: p.d.ases})
 	if err != nil {
@@ -98,7 +99,7 @@ func (p *pass) load() {
 		p.t.Fatal(err)
 	}
 
-	seq, seqSizes, err := core.LoadDumpDirOpts(p.dir, core.LoadOptions{Sequential: true})
+	seq, seqSizes, err := core.LoadDumpDirOpts(p.dir, core.LoadOptions{Workers: 1})
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -112,13 +113,13 @@ func (p *pass) load() {
 		p.t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seqSizes, parSizes) {
-		p.fail(c1, "dump sizes: sequential %v, pipeline %v", seqSizes, parSizes)
+		p.fail(c1, "dump sizes: one worker %v, %d workers %v", seqSizes, p.d.workers, parSizes)
 	}
 	if !reflect.DeepEqual(seq, par) {
 		sv, pv := reflect.ValueOf(seq).Elem(), reflect.ValueOf(par).Elem()
 		for i := 0; i < sv.NumField(); i++ {
 			if !reflect.DeepEqual(sv.Field(i).Interface(), pv.Field(i).Interface()) {
-				p.fail(c1, "IR.%s differs between the sequential and the pipeline load", sv.Type().Field(i).Name)
+				p.fail(c1, "IR.%s differs between the load on one worker and on %d in 2 KiB chunks", sv.Type().Field(i).Name, p.d.workers)
 			}
 		}
 	}
@@ -330,7 +331,7 @@ func reparse(texts map[string]string, workers int) *ir.IR {
 			dumps = append(dumps, core.Dump{Name: name, R: strings.NewReader(text)})
 		}
 	}
-	return core.ParseDumpsParallel(core.LoadOptions{Workers: workers, ChunkSize: 4 << 10}, dumps...)
+	return core.ParseDumps(core.LoadOptions{Workers: workers, ChunkSize: 4 << 10}, dumps...)
 }
 
 // textDiff names the first registry and line where two renders differ.

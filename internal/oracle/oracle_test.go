@@ -6,8 +6,8 @@
 // of them to their references in one pass over one generated universe
 // per draw:
 //
-//	C1 load: sequential load ≡ pipeline load; render → reparse → render
-//	   is a fixed point
+//	C1 load: one worker in default chunks ≡ the drawn workers in 2 KiB
+//	   chunks; render → reparse → render is a fixed point
 //	C2 compiled ≡ interpreter (Config.Eval "interp")
 //	C3 bulk drivers: VerifyAll at any partition count ≡ VerifyAll at one
 //	   ≡ VerifyStream as a multiset ≡ VerifyRoute route by route

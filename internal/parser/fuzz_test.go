@@ -9,7 +9,7 @@ import (
 
 // FuzzSplitDump differentially fuzzes the streaming splitter: for any
 // dump text and any chunk size, parsing the chunks must produce the
-// exact IR of a sequential whole-dump parse. The seeds are the shapes
+// exact IR of the whole text parsed as one chunk. The seeds are the shapes
 // the splitter must not mangle: truncated objects, CRLF line endings,
 // attribute continuation lines, and a final object missing its
 // trailing blank line.
@@ -43,10 +43,10 @@ func FuzzSplitDump(f *testing.F) {
 		if chunkSize <= 0 || chunkSize > len(text)+1 {
 			chunkSize = 16
 		}
-		want := parseSeq(text)
+		want := ParseText(text, "T")
 		got := parseChunked(t, text, chunkSize)
-		if !reflect.DeepEqual(want.IR, got.IR) {
-			t.Fatalf("chunked parse diverges from sequential for %q (chunk size %d)", text, chunkSize)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("chunked parse diverges from the one-chunk parse for %q (chunk size %d)", text, chunkSize)
 		}
 	})
 }

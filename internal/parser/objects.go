@@ -9,33 +9,18 @@ import (
 	"rpslyzer/internal/rpsl"
 )
 
-// Builder accumulates parsed objects into an IR with first-definition-
-// wins semantics: callers feed dumps in IRR priority order (Table 1 of
-// the paper) and an object defined in several IRRs keeps its
-// highest-priority definition. Route objects are kept from all sources
-// (multiplicity across IRRs is itself one of the paper's measurements).
-type Builder struct {
-	IR *ir.IR
-	// seenRoutes deduplicates identical (prefix, origin, source) tuples.
-	seenRoutes map[routeKey]bool
-	// flat, when non-nil, switches the Builder to flat emission: parsed
-	// objects append to these encounter-ordered lists instead of the IR
-	// maps, and no duplicate resolution happens (the IR maps stay empty,
-	// so the dup probes never fire). The chunk pipeline uses this mode —
-	// cross-chunk duplicates can only be resolved globally, so paying
-	// for chunk-local maps buys nothing.
-	flat *FlatObjects
-}
-
-type routeKey struct {
-	prefix prefix.Prefix
-	origin ir.ASN
-	source string
+// builder decomposes raw RPSL objects into typed IR values, appended
+// to flat in encounter order. It resolves no duplicates: whether an
+// object is the first definition of its name can only be known across
+// the whole feed, so that is the merge's. Parse errors and per-source
+// class counts accumulate on x.
+type builder struct {
+	x    *ir.IR
+	flat FlatObjects
 }
 
 // FlatObjects holds one chunk's parsed objects in encounter order,
-// without duplicate resolution. Errors and per-source class counts
-// still accumulate on the Builder's IR.
+// without duplicate resolution.
 type FlatObjects struct {
 	AutNums     []*ir.AutNum
 	AsSets      []*ir.AsSet
@@ -47,23 +32,9 @@ type FlatObjects struct {
 	Routes      []*ir.RouteObject
 }
 
-// NewBuilder creates a Builder over a fresh IR.
-func NewBuilder() *Builder {
-	return &Builder{IR: ir.New(), seenRoutes: make(map[routeKey]bool)}
-}
-
-// NewFlatBuilder creates a Builder in flat-emission mode; retrieve the
-// parsed objects with Flat.
-func NewFlatBuilder() *Builder {
-	return &Builder{IR: ir.New(), flat: &FlatObjects{}}
-}
-
-// Flat returns the flat-emission lists (nil for a regular Builder).
-func (b *Builder) Flat() *FlatObjects { return b.flat }
-
-// AddError records a parse error in the IR.
-func (b *Builder) AddError(obj *rpsl.Object, kind, format string, args ...any) {
-	b.IR.Errors = append(b.IR.Errors, ir.ParseError{
+// addError records a parse error.
+func (b *builder) addError(obj *rpsl.Object, kind, format string, args ...any) {
+	b.x.Errors = append(b.x.Errors, ir.ParseError{
 		Source: obj.Source,
 		Object: obj.Name,
 		Class:  obj.Class,
@@ -72,10 +43,10 @@ func (b *Builder) AddError(obj *rpsl.Object, kind, format string, args ...any) {
 	})
 }
 
-// AddObject decomposes one raw RPSL object into the IR. Non-routing
-// classes are counted and otherwise ignored.
-func (b *Builder) AddObject(obj *rpsl.Object) {
-	b.IR.CountObject(obj.Source, obj.Class)
+// add decomposes one raw RPSL object. Non-routing classes are counted
+// and otherwise ignored.
+func (b *builder) add(obj *rpsl.Object) {
+	b.x.CountObject(obj.Source, obj.Class)
 	switch obj.Class {
 	case "aut-num":
 		b.addAutNum(obj)
@@ -96,19 +67,6 @@ func (b *Builder) AddObject(obj *rpsl.Object) {
 	}
 }
 
-// AddDump reads every object from one dump reader into the IR, then
-// records the reader's diagnostics and, if the dump was cut short, the
-// read error that did it.
-func (b *Builder) AddDump(r *rpsl.Reader) {
-	for obj := r.Next(); obj != nil; obj = r.Next() {
-		b.AddObject(obj)
-	}
-	b.IR.Errors = append(b.IR.Errors, diagErrors(r.Diagnostics())...)
-	if err := r.Err(); err != nil {
-		b.IR.Errors = append(b.IR.Errors, ioError(r.Source(), err))
-	}
-}
-
 // ioError is the parse error that stands for a dump's failed read.
 func ioError(source string, err error) ir.ParseError {
 	return ir.ParseError{Source: source, Kind: "io", Msg: err.Error()}
@@ -126,14 +84,11 @@ func diagErrors(diags []rpsl.Diagnostic) []ir.ParseError {
 	return out
 }
 
-func (b *Builder) addAutNum(obj *rpsl.Object) {
+func (b *builder) addAutNum(obj *rpsl.Object) {
 	asn, err := ir.ParseASN(obj.Name)
 	if err != nil {
-		b.AddError(obj, "syntax", "bad aut-num name: %v", err)
+		b.addError(obj, "syntax", "bad aut-num name: %v", err)
 		return
-	}
-	if _, dup := b.IR.AutNums[asn]; dup {
-		return // lower-priority duplicate
 	}
 	an := &ir.AutNum{ASN: asn, Source: obj.Source}
 	if name, ok := obj.Get("as-name"); ok {
@@ -147,7 +102,7 @@ func (b *Builder) addAutNum(obj *rpsl.Object) {
 		for _, val := range obj.All(key) {
 			rule, err := ParseRule(dir, mp, val)
 			if err != nil {
-				b.AddError(obj, "syntax", "%s: %v (in %q)", key, err, truncateVal(val))
+				b.addError(obj, "syntax", "%s: %v (in %q)", key, err, truncateVal(val))
 				continue
 			}
 			rules = append(rules, rule)
@@ -163,28 +118,21 @@ func (b *Builder) addAutNum(obj *rpsl.Object) {
 		for _, val := range obj.All(key) {
 			d, err := ParseDefaultRule(mp, val)
 			if err != nil {
-				b.AddError(obj, "syntax", "%s: %v (in %q)", key, err, truncateVal(val))
+				b.addError(obj, "syntax", "%s: %v (in %q)", key, err, truncateVal(val))
 				continue
 			}
 			an.Defaults = append(an.Defaults, d)
 		}
 	}
-	if b.flat != nil {
-		b.flat.AutNums = append(b.flat.AutNums, an)
-		return
-	}
-	b.IR.AutNums[asn] = an
+	b.flat.AutNums = append(b.flat.AutNums, an)
 }
 
-func (b *Builder) addAsSet(obj *rpsl.Object) {
+func (b *builder) addAsSet(obj *rpsl.Object) {
 	name := obj.Name
 	if !ValidAsSetName(name) {
-		b.AddError(obj, "invalid-as-set-name", "invalid as-set name %q", name)
+		b.addError(obj, "invalid-as-set-name", "invalid as-set name %q", name)
 		// Keep parsing: tools must still see the object to diagnose
 		// references to it.
-	}
-	if _, dup := b.IR.AsSets[name]; dup {
-		return
 	}
 	set := &ir.AsSet{Name: name, Source: obj.Source}
 	set.MbrsByRef = splitList(strings.Join(obj.All("mbrs-by-ref"), ","))
@@ -204,23 +152,16 @@ func (b *Builder) addAsSet(obj *rpsl.Object) {
 		case ClassifySetName(mu) == SetClassAs:
 			set.MemberSets = append(set.MemberSets, mu)
 		default:
-			b.AddError(obj, "syntax", "bad as-set member %q", m)
+			b.addError(obj, "syntax", "bad as-set member %q", m)
 		}
 	}
-	if b.flat != nil {
-		b.flat.AsSets = append(b.flat.AsSets, set)
-		return
-	}
-	b.IR.AsSets[name] = set
+	b.flat.AsSets = append(b.flat.AsSets, set)
 }
 
-func (b *Builder) addRouteSet(obj *rpsl.Object) {
+func (b *builder) addRouteSet(obj *rpsl.Object) {
 	name := obj.Name
 	if !ValidRouteSetName(name) {
-		b.AddError(obj, "invalid-route-set-name", "invalid route-set name %q", name)
-	}
-	if _, dup := b.IR.RouteSets[name]; dup {
-		return
+		b.addError(obj, "invalid-route-set-name", "invalid route-set name %q", name)
 	}
 	set := &ir.RouteSet{Name: name, Source: obj.Source}
 	set.MbrsByRef = splitList(strings.Join(obj.All("mbrs-by-ref"), ","))
@@ -230,16 +171,12 @@ func (b *Builder) addRouteSet(obj *rpsl.Object) {
 	for _, m := range members {
 		member, err := parseRouteSetMember(m)
 		if err != nil {
-			b.AddError(obj, "syntax", "bad route-set member %q: %v", m, err)
+			b.addError(obj, "syntax", "bad route-set member %q: %v", m, err)
 			continue
 		}
 		set.Members = append(set.Members, member)
 	}
-	if b.flat != nil {
-		b.flat.RouteSets = append(b.flat.RouteSets, set)
-		return
-	}
-	b.IR.RouteSets[name] = set
+	b.flat.RouteSets = append(b.flat.RouteSets, set)
 }
 
 // parseRouteSetMember parses one route-set member: a prefix range, a
@@ -270,13 +207,10 @@ func parseRouteSetMember(m string) (ir.RouteSetMember, error) {
 	return ir.RouteSetMember{}, fmt.Errorf("unrecognized member")
 }
 
-func (b *Builder) addPeeringSet(obj *rpsl.Object) {
+func (b *builder) addPeeringSet(obj *rpsl.Object) {
 	name := obj.Name
 	if !ValidPeeringSetName(name) {
-		b.AddError(obj, "invalid-peering-set-name", "invalid peering-set name %q", name)
-	}
-	if _, dup := b.IR.PeeringSets[name]; dup {
-		return
+		b.addError(obj, "invalid-peering-set-name", "invalid peering-set name %q", name)
 	}
 	set := &ir.PeeringSet{Name: name, Source: obj.Source}
 	vals := obj.All("peering")
@@ -284,31 +218,24 @@ func (b *Builder) addPeeringSet(obj *rpsl.Object) {
 	for _, v := range vals {
 		toks, err := lex(v)
 		if err != nil {
-			b.AddError(obj, "syntax", "bad peering %q: %v", v, err)
+			b.addError(obj, "syntax", "bad peering %q: %v", v, err)
 			continue
 		}
 		c := &cursor{toks: toks}
 		p, ok := parsePeering(c)
 		if !ok || !c.atEOF() {
-			b.AddError(obj, "syntax", "bad peering %q", v)
+			b.addError(obj, "syntax", "bad peering %q", v)
 			continue
 		}
 		set.Peerings = append(set.Peerings, p)
 	}
-	if b.flat != nil {
-		b.flat.PeeringSets = append(b.flat.PeeringSets, set)
-		return
-	}
-	b.IR.PeeringSets[name] = set
+	b.flat.PeeringSets = append(b.flat.PeeringSets, set)
 }
 
-func (b *Builder) addFilterSet(obj *rpsl.Object) {
+func (b *builder) addFilterSet(obj *rpsl.Object) {
 	name := obj.Name
 	if !ValidFilterSetName(name) {
-		b.AddError(obj, "invalid-filter-set-name", "invalid filter-set name %q", name)
-	}
-	if _, dup := b.IR.FilterSets[name]; dup {
-		return
+		b.addError(obj, "invalid-filter-set-name", "invalid filter-set name %q", name)
 	}
 	set := &ir.FilterSet{Name: name, Source: obj.Source}
 	val, ok := obj.Get("filter")
@@ -316,53 +243,42 @@ func (b *Builder) addFilterSet(obj *rpsl.Object) {
 		val, ok = obj.Get("mp-filter")
 	}
 	if !ok {
-		b.AddError(obj, "syntax", "filter-set without filter attribute")
+		b.addError(obj, "syntax", "filter-set without filter attribute")
 		set.Filter = unsupportedFilter("")
 	} else {
 		f, err := ParseFilter(val)
 		if err != nil {
-			b.AddError(obj, "syntax", "bad filter %q: %v", val, err)
+			b.addError(obj, "syntax", "bad filter %q: %v", val, err)
 			f = unsupportedFilter(val)
 		}
 		set.Filter = f
 	}
-	if b.flat != nil {
-		b.flat.FilterSets = append(b.flat.FilterSets, set)
-		return
-	}
-	b.IR.FilterSets[name] = set
+	b.flat.FilterSets = append(b.flat.FilterSets, set)
 }
 
-func (b *Builder) addRoute(obj *rpsl.Object) {
+func (b *builder) addRoute(obj *rpsl.Object) {
 	p, err := prefix.Parse(obj.Name)
 	if err != nil {
-		b.AddError(obj, "syntax", "bad route prefix: %v", err)
+		b.addError(obj, "syntax", "bad route prefix: %v", err)
 		return
 	}
 	if obj.Class == "route" && !p.IsIPv4() {
-		b.AddError(obj, "syntax", "route object with non-IPv4 prefix %s", p)
+		b.addError(obj, "syntax", "route object with non-IPv4 prefix %s", p)
 		return
 	}
 	if obj.Class == "route6" && !p.IsIPv6() {
-		b.AddError(obj, "syntax", "route6 object with non-IPv6 prefix %s", p)
+		b.addError(obj, "syntax", "route6 object with non-IPv6 prefix %s", p)
 		return
 	}
 	originStr, ok := obj.Get("origin")
 	if !ok {
-		b.AddError(obj, "syntax", "route object without origin")
+		b.addError(obj, "syntax", "route object without origin")
 		return
 	}
 	origin, err := ir.ParseASN(originStr)
 	if err != nil {
-		b.AddError(obj, "syntax", "bad origin %q", originStr)
+		b.addError(obj, "syntax", "bad origin %q", originStr)
 		return
-	}
-	if b.flat == nil {
-		key := routeKey{p, origin, obj.Source}
-		if b.seenRoutes[key] {
-			return
-		}
-		b.seenRoutes[key] = true
 	}
 	ro := &ir.RouteObject{
 		Prefix:    p,
@@ -371,11 +287,7 @@ func (b *Builder) addRoute(obj *rpsl.Object) {
 		MntBys:    splitList(strings.Join(obj.All("mnt-by"), ",")),
 		Source:    obj.Source,
 	}
-	if b.flat != nil {
-		b.flat.Routes = append(b.flat.Routes, ro)
-		return
-	}
-	b.IR.Routes = append(b.IR.Routes, ro)
+	b.flat.Routes = append(b.flat.Routes, ro)
 }
 
 // splitList splits an RPSL list value on commas and whitespace,

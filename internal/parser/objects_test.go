@@ -5,15 +5,7 @@ import (
 	"testing"
 
 	"rpslyzer/internal/ir"
-	"rpslyzer/internal/rpsl"
 )
-
-func buildFrom(t *testing.T, text, source string) *Builder {
-	t.Helper()
-	b := NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(text), source))
-	return b
-}
 
 const miniIRR = `
 aut-num:        AS64500
@@ -56,8 +48,7 @@ source:         RIPE
 `
 
 func TestBuilderDecomposesAll(t *testing.T) {
-	b := buildFrom(t, miniIRR, "RIPE")
-	x := b.IR
+	x := ParseText(miniIRR, "RIPE")
 	if len(x.Errors) != 0 {
 		t.Fatalf("unexpected errors: %v", x.Errors)
 	}
@@ -133,11 +124,9 @@ func TestBuilderDecomposesAll(t *testing.T) {
 func TestBuilderPriorityFirstWins(t *testing.T) {
 	high := "aut-num: AS1\nas-name: HIGH\nsource: RIPE\n"
 	low := "aut-num: AS1\nas-name: LOW\nsource: RADB\n"
-	b := NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(high), "RIPE"))
-	b.AddDump(rpsl.NewReader(strings.NewReader(low), "RADB"))
-	if b.IR.AutNums[1].Name != "HIGH" {
-		t.Errorf("priority merge kept %q", b.IR.AutNums[1].Name)
+	x := ParseTexts(DumpText{"RIPE", high}, DumpText{"RADB", low})
+	if x.AutNums[1].Name != "HIGH" {
+		t.Errorf("priority merge kept %q", x.AutNums[1].Name)
 	}
 }
 
@@ -151,16 +140,15 @@ origin: AS2
 route: 192.0.2.0/24
 origin: AS1
 `
-	b := buildFrom(t, text, "RADB")
 	// Same (prefix, origin, source) deduplicated; different origins kept.
-	if len(b.IR.Routes) != 2 {
-		t.Errorf("routes = %d, want 2", len(b.IR.Routes))
+	if x := ParseText(text, "RADB"); len(x.Routes) != 2 {
+		t.Errorf("routes = %d, want 2", len(x.Routes))
 	}
 	// The same pair from a different IRR is kept (cross-IRR duplication
 	// is one of the paper's measurements).
-	b.AddDump(rpsl.NewReader(strings.NewReader("route: 192.0.2.0/24\norigin: AS1\n"), "NTTCOM"))
-	if len(b.IR.Routes) != 3 {
-		t.Errorf("routes after cross-IRR dup = %d, want 3", len(b.IR.Routes))
+	x := ParseTexts(DumpText{"RADB", text}, DumpText{"NTTCOM", "route: 192.0.2.0/24\norigin: AS1\n"})
+	if len(x.Routes) != 3 {
+		t.Errorf("routes after cross-IRR dup = %d, want 3", len(x.Routes))
 	}
 }
 
@@ -195,13 +183,13 @@ origin: ASXYZ
 route6: 10.0.0.0/8
 origin: AS1
 `
-	b := buildFrom(t, text, "T")
+	x := ParseText(text, "T")
 	kinds := map[string]int{}
-	for _, e := range b.IR.Errors {
+	for _, e := range x.Errors {
 		kinds[e.Kind]++
 	}
 	if kinds["syntax"] < 5 {
-		t.Errorf("syntax errors = %d, want >= 5 (%v)", kinds["syntax"], b.IR.Errors)
+		t.Errorf("syntax errors = %d, want >= 5 (%v)", kinds["syntax"], x.Errors)
 	}
 	if kinds["invalid-as-set-name"] != 1 {
 		t.Errorf("invalid as-set names = %d", kinds["invalid-as-set-name"])
@@ -209,12 +197,12 @@ origin: AS1
 	if kinds["invalid-route-set-name"] != 1 {
 		t.Errorf("invalid route-set names = %d", kinds["invalid-route-set-name"])
 	}
-	if !b.IR.AsSets["AS-WITHANY"].ContainsAnyKeyword {
+	if !x.AsSets["AS-WITHANY"].ContainsAnyKeyword {
 		t.Error("ANY keyword member not flagged")
 	}
 	// aut-num with the unparseable import still exists, with 0 imports.
-	if an := b.IR.AutNums[10]; an == nil || len(an.Imports) != 0 {
-		t.Errorf("aut-num 10 = %+v", b.IR.AutNums[10])
+	if an := x.AutNums[10]; an == nil || len(an.Imports) != 0 {
+		t.Errorf("aut-num 10 = %+v", x.AutNums[10])
 	}
 }
 
@@ -296,7 +284,7 @@ func TestSplitList(t *testing.T) {
 
 func TestFilterSetVariants(t *testing.T) {
 	// mp-filter fallback, missing filter attribute, and duplicates.
-	b := buildFrom(t, `
+	x := ParseText(`
 filter-set: FLTR-MP
 mp-filter: { 2001:db8::/32^+ }
 
@@ -306,16 +294,16 @@ descr: missing filter attribute
 filter-set: FLTR-MP
 mp-filter: ANY
 `, "T")
-	fs := b.IR.FilterSets["FLTR-MP"]
+	fs := x.FilterSets["FLTR-MP"]
 	if fs == nil || fs.Filter.Kind != ir.FilterPrefixSet {
 		t.Fatalf("mp-filter = %+v", fs)
 	}
-	empty := b.IR.FilterSets["FLTR-NONE"]
+	empty := x.FilterSets["FLTR-NONE"]
 	if empty == nil || empty.Filter.Kind != ir.FilterUnsupported {
 		t.Errorf("missing-filter set = %+v", empty)
 	}
 	errs := 0
-	for _, e := range b.IR.Errors {
+	for _, e := range x.Errors {
 		if e.Kind == "syntax" {
 			errs++
 		}
@@ -326,7 +314,7 @@ mp-filter: ANY
 }
 
 func TestPeeringSetBadPeering(t *testing.T) {
-	b := buildFrom(t, `
+	x := ParseText(`
 peering-set: PRNG-BAD
 peering: !!!
 
@@ -336,20 +324,20 @@ peering: AS1
 peering-set: PRNG-DUP
 peering: AS2
 `, "T")
-	if len(b.IR.PeeringSets["PRNG-BAD"].Peerings) != 0 {
+	if len(x.PeeringSets["PRNG-BAD"].Peerings) != 0 {
 		t.Error("bad peering parsed")
 	}
 	found := false
-	for _, e := range b.IR.Errors {
+	for _, e := range x.Errors {
 		if e.Kind == "syntax" && strings.Contains(e.Msg, "bad peering") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("bad peering not reported: %v", b.IR.Errors)
+		t.Errorf("bad peering not reported: %v", x.Errors)
 	}
 	// Duplicate keeps the first definition.
-	if b.IR.PeeringSets["PRNG-DUP"].Peerings[0].ASExpr.ASN != 1 {
+	if x.PeeringSets["PRNG-DUP"].Peerings[0].ASExpr.ASN != 1 {
 		t.Error("duplicate peering-set did not keep first definition")
 	}
 }

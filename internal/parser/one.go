@@ -1,33 +1,24 @@
 package parser
 
-import (
-	"fmt"
+import "fmt"
 
-	"rpslyzer/internal/ir"
-	"rpslyzer/internal/rpsl"
-)
-
-// ParseOne decodes a single RPSL object in dump syntax, attributing it
-// to source (the registry label journals carry, mirroring how AddDump
-// labels dump readers). It returns the raw object together with an IR
-// holding exactly that one decoded object, so callers can pull the
-// typed value out of the single-entry class map. Zero objects or
-// trailing extra objects are errors. Attribute-level diagnostics are
-// NOT errors: the builder keeps diagnosed objects in the IR (tools
-// must see them to characterize broken policies), so a journal ADD of
-// such an object must land exactly like its dump-parsed counterpart.
-// The diagnostics are preserved in the returned IR's Errors.
-func ParseOne(text, source string) (*rpsl.Object, *ir.IR, error) {
-	r := rpsl.NewTextReader([]byte(text), source, 1)
-	obj := r.Next()
-	if obj == nil {
-		return nil, nil, fmt.Errorf("parser: no object in text")
+// ParseOne decodes text, a single RPSL object in dump syntax, as one
+// chunk of source through ParseChunk: exactly what a dump parse makes
+// of that object. It returns the object's class and the chunk's result.
+// res.Flat holds the one decoded value, or nothing for a class the
+// parser does not decompose or an object it rejects (an aut-num with a
+// bad name, a route without a valid prefix or origin; res.IR.Errors
+// says why). Attribute-level errors are not rejections: the object is
+// kept with them, as in a dump. Text holding no object or several is an
+// error.
+func ParseOne(text, source string) (string, ChunkResult, error) {
+	res := ParseChunk(Chunk{Source: source, Text: []byte(text), FirstLine: 1}, 0, 0)
+	if res.Objects != 1 {
+		return "", res, fmt.Errorf("parser: text holds %d objects, want one", res.Objects)
 	}
-	if extra := r.Next(); extra != nil {
-		return nil, nil, fmt.Errorf("parser: multiple objects in text (%s and %s)", obj.Class, extra.Class)
+	// The builder counted its one object under its class.
+	var class string
+	for class = range res.IR.Counts[source] {
 	}
-	b := NewBuilder()
-	b.AddObject(obj)
-	b.IR.Errors = append(b.IR.Errors, diagErrors(r.Diagnostics())...)
-	return obj, b.IR, nil
+	return class, res, nil
 }

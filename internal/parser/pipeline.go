@@ -16,14 +16,14 @@ type SeqChunk struct {
 	Seq int
 	// Err, on a dump's last chunk (which may be empty), is the read
 	// error that cut the dump short; it becomes that chunk's last
-	// diagnostic, where the sequential Builder.AddDump puts it.
+	// diagnostic, so the merge records it behind everything else of
+	// its dump.
 	Err error
 }
 
 // ChunkResult is the parse of one chunk: a chunk-local partial IR plus
-// the reader diagnostics kept separate, because the sequential path
-// appends diagnostics after all of a dump's objects and the merge stage
-// must reproduce that order exactly.
+// the reader diagnostics kept separate, because the merge records a
+// dump's diagnostics after all of its objects' parse errors.
 type ChunkResult struct {
 	Seq       int
 	Source    string
@@ -69,19 +69,19 @@ func DefaultWorkers(n int) int {
 // ParseChunk parses one chunk into flat, encounter-ordered object
 // lists (plus errors and counts on the partial IR).
 func ParseChunk(c Chunk, seq, worker int) ChunkResult {
-	b := NewFlatBuilder()
+	b := &builder{x: ir.New()}
 	r := rpsl.NewTextReader(c.Text, c.Source, c.FirstLine)
 	objects := 0
 	for obj := r.Next(); obj != nil; obj = r.Next() {
-		b.AddObject(obj)
+		b.add(obj)
 		objects++
 	}
 	return ChunkResult{
 		Seq:       seq,
 		Source:    c.Source,
 		DumpIndex: c.DumpIndex,
-		IR:        b.IR,
-		Flat:      b.Flat(),
+		IR:        b.x,
+		Flat:      &b.flat,
 		Diags:     diagErrors(r.Diagnostics()),
 		Objects:   objects,
 		Bytes:     len(c.Text),
@@ -91,9 +91,8 @@ func ParseChunk(c Chunk, seq, worker int) ChunkResult {
 
 // ParseChunks runs a pool of workers (sized by DefaultWorkers) over the
 // chunk stream and emits one ChunkResult per chunk, in completion order
-// — callers needing feed order reorder by Seq. The result channel
-// closes after the last chunk; stats, when non-nil, instruments the
-// run.
+// — Merge restores feed order by Seq. The result channel closes after
+// the last chunk; stats, when non-nil, instruments the run.
 func ParseChunks(in <-chan SeqChunk, workers int, stats *LoadStats) <-chan ChunkResult {
 	workers = DefaultWorkers(workers)
 	var (

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rpslyzer/internal/ir"
 	"rpslyzer/internal/rpsl"
 	"rpslyzer/internal/telemetry"
 )
@@ -24,33 +25,21 @@ func splitAll(t *testing.T, text string, target int) []Chunk {
 	return chunks
 }
 
-// parseVia parses text sequentially (reference) or through the chunk
-// pipeline and returns the resulting IR.
-func parseSeq(text string) *Builder {
-	b := NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(text), "T"))
-	return b
-}
-
-func parseChunked(t *testing.T, text string, target int) *Builder {
+// parseChunked parses text as the loader does, cut into chunks of the
+// given target, each through ParseChunk, and merged in order.
+func parseChunked(t *testing.T, text string, target int) *ir.IR {
 	t.Helper()
-	b := NewBuilder()
-	var diags []rpsl.Diagnostic
-	for _, c := range splitAll(t, text, target) {
-		r := rpsl.NewTextReader(c.Text, c.Source, c.FirstLine)
-		for obj := r.Next(); obj != nil; obj = r.Next() {
-			b.AddObject(obj)
-		}
-		diags = append(diags, r.Diagnostics()...)
+	m := newMerger()
+	for i, c := range splitAll(t, text, target) {
+		m.add(ParseChunk(c, i, 0))
 	}
-	b.IR.Errors = append(b.IR.Errors, diagErrors(diags)...)
-	return b
+	return m.finish()
 }
 
 // TestSplitterNeverSplitsObjects asserts chunk boundaries fall only on
-// blank lines: reassembling the chunks and parsing each chunk
-// separately both reproduce the sequential parse, across awkward dump
-// shapes and pathologically small chunk targets.
+// blank lines: the chunks reassemble to the text, and parsing them one
+// by one reproduces the parse of the whole text as one chunk, across
+// awkward dump shapes and pathologically small chunk targets.
 func TestSplitterNeverSplitsObjects(t *testing.T) {
 	cases := map[string]string{
 		"plain":                  "aut-num: AS1\nas-name: ONE\n\naut-num: AS2\n\nas-set: AS-X\nmembers: AS1, AS2\n",
@@ -67,7 +56,7 @@ func TestSplitterNeverSplitsObjects(t *testing.T) {
 	}
 	for name, text := range cases {
 		t.Run(name, func(t *testing.T) {
-			want := parseSeq(text)
+			want := ParseText(text, "T")
 			for _, target := range []int{1, 7, 64, 1 << 20} {
 				// Chunks must concatenate back to the text, byte for byte.
 				var rejoined strings.Builder
@@ -79,8 +68,8 @@ func TestSplitterNeverSplitsObjects(t *testing.T) {
 						target, rejoined.String(), text)
 				}
 				got := parseChunked(t, text, target)
-				if !reflect.DeepEqual(want.IR, got.IR) {
-					t.Fatalf("target=%d: chunked parse diverges from sequential", target)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("target=%d: chunked parse diverges from the one-chunk parse", target)
 				}
 			}
 		})

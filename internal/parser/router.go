@@ -57,44 +57,30 @@ func ParseDefaultRule(mp bool, text string) (ir.DefaultRule, error) {
 }
 
 // addInetRtr decomposes an inet-rtr object.
-func (b *Builder) addInetRtr(obj *rpsl.Object) {
+func (b *builder) addInetRtr(obj *rpsl.Object) {
 	name := strings.ToUpper(obj.Name)
-	if _, dup := b.IR.InetRtrs[name]; dup {
-		return
-	}
 	rtr := &ir.InetRtr{Name: name, Source: obj.Source}
 	if las, ok := obj.Get("local-as"); ok {
 		asn, err := ir.ParseASN(las)
 		if err != nil {
-			b.AddError(obj, "syntax", "bad local-as %q", las)
+			b.addError(obj, "syntax", "bad local-as %q", las)
 		} else {
 			rtr.LocalAS = asn
 		}
 	}
 	rtr.IfAddrs = obj.All("ifaddr")
 	rtr.Peers = append(obj.All("peer"), obj.All("mp-peer")...)
-	if b.flat != nil {
-		b.flat.InetRtrs = append(b.flat.InetRtrs, rtr)
-		return
-	}
-	b.IR.InetRtrs[name] = rtr
+	b.flat.InetRtrs = append(b.flat.InetRtrs, rtr)
 }
 
 // addRtrSet decomposes an rtr-set object.
-func (b *Builder) addRtrSet(obj *rpsl.Object) {
+func (b *builder) addRtrSet(obj *rpsl.Object) {
 	name := obj.Name
 	if !validSetName(name, "RTRS-") {
-		b.AddError(obj, "invalid-rtr-set-name", "invalid rtr-set name %q", name)
-	}
-	if _, dup := b.IR.RtrSets[name]; dup {
-		return
+		b.addError(obj, "invalid-rtr-set-name", "invalid rtr-set name %q", name)
 	}
 	set := &ir.RtrSet{Name: name, Source: obj.Source}
 	set.Members = splitList(strings.Join(obj.All("members"), ","))
 	set.Members = append(set.Members, splitList(strings.Join(obj.All("mp-members"), ","))...)
-	if b.flat != nil {
-		b.flat.RtrSets = append(b.flat.RtrSets, set)
-		return
-	}
-	b.IR.RtrSets[name] = set
+	b.flat.RtrSets = append(b.flat.RtrSets, set)
 }

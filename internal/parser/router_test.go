@@ -51,13 +51,13 @@ func TestParseDefaultRuleErrors(t *testing.T) {
 }
 
 func TestDecomposeDefaultAttribute(t *testing.T) {
-	b := buildFrom(t, `
+	x := ParseText(`
 aut-num: AS64500
 default: to AS3356 action pref=10;
 default: to AS1299
 mp-default: to AS6939 networks ANY
 `, "RIPE")
-	an := b.IR.AutNums[64500]
+	an := x.AutNums[64500]
 	if an == nil || len(an.Defaults) != 3 {
 		t.Fatalf("defaults = %+v", an)
 	}
@@ -67,14 +67,14 @@ mp-default: to AS6939 networks ANY
 }
 
 func TestDecomposeInetRtr(t *testing.T) {
-	b := buildFrom(t, `
+	x := ParseText(`
 inet-rtr: rtr1.example.net
 local-as: AS64500
 ifaddr: 192.0.2.1 masklen 30
 ifaddr: 192.0.2.5 masklen 30
 peer: BGP4 192.0.2.2 asno(AS64501)
 `, "RIPE")
-	rtr := b.IR.InetRtrs["RTR1.EXAMPLE.NET"]
+	rtr := x.InetRtrs["RTR1.EXAMPLE.NET"]
 	if rtr == nil {
 		t.Fatal("inet-rtr missing")
 	}
@@ -84,28 +84,28 @@ peer: BGP4 192.0.2.2 asno(AS64501)
 }
 
 func TestDecomposeInetRtrBadLocalAS(t *testing.T) {
-	b := buildFrom(t, "inet-rtr: r.example\nlocal-as: banana\n", "RIPE")
-	if len(b.IR.Errors) != 1 {
-		t.Errorf("errors = %v", b.IR.Errors)
+	x := ParseText("inet-rtr: r.example\nlocal-as: banana\n", "RIPE")
+	if len(x.Errors) != 1 {
+		t.Errorf("errors = %v", x.Errors)
 	}
-	if b.IR.InetRtrs["R.EXAMPLE"] == nil {
+	if x.InetRtrs["R.EXAMPLE"] == nil {
 		t.Error("object dropped on attribute error")
 	}
 }
 
 func TestDecomposeRtrSet(t *testing.T) {
-	b := buildFrom(t, `
+	x := ParseText(`
 rtr-set: RTRS-EXAMPLE
 members: rtr1.example.net, RTRS-OTHER, 192.0.2.9
 `, "RIPE")
-	set := b.IR.RtrSets["RTRS-EXAMPLE"]
+	set := x.RtrSets["RTRS-EXAMPLE"]
 	if set == nil || len(set.Members) != 3 {
 		t.Fatalf("rtr-set = %+v", set)
 	}
 	// Invalid name census.
-	b2 := buildFrom(t, "rtr-set: NOTVALID\nmembers: x\n", "RIPE")
+	x2 := ParseText("rtr-set: NOTVALID\nmembers: x\n", "RIPE")
 	found := false
-	for _, e := range b2.IR.Errors {
+	for _, e := range x2.Errors {
 		if e.Kind == "invalid-rtr-set-name" {
 			found = true
 		}

@@ -7,13 +7,11 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/rpsl"
 	"rpslyzer/internal/topology"
 )
 
 func reparse(t *testing.T, texts map[string]string) *ir.IR {
 	t.Helper()
-	b := parser.NewBuilder()
 	// Deterministic priority order: known IRRs first.
 	var order []string
 	for _, name := range irrgen.IRRs {
@@ -32,10 +30,11 @@ func reparse(t *testing.T, texts map[string]string) *ir.IR {
 			order = append(order, name)
 		}
 	}
+	var dumps []parser.DumpText
 	for _, name := range order {
-		b.AddDump(rpsl.NewReader(strings.NewReader(texts[name]), name))
+		dumps = append(dumps, parser.DumpText{Source: name, Text: texts[name]})
 	}
-	return b.IR
+	return parser.ParseTexts(dumps...)
 }
 
 func TestRenderSingleObjects(t *testing.T) {
@@ -109,11 +108,11 @@ source:         RIPE
 func TestRoundTripFixedPoint(t *testing.T) {
 	topo := topology.Generate(topology.Config{Seed: 31, ASes: 250})
 	u := irrgen.Generate(topo, irrgen.Config{Seed: 31})
-	b := parser.NewBuilder()
+	var dumps []parser.DumpText
 	for _, name := range irrgen.IRRs {
-		b.AddDump(rpsl.NewReader(strings.NewReader(u.DumpText(name)), name))
+		dumps = append(dumps, parser.DumpText{Source: name, Text: u.DumpText(name)})
 	}
-	x := b.IR
+	x := parser.ParseTexts(dumps...)
 
 	texts := IR(x)
 	y := reparse(t, texts)

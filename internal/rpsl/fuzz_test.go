@@ -46,8 +46,8 @@ func FuzzReader(f *testing.F) {
 
 // FuzzReaderMatchesReference differentially fuzzes the in-place line
 // loop against the scanner-based one it replaced: over arbitrary bytes
-// both constructors must produce the reference's objects, attribute
-// lines and diagnostics.
+// NewTextReader must produce the reference's objects, attribute lines
+// and diagnostics.
 func FuzzReaderMatchesReference(f *testing.F) {
 	for _, s := range readerSeeds {
 		f.Add(s)

@@ -3,7 +3,6 @@ package rpsl
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"unicode"
 )
@@ -41,39 +40,24 @@ type Reader struct {
 	source string
 	line   int
 	diags  []Diagnostic
-	err    error
 
 	keys  map[string]string // key as spelled in the text -> lower-cased, valid key
 	attrs []Attribute       // attributes of the object in progress
 	val   []byte            // folded value of the attribute in progress
 }
 
-// NewReader creates a Reader over all of r, read to its end first (the
-// streaming path is parser.Splitter). source labels objects and
-// diagnostics (typically the IRR name, e.g. "RIPE").
-func NewReader(r io.Reader, source string) *Reader {
-	text, err := io.ReadAll(r)
-	rd := NewTextReader(text, source, 1)
-	rd.err = err
-	return rd
-}
-
 // NewTextReader creates a Reader over text, parsed where it lies; text
-// must not change while the reader is in use. Its first line is
+// must not change while the reader is in use. source labels objects and
+// diagnostics (typically the IRR name, e.g. "RIPE"). Its first line is
 // numbered firstLine: the ingestion pipeline hands each worker a chunk
-// of a dump and keeps whole-file line numbers this way.
+// of a dump and keeps whole-file line numbers this way. A stream is
+// read by parser.Splitter, which cuts it into such chunks.
 func NewTextReader(text []byte, source string, firstLine int) *Reader {
 	return &Reader{text: text, source: source, line: firstLine - 1}
 }
 
-// Source returns the label the reader was created with.
-func (r *Reader) Source() string { return r.source }
-
 // Diagnostics returns the problems encountered so far.
 func (r *Reader) Diagnostics() []Diagnostic { return r.diags }
-
-// Err returns the error that cut NewReader's input short, if one did.
-func (r *Reader) Err() error { return r.err }
 
 func (r *Reader) addDiag(line int, format string, args ...any) {
 	r.diags = append(r.diags, Diagnostic{

@@ -2,13 +2,10 @@ package rpsl
 
 import (
 	"bufio"
-	"errors"
-	"io"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
-	"testing/iotest"
 )
 
 const sampleDump = `
@@ -317,11 +314,6 @@ func checkAgainstReference(t *testing.T, text string) {
 	if !reflect.DeepEqual(gotDiags, wantDiags) {
 		t.Fatalf("diagnostics differ for %q:\n got %v\nwant %v", text, gotDiags, wantDiags)
 	}
-	// The io.Reader constructor is the same loop over what it read.
-	r := NewReader(strings.NewReader(text), "REF")
-	if objs := r.ReadAll(); !reflect.DeepEqual(objs, wantObjs) || !reflect.DeepEqual(r.Diagnostics(), wantDiags) {
-		t.Fatalf("NewReader differs from the reference for %q", text)
-	}
 }
 
 func TestReaderMatchesReference(t *testing.T) {
@@ -341,20 +333,6 @@ func TestReaderDoesNotAliasText(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("objects changed with the text they were read from: %+v", got)
-	}
-}
-
-var errBoom = errors.New("boom")
-
-func TestReaderReportsReadError(t *testing.T) {
-	text := "aut-num: AS1\n\naut-num: AS2\n\naut-num: AS3\n"
-	r := NewReader(io.MultiReader(strings.NewReader(text[:25]), iotest.ErrReader(errBoom)), "T")
-	objs := r.ReadAll()
-	if len(objs) != 2 || objs[1].Name != "AS" {
-		t.Fatalf("objects before the failure = %+v, want AS1 and the cut-off AS", objs)
-	}
-	if !errors.Is(r.Err(), errBoom) {
-		t.Fatalf("Err() = %v, want the read error", r.Err())
 	}
 }
 

@@ -478,7 +478,7 @@ func ComputeAsSetStats(db *irr.Database) AsSetStats {
 	var s AsSetStats
 	for name, set := range db.IR.AsSets {
 		s.Total++
-		flat, _ := db.AsSet(name)
+		fs, _ := db.AsSet(name)
 		direct := len(set.MemberASNs) + len(set.MemberSets)
 		if direct == 0 && !set.ContainsAnyKeyword {
 			s.Empty++
@@ -489,17 +489,17 @@ func ComputeAsSetStats(db *irr.Database) AsSetStats {
 		if set.ContainsAnyKeyword {
 			s.ContainsANY++
 		}
-		if flat != nil {
-			if len(flat.ASNs) > 10000 {
+		if fs != nil {
+			if len(fs.ASNs) > 10000 {
 				s.Huge++
 			}
-			if flat.Recursive {
+			if fs.Recursive {
 				s.Recursive++
 			}
-			if flat.InLoop {
+			if fs.InLoop {
 				s.InLoop++
 			}
-			if flat.Recursive && flat.Depth >= 5 {
+			if fs.Recursive && fs.Depth >= 5 {
 				s.Depth5Plus++
 			}
 		}

@@ -1,20 +1,16 @@
 package stats
 
 import (
-	"strings"
 	"testing"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/rpsl"
 )
 
 func irFrom(t *testing.T, text string) *ir.IR {
 	t.Helper()
-	b := parser.NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(text), "RIPE"))
-	return b.IR
+	return parser.ParseText(text, "RIPE")
 }
 
 const statsIRR = `

@@ -7,14 +7,11 @@ import (
 	"rpslyzer/internal/asrel"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/rpsl"
 )
 
 func irFrom(t *testing.T, text string) *ir.IR {
 	t.Helper()
-	b := parser.NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(text), "T"))
-	return b.IR
+	return parser.ParseText(text, "T")
 }
 
 func testRels() *asrel.Database {

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"runtime"
-	"strings"
 	"testing"
 
 	"rpslyzer/internal/asrel"
@@ -11,16 +10,13 @@ import (
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/prefix"
-	"rpslyzer/internal/rpsl"
 )
 
 // fixture builds a verifier from RPSL text and a relationship setup
 // callback.
 func fixture(t *testing.T, rpslText string, rels func(*asrel.Database), cfg Config) *Verifier {
 	t.Helper()
-	b := parser.NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(rpslText), "TEST"))
-	db := irr.New(b.IR)
+	db := irr.New(parser.ParseText(rpslText, "TEST"))
 	rd := asrel.New()
 	if rels != nil {
 		rels(rd)

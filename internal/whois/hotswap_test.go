@@ -8,7 +8,6 @@ import (
 
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/rpsl"
 )
 
 // swapIRR is the alternate snapshot for hot-swap tests: same aut-num,
@@ -35,9 +34,7 @@ source: RADB
 
 func dbFromText(t *testing.T, text string) *irr.Database {
 	t.Helper()
-	b := parser.NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(text), "RADB"))
-	return irr.New(b.IR)
+	return irr.New(parser.ParseText(text, "RADB"))
 }
 
 // TestHotSwapUnderLoad hammers a live server with concurrent TCP

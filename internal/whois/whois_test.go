@@ -35,9 +35,7 @@ source: RADB
 
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
-	b := parser.NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(whoisIRR), "RADB"))
-	return NewServer(irr.New(b.IR))
+	return NewServer(irr.New(parser.ParseText(whoisIRR, "RADB")))
 }
 
 func TestQueryAutNum(t *testing.T) {
@@ -227,9 +225,7 @@ source: RADB
 
 func newRouteSearchServer(t *testing.T) *Server {
 	t.Helper()
-	b := parser.NewBuilder()
-	b.AddDump(rpsl.NewReader(strings.NewReader(routeSearchIRR), "RADB"))
-	return NewServer(irr.New(b.IR))
+	return NewServer(irr.New(parser.ParseText(routeSearchIRR, "RADB")))
 }
 
 func TestIRRdRouteSearchExact(t *testing.T) {

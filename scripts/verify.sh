@@ -7,7 +7,8 @@
 #   4. tier-1 tests (among them TestSingleCallSites: one production
 #      call site each for reportstore.BuildSnapshot, Store.Swap,
 #      Incremental.Reverify, verify.NewIncremental and nrtm.Poll, all in
-#      internal/daemon; and TestRetainedHeapCeilings: what ingest, a
+#      internal/daemon, and for parser.ParseChunks, in internal/core, so
+#      every IR comes out of one loader; and TestRetainedHeapCeilings: what ingest, a
 #      sweep, the store freeze and an -import retain per route)
 #   5. the same tests under the race detector — the ingestion pipeline
 #      and the verifier's caches are concurrent, so a green run here is
@@ -27,14 +28,19 @@
 #      universe per draw), the store freeze, whose partitions are
 #      GOMAXPROCS route ranges, against its reference (the differential
 #      and adversarial inputs, which give more partitions than routes),
-#      and the two daemons' start-up and mirror paths as shipped
+#      the two daemons' start-up and mirror paths as shipped
 #      (TestOnePipeline: every way into reportd serves the same bytes;
-#      TestMirrorMovesAnswers: whoisd -mirror in-process)
+#      TestMirrorMovesAnswers: whoisd -mirror in-process), and the
+#      loader's read-error and overlong-line handling
+#      (TestReadErrorIsRecorded, TestOverlongLineCostsItsObject,
+#      TestLoadDumpDirFailsOnReadError), since a default-options load
+#      runs GOMAXPROCS parse workers for every caller, BuildSynthetic
+#      included
 #   7. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
-#      (FuzzReaderMatchesReference) and chunked against whole-dump
-#      parsing at any chunk size (FuzzSplitDump); and of the store
+#      (FuzzReaderMatchesReference) and chunked parsing at any chunk
+#      size against the whole text as one chunk (FuzzSplitDump); and of the store
 #      freeze against its maps-and-sort reference over reports whose
 #      reason lists alias, nest and repeat (FuzzFreeze); then the
 #      oracle's long budget, a minute of
@@ -103,11 +109,12 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, the store freeze, TestOnePipeline, TestMirrorMovesAnswers at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^FuzzContracts$' ./internal/oracle
 go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
+go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObject|TestLoadDumpDirFailsOnReadError)$' ./internal/core
 
 echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzFreeze: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
