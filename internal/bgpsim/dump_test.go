@@ -1,11 +1,14 @@
 package bgpsim
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -51,8 +54,8 @@ func randomRoutes(rng *rand.Rand, n int) []Route {
 func TestDumpRoundTripRandom(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		// Past several path slabs and into the full-size route chunks.
-		want := randomRoutes(rng, 5*routeChunk/2)
+		// Enough lines that every range holds thousands at -cpu 4.
+		want := randomRoutes(rng, 80_000)
 		var buf bytes.Buffer
 		if err := WriteDump(&buf, want); err != nil {
 			t.Fatal(err)
@@ -110,6 +113,104 @@ func FuzzReadDump(f *testing.F) {
 			t.Fatalf("round trip changed the routes:\n%+v\nvs\n%+v", again, routes)
 		}
 	})
+}
+
+// readDumpReference is the scanner-based reader ReadDump replaced, kept
+// as its reference: one line at a time, every prefix and ASN through a
+// string.
+func readDumpReference(r io.Reader) ([]Route, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	var routes []Route
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
+			continue
+		}
+		pfxStr, rest, ok := bytes.Cut(line, pipe)
+		if !ok {
+			return nil, fmt.Errorf("bgpsim: line %d: missing '|'", lineNo)
+		}
+		pathStr, commStr, _ := bytes.Cut(rest, pipe)
+		p, err := prefix.Parse(string(pfxStr))
+		if err != nil {
+			return nil, fmt.Errorf("bgpsim: line %d: %v", lineNo, err)
+		}
+		route := Route{Prefix: p}
+		for f, rest := nextField(commStr); len(f) > 0; f, rest = nextField(rest) {
+			c, err := ParseCommunity(string(f))
+			if err != nil {
+				return nil, fmt.Errorf("bgpsim: line %d: %v", lineNo, err)
+			}
+			route.Communities = append(route.Communities, c)
+		}
+		if f, _ := nextField(pathStr); len(f) == 0 {
+			return nil, fmt.Errorf("bgpsim: line %d: empty path", lineNo)
+		}
+		for f, rest := nextField(pathStr); len(f) > 0; f, rest = nextField(rest) {
+			if f[0] == '{' {
+				route.HasASSet = true
+				f = bytes.Trim(f, "{}")
+				// Take the first member as a representative.
+				if i := bytes.IndexByte(f, ','); i >= 0 {
+					f = f[:i]
+				}
+			}
+			asn, err := strconv.ParseUint(string(f), 10, 32)
+			if err != nil {
+				return nil, fmt.Errorf("bgpsim: line %d: bad ASN %q", lineNo, f)
+			}
+			route.Path = append(route.Path, ir.ASN(asn))
+		}
+		routes = append(routes, route)
+	}
+	return routes, sc.Err()
+}
+
+// FuzzReadDumpMatchesReference holds ReadDump to the reader it replaced:
+// the same routes, or the same error for the same first bad line. Run at
+// -cpu 1,2,4, the seeds cut the text into one, two and four ranges.
+func FuzzReadDumpMatchesReference(f *testing.F) {
+	f.Add([]byte("192.0.2.0/24|3 2 2 1\r\n\r\n# comment\r\n198.51.100.0/24|1 2\r\n"))
+	f.Add([]byte("# header\n\n  # indented comment\n\t192.0.2.0/24|1 2 \t\n\n"))
+	f.Add([]byte("2001:db8::/32|7 {5,6}|65535:666 1:2\n2001:DB8:0:0::1/48|1 2\n"))
+	f.Add([]byte("192.0.2.0/24|1 {4,x}\n192.0.2.0/24|1 {}\n"))
+	f.Add([]byte("192.0.2.0/24|1 2\n1.02.3.4/24|1 2\n"))
+	f.Add([]byte("192.0.2.0/24|1 2\n10.0.0.0/08|1 2\n"))
+	f.Add([]byte("192.0.2.0/24|1 4294967295\n192.0.2.0/24|1 4294967296\n"))
+	f.Add([]byte("192.0.2.0/24|1 00000000007\n192.0.2.0/24|+5 2\n"))
+	f.Add([]byte("192.0.2.7/24 |1 2\n 192.0.2.0/33|1\n256.0.0.0/8|1\n"))
+	f.Add([]byte("192.0.2.7/24|1 2\n0.0.0.0/0|1 2\n255.255.255.255/32|1 2\n"))
+	f.Add([]byte("192.0.2.0/24|1 2|no-export\nno-pipe\n192.0.2.0/24|x\n"))
+	f.Add([]byte("192.0.2.0/24|1 2   \n192.0.2.0/24|\t\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := readDumpReference(bytes.NewReader(data))
+		got, err := ReadDump(bytes.NewReader(data))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
+		if err != nil {
+			if got != nil {
+				t.Fatalf("%d routes returned with error %v", len(got), err)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("routes differ from the reference:\n%+v\nvs\n%+v", got, want)
+		}
+	})
+}
+
+// TestReadDumpOverlongLine: a line past 16 MiB fails the read with its
+// number, and no route comes back with the error.
+func TestReadDumpOverlongLine(t *testing.T) {
+	text := "192.0.2.0/24|1 2\n192.0.2.0/24|" + strings.Repeat("3 ", 8<<20+1) + "\n198.51.100.0/24|1 2\n"
+	routes, err := ReadDump(strings.NewReader(text))
+	if want := "bgpsim: line 2: longer than 16 MiB"; err == nil || err.Error() != want || routes != nil {
+		t.Errorf("ReadDump = %d routes, %v; want no routes and %q", len(routes), err, want)
+	}
 }
 
 // TestReadDumpErrorLines pins each error to the line that caused it.

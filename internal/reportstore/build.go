@@ -3,11 +3,11 @@ package reportstore
 import (
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/report"
+	"rpslyzer/internal/shard"
 	"rpslyzer/internal/verify"
 )
 
@@ -37,26 +37,12 @@ func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	for p := range parts {
 		parts[p].lo, parts[p].hi = p*len(reports)/len(parts), (p+1)*len(reports)/len(parts)
 	}
-	inParallel(parts, func(pt *partition) { pt.count(s, reports) })
+	shard.Each(parts, func(pt *partition) { pt.count(s, reports) })
 	s.merge(parts)
-	inParallel(parts, func(pt *partition) { pt.scatter(s) })
+	shard.Each(parts, func(pt *partition) { pt.scatter(s) })
 	s.builtAt = time.Now()
 	s.buildTook = s.builtAt.Sub(start)
 	return s
-}
-
-// inParallel runs f on every partition, one goroutine each.
-func inParallel(parts []partition, f func(*partition)) {
-	var wg sync.WaitGroup
-	for p := 1; p < len(parts); p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(&parts[p])
-		}()
-	}
-	f(&parts[0])
-	wg.Wait()
 }
 
 // partition is the routes [lo, hi) and what the count pass found there.

@@ -15,6 +15,7 @@ package shard
 
 import (
 	"strconv"
+	"sync"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/telemetry"
@@ -36,6 +37,25 @@ func Of(asn ir.ASN, n int) int {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return int(x % uint64(n))
+}
+
+// Each runs f on every part, the first on the calling goroutine and
+// every other on its own, and returns when all are done. The passes that
+// cut their input into GOMAXPROCS contiguous ranges (the route dump
+// reader, the dirtying index, the store freeze) run through it.
+func Each[T any](parts []T, f func(*T)) {
+	var wg sync.WaitGroup
+	for p := 1; p < len(parts); p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(&parts[p])
+		}()
+	}
+	if len(parts) > 0 {
+		f(&parts[0])
+	}
+	wg.Wait()
 }
 
 // Counts tallies per-shard ownership for a route universe: it maps

@@ -37,6 +37,20 @@ func TestOfStable(t *testing.T) {
 	}
 }
 
+// TestEachVisitsEveryPartOnce: every part is passed to f exactly once,
+// including no part at all.
+func TestEachVisitsEveryPartOnce(t *testing.T) {
+	for n := 0; n <= 5; n++ {
+		parts := make([]int, n)
+		Each(parts, func(p *int) { *p++ })
+		for i, v := range parts {
+			if v != 1 {
+				t.Fatalf("%d parts: part %d visited %d times", n, i, v)
+			}
+		}
+	}
+}
+
 func TestImbalanceDenseASNRuns(t *testing.T) {
 	// Registries hand out dense ASN runs; the mixer must still spread
 	// them. 10k consecutive ASNs over 8 shards should stay well under

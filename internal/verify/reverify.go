@@ -14,6 +14,7 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/prefix"
+	"rpslyzer/internal/shard"
 	"rpslyzer/internal/trace"
 )
 
@@ -126,21 +127,80 @@ func (inc *Incremental) Init(routes []bgpsim.Route, workers int) []RouteReport {
 	return inc.reports
 }
 
-// indexRoutes rebuilds asRoutes/pfxRoutes for the current corpus.
-// Ignored routes (AS-set paths, single-AS paths) are skipped: their
-// reports do not depend on the database. One walk notes every (key,
-// route) hit, keys numbered by first appearance; group counts and fills.
+// indexRoutes rebuilds asRoutes/pfxRoutes/pfxTrie for the current
+// corpus. Ignored routes (AS-set paths, single-AS paths) are skipped:
+// their reports do not depend on the database.
+//
+// The indexes are built as the store freeze builds its own, in three
+// passes over GOMAXPROCS contiguous route ranges. The count pass dedupes
+// each range's paths and numbers and counts its keys in its own tables;
+// a serial merge lays each index out in one exact-size arena and gives
+// every range its windows of each key's list; the scatter pass fills the
+// windows. Ranges follow route order, so every list does too.
 func (inc *Incremental) indexRoutes() {
-	asIDs := make(map[ir.ASN]int32, len(inc.asRoutes))
-	pfxIDs := make(map[prefix.Prefix]int32, len(inc.pfxRoutes))
-	hops := 0
-	for i := range inc.routes {
-		hops += len(inc.routes[i].Path)
+	n := len(inc.routes)
+	parts := make([]indexRange, max(1, min(runtime.GOMAXPROCS(0), n)))
+	for p := range parts {
+		parts[p].lo, parts[p].hi = p*n/len(parts), (p+1)*n/len(parts)
 	}
-	asHits, pfxHits := make([]hit, 0, hops), make([]hit, 0, len(inc.routes))
+	shard.Each(parts, func(x *indexRange) { x.count(inc.routes) })
+	inc.asRoutes = mergeKeys(parts, func(x *indexRange) *keyHits[ir.ASN] { return &x.as })
+	inc.pfxRoutes = mergeKeys(parts, func(x *indexRange) *keyHits[prefix.Prefix] { return &x.pfx })
+	shard.Each(parts, func(x *indexRange) {
+		x.as.scatter()
+		x.pfx.scatter()
+	})
+	var tr prefix.TrieBuilder[[]int32]
+	for pfx, idxs := range inc.pfxRoutes {
+		*tr.At(pfx) = idxs
+	}
+	inc.pfxTrie = tr.Trie()
+}
+
+// indexRange is the routes [lo, hi) and its share of both indexes.
+type indexRange struct {
+	lo, hi int
+	as     keyHits[ir.ASN]
+	pfx    keyHits[prefix.Prefix]
+}
+
+// keyHits is one range's share of one index: its keys numbered by first
+// appearance, each key's hit count, every hit in route order, and after
+// the merge each key's window of the index's list.
+type keyHits[K comparable] struct {
+	ids    map[K]int32
+	keys   []K
+	counts []int32
+	hits   []hit
+	wins   [][]int32
+}
+
+// hit is one route under one key, by the key's number.
+type hit struct{ key, route int32 }
+
+func (x *keyHits[K]) add(k K, route int32) {
+	id, ok := x.ids[k]
+	if !ok {
+		id = int32(len(x.keys))
+		x.ids[k] = id
+		x.keys = append(x.keys, k)
+		x.counts = append(x.counts, 0)
+	}
+	x.counts[id]++
+	x.hits = append(x.hits, hit{id, route})
+}
+
+// count notes every (key, route) hit of the range.
+func (x *indexRange) count(routes []bgpsim.Route) {
+	hops := 0
+	for i := x.lo; i < x.hi; i++ {
+		hops += len(routes[i].Path)
+	}
+	x.as = keyHits[ir.ASN]{ids: make(map[ir.ASN]int32), hits: make([]hit, 0, hops)}
+	x.pfx = keyHits[prefix.Prefix]{ids: make(map[prefix.Prefix]int32), hits: make([]hit, 0, x.hi-x.lo)}
 	var path []ir.ASN // scratch: the index keeps ASNs, not the slice
-	for i := range inc.routes {
-		r := &inc.routes[i]
+	for i := x.lo; i < x.hi; i++ {
+		r := &routes[i]
 		if r.HasASSet {
 			continue
 		}
@@ -152,50 +212,63 @@ func (inc *Incremental) indexRoutes() {
 			if slices.Contains(path[:j], asn) {
 				continue // AS appears twice on a path loop, index it once
 			}
-			asHits = append(asHits, hit{idOf(asIDs, asn), int32(i)})
+			x.as.add(asn, int32(i))
 		}
-		pfxHits = append(pfxHits, hit{idOf(pfxIDs, r.Prefix), int32(i)})
+		x.pfx.add(r.Prefix, int32(i))
 	}
-	inc.asRoutes, inc.pfxRoutes = group(asIDs, asHits), group(pfxIDs, pfxHits)
-	var tr prefix.TrieBuilder[[]int32]
-	for pfx, idxs := range inc.pfxRoutes {
-		*tr.At(pfx) = idxs
-	}
-	inc.pfxTrie = tr.Trie()
 }
 
-// hit is one route under one index key, idOf the key's number.
-type hit struct{ key, route int32 }
-
-func idOf[K comparable](ids map[K]int32, k K) int32 {
-	id, ok := ids[k]
-	if !ok {
-		id = int32(len(ids))
-		ids[k] = id
+// mergeKeys lays one index out over the ranges' shares: every key's list
+// an exact-size range of one array, split among the ranges in their
+// order. Keys are laid out by first appearance in the corpus.
+func mergeKeys[K comparable](parts []indexRange, share func(*indexRange) *keyHits[K]) map[K][]int32 {
+	ids := make(map[K]int32)
+	var sizes []int32
+	total := 0
+	for p := range parts {
+		x := share(&parts[p])
+		total += len(x.hits)
+		for id, k := range x.keys {
+			g, ok := ids[k]
+			if !ok {
+				g = int32(len(sizes))
+				ids[k] = g
+				sizes = append(sizes, 0)
+			}
+			sizes[g] += x.counts[id]
+		}
 	}
-	return id
-}
-
-// group returns each key's routes in hit order, every list an
-// exact-size range of one array: count, then fill.
-func group[K comparable](ids map[K]int32, hits []hit) map[K][]int32 {
-	end := make([]int32, len(ids)+1)
-	for _, h := range hits {
-		end[h.key+1]++
+	lists, arena := make([][]int32, len(sizes)), make([]int32, total)
+	for g, n := range sizes {
+		lists[g], arena = arena[:0:n], arena[n:]
 	}
-	lists, arena := make([][]int32, len(ids)), make([]int32, len(hits))
-	for id := range lists {
-		end[id+1] += end[id]
-		lists[id] = arena[end[id]:end[id]:end[id+1]]
-	}
-	for _, h := range hits {
-		lists[h.key] = append(lists[h.key], h.route)
+	for p := range parts {
+		x := share(&parts[p])
+		x.wins = make([][]int32, len(x.keys))
+		for id, k := range x.keys {
+			g := ids[k]
+			x.wins[id], lists[g] = window(lists[g], x.counts[id])
+		}
 	}
 	out := make(map[K][]int32, len(ids))
-	for k, id := range ids {
-		out[k] = lists[id]
+	for k, g := range ids {
+		out[k] = lists[g]
 	}
 	return out
+}
+
+// window returns the next n empty slots after list's entries, to be
+// appended to, and list grown over them.
+func window(list []int32, n int32) (next, grown []int32) {
+	l := int32(len(list))
+	return list[l : l : l+n], list[:l+n]
+}
+
+// scatter fills the range's windows, in route order.
+func (x *keyHits[K]) scatter() {
+	for _, h := range x.hits {
+		x.wins[h.key] = append(x.wins[h.key], h.route)
+	}
 }
 
 // Reverify moves the engine to db. With touched non-nil it invalidates

@@ -1,9 +1,8 @@
 // Unit tests for the incremental re-verification engine. The
-// journal-driven differential over generated universes is
-// internal/oracle's C5; these cover the engine's contract directly:
-// config rejection, targeted invalidation matching a from-scratch
-// verification, evicted programs keeping their dependency edges, and
-// clean reconciliation.
+// journal-driven differential over generated universes, targeted steps,
+// full resyncs and reconciliation among them, is internal/oracle's C5;
+// these cover the engine's contract directly: config rejection, evicted
+// programs keeping their dependency edges, and the affected-AS listing.
 package verify_test
 
 import (
@@ -13,7 +12,6 @@ import (
 	"rpslyzer/internal/asrel"
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/core"
-	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/nrtm"
@@ -49,94 +47,6 @@ func TestNewIncrementalRejectsConfigs(t *testing.T) {
 	if _, err := verify.NewIncremental(db, asrel.New(), verify.Config{}); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
-}
-
-// pickPolicyAS finds an AS that appears on some route path and has an
-// aut-num with import rules — stripping those rules must flip checks.
-func pickPolicyAS(t *testing.T) ir.ASN {
-	t.Helper()
-	sys, routes := diffCorpus(t)
-	for _, r := range routes {
-		if r.HasASSet || len(r.Path) <= 1 {
-			continue
-		}
-		for _, asn := range r.Path {
-			if an, ok := sys.DB.AutNum(asn); ok && len(an.Imports) > 0 {
-				return asn
-			}
-		}
-	}
-	t.Fatal("no path AS with import rules in the synthetic corpus")
-	return 0
-}
-
-func TestReverifyTargetedMatchesFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus incremental test")
-	}
-	sys, routes := diffCorpus(t)
-	target := pickPolicyAS(t)
-
-	inc, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc.Init(routes, 0)
-
-	// Strip the target's import rules on a cloned snapshot; every other
-	// object keeps its pointer, like an NRTM apply.
-	db2 := sys.DB.Clone()
-	old := db2.IR.AutNums[target]
-	changed := *old
-	changed.Imports = nil
-	db2.IR.AutNums[target] = &changed
-
-	res := inc.Reverify(db2, []depgraph.Key{depgraph.AutNumKey(target)}, 0, nil)
-	if res.Full {
-		t.Fatal("targeted reverify reported a full pass")
-	}
-	if res.Routes == 0 {
-		t.Fatal("no routes re-verified for an AS that appears on paths")
-	}
-	if res.Routes == len(routes) {
-		t.Fatal("targeted reverify dirtied the whole corpus")
-	}
-	found := false
-	for _, asn := range res.Programs {
-		if asn == target {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("target AS%d not among invalidated programs %v", uint32(target), res.Programs)
-	}
-
-	fresh := verify.New(db2, sys.Rels, verify.Config{}).VerifyAll(routes, 0)
-	assertSameReports(t, inc.Reports(), fresh, routes)
-
-	// Reconciliation against the same database must find zero drift.
-	rec := inc.Reconcile(0)
-	if rec.Drift != 0 {
-		t.Fatalf("reconcile drift %d of %d routes", rec.Drift, rec.Routes)
-	}
-}
-
-func TestReverifyNilTouchedIsFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus incremental test")
-	}
-	sys, routes := diffCorpus(t)
-	inc, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc.Init(routes, 0)
-	res := inc.Reverify(sys.DB, nil, 0, nil)
-	if !res.Full || res.Routes != len(routes) {
-		t.Fatalf("nil touched: got %+v, want full pass over %d routes", res, len(routes))
-	}
-	fresh := verify.New(sys.DB, sys.Rels, verify.Config{}).VerifyAll(routes, 0)
-	assertSameReports(t, inc.Reports(), fresh, routes)
 }
 
 // TestEvictedProgramKeepsItsEdges is the bench's universe-7 drift (32 of

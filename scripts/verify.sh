@@ -35,12 +35,19 @@
 #      (TestReadErrorIsRecorded, TestOverlongLineCostsItsObject,
 #      TestLoadDumpDirFailsOnReadError), since a default-options load
 #      runs GOMAXPROCS parse workers for every caller, BuildSynthetic
-#      included
+#      included; the route dump reader, which parses routes.txt in
+#      GOMAXPROCS line ranges (TestDumpRoundTripRandom,
+#      TestReadDumpErrorLines, TestReadDumpOverlongLine,
+#      TestReadDumpPathsAreCapped); and the incremental engine's
+#      dirtying index, built over GOMAXPROCS route ranges, against the
+#      serial build it replaced (TestIndexRoutesMatchesReference)
 #   7. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
 #      (FuzzReaderMatchesReference) and chunked parsing at any chunk
-#      size against the whole text as one chunk (FuzzSplitDump); and of the store
+#      size against the whole text as one chunk (FuzzSplitDump); of the
+#      route dump reader against its scanner-based reference
+#      (FuzzReadDumpMatchesReference); and of the store
 #      freeze against its maps-and-sort reference over reports whose
 #      reason lists alias, nest and repeat (FuzzFreeze); then the
 #      oracle's long budget, a minute of
@@ -109,17 +116,20 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the dirtying index at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^FuzzContracts$' ./internal/oracle
 go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObject|TestLoadDumpDirFailsOnReadError)$' ./internal/core
+go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped)$' ./internal/bgpsim
+go test -cpu 1,2,4 -run '^TestIndexRoutesMatchesReference$' ./internal/verify
 
-echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzFreeze: 10s each; FuzzContracts: 60s)"
+echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzFreeze: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzReaderMatchesReference$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
+go test -run '^$' -fuzz '^FuzzReadDumpMatchesReference$' -fuzztime 10s ./internal/bgpsim
 go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
 go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 
