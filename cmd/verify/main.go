@@ -133,7 +133,9 @@ func main() {
 
 	start := time.Now()
 	agg := report.NewAggregator()
+	partitions := runtime.GOMAXPROCS(0) // VerifyStream's sweep, Shards unset
 	if *printRep || jsonEnc != nil {
+		partitions = 1
 		agg.KeepRouteMixes = false
 		for _, r := range rts {
 			rep := verifier.VerifyRoute(r)
@@ -160,9 +162,9 @@ func main() {
 
 	total := agg.Checks.Total()
 	fr := agg.Checks.Fractions()
-	fmt.Printf("verified %d routes (%d checks) in %v (%.0f routes/s, %d shards)\n",
+	fmt.Printf("verified %d routes (%d checks) in %v (%.0f routes/s, %d partitions)\n",
 		agg.Routes, total, elapsed.Round(time.Millisecond),
-		float64(agg.Routes)/elapsed.Seconds(), db.Shards())
+		float64(agg.Routes)/elapsed.Seconds(), partitions)
 	fmt.Printf("ignored: %d AS-set routes, %d single-AS routes\n", agg.IgnoredASSet, agg.IgnoredSingleAS)
 	for st := verify.Verified; st <= verify.Unverified; st++ {
 		fmt.Printf("  %-11s %9d  (%.2f%%)\n", st, agg.Checks[st], 100*fr[st])

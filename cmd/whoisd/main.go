@@ -59,7 +59,6 @@ func serve(f *flags, p *daemon.Process) (*whois.Server, error) {
 	}
 	srv := whois.NewServer(db)
 	srv.Metrics, srv.Logger, srv.Tracer = whois.NewMetrics(p.Registry), p.Logger, p.Tracer
-	p.ObservePlan(srv.DB())
 	if f.mirrorDir != "" {
 		srv.SerialSource = p.MirrorDB(srv.DB(), f.dumps, f.mirrorDir, f.mirrorInterval, srv.SetDB)
 	}

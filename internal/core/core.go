@@ -98,8 +98,8 @@ type Options struct {
 	// Collectors is the number of BGP route collectors (default 20,
 	// standing in for the paper's 60).
 	Collectors int
-	// Verify tunes the verifier; its Shards also partitions the route
-	// database (0: GOMAXPROCS parts, as in the daemons).
+	// Verify tunes the verifier; its Shards sets the bulk drivers'
+	// partitions (0: GOMAXPROCS, as in the daemons).
 	Verify verify.Config
 	// Gen overrides generator rates (zero fields keep paper-calibrated
 	// defaults).
@@ -179,12 +179,11 @@ func (s *System) VerifyRoutes(routes []bgpsim.Route) *report.Aggregator {
 	return agg
 }
 
-// BuildFromIR wires a verifier over an already-parsed IR and an
-// externally supplied relationship database (e.g. loaded from a CAIDA
-// file) — the path real-dump users take. cfg.Shards partitions the
-// database and the verifier together; 0 means GOMAXPROCS parts.
+// BuildFromIR indexes an already-parsed IR and wires a verifier over it
+// and an externally supplied relationship database (e.g. loaded from a
+// CAIDA file) — the path real-dump users take.
 func BuildFromIR(x *ir.IR, rels *asrel.Database, cfg verify.Config) (*irr.Database, *verify.Verifier) {
-	db := irr.NewSharded(x, cfg.Shards)
+	db := irr.New(x)
 	return db, verify.New(db, rels, cfg)
 }
 

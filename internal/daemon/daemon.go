@@ -83,7 +83,7 @@ func Start(name, logLevel, traceSamples, metricsAddr string) *Process {
 func (p *Process) BootSpan() *trace.Span { return p.Tracer.Start("rebuild", "boot") }
 
 // LoadDB is the start-up both daemons share, under root: the dumps in
-// dir parsed as opts says, then indexed into GOMAXPROCS origin-AS shards.
+// dir parsed as opts says, then indexed.
 func LoadDB(root *trace.Span, dir string, opts core.LoadOptions) (*irr.Database, error) {
 	sp := root.Child("core.load_dumps")
 	x, _, err := core.LoadDumpDirOpts(dir, opts)
@@ -92,14 +92,9 @@ func LoadDB(root *trace.Span, dir string, opts core.LoadOptions) (*irr.Database,
 		return nil, fmt.Errorf("load dumps: %w", err)
 	}
 	sp = root.Child("irr.index")
-	db := irr.NewSharded(x, 0)
+	db := irr.New(x)
 	sp.End()
 	return db, nil
-}
-
-// ObservePlan exports how db's routes fall over its origin-AS shards.
-func (p *Process) ObservePlan(db *irr.Database) {
-	shard.NewMetrics(p.Registry).ObservePlan(db.ShardRouteCounts())
 }
 
 // Mirror starts the process's mirror loop: nrtm.Poll over a mirror of
@@ -131,7 +126,6 @@ func (p *Process) MirrorDB(db *irr.Database, dumps, dir string, interval time.Du
 	swap func(*irr.Database)) func() map[string]uint64 {
 	return p.Mirror(db, dumps, dir, interval, func(db *irr.Database, _ []depgraph.Key, _ *trace.Span) {
 		swap(db)
-		p.ObservePlan(db)
 	}).Serials
 }
 
@@ -165,7 +159,6 @@ type Engine struct {
 	p        *Process
 	watchdog *trace.Watchdog
 	store    *reportstore.Store
-	shardM   *shard.Metrics
 	rm       *reverifyMetrics
 
 	// The booted database and the verification engine over it: kept
@@ -179,8 +172,7 @@ type Engine struct {
 func NewEngine(p *Process, watchdog *trace.Watchdog) *Engine {
 	// Swap observes each snapshot's freeze time into the store metrics,
 	// so every publish — fresh, import, per-journal — reports it alike.
-	e := &Engine{p: p, watchdog: watchdog, shardM: shard.NewMetrics(p.Registry),
-		store: reportstore.New(reportstore.NewMetrics(p.Registry))}
+	e := &Engine{p: p, watchdog: watchdog, store: reportstore.New(reportstore.NewMetrics(p.Registry))}
 	p.Registry.GaugeFunc("rpslyzer_snapshot_age_seconds",
 		"Age of the served report snapshot (-1 before the first swap).",
 		func() float64 {
@@ -258,7 +250,6 @@ func (e *Engine) BootCorpus(db *irr.Database, rels *asrel.Database, routes []bgp
 }
 
 func (e *Engine) bootCorpus(root *trace.Span, t0 time.Time, db *irr.Database, rels *asrel.Database, routes []bgpsim.Route, cfg verify.Config, mirror bool) error {
-	e.shardM.ObservePlan(db.ShardRouteCounts())
 	sp := root.Child("verify.init")
 	inc, err := verify.NewIncremental(db, rels, cfg)
 	if err != nil {
@@ -270,7 +261,7 @@ func (e *Engine) bootCorpus(root *trace.Span, t0 time.Time, db *irr.Database, re
 	inc.Verifier().SetMetrics(verify.NewMetrics(e.p.Registry))
 	inc.Verifier().SetTracer(e.p.Tracer)
 	inc.Verifier().SetProfiler(profiler)
-	inc.Verifier().SetShardMetrics(e.shardM)
+	inc.Verifier().SetShardMetrics(shard.NewMetrics(e.p.Registry))
 	inc.Init(routes, 0)
 	sp.End()
 
@@ -307,7 +298,6 @@ func (e *Engine) Mirror(dumps, dir string, interval time.Duration) {
 // journal-apply span, so one trace covers journal-apply → verify → swap.
 func (e *Engine) Step(db *irr.Database, keys []depgraph.Key, parent *trace.Span) verify.ReverifyResult {
 	t0 := time.Now()
-	e.shardM.ObservePlan(db.ShardRouteCounts())
 	root := trace.StartOrChild(e.p.Tracer, parent, "rebuild", "step")
 	sp := root.Child("verify.reverify")
 	res := e.inc.Reverify(db, keys, 0, sp)

@@ -223,7 +223,7 @@ func TestOnePipeline(t *testing.T) {
 	requireSameBodies(t, "three journals against a fresh run over the mirrored dumps",
 		stepped, bodies(t, boot(t, corpusArgs(mirrored, dir)...), true))
 
-	mirror.Step(irr.NewSharded(mir.DB().IR, mir.DB().Shards()), nil, nil)
+	mirror.Step(irr.New(mir.DB().IR), nil, nil)
 	if got := mirror.store.Swaps(); got != 5 {
 		t.Fatalf("%d swaps after a resync, want 5", got)
 	}
@@ -326,7 +326,7 @@ func TestConcurrentStepsKeepOldSnapshot(t *testing.T) {
 		}
 		e.Step(mir.DB(), keys, nil)
 	}
-	e.Step(irr.NewSharded(mir.DB().IR, mir.DB().Shards()), nil, nil)
+	e.Step(irr.New(mir.DB().IR), nil, nil)
 	waitRenders()
 	close(stop)
 	wg.Wait()

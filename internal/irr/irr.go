@@ -36,23 +36,21 @@ type Database struct {
 	// grown past what this snapshot indexed.
 	syms *symtab.Table
 
-	// parts holds the route indexes, partitioned by shard.Of(origin).
-	// All route objects of one origin live wholly inside one part, so
-	// per-origin lookups (routeTableOf, the verifier's origin checks)
-	// are exact single-part reads; only prefix-keyed queries (OriginsOf
-	// and the whois coverage walks) fan out and merge. shardN == 1 is
-	// the unsharded layout: one part holding exactly the indexes the
-	// pre-shard engine built, with no merge machinery on any path.
-	shardN int
-	parts  []*routePart
+	// routesByOrigin maps each origin AS (by ASN symbol ID) to its
+	// route-object prefixes. A nil entry means the AS never appears as
+	// an origin.
+	routesByOrigin []*prefix.Table
 
-	// seqNext numbers (prefix, origin) pairs in global first-seen order
-	// when shardN > 1; prefixOrigins.seq snapshots it so cross-shard
-	// merges can reproduce the exact origin ordering the unsharded
-	// build would have produced. Single-shard databases never consume
-	// it (their merges are trivial), but it is maintained regardless so
-	// a clone chain stays consistent.
-	seqNext int64
+	// routeTrie maps an exact prefix to the origins of its route
+	// objects (the paper's multi-origin analysis and the Export Self
+	// relaxation both need this reverse index) together with how many
+	// route objects (across sources) record each (prefix, origin) pair,
+	// which is what incremental removal needs to know when a pair truly
+	// leaves the indexes. The trie is persistent: clones share it by
+	// pointer and mutators swap in the root returned by Insert/Delete,
+	// and it doubles as the longest-prefix-match index behind the whois
+	// coverage queries.
+	routeTrie *prefix.Trie[prefixOrigins]
 
 	// asSetIndirect lists ASNs joined to each as-set (by as-set symbol
 	// ID) via member-of + mbrs-by-ref; routeSetIndirect likewise for
@@ -107,50 +105,11 @@ type FlatRouteSet struct {
 	InLoop bool
 }
 
-// routePart is one shard's slice of the route indexes.
-type routePart struct {
-	// routesByOrigin maps each origin AS (by ASN symbol ID) to its
-	// route-object prefixes. A nil entry means the AS never appears as
-	// an origin (or its origin hashes to another part). The slice is
-	// indexed by global symtab IDs, so it is sparse when sharded; the
-	// tables it points at are the dominant memory, not the spine.
-	routesByOrigin []*prefix.Table
-
-	// routeTrie maps an exact prefix to the origins of its route
-	// objects (the paper's multi-origin analysis and the Export Self
-	// relaxation both need this reverse index) together with how many
-	// route objects (across sources) record each (prefix, origin) pair,
-	// which is what incremental removal needs to know when a pair truly
-	// leaves the indexes. The trie is persistent: clones share it by
-	// pointer and mutators swap in the root returned by Insert/Delete,
-	// and it doubles as the longest-prefix-match index behind the whois
-	// coverage queries.
-	routeTrie *prefix.Trie[prefixOrigins]
-
-	// nroutes counts the route objects (with multiplicity) this part
-	// owns; the shard-imbalance telemetry reads it.
-	nroutes int
-}
-
-// New builds the indexed database from an IR with a single shard —
-// the exact layout and behavior of the pre-shard engine.
-func New(x *ir.IR) *Database { return NewSharded(x, 1) }
-
-// NewSharded builds the indexed database with the route indexes
-// partitioned into shards parts (GOMAXPROCS when shards <= 0) keyed by
-// a stable hash of the origin ASN. Sets, aut-nums, and the flattened
-// set plane stay shared across shards (set flattening needs the whole
-// route universe); only the per-origin tables and the prefix→origins
-// trie are partitioned. Queries return byte-identical results at any
-// shard count.
-func NewSharded(x *ir.IR, shards int) *Database {
-	if shards < 1 {
-		shards = runtime.GOMAXPROCS(0)
-	}
+// New builds the indexed database from an IR.
+func New(x *ir.IR) *Database {
 	db := &Database{
 		IR:          x,
 		syms:        symtab.NewTable(),
-		shardN:      shards,
 		asSetTables: make(map[symtab.ID]*prefix.Table),
 	}
 	db.internSymbols()
@@ -162,18 +121,16 @@ func NewSharded(x *ir.IR, shards int) *Database {
 	return db
 }
 
-// Shards returns the number of route-index partitions.
-func (db *Database) Shards() int { return db.shardN }
+// NewSharded is New; the shard count is ignored.
+//
+// Deprecated: the database has one route index. Use New.
+func NewSharded(x *ir.IR, _ int) *Database { return New(x) }
 
-// ShardRouteCounts returns the number of route objects owned by each
-// shard, for the imbalance telemetry.
-func (db *Database) ShardRouteCounts() []int {
-	counts := make([]int, len(db.parts))
-	for i, p := range db.parts {
-		counts[i] = p.nroutes
-	}
-	return counts
-}
+// ShardRouteCounts returns the database's route-object count as the
+// one element of a slice.
+//
+// Deprecated: the database has one route index. Use len(db.IR.Routes).
+func (db *Database) ShardRouteCounts() []int { return []int{len(db.IR.Routes)} }
 
 // internSymbols assigns dense IDs to every set name and ASN in the IR,
 // in sorted order so a given IR always produces the same ID layout.
@@ -229,176 +186,123 @@ func slicePut[T any](s []T, id symtab.ID, v T) []T {
 	return s
 }
 
-// prefixOrigins is the per-prefix record in a part's routeTrie: the
-// distinct origins of a prefix's route objects in first-seen order,
-// with counts parallel to origins giving each (prefix, origin) pair's
-// route-object multiplicity across sources. seq (populated only when
-// the database is sharded) numbers each pair in global first-seen
-// order so a cross-shard merge can restore the exact single-shard
-// origin ordering. Values shared between snapshots are immutable;
-// mutators replace the slices instead of editing them.
+// prefixOrigins is the per-prefix record in routeTrie: the distinct
+// origins of a prefix's route objects in first-seen order, with counts
+// parallel to origins giving each (prefix, origin) pair's route-object
+// multiplicity across sources. Values shared between snapshots are
+// immutable; mutators replace the slices instead of editing them.
 type prefixOrigins struct {
 	origins []ir.ASN
 	counts  []int
-	seq     []int64
 }
 
-// indexRoutes builds per-origin route tables and the per-prefix
-// origin/multiplicity trie, one part per shard. Parts are disjoint by
-// construction (partitioned on origin), so they build concurrently.
+// indexRoutes builds the per-origin route tables and the per-prefix
+// origin/multiplicity trie. The two halves read only IR.Routes, so the
+// trie builds on its own goroutine while the tables build over
+// GOMAXPROCS origin ranges.
 func (db *Database) indexRoutes() {
-	n := db.shardN
-	db.parts = make([]*routePart, n)
-	db.seqNext = int64(len(db.IR.Routes))
-	if n == 1 {
-		db.parts[0] = buildRoutePart(db, db.IR.Routes, nil)
-		return
-	}
-	perShard := make([][]*ir.RouteObject, n)
-	perSeq := make([][]int64, n)
-	for i, r := range db.IR.Routes {
-		s := shard.Of(r.Origin, n)
-		perShard[s] = append(perShard[s], r)
-		perSeq[s] = append(perSeq[s], int64(i))
-	}
-	// Pre-intern every origin in feed order so ASN symbol IDs come out
-	// identical at any shard count (the concurrent part builds below
-	// would otherwise race to mint IDs).
-	for _, r := range db.IR.Routes {
-		db.syms.ASNs.Intern(uint32(r.Origin))
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			db.parts[s] = buildRoutePart(db, perShard[s], perSeq[s])
-		}(s)
-	}
-	wg.Wait()
+	routes := db.IR.Routes
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		db.routeTrie = buildRouteTrie(routes)
+	}()
+	db.routesByOrigin = buildRouteTables(db.syms, routes)
+	<-done
 }
 
-// buildRoutePart indexes one shard's routes. seqs, parallel to routes,
-// carries each route's global feed position; nil on the unsharded
-// path, where merge ordering is never needed. No reader can see the
-// part yet, so the trie is built in place; Insert and Delete take over
-// once it is published (update.go).
-func buildRoutePart(db *Database, routes []*ir.RouteObject, seqs []int64) *routePart {
-	p := &routePart{nroutes: len(routes)}
+// buildRouteTrie indexes routes by prefix. No reader can see the trie
+// yet, so it is built in place; Insert and Delete take over once it is
+// published (update.go).
+func buildRouteTrie(routes []*ir.RouteObject) *prefix.Trie[prefixOrigins] {
 	var tr prefix.TrieBuilder[prefixOrigins]
-	// Nearly every prefix has one origin: its one-element origins,
-	// counts and seq are slot i of three slabs (seqs itself is the
-	// third), cut to capacity one so that an append reallocates.
+	// Nearly every prefix has one origin: its one-element origins and
+	// counts are slot i of two slabs, cut to capacity one so that an
+	// append reallocates.
 	origins, counts := make([]ir.ASN, len(routes)), make([]int, len(routes))
-	// pairs lists each distinct (prefix, origin) as origin<<32 | index
-	// of its first route, so that sorting groups by origin.
-	pairs := make([]uint64, 0, len(routes))
 	for i, r := range routes {
 		po := tr.At(r.Prefix)
 		if j := slices.Index(po.origins, r.Origin); j >= 0 {
 			po.counts[j]++ // fresh build: the backing array is unshared
 			continue
 		}
-		pairs = append(pairs, uint64(r.Origin)<<32|uint64(i))
 		if po.origins == nil {
 			origins[i], counts[i] = r.Origin, 1
 			po.origins, po.counts = origins[i:i+1:i+1], counts[i:i+1:i+1]
-			if seqs != nil {
-				po.seq = seqs[i : i+1 : i+1]
-			}
 			continue
 		}
 		po.origins = append(po.origins, r.Origin)
 		po.counts = append(po.counts, 1)
-		if seqs != nil {
-			po.seq = append(po.seq, seqs[i])
-		}
 	}
-	p.routeTrie = tr.Trie()
-	// Every origin's ranges are a run of one slab.
-	slices.Sort(pairs)
-	ranges := make([]prefix.Range, len(pairs))
-	for i, pr := range pairs {
-		ranges[i].Prefix = routes[uint32(pr)].Prefix
-	}
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && pairs[j]>>32 == pairs[i]>>32 {
-			j++
-		}
-		p.setRouteTable(db.syms, ir.ASN(pairs[i]>>32), prefix.NewTable(ranges[i:j]))
-		i = j
-	}
-	return p
+	return tr.Trie()
 }
 
-// partOf returns the part owning an origin's routes.
-func (db *Database) partOf(asn ir.ASN) *routePart {
-	return db.parts[shard.Of(asn, db.shardN)]
+// originRun is one origin's run [lo, hi) of the sorted route keys.
+type originRun struct {
+	id     symtab.ID
+	lo, hi int
+}
+
+// buildRouteTables indexes routes by origin: one table per origin,
+// keyed by its ASN symbol ID. Origins are interned serially, in
+// ascending ASN order, so the ID layout depends on the routes alone;
+// the tables then build over GOMAXPROCS contiguous ranges of origins,
+// each writing only its own origins' slots.
+func buildRouteTables(syms *symtab.Table, routes []*ir.RouteObject) []*prefix.Table {
+	// keys lists every route as origin<<32 | index, so that sorting
+	// groups by origin; NewTable drops duplicate prefixes.
+	keys := make([]uint64, len(routes))
+	for i, r := range routes {
+		keys[i] = uint64(r.Origin)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	var runs []originRun
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j]>>32 == keys[i]>>32 {
+			j++
+		}
+		runs = append(runs, originRun{syms.ASNs.Intern(uint32(keys[i] >> 32)), i, j})
+		i = j
+	}
+	tables := make([]*prefix.Table, syms.ASNs.Len())
+	parts := make([][]originRun, min(runtime.GOMAXPROCS(0), max(len(runs), 1)))
+	for p := range parts {
+		parts[p] = runs[p*len(runs)/len(parts) : (p+1)*len(runs)/len(parts)]
+	}
+	shard.Each(parts, func(part *[]originRun) {
+		var buf []prefix.Range // NewTable copies its input
+		for _, r := range *part {
+			buf = buf[:0]
+			for _, k := range keys[r.lo:r.hi] {
+				buf = append(buf, prefix.Range{Prefix: routes[uint32(k)].Prefix})
+			}
+			tables[r.id] = prefix.NewTable(buf)
+		}
+	})
+	return tables
 }
 
 // routeTableOf returns the per-origin table, or nil when the AS has no
-// route objects. Exact single-part lookup: an origin's routes are
-// never split across shards.
+// route objects.
 func (db *Database) routeTableOf(asn ir.ASN) *prefix.Table {
 	id, ok := db.syms.ASNs.Lookup(uint32(asn))
 	if !ok {
 		return nil
 	}
-	return sliceAt(db.partOf(asn).routesByOrigin, id)
+	return sliceAt(db.routesByOrigin, id)
 }
 
 func (db *Database) setRouteTable(asn ir.ASN, t *prefix.Table) {
-	db.partOf(asn).setRouteTable(db.syms, asn, t)
-}
-
-func (p *routePart) setRouteTable(syms *symtab.Table, asn ir.ASN, t *prefix.Table) {
-	id := syms.ASNs.Intern(uint32(asn))
-	p.routesByOrigin = slicePut(p.routesByOrigin, id, t)
+	db.routesByOrigin = slicePut(db.routesByOrigin, db.syms.ASNs.Intern(uint32(asn)), t)
 }
 
 // OriginsOf returns the origins of route objects registered for
-// exactly this prefix, in global first-seen order.
+// exactly this prefix, in first-seen order. The slice is shared with
+// the index: callers must not modify it.
 func (db *Database) OriginsOf(p prefix.Prefix) []ir.ASN {
-	if db.shardN == 1 {
-		po, _ := db.parts[0].routeTrie.Get(p)
-		return po.origins
-	}
-	var merged prefixOrigins
-	found := 0
-	for _, part := range db.parts {
-		if po, ok := part.routeTrie.Get(p); ok {
-			merged = appendOrigins(merged, po)
-			found++
-		}
-	}
-	if found > 1 {
-		sortBySeq(&merged)
-	}
-	return merged.origins
-}
-
-// appendOrigins concatenates one part's pair record onto an
-// accumulator (allocating; the inputs stay shared and immutable).
-func appendOrigins(dst prefixOrigins, src prefixOrigins) prefixOrigins {
-	dst.origins = append(dst.origins, src.origins...)
-	dst.counts = append(dst.counts, src.counts...)
-	dst.seq = append(dst.seq, src.seq...)
-	return dst
-}
-
-// sortBySeq restores global first-seen pair order after a cross-shard
-// gather. Within one part the seq slice is already ascending, so this
-// is a merge of sorted runs; plain insertion sort is fine at the tiny
-// origin counts prefixes actually have.
-func sortBySeq(po *prefixOrigins) {
-	for i := 1; i < len(po.seq); i++ {
-		for j := i; j > 0 && po.seq[j] < po.seq[j-1]; j-- {
-			po.seq[j], po.seq[j-1] = po.seq[j-1], po.seq[j]
-			po.origins[j], po.origins[j-1] = po.origins[j-1], po.origins[j]
-			po.counts[j], po.counts[j-1] = po.counts[j-1], po.counts[j]
-		}
-	}
+	po, _ := db.routeTrie.Get(p)
+	return po.origins
 }
 
 // PrefixOrigins couples a registered prefix with the origins of its
@@ -410,78 +314,24 @@ type PrefixOrigins struct {
 
 // RoutesCovering returns every registered route prefix that covers p
 // (p itself and its less-specifics), shortest first, with the origins
-// of each. Unsharded, the walk is a single radix-trie descent; sharded
-// it descends every part and merges (covering prefixes form a nested
-// chain, so shortest-first equals Prefix.Compare order).
+// of each: one radix-trie descent.
 func (db *Database) RoutesCovering(p prefix.Prefix) []PrefixOrigins {
-	if db.shardN == 1 {
-		var out []PrefixOrigins
-		db.parts[0].routeTrie.Covering(p, func(q prefix.Prefix, po prefixOrigins) bool {
-			out = append(out, PrefixOrigins{Prefix: q, Origins: po.origins})
-			return true
-		})
-		return out
-	}
-	return db.gatherWalk(func(part *routePart, yield func(prefix.Prefix, prefixOrigins) bool) {
-		part.routeTrie.Covering(p, yield)
+	var out []PrefixOrigins
+	db.routeTrie.Covering(p, func(q prefix.Prefix, po prefixOrigins) bool {
+		out = append(out, PrefixOrigins{Prefix: q, Origins: po.origins})
+		return true
 	})
+	return out
 }
 
 // RoutesCoveredBy returns every registered route prefix covered by p
 // (p itself and its more-specifics) in prefix order, with origins.
 func (db *Database) RoutesCoveredBy(p prefix.Prefix) []PrefixOrigins {
-	if db.shardN == 1 {
-		var out []PrefixOrigins
-		db.parts[0].routeTrie.CoveredBy(p, func(q prefix.Prefix, po prefixOrigins) bool {
-			out = append(out, PrefixOrigins{Prefix: q, Origins: po.origins})
-			return true
-		})
-		return out
-	}
-	return db.gatherWalk(func(part *routePart, yield func(prefix.Prefix, prefixOrigins) bool) {
-		part.routeTrie.CoveredBy(p, yield)
+	var out []PrefixOrigins
+	db.routeTrie.CoveredBy(p, func(q prefix.Prefix, po prefixOrigins) bool {
+		out = append(out, PrefixOrigins{Prefix: q, Origins: po.origins})
+		return true
 	})
-}
-
-// gatherWalk runs one trie walk per part, then merges the gathered
-// entries back into the exact order and origin layout the unsharded
-// trie would have produced: entries sorted by Prefix.Compare (both
-// walk kinds yield in that order within a part), equal prefixes
-// coalesced with origins restored to global first-seen order via seq.
-func (db *Database) gatherWalk(walk func(*routePart, func(prefix.Prefix, prefixOrigins) bool)) []PrefixOrigins {
-	type ent struct {
-		pfx prefix.Prefix
-		po  prefixOrigins
-	}
-	var all []ent
-	for _, part := range db.parts {
-		walk(part, func(q prefix.Prefix, po prefixOrigins) bool {
-			all = append(all, ent{q, po})
-			return true
-		})
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	slices.SortStableFunc(all, func(a, b ent) int { return a.pfx.Compare(b.pfx) })
-	out := make([]PrefixOrigins, 0, len(all))
-	for i := 0; i < len(all); {
-		j := i + 1
-		for j < len(all) && all[j].pfx == all[i].pfx {
-			j++
-		}
-		if j == i+1 {
-			out = append(out, PrefixOrigins{Prefix: all[i].pfx, Origins: all[i].po.origins})
-		} else {
-			var merged prefixOrigins
-			for _, e := range all[i:j] {
-				merged = appendOrigins(merged, e.po)
-			}
-			sortBySeq(&merged)
-			out = append(out, PrefixOrigins{Prefix: all[i].pfx, Origins: merged.origins})
-		}
-		i = j
-	}
 	return out
 }
 

@@ -29,20 +29,11 @@ import (
 // as-set table cache starts empty, since route mutations would
 // invalidate it.
 func (db *Database) Clone() *Database {
-	parts := make([]*routePart, len(db.parts))
-	for i, p := range db.parts {
-		parts[i] = &routePart{
-			routesByOrigin: slices.Clone(p.routesByOrigin),
-			routeTrie:      p.routeTrie,
-			nroutes:        p.nroutes,
-		}
-	}
 	return &Database{
 		IR:               db.IR.Clone(),
 		syms:             db.syms,
-		shardN:           db.shardN,
-		parts:            parts,
-		seqNext:          db.seqNext,
+		routesByOrigin:   slices.Clone(db.routesByOrigin),
+		routeTrie:        db.routeTrie,
 		asSetIndirect:    slices.Clone(db.asSetIndirect),
 		routeSetIndirect: slices.Clone(db.routeSetIndirect),
 		flatAsSets:       slices.Clone(db.flatAsSets),
@@ -56,16 +47,11 @@ func (db *Database) Clone() *Database {
 // Flattened route-sets are not updated; call ReflattenRouteSets once
 // after a batch of mutations.
 func (db *Database) AddRoute(r *ir.RouteObject) {
-	part := db.partOf(r.Origin)
-	part.nroutes++
-	seq := db.seqNext
-	db.seqNext++ // advanced on every add so clone chains agree at any shard count
-	po, _ := part.routeTrie.Get(r.Prefix)
+	po, _ := db.routeTrie.Get(r.Prefix)
 	if i := slices.Index(po.origins, r.Origin); i >= 0 {
 		counts := slices.Clone(po.counts)
 		counts[i]++
-		part.routeTrie = part.routeTrie.Insert(r.Prefix,
-			prefixOrigins{origins: po.origins, counts: counts, seq: po.seq})
+		db.routeTrie = db.routeTrie.Insert(r.Prefix, prefixOrigins{origins: po.origins, counts: counts})
 	} else {
 		var ranges []prefix.Range
 		if t := db.routeTableOf(r.Origin); t != nil {
@@ -73,14 +59,10 @@ func (db *Database) AddRoute(r *ir.RouteObject) {
 		}
 		ranges = append(ranges, prefix.Range{Prefix: r.Prefix})
 		db.setRouteTable(r.Origin, prefix.NewTable(ranges))
-		npo := prefixOrigins{
+		db.routeTrie = db.routeTrie.Insert(r.Prefix, prefixOrigins{
 			origins: append(slices.Clone(po.origins), r.Origin),
 			counts:  append(slices.Clone(po.counts), 1),
-		}
-		if db.shardN > 1 {
-			npo.seq = append(slices.Clone(po.seq), seq)
-		}
-		part.routeTrie = part.routeTrie.Insert(r.Prefix, npo)
+		})
 	}
 	for _, setName := range r.MemberOfs {
 		set, ok := db.IR.RouteSets[setName]
@@ -97,18 +79,15 @@ func (db *Database) AddRoute(r *ir.RouteObject) {
 // (prefix, origin) pair leaves the per-origin table and the reverse
 // index only when its last route object (across sources) is gone.
 func (db *Database) RemoveRoute(r *ir.RouteObject) {
-	part := db.partOf(r.Origin)
-	po, _ := part.routeTrie.Get(r.Prefix)
+	po, _ := db.routeTrie.Get(r.Prefix)
 	i := slices.Index(po.origins, r.Origin)
 	if i < 0 {
 		return
 	}
-	part.nroutes--
 	if po.counts[i] > 1 {
 		counts := slices.Clone(po.counts)
 		counts[i]--
-		part.routeTrie = part.routeTrie.Insert(r.Prefix,
-			prefixOrigins{origins: po.origins, counts: counts, seq: po.seq})
+		db.routeTrie = db.routeTrie.Insert(r.Prefix, prefixOrigins{origins: po.origins, counts: counts})
 	} else {
 		// Last route object for the (prefix, origin) pair: the pair
 		// leaves the per-origin table and the reverse index.
@@ -126,22 +105,12 @@ func (db *Database) RemoveRoute(r *ir.RouteObject) {
 			}
 		}
 		if len(po.origins) == 1 {
-			part.routeTrie = part.routeTrie.Delete(r.Prefix)
+			db.routeTrie = db.routeTrie.Delete(r.Prefix)
 		} else {
-			origins := make([]ir.ASN, 0, len(po.origins)-1)
-			counts := make([]int, 0, len(po.counts)-1)
-			var seq []int64
-			for j := range po.origins {
-				if j != i {
-					origins = append(origins, po.origins[j])
-					counts = append(counts, po.counts[j])
-					if po.seq != nil {
-						seq = append(seq, po.seq[j])
-					}
-				}
-			}
-			part.routeTrie = part.routeTrie.Insert(r.Prefix,
-				prefixOrigins{origins: origins, counts: counts, seq: seq})
+			db.routeTrie = db.routeTrie.Insert(r.Prefix, prefixOrigins{
+				origins: slices.Delete(slices.Clone(po.origins), i, i+1),
+				counts:  slices.Delete(slices.Clone(po.counts), i, i+1),
+			})
 		}
 	}
 	for _, setName := range r.MemberOfs {
@@ -257,7 +226,7 @@ func (db *Database) ReindexRouteSet(name string) {
 // closure, depth and loop participation, by SCC condensation — of the
 // seed sets and of every set that transitively references one of them,
 // reusing the flat views of unaffected sets as memoized leaves. It is
-// the only as-set flatten kernel: NewSharded seeds it with every set.
+// the only as-set flatten kernel: New seeds it with every set.
 // Seeds must name every as-set whose definition or indirect membership
 // changed (including removed sets, whose flat entries are dropped); a
 // set missed here keeps a stale flat view.

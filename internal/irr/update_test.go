@@ -120,11 +120,9 @@ func keysOf[K comparable, V any](m map[K]V) []string {
 
 func routesByOriginView(db *Database) map[ir.ASN]*prefix.Table {
 	out := make(map[ir.ASN]*prefix.Table)
-	for _, part := range db.parts {
-		for id, t := range part.routesByOrigin {
-			if t != nil {
-				out[ir.ASN(db.syms.ASNs.Key(symtab.ID(id)))] = t
-			}
+	for id, t := range db.routesByOrigin {
+		if t != nil {
+			out[ir.ASN(db.syms.ASNs.Key(symtab.ID(id)))] = t
 		}
 	}
 	return out
@@ -132,17 +130,10 @@ func routesByOriginView(db *Database) map[ir.ASN]*prefix.Table {
 
 func prefixRoutesView(db *Database) map[prefix.Prefix]prefixOrigins {
 	out := make(map[prefix.Prefix]prefixOrigins)
-	for _, part := range db.parts {
-		part.routeTrie.Walk(func(p prefix.Prefix, po prefixOrigins) bool {
-			got, ok := out[p]
-			if !ok {
-				out[p] = po
-				return true
-			}
-			out[p] = appendOrigins(got, po)
-			return true
-		})
-	}
+	db.routeTrie.Walk(func(p prefix.Prefix, po prefixOrigins) bool {
+		out[p] = po
+		return true
+	})
 	return out
 }
 
@@ -193,11 +184,9 @@ func flatRouteSetsView(db *Database) map[string]*FlatRouteSet {
 // multiplicity-consistent.
 func assertSymbolIndexes(t *testing.T, label string, db *Database) {
 	t.Helper()
-	for s, part := range db.parts {
-		if len(part.routesByOrigin) > db.syms.ASNs.Len() {
-			t.Errorf("%s: part %d routesByOrigin has %d slots, only %d ASNs interned",
-				label, s, len(part.routesByOrigin), db.syms.ASNs.Len())
-		}
+	if len(db.routesByOrigin) > db.syms.ASNs.Len() {
+		t.Errorf("%s: routesByOrigin has %d slots, only %d ASNs interned",
+			label, len(db.routesByOrigin), db.syms.ASNs.Len())
 	}
 	if len(db.asSetIndirect) > db.syms.AsSets.Len() || len(db.flatAsSets) > db.syms.AsSets.Len() {
 		t.Errorf("%s: as-set indexes extend past %d interned names", label, db.syms.AsSets.Len())
@@ -217,39 +206,35 @@ func assertSymbolIndexes(t *testing.T, label string, db *Database) {
 				label, id, f.Name, db.syms.RouteSets.Name(symtab.ID(id)))
 		}
 	}
-	for s, part := range db.parts {
-		n := 0
-		var prev prefix.Prefix
-		part.routeTrie.Walk(func(p prefix.Prefix, po prefixOrigins) bool {
-			if n > 0 && prev.Compare(p) >= 0 {
-				t.Errorf("%s: part %d routeTrie walk not strictly sorted: %v then %v", label, s, prev, p)
-			}
-			prev = p
-			n++
-			if len(po.origins) == 0 || len(po.origins) != len(po.counts) {
-				t.Errorf("%s: routeTrie[%v] malformed origins/counts: %v/%v",
-					label, p, po.origins, po.counts)
-			}
-			seen := make(map[ir.ASN]bool)
-			for i, o := range po.origins {
-				if po.counts[i] < 1 {
-					t.Errorf("%s: routeTrie[%v] count %d for AS%d", label, p, po.counts[i], o)
-				}
-				if seen[o] {
-					t.Errorf("%s: routeTrie[%v] duplicate origin AS%d", label, p, o)
-				}
-				seen[o] = true
-			}
-			if db.shardN == 1 {
-				if got := db.OriginsOf(p); !slices.Equal(got, po.origins) {
-					t.Errorf("%s: OriginsOf(%v) = %v, trie has %v", label, p, got, po.origins)
-				}
-			}
-			return true
-		})
-		if n != part.routeTrie.Len() {
-			t.Errorf("%s: part %d routeTrie.Len() = %d, walk visited %d", label, s, part.routeTrie.Len(), n)
+	n := 0
+	var prev prefix.Prefix
+	db.routeTrie.Walk(func(p prefix.Prefix, po prefixOrigins) bool {
+		if n > 0 && prev.Compare(p) >= 0 {
+			t.Errorf("%s: routeTrie walk not strictly sorted: %v then %v", label, prev, p)
 		}
+		prev = p
+		n++
+		if len(po.origins) == 0 || len(po.origins) != len(po.counts) {
+			t.Errorf("%s: routeTrie[%v] malformed origins/counts: %v/%v",
+				label, p, po.origins, po.counts)
+		}
+		seen := make(map[ir.ASN]bool)
+		for i, o := range po.origins {
+			if po.counts[i] < 1 {
+				t.Errorf("%s: routeTrie[%v] count %d for AS%d", label, p, po.counts[i], o)
+			}
+			if seen[o] {
+				t.Errorf("%s: routeTrie[%v] duplicate origin AS%d", label, p, o)
+			}
+			seen[o] = true
+		}
+		if got := db.OriginsOf(p); !slices.Equal(got, po.origins) {
+			t.Errorf("%s: OriginsOf(%v) = %v, trie has %v", label, p, got, po.origins)
+		}
+		return true
+	})
+	if n != db.routeTrie.Len() {
+		t.Errorf("%s: routeTrie.Len() = %d, walk visited %d", label, db.routeTrie.Len(), n)
 	}
 }
 

@@ -154,9 +154,7 @@ func (m *Mirror) ApplyAllKeys(journals []*Journal) ([]depgraph.Key, error) {
 // registry to 0). Use it when Apply reports a serial gap and the
 // caller has re-fetched full dumps.
 func (m *Mirror) Resync(x *ir.IR, serials map[string]uint64) {
-	// Rebuild at the current snapshot's shard count: a resync replaces
-	// the data, not the partitioning.
-	db := irr.NewSharded(x, m.db.Load().Shards())
+	db := irr.New(x)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.serials = make(map[string]uint64, len(serials))

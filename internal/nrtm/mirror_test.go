@@ -2,18 +2,15 @@ package nrtm_test
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"rpslyzer/internal/core"
-	"rpslyzer/internal/evolve"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/render"
 	"rpslyzer/internal/telemetry"
 )
 
@@ -37,62 +34,6 @@ func synthIR(t *testing.T, ases int) *ir.IR {
 		t.Fatal(err)
 	}
 	return sys.IR
-}
-
-// TestMirrorEquivalence is the subsystem's core property: starting
-// from a parsed snapshot A and applying journal(A→B) must yield a
-// database indistinguishable from parsing snapshot B directly. It runs
-// three consecutive evolution steps over the full 13-registry
-// synthetic universe, checking canonical render equality per registry
-// after every step.
-func TestMirrorEquivalence(t *testing.T) {
-	gen := synthIR(t, 250)
-	mir := nrtm.NewMirror(reparse(render.IR(gen)), nil, nil)
-
-	cfg := irrgen.EvolveConfig{Seed: 7, PolicyChurnFrac: 0.02, SetChurnFrac: 0.02,
-		RouteAddFrac: 0.01, RouteWithdrawFrac: 0.01}
-	serials := make(map[string]uint64)
-	prev := gen
-	for step := 1; step <= 3; step++ {
-		next := irrgen.Evolve(prev, step, cfg)
-		diff := evolve.Compare(prev, next)
-		if diff.Empty() {
-			t.Fatalf("step %d: evolution produced no changes", step)
-		}
-		journals := diff.ToJournals(prev, next, serials)
-		if len(journals) == 0 {
-			t.Fatalf("step %d: no journals from non-empty diff %s", step, diff.Summary())
-		}
-		for _, j := range journals {
-			if err := mir.ApplyAll([]*nrtm.Journal{j}); err != nil {
-				t.Fatalf("step %d: apply %s %d-%d: %v", step, j.Registry, j.First, j.Last, err)
-			}
-		}
-		got := render.IR(mir.DB().IR)
-		want := render.IR(reparse(render.IR(next)).Clone())
-		for _, reg := range irrgen.IRRs {
-			if got[reg] != want[reg] {
-				t.Fatalf("step %d: registry %s diverged:\n%s",
-					step, reg, firstDiff(got[reg], want[reg]))
-			}
-		}
-		prev = next
-	}
-	for reg, want := range serials {
-		if got := mir.Serials()[reg]; got != want {
-			t.Errorf("serial for %s = %d, want %d", reg, got, want)
-		}
-	}
-}
-
-func firstDiff(got, want string) string {
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			return fmt.Sprintf("line %d:\n  got:  %q\n  want: %q", i+1, gl[i], wl[i])
-		}
-	}
-	return fmt.Sprintf("got %d lines, want %d lines", len(gl), len(wl))
 }
 
 // TestMirrorSerialGap proves a non-contiguous journal is rejected
@@ -200,45 +141,5 @@ func TestApplyRejectedObjectLikeDump(t *testing.T) {
 	}
 	if n := m.RejectedObjects.Value(); n != 2 {
 		t.Errorf("rpslyzer_nrtm_rejected_objects_total = %d, want 2", n)
-	}
-}
-
-// TestJournalFileReplayMatchesDirect round-trips journals through the
-// on-disk format before applying, covering the exact path whoisd's
-// mirror loop uses (write file → read file → apply).
-func TestJournalFileReplayMatchesDirect(t *testing.T) {
-	gen := synthIR(t, 120)
-	cfg := irrgen.EvolveConfig{Seed: 3}
-	next := irrgen.Evolve(gen, 1, cfg)
-	diff := evolve.Compare(gen, next)
-	journals := diff.ToJournals(gen, next, nil)
-	if len(journals) == 0 {
-		t.Skip("no churn at this size/seed")
-	}
-
-	direct := nrtm.NewMirror(reparse(render.IR(gen)), nil, nil)
-	viaDisk := nrtm.NewMirror(reparse(render.IR(gen)), nil, nil)
-	dir := t.TempDir()
-	for i, j := range journals {
-		if err := direct.ApplyAll([]*nrtm.Journal{j}); err != nil {
-			t.Fatal(err)
-		}
-		path := fmt.Sprintf("%s/%06d.%s.nrtm", dir, i, j.Registry)
-		if err := nrtm.WriteJournalFile(path, j); err != nil {
-			t.Fatal(err)
-		}
-		rj, err := nrtm.ReadJournalFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := viaDisk.ApplyAll([]*nrtm.Journal{rj}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, want := render.IR(viaDisk.DB().IR), render.IR(direct.DB().IR)
-	for reg := range want {
-		if got[reg] != want[reg] {
-			t.Fatalf("registry %s diverged after disk round-trip", reg)
-		}
 	}
 }

@@ -52,7 +52,7 @@ type pass struct {
 	evolved  *ir.IR // the generator's IR, which irrgen evolves
 	rels     *asrel.Database
 	routes   []bgpsim.Route
-	db1, dbN *irr.Database        // the one-worker load at one shard, the drawn workers' at the drawn count
+	db1, dbN *irr.Database        // the one-worker load, the drawn workers'
 	fresh    []verify.RouteReport // a fresh VerifyAll at the drawn shards, of the latest database
 }
 
@@ -131,11 +131,11 @@ func (p *pass) load() {
 	if diff := textDiff(render.IR(reparse(text, p.d.workers)), text); diff != "" {
 		p.fail(c1, "render → reparse → render is not a fixed point: %s", diff)
 	}
-	p.db1, p.dbN = irr.NewSharded(seq, 1), irr.NewSharded(par, p.d.shards)
+	p.db1, p.dbN = irr.New(seq), irr.New(par)
 }
 
 // base is C2–C4 on the loaded universe. The reference is one partition
-// of the compiled engine over the unsharded database.
+// of the compiled engine over the one-worker load.
 func (p *pass) base() {
 	d := p.d
 	ref := verify.New(p.db1, p.rels, p.cfg(1)).VerifyAll(p.routes, 1)
@@ -174,7 +174,7 @@ func (p *pass) base() {
 }
 
 // steps is C5–C7: the draw's evolution, as journal files written and
-// read back, applied to a mirror of the sharded database, with the
+// read back, applied to a mirror of the drawn workers' load, with the
 // incremental engine re-verifying each apply.
 func (p *pass) steps() {
 	d := p.d

@@ -11,7 +11,7 @@
 //	C2 compiled ≡ interpreter (Config.Eval "interp")
 //	C3 bulk drivers: VerifyAll at any partition count ≡ VerifyAll at one
 //	   ≡ VerifyStream as a multiset ≡ VerifyRoute route by route
-//	C4 sharded ≡ unsharded: whois answers and verify JSONL
+//	C4 partitioned verify ≡ one partition, whois over both loads
 //	C5 incremental ≡ full after every apply, a resync ≡ fresh, and
 //	   Reconcile finds no drift
 //	C6 mirrored ≡ reparsed, through journal files on disk

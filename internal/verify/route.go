@@ -336,14 +336,14 @@ func routeShard(r *bgpsim.Route, n int) int {
 }
 
 // sweep is the bulk drivers' scatter: route indexes bucket by the
-// stable origin-AS hash (the partition the sharded irr.Database uses,
-// so a partition's origin checks hit its home route part, and equal
-// sharing keys always meet) into Config.Shards partitions, or workers
-// partitions when Shards is unset (0 means GOMAXPROCS). Each non-empty
-// partition, on its own goroutine, hands layout its indexes in input
-// order, sorts them into sharing order, and runs each on them with its
-// own sharing arena, whose tally it flushes at the end. A driver with a
-// layout keeps every report, so its arenas store equal reason lists once.
+// stable origin-AS hash (so equal sharing keys always meet) into
+// Config.Shards partitions, or workers partitions when Shards is unset
+// (0 means GOMAXPROCS); the bucket sizes are the shard metrics' plan,
+// set once per sweep. Each non-empty partition, on its own goroutine,
+// hands layout its indexes in input order, sorts them into sharing
+// order, and runs each on them with its own sharing arena, whose tally
+// it flushes at the end. A driver with a layout keeps every report, so
+// its arenas store equal reason lists once.
 func (v *Verifier) sweep(routes []bgpsim.Route, workers int, layout func(idxs []int32), each func(a *reportArena, i int32)) {
 	t0 := time.Now()
 	n := v.partitions(workers)
@@ -351,6 +351,13 @@ func (v *Verifier) sweep(routes []bgpsim.Route, workers int, layout func(idxs []
 	for i := range routes {
 		s := routeShard(&routes[i], n)
 		buckets[s] = append(buckets[s], int32(i))
+	}
+	if v.shardMetrics != nil {
+		counts := make([]int, n)
+		for s, idxs := range buckets {
+			counts[s] = len(idxs)
+		}
+		v.shardMetrics.ObservePlan(counts)
 	}
 	var wg sync.WaitGroup
 	for _, idxs := range buckets {

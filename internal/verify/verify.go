@@ -254,11 +254,11 @@ type Config struct {
 	// the filter-generation view of the data.
 	Strict bool
 	// Shards is the number of partitions the bulk drivers (VerifyAll,
-	// VerifyStream) scatter routes into, by the same stable origin-AS
-	// hash the sharded irr.Database uses; each partition runs on its
-	// own goroutine with its own report arena, and reports gather back
-	// in input order, byte-identical at any count. When unset (<= 0)
-	// the drivers partition by their workers argument instead.
+	// VerifyStream) scatter routes into, by a stable origin-AS hash
+	// (shard.Of); each partition runs on its own goroutine with its own
+	// report arena, and reports gather back in input order,
+	// byte-identical at any count. When unset (<= 0) the drivers
+	// partition by their workers argument instead.
 	Shards int
 }
 
@@ -408,7 +408,9 @@ func (v *Verifier) evict(db *irr.Database, asns []ir.ASN) {
 // verification — programs compiled earlier have no recorded edges.
 func (v *Verifier) SetDepGraph(g *depgraph.Graph) { v.graph = g }
 
-// SetShardMetrics attaches the rpslyzer_shard_* fan-out histogram.
+// SetShardMetrics attaches the rpslyzer_shard_* metrics: every sweep
+// sets the plan gauges from its partition sizes and observes its
+// fan-out time.
 func (v *Verifier) SetShardMetrics(m *shard.Metrics) { v.shardMetrics = m }
 
 // New creates a Verifier.

@@ -13,6 +13,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"net/netip"
 	"sort"
 	"strings"
 	"sync"
@@ -303,15 +304,13 @@ func (s *Server) queryPrefix(db *irr.Database, text string) string {
 }
 
 func (s *Server) queryAddress(db *irr.Database, text string) string {
-	addrPfx, err := prefix.Parse(text + "/32")
-	if err != nil {
-		if addrPfx, err = prefix.Parse(text + "/128"); err != nil {
-			return "% error: unrecognized query\n"
-		}
+	addr, err := netip.ParseAddr(text)
+	if err != nil || addr.Zone() != "" {
+		return "% error: unrecognized query\n"
 	}
 	// The radix index answers containment in one root-to-leaf descent,
 	// shortest (least specific) covering prefix first.
-	covering := db.RoutesCovering(addrPfx)
+	covering := db.RoutesCovering(prefix.FromNetip(netip.PrefixFrom(addr, addr.BitLen())))
 	if len(covering) == 0 {
 		return fmt.Sprintf("%% no entries found for %s\n", text)
 	}

@@ -80,6 +80,33 @@ func TestQueryPrefixAndAddress(t *testing.T) {
 	}
 }
 
+// TestQueryIPv6AddressFindsEveryCover looks a bare IPv6 address up as
+// its /128: a /32 reading of the text masks the address to the /32
+// and misses the /48 in between.
+func TestQueryIPv6AddressFindsEveryCover(t *testing.T) {
+	s := NewServer(irr.New(parser.ParseText(`
+route6: 2001:db8::/32
+origin: AS64500
+source: RADB
+
+route6: 2001:db8:1::/48
+origin: AS64501
+source: RADB
+`, "RADB")))
+	resp := s.Query("2001:db8:1::1")
+	i32, i48 := strings.Index(resp, " 2001:db8::/32\n"), strings.Index(resp, " 2001:db8:1::/48\n")
+	if i32 < 0 || i48 < i32 {
+		t.Fatalf("address query = %q, want the /32 then the /48", resp)
+	}
+	if !strings.Contains(s.Query("2001:db8:2::1"), "2001:db8::/32") ||
+		strings.Contains(s.Query("2001:db8:2::1"), "/48") {
+		t.Errorf("address outside the /48 = %q", s.Query("2001:db8:2::1"))
+	}
+	if got := s.Query("fe80::1%eth0"); !strings.Contains(got, "unrecognized query") {
+		t.Errorf("zoned address = %q", got)
+	}
+}
+
 func TestQueryInverseOrigin(t *testing.T) {
 	s := newTestServer(t)
 	resp := s.Query("-i origin AS15169")

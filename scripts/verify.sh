@@ -40,7 +40,12 @@
 #      TestReadDumpErrorLines, TestReadDumpOverlongLine,
 #      TestReadDumpPathsAreCapped); and the incremental engine's
 #      dirtying index, built over GOMAXPROCS route ranges, against the
-#      serial build it replaced (TestIndexRoutesMatchesReference)
+#      serial build it replaced (TestIndexRoutesMatchesReference); and,
+#      under the race detector, the route database's index, whose trie
+#      builds beside per-origin tables built over GOMAXPROCS origin
+#      ranges, against linear scans of its routes, fresh and after
+#      mutations (TestNewShardedEquivalence,
+#      TestShardedMutationEquivalence, TestShardRouteCountsCloneIsolation)
 #   7. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
@@ -116,7 +121,7 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the dirtying index at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the dirtying index, the route database's index at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^FuzzContracts$' ./internal/oracle
 go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
@@ -124,6 +129,7 @@ go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObject|TestLoadDumpDirFailsOnReadError)$' ./internal/core
 go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped)$' ./internal/bgpsim
 go test -cpu 1,2,4 -run '^TestIndexRoutesMatchesReference$' ./internal/verify
+go test -race -cpu 1,2,4 -run '^(TestNewShardedEquivalence|TestShardedMutationEquivalence|TestShardRouteCountsCloneIsolation)$' ./internal/irr
 
 echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzFreeze: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
