@@ -34,23 +34,7 @@ func TestSingleCallSites(t *testing.T) {
 	}
 	sites := make([][]string, len(pins))
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if file == "bench" || (file != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	eachProductionFile(t, fset, func(file string, f *ast.File) {
 		imported := map[string]string{} // import path → name in this file
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
@@ -79,15 +63,71 @@ func TestSingleCallSites(t *testing.T) {
 				return true
 			})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, pin := range pins {
 		if len(sites[i]) != 1 {
 			t.Errorf("%s.%s has %d call sites outside bench/, tests and its own package, want 1: %v",
 				pin.pkg, pin.name, len(sites[i]), sites[i])
 		}
+	}
+}
+
+// TestPolicyTreeWalksLiveInIR keeps the walks over the policy tree in
+// internal/ir (AutNum.Rules, PolicyExpr.AllFactors, Filter.Walk,
+// ASExpr.Walk, PathRegex.WalkNodes and WalkTerms): no other production
+// file may select a child field of the tree, so a second hand-rolled
+// walker is a red build. The exceptions are the packages that build or
+// compile the trees, and the two evaluators, which recurse carrying
+// state. Receivers are not type-checked: any selector of these names
+// counts.
+func TestPolicyTreeWalksLiveInIR(t *testing.T) {
+	children := map[string]bool{"Left": true, "Right": true, "Children": true, "Elems": true}
+	allowed := func(file string) bool {
+		file = filepath.ToSlash(file)
+		return strings.HasPrefix(file, "internal/ir/") || strings.HasPrefix(file, "internal/asregex/") ||
+			file == "internal/verify/eval.go" || file == "internal/verify/compile.go"
+	}
+	fset := token.NewFileSet()
+	eachProductionFile(t, fset, func(file string, f *ast.File) {
+		if allowed(file) {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && children[sel.Sel.Name] {
+				t.Errorf("%s: selects .%s; walk the policy tree through internal/ir's traversals",
+					fset.Position(sel.Sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
+// eachProductionFile parses every non-test Go file of the module
+// outside bench/ (the benchmark's replica) and hidden directories and
+// hands it to visit with its path relative to the module root.
+func eachProductionFile(t *testing.T, fset *token.FileSet, visit func(file string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if file == "bench" || (file != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") || strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(file, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

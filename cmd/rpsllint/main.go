@@ -12,6 +12,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"rpslyzer/internal/asrel"
@@ -66,11 +68,10 @@ func main() {
 	}
 	fmt.Printf("\n%d findings (%d shown)\n", len(findings), printed)
 	summary := lint.Summary(findings)
-	var rules []string
-	for r := range summary {
-		rules = append(rules, r)
-	}
-	sort.Slice(rules, func(i, j int) bool { return summary[rules[i]] > summary[rules[j]] })
+	// Most frequent first; equal counts by name, so the output is the
+	// same on every run.
+	rules := slices.Sorted(maps.Keys(summary))
+	sort.SliceStable(rules, func(i, j int) bool { return summary[rules[i]] > summary[rules[j]] })
 	for _, r := range rules {
 		fmt.Printf("  %-26s %d\n", r, summary[r])
 	}

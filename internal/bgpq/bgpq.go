@@ -20,28 +20,15 @@ import (
 // filter-sets, AS-path regexes, BGP communities, Composite Policy
 // Filters (AND, OR, NOT), or Structured Policies (refine or except).
 func Compatible(r *ir.Rule) bool {
-	if r.Expr == nil {
-		return false
+	if r.Expr == nil || r.Expr.Kind != ir.PolicyTerm {
+		return false // no policy, or a structured one
 	}
-	ok := true
-	var walk func(*ir.PolicyExpr)
-	walk = func(e *ir.PolicyExpr) {
-		if e == nil || !ok {
-			return
-		}
-		if e.Kind != ir.PolicyTerm {
-			ok = false // structured policy
-			return
-		}
-		for i := range e.Factors {
-			if !filterCompatible(e.Factors[i].Filter) {
-				ok = false
-				return
-			}
+	for i := range r.Expr.Factors {
+		if !filterCompatible(r.Expr.Factors[i].Filter) {
+			return false
 		}
 	}
-	walk(r.Expr)
-	return ok
+	return true
 }
 
 func filterCompatible(f *ir.Filter) bool {

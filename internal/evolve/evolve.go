@@ -148,11 +148,8 @@ func (d *Diff) Summary() string {
 // direction + raw text.
 func ruleSet(an *ir.AutNum) map[string]int {
 	out := make(map[string]int, an.RuleCount())
-	for i := range an.Imports {
-		out["i\x00"+an.Imports[i].Raw]++
-	}
-	for i := range an.Exports {
-		out["e\x00"+an.Exports[i].Raw]++
+	for r := range an.Rules() {
+		out[r.Dir.String()+"\x00"+r.Raw]++
 	}
 	return out
 }

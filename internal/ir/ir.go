@@ -7,6 +7,7 @@ package ir
 
 import (
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -355,6 +356,26 @@ type PolicyExpr struct {
 	Right *PolicyExpr `json:"right,omitempty"`
 }
 
+// AllFactors yields every factor of the tree in pre-order: a node's
+// own Factors, then those under Left, then those under Right. A nil
+// tree yields nothing.
+func (e *PolicyExpr) AllFactors() iter.Seq[*PolicyFactor] {
+	return func(yield func(*PolicyFactor) bool) { e.factors(yield) }
+}
+
+// factors is AllFactors' walk; it reports whether yield asked for more.
+func (e *PolicyExpr) factors(yield func(*PolicyFactor) bool) bool {
+	if e == nil {
+		return true
+	}
+	for i := range e.Factors {
+		if !yield(&e.Factors[i]) {
+			return false
+		}
+	}
+	return e.Left.factors(yield) && e.Right.factors(yield)
+}
+
 // PolicyFactor is "<peering-action>... accept|announce <filter>".
 type PolicyFactor struct {
 	Peerings []PeeringAction `json:"peerings"`
@@ -452,6 +473,16 @@ func (e *ASExpr) String() string {
 		return "(" + e.Left.String() + " EXCEPT " + e.Right.String() + ")"
 	}
 	return "<invalid>"
+}
+
+// Walk visits e and every descendant as-expression in pre-order.
+func (e *ASExpr) Walk(visit func(*ASExpr)) {
+	if e == nil {
+		return
+	}
+	visit(e)
+	e.Left.Walk(visit)
+	e.Right.Walk(visit)
 }
 
 // Action is one entry of an action list, e.g. pref=100 or
@@ -610,3 +641,21 @@ func (x *IR) SortedAutNums() []ASN {
 // RuleCount returns the total number of import plus export rules for an
 // aut-num (each attribute counts as one rule, as in the paper).
 func (a *AutNum) RuleCount() int { return len(a.Imports) + len(a.Exports) }
+
+// Rules yields the aut-num's rules, imports then exports, each in
+// attribute order; Rule.Dir tells the two apart. A nil aut-num yields
+// nothing.
+func (a *AutNum) Rules() iter.Seq[*Rule] {
+	return func(yield func(*Rule) bool) {
+		if a == nil {
+			return
+		}
+		for _, rules := range [2][]Rule{a.Imports, a.Exports} {
+			for i := range rules {
+				if !yield(&rules[i]) {
+					return
+				}
+			}
+		}
+	}
+}

@@ -225,30 +225,36 @@ func (t *PathTerm) String() string {
 	return "?"
 }
 
-// WalkTerms visits every leaf term in the regex (including class
-// elements), used to collect referenced as-sets.
+// WalkNodes visits every node of the regex in pre-order: a node, then
+// its children in order. A nil regex visits nothing.
+func (r *PathRegex) WalkNodes(visit func(*PathNode)) {
+	if r != nil {
+		r.Root.walk(visit)
+	}
+}
+
+func (n *PathNode) walk(visit func(*PathNode)) {
+	if n == nil {
+		return
+	}
+	visit(n)
+	for _, c := range n.Children {
+		c.walk(visit)
+	}
+}
+
+// WalkTerms visits every term in the regex in WalkNodes order, a class
+// before its elements, used to collect referenced as-sets.
 func (r *PathRegex) WalkTerms(visit func(*PathTerm)) {
-	var walkNode func(*PathNode)
-	var walkTerm func(*PathTerm)
-	walkTerm = func(t *PathTerm) {
-		if t == nil {
-			return
-		}
-		visit(t)
-		for _, e := range t.Elems {
-			walkTerm(e)
-		}
+	r.WalkNodes(func(n *PathNode) { n.Term.walk(visit) })
+}
+
+func (t *PathTerm) walk(visit func(*PathTerm)) {
+	if t == nil {
+		return
 	}
-	walkNode = func(n *PathNode) {
-		if n == nil {
-			return
-		}
-		if n.Term != nil {
-			walkTerm(n.Term)
-		}
-		for _, c := range n.Children {
-			walkNode(c)
-		}
+	visit(t)
+	for _, e := range t.Elems {
+		e.walk(visit)
 	}
-	walkNode(r.Root)
 }

@@ -46,42 +46,26 @@ func ClassifyAS(db *irr.Database, asn ir.ASN) UsageClass {
 	if an.RuleCount() == 0 {
 		return UsageNoRules
 	}
+	// Only except/refine nodes have children, so a rule is structured
+	// exactly when its root is not a term.
 	compound := false
 	setBased := false
-	inspect := func(rules []ir.Rule) {
-		for i := range rules {
-			r := &rules[i]
-			var walk func(*ir.PolicyExpr)
-			walk = func(e *ir.PolicyExpr) {
-				if e == nil {
-					return
-				}
-				if e.Kind != ir.PolicyTerm {
+	for r := range an.Rules() {
+		if r.Expr != nil && r.Expr.Kind != ir.PolicyTerm {
+			compound = true
+		}
+		for f := range r.Expr.AllFactors() {
+			f.Filter.Walk(func(n *ir.Filter) {
+				switch n.Kind {
+				case ir.FilterAnd, ir.FilterOr, ir.FilterNot,
+					ir.FilterPathRegex, ir.FilterCommunity, ir.FilterFilterSet:
 					compound = true
+				case ir.FilterAsSet, ir.FilterRouteSet:
+					setBased = true
 				}
-				for j := range e.Factors {
-					f := e.Factors[j].Filter
-					if f == nil {
-						continue
-					}
-					f.Walk(func(n *ir.Filter) {
-						switch n.Kind {
-						case ir.FilterAnd, ir.FilterOr, ir.FilterNot,
-							ir.FilterPathRegex, ir.FilterCommunity, ir.FilterFilterSet:
-							compound = true
-						case ir.FilterAsSet, ir.FilterRouteSet:
-							setBased = true
-						}
-					})
-				}
-				walk(e.Left)
-				walk(e.Right)
-			}
-			walk(r.Expr)
+			})
 		}
 	}
-	inspect(an.Imports)
-	inspect(an.Exports)
 	switch {
 	case compound:
 		return UsageCompound

@@ -144,15 +144,8 @@ func (l *Linter) checkAutNums() []Finding {
 	for _, asn := range l.DB.IR.SortedAutNums() {
 		an := l.DB.IR.AutNums[asn]
 		obj := asn.String()
-		rules := make([]*ir.Rule, 0, an.RuleCount())
-		for i := range an.Imports {
-			rules = append(rules, &an.Imports[i])
-		}
-		for i := range an.Exports {
-			rules = append(rules, &an.Exports[i])
-		}
-		for _, r := range rules {
-			out = append(out, l.checkRule(obj, asn, r)...)
+		for r := range an.Rules() {
+			out = append(out, l.checkRule(obj, r)...)
 		}
 		if l.Rels != nil {
 			out = append(out, l.checkMisuse(an)...)
@@ -162,7 +155,7 @@ func (l *Linter) checkAutNums() []Finding {
 }
 
 // checkRule audits one rule's references and filters.
-func (l *Linter) checkRule(obj string, self ir.ASN, r *ir.Rule) []Finding {
+func (l *Linter) checkRule(obj string, r *ir.Rule) []Finding {
 	var out []Finding
 	seen := map[string]bool{}
 	add := func(sev Severity, rule, msg string) {
@@ -173,11 +166,7 @@ func (l *Linter) checkRule(obj string, self ir.ASN, r *ir.Rule) []Finding {
 		seen[key] = true
 		out = append(out, Finding{sev, rule, obj, msg})
 	}
-	var walkFilter func(*ir.Filter)
-	walkFilter = func(f *ir.Filter) {
-		if f == nil {
-			return
-		}
+	checkFilter := func(f *ir.Filter) {
 		switch f.Kind {
 		case ir.FilterASN:
 			if _, ok := l.DB.RouteTable(f.ASN); !ok {
@@ -209,59 +198,37 @@ func (l *Linter) checkRule(obj string, self ir.ASN, r *ir.Rule) []Finding {
 			add(Warning, "unsupported-filter",
 				fmt.Sprintf("uninterpretable filter text %q", f.Raw))
 		case ir.FilterPathRegex:
-			if f.Regex != nil {
-				f.Regex.WalkTerms(func(t *ir.PathTerm) {
-					if t.Kind == ir.PathSet {
-						if _, ok := l.DB.AsSet(t.Name); !ok {
-							add(Error, "unrecorded-reference",
-								fmt.Sprintf("AS-path regex references undefined as-set %s", t.Name))
-						}
+			f.Regex.WalkTerms(func(t *ir.PathTerm) {
+				if t.Kind == ir.PathSet {
+					if _, ok := l.DB.AsSet(t.Name); !ok {
+						add(Error, "unrecorded-reference",
+							fmt.Sprintf("AS-path regex references undefined as-set %s", t.Name))
 					}
-				})
-			}
+				}
+			})
 		}
-		walkFilter(f.Left)
-		walkFilter(f.Right)
 	}
-	var walkPeering func(*ir.Peering)
-	walkPeering = func(p *ir.Peering) {
-		if p.PeeringSet != "" {
-			if _, ok := l.DB.PeeringSet(p.PeeringSet); !ok {
+	checkASExpr := func(e *ir.ASExpr) {
+		if e.Kind == ir.ASExprSet {
+			if _, ok := l.DB.AsSet(e.Name); !ok {
 				add(Error, "unrecorded-reference",
-					fmt.Sprintf("peering references undefined peering-set %s", p.PeeringSet))
+					fmt.Sprintf("peering references undefined as-set %s", e.Name))
 			}
 		}
-		var walkAS func(*ir.ASExpr)
-		walkAS = func(e *ir.ASExpr) {
-			if e == nil {
-				return
-			}
-			if e.Kind == ir.ASExprSet {
-				if _, ok := l.DB.AsSet(e.Name); !ok {
+	}
+	for f := range r.Expr.AllFactors() {
+		f.Filter.Walk(checkFilter)
+		for j := range f.Peerings {
+			p := &f.Peerings[j].Peering
+			if p.PeeringSet != "" {
+				if _, ok := l.DB.PeeringSet(p.PeeringSet); !ok {
 					add(Error, "unrecorded-reference",
-						fmt.Sprintf("peering references undefined as-set %s", e.Name))
+						fmt.Sprintf("peering references undefined peering-set %s", p.PeeringSet))
 				}
 			}
-			walkAS(e.Left)
-			walkAS(e.Right)
+			p.ASExpr.Walk(checkASExpr)
 		}
-		walkAS(p.ASExpr)
 	}
-	var walkExpr func(*ir.PolicyExpr)
-	walkExpr = func(e *ir.PolicyExpr) {
-		if e == nil {
-			return
-		}
-		for i := range e.Factors {
-			walkFilter(e.Factors[i].Filter)
-			for j := range e.Factors[i].Peerings {
-				walkPeering(&e.Factors[i].Peerings[j].Peering)
-			}
-		}
-		walkExpr(e.Left)
-		walkExpr(e.Right)
-	}
-	walkExpr(r.Expr)
 	return out
 }
 

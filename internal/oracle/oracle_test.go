@@ -27,6 +27,7 @@ package oracle
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"rpslyzer/internal/verify"
@@ -121,19 +122,40 @@ var seeds = []draw{
 	{seed: 21, ases: 100, collectors: 1, steps: 1, churn: 0.04, shards: 3, workers: 2, perRegistry: true},
 }
 
+// tooSlowToFuzz holds the indexes of the seeds that TestContractsSlowSeeds
+// runs instead of FuzzContracts: Go's fuzz worker panics on an input
+// that runs over 10 s, and under its coverage instrumentation on a
+// 2-CPU host seed #5 takes ~19 s, so seeding the fuzzer with it failed
+// before any fuzzing started. f.Add numbers inputs in call order, so
+// seeds[6] runs as FuzzContracts/seed#5; a failure prints its draw.
+var tooSlowToFuzz = []int{5}
+
 // FuzzContracts runs every contract over the universe each input
-// decodes to. Tier-1 runs the seeds; scripts/verify.sh fuzzes.
+// decodes to. Tier-1 runs the seeds that fit a fuzz input;
+// scripts/verify.sh fuzzes.
 func FuzzContracts(f *testing.F) {
-	for _, d := range seeds {
+	for i, d := range seeds {
 		if decode(d.bytes()) != d {
 			f.Fatalf("seed %+v decodes to %+v", d, decode(d.bytes()))
 		}
-		f.Add(d.bytes())
+		if !slices.Contains(tooSlowToFuzz, i) {
+			f.Add(d.bytes())
+		}
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		p := &pass{t: t, d: decode(b), dir: t.TempDir()}
-		p.load()
-		p.base()
-		p.steps()
-	})
+	f.Fuzz(func(t *testing.T, b []byte) { runDraw(t, decode(b)) })
+}
+
+// TestContractsSlowSeeds runs the seeds too slow for a fuzz input
+// through the same contracts, under their index in seeds.
+func TestContractsSlowSeeds(t *testing.T) {
+	for _, i := range tooSlowToFuzz {
+		t.Run(fmt.Sprintf("seed#%d", i), func(t *testing.T) { runDraw(t, seeds[i]) })
+	}
+}
+
+func runDraw(t *testing.T, d draw) {
+	p := &pass{t: t, d: d, dir: t.TempDir()}
+	p.load()
+	p.base()
+	p.steps()
 }

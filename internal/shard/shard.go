@@ -107,7 +107,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		shards: r.Gauge("rpslyzer_shard_count",
 			"Number of partitions the verifier's last sweep scattered routes into."),
 		fanout: r.Histogram("rpslyzer_shard_fanout_seconds",
-			"Latency of scatter-gather reads that fan out across shards.",
+			"Wall time of one verification sweep across its partitions, observed once per sweep.",
 			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}),
 	}
 }
@@ -122,7 +122,7 @@ func (m *Metrics) ObservePlan(counts []int) {
 	m.imbalance.Set(int64(Imbalance(counts) * 1000))
 }
 
-// ObserveFanout records one scatter-gather read's wall time in seconds.
+// ObserveFanout records one verification sweep's wall time in seconds.
 func (m *Metrics) ObserveFanout(seconds float64) {
 	if m == nil {
 		return

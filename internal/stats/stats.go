@@ -119,73 +119,47 @@ func ComputeTable2(x *ir.IR) Table2 {
 	peering := newRefCollector()
 	filter := newRefCollector()
 
-	var walkASExpr func(*ir.ASExpr, *refCollector)
-	walkASExpr = func(e *ir.ASExpr, c *refCollector) {
-		if e == nil {
-			return
-		}
+	peeringRef := func(e *ir.ASExpr) {
 		switch e.Kind {
 		case ir.ASExprNum:
-			c.autNums[e.ASN.String()] = true
+			peering.autNums[e.ASN.String()] = true
 		case ir.ASExprSet:
-			c.asSets[e.Name] = true
+			peering.asSets[e.Name] = true
 		}
-		walkASExpr(e.Left, c)
-		walkASExpr(e.Right, c)
 	}
-	var walkFilter func(*ir.Filter)
-	walkFilter = func(f *ir.Filter) {
-		if f == nil {
-			return
-		}
-		switch f.Kind {
+	filterRef := func(n *ir.Filter) {
+		switch n.Kind {
 		case ir.FilterASN:
-			filter.autNums[f.ASN.String()] = true
+			filter.autNums[n.ASN.String()] = true
 		case ir.FilterAsSet:
-			filter.asSets[f.Name] = true
+			filter.asSets[n.Name] = true
 		case ir.FilterRouteSet:
-			filter.routeSets[f.Name] = true
+			filter.routeSets[n.Name] = true
 		case ir.FilterFilterSet:
-			filter.filterSets[f.Name] = true
+			filter.filterSets[n.Name] = true
 		case ir.FilterPathRegex:
-			if f.Regex != nil {
-				f.Regex.WalkTerms(func(t *ir.PathTerm) {
-					switch t.Kind {
-					case ir.PathASN:
-						filter.autNums[t.ASN.String()] = true
-					case ir.PathSet:
-						filter.asSets[t.Name] = true
-					}
-				})
-			}
-		}
-		walkFilter(f.Left)
-		walkFilter(f.Right)
-	}
-	var walkExpr func(*ir.PolicyExpr)
-	walkExpr = func(e *ir.PolicyExpr) {
-		if e == nil {
-			return
-		}
-		for i := range e.Factors {
-			for j := range e.Factors[i].Peerings {
-				p := &e.Factors[i].Peerings[j].Peering
-				if p.PeeringSet != "" {
-					peering.peeringSets[p.PeeringSet] = true
+			n.Regex.WalkTerms(func(t *ir.PathTerm) {
+				switch t.Kind {
+				case ir.PathASN:
+					filter.autNums[t.ASN.String()] = true
+				case ir.PathSet:
+					filter.asSets[t.Name] = true
 				}
-				walkASExpr(p.ASExpr, peering)
-			}
-			walkFilter(e.Factors[i].Filter)
+			})
 		}
-		walkExpr(e.Left)
-		walkExpr(e.Right)
 	}
 	for _, an := range x.AutNums {
-		for i := range an.Imports {
-			walkExpr(an.Imports[i].Expr)
-		}
-		for i := range an.Exports {
-			walkExpr(an.Exports[i].Expr)
+		for r := range an.Rules() {
+			for f := range r.Expr.AllFactors() {
+				for j := range f.Peerings {
+					p := &f.Peerings[j].Peering
+					if p.PeeringSet != "" {
+						peering.peeringSets[p.PeeringSet] = true
+					}
+					p.ASExpr.Walk(peeringRef)
+				}
+				f.Filter.Walk(filterRef)
+			}
 		}
 	}
 
@@ -244,13 +218,8 @@ func RuleCCDF(x *ir.IR) (all, bgpq4 []CCDFPoint) {
 	for _, an := range x.AutNums {
 		allCounts = append(allCounts, an.RuleCount())
 		compat := 0
-		for i := range an.Imports {
-			if bgpq.Compatible(&an.Imports[i]) {
-				compat++
-			}
-		}
-		for i := range an.Exports {
-			if bgpq.Compatible(&an.Exports[i]) {
+		for r := range an.Rules() {
+			if bgpq.Compatible(r) {
 				compat++
 			}
 		}
@@ -327,45 +296,25 @@ func ComputeSection4(x *ir.IR) Section4Stats {
 			s.AutNums1000Plus++
 		}
 		allCompat := true
-		count := func(rules []ir.Rule) {
-			for i := range rules {
-				if !bgpq.Compatible(&rules[i]) {
-					allCompat = false
-				}
-				walkRuleFactors(&rules[i], func(f *ir.PolicyFactor) {
-					s.FilterClasses[filterClass(f.Filter)]++
-					for j := range f.Peerings {
-						s.Peerings++
-						if simplePeering(&f.Peerings[j].Peering) {
-							s.SimplePeerings++
-						}
+		for r := range an.Rules() {
+			if !bgpq.Compatible(r) {
+				allCompat = false
+			}
+			for f := range r.Expr.AllFactors() {
+				s.FilterClasses[filterClass(f.Filter)]++
+				for j := range f.Peerings {
+					s.Peerings++
+					if simplePeering(&f.Peerings[j].Peering) {
+						s.SimplePeerings++
 					}
-				})
+				}
 			}
 		}
-		count(an.Imports)
-		count(an.Exports)
 		if allCompat {
 			s.ASesBGPq4Only++
 		}
 	}
 	return s
-}
-
-// walkRuleFactors visits every factor of a rule.
-func walkRuleFactors(r *ir.Rule, visit func(*ir.PolicyFactor)) {
-	var walk func(*ir.PolicyExpr)
-	walk = func(e *ir.PolicyExpr) {
-		if e == nil {
-			return
-		}
-		for i := range e.Factors {
-			visit(&e.Factors[i])
-		}
-		walk(e.Left)
-		walk(e.Right)
-	}
-	walk(r.Expr)
 }
 
 // simplePeering reports whether a peering is a single ASN or AS-ANY

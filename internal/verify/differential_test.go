@@ -93,24 +93,3 @@ func TestCompiledMatchesInterp(t *testing.T) {
 	}
 	diffEngines(t, verify.Config{})
 }
-
-func TestCompiledMatchesInterpStrict(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus differential test")
-	}
-	diffEngines(t, verify.Config{Strict: true})
-}
-
-func TestCompiledMatchesInterpSkipComplexRegex(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus differential test")
-	}
-	diffEngines(t, verify.Config{SkipComplexRegex: true})
-}
-
-func TestCompiledMatchesInterpCommunities(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-corpus differential test")
-	}
-	diffEngines(t, verify.Config{InterpretCommunities: true})
-}

@@ -178,7 +178,7 @@ func (v *Verifier) evalFactor(f *ir.PolicyFactor, ctx *evalCtx) (Status, []Reaso
 func filterHasComplexRegex(f *ir.Filter) bool {
 	found := false
 	f.Walk(func(n *ir.Filter) {
-		if n.Kind != ir.FilterPathRegex || n.Regex == nil {
+		if n.Kind != ir.FilterPathRegex {
 			return
 		}
 		n.Regex.WalkTerms(func(t *ir.PathTerm) {
@@ -186,19 +186,11 @@ func filterHasComplexRegex(f *ir.Filter) bool {
 				found = true
 			}
 		})
-		var walkNodes func(*ir.PathNode)
-		walkNodes = func(nd *ir.PathNode) {
-			if nd == nil {
-				return
-			}
+		n.Regex.WalkNodes(func(nd *ir.PathNode) {
 			if nd.Kind == ir.PathRepeat && nd.Same {
 				found = true
 			}
-			for _, c := range nd.Children {
-				walkNodes(c)
-			}
-		}
-		walkNodes(n.Regex.Root)
+		})
 	})
 	return found
 }

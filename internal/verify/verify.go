@@ -9,6 +9,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -436,46 +437,19 @@ func (v *Verifier) onlyProviderPolicy(asn ir.ASN, an *ir.AutNum) bool {
 		return false
 	}
 	providers := v.Rels.Providers(asn)
-	isProvider := func(a ir.ASN) bool {
-		for _, p := range providers {
-			if p == a {
-				return true
-			}
-		}
-		return false
-	}
-	ok := true
 	sawPeering := false
-	forEachPeering(an, func(p *ir.Peering) {
-		sawPeering = true
-		if p.ASExpr == nil || p.ASExpr.Kind != ir.ASExprNum || !isProvider(p.ASExpr.ASN) {
-			ok = false
-		}
-	})
-	return ok && sawPeering
-}
-
-// forEachPeering visits every peering in every rule of an aut-num.
-func forEachPeering(an *ir.AutNum, visit func(*ir.Peering)) {
-	var walkExpr func(*ir.PolicyExpr)
-	walkExpr = func(e *ir.PolicyExpr) {
-		if e == nil {
-			return
-		}
-		for i := range e.Factors {
-			for j := range e.Factors[i].Peerings {
-				visit(&e.Factors[i].Peerings[j].Peering)
+	for r := range an.Rules() {
+		for f := range r.Expr.AllFactors() {
+			for j := range f.Peerings {
+				e := f.Peerings[j].Peering.ASExpr
+				if e == nil || e.Kind != ir.ASExprNum || !slices.Contains(providers, e.ASN) {
+					return false
+				}
+				sawPeering = true
 			}
 		}
-		walkExpr(e.Left)
-		walkExpr(e.Right)
 	}
-	for i := range an.Imports {
-		walkExpr(an.Imports[i].Expr)
-	}
-	for i := range an.Exports {
-		walkExpr(an.Exports[i].Expr)
-	}
+	return sawPeering
 }
 
 // compiledRegex returns (and caches) the compiled form of a path

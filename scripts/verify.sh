@@ -8,7 +8,11 @@
 #      call site each for reportstore.BuildSnapshot, Store.Swap,
 #      Incremental.Reverify, verify.NewIncremental and nrtm.Poll, all in
 #      internal/daemon, and for parser.ParseChunks, in internal/core, so
-#      every IR comes out of one loader; and TestRetainedHeapCeilings: what ingest, a
+#      every IR comes out of one loader; TestPolicyTreeWalksLiveInIR:
+#      no production file outside internal/ir, internal/asregex and the
+#      verifier's two evaluators selects a policy-tree child field, so
+#      every analysis walks the tree through internal/ir's traversals;
+#      and TestRetainedHeapCeilings: what ingest, a
 #      sweep, the store freeze and an -import retain per route)
 #   5. the same tests under the race detector — the ingestion pipeline
 #      and the verifier's caches are concurrent, so a green run here is
@@ -25,7 +29,8 @@
 #      GOMAXPROCS 1, 2 and 4 are what move every partition and worker
 #      count: the differential oracle's seed corpus (FuzzContracts in
 #      internal/oracle: every equivalence contract over one generated
-#      universe per draw), the store freeze, whose partitions are
+#      universe per draw, and TestContractsSlowSeeds: the seeds too slow
+#      for a fuzz input, through the same contracts), the store freeze, whose partitions are
 #      GOMAXPROCS route ranges, against its reference (the differential
 #      and adversarial inputs, which give more partitions than routes),
 #      the two daemons' start-up and mirror paths as shipped
@@ -66,7 +71,8 @@
 #      instrumentation within its bound of the bare sweep
 #      (BenchmarkVerifyAllTraced) — and the store freeze on its own, the
 #      one the freeze-profiling recipe runs (BenchmarkBuildSnapshot)
-#   9. named smoke — the oracle's seed corpus (FuzzContracts) and the
+#   9. named smoke — the oracle's seed corpus (FuzzContracts,
+#      TestContractsSlowSeeds) and the
 #      origin-hash imbalance bound (TestShardImbalanceBounded, <= 2x),
 #      run by name for the record; the step fails unless each name
 #      prints its own --- PASS line, so a name that stops matching
@@ -121,8 +127,8 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the dirtying index, the route database's index at -cpu 1,2,4)"
-go test -cpu 1,2,4 -run '^FuzzContracts$' ./internal/oracle
+echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the dirtying index, the route database's index at -cpu 1,2,4)"
+go test -cpu 1,2,4 -run '^(FuzzContracts|TestContractsSlowSeeds)$' ./internal/oracle
 go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
@@ -142,11 +148,11 @@ go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot: 1x each)"
 go test -run '^$' -bench . -benchtime 1x . ./internal/reportstore
 
-echo "== named smoke (FuzzContracts seed corpus + imbalance bound)"
+echo "== named smoke (FuzzContracts seed corpus, TestContractsSlowSeeds + imbalance bound)"
 # go test -run prints "no tests to run" and then ok when a name matches
 # nothing, so each name must print its own PASS line.
-named_out=$(go test -count=1 -run '^(FuzzContracts|TestShardImbalanceBounded)$' -v ./internal/oracle .)
-for name in FuzzContracts TestShardImbalanceBounded; do
+named_out=$(go test -count=1 -run '^(FuzzContracts|TestContractsSlowSeeds|TestShardImbalanceBounded)$' -v ./internal/oracle .)
+for name in FuzzContracts TestContractsSlowSeeds TestShardImbalanceBounded; do
     if ! echo "$named_out" | grep -q "^--- PASS: $name "; then
         echo "$name printed no --- PASS line" >&2
         exit 1
