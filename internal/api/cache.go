@@ -34,15 +34,19 @@ type lruShard struct {
 }
 
 // newLRUCache creates a cache holding up to capacity entries total
-// (capacity < 1 disables caching: Get always misses, Put drops).
+// (capacity < 1 disables caching: Get always misses, Put drops). The
+// first capacity%cacheShards shards hold one entry more than the rest,
+// so the shards add up to capacity exactly; below cacheShards, the
+// shards past capacity hold none.
 func newLRUCache(capacity int) *lruCache {
 	c := &lruCache{seed: maphash.MakeSeed()}
-	per := capacity / cacheShards
-	if capacity > 0 && per == 0 {
-		per = 1
-	}
+	per, extra := max(capacity, 0)/cacheShards, max(capacity, 0)%cacheShards
 	for i := range c.shards {
-		c.shards[i] = lruShard{max: per, ll: list.New(), m: make(map[string]*list.Element)}
+		n := per
+		if i < extra {
+			n++
+		}
+		c.shards[i] = lruShard{max: n, ll: list.New(), m: make(map[string]*list.Element)}
 	}
 	return c
 }

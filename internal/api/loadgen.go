@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -84,22 +85,29 @@ type LoadResult struct {
 // MarshalJSON flattens durations to float fields, so that apiload's
 // JSON compares across runs.
 func (r LoadResult) MarshalJSON() ([]byte, error) {
-	type alias LoadResult
-	return json.Marshal(struct {
-		alias
-		DurationS float64 `json:"duration_s"`
-		P50us     float64 `json:"p50_us"`
-		P90us     float64 `json:"p90_us"`
-		P99us     float64 `json:"p99_us"`
-		MaxUs     float64 `json:"max_us"`
-	}{
-		alias:     alias(r),
-		DurationS: r.Duration.Seconds(),
-		P50us:     float64(r.P50.Nanoseconds()) / 1e3,
-		P90us:     float64(r.P90.Nanoseconds()) / 1e3,
-		P99us:     float64(r.P99.Nanoseconds()) / 1e3,
-		MaxUs:     float64(r.Max.Nanoseconds()) / 1e3,
-	})
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	durS, p50, p90, p99, maxUs := r.Duration.Seconds(), us(r.P50), us(r.P90), us(r.P99), us(r.Max)
+	for _, f := range []float64{r.QPS, r.ErrorRate, durS, p50, p90, p99, maxUs} {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return nil, fmt.Errorf("api: load result holds %v, which is not a JSON number", f)
+		}
+	}
+	b := append([]byte(nil), `{"requests":`...)
+	b = appendInt(b, r.Requests)
+	b = appendInt(append(b, `,"errors":`...), r.Errors)
+	b = appendInt(append(b, `,"not_found":`...), r.NotFound)
+	b = appendFloat(append(b, `,"qps":`...), r.QPS)
+	b = appendInt(append(b, `,"status_2xx":`...), r.Status2xx)
+	b = appendInt(append(b, `,"status_4xx":`...), r.Status4xx)
+	b = appendInt(append(b, `,"status_5xx":`...), r.Status5xx)
+	b = appendInt(append(b, `,"net_errors":`...), r.NetErrors)
+	b = appendFloat(append(b, `,"error_rate":`...), r.ErrorRate)
+	b = appendFloat(append(b, `,"duration_s":`...), durS)
+	b = appendFloat(append(b, `,"p50_us":`...), p50)
+	b = appendFloat(append(b, `,"p90_us":`...), p90)
+	b = appendFloat(append(b, `,"p99_us":`...), p99)
+	b = appendFloat(append(b, `,"max_us":`...), maxUs)
+	return append(b, '}'), nil
 }
 
 // HTTPTarget drives a server over TCP with keep-alive connections.

@@ -15,7 +15,6 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -165,9 +164,10 @@ func errf(code int, format string, args ...any) *apiErr {
 	return &apiErr{code: code, msg: fmt.Sprintf(format, args...)}
 }
 
-// handler renders one endpoint from an immutable snapshot. It must be
-// pure in (snap, URL): the result is cached under the request URI.
-type handler func(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr)
+// handler renders one endpoint from an immutable snapshot, appending
+// the body to b. It must be pure in (snap, URL): the result is cached
+// under the request URI.
+type handler func(b []byte, snap *reportstore.Snapshot, r *http.Request) ([]byte, *apiErr)
 
 // wrap is the common request path: snapshot load, cache probe,
 // singleflight render, telemetry, sampled tracing.
@@ -186,8 +186,7 @@ func (s *Server) wrap(endpoint string, fn handler) http.HandlerFunc {
 		snap := s.store.Current()
 		if snap == nil {
 			tsp.SetInt("code", http.StatusServiceUnavailable)
-			s.writeEntry(w, endpoint, cacheEntry{code: http.StatusServiceUnavailable,
-				body: mustJSON(errorJSON{Error: "no snapshot loaded yet"})})
+			s.writeEntry(w, endpoint, cacheEntry{code: http.StatusServiceUnavailable, body: noSnapshotBody})
 			return
 		}
 		// Age is computed per response, not cached with the body: two
@@ -223,11 +222,16 @@ func cacheKey(serial uint64, uri string) string {
 }
 
 func render(fn handler, snap *reportstore.Snapshot, r *http.Request) cacheEntry {
-	resp, apiE := fn(snap, r)
-	if apiE != nil {
-		return cacheEntry{code: apiE.code, body: mustJSON(errorJSON{Error: apiE.msg})}
-	}
-	return cacheEntry{code: http.StatusOK, body: mustJSON(resp)}
+	ent := cacheEntry{code: http.StatusOK}
+	ent.body = renderBody(func(b []byte) []byte {
+		b, apiE := fn(b, snap, r)
+		if apiE != nil {
+			ent.code = apiE.code
+			return appendError(b[:0], apiE.msg)
+		}
+		return b
+	})
+	return ent
 }
 
 func (s *Server) writeEntry(w http.ResponseWriter, endpoint string, ent cacheEntry) {
@@ -238,20 +242,6 @@ func (s *Server) writeEntry(w http.ResponseWriter, endpoint string, ent cacheEnt
 	s.cfg.Watchdog.RecordRequest(ent.code)
 }
 
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		// Response types are plain structs/maps; a marshal failure is a
-		// programming error.
-		panic(fmt.Sprintf("api: marshal failed: %v", err))
-	}
-	return append(b, '\n')
-}
-
-type errorJSON struct {
-	Error string `json:"error"`
-}
-
 // handleHealthz is deliberately outside wrap: it must answer (200 with
 // ready=false) even before the first snapshot swap, and is never
 // cached. With a watchdog configured it doubles as the SLO probe:
@@ -260,28 +250,12 @@ type errorJSON struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	snap := s.store.Current()
 	st := s.cfg.Watchdog.Status()
-	resp := struct {
-		Ready     bool     `json:"ready"`
-		Serial    uint64   `json:"serial"`
-		Health    string   `json:"health"`
-		Reasons   []string `json:"reasons,omitempty"`
-		StaleSecs float64  `json:"staleness_seconds,omitempty"`
-		ErrorRate float64  `json:"error_rate,omitempty"`
-	}{
-		Ready:     snap != nil,
-		Health:    st.HealthStr,
-		Reasons:   st.Reasons,
-		StaleSecs: st.StaleSecs,
-		ErrorRate: st.ErrorRate,
-	}
-	if snap != nil {
-		resp.Serial = snap.Serial()
-	}
+	body := renderBody(func(b []byte) []byte { return appendHealthz(b, snap, st) })
 	w.Header().Set("Content-Type", "application/json")
 	if st.Health == trace.Degraded {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	w.Write(mustJSON(resp))
+	w.Write(body)
 }
 
 // ---- pagination ----
@@ -342,14 +316,11 @@ func parseCursor(cur string) (serial uint64, offset int, err error) {
 	return serial, offset, nil
 }
 
-func nextCursor(serial uint64, offset, total int) string {
-	if offset >= total {
-		return ""
-	}
-	return fmt.Sprintf("v1:%d:%d", serial, offset)
-}
-
 // ---- response shapes ----
+//
+// These types are the wire schema: clients and tests decode responses
+// into them. The server never builds them; encode.go appends the bytes
+// encoding/json would write for them.
 
 // CheckJSON is one check with enough route context to read standalone.
 type CheckJSON struct {
@@ -435,105 +406,120 @@ type ASListJSON struct {
 
 // ---- endpoint handlers ----
 
-func (s *Server) handleSummary(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
+func (s *Server) handleSummary(b []byte, snap *reportstore.Snapshot, r *http.Request) ([]byte, *apiErr) {
 	sum := snap.Summary()
-	return SummaryJSON{
-		Serial:          snap.Serial(),
-		BuiltAt:         snap.BuiltAt(),
-		Swaps:           s.store.Swaps(),
-		Routes:          sum.Routes,
-		IgnoredASSet:    sum.IgnoredASSet,
-		IgnoredSingleAS: sum.IgnoredSingleAS,
-		ASes:            sum.ASes,
-		Pairs:           sum.Pairs,
-		Checks:          statusMap(&sum.Checks),
-		FirstHop:        statusMap(&sum.FirstHop),
-	}, nil
+	b = append(b, `{"serial":`...)
+	b = appendUint(b, snap.Serial())
+	b = append(b, `,"built_at":`...)
+	b = appendTime(b, snap.BuiltAt())
+	b = append(b, `,"swaps":`...)
+	b = appendUint(b, s.store.Swaps())
+	b = append(b, `,"routes":`...)
+	b = appendInt(b, sum.Routes)
+	b = append(b, `,"ignored_as_set":`...)
+	b = appendInt(b, sum.IgnoredASSet)
+	b = append(b, `,"ignored_single_as":`...)
+	b = appendInt(b, sum.IgnoredSingleAS)
+	b = append(b, `,"ases":`...)
+	b = appendInt(b, int64(sum.ASes))
+	b = append(b, `,"pairs":`...)
+	b = appendInt(b, int64(sum.Pairs))
+	b = append(b, `,"checks":`...)
+	b = appendStatusCounts(b, &sum.Checks)
+	b = append(b, `,"first_hop":`...)
+	b = appendStatusCounts(b, &sum.FirstHop)
+	return append(b, '}'), nil
 }
 
-func (s *Server) handleASes(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
+func (s *Server) handleASes(b []byte, snap *reportstore.Snapshot, r *http.Request) ([]byte, *apiErr) {
 	offset, limit, apiE := s.pageParams(snap, r)
 	if apiE != nil {
-		return nil, apiE
+		return b, apiE
 	}
-	asns := snap.ASNs()
-	pageASNs, next := pageASN(asns, offset, limit, snap.Serial())
-	return ASListJSON{
-		Serial:     snap.Serial(),
-		TotalASes:  len(asns),
-		ASes:       pageASNs,
-		NextCursor: next,
-	}, nil
+	b = append(b, `{"serial":`...)
+	b = appendUint(b, snap.Serial())
+	return appendASPage(b, snap.ASNs(), offset, limit, snap.Serial()), nil
 }
 
-func (s *Server) handleASReport(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
+func (s *Server) handleASReport(b []byte, snap *reportstore.Snapshot, r *http.Request) ([]byte, *apiErr) {
 	asn, apiE := pathASN(r)
 	if apiE != nil {
-		return nil, apiE
+		return b, apiE
 	}
 	entry, ok := snap.AS(asn)
 	if !ok || entry.Stats == nil {
-		return nil, errf(http.StatusNotFound, "no report for %s", asn)
+		return b, errf(http.StatusNotFound, "no report for %s", asn)
 	}
 	offset, limit, apiE := s.pageParams(snap, r)
 	if apiE != nil {
-		return nil, apiE
+		return b, apiE
 	}
 	end := min(offset+limit, len(entry.Checks))
 	offset = min(offset, end)
-	checks := make([]CheckJSON, 0, end-offset)
-	for _, idx := range entry.Checks[offset:end] {
-		checks = append(checks, checkJSON(snap, idx))
+	b = append(b, `{"asn":`...)
+	b = appendUint(b, uint64(asn))
+	b = append(b, `,"serial":`...)
+	b = appendUint(b, snap.Serial())
+	b = append(b, `,"total_checks":`...)
+	b = appendInt(b, int64(len(entry.Checks)))
+	b = append(b, `,"imports":`...)
+	b = appendStatusCounts(b, &entry.Stats.Imports)
+	b = append(b, `,"exports":`...)
+	b = appendStatusCounts(b, &entry.Stats.Exports)
+	b = appendCauses(b, `,"unrecorded_causes":`, entry.Stats.UnrecCauses, report.CauseNoAutNum, report.CauseMissingSet)
+	b = appendCauses(b, `,"special_causes":`, entry.Stats.SpecialCauses, report.CauseExportSelf, report.CauseUphill)
+	b = append(b, `,"checks":[`...)
+	for i, idx := range entry.Checks[offset:end] {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendCheck(b, snap, idx)
 	}
-	return ASReportJSON{
-		ASN:              uint32(asn),
-		Serial:           snap.Serial(),
-		TotalChecks:      len(entry.Checks),
-		Imports:          statusMap(&entry.Stats.Imports),
-		Exports:          statusMap(&entry.Stats.Exports),
-		UnrecordedCauses: causeNames(entry.Stats.UnrecCauses, report.CauseNoAutNum, report.CauseMissingSet),
-		SpecialCauses:    causeNames(entry.Stats.SpecialCauses, report.CauseExportSelf, report.CauseUphill),
-		Checks:           checks,
-		NextCursor:       nextCursor(snap.Serial(), end, len(entry.Checks)),
-	}, nil
+	b = append(b, ']')
+	b = appendNextCursor(b, snap.Serial(), end, len(entry.Checks))
+	return append(b, '}'), nil
 }
 
-func (s *Server) handleASRoutes(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
+func (s *Server) handleASRoutes(b []byte, snap *reportstore.Snapshot, r *http.Request) ([]byte, *apiErr) {
 	asn, apiE := pathASN(r)
 	if apiE != nil {
-		return nil, apiE
+		return b, apiE
 	}
 	entry, ok := snap.AS(asn)
 	if !ok || len(entry.Routes) == 0 {
-		return nil, errf(http.StatusNotFound, "no routes originated by %s", asn)
+		return b, errf(http.StatusNotFound, "no routes originated by %s", asn)
 	}
 	offset, limit, apiE := s.pageParams(snap, r)
 	if apiE != nil {
-		return nil, apiE
+		return b, apiE
 	}
 	end := min(offset+limit, len(entry.Routes))
 	offset = min(offset, end)
-	routes := make([]RouteJSON, 0, end-offset)
-	for _, idx := range entry.Routes[offset:end] {
-		routes = append(routes, routeJSON(snap, idx))
+	b = append(b, `{"asn":`...)
+	b = appendUint(b, uint64(asn))
+	b = append(b, `,"serial":`...)
+	b = appendUint(b, snap.Serial())
+	b = append(b, `,"total_routes":`...)
+	b = appendInt(b, int64(len(entry.Routes)))
+	b = append(b, `,"routes":[`...)
+	for i, idx := range entry.Routes[offset:end] {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendRoute(b, snap, idx)
 	}
-	return ASRoutesJSON{
-		ASN:         uint32(asn),
-		Serial:      snap.Serial(),
-		TotalRoutes: len(entry.Routes),
-		Routes:      routes,
-		NextCursor:  nextCursor(snap.Serial(), end, len(entry.Routes)),
-	}, nil
+	b = append(b, ']')
+	b = appendNextCursor(b, snap.Serial(), end, len(entry.Routes))
+	return append(b, '}'), nil
 }
 
 // handleReports pages over checks filtered by status and/or reason.
 // The cursor offset indexes the underlying scan (the narrower of the
 // two inverted indexes, or every check), so pages are stable
 // within a snapshot no matter how selective the residual filter is.
-func (s *Server) handleReports(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
+func (s *Server) handleReports(b []byte, snap *reportstore.Snapshot, r *http.Request) ([]byte, *apiErr) {
 	q := r.URL.Query()
 	var (
-		resp       ReportsJSON
 		statusSet  bool
 		status     verify.Status
 		reasonSet  bool
@@ -541,23 +527,21 @@ func (s *Server) handleReports(snap *reportstore.Snapshot, r *http.Request) (any
 	)
 	if v := q.Get("status"); v != "" {
 		if err := status.UnmarshalText([]byte(v)); err != nil {
-			return nil, errf(http.StatusBadRequest, "bad status %q", v)
+			return b, errf(http.StatusBadRequest, "bad status %q", v)
 		}
 		statusSet = true
-		resp.Status = status.String()
 	}
 	if v := q.Get("reason"); v != "" {
 		kind, ok := verify.ParseReasonKind(v)
 		if !ok {
-			return nil, errf(http.StatusBadRequest, "bad reason kind %q", v)
+			return b, errf(http.StatusBadRequest, "bad reason kind %q", v)
 		}
 		reasonSet = true
 		reasonKind = kind
-		resp.Reason = kind.String()
 	}
 	offset, limit, apiE := s.pageParams(snap, r)
 	if apiE != nil {
-		return nil, apiE
+		return b, apiE
 	}
 
 	// Scan the most selective precomputed index; apply the other
@@ -581,146 +565,92 @@ func (s *Server) handleReports(snap *reportstore.Snapshot, r *http.Request) (any
 		scan = func(i int) (uint32, bool) { return uint32(i), true }
 	}
 
-	resp.Serial = snap.Serial()
-	resp.Checks = make([]CheckJSON, 0, limit)
+	b = append(b, `{"serial":`...)
+	b = appendUint(b, snap.Serial())
+	if statusSet {
+		b = append(b, `,"status":`...)
+		b = append(b, statusLit[status]...)
+	}
+	if reasonSet {
+		b = append(b, `,"reason":`...)
+		b = append(b, reasonLit[reasonKind]...)
+	}
+	b = append(b, `,"checks":[`...)
+	n := 0
 	i := min(offset, total)
-	for ; i < total && len(resp.Checks) < limit; i++ {
+	for ; i < total && n < limit; i++ {
 		if ci, ok := scan(i); ok {
-			resp.Checks = append(resp.Checks, checkJSON(snap, ci))
+			if n > 0 {
+				b = append(b, ',')
+			}
+			b = appendCheck(b, snap, ci)
+			n++
 		}
 	}
-	resp.NextCursor = nextCursor(snap.Serial(), i, total)
-	return resp, nil
+	b = append(b, ']')
+	b = appendNextCursor(b, snap.Serial(), i, total)
+	return append(b, '}'), nil
 }
 
 // handleReverseReason inverts the per-AS view: which ASes exhibit a
 // report item? The class is either a fine-grained reason kind
 // ("MatchFilter", "UnrecordedAsSet", ...) or a Figure 5/6 cause class
 // ("missing-set", "uphill", ...).
-func (s *Server) handleReverseReason(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
+func (s *Server) handleReverseReason(b []byte, snap *reportstore.Snapshot, r *http.Request) ([]byte, *apiErr) {
 	class := r.PathValue("class")
 	var (
 		ases []ir.ASN
 		kind string
 	)
 	if k, ok := verify.ParseReasonKind(class); ok {
-		ases, kind = snap.ByReason(k).ASes, "reason"
+		ases, kind = snap.ByReason(k).ASes, `"reason"`
 	} else if c, ok := report.ParseCause(class); ok {
-		ases, kind = snap.ByCause(c), "cause"
+		ases, kind = snap.ByCause(c), `"cause"`
 	} else {
-		return nil, errf(http.StatusNotFound, "unknown reason class %q", class)
+		return b, errf(http.StatusNotFound, "unknown reason class %q", class)
 	}
 	offset, limit, apiE := s.pageParams(snap, r)
 	if apiE != nil {
-		return nil, apiE
+		return b, apiE
 	}
-	pageASNs, next := pageASN(ases, offset, limit, snap.Serial())
-	return ReverseJSON{
-		Serial:     snap.Serial(),
-		Class:      class,
-		Kind:       kind,
-		TotalASes:  len(ases),
-		ASes:       pageASNs,
-		NextCursor: next,
-	}, nil
+	b = append(b, `{"serial":`...)
+	b = appendUint(b, snap.Serial())
+	b = append(b, `,"class":`...)
+	b = appendJSONString(b, class)
+	b = append(b, `,"kind":`...)
+	b = append(b, kind...)
+	return appendASPage(b, ases, offset, limit, snap.Serial()), nil
 }
 
-func (s *Server) handleReverseStatus(snap *reportstore.Snapshot, r *http.Request) (any, *apiErr) {
+func (s *Server) handleReverseStatus(b []byte, snap *reportstore.Snapshot, r *http.Request) ([]byte, *apiErr) {
 	name := r.PathValue("status")
 	var status verify.Status
 	if err := status.UnmarshalText([]byte(name)); err != nil {
-		return nil, errf(http.StatusNotFound, "unknown status %q", name)
+		return b, errf(http.StatusNotFound, "unknown status %q", name)
 	}
 	offset, limit, apiE := s.pageParams(snap, r)
 	if apiE != nil {
-		return nil, apiE
+		return b, apiE
 	}
-	ases := snap.ByStatus(status).ASes
-	pageASNs, next := pageASN(ases, offset, limit, snap.Serial())
-	return ReverseJSON{
-		Serial:     snap.Serial(),
-		Class:      status.String(),
-		Kind:       "status",
-		TotalASes:  len(ases),
-		ASes:       pageASNs,
-		NextCursor: next,
-	}, nil
+	b = append(b, `{"serial":`...)
+	b = appendUint(b, snap.Serial())
+	b = append(b, `,"class":`...)
+	b = append(b, statusLit[status]...)
+	b = append(b, `,"kind":"status"`...)
+	return appendASPage(b, snap.ByStatus(status).ASes, offset, limit, snap.Serial()), nil
 }
 
 // ---- render helpers ----
 
 func pathASN(r *http.Request) (ir.ASN, *apiErr) {
 	raw := r.PathValue("asn")
-	// Accept both "64500" and "AS64500".
-	if !strings.HasPrefix(raw, "AS") && !strings.HasPrefix(raw, "as") {
+	// Accept "64500" and "AS64500" in any case.
+	if len(raw) < 2 || !strings.EqualFold(raw[:2], "AS") {
 		raw = "AS" + raw
 	}
-	asn, err := ir.ParseASN(strings.ToUpper(raw))
+	asn, err := ir.ParseASN(raw)
 	if err != nil {
 		return 0, errf(http.StatusBadRequest, "bad AS number %q", r.PathValue("asn"))
 	}
 	return asn, nil
-}
-
-func statusMap(c *report.StatusCounts) map[string]int64 {
-	out := make(map[string]int64, report.NumStatuses)
-	for st := verify.Verified; st <= verify.Unverified; st++ {
-		out[st.String()] = c[st]
-	}
-	return out
-}
-
-func causeNames(set report.CauseSet, from, to report.Cause) []string {
-	var out []string
-	for c := from; c <= to; c++ {
-		if set.Has(c) {
-			out = append(out, c.String())
-		}
-	}
-	return out
-}
-
-func checkJSON(snap *reportstore.Snapshot, idx uint32) CheckJSON {
-	c := snap.Check(idx)
-	route := snap.Route(c.Route)
-	return CheckJSON{
-		Prefix:  route.Prefix.String(),
-		Path:    asnsToU32(route.Path),
-		From:    uint32(c.From),
-		To:      uint32(c.To),
-		Dir:     c.Dir.String(),
-		Status:  c.Status.String(),
-		Reasons: c.Reasons,
-	}
-}
-
-func routeJSON(snap *reportstore.Snapshot, idx uint32) RouteJSON {
-	rec := snap.Route(idx)
-	out := RouteJSON{
-		Prefix:  rec.Prefix.String(),
-		Path:    asnsToU32(rec.Path),
-		Ignored: rec.Ignored,
-	}
-	if rec.CheckLen > 0 {
-		var counts report.StatusCounts
-		for i := rec.CheckOff; i < rec.CheckOff+rec.CheckLen; i++ {
-			counts.Add(snap.Check(i).Status)
-		}
-		out.Statuses = statusMap(&counts)
-	}
-	return out
-}
-
-func asnsToU32(path []ir.ASN) []uint32 {
-	out := make([]uint32, len(path))
-	for i, a := range path {
-		out[i] = uint32(a)
-	}
-	return out
-}
-
-func pageASN(ases []ir.ASN, offset, limit int, serial uint64) ([]uint32, string) {
-	end := min(offset+limit, len(ases))
-	offset = min(offset, end)
-	return asnsToU32(ases[offset:end]), nextCursor(serial, end, len(ases))
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -484,5 +485,45 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 	if got := c.Len(); got > 16 {
 		t.Errorf("cache len = %d, want <= capacity 16", got)
+	}
+}
+
+// TestCacheHoldsCacheEntries: the shards add up to the configured
+// capacity, below the shard count too.
+func TestCacheHoldsCacheEntries(t *testing.T) {
+	for _, capacity := range []int{1, 5, 16, 17, 8192, 8200} {
+		c := newLRUCache(capacity)
+		for i := 0; i < 4*capacity+1000; i++ {
+			c.Put(strconv.Itoa(i), 200, nil)
+		}
+		if got := c.Len(); got != capacity {
+			t.Errorf("newLRUCache(%d) holds %d entries", capacity, got)
+		}
+	}
+}
+
+func TestPathASNAnyCase(t *testing.T) {
+	for _, tc := range []struct {
+		raw  string
+		want ir.ASN
+		ok   bool
+	}{
+		{"64500", 64500, true},
+		{"AS64500", 64500, true},
+		{"as64500", 64500, true},
+		{"As64500", 64500, true},
+		{"aS64500", 64500, true},
+		{"AS1.10", 65546, true},
+		{"ASX", 0, false},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/", nil)
+		r.SetPathValue("asn", tc.raw)
+		got, apiE := pathASN(r)
+		if (apiE == nil) != tc.ok || got != tc.want {
+			t.Errorf("pathASN(%q) = %d, %v; want %d, ok=%v", tc.raw, got, apiE, tc.want, tc.ok)
+		}
+		if !tc.ok && apiE.code != http.StatusBadRequest {
+			t.Errorf("pathASN(%q) code = %d, want 400", tc.raw, apiE.code)
+		}
 	}
 }

@@ -59,7 +59,9 @@
 #      route dump reader against its scanner-based reference
 #      (FuzzReadDumpMatchesReference); and of the store
 #      freeze against its maps-and-sort reference over reports whose
-#      reason lists alias, nest and repeat (FuzzFreeze); then the
+#      reason lists alias, nest and repeat (FuzzFreeze); of the API
+#      encoder's string escaping against json.Marshal on arbitrary
+#      bytes (FuzzAppendJSONString); then the
 #      oracle's long budget, a minute of
 #      FuzzContracts — a failing draw lands, minimized, under
 #      internal/oracle/testdata/fuzz/FuzzContracts/
@@ -137,12 +139,13 @@ go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestRe
 go test -cpu 1,2,4 -run '^TestIndexRoutesMatchesReference$' ./internal/verify
 go test -race -cpu 1,2,4 -run '^(TestNewShardedEquivalence|TestShardedMutationEquivalence|TestShardRouteCountsCloneIsolation)$' ./internal/irr
 
-echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzFreeze: 10s each; FuzzContracts: 60s)"
+echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzFreeze, FuzzAppendJSONString: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzReaderMatchesReference$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz '^FuzzReadDumpMatchesReference$' -fuzztime 10s ./internal/bgpsim
 go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
+go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime 10s ./internal/api
 go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 
 echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot: 1x each)"
