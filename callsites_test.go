@@ -131,3 +131,40 @@ func eachProductionFile(t *testing.T, fset *token.FileSet, visit func(file strin
 		t.Fatal(err)
 	}
 }
+
+// TestOneDatabaseOwner keeps the current IRR database in one place:
+// nrtm.Mirror's pointer, which whois queries and the engine's steps
+// read. No production file outside internal/nrtm may declare an
+// atomic.Pointer[irr.Database] or a SetDB method, so a second copy of
+// the current database, kept in step by a hook, is a red build.
+func TestOneDatabaseOwner(t *testing.T) {
+	isSel := func(e ast.Expr, pkg, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		x, ok := sel.X.(*ast.Ident)
+		return ok && x.Name == pkg && sel.Sel.Name == name
+	}
+	fset := token.NewFileSet()
+	eachProductionFile(t, fset, func(file string, f *ast.File) {
+		if strings.HasPrefix(filepath.ToSlash(file), "internal/nrtm/") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IndexExpr:
+				if isSel(n.X, "atomic", "Pointer") && isSel(n.Index, "irr", "Database") {
+					t.Errorf("%s: declares an atomic.Pointer[irr.Database]; read nrtm.Mirror.DB instead",
+						fset.Position(n.Pos()))
+				}
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Name.Name == "SetDB" {
+					t.Errorf("%s: declares a SetDB method; read nrtm.Mirror.DB instead",
+						fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	})
+}

@@ -22,6 +22,7 @@ import (
 
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/irr"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/render"
 	"rpslyzer/internal/telemetry"
@@ -89,7 +90,7 @@ func applyJournals(dumps string, paths []string, expect string) error {
 	if err != nil {
 		return err
 	}
-	mir := nrtm.NewMirror(x, nil, nil)
+	mir := nrtm.NewMirrorDB(irr.New(x), nil, nil)
 	var batch []*nrtm.Journal
 	var ops int
 	for _, path := range paths {
@@ -100,7 +101,7 @@ func applyJournals(dumps string, paths []string, expect string) error {
 		batch = append(batch, j)
 		ops += len(j.Ops)
 	}
-	if err := mir.ApplyAll(batch); err != nil {
+	if _, err := mir.ApplyAllKeys(batch); err != nil {
 		return err
 	}
 	final := mir.DB().IR

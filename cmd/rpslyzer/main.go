@@ -17,15 +17,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/parser"
-	"rpslyzer/internal/render"
 	"rpslyzer/internal/stats"
 	"rpslyzer/internal/telemetry"
 )
@@ -121,21 +118,10 @@ func run(args []string, reg *telemetry.Registry, stdout io.Writer) {
 	}
 
 	if *renderDir != "" {
-		if err := os.MkdirAll(*renderDir, 0o755); err != nil {
-			telemetry.Fatal("render dir", "err", err)
+		if err := core.WriteIRDumps(*renderDir, x); err != nil {
+			telemetry.Fatal("render", "dir", *renderDir, "err", err)
 		}
-		texts := render.IR(x)
-		for src, text := range texts {
-			name := strings.ToLower(src)
-			if name == "" {
-				name = "unknown"
-			}
-			path := filepath.Join(*renderDir, name+".db")
-			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-				telemetry.Fatal("render write", "path", path, "err", err)
-			}
-		}
-		fmt.Fprintf(stdout, "rendered %d canonical dumps to %s\n", len(texts), *renderDir)
+		fmt.Fprintf(stdout, "rendered canonical dumps to %s\n", *renderDir)
 	}
 
 	if *out != "" {

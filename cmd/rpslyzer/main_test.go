@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
@@ -21,6 +22,21 @@ var (
 	countsRE  = regexp.MustCompile(`\(\d+ objects, \d+ chunks, \d+ workers, \d+ parse errors\)`)
 )
 
+// u200 writes the 200-AS universe the daemon tests build and returns
+// its directory.
+func u200(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	sys, err := core.BuildSynthetic(core.Options{Seed: 5, ASes: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.WriteUniverse(sys, nil, dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 // TestSummaryAndExportMatchGolden runs the command over the 200-AS
 // universe the daemon tests build, at GOMAXPROCS 1 and 8. The summary
 // (durations, rates and the worker count blanked) and the "-o -"
@@ -30,14 +46,7 @@ var (
 // totals of the IR that was exported, with a parse pool of GOMAXPROCS
 // workers.
 func TestSummaryAndExportMatchGolden(t *testing.T) {
-	dir := t.TempDir()
-	sys, err := core.BuildSynthetic(core.Options{Seed: 5, ASes: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.WriteUniverse(sys, nil, dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := u200(t)
 	golden, err := os.ReadFile("testdata/u200.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +86,44 @@ func TestSummaryAndExportMatchGolden(t *testing.T) {
 		want := fmt.Sprintf("(%d objects, %d chunks, %d workers, %d parse errors)", objects, len(x.Counts), procs, len(x.Errors))
 		if printed := countsRE.FindString(summary); printed != want {
 			t.Errorf("GOMAXPROCS=%d: pipeline line counts %s, the exported IR holds %s", procs, printed, want)
+		}
+	}
+}
+
+// TestRenderReloadsToSameIR holds -render to a fixed point: the
+// canonical dumps it writes load back through core.LoadDumpDir into
+// the objects the original dumps hold, class by class.
+func TestRenderReloadsToSameIR(t *testing.T) {
+	dir, rendered := u200(t), t.TempDir()
+	var out bytes.Buffer
+	run([]string{"-dumps", dir, "-render", rendered, "-summary=false", "-log-level", "error"},
+		telemetry.NewRegistry("rpslyzer_test"), &out)
+	if want := "rendered canonical dumps to " + rendered + "\n"; out.String() != want {
+		t.Errorf("output %q, want %q", out.String(), want)
+	}
+	want, _, err := core.LoadDumpDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := core.LoadDumpDir(rendered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, class := range []struct {
+		name      string
+		got, want any
+	}{
+		{"aut-num", got.AutNums, want.AutNums},
+		{"as-set", got.AsSets, want.AsSets},
+		{"route-set", got.RouteSets, want.RouteSets},
+		{"peering-set", got.PeeringSets, want.PeeringSets},
+		{"filter-set", got.FilterSets, want.FilterSets},
+		{"inet-rtr", got.InetRtrs, want.InetRtrs},
+		{"rtr-set", got.RtrSets, want.RtrSets},
+		{"route", got.Routes, want.Routes},
+	} {
+		if !reflect.DeepEqual(class.got, class.want) {
+			t.Errorf("%s objects differ after -render and a reload", class.name)
 		}
 	}
 }

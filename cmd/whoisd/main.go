@@ -1,8 +1,8 @@
 // Command whoisd serves RPSL objects from parsed IRR dumps over the
 // classic whois one-query-per-connection protocol. With -mirror it
-// also watches a journal directory for NRTM deltas and hot-swaps the
-// served database after each applied journal, so queries never stop
-// while the data moves forward.
+// also watches a journal directory for NRTM deltas and answers from the
+// mirror's current database, which each applied journal replaces, so
+// queries never stop while the data moves forward.
 //
 // Usage:
 //
@@ -60,7 +60,7 @@ func serve(f *flags, p *daemon.Process) (*whois.Server, error) {
 	srv := whois.NewServer(db)
 	srv.Metrics, srv.Logger, srv.Tracer = whois.NewMetrics(p.Registry), p.Logger, p.Tracer
 	if f.mirrorDir != "" {
-		srv.SerialSource = p.MirrorDB(srv.DB(), f.dumps, f.mirrorDir, f.mirrorInterval, srv.SetDB)
+		srv.Mirror = p.Mirror(db, f.dumps, f.mirrorDir, f.mirrorInterval, nil)
 	}
 	if err := srv.Listen(f.listen); err != nil {
 		return nil, fmt.Errorf("listen on %s: %w", f.listen, err)

@@ -100,7 +100,8 @@ func LoadDB(root *trace.Span, dir string, opts core.LoadOptions) (*irr.Database,
 // Mirror starts the process's mirror loop: nrtm.Poll over a mirror of
 // db, watching dir every interval and reloading dumps when a serial gap
 // or a corrupt journal forces a resync. hook is Poll's OnApply, called
-// on the loop's goroutine one journal at a time. Stop ends the loop.
+// on the loop's goroutine one journal at a time; a daemon serving the
+// mirror's database itself passes nil. Stop ends the loop.
 func (p *Process) Mirror(db *irr.Database, dumps, dir string, interval time.Duration,
 	hook func(*irr.Database, []depgraph.Key, *trace.Span)) *nrtm.Mirror {
 	mir := nrtm.NewMirrorDB(db, nil, nrtm.NewMetrics(p.Registry))
@@ -118,15 +119,6 @@ func (p *Process) Mirror(db *irr.Database, dumps, dir string, interval time.Dura
 		}, p.stop)
 	}()
 	return mir
-}
-
-// MirrorDB is Mirror for a daemon serving the database itself: swap
-// publishes each new one, the result reports the mirror's serials.
-func (p *Process) MirrorDB(db *irr.Database, dumps, dir string, interval time.Duration,
-	swap func(*irr.Database)) func() map[string]uint64 {
-	return p.Mirror(db, dumps, dir, interval, func(db *irr.Database, _ []depgraph.Key, _ *trace.Span) {
-		swap(db)
-	}).Serials
 }
 
 // Wait blocks until SIGINT or SIGTERM, then stops the process.
@@ -161,9 +153,8 @@ type Engine struct {
 	store    *reportstore.Store
 	rm       *reverifyMetrics
 
-	// The booted database and the verification engine over it: kept
-	// only by a boot told that a mirror follows.
-	db      *irr.Database
+	// The verification engine over the booted database: kept only by a
+	// boot told that a mirror follows.
 	inc     *verify.Incremental
 	applies int
 }
@@ -271,7 +262,7 @@ func (e *Engine) bootCorpus(root *trace.Span, t0 time.Time, db *irr.Database, re
 	if !mirror {
 		return nil
 	}
-	e.db, e.inc, e.rm = db, inc, newReverifyMetrics(e.p.Registry)
+	e.inc, e.rm = inc, newReverifyMetrics(e.p.Registry)
 	e.p.Registry.GaugeFunc("rpslyzer_depgraph_programs",
 		"Compiled programs registered in the dependency graph.",
 		func() float64 { return float64(inc.GraphStats().Programs) })
@@ -284,9 +275,10 @@ func (e *Engine) bootCorpus(root *trace.Span, t0 time.Time, db *irr.Database, re
 	return nil
 }
 
-// Mirror starts the process's mirror loop with Step as its hook.
+// Mirror starts the process's mirror loop from the booted database,
+// with Step as its hook.
 func (e *Engine) Mirror(dumps, dir string, interval time.Duration) {
-	e.p.Mirror(e.db, dumps, dir, interval,
+	e.p.Mirror(e.inc.Verifier().DB, dumps, dir, interval,
 		func(db *irr.Database, keys []depgraph.Key, sp *trace.Span) { e.Step(db, keys, sp) })
 }
 

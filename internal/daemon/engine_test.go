@@ -173,7 +173,7 @@ func TestOnePipeline(t *testing.T) {
 	jdir := filepath.Join(dir, "journals")
 
 	fresh := boot(t, corpusArgs(dir, dir)...)
-	if fresh.inc != nil || fresh.db != nil {
+	if fresh.inc != nil {
 		t.Error("a run without -mirror kept its engine after the first publish")
 	}
 	want := bodies(t, fresh, false)
@@ -197,7 +197,7 @@ func TestOnePipeline(t *testing.T) {
 		t.Fatalf("want at least 3 journal files, have %d (%v)", len(files), err)
 	}
 	sort.Strings(files)
-	mir := nrtm.NewMirrorDB(mirror.db, nil, nil)
+	mir := nrtm.NewMirrorDB(mirror.inc.Verifier().DB, nil, nil)
 	for _, path := range files[:3] {
 		j, err := nrtm.ReadJournalFile(path)
 		if err != nil {
@@ -313,7 +313,7 @@ func TestConcurrentStepsKeepOldSnapshot(t *testing.T) {
 		t.Fatalf("no journal files (%v)", err)
 	}
 	sort.Strings(files)
-	mir := nrtm.NewMirrorDB(e.db, nil, nil)
+	mir := nrtm.NewMirrorDB(e.inc.Verifier().DB, nil, nil)
 	waitRenders()
 	for _, path := range files {
 		j, err := nrtm.ReadJournalFile(path)

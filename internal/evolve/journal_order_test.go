@@ -6,6 +6,7 @@ import (
 
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/evolve"
+	"rpslyzer/internal/irr"
 	"rpslyzer/internal/nrtm"
 )
 
@@ -92,8 +93,8 @@ origin: AS1
 
 	// The journal must replay cleanly onto the old snapshot (the DEL
 	// before-ADD order is what makes replacement-by-ADD legal).
-	mir := nrtm.NewMirror(core.ParseText(oldSnap, "RIPE"), nil, nil)
-	if err := mir.ApplyAll([]*nrtm.Journal{j}); err != nil {
+	mir := nrtm.NewMirrorDB(irr.New(core.ParseText(oldSnap, "RIPE")), nil, nil)
+	if _, err := mir.ApplyAllKeys([]*nrtm.Journal{j}); err != nil {
 		t.Fatalf("journal does not replay: %v", err)
 	}
 }

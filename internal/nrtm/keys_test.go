@@ -5,6 +5,7 @@ import (
 
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/depgraph"
+	"rpslyzer/internal/irr"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/prefix"
 )
@@ -34,7 +35,7 @@ filter: ANY
 
 func keysMirror(t *testing.T) *nrtm.Mirror {
 	t.Helper()
-	return nrtm.NewMirror(core.ParseText(keysSnapshot, "TEST"), nil, nil)
+	return nrtm.NewMirrorDB(irr.New(core.ParseText(keysSnapshot, "TEST")), nil, nil)
 }
 
 func applyKeys(t *testing.T, mir *nrtm.Mirror, serial uint64, action nrtm.Action, object string) []depgraph.Key {

@@ -20,8 +20,9 @@ import (
 // via DB are never mutated: in-flight queries finish on the snapshot
 // they loaded while new queries see the new serial.
 //
-// Apply and Resync serialize through an internal mutex; DB, Serials,
-// and Resyncs are safe to call concurrently from any goroutine.
+// ApplyAllKeys and Resync serialize through an internal mutex; DB,
+// Serials, and Resyncs are safe to call concurrently from any
+// goroutine.
 type Mirror struct {
 	mu      sync.Mutex
 	db      atomic.Pointer[irr.Database]
@@ -47,16 +48,10 @@ func (e *SerialGapError) Error() string {
 		e.Registry, e.Have, e.First)
 }
 
-// NewMirror builds a mirror over a freshly indexed database for x.
-// serials records the journal serial each registry's snapshot
-// corresponds to (nil means every registry starts at serial 0, i.e.
-// the next journal must start at 1). The map is copied. Metrics may be
-// nil.
-func NewMirror(x *ir.IR, serials map[string]uint64, m *Metrics) *Mirror {
-	return NewMirrorDB(irr.New(x), serials, m)
-}
-
-// NewMirrorDB is NewMirror for an already-indexed database.
+// NewMirrorDB builds a mirror over the indexed database db. serials
+// records the journal serial each registry's snapshot corresponds to
+// (nil means every registry starts at serial 0, i.e. the next journal
+// must start at 1). The map is copied. Metrics may be nil.
 func NewMirrorDB(db *irr.Database, serials map[string]uint64, m *Metrics) *Mirror {
 	mir := &Mirror{serials: make(map[string]uint64, len(serials)), metrics: m}
 	for reg, s := range serials {
@@ -87,31 +82,26 @@ func (m *Mirror) Resyncs() uint64 {
 	return m.resyncs.Load()
 }
 
-// ApplyAll applies a batch of journals — possibly spanning several
-// registries and several consecutive serial ranges per registry — as
-// one transaction: a single snapshot clone, a single index settle, and
-// a single publish. Each journal's first serial must be exactly one
-// past its registry's last applied serial, else ApplyAll returns a
-// *SerialGapError. The batch is all-or-nothing: a serial gap or a bad
-// operation (unparseable, DEL of a missing object) in any journal
-// leaves the published snapshot and every serial untouched, because
-// operations are applied to a private clone that is only published on
-// full success.
-func (m *Mirror) ApplyAll(journals []*Journal) error {
-	_, err := m.ApplyAllKeys(journals)
-	return err
-}
-
-// ApplyAllKeys is ApplyAll, additionally returning the dependency keys
-// of every object the batch touched — the exact input
-// verify.Incremental.Reverify needs to re-verify only what the batch
-// could have changed. The key set covers direct object changes (by
-// name, ASN, or prefix) and indirect moves the apply computed anyway
-// (as-sets whose membership shifted because an aut-num's member-of
-// claims changed, route-sets containing changed routes by reference).
-// An empty batch or a batch of empty journals returns a non-nil empty
-// slice: "nothing touched", as opposed to nil's "unknown, redo
-// everything".
+// ApplyAllKeys applies a batch of journals — possibly spanning
+// several registries and several consecutive serial ranges per
+// registry — as one transaction: a single snapshot clone, a single
+// index settle, and a single publish. Each journal's first serial must
+// be exactly one past its registry's last applied serial, else
+// ApplyAllKeys returns a *SerialGapError. The batch is all-or-nothing:
+// a serial gap or a bad operation (unparseable, DEL of a missing
+// object) in any journal leaves the published snapshot and every
+// serial untouched, because operations are applied to a private clone
+// that is only published on full success.
+//
+// It returns the dependency keys of every object the batch touched —
+// the exact input verify.Incremental.Reverify needs to re-verify only
+// what the batch could have changed. The key set covers direct object
+// changes (by name, ASN, or prefix) and indirect moves the apply
+// computed anyway (as-sets whose membership shifted because an
+// aut-num's member-of claims changed, route-sets containing changed
+// routes by reference). An empty batch or a batch of empty journals
+// returns a non-nil empty slice: "nothing touched", as opposed to
+// nil's "unknown, redo everything".
 func (m *Mirror) ApplyAllKeys(journals []*Journal) ([]depgraph.Key, error) {
 	if len(journals) == 0 {
 		return []depgraph.Key{}, nil
@@ -151,8 +141,8 @@ func (m *Mirror) ApplyAllKeys(journals []*Journal) ([]depgraph.Key, error) {
 
 // Resync replaces the mirror's state with a full rebuild from x,
 // resetting the serial map to serials (copied; nil resets every
-// registry to 0). Use it when Apply reports a serial gap and the
-// caller has re-fetched full dumps.
+// registry to 0). Use it when ApplyAllKeys reports a serial gap and
+// the caller has re-fetched full dumps.
 func (m *Mirror) Resync(x *ir.IR, serials map[string]uint64) {
 	db := irr.New(x)
 	m.mu.Lock()

@@ -8,6 +8,7 @@ import (
 
 	"rpslyzer/internal/core"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/irr"
 	"rpslyzer/internal/irrgen"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/parser"
@@ -41,13 +42,13 @@ func synthIR(t *testing.T, ases int) *ir.IR {
 // escape hatch — Resync — restores service and is counted.
 func TestMirrorSerialGap(t *testing.T) {
 	gen := synthIR(t, 120)
-	mir := nrtm.NewMirror(gen, map[string]uint64{"RADB": 10}, nil)
+	mir := nrtm.NewMirrorDB(irr.New(gen), map[string]uint64{"RADB": 10}, nil)
 	before := mir.DB()
 
 	obj := "aut-num:        AS64999\nas-name:        GAP\nsource:         RADB\n"
 	j := &nrtm.Journal{Registry: "RADB", First: 12, Last: 12,
 		Ops: []nrtm.Op{{Serial: 12, Action: nrtm.OpAdd, Object: obj}}}
-	err := mir.ApplyAll([]*nrtm.Journal{j})
+	_, err := mir.ApplyAllKeys([]*nrtm.Journal{j})
 	var gap *nrtm.SerialGapError
 	if !errors.As(err, &gap) {
 		t.Fatalf("gap apply error = %v, want SerialGapError", err)
@@ -78,7 +79,7 @@ func TestMirrorSerialGap(t *testing.T) {
 // object after a valid op) publishes nothing at all.
 func TestMirrorApplyAtomic(t *testing.T) {
 	gen := synthIR(t, 120)
-	mir := nrtm.NewMirror(gen, nil, nil)
+	mir := nrtm.NewMirrorDB(irr.New(gen), nil, nil)
 	before := mir.DB()
 
 	good := "aut-num:        AS64999\nas-name:        OK\nsource:         RADB\n"
@@ -87,7 +88,7 @@ func TestMirrorApplyAtomic(t *testing.T) {
 		{Serial: 1, Action: nrtm.OpAdd, Object: good},
 		{Serial: 2, Action: nrtm.OpAdd, Object: bad},
 	}}
-	if err := mir.ApplyAll([]*nrtm.Journal{j}); err == nil {
+	if _, err := mir.ApplyAllKeys([]*nrtm.Journal{j}); err == nil {
 		t.Fatal("apply with garbage op should fail")
 	}
 	if mir.DB() != before {
@@ -112,7 +113,7 @@ func TestApplyRejectedObjectLikeDump(t *testing.T) {
 	autnum := "aut-num:        ASX1\nas-name:        BAD\nsource:         RADB\n"
 	good := "aut-num:        AS1\nas-name:        GOOD\nsource:         RADB\n"
 	m := nrtm.NewMetrics(telemetry.NewRegistry("t"))
-	mir := nrtm.NewMirror(ir.New(), nil, m)
+	mir := nrtm.NewMirrorDB(irr.New(ir.New()), nil, m)
 	keys, err := mir.ApplyAllKeys([]*nrtm.Journal{{Registry: "RADB", First: 1, Last: 2, Ops: []nrtm.Op{
 		{Serial: 1, Action: nrtm.OpAdd, Object: route},
 		{Serial: 2, Action: nrtm.OpAdd, Object: autnum},
@@ -123,7 +124,7 @@ func TestApplyRejectedObjectLikeDump(t *testing.T) {
 	if len(keys) != 0 {
 		t.Errorf("rejected objects touched %v, want no key", keys)
 	}
-	if err := mir.ApplyAll([]*nrtm.Journal{{Registry: "RADB", First: 3, Last: 3, Ops: []nrtm.Op{
+	if _, err := mir.ApplyAllKeys([]*nrtm.Journal{{Registry: "RADB", First: 3, Last: 3, Ops: []nrtm.Op{
 		{Serial: 3, Action: nrtm.OpAdd, Object: good},
 	}}}); err != nil {
 		t.Fatalf("the next journal: %v", err)

@@ -199,8 +199,8 @@ func (s *Store) Current() *Snapshot { return s.cur.Load() }
 // Swap stamps the snapshot with the next generation serial and
 // publishes it, returning the serial. In-flight readers keep the
 // snapshot they loaded. A nil snapshot is ignored (returns the current
-// swap count), mirroring whois.Server.SetDB. How long the snapshot took
-// to freeze is observed here, so BuildSeconds has one sample per swap.
+// swap count). How long the snapshot took to freeze is observed here,
+// so BuildSeconds has one sample per swap.
 func (s *Store) Swap(snap *Snapshot) uint64 {
 	if snap == nil {
 		return s.swaps.Load()

@@ -11,7 +11,6 @@
 package shard
 
 import (
-	"strconv"
 	"sync"
 
 	"rpslyzer/internal/ir"
@@ -129,6 +128,3 @@ func (m *Metrics) ObserveFanout(seconds float64) {
 	}
 	m.fanout.Observe(seconds)
 }
-
-// shardLabel is a shard index as a metric label value.
-func shardLabel(s int) string { return strconv.Itoa(s) }

@@ -108,9 +108,3 @@ func TestMetrics(t *testing.T) {
 	nilM.ObservePlan([]int{1})
 	nilM.ObserveFanout(1)
 }
-
-func TestShardLabel(t *testing.T) {
-	if shardLabel(3) != "3" || shardLabel(15) != "15" || shardLabel(123) != "123" {
-		t.Fatal("label rendering broken")
-	}
-}

@@ -57,7 +57,7 @@ func TestNewIncrementalRejectsConfigs(t *testing.T) {
 // happened to recompile it, step 2 found the as-set without dependents,
 // dirtied nothing, and AS1's export check stayed verified.
 func TestEvictedProgramKeepsItsEdges(t *testing.T) {
-	mir := nrtm.NewMirror(core.ParseText(custRPSL, "TEST"), nil, nil)
+	mir := nrtm.NewMirrorDB(irr.New(core.ParseText(custRPSL, "TEST")), nil, nil)
 	rels := asrel.New()
 	inc, err := verify.NewIncremental(mir.DB(), rels, verify.Config{})
 	if err != nil {

@@ -6,47 +6,32 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"rpslyzer/internal/irr"
-	"rpslyzer/internal/parser"
+	"rpslyzer/internal/nrtm"
 )
 
-// swapIRR is the alternate snapshot for hot-swap tests: same aut-num,
-// one route withdrawn and one added relative to whoisIRR.
-const swapIRR = `
-aut-num: AS15169
-as-name: GOOGLE
-import: from AS174 accept ANY
-export: to AS174 announce AS15169
-source: RADB
-
-route: 8.8.8.0/24
-origin: AS15169
-source: RADB
-
-route: 8.8.6.0/24
-origin: AS15169
-source: RADB
-
-as-set: AS-GOOGLE
-members: AS15169, AS-GOOGLE-IT
-source: RADB
-`
-
-func dbFromText(t *testing.T, text string) *irr.Database {
-	t.Helper()
-	return irr.New(parser.ParseText(text, "RADB"))
+// swap is the journal that moves whoisIRR's routes on a mirror at
+// serial: forward withdraws 8.8.4.0/24 and adds 8.8.6.0/24, and the
+// other direction undoes it.
+func swap(serial uint64, forward bool) []*nrtm.Journal {
+	const r4 = "route: 8.8.4.0/24\norigin: AS15169\nsource: RADB\n"
+	const r6 = "route: 8.8.6.0/24\norigin: AS15169\nsource: RADB\n"
+	add, del := r6, r4
+	if !forward {
+		add, del = r4, r6
+	}
+	return []*nrtm.Journal{{Registry: "RADB", First: serial, Last: serial, Ops: []nrtm.Op{
+		{Serial: serial, Action: nrtm.OpAdd, Object: add},
+		{Serial: serial, Action: nrtm.OpDel, Object: del},
+	}}}
 }
 
 // TestHotSwapUnderLoad hammers a live server with concurrent TCP
-// queries while the served database is swapped repeatedly. Every query
+// queries while its mirror applies journals back and forth. Every query
 // must succeed and return one of the two snapshots' answers — no
 // errors, no torn reads. Run with -race to check the atomic-pointer
 // contract.
 func TestHotSwapUnderLoad(t *testing.T) {
-	dbA := dbFromText(t, whoisIRR)
-	dbB := dbFromText(t, swapIRR)
-
-	s := NewServer(dbA)
+	s := newTestServer(t)
 	if err := s.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +52,13 @@ func TestHotSwapUnderLoad(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < queriesPerClient; i++ {
-				resp, err := QueryServer(addr, "AS15169")
+				resp, err := QueryServer(addr, "-i origin AS15169")
 				if err != nil {
 					failures.Add(1)
 					t.Errorf("query failed mid-swap: %v", err)
 					return
 				}
-				if !strings.Contains(resp, "aut-num:        AS15169") {
+				if strings.Count(resp, "route:") != 2 || !strings.Contains(resp, "8.8.8.0/24") {
 					failures.Add(1)
 					t.Errorf("torn response: %q", resp)
 					return
@@ -82,11 +67,9 @@ func TestHotSwapUnderLoad(t *testing.T) {
 		}()
 	}
 	close(start)
-	for i := 0; i < swaps; i++ {
-		if i%2 == 0 {
-			s.SetDB(dbB)
-		} else {
-			s.SetDB(dbA)
+	for i := 1; i <= swaps; i++ {
+		if _, err := s.Mirror.ApplyAllKeys(swap(uint64(i), i%2 == 1)); err != nil {
+			t.Fatal(err)
 		}
 	}
 	wg.Wait()
@@ -95,35 +78,37 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSetDBSwapsAnswers proves a swap actually changes what is served:
-// a route present only in the second snapshot appears after SetDB, and
-// one withdrawn disappears.
-func TestSetDBSwapsAnswers(t *testing.T) {
-	s := NewServer(dbFromText(t, whoisIRR))
+// TestMirrorApplySwapsAnswers proves an apply actually changes what is
+// served: a route the journal adds appears, one it withdraws
+// disappears, and a batch the mirror rejects changes nothing.
+func TestMirrorApplySwapsAnswers(t *testing.T) {
+	s := newTestServer(t)
 	if !strings.Contains(s.Query("8.8.4.4"), "8.8.4.0/24") {
 		t.Fatal("base snapshot missing 8.8.4.0/24")
 	}
-	s.SetDB(dbFromText(t, swapIRR))
+	if _, err := s.Mirror.ApplyAllKeys(swap(1, true)); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(s.Query("8.8.6.6"), "8.8.6.0/24") {
-		t.Error("swapped snapshot should serve 8.8.6.0/24")
+		t.Error("applied snapshot should serve 8.8.6.0/24")
 	}
 	if !strings.Contains(s.Query("8.8.4.4"), "no entries") {
-		t.Error("swapped snapshot should not serve withdrawn 8.8.4.0/24")
+		t.Error("applied snapshot should not serve withdrawn 8.8.4.0/24")
 	}
-	s.SetDB(nil) // ignored: never serve a nil database
+	if _, err := s.Mirror.ApplyAllKeys(swap(3, false)); err == nil {
+		t.Fatal("a journal past a serial gap applied")
+	}
 	if !strings.Contains(s.Query("8.8.6.6"), "8.8.6.0/24") {
-		t.Error("SetDB(nil) must keep the previous snapshot")
+		t.Error("a rejected journal must keep the previous snapshot")
 	}
 }
 
 func TestQuerySerials(t *testing.T) {
 	s := newTestServer(t)
 	if got := s.Query("!j"); got != "D\n" {
-		t.Errorf("!j without serial source = %q, want D", got)
+		t.Errorf("!j before any journal = %q, want D", got)
 	}
-	s.SerialSource = func() map[string]uint64 {
-		return map[string]uint64{"RADB": 42, "RIPE": 7}
-	}
+	s.Mirror = nrtm.NewMirrorDB(s.Mirror.DB(), map[string]uint64{"RADB": 42, "RIPE": 7}, nil)
 	want := frameIRRd("RADB:Y:42\nRIPE:Y:7")
 	if got := s.Query("!j"); got != want {
 		t.Errorf("!j = %q, want %q", got, want)

@@ -139,12 +139,9 @@ func (s *Server) queryRoutes(db *irr.Database, arg string) string {
 // querySerials answers "!j": the current mirror serial per registry,
 // one "<SOURCE>:Y:<serial>" line each (irrd's journal-status shape).
 // "!j" and "!j-*" report every registry; "!jRIPE,RADB" filters. A
-// server without a serial source (no mirror attached) has no data.
+// mirror that has applied no journal (NewServer's) has no data.
 func (s *Server) querySerials(arg string) string {
-	if s.SerialSource == nil {
-		return "D\n"
-	}
-	serials := s.SerialSource()
+	serials := s.Mirror.Serials()
 	if len(serials) == 0 {
 		return "D\n"
 	}

@@ -17,37 +17,36 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
+	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/prefix"
+	"rpslyzer/internal/render"
 	"rpslyzer/internal/trace"
 )
 
 // Server serves whois queries from an IRR database.
 //
-// Concurrency contract: the database lives behind an atomic pointer
-// that SetDB may swap at any time (the NRTM mirror loop does this
-// after every applied journal). Every query loads the pointer exactly
-// once and answers entirely from that immutable snapshot, so in-flight
-// queries finish on the database they started with while new queries
-// see the new one; there is no torn state and no locking on the query
-// path. Metrics, Logger, and SerialSource must be set before Listen;
-// everything else is safe from any goroutine.
+// Concurrency contract: the database is the Mirror's current snapshot.
+// The NRTM mirror loop replaces it after every applied journal; every
+// query loads it exactly once and answers entirely from that immutable
+// snapshot, so in-flight queries finish on the database they started
+// with while new queries see the new one; there is no torn state and no
+// locking on the query path. Mirror, Metrics, Logger, and Tracer must
+// be set before Listen; everything else is safe from any goroutine.
 type Server struct {
-	db atomic.Pointer[irr.Database]
-
+	// Mirror holds the database queries are answered from and the
+	// serials !j reports. NewServer sets a mirror that never applies a
+	// journal; a mirroring daemon replaces it with its live one (set
+	// before Listen).
+	Mirror *nrtm.Mirror
 	// Metrics, when non-nil, records connection and query counters (set
 	// before Listen).
 	Metrics *Metrics
 	// Logger receives accept-loop diagnostics; nil means slog.Default.
 	Logger *slog.Logger
-	// SerialSource, when non-nil, reports the current NRTM serial per
-	// registry for the !j query (set before Listen; typically
-	// nrtm.Mirror.Serials).
-	SerialSource func() map[string]uint64
 	// Tracer, when non-nil, records sampled per-query spans under the
 	// "whois" stage (set before Listen).
 	Tracer *trace.Tracer
@@ -58,24 +57,9 @@ type Server struct {
 	conns  sync.WaitGroup
 }
 
-// NewServer creates a server over db.
+// NewServer creates a server over the fixed database db.
 func NewServer(db *irr.Database) *Server {
-	s := &Server{}
-	s.db.Store(db)
-	return s
-}
-
-// DB returns the database snapshot queries are currently answered
-// from. It is the single source of truth for the serving path.
-func (s *Server) DB() *irr.Database { return s.db.Load() }
-
-// SetDB atomically swaps the served database. In-flight queries keep
-// the snapshot they loaded; a nil db is ignored.
-func (s *Server) SetDB(db *irr.Database) {
-	if db == nil {
-		return
-	}
-	s.db.Store(db)
+	return &Server{Mirror: nrtm.NewMirrorDB(db, nil, nil)}
 }
 
 // Listen starts listening on addr (e.g. "127.0.0.1:0") and serves
@@ -212,8 +196,8 @@ func (s *Server) handle(conn io.ReadWriter) {
 //	!j                   current mirror serial per registry
 func (s *Server) Query(q string) string {
 	// Load the snapshot once: the whole query is answered from it even
-	// if SetDB swaps mid-evaluation.
-	db := s.DB()
+	// if the mirror applies a journal mid-evaluation.
+	db := s.Mirror.DB()
 	q = strings.TrimSpace(q)
 	if q == "" {
 		return "% error: empty query\n"
@@ -260,11 +244,18 @@ func (s *Server) querySet(db *irr.Database, name string) string {
 		return RenderRouteSet(set)
 	}
 	if set, ok := x.PeeringSets[name]; ok {
-		return fmt.Sprintf("peering-set:    %s\nsource:         %s\n", set.Name, set.Source)
+		var b strings.Builder
+		render.PeeringSet(&b, set)
+		return b.String()
 	}
 	if set, ok := x.FilterSets[name]; ok {
 		return fmt.Sprintf("filter-set:     %s\nfilter:         %s\nsource:         %s\n",
 			set.Name, set.Filter.String(), set.Source)
+	}
+	if set, ok := x.RtrSets[name]; ok {
+		var b strings.Builder
+		render.RtrSet(&b, set)
+		return b.String()
 	}
 	return fmt.Sprintf("%% no entries found for %s\n", name)
 }

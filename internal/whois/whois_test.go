@@ -1,9 +1,11 @@
 package whois
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/parser"
 	"rpslyzer/internal/rpsl"
@@ -329,5 +331,67 @@ func TestQueryAddressUsesRadixIndex(t *testing.T) {
 	a300 := strings.Index(resp, "origin:         AS300")
 	if a200 < 0 || a300 < 0 || a200 > a300 {
 		t.Fatalf("origins not sorted: %q", resp)
+	}
+}
+
+// classesIRR holds one object of every class a whois answer renders,
+// each with only the attributes its answer carries.
+const classesIRR = `
+aut-num: AS64500
+as-name: EXAMPLE
+import: from AS64501 accept AS64501
+export: to AS64501 announce AS-EXAMPLE
+source: RADB
+
+as-set: AS-EXAMPLE
+members: AS64500, AS-EXAMPLE-CUST
+source: RADB
+
+route-set: RS-EXAMPLE
+members: 192.0.2.0/24^+, AS64500, RS-OTHER^-
+source: RADB
+
+peering-set: PRNG-EXAMPLE
+peering: AS64501 at 192.0.2.1
+peering: AS64502 192.0.2.9 at 192.0.2.2
+source: RADB
+
+filter-set: FLTR-EXAMPLE
+filter: { 192.0.2.0/24^+ } AND NOT AS64502
+source: RADB
+
+rtr-set: RTRS-EXAMPLE
+members: rtr1.example.net, 192.0.2.1
+source: RADB
+
+route: 192.0.2.0/24
+origin: AS64500
+source: RADB
+`
+
+// TestAnswersReparseToTheirObjects parses each object answer back and
+// requires exactly the fixture's object: no attribute dropped, none
+// added.
+func TestAnswersReparseToTheirObjects(t *testing.T) {
+	want := parser.ParseText(classesIRR, "RADB")
+	s := NewServer(irr.New(want))
+	for _, tc := range []struct {
+		query  string
+		object func(x *ir.IR) any
+	}{
+		{"AS64500", func(x *ir.IR) any { return x.AutNums[64500] }},
+		{"AS-EXAMPLE", func(x *ir.IR) any { return x.AsSets["AS-EXAMPLE"] }},
+		{"RS-EXAMPLE", func(x *ir.IR) any { return x.RouteSets["RS-EXAMPLE"] }},
+		{"PRNG-EXAMPLE", func(x *ir.IR) any { return x.PeeringSets["PRNG-EXAMPLE"] }},
+		{"FLTR-EXAMPLE", func(x *ir.IR) any { return x.FilterSets["FLTR-EXAMPLE"] }},
+		{"RTRS-EXAMPLE", func(x *ir.IR) any { return x.RtrSets["RTRS-EXAMPLE"] }},
+		{"192.0.2.0/24", func(x *ir.IR) any { return x.Routes }},
+	} {
+		resp := s.Query(tc.query)
+		got := parser.ParseText(resp, "RADB")
+		if len(got.Errors) > 0 || !reflect.DeepEqual(tc.object(got), tc.object(want)) {
+			t.Errorf("%s: answer %q reparses to %+v (errors %v), want %+v",
+				tc.query, resp, tc.object(got), got.Errors, tc.object(want))
+		}
 	}
 }

@@ -151,11 +151,11 @@ go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot: 1x each)"
 go test -run '^$' -bench . -benchtime 1x . ./internal/reportstore
 
-echo "== named smoke (FuzzContracts seed corpus, TestContractsSlowSeeds + imbalance bound)"
+echo "== named smoke (FuzzContracts seed corpus, TestContractsSlowSeeds, imbalance bound, one database owner)"
 # go test -run prints "no tests to run" and then ok when a name matches
 # nothing, so each name must print its own PASS line.
-named_out=$(go test -count=1 -run '^(FuzzContracts|TestContractsSlowSeeds|TestShardImbalanceBounded)$' -v ./internal/oracle .)
-for name in FuzzContracts TestContractsSlowSeeds TestShardImbalanceBounded; do
+named_out=$(go test -count=1 -run '^(FuzzContracts|TestContractsSlowSeeds|TestShardImbalanceBounded|TestOneDatabaseOwner)$' -v ./internal/oracle .)
+for name in FuzzContracts TestContractsSlowSeeds TestShardImbalanceBounded TestOneDatabaseOwner; do
     if ! echo "$named_out" | grep -q "^--- PASS: $name "; then
         echo "$name printed no --- PASS line" >&2
         exit 1

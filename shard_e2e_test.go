@@ -74,8 +74,8 @@ func whoisQueries(x *ir.IR) []string {
 // publication path: journals apply to the mirror (route index
 // updates), daemon.Engine's Step re-verifies with the partitioned
 // drivers and swaps each snapshot in, and
-// the whois server hot-swaps — all while whois and API readers hammer
-// the old snapshots. Readers may only ever touch the published copies,
+// the whois server answers from the mirror's newest database — all
+// while whois and API readers hammer the old snapshots. Readers may only ever touch the published copies,
 // never the engine's mutable state.
 func TestConcurrentShardedJournalApplyDuringAPIReads(t *testing.T) {
 	if testing.Short() {
@@ -93,7 +93,7 @@ func TestConcurrentShardedJournalApplyDuringAPIReads(t *testing.T) {
 	}
 	mir := nrtm.NewMirrorDB(db, nil, nil)
 	apiSrv := api.NewServer(e.Store(), api.Config{}, nil)
-	whoisSrv := whois.NewServer(db)
+	whoisSrv := &whois.Server{Mirror: mir}
 	whoisQ := whoisQueries(sys.IR)
 
 	stop := make(chan struct{})
@@ -144,9 +144,7 @@ func TestConcurrentShardedJournalApplyDuringAPIReads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: apply: %v", step, err)
 		}
-		db = mir.DB()
-		whoisSrv.SetDB(db)
-		e.Step(db, keys, nil)
+		e.Step(mir.DB(), keys, nil)
 		prev = next
 	}
 	close(stop)
