@@ -168,3 +168,51 @@ func TestOneDatabaseOwner(t *testing.T) {
 		})
 	})
 }
+
+// TestOneAggregationKernel keeps the counting of route reports in
+// report.Aggregator, whose partials the store's freeze merges: no
+// production file outside internal/report may name report.PairKey or
+// build a report.ASStats literal, so a second per-AS or per-pair tally
+// beside the aggregator is a red build.
+func TestOneAggregationKernel(t *testing.T) {
+	const pkg = "rpslyzer/internal/report"
+	fset := token.NewFileSet()
+	eachProductionFile(t, fset, func(file string, f *ast.File) {
+		if strings.HasPrefix(filepath.ToSlash(file), "internal/report/") {
+			return
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == pkg {
+				local = path.Base(p)
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			return
+		}
+		isReport := func(e ast.Expr, name string) bool {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			x, ok := sel.X.(*ast.Ident)
+			return ok && x.Name == local && sel.Sel.Name == name
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if isReport(n, "PairKey") {
+					t.Errorf("%s: names report.PairKey; count pairs through report.Aggregator", fset.Position(n.Pos()))
+				}
+			case *ast.CompositeLit:
+				if isReport(n.Type, "ASStats") {
+					t.Errorf("%s: builds a report.ASStats; count ASes through report.Aggregator", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	})
+}

@@ -136,7 +136,6 @@ func main() {
 	partitions := runtime.GOMAXPROCS(0) // VerifyStream's sweep, Shards unset
 	if *printRep || jsonEnc != nil {
 		partitions = 1
-		agg.KeepRouteMixes = false
 		for _, r := range rts {
 			rep := verifier.VerifyRoute(r)
 			agg.Add(rep)

@@ -43,7 +43,9 @@ func ToJSON(rep verify.RouteReport) RouteReportJSON {
 // fields the report pipeline consumes (prefix and AS-path) round-trip;
 // communities and the AS-set flag are already folded into Checks and
 // Ignored at verification time. A report no verifier writes is an
-// error: the aggregator and the store would count it differently.
+// error, since the figures would count it as something it is not: a
+// verified route without checks, say, as a route of three or more
+// statuses.
 func (j RouteReportJSON) Report() (verify.RouteReport, error) {
 	p, err := prefix.Parse(j.Prefix)
 	if err != nil {
@@ -51,6 +53,17 @@ func (j RouteReportJSON) Report() (verify.RouteReport, error) {
 	}
 	if j.Ignored != "" && (len(j.Checks) > 0 || j.Ignored != "as-set" && j.Ignored != "single-as") {
 		return verify.RouteReport{}, fmt.Errorf("report: %s: ignored %q with %d checks is no verifier's report", j.Prefix, j.Ignored, len(j.Checks))
+	}
+	// A verified route has two checks per hop of its prepend-free path,
+	// and at least one hop.
+	hops := 0
+	for i := 1; i < len(j.Path); i++ {
+		if j.Path[i] != j.Path[i-1] {
+			hops++
+		}
+	}
+	if j.Ignored == "" && (hops == 0 || len(j.Checks) != 2*hops) {
+		return verify.RouteReport{}, fmt.Errorf("report: %s: %d checks over %d hops is no verifier's report", j.Prefix, len(j.Checks), hops)
 	}
 	rep := verify.RouteReport{
 		Route:   bgpsim.Route{Prefix: p},

@@ -28,11 +28,15 @@ func routeReport(t *testing.T, pfx string, path []ir.ASN, ignored string, checks
 func TestJSONLRoundTrip(t *testing.T) {
 	in := []verify.RouteReport{
 		routeReport(t, "192.0.2.0/24", []ir.ASN{30, 20, 10}, "",
+			chk(10, 20, ir.DirExport, verify.Verified),
+			chk(10, 20, ir.DirImport, verify.Verified),
 			chk(20, 30, ir.DirExport, verify.Verified),
 			chk(20, 30, ir.DirImport, verify.Unverified,
 				verify.Reason{Kind: verify.MatchFilter, ASN: 10, Name: "AS-CUSTOMERS"}),
 		),
-		routeReport(t, "2001:db8::/32", []ir.ASN{20, 10}, "",
+		routeReport(t, "2001:db8::/32", []ir.ASN{20, 20, 10}, "",
+			chk(10, 20, ir.DirExport, verify.Relaxed,
+				verify.Reason{Kind: verify.SpecExportSelf}),
 			chk(10, 20, ir.DirImport, verify.Unrecorded,
 				verify.Reason{Kind: verify.UnrecordedAutNum, ASN: 10}),
 		),
@@ -125,6 +129,22 @@ func TestReadJSONLErrors(t *testing.T) {
 		err := ReadJSONL(strings.NewReader(in), func(verify.RouteReport) {})
 		if err == nil || !strings.Contains(err.Error(), "line 2") {
 			t.Errorf("%s: error %v, want one naming line 2", tail, err)
+		}
+	}
+	// So is a verified route whose checks do not cover its prepend-free
+	// path, two per hop: none at all, a hop short, or a path of one AS.
+	const two = `"checks":[{"from":1,"to":2,"dir":"export","status":"verified"},{"from":1,"to":2,"dir":"import","status":"verified"}]`
+	for _, body := range []string{
+		`"path":[64500,64501]`,
+		`"path":[64500,64501,64502],` + check,
+		`"path":[64500,64501,64501,64502],` + two,
+		`"path":[64500,64500],` + two,
+	} {
+		in := ok + `{"prefix":"192.0.2.0/24",` + body + "}\n"
+		var n int
+		err := ReadJSONL(strings.NewReader(in), func(verify.RouteReport) { n++ })
+		if err == nil || !strings.Contains(err.Error(), "line 2") || n != 1 {
+			t.Errorf("%s: error %v after %d reports, want one naming line 2 after 1", body, err, n)
 		}
 	}
 	// A bad reason kind fails text unmarshaling.

@@ -5,6 +5,7 @@
 package report
 
 import (
+	"math/bits"
 	"sort"
 
 	"rpslyzer/internal/ir"
@@ -49,6 +50,12 @@ func (s *StatusCounts) Fractions() [NumStatuses]float64 {
 	return out
 }
 
+// A route's statuses and an AS's reason kinds are bit sets.
+var (
+	_ [8 - NumStatuses]struct{}
+	_ [32 - verify.NumReasons]struct{}
+)
+
 // ASStats aggregates the checks of one AS's own rules.
 type ASStats struct {
 	ASN     ir.ASN
@@ -59,33 +66,8 @@ type ASStats struct {
 	// SpecialCauses flags which relaxed/safelisted reasons were seen
 	// (Figure 6).
 	SpecialCauses CauseSet
-}
-
-// Add counts one check of a's AS, the AS whose rule it exercised (From
-// of an export, To of an import), recording the Figure 5 causes of an
-// unrecorded check and the Figure 6 causes of a relaxed or safelisted
-// one. It is the one per-check kernel of Aggregator.Add and the report
-// store's freeze.
-func (a *ASStats) Add(c *verify.Check) {
-	if c.Dir == ir.DirExport {
-		a.Exports.Add(c.Status)
-	} else {
-		a.Imports.Add(c.Status)
-	}
-	switch c.Status {
-	case verify.Unrecorded:
-		for j := range c.Reasons {
-			if cause, ok := CauseOfReason(c.Reasons[j].Kind); ok && cause <= CauseMissingSet {
-				a.UnrecCauses = a.UnrecCauses.With(cause)
-			}
-		}
-	case verify.Relaxed, verify.Safelisted:
-		for j := range c.Reasons {
-			if cause, ok := CauseOfReason(c.Reasons[j].Kind); ok && cause >= CauseExportSelf {
-				a.SpecialCauses = a.SpecialCauses.With(cause)
-			}
-		}
-	}
+	// Reasons has one bit per reason kind among the checks.
+	Reasons uint32
 }
 
 // Merge adds the checks o counted into a, as if a had been given them.
@@ -94,6 +76,7 @@ func (a *ASStats) Merge(o *ASStats) {
 	a.Exports.Merge(&o.Exports)
 	a.UnrecCauses |= o.UnrecCauses
 	a.SpecialCauses |= o.SpecialCauses
+	a.Reasons |= o.Reasons
 }
 
 // All returns imports+exports combined.
@@ -210,29 +193,39 @@ type PairStats struct {
 	UnverifiedFilter  int64
 }
 
-// RouteMix summarizes the statuses along one route (Figure 4).
-type RouteMix [NumStatuses]uint16
-
-// DistinctStatuses counts how many statuses appear.
-func (m RouteMix) DistinctStatuses() int {
-	n := 0
-	for _, v := range m {
-		if v > 0 {
-			n++
-		}
-	}
-	return n
+// Merge adds the checks o counted into s, as if s had been given them.
+func (s *PairStats) Merge(o *PairStats) {
+	s.Imports.Merge(&o.Imports)
+	s.Exports.Merge(&o.Exports)
+	s.UnverifiedPeering += o.UnverifiedPeering
+	s.UnverifiedFilter += o.UnverifiedFilter
 }
 
-// Aggregator accumulates verification reports. Not safe for concurrent
-// Add; use it as the (serialized) sink of verify.VerifyStream.
+// Aggregator accumulates verification reports into the counts behind
+// Figures 2-6, Section 5's totals and the report store's summary, in
+// memory proportional to the ASes and AS pairs seen, not to the routes.
+// Not safe for concurrent Add; use it as the (serialized) sink of
+// verify.VerifyStream.
+//
+// Aggregators over disjoint sets of reports are partials of the one
+// over all of them: give each its share, then Merge them into one, in
+// any order. Every count is a sum or a union, so the merged partial is
+// the one a single Add pass over every report would have built.
 type Aggregator struct {
 	perAS   map[ir.ASN]*ASStats
 	perPair map[PairKey]*PairStats
-	// routeMixes holds one entry per verified (non-ignored) route.
-	routeMixes []RouteMix
-	// KeepRouteMixes can be disabled to bound memory on huge runs.
-	KeepRouteMixes bool
+	// asMemo and pairMemo remember, direct-mapped, the stats Add found
+	// last: along a path the AS that imported a route is the next one
+	// to export it, most checks belong to the few ASes most paths
+	// cross, and the pairs near the origins of popular prefixes recur
+	// path after path.
+	asMemo   [1024]*ASStats
+	pairMemo [4096]struct {
+		k PairKey
+		p *PairStats
+	}
+	// routeMix is Figure 4, counted route by route as Add goes.
+	routeMix Figure4Summary
 
 	// IgnoredASSet / IgnoredSingleAS count excluded routes.
 	IgnoredASSet, IgnoredSingleAS int64
@@ -243,80 +236,166 @@ type Aggregator struct {
 	// FirstHop counts the statuses of the origin-side export/import
 	// pair only (the Section 5.2 first-hop analysis).
 	FirstHop StatusCounts
+	// ReasonChecks counts the checks by reason kind, a check once per
+	// reason it carries.
+	ReasonChecks [verify.NumReasons]int64
 }
 
 // NewAggregator creates an empty aggregator.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
-		perAS:          make(map[ir.ASN]*ASStats),
-		perPair:        make(map[PairKey]*PairStats),
-		KeepRouteMixes: true,
+		perAS:   make(map[ir.ASN]*ASStats),
+		perPair: make(map[PairKey]*PairStats),
 	}
 }
 
-// Add ingests one route report.
+// Add ingests one route report. An ignored report is counted as such
+// and nothing else, whatever checks it carries.
 func (a *Aggregator) Add(rep verify.RouteReport) {
-	switch rep.Ignored {
-	case "as-set":
-		a.IgnoredASSet++
-		return
-	case "single-as":
-		a.IgnoredSingleAS++
+	if rep.Ignored != "" {
+		switch rep.Ignored {
+		case "as-set":
+			a.IgnoredASSet++
+		case "single-as":
+			a.IgnoredSingleAS++
+		}
 		return
 	}
 	a.Routes++
-	var mix RouteMix
+	var mix uint8    // one bit per status among the route's checks
 	var s *ASStats   // of the previous check's owner
 	var p *PairStats // of the previous check's pair
 	var pair PairKey
 	for i := range rep.Checks {
 		c := &rep.Checks[i]
 		a.Checks.Add(c.Status)
-		if mix[c.Status] < ^uint16(0) {
-			mix[c.Status]++
-		}
+		mix |= 1 << c.Status
 		// The checks slice is ordered from the origin side; the first
 		// two checks are the first hop.
 		if i < 2 {
 			a.FirstHop.Add(c.Status)
 		}
 
-		// Attribute the check to the AS whose rule was checked. A path's
-		// importer is the next pair's exporter and a pair's two checks
-		// follow each other, so each map is asked only on a change.
-		owner := c.To
-		if c.Dir == ir.DirExport {
-			owner = c.From
+		// Attribute the check to the AS whose rule was checked and to its
+		// pair. A path's importer is the next pair's exporter and a
+		// pair's two checks follow each other, so each is looked up only
+		// on a change.
+		if owner := Owner(c.Dir, c.From, c.To); s == nil || s.ASN != owner {
+			s = a.as(owner)
 		}
-		if s == nil || s.ASN != owner {
-			if s = a.perAS[owner]; s == nil {
-				s = &ASStats{ASN: owner}
-				a.perAS[owner] = s
-			}
-		}
-		s.Add(c)
-
 		if key := (PairKey{c.From, c.To}); p == nil || key != pair {
-			if pair, p = key, a.perPair[key]; p == nil {
-				p = &PairStats{}
-				a.perPair[key] = p
-			}
+			pair, p = key, a.pair(key)
 		}
 		if c.Dir == ir.DirExport {
+			s.Exports.Add(c.Status)
 			p.Exports.Add(c.Status)
 		} else {
+			s.Imports.Add(c.Status)
 			p.Imports.Add(c.Status)
 		}
+		// Record the reason kinds, the Figure 5 causes of an unrecorded
+		// check and the Figure 6 causes of a relaxed or safelisted one.
+		special := c.Status == verify.Relaxed || c.Status == verify.Safelisted
+		filter := false // some rule's peering matched, so the filter failed
+		for j := range c.Reasons {
+			k := c.Reasons[j].Kind
+			a.ReasonChecks[k]++
+			s.Reasons |= 1 << k
+			filter = filter || k == verify.MatchFilter || k == verify.MatchFilterAsNum
+			switch cause, ok := CauseOfReason(k); {
+			case ok && c.Status == verify.Unrecorded && cause <= CauseMissingSet:
+				s.UnrecCauses = s.UnrecCauses.With(cause)
+			case ok && special && cause >= CauseExportSelf:
+				s.SpecialCauses = s.SpecialCauses.With(cause)
+			}
+		}
 		if c.Status == verify.Unverified {
-			if checkFilterMismatched(c) {
+			if filter {
 				p.UnverifiedFilter++
 			} else {
 				p.UnverifiedPeering++
 			}
 		}
 	}
-	if a.KeepRouteMixes {
-		a.routeMixes = append(a.routeMixes, mix)
+	switch bits.OnesCount8(mix) {
+	case 1:
+		a.routeMix.SingleStatus[bits.TrailingZeros8(mix)]++
+		a.routeMix.SingleStatusTotal++
+	case 2:
+		a.routeMix.TwoStatuses++
+	default:
+		a.routeMix.ThreePlus++
+	}
+}
+
+// Owner returns the AS a check is attributed to, the AS whose rule it
+// exercised: From of an export, To of an import.
+func Owner(dir ir.Direction, from, to ir.ASN) ir.ASN {
+	if dir == ir.DirExport {
+		return from
+	}
+	return to
+}
+
+// as returns the stats of asn, which it makes if there are none.
+func (a *Aggregator) as(asn ir.ASN) *ASStats {
+	m := &a.asMemo[uint32(asn)%uint32(len(a.asMemo))]
+	if *m != nil && (*m).ASN == asn {
+		return *m
+	}
+	s := a.perAS[asn]
+	if s == nil {
+		s = &ASStats{ASN: asn}
+		a.perAS[asn] = s
+	}
+	*m = s
+	return s
+}
+
+// pair returns the stats of k, which it makes if there are none.
+func (a *Aggregator) pair(k PairKey) *PairStats {
+	m := &a.pairMemo[((uint32(k.From)*0x9E3779B1^uint32(k.To))*0x85EBCA6B)>>20]
+	if m.p != nil && m.k == k {
+		return m.p
+	}
+	p := a.perPair[k]
+	if p == nil {
+		p = &PairStats{}
+		a.perPair[k] = p
+	}
+	m.k, m.p = k, p
+	return p
+}
+
+// Merge adds the counts of o into a, as if a had been given o's reports
+// too. o is spent: a may keep its per-AS and per-pair stats, so o must
+// not be added to or merged again.
+func (a *Aggregator) Merge(o *Aggregator) {
+	for asn, t := range o.perAS {
+		if s := a.perAS[asn]; s != nil {
+			s.Merge(t)
+		} else {
+			a.perAS[asn] = t
+		}
+	}
+	for k, t := range o.perPair {
+		if p := a.perPair[k]; p != nil {
+			p.Merge(t)
+		} else {
+			a.perPair[k] = t
+		}
+	}
+	a.routeMix.SingleStatus.Merge(&o.routeMix.SingleStatus)
+	a.routeMix.SingleStatusTotal += o.routeMix.SingleStatusTotal
+	a.routeMix.TwoStatuses += o.routeMix.TwoStatuses
+	a.routeMix.ThreePlus += o.routeMix.ThreePlus
+	a.IgnoredASSet += o.IgnoredASSet
+	a.IgnoredSingleAS += o.IgnoredSingleAS
+	a.Routes += o.Routes
+	a.Checks.Merge(&o.Checks)
+	a.FirstHop.Merge(&o.FirstHop)
+	for k, n := range o.ReasonChecks {
+		a.ReasonChecks[k] += n
 	}
 }
 
@@ -334,19 +413,4 @@ func (a *Aggregator) PerAS() []*ASStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
 	return out
-}
-
-// RouteMixes returns the per-route status mixes (Figure 4 input).
-func (a *Aggregator) RouteMixes() []RouteMix { return a.routeMixes }
-
-// checkFilterMismatched reports whether an unverified check had at
-// least one rule whose peering matched (so the filter was the cause).
-func checkFilterMismatched(c *verify.Check) bool {
-	for i := range c.Reasons {
-		switch c.Reasons[i].Kind {
-		case verify.MatchFilter, verify.MatchFilterAsNum:
-			return true
-		}
-	}
-	return false
 }

@@ -213,14 +213,22 @@ func TestCauseString(t *testing.T) {
 	}
 }
 
-func TestKeepRouteMixesDisabled(t *testing.T) {
+// TestAddAllocatesNothingForSeenASes: the aggregator's memory follows
+// the ASes and pairs it has seen, not the routes, so adding a report
+// over known ones allocates nothing.
+func TestAddAllocatesNothingForSeenASes(t *testing.T) {
 	a := NewAggregator()
-	a.KeepRouteMixes = false
-	a.Add(mkReport(chk(2, 1, ir.DirImport, verify.Verified)))
-	if len(a.RouteMixes()) != 0 {
-		t.Error("route mixes kept despite being disabled")
+	rep := mkReport(
+		chk(3, 2, ir.DirExport, verify.Verified),
+		chk(3, 2, ir.DirImport, verify.Unrecorded, verify.Reason{Kind: verify.UnrecordedAutNum, ASN: 2}),
+		chk(2, 1, ir.DirExport, verify.Unverified, verify.Reason{Kind: verify.MatchFilter}),
+		chk(2, 1, ir.DirImport, verify.Relaxed, verify.Reason{Kind: verify.SpecImportCustomer}),
+	)
+	a.Add(rep)
+	if n := testing.AllocsPerRun(100, func() { a.Add(rep) }); n != 0 {
+		t.Errorf("Add of a seen report allocates %v times, want 0", n)
 	}
-	if a.Routes != 1 {
-		t.Error("route not counted")
+	if a.Routes != 102 || a.Figure4().ThreePlus != 102 {
+		t.Errorf("routes = %d, three-plus = %d, want 102 each", a.Routes, a.Figure4().ThreePlus)
 	}
 }

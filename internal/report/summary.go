@@ -110,25 +110,10 @@ type Figure4Summary struct {
 	SingleStatusTotal, TwoStatuses, ThreePlus int64
 }
 
-// Figure4 computes the per-route mix summary.
+// Figure4 returns the per-route mix summary.
 func (a *Aggregator) Figure4() Figure4Summary {
-	var out Figure4Summary
-	out.Routes = int64(len(a.routeMixes))
-	for _, m := range a.routeMixes {
-		switch m.DistinctStatuses() {
-		case 1:
-			for st, n := range m {
-				if n > 0 {
-					out.SingleStatus[st]++
-				}
-			}
-			out.SingleStatusTotal++
-		case 2:
-			out.TwoStatuses++
-		default:
-			out.ThreePlus++
-		}
-	}
+	out := a.routeMix
+	out.Routes = a.Routes
 	return out
 }
 

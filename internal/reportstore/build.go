@@ -11,13 +11,6 @@ import (
 	"rpslyzer/internal/verify"
 )
 
-// ASEntry.statuses holds one bit per status, ASEntry.reasons one bit
-// per reason kind.
-var (
-	_ [8 - report.NumStatuses]struct{}
-	_ [32 - verify.NumReasons]struct{}
-)
-
 // BuildSnapshot freezes a report slice. The snapshot keeps a copy of
 // the report headers and reads their checks and reason lists where they
 // are, so the caller must not write those afterwards. The verifier never
@@ -25,11 +18,13 @@ var (
 // snapshot does not see the slice it patches.
 //
 // Every index is built in two passes over GOMAXPROCS contiguous route
-// ranges. The count pass copies its range's headers and counts, per
-// partition and writing nothing shared, what every index will hold; a
-// serial merge allocates each index at its exact size and gives every
-// partition its offsets into it; the scatter pass fills the indexes at
-// those offsets. Partitions follow report order, so every list does too.
+// ranges. The count pass copies its range's headers and counts them
+// into the partition's own report.Aggregator, writing nothing shared,
+// which tells what every index will hold; a serial merge allocates each
+// index at its exact size, gives every partition its offsets into it
+// and merges the partials into the snapshot's stats and summary; the
+// scatter pass fills the indexes at those offsets. Partitions follow
+// report order, so every list does too.
 func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	start := time.Now()
 	s := &Snapshot{routes: make([]route, len(reports))}
@@ -51,14 +46,10 @@ func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 // AS's lists that its scatter pass fills, as byStatus and byReason are
 // of those indexes' check lists.
 type partition struct {
-	lo, hi int
-	ases   asCursor
-	pairs  pairSet
-
-	sum             Summary
-	checks, origins int
-	statusChecks    [report.NumStatuses]int
-	reasonChecks    [verify.NumReasons]int
+	lo, hi  int
+	ases    asCursor
+	agg     *report.Aggregator
+	origins int
 
 	first    uint32 // the number of the range's first check
 	byStatus [report.NumStatuses][]uint32
@@ -68,7 +59,7 @@ type partition struct {
 // count copies the partition's report headers into s and counts them.
 func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 	pt.ases.perAS = make(map[ir.ASN]*ASEntry)
-	pt.pairs.m = make(map[report.PairKey]struct{})
+	pt.agg = report.NewAggregator()
 	for ri := pt.lo; ri < pt.hi; ri++ {
 		rep, r := &reports[ri], &s.routes[ri]
 		r.prefix, r.path, r.ignored = rep.Route.Prefix, rep.Route.Path, rep.Ignored
@@ -78,54 +69,30 @@ func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 			pt.ases.at(r.path[n-1]).nRoutes++
 			pt.origins++
 		}
-		if rep.Ignored != "" {
-			// An ignored route has no checks, even where an imported
-			// report carries some.
-			switch rep.Ignored {
-			case "as-set":
-				pt.sum.IgnoredASSet++
-			case "single-as":
-				pt.sum.IgnoredSingleAS++
-			}
-			continue
+		// An ignored route has no checks, even where an imported report
+		// carries some: the aggregator counts none of them either.
+		if rep.Ignored == "" {
+			r.checks = rep.Checks
 		}
-		r.checks = rep.Checks
-		pt.sum.Routes++
-		pt.checks += len(r.checks)
-		for i := range r.checks {
-			c := &r.checks[i]
-			e := pt.ases.at(owner(c.Dir, c.From, c.To))
-			e.nChecks++
-			e.statuses |= 1 << c.Status
-			e.Stats.Add(c)
-			pt.sum.Checks.Add(c.Status)
-			if i < 2 { // the checks run from the origin side
-				pt.sum.FirstHop.Add(c.Status)
-			}
-			pt.statusChecks[c.Status]++
-			// A check is listed under a kind once per reason of that
-			// kind, not once per kind: /v1/reports?reason= pages over these.
-			for j := range c.Reasons {
-				e.reasons |= 1 << c.Reasons[j].Kind
-				pt.reasonChecks[c.Reasons[j].Kind]++
-			}
-			pt.pairs.add(c.From, c.To)
-		}
+		pt.agg.Add(*rep)
+	}
+	for _, st := range pt.agg.PerAS() {
+		pt.ases.at(st.ASN).nChecks = int(st.Imports.Total() + st.Exports.Total())
 	}
 }
 
-// merge sums the partitions' counts into the snapshot's entries and
-// summary, lays every index out at its exact size and gives each
-// partition its windows, and builds the AS lists, which need only the
-// entries' masks.
+// merge sums the partitions' AS counts into the snapshot's entries, lays
+// every index out at its exact size and gives each partition its
+// windows. Then it merges the partitions' partials into the first one,
+// whose stats the entries point at and whose counts are the summary, and
+// builds the AS lists from those stats.
 func (s *Snapshot) merge(parts []partition) {
 	s.perAS = make(map[ir.ASN]*ASEntry)
 	checks, origins := 0, 0
-	pairs := parts[0].pairs.m
 	for p := range parts {
 		pt := &parts[p]
 		pt.first = uint32(checks)
-		checks += pt.checks
+		checks += int(pt.agg.Checks.Total())
 		origins += pt.origins
 		for asn, t := range pt.ases.perAS {
 			e := s.perAS[asn]
@@ -135,28 +102,8 @@ func (s *Snapshot) merge(parts []partition) {
 			}
 			e.nChecks += t.nChecks
 			e.nRoutes += t.nRoutes
-			e.statuses |= t.statuses
-			e.reasons |= t.reasons
-			if t.nChecks > 0 {
-				if e.Stats == nil {
-					e.Stats = &report.ASStats{ASN: asn}
-					s.summary.ASes++
-				}
-				e.Stats.Merge(t.Stats)
-			}
-		}
-		s.summary.Routes += pt.sum.Routes
-		s.summary.IgnoredASSet += pt.sum.IgnoredASSet
-		s.summary.IgnoredSingleAS += pt.sum.IgnoredSingleAS
-		s.summary.Checks.Merge(&pt.sum.Checks)
-		s.summary.FirstHop.Merge(&pt.sum.FirstHop)
-		if p > 0 {
-			for k := range pt.pairs.m {
-				pairs[k] = struct{}{}
-			}
 		}
 	}
-	s.summary.Pairs = len(pairs)
 	s.checkRoute = make([]uint32, checks)
 
 	// One array for every AS's checks and one for every AS's routes,
@@ -175,13 +122,25 @@ func (s *Snapshot) merge(parts []partition) {
 	}
 	for st := range s.byStatus {
 		s.byStatus[st].Checks = split(parts, func(pt *partition) (int, *[]uint32) {
-			return pt.statusChecks[st], &pt.byStatus[st]
+			return int(pt.agg.Checks[st]), &pt.byStatus[st]
 		})
 	}
 	for k := range s.byReason {
 		s.byReason[k].Checks = split(parts, func(pt *partition) (int, *[]uint32) {
-			return pt.reasonChecks[k], &pt.byReason[k]
+			return int(pt.agg.ReasonChecks[k]), &pt.byReason[k]
 		})
+	}
+
+	agg := parts[0].agg
+	for p := 1; p < len(parts); p++ {
+		agg.Merge(parts[p].agg)
+	}
+	s.summary = Summary{
+		Routes: agg.Routes, IgnoredASSet: agg.IgnoredASSet, IgnoredSingleAS: agg.IgnoredSingleAS,
+		ASes: agg.NumASes(), Pairs: agg.NumPairs(), Checks: agg.Checks, FirstHop: agg.FirstHop,
+	}
+	for _, st := range agg.PerAS() {
+		s.perAS[st.ASN].Stats = st
 	}
 
 	s.asns = make([]ir.ASN, 0, len(s.perAS))
@@ -191,15 +150,19 @@ func (s *Snapshot) merge(parts []partition) {
 	slices.Sort(s.asns)
 	// One walk in ASN order leaves every AS list sorted.
 	for _, asn := range s.asns {
-		e := s.perAS[asn]
-		for st := range s.byStatus {
-			if e.statuses&(1<<st) != 0 {
-				s.byStatus[st].ASes = append(s.byStatus[st].ASes, asn)
+		st := s.perAS[asn].Stats
+		if st == nil {
+			continue
+		}
+		all := st.All()
+		for i := range s.byStatus {
+			if all[i] > 0 {
+				s.byStatus[i].ASes = append(s.byStatus[i].ASes, asn)
 			}
 		}
 		var causes report.CauseSet
 		for k := range s.byReason {
-			if e.reasons&(1<<k) == 0 {
+			if st.Reasons&(1<<k) == 0 {
 				continue
 			}
 			s.byReason[k].ASes = append(s.byReason[k].ASes, asn)
@@ -255,7 +218,7 @@ func (pt *partition) scatter(s *Snapshot) {
 		for i := range r.checks {
 			c := &r.checks[i]
 			s.checkRoute[ci] = uint32(ri)
-			e := pt.ases.at(owner(c.Dir, c.From, c.To))
+			e := pt.ases.at(report.Owner(c.Dir, c.From, c.To))
 			e.Checks = append(e.Checks, ci)
 			pt.byStatus[c.Status] = append(pt.byStatus[c.Status], ci)
 			for j := range c.Reasons {
@@ -287,31 +250,9 @@ func (c *asCursor) at(asn ir.ASN) *ASEntry {
 	}
 	e := c.perAS[asn]
 	if e == nil {
-		e = &ASEntry{Stats: &report.ASStats{ASN: asn}}
+		e = &ASEntry{}
 		c.perAS[asn] = e
 	}
 	m.asn, m.e = asn, e
 	return e
-}
-
-// pairSet collects the distinct (From, To) pairs of a partition's
-// checks through a direct-mapped memo of the pairs it saw last: a pair's
-// export and import checks are adjacent, and the pairs near the origins
-// of popular prefixes recur on path after path.
-type pairSet struct {
-	m    map[report.PairKey]struct{}
-	memo [4096]struct {
-		k  report.PairKey
-		ok bool
-	}
-}
-
-func (ps *pairSet) add(from, to ir.ASN) {
-	k := report.PairKey{From: from, To: to}
-	m := &ps.memo[((uint32(from)*0x9E3779B1^uint32(to))*0x85EBCA6B)>>20]
-	if m.ok && m.k == k {
-		return
-	}
-	ps.m[k] = struct{}{}
-	m.k, m.ok = k, true
 }

@@ -17,7 +17,10 @@ import (
 
 // refStore is the snapshot written the dumbest way: every index a map
 // of appended slices or of sets, sorted where the store promises order.
-// It shares no code with BuildSnapshot.
+// Its indexes share no code with BuildSnapshot. Its stats and summary
+// are one report.Aggregator pass over every report, the one-partition
+// case of the freeze, so at -cpu 2 and 4 they hold the merged
+// partitions' partials to a single pass.
 type refStore struct {
 	reports  []verify.RouteReport // the headers it was built from
 	checks   []verify.Check       // route by route, ignored routes skipped

@@ -41,16 +41,8 @@ type CheckRec struct {
 	Reasons []verify.Reason
 }
 
-// Owner returns the AS whose rule the check exercised (the AS the
-// check is attributed to, matching report.ASStats.Add).
-func (c CheckRec) Owner() ir.ASN { return owner(c.Dir, c.From, c.To) }
-
-func owner(dir ir.Direction, from, to ir.ASN) ir.ASN {
-	if dir == ir.DirExport {
-		return from
-	}
-	return to
-}
+// Owner returns the AS whose rule the check exercised (report.Owner).
+func (c CheckRec) Owner() ir.ASN { return report.Owner(c.Dir, c.From, c.To) }
 
 // RouteRec is one verified (or ignored) route. Its checks are the
 // numbers [CheckOff, CheckOff+CheckLen).
@@ -80,11 +72,7 @@ type ASEntry struct {
 	Checks []uint32
 	Routes []uint32
 
-	// statuses and reasons have one bit per status and reason kind
-	// among the AS's checks, which the freeze expands into the AS lists
-	// of the inverted indexes; nChecks and nRoutes count Checks and Routes.
-	statuses         uint8
-	reasons          uint32
+	// nChecks and nRoutes count Checks and Routes.
 	nChecks, nRoutes int
 }
 

@@ -75,8 +75,9 @@
 #      one the freeze-profiling recipe runs (BenchmarkBuildSnapshot)
 #   9. named smoke — the oracle's seed corpus (FuzzContracts,
 #      TestContractsSlowSeeds) and the
-#      origin-hash imbalance bound (TestShardImbalanceBounded, <= 2x),
-#      run by name for the record; the step fails unless each name
+#      origin-hash imbalance bound (TestShardImbalanceBounded, <= 2x)
+#      and the one-owner guards (TestOneDatabaseOwner,
+#      TestOneAggregationKernel), run by name for the record; the step fails unless each name
 #      prints its own --- PASS line, so a name that stops matching
 #      cannot pass by running nothing
 #  10. mirror smoke — generate a universe plus 3 evolution steps of
@@ -151,11 +152,11 @@ go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot: 1x each)"
 go test -run '^$' -bench . -benchtime 1x . ./internal/reportstore
 
-echo "== named smoke (FuzzContracts seed corpus, TestContractsSlowSeeds, imbalance bound, one database owner)"
+echo "== named smoke (FuzzContracts seed corpus, TestContractsSlowSeeds, imbalance bound, one database owner, one aggregation kernel)"
 # go test -run prints "no tests to run" and then ok when a name matches
 # nothing, so each name must print its own PASS line.
-named_out=$(go test -count=1 -run '^(FuzzContracts|TestContractsSlowSeeds|TestShardImbalanceBounded|TestOneDatabaseOwner)$' -v ./internal/oracle .)
-for name in FuzzContracts TestContractsSlowSeeds TestShardImbalanceBounded TestOneDatabaseOwner; do
+named_out=$(go test -count=1 -run '^(FuzzContracts|TestContractsSlowSeeds|TestShardImbalanceBounded|TestOneDatabaseOwner|TestOneAggregationKernel)$' -v ./internal/oracle .)
+for name in FuzzContracts TestContractsSlowSeeds TestShardImbalanceBounded TestOneDatabaseOwner TestOneAggregationKernel; do
     if ! echo "$named_out" | grep -q "^--- PASS: $name "; then
         echo "$name printed no --- PASS line" >&2
         exit 1
