@@ -527,3 +527,39 @@ func TestPathASNAnyCase(t *testing.T) {
 		}
 	}
 }
+
+// TestReasonListingRepeatsNoCheck: a check carrying three reasons of one
+// kind is listed once under that kind, alone and with a status filter,
+// whatever the page size.
+func TestReasonListingRepeatsNoCheck(t *testing.T) {
+	remote := func(asn ir.ASN) verify.Reason { return verify.Reason{Kind: verify.MatchRemoteAsNum, ASN: asn} }
+	reports := append(fixture(t), rep(t, "10.0.3.0/24", []ir.ASN{30, 50},
+		chk(50, 30, ir.DirExport, verify.Unverified, remote(1), remote(2), remote(3)),
+		chk(50, 30, ir.DirImport, verify.Unverified, remote(4)),
+	))
+	store := reportstore.New(nil)
+	store.Swap(reportstore.BuildSnapshot(reports))
+	s := NewServer(store, Config{}, NewMetrics(telemetry.NewRegistry("test")))
+	for _, base := range []string{"/v1/reports?reason=MatchRemoteAsNum", "/v1/reports?reason=MatchRemoteAsNum&status=unverified"} {
+		for _, limit := range []int{1, 2, 100} {
+			var dirs []string
+			path := base + "&limit=" + strconv.Itoa(limit)
+			for pages := 0; pages < 10; pages++ {
+				var page ReportsJSON
+				if code := get(t, s, path, &page); code != http.StatusOK {
+					t.Fatalf("%s = %d", path, code)
+				}
+				for _, c := range page.Checks {
+					dirs = append(dirs, c.Dir)
+				}
+				if page.NextCursor == "" {
+					break
+				}
+				path = base + "&limit=" + strconv.Itoa(limit) + "&cursor=" + page.NextCursor
+			}
+			if len(dirs) != 2 || dirs[0] != "export" || dirs[1] != "import" {
+				t.Errorf("%s, limit %d, listed the checks %v; want [export import]", base, limit, dirs)
+			}
+		}
+	}
+}

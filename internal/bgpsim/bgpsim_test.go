@@ -2,7 +2,13 @@ package bgpsim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"maps"
+	"net/netip"
+	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"rpslyzer/internal/asrel"
@@ -318,6 +324,281 @@ func TestCollectRoutesCommunityTagging(t *testing.T) {
 	for _, r := range stripped {
 		if len(r.Communities) != 0 {
 			t.Fatalf("route %v kept community despite stripping", r.Path)
+		}
+	}
+}
+
+// learned is the per-AS state while computing routes to one
+// destination.
+type learned struct {
+	class   routeClass
+	length  int
+	nextHop ir.ASN
+}
+
+// better reports whether candidate (class c, length l, next hop via nh)
+// beats the current state, using Gao–Rexford preference then shortest
+// path then lowest next-hop ASN.
+func (cur learned) better(c routeClass, l int, nh ir.ASN) bool {
+	if c != cur.class {
+		return c > cur.class
+	}
+	if l != cur.length {
+		return l < cur.length
+	}
+	return nh < cur.nextHop
+}
+
+// refPathsTo is the map-based solver PathsTo replaced, kept as its
+// reference. It computes, for every AS, its best AS-path to destination d
+// (the path starts at the AS and ends with d). ASes with no route map
+// to nil. The algorithm runs the classic three-phase propagation:
+//
+//  1. Customer routes climb provider links (BFS from d upward).
+//  2. ASes with customer routes (or d itself) export to peers.
+//  3. Routes descend provider-to-customer links.
+func refPathsTo(s *Simulator, d ir.ASN) map[ir.ASN][]ir.ASN {
+	rels := s.Topo.Rels
+	state := make(map[ir.ASN]learned, len(s.order))
+	state[d] = learned{class: classCustomer, length: 0, nextHop: d}
+
+	// Phase 1: climb provider links, BFS by path length so shorter
+	// customer routes win.
+	frontier := []ir.ASN{d}
+	length := 0
+	for len(frontier) > 0 {
+		length++
+		var next []ir.ASN
+		sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
+		for _, u := range frontier {
+			for _, p := range rels.Providers(u) {
+				cur, ok := state[p]
+				if !ok || cur.better(classCustomer, length, u) {
+					if !ok || cur.class != classCustomer || length < cur.length ||
+						(length == cur.length && u < cur.nextHop) {
+						if !ok {
+							next = append(next, p)
+						}
+						state[p] = learned{class: classCustomer, length: length, nextHop: u}
+					}
+				}
+			}
+		}
+		frontier = next
+	}
+
+	// Phase 2: peer exports from ASes holding customer routes (or d).
+	peerState := make(map[ir.ASN]learned)
+	for u, st := range state {
+		if st.class != classCustomer {
+			continue
+		}
+		for _, p := range rels.Peers(u) {
+			cand := learned{class: classPeer, length: st.length + 1, nextHop: u}
+			if cur, ok := peerState[p]; !ok || cur.better(classPeer, cand.length, u) {
+				if !ok || cand.length < cur.length || (cand.length == cur.length && u < cur.nextHop) {
+					peerState[p] = cand
+				}
+			}
+		}
+	}
+	for p, st := range peerState {
+		if cur, ok := state[p]; !ok || cur.class < classPeer {
+			state[p] = st
+		}
+	}
+
+	// Phase 3: descend provider->customer links, BFS by length over
+	// ASes that do not already hold a better route.
+	var downFrontier []ir.ASN
+	for u := range state {
+		downFrontier = append(downFrontier, u)
+	}
+	sort.Slice(downFrontier, func(i, j int) bool { return downFrontier[i] < downFrontier[j] })
+	for len(downFrontier) > 0 {
+		var next []ir.ASN
+		for _, u := range downFrontier {
+			st := state[u]
+			for _, c := range rels.Customers(u) {
+				cand := learned{class: classProvider, length: st.length + 1, nextHop: u}
+				cur, ok := state[c]
+				if !ok {
+					state[c] = cand
+					next = append(next, c)
+					continue
+				}
+				if cur.class == classProvider && (cand.length < cur.length ||
+					(cand.length == cur.length && u < cur.nextHop)) {
+					state[c] = cand
+					next = append(next, c)
+				}
+			}
+		}
+		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
+		downFrontier = next
+	}
+
+	// Materialize paths.
+	out := make(map[ir.ASN][]ir.ASN, len(state))
+	for u := range state {
+		out[u] = refReconstruct(u, d, state)
+	}
+	return out
+}
+
+func refReconstruct(u, d ir.ASN, state map[ir.ASN]learned) []ir.ASN {
+	path := []ir.ASN{u}
+	cur := u
+	for cur != d {
+		st, ok := state[cur]
+		if !ok || len(path) > len(state)+1 {
+			return nil // should not happen; guard against loops
+		}
+		cur = st.nextHop
+		path = append(path, cur)
+	}
+	return path
+}
+
+// checkPathsTo fails t unless PathsTo(d) and the reference give every
+// AS the same path.
+func checkPathsTo(t *testing.T, sim *Simulator, d ir.ASN) {
+	t.Helper()
+	got, want := sim.PathsTo(d), refPathsTo(sim, d)
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	ases := slices.Sorted(maps.Keys(want))
+	for a := range got {
+		if _, ok := want[a]; !ok {
+			ases = append(ases, a)
+		}
+	}
+	for _, a := range ases {
+		g, gok := got[a]
+		w, wok := want[a]
+		if gok != wok || !slices.Equal(g, w) {
+			t.Fatalf("path from AS%d to AS%d = %v (present %v), reference %v (present %v)", a, d, g, gok, w, wok)
+		}
+	}
+	t.Fatalf("paths to AS%d differ from the reference", d)
+}
+
+// TestPathsToMatchesReference holds the dense solver to the map-based
+// one it replaced, every AS's path to every destination, over the
+// hand-made diamond and generated topologies (one destination in 25 at
+// 2 000 ASes).
+func TestPathsToMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		topo  *topology.Topology
+		every int
+	}{
+		{"diamond", diamondTopo(), 1},
+		{"50/1", topology.Generate(topology.Config{Seed: 1, ASes: 50}), 1},
+		{"300/7", topology.Generate(topology.Config{Seed: 7, ASes: 300}), 1},
+		{"800/9", topology.Generate(topology.Config{Seed: 9, ASes: 800}), 1},
+		{"2000/42", topology.Generate(topology.Config{Seed: 42, ASes: 2000}), 25},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim := NewSimulator(c.topo)
+			for i := 0; i < len(c.topo.Order); i += c.every {
+				checkPathsTo(t, sim, c.topo.Order[i])
+			}
+		})
+	}
+}
+
+// fuzzTopo decodes data into a graph of at most 40 ASes: the first byte
+// sizes the pool, one bit per AS says whether it is in Order (an AS left
+// out can still have relationships), and every following byte triple is
+// a link: provider-to-customer, peer or none. The links may form p2c
+// cycles and self-links, and ASes may be left isolated. Every AS in Order
+// announces one prefix.
+func fuzzTopo(data []byte) *topology.Topology {
+	t := &topology.Topology{ASes: map[ir.ASN]*topology.AS{}, Rels: asrel.New()}
+	if len(data) == 0 {
+		return t
+	}
+	n := 1 + int(data[0])%40
+	data = data[1:]
+	asn := func(i int) ir.ASN { return ir.ASN(10 + 3*i) }
+	for i := 0; i < n; i++ {
+		if b := i / 8; b < len(data) && data[b]&(1<<(i%8)) != 0 {
+			continue
+		}
+		a := asn(i)
+		pfx := prefix.FromNetip(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16))
+		t.ASes[a] = &topology.AS{ASN: a, Prefixes: []prefix.Prefix{pfx}}
+		t.Order = append(t.Order, a)
+	}
+	data = data[min(len(data), (n+7)/8):]
+	for ; len(data) >= 3; data = data[3:] {
+		a, b := asn(int(data[1])%n), asn(int(data[2])%n)
+		switch data[0] % 3 {
+		case 0:
+			t.Rels.AddP2C(a, b)
+		case 1:
+			t.Rels.AddP2P(a, b)
+		}
+	}
+	return t
+}
+
+// FuzzPathsTo holds PathsTo to the reference on every destination of a
+// decoded graph, ASes outside Order and one outside the graph included,
+// and holds CollectRoutes' paths to the reference's paths from its peers.
+func FuzzPathsTo(f *testing.F) {
+	f.Add([]byte{5, 0, 0, 0, 1, 0, 1, 2, 1, 2, 0, 2, 3, 1, 3, 4})
+	f.Add([]byte{3, 0, 0, 0, 1, 0, 1, 2, 0, 1, 2, 0, 2, 0}) // p2c cycle
+	f.Add([]byte{8, 0x84, 0, 1, 2, 0, 0, 3, 1, 3, 4, 1, 5, 5, 0, 6, 6})
+	f.Add([]byte{40, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 1, 3, 1, 2, 3, 0, 3, 4, 0, 4, 5, 0, 2, 5, 1, 5, 6, 0, 6, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		topo := fuzzTopo(data)
+		sim := NewSimulator(topo)
+		dests := append(slices.Concat(topo.Order, topo.Rels.ASes()), 7)
+		for _, d := range dests {
+			checkPathsTo(t, sim, d)
+		}
+		peers := append(slices.Clone(dests[:min(len(dests), 3)]), 7, dests[0])
+		routes := sim.CollectRoutes([]Collector{{Name: "rrc00", Peers: peers[:2]}, {Name: "rrc01", Peers: peers[2:]}},
+			Options{PrependFrac: -1, ASSetFrac: -1})
+		var want []Route
+		for _, origin := range topo.Order {
+			ref := refPathsTo(sim, origin)
+			for _, p := range peers {
+				if path := ref[p]; path != nil {
+					want = append(want, Route{Prefix: topo.ASes[origin].Prefixes[0], Path: path})
+				}
+			}
+		}
+		if !reflect.DeepEqual(routes, want) {
+			t.Fatalf("CollectRoutes = %v, want %v", routes, want)
+		}
+	})
+}
+
+// TestCollectRoutesDigest pins the routes of two corpora, the ones
+// core.BuildSynthetic(Options{Seed: s, ASes: n}).CollectRoutes(c, s)
+// draws, each route hashed as prefix|path|as-set|communities in order.
+func TestCollectRoutesDigest(t *testing.T) {
+	for _, c := range []struct {
+		seed                   int64
+		ases, collectors, want int
+		digest                 string
+	}{
+		{7, 300, 4, 35_175, "e49d5fe9014b47a6"},
+		{9, 800, 12, 248_508, "37ca823fe2502d1f"},
+	} {
+		sim := NewSimulator(topology.Generate(topology.Config{Seed: c.seed, ASes: c.ases}))
+		routes := sim.CollectRoutes(sim.DefaultCollectors(c.collectors), Options{Seed: c.seed})
+		h := sha256.New()
+		for _, r := range routes {
+			fmt.Fprintf(h, "%s|%v|%v|%v\n", r.Prefix, r.Path, r.HasASSet, r.Communities)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); len(routes) != c.want || got != c.digest {
+			t.Errorf("seed %d, %d ASes, %d collectors: %d routes, digest %s; want %d, %s",
+				c.seed, c.ases, c.collectors, len(routes), got, c.want, c.digest)
 		}
 	}
 }

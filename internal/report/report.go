@@ -237,7 +237,7 @@ type Aggregator struct {
 	// pair only (the Section 5.2 first-hop analysis).
 	FirstHop StatusCounts
 	// ReasonChecks counts the checks by reason kind, a check once per
-	// reason it carries.
+	// kind it carries, however many reasons of that kind it has.
 	ReasonChecks [verify.NumReasons]int64
 }
 
@@ -297,10 +297,13 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 		// check and the Figure 6 causes of a relaxed or safelisted one.
 		special := c.Status == verify.Relaxed || c.Status == verify.Safelisted
 		filter := false // some rule's peering matched, so the filter failed
+		var kinds uint32
 		for j := range c.Reasons {
 			k := c.Reasons[j].Kind
-			a.ReasonChecks[k]++
-			s.Reasons |= 1 << k
+			if kinds&(1<<k) == 0 {
+				kinds |= 1 << k
+				a.ReasonChecks[k]++
+			}
 			filter = filter || k == verify.MatchFilter || k == verify.MatchFilterAsNum
 			switch cause, ok := CauseOfReason(k); {
 			case ok && c.Status == verify.Unrecorded && cause <= CauseMissingSet:
@@ -309,6 +312,7 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 				s.SpecialCauses = s.SpecialCauses.With(cause)
 			}
 		}
+		s.Reasons |= kinds
 		if c.Status == verify.Unverified {
 			if filter {
 				p.UnverifiedFilter++

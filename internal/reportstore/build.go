@@ -221,9 +221,12 @@ func (pt *partition) scatter(s *Snapshot) {
 			e := pt.ases.at(report.Owner(c.Dir, c.From, c.To))
 			e.Checks = append(e.Checks, ci)
 			pt.byStatus[c.Status] = append(pt.byStatus[c.Status], ci)
+			var kinds uint32 // a check is listed once per kind
 			for j := range c.Reasons {
-				k := c.Reasons[j].Kind
-				pt.byReason[k] = append(pt.byReason[k], ci)
+				if k := c.Reasons[j].Kind; kinds&(1<<k) == 0 {
+					kinds |= 1 << k
+					pt.byReason[k] = append(pt.byReason[k], ci)
+				}
 			}
 			ci++
 		}

@@ -89,7 +89,9 @@ func buildRef(reports []verify.RouteReport) *refStore {
 			ref.byStatus[c.Status] = append(ref.byStatus[c.Status], ci)
 			mark(ref.statusAS, c.Status, o)
 			for _, r := range c.Reasons {
-				ref.byReason[r.Kind] = append(ref.byReason[r.Kind], ci)
+				if list := ref.byReason[r.Kind]; len(list) == 0 || list[len(list)-1] != ci {
+					ref.byReason[r.Kind] = append(list, ci)
+				}
 				mark(ref.reasonAS, r.Kind, o)
 				if cause, ok := report.CauseOfReason(r.Kind); ok {
 					mark(ref.causeAS, cause, o)

@@ -2,6 +2,7 @@ package reportstore
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"rpslyzer/internal/bgpsim"
@@ -235,5 +236,45 @@ func TestEmptySnapshot(t *testing.T) {
 	}
 	if sum := snap.Summary(); sum != (Summary{}) {
 		t.Errorf("empty snapshot summary = %+v, want zero", sum)
+	}
+}
+
+// TestReasonListsHoldACheckOnce: a check with several reasons of one
+// kind is listed under that kind once, so every reason list is strictly
+// increasing and holds exactly the checks that carry its kind.
+func TestReasonListsHoldACheckOnce(t *testing.T) {
+	reports := storeFixture(t)
+	repeats := 0
+	for _, rep := range reports {
+		for _, c := range rep.Checks {
+			var kinds uint32
+			for _, r := range c.Reasons {
+				if kinds&(1<<r.Kind) != 0 {
+					repeats++
+				}
+				kinds |= 1 << r.Kind
+			}
+		}
+	}
+	if repeats == 0 {
+		t.Fatal("no check in the fixture carries two reasons of one kind")
+	}
+	snap := BuildSnapshot(reports)
+	for k := verify.ReasonKind(0); int(k) < verify.NumReasons; k++ {
+		var want []uint32
+		for ci := uint32(0); ci < uint32(snap.NumChecks()); ci++ {
+			if slices.ContainsFunc(snap.Check(ci).Reasons, func(r verify.Reason) bool { return r.Kind == k }) {
+				want = append(want, ci)
+			}
+		}
+		got := snap.ByReason(k).Checks
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("ByReason(%v).Checks[%d:%d] = %v: not strictly increasing", k, i-1, i+1, got[i-1:i+1])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("ByReason(%v).Checks: %d entries, want the %d checks of that kind", k, len(got), len(want))
+		}
 	}
 }

@@ -43,9 +43,12 @@
 #      included; the route dump reader, which parses routes.txt in
 #      GOMAXPROCS line ranges (TestDumpRoundTripRandom,
 #      TestReadDumpErrorLines, TestReadDumpOverlongLine,
-#      TestReadDumpPathsAreCapped); and the incremental engine's
-#      dirtying index, built over GOMAXPROCS route ranges, against the
-#      serial build it replaced (TestIndexRoutesMatchesReference); and,
+#      TestReadDumpPathsAreCapped); the route simulator, which solves
+#      GOMAXPROCS origin ranges, against the map-based solver it
+#      replaced (TestPathsToMatchesReference) and against the route
+#      digests of two corpora (TestCollectRoutesDigest); and the
+#      incremental engine's dirtying index, built over GOMAXPROCS route
+#      ranges, against the serial build it replaced (TestIndexRoutesMatchesReference); and,
 #      under the race detector, the route database's index, whose trie
 #      builds beside per-origin tables built over GOMAXPROCS origin
 #      ranges, against linear scans of its routes, fresh and after
@@ -57,7 +60,9 @@
 #      (FuzzReaderMatchesReference) and chunked parsing at any chunk
 #      size against the whole text as one chunk (FuzzSplitDump); of the
 #      route dump reader against its scanner-based reference
-#      (FuzzReadDumpMatchesReference); and of the store
+#      (FuzzReadDumpMatchesReference); of the route simulator against
+#      its map-based reference on decoded graphs of up to 40 ASes
+#      (FuzzPathsTo); and of the store
 #      freeze against its maps-and-sort reference over reports whose
 #      reason lists alias, nest and repeat (FuzzFreeze); of the API
 #      encoder's string escaping against json.Marshal on arbitrary
@@ -130,21 +135,22 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the dirtying index, the route database's index at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the route database's index at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^(FuzzContracts|TestContractsSlowSeeds)$' ./internal/oracle
 go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObject|TestLoadDumpDirFailsOnReadError)$' ./internal/core
-go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped)$' ./internal/bgpsim
+go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped|TestPathsToMatchesReference|TestCollectRoutesDigest)$' ./internal/bgpsim
 go test -cpu 1,2,4 -run '^TestIndexRoutesMatchesReference$' ./internal/verify
 go test -race -cpu 1,2,4 -run '^(TestNewShardedEquivalence|TestShardedMutationEquivalence|TestShardRouteCountsCloneIsolation)$' ./internal/irr
 
-echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzFreeze, FuzzAppendJSONString: 10s each; FuzzContracts: 60s)"
+echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzPathsTo, FuzzFreeze, FuzzAppendJSONString: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzReaderMatchesReference$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
 go test -run '^$' -fuzz '^FuzzReadDumpMatchesReference$' -fuzztime 10s ./internal/bgpsim
+go test -run '^$' -fuzz '^FuzzPathsTo$' -fuzztime 10s ./internal/bgpsim
 go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
 go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime 10s ./internal/api
 go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
