@@ -158,8 +158,8 @@ const maxInstrumentationOverhead = 0.12
 // routes/s are the median instrumented sweep.
 func BenchmarkVerifyAllTraced(b *testing.B) {
 	f := getFixture(b)
-	bare := verify.New(f.sys.DB, f.sys.Rels, verify.Config{Eval: "compiled"})
-	v := verify.New(f.sys.DB, f.sys.Rels, verify.Config{Eval: "compiled"})
+	bare := verify.New(f.sys.DB, f.sys.Rels, verify.Config{})
+	v := verify.New(f.sys.DB, f.sys.Rels, verify.Config{})
 	reg := telemetry.NewRegistry("bench-traced")
 	tr := trace.New(trace.Config{Sample: map[string]int{"verify": 1024, "compile": 16}})
 	prof := verify.NewProfiler(64)

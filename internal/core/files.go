@@ -34,27 +34,32 @@ func WriteUniverse(sys *System, routes []bgpsim.Route, dir string) error {
 			return err
 		}
 	}
-	relF, err := os.Create(filepath.Join(dir, "as-rel.txt"))
-	if err != nil {
-		return err
+	return writeRelsAndRoutes(dir, sys.Rels, routes, routes != nil)
+}
+
+// writeRelsAndRoutes writes rels to dir as "as-rel.txt" (CAIDA format)
+// and, with withRoutes, routes as "routes.txt".
+func writeRelsAndRoutes(dir string, rels *asrel.Database, routes []bgpsim.Route, withRoutes bool) error {
+	type file struct {
+		name  string
+		write func(io.Writer) error
 	}
-	if err := sys.Rels.WriteCAIDA(relF); err != nil {
-		relF.Close()
-		return err
+	files := []file{{"as-rel.txt", rels.WriteCAIDA}}
+	if withRoutes {
+		files = append(files, file{"routes.txt", func(w io.Writer) error { return bgpsim.WriteDump(w, routes) }})
 	}
-	if err := relF.Close(); err != nil {
-		return err
-	}
-	if routes != nil {
-		rf, err := os.Create(filepath.Join(dir, "routes.txt"))
+	for _, fl := range files {
+		f, err := os.Create(filepath.Join(dir, fl.name))
 		if err != nil {
 			return err
 		}
-		if err := bgpsim.WriteDump(rf, routes); err != nil {
-			rf.Close()
+		if err := fl.write(f); err != nil {
+			f.Close()
 			return err
 		}
-		return rf.Close()
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -110,29 +115,9 @@ func WriteUniverseStream(opts Options, collectors int, routeSeed int64, dir stri
 		}
 	}
 
-	relF, err := os.Create(filepath.Join(dir, "as-rel.txt"))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := topo.Rels.WriteCAIDA(relF); err != nil {
-		relF.Close()
-		return nil, nil, err
-	}
-	if err := relF.Close(); err != nil {
-		return nil, nil, err
-	}
-
 	sim := bgpsim.NewSimulator(topo)
 	routes := sim.CollectRoutes(sim.DefaultCollectors(collectors), bgpsim.Options{Seed: routeSeed})
-	rf, err := os.Create(filepath.Join(dir, "routes.txt"))
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := bgpsim.WriteDump(rf, routes); err != nil {
-		rf.Close()
-		return nil, nil, err
-	}
-	if err := rf.Close(); err != nil {
+	if err := writeRelsAndRoutes(dir, topo.Rels, routes, true); err != nil {
 		return nil, nil, err
 	}
 	return u, routes, nil

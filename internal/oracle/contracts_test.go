@@ -33,7 +33,7 @@ import (
 
 const (
 	c1 = "C1 load"
-	c2 = "C2 compiled≡interpreter"
+	c2 = "C2 compiled≡reference"
 	c3 = "C3 bulk drivers"
 	c4 = "C4 sharded≡unsharded"
 	c5 = "C5 incremental≡full"
@@ -69,12 +69,11 @@ func (p *pass) cfg(shards int) verify.Config {
 	return cfg
 }
 
-// interpret verifies every route over db through the tree-walking
-// interpreter, the reference C2 holds the compiled engine to.
-func (p *pass) interpret(db *irr.Database) []verify.RouteReport {
-	cfg := p.cfg(1)
-	cfg.Eval = "interp"
-	return verify.New(db, p.rels, cfg).VerifyAll(p.routes, 1)
+// reference verifies every route over db through the whole-route
+// reference verifier (reference_test.go), which C2 holds the compiled
+// engine to.
+func (p *pass) reference(db *irr.Database) []verify.RouteReport {
+	return newReference(db, p.rels, p.d.cfg).verifyAll(p.routes)
 }
 
 // load is C1. The universe goes to disk as cmd/irrgen writes it and
@@ -141,7 +140,7 @@ func (p *pass) base() {
 	ref := verify.New(p.db1, p.rels, p.cfg(1)).VerifyAll(p.routes, 1)
 	refJSONL := jsonl(p.t, ref)
 
-	p.same(c2, "VerifyAll through the interpreter", p.interpret(p.db1), ref)
+	p.same(c2, "the reference verifier", p.reference(p.db1), ref)
 
 	p.fresh = verify.New(p.dbN, p.rels, p.cfg(d.shards)).VerifyAll(p.routes, d.workers)
 	p.sameJSONL(c4, fmt.Sprintf("VerifyAll at %d shards", d.shards), jsonl(p.t, p.fresh), refJSONL)
@@ -245,7 +244,7 @@ func (p *pass) steps() {
 		}
 	}
 
-	p.same(c2, "VerifyAll through the interpreter on the mirrored database", p.interpret(mir.DB()), p.fresh)
+	p.same(c2, "the reference verifier on the mirrored database", p.reference(mir.DB()), p.fresh)
 
 	if rec := inc.Reconcile(d.workers); rec.Drift != 0 {
 		p.fail(c5, "Reconcile after %d steps: drift on %d of %d routes", d.steps, rec.Drift, rec.Routes)

@@ -8,7 +8,8 @@
 //
 //	C1 load: one worker in default chunks ≡ the drawn workers in 2 KiB
 //	   chunks; render → reparse → render is a fixed point
-//	C2 compiled ≡ interpreter (Config.Eval "interp")
+//	C2 compiled ≡ the whole-route reference of reference_test.go, which
+//	   shares no code with internal/verify but its result types
 //	C3 bulk drivers: VerifyAll at any partition count ≡ VerifyAll at one
 //	   ≡ VerifyStream as a multiset ≡ VerifyRoute route by route
 //	C4 partitioned verify ≡ one partition, whois over both loads

@@ -8,6 +8,7 @@ import (
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/prefix"
 )
 
 // This file is the compile stage of the evaluation core: it lowers an
@@ -23,17 +24,33 @@ import (
 // construction; to observe database updates, clone the database and
 // build a new Verifier (the existing snapshot discipline).
 //
-// Semantics contract: every program mirrors the tree-walking
-// interpreter in eval.go node for node, including evaluation order and
-// the exact Reason values appended, so compiled and interpreted runs
-// produce byte-identical reports (differential_test.go enforces this).
+// Semantics contract: a check's report must equal, byte for byte,
+// what internal/oracle's whole-route reference (reference_test.go)
+// computes by walking the ir trees directly on every check: status,
+// and the exact Reason values after sorting and de-duplication. The
+// oracle's C2 contract holds every draw to it.
+
+// triState is the outcome of pure filter evaluation.
+type triState uint8
+
+const (
+	triNoMatch triState = iota
+	triMatch
+	triUnrecorded
+)
+
+// filterEval is the result of evaluating one filter.
+type filterEval struct {
+	state   triState
+	reasons []Reason
+}
 
 // filterProg evaluates one compiled filter against a route context.
 type filterProg func(ctx *evalCtx) filterEval
 
 // peeringProg evaluates one compiled peering. Mismatch diagnostics
 // accumulate functionally: the program returns acc, possibly grown,
-// with exactly the Reasons evalPeering would have appended. Passing
+// with the Reasons of every leaf that did not hold. Passing
 // the accumulator by value instead of by pointer keeps its header off
 // the heap (a *[]Reason argument to an indirect call escapes), and
 // lets a program whose accumulator is empty return a shared baked
@@ -196,8 +213,8 @@ func (v *Verifier) compileFactor(f *ir.PolicyFactor, rec *depgraph.Recorder) fac
 	// The skip decision depends only on the literal filter tree and
 	// the config, so it bakes into a constant. The checks look at the
 	// tree as written: a community filter hidden inside a filter-set
-	// body does not trigger the factor-level skip (the interpreter
-	// dereferences filter-sets only after these checks).
+	// body does not trigger the factor-level skip (filter-sets are
+	// dereferenced only after these checks).
 	var skipReasons []Reason
 	switch {
 	case f.Filter == nil:
@@ -419,7 +436,7 @@ func (v *Verifier) compileFilter(f *ir.Filter, depth int, rec *depgraph.Recorder
 	case ir.FilterCommunity:
 		// Reached with InterpretCommunities off only when inlined from
 		// a filter-set body (the factor-level skip looks at the literal
-		// tree); the interpreter evaluates those to no-match.
+		// tree); those evaluate to no-match.
 		comms, valid := parseCommunityCall(f.Call)
 		if !v.cfg.InterpretCommunities || !valid {
 			return constFilter(filterEval{state: triNoMatch, reasons: reasonMatchFilter})
@@ -432,8 +449,8 @@ func (v *Verifier) compileFilter(f *ir.Filter, depth int, rec *depgraph.Recorder
 			return miss
 		}
 	}
-	// FilterUnsupported nested below the factor level: no match,
-	// matching the interpreter's conservative fallback.
+	// FilterUnsupported nested below the factor level: no match, the
+	// conservative fallback.
 	return constFilter(filterEval{state: triNoMatch, reasons: reasonMatchFilter})
 }
 
@@ -487,7 +504,7 @@ func communitiesContainAll(want, have []bgpsim.Community) bool {
 
 // compilePeering compiles one peering. Peering-sets are expanded at
 // compile time up to the depth bound; cyclic references terminate at
-// the bound exactly like the interpreter's runtime recursion.
+// the bound.
 func (v *Verifier) compilePeering(p *ir.Peering, depth int, rec *depgraph.Recorder) peeringProg {
 	if p.PeeringSet != "" {
 		rec.Add(depgraph.PeeringSetKey(p.PeeringSet))
@@ -621,8 +638,9 @@ func (v *Verifier) compileRelaxations(f *ir.PolicyFactor, rec *depgraph.Recorder
 	if fIsASN {
 		fASN = f.Filter.ASN
 	}
-	// peeringIsExactlyASN(peerings, x) can only hold when every peering
-	// is the same literal AS number; precompute that number.
+	// Import Customer needs every peering to be the peer's own AS
+	// number, which can only hold when every peering is the same
+	// literal AS number; precompute that number.
 	peerExact := len(f.Peerings) > 0
 	var peerASN ir.ASN
 	for i := range f.Peerings {
@@ -697,4 +715,72 @@ func (v *Verifier) compileNamesOrigin(f *ir.Filter, rec *depgraph.Recorder) func
 		}
 	}
 	return no
+}
+
+// filterHasComplexRegex reports whether the filter tree contains a
+// path regex using ASN ranges or same-pattern operators (the paper's
+// 58 future-work rules).
+func filterHasComplexRegex(f *ir.Filter) bool {
+	found := false
+	f.Walk(func(n *ir.Filter) {
+		if n.Kind != ir.FilterPathRegex {
+			return
+		}
+		n.Regex.WalkTerms(func(t *ir.PathTerm) {
+			if t.Kind == ir.PathASRange {
+				found = true
+			}
+		})
+		n.Regex.WalkNodes(func(nd *ir.PathNode) {
+			if nd.Kind == ir.PathRepeat && nd.Same {
+				found = true
+			}
+		})
+	})
+	return found
+}
+
+// evalOriginFilter implements the "predefined set object" semantics of
+// an ASN used as a filter: the prefixes of route objects whose origin
+// is that AS. An AS with no route objects at all is an unrecorded case
+// (the paper's "zero-route AS").
+func (v *Verifier) evalOriginFilter(asn ir.ASN, op prefix.RangeOp, ctx *evalCtx) filterEval {
+	tbl, ok := v.DB.RouteTable(asn)
+	if !ok {
+		return filterEval{state: triUnrecorded,
+			reasons: []Reason{{Kind: UnrecordedZeroRouteAS, ASN: asn}}}
+	}
+	if tbl.ContainsWithOp(ctx.pfx, op) {
+		return filterEval{state: triMatch}
+	}
+	return filterEval{state: triNoMatch,
+		reasons: []Reason{{Kind: MatchFilterAsNum, ASN: asn}}}
+}
+
+func combineAnd(l, r filterEval) filterEval {
+	switch {
+	case l.state == triMatch && r.state == triMatch:
+		return filterEval{state: triMatch}
+	case l.state == triNoMatch || r.state == triNoMatch:
+		return filterEval{state: triNoMatch, reasons: append(l.reasons, r.reasons...)}
+	default:
+		return filterEval{state: triUnrecorded, reasons: append(l.reasons, r.reasons...)}
+	}
+}
+
+// prefixRegisteredToConeOf reports whether the route's prefix has a
+// route object originated by asn or any AS in asn's customer cone
+// (the Appendix C semantics of the Export Self relaxation).
+func (v *Verifier) prefixRegisteredToConeOf(asn ir.ASN, ctx *evalCtx) bool {
+	origins := v.DB.OriginsOf(ctx.pfx)
+	if len(origins) == 0 {
+		return false
+	}
+	cone := v.customerCone(asn)
+	for _, o := range origins {
+		if o == asn || cone[o] {
+			return true
+		}
+	}
+	return false
 }

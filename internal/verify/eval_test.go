@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -206,6 +207,26 @@ import: from AS2 accept ANY
 	}
 }
 
+// TestReasonsSortedOnce: rules that fail for the same reason report it
+// once, and a check's reasons come sorted, through either entry point.
+func TestReasonsSortedOnce(t *testing.T) {
+	text := `
+aut-num: AS1
+import: from AS4 accept ANY
+import: from AS3 accept ANY
+import: from AS3 accept ANY
+`
+	v := fixture(t, text, nil, Config{})
+	r := route("192.0.2.0/24", 1, 2)
+	want := []Reason{{Kind: MatchRemoteAsNum, ASN: 3}, {Kind: MatchRemoteAsNum, ASN: 4}}
+	for name, rep := range map[string]RouteReport{"VerifyRoute": v.VerifyRoute(r), "VerifyAll": v.VerifyAll([]bgpsim.Route{r, r}, 1)[1]} {
+		imp := checkFor(t, rep, 2, 1, ir.DirImport)
+		if imp.Status != Unverified || !slices.Equal(imp.Reasons, want) {
+			t.Errorf("%s: import = %v, want unverified with %v", name, imp, want)
+		}
+	}
+}
+
 func TestUnrecordedBeatsRelaxed(t *testing.T) {
 	// The ladder places Unrecorded before Relaxed: a rule referencing
 	// a missing set plus a would-relax rule yields Unrecorded.
@@ -373,10 +394,13 @@ func TestCommunityFilterMatchesHelper(t *testing.T) {
 		"(banana)":           false,
 		".delete(65000:1)":   false,
 		"no-parens":          false,
+		".==(65000:1)":       true,
+		"(65000:1 65000:2)":  false,
 	}
 	for call, want := range cases {
-		if got := communityFilterMatches(call, have); got != want {
-			t.Errorf("communityFilterMatches(%q) = %v, want %v", call, got, want)
+		comms, ok := parseCommunityCall(call)
+		if got := ok && communitiesContainAll(comms, have); got != want {
+			t.Errorf("%q matches %v, want %v", call, got, want)
 		}
 	}
 }

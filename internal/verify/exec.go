@@ -3,9 +3,41 @@ package verify
 import (
 	"time"
 
+	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/depgraph"
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/prefix"
 )
+
+// evalCtx carries the route context through rule evaluation.
+type evalCtx struct {
+	// pfx is the route prefix P.
+	pfx prefix.Prefix
+	// path is the prepend-deduplicated AS-path, collector side first,
+	// origin last.
+	path []ir.ASN
+	// origin is path's last AS.
+	origin ir.ASN
+	// self is the AS whose rule is being evaluated; peer is the other
+	// AS of the pair (resolves the PeerAS keyword).
+	self, peer ir.ASN
+	// dir is the rule direction being checked.
+	dir ir.Direction
+	// prevAS is the AS the route came from before reaching self (the
+	// next AS towards the origin); 0 when self is the origin. Used by
+	// the Export Self relaxation.
+	prevAS ir.ASN
+	// communities carries the route's observed community attributes
+	// for the optional community-interpretation mode.
+	communities []bgpsim.Community
+	// scratch is a reusable reason accumulator: execAutNum appends
+	// into it and the arena's dedupReasons copies out, so the buffer
+	// (and its grown capacity) survives across the checks of a route.
+	scratch []Reason
+	// arena backs the check's retained reason slices and carries the
+	// per-goroutine memos; never nil.
+	arena *reportArena
+}
 
 // program returns the compiled program for an aut-num, compiling and
 // caching it on first use. Concurrent first uses may compile twice;
@@ -44,8 +76,10 @@ func (v *Verifier) program(an *ir.AutNum) (prog *autnumProg, cached bool) {
 }
 
 // execAutNum runs the aut-num's compiled rule programs for the check
-// direction, mirroring the interpreter's rule loop: earliest status on
-// the ladder wins, Verified short-circuits, diagnostics accumulate.
+// direction: earliest status on the ladder wins, Verified
+// short-circuits, diagnostics accumulate (evalCheck sorts and
+// de-duplicates them). internal/oracle's reference runs the same rule
+// loop over the ir trees, and C2 holds the two to equal reports.
 func (v *Verifier) execAutNum(an *ir.AutNum, ctx *evalCtx) (Status, []Reason) {
 	// The arena memoizes the last program looked up: consecutive checks
 	// share their self AS, so this skips half the cache-map loads.
@@ -88,25 +122,6 @@ func (v *Verifier) execAutNum(an *ir.AutNum, ctx *evalCtx) (Status, []Reason) {
 	}
 	if best == Verified {
 		return Verified, nil
-	}
-	return best, reasons
-}
-
-// interpRules is the tree-walking equivalent of execAutNum
-// (Config.Eval == "interp"): the reference implementation the
-// differential tests hold the compiled engine to.
-func (v *Verifier) interpRules(rules []ir.Rule, ctx *evalCtx) (Status, []Reason) {
-	best := Unverified
-	var reasons []Reason
-	for i := range rules {
-		st, rs := v.evalRule(&rules[i], ctx)
-		if st < best {
-			best = st
-			if st == Verified {
-				return Verified, nil
-			}
-		}
-		reasons = append(reasons, rs...)
 	}
 	return best, reasons
 }

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -89,14 +88,11 @@ type ReconcileResult struct {
 	Duration      time.Duration
 }
 
-// NewIncremental builds the engine around a fresh Verifier.
-// Incremental re-verification requires the compiled evaluation engine
-// (the interpreter resolves sets at run time, leaving no per-program
-// dependency record).
+// NewIncremental builds the engine around a fresh Verifier. It
+// returns an error for a Config.Eval other than "" or "compiled".
 func NewIncremental(db *irr.Database, rels *asrel.Database, cfg Config) (*Incremental, error) {
-	cfg.fill()
-	if cfg.Eval == "interp" {
-		return nil, fmt.Errorf("verify: incremental re-verification requires the compiled engine (eval=interp unsupported)")
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	inc := &Incremental{
 		v:     New(db, rels, cfg),

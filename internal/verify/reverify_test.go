@@ -42,11 +42,20 @@ var custRoutes = []bgpsim.Route{{Prefix: prefix.MustParse("192.0.2.0/24"), Path:
 func TestNewIncrementalRejectsConfigs(t *testing.T) {
 	db := irr.New(core.ParseText(custRPSL, "TEST"))
 	if _, err := verify.NewIncremental(db, asrel.New(), verify.Config{Eval: "interp"}); err == nil {
-		t.Error("interp engine accepted")
+		t.Error("NewIncremental accepted Eval \"interp\"")
 	}
-	if _, err := verify.NewIncremental(db, asrel.New(), verify.Config{}); err != nil {
-		t.Errorf("default config rejected: %v", err)
+	for _, eval := range []string{"", "compiled"} {
+		if _, err := verify.NewIncremental(db, asrel.New(), verify.Config{Eval: eval}); err != nil {
+			t.Errorf("NewIncremental rejected Eval %q: %v", eval, err)
+		}
+		verify.New(db, asrel.New(), verify.Config{Eval: eval})
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted Eval \"interp\"")
+		}
+	}()
+	verify.New(db, asrel.New(), verify.Config{Eval: "interp"})
 }
 
 // TestEvictedProgramKeepsItsEdges is the bench's universe-7 drift (32 of

@@ -224,20 +224,12 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 		rules = an.Exports
 	}
 	if len(rules) == 0 {
-		c.Status = v.safelist(ctx, Unrecorded, c)
-		if c.Status == Unrecorded {
-			c.Reasons = a.canonical([]Reason{{Kind: UnrecordedNoRules}}, nil)
-		}
+		c.Status = Unrecorded
+		c.Reasons = a.canonical([]Reason{{Kind: UnrecordedNoRules}}, nil)
 		return
 	}
 
-	var best Status
-	var reasons []Reason
-	if v.useInterp {
-		best, reasons = v.interpRules(rules, ctx)
-	} else {
-		best, reasons = v.execAutNum(an, ctx)
-	}
+	best, reasons := v.execAutNum(an, ctx)
 	if best == Verified {
 		c.Status = Verified
 		return
@@ -245,40 +237,44 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 	// Safelist checks only improve on Unverified (the ladder places
 	// them after Relaxed); a safelisted check keeps the mismatch
 	// diagnostics ahead of the safelist reason.
+	var item []Reason
 	if best == Unverified {
-		best = v.safelist(ctx, best, c)
+		if item = v.safelist(ctx); item != nil {
+			best = Safelisted
+		}
 	}
 	c.Status = best
-	c.Reasons = a.dedupReasons(reasons, c.Reasons)
+	c.Reasons = a.dedupReasons(reasons, item)
 }
 
+// The safelist's report items, one per Section 5.1.2 relationship.
+var (
+	reasonOnlyProviderPolicies = bake(Reason{Kind: SpecOnlyProviderPolicies})
+	reasonTier1Pair            = bake(Reason{Kind: SpecTier1Pair})
+	reasonUphill               = bake(Reason{Kind: SpecUphill})
+)
+
 // safelist applies the Section 5.1.2 safelisted-relationship checks in
-// order; it returns Safelisted (appending the matching reason to the
-// check) or the provided fallback status.
-//
-// Note the paper's ladder places Unrecorded before Safelisted; the
-// no-rules unrecorded case therefore stays Unrecorded. Exception: the
-// paper's Appendix C example shows uphill exports with no matching
-// rules still reported with the safelist item, so safelist reasons are
-// also attached when they explain an unrecorded hop — but the status
-// remains governed by the ladder.
-func (v *Verifier) safelist(ctx *evalCtx, fallback Status, c *Check) Status {
-	if fallback != Unverified || v.cfg.Strict {
-		return fallback
+// order to an Unverified check and returns the item of the first that
+// holds, or nil (always nil in strict mode). The paper's ladder places
+// Unrecorded before Safelisted, so evalCheck never consults it for a
+// check with no aut-num or no rules: those stay Unrecorded and carry
+// no safelist item.
+func (v *Verifier) safelist(ctx *evalCtx) []Reason {
+	if v.cfg.Strict {
+		return nil
 	}
 	// Only Provider Policies: the AS defines rules only for its
 	// providers; safelist imports from customers and peers.
 	if ctx.dir == ir.DirImport && v.d.onlyProviderPolicies[ctx.self] {
 		rel := v.Rels.Rel(ctx.peer, ctx.self)
 		if rel == asrel.Customer || rel == asrel.Peer {
-			c.Reasons = ctx.arena.canonical([]Reason{{Kind: SpecOnlyProviderPolicies}}, nil)
-			return Safelisted
+			return reasonOnlyProviderPolicies
 		}
 	}
 	// Tier-1 peering.
 	if v.Rels.IsTier1(ctx.self) && v.Rels.IsTier1(ctx.peer) {
-		c.Reasons = ctx.arena.canonical([]Reason{{Kind: SpecTier1Pair}}, nil)
-		return Safelisted
+		return reasonTier1Pair
 	}
 	// Uphill customer-provider propagation: the exporter is a customer
 	// of the importer. The origin's own export is deliberately NOT
@@ -289,16 +285,15 @@ func (v *Verifier) safelist(ctx *evalCtx, fallback Status, c *Check) Status {
 	if ctx.dir == ir.DirExport {
 		exporter, importer = ctx.self, ctx.peer
 		if exporter == ctx.origin {
-			return fallback
+			return nil
 		}
 	} else {
 		exporter, importer = ctx.peer, ctx.self
 	}
 	if v.Rels.Rel(exporter, importer) == asrel.Customer {
-		c.Reasons = ctx.arena.canonical([]Reason{{Kind: SpecUphill}}, nil)
-		return Safelisted
+		return reasonUphill
 	}
-	return fallback
+	return nil
 }
 
 // dedupePrependsInto appends p to out with consecutive duplicate ASes

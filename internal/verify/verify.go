@@ -227,13 +227,11 @@ func (c Check) String() string {
 
 // Config tunes the verifier.
 type Config struct {
-	// Eval selects the evaluation engine. "compiled" (the default)
-	// lowers each aut-num's rules once into flat predicate programs —
-	// set references resolved to flattened tables, filter-sets
-	// inlined, regexes compiled — and executes those; "interp" walks
-	// the ir policy trees directly on every check. The interpreter is
-	// the reference the differential tests hold the compiled engine to;
-	// both produce identical reports.
+	// Eval is deprecated: the verifier has one evaluation engine, which
+	// lowers each aut-num's rules once into flat predicate programs
+	// (compile.go) and executes those. Only "" and "compiled" are
+	// accepted; New panics on any other value and NewIncremental
+	// returns an error. The field goes once no caller sets it.
 	Eval string
 	// SkipComplexRegex makes the verifier skip rules whose AS-path
 	// regexes use ASN ranges or same-pattern operators, exactly
@@ -266,10 +264,12 @@ type Config struct {
 // maxFilterSetDepth bounds filter-set dereference chains.
 const maxFilterSetDepth = 10
 
-func (c *Config) fill() {
-	if c.Eval == "" {
-		c.Eval = "compiled"
+// check rejects a Config.Eval naming anything but the compiled engine.
+func (c *Config) check() error {
+	if c.Eval != "" && c.Eval != "compiled" {
+		return fmt.Errorf("verify: Config.Eval %q: the compiled engine is the only one", c.Eval)
 	}
+	return nil
 }
 
 // Verifier verifies routes against a merged IRR database using an AS
@@ -279,9 +279,6 @@ type Verifier struct {
 	DB   *irr.Database
 	Rels *asrel.Database
 	cfg  Config
-
-	// useInterp selects the tree-walking evaluator (Config.Eval).
-	useInterp bool
 
 	// d is everything the verifier derives from DB and caches; see
 	// derived, resync and evict.
@@ -414,15 +411,13 @@ func (v *Verifier) SetDepGraph(g *depgraph.Graph) { v.graph = g }
 // fan-out time.
 func (v *Verifier) SetShardMetrics(m *shard.Metrics) { v.shardMetrics = m }
 
-// New creates a Verifier.
+// New creates a Verifier. It panics on a Config.Eval other than "" or
+// "compiled".
 func New(db *irr.Database, rels *asrel.Database, cfg Config) *Verifier {
-	cfg.fill()
-	v := &Verifier{
-		DB:        db,
-		Rels:      rels,
-		cfg:       cfg,
-		useInterp: cfg.Eval == "interp",
+	if err := cfg.check(); err != nil {
+		panic(err)
 	}
+	v := &Verifier{DB: db, Rels: rels, cfg: cfg}
 	v.d = v.newDerived()
 	return v
 }

@@ -10,7 +10,7 @@
 #      internal/daemon, and for parser.ParseChunks, in internal/core, so
 #      every IR comes out of one loader; TestPolicyTreeWalksLiveInIR:
 #      no production file outside internal/ir, internal/asregex and the
-#      verifier's two evaluators selects a policy-tree child field, so
+#      verifier's compiler selects a policy-tree child field, so
 #      every analysis walks the tree through internal/ir's traversals;
 #      and TestRetainedHeapCeilings: what ingest, a
 #      sweep, the store freeze and an -import retain per route)
