@@ -7,6 +7,7 @@ package report
 import (
 	"math/bits"
 	"sort"
+	"unsafe"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/verify"
@@ -224,6 +225,14 @@ type Aggregator struct {
 		k PairKey
 		p *PairStats
 	}
+	// listMemo remembers, direct-mapped, the summaries of the reason
+	// lists Add saw last (summary). At 512 slots about 1 % of the
+	// lookups of a 2 000-AS freeze walk their list.
+	listMemo [1 << listMemoBits]struct {
+		first *verify.Reason
+		n     int
+		sum   reasonSummary
+	}
 	// routeMix is Figure 4, counted route by route as Add goes.
 	routeMix Figure4Summary
 
@@ -241,6 +250,8 @@ type Aggregator struct {
 	ReasonChecks [verify.NumReasons]int64
 }
 
+const listMemoBits = 9
+
 // NewAggregator creates an empty aggregator.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
@@ -251,7 +262,14 @@ func NewAggregator() *Aggregator {
 
 // Add ingests one route report. An ignored report is counted as such
 // and nothing else, whatever checks it carries.
-func (a *Aggregator) Add(rep verify.RouteReport) {
+func (a *Aggregator) Add(rep verify.RouteReport) { a.AddKinds(&rep, nil) }
+
+// AddKinds is Add that also writes, for each check rep.Checks[i] it
+// counts, the kinds of the check's reasons to kinds[i], one bit per
+// kind: the report store indexes the check under them. kinds is nil or
+// as long as rep.Checks, and an ignored report writes nothing to it.
+// It reads *rep and keeps none of it.
+func (a *Aggregator) AddKinds(rep *verify.RouteReport, kinds []uint32) {
 	if rep.Ignored != "" {
 		switch rep.Ignored {
 		case "as-set":
@@ -294,31 +312,28 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 			p.Imports.Add(c.Status)
 		}
 		// Record the reason kinds, the Figure 5 causes of an unrecorded
-		// check and the Figure 6 causes of a relaxed or safelisted one.
-		special := c.Status == verify.Relaxed || c.Status == verify.Safelisted
-		filter := false // some rule's peering matched, so the filter failed
-		var kinds uint32
-		for j := range c.Reasons {
-			k := c.Reasons[j].Kind
-			if kinds&(1<<k) == 0 {
-				kinds |= 1 << k
-				a.ReasonChecks[k]++
-			}
-			filter = filter || k == verify.MatchFilter || k == verify.MatchFilterAsNum
-			switch cause, ok := CauseOfReason(k); {
-			case ok && c.Status == verify.Unrecorded && cause <= CauseMissingSet:
-				s.UnrecCauses = s.UnrecCauses.With(cause)
-			case ok && special && cause >= CauseExportSelf:
-				s.SpecialCauses = s.SpecialCauses.With(cause)
-			}
+		// check, the Figure 6 causes of a relaxed or safelisted one, and
+		// whether an unverified one failed a filter (some rule's peering
+		// matched) or every peering.
+		sum := a.summary(c.Reasons)
+		for m := sum.kinds; m != 0; m &= m - 1 {
+			a.ReasonChecks[bits.TrailingZeros32(m)]++
 		}
-		s.Reasons |= kinds
-		if c.Status == verify.Unverified {
-			if filter {
+		s.Reasons |= sum.kinds
+		switch c.Status {
+		case verify.Unrecorded:
+			s.UnrecCauses |= sum.causes & unrecCauses
+		case verify.Relaxed, verify.Safelisted:
+			s.SpecialCauses |= sum.causes &^ unrecCauses
+		case verify.Unverified:
+			if sum.kinds&filterKinds != 0 {
 				p.UnverifiedFilter++
 			} else {
 				p.UnverifiedPeering++
 			}
+		}
+		if kinds != nil {
+			kinds[i] = sum.kinds
 		}
 	}
 	switch bits.OnesCount8(mix) {
@@ -330,6 +345,63 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 	default:
 		a.routeMix.ThreePlus++
 	}
+}
+
+// reasonSummary is what Add reads of a reason list: its kinds, one bit
+// each, and the breakdown causes they map to (CauseOfReason). A list's
+// Figure 5 causes are its causes up to CauseMissingSet, its Figure 6
+// causes the rest.
+type reasonSummary struct {
+	kinds  uint32
+	causes CauseSet
+}
+
+const (
+	unrecCauses CauseSet = 1<<(CauseMissingSet+1) - 1
+	filterKinds uint32   = 1<<verify.MatchFilter | 1<<verify.MatchFilterAsNum
+)
+
+// kindSummary is the summary of one reason, by its kind.
+var kindSummary = func() (t [verify.NumReasons]reasonSummary) {
+	for k := range t {
+		t[k].kinds = 1 << k
+		if c, ok := CauseOfReason(verify.ReasonKind(k)); ok {
+			t[k].causes = t[k].causes.With(c)
+		}
+	}
+	return t
+}()
+
+// summary returns the summary of rs, which it summarizes once and then
+// finds in listMemo by the list's address and length: the verifier
+// hands every check with the same reasons one shared list, so the
+// millions of checks of a corpus carry a few thousand distinct lists.
+func (a *Aggregator) summary(rs []verify.Reason) reasonSummary {
+	if len(rs) == 0 {
+		return reasonSummary{}
+	}
+	// The address is only hashed. The slot keeps the pointer itself, so
+	// the list stays allocated, and its address unused by another list,
+	// for as long as the slot names it.
+	first := &rs[0]
+	m := &a.listMemo[listSlot(rs)]
+	if m.first == first && m.n == len(rs) {
+		return m.sum
+	}
+	var sum reasonSummary
+	for j := range rs {
+		t := &kindSummary[rs[j].Kind]
+		sum.kinds |= t.kinds
+		sum.causes |= t.causes
+	}
+	m.first, m.n, m.sum = first, len(rs), sum
+	return sum
+}
+
+// listSlot returns the listMemo slot of a non-empty list, a hash of its
+// address and length.
+func listSlot(rs []verify.Reason) uint64 {
+	return (uint64(uintptr(unsafe.Pointer(&rs[0]))) ^ uint64(len(rs))) * 0x9E3779B97F4A7C15 >> (64 - listMemoBits)
 }
 
 // Owner returns the AS a check is attributed to, the AS whose rule it

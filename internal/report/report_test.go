@@ -173,6 +173,58 @@ func TestFigure6SpecialBreakdown(t *testing.T) {
 	}
 }
 
+// TestCausesFollowStatus: a check's reasons give its owner Figure 5
+// causes only when it is unrecorded and Figure 6 causes only when it is
+// relaxed or safelisted, whatever else its list holds.
+func TestCausesFollowStatus(t *testing.T) {
+	mixed := []verify.Reason{
+		{Kind: verify.UnrecordedAsSet, Name: "AS-X"},
+		{Kind: verify.SpecImportCustomer},
+		{Kind: verify.SpecUphill},
+	}
+	a := NewAggregator()
+	a.Add(mkReport(
+		chk(2, 1, ir.DirExport, verify.Relaxed, mixed...),
+		chk(2, 1, ir.DirImport, verify.Unrecorded, mixed...),
+		chk(1, 3, ir.DirExport, verify.Unverified, mixed...),
+	))
+	per := a.PerAS()
+	as1, as2 := per[0], per[1]
+	if want := CauseSet(0).With(CauseMissingSet); as1.UnrecCauses != want || as1.SpecialCauses != 0 {
+		t.Errorf("AS1 causes: unrecorded %b, special %b; want %b and none", as1.UnrecCauses, as1.SpecialCauses, want)
+	}
+	if want := CauseSet(0).With(CauseImportCustomer).With(CauseUphill); as2.SpecialCauses != want || as2.UnrecCauses != 0 {
+		t.Errorf("AS2 causes: special %b, unrecorded %b; want %b and none", as2.SpecialCauses, as2.UnrecCauses, want)
+	}
+}
+
+// TestSummaryMemoKeysLength: a list and a shorter list from the same
+// address that hash to one memo slot are told apart. Only the long one
+// holds the array's last reason, the one of another kind.
+func TestSummaryMemoKeysLength(t *testing.T) {
+	long := make([]verify.Reason, 2048)
+	long[len(long)-1].Kind = verify.SpecUphill
+	for n := 1; n < len(long); n++ {
+		short := long[:n]
+		if listSlot(short) != listSlot(long) {
+			continue
+		}
+		a := NewAggregator()
+		for _, l := range [][]verify.Reason{short, long, short} {
+			want := kindSummary[verify.MatchRemoteAsNum]
+			if len(l) == len(long) {
+				want.kinds |= kindSummary[verify.SpecUphill].kinds
+				want.causes |= kindSummary[verify.SpecUphill].causes
+			}
+			if got := a.summary(l); got != want {
+				t.Fatalf("summary of %d reasons = %+v, want %+v", len(l), got, want)
+			}
+		}
+		return
+	}
+	t.Fatalf("no shorter list shares a slot with one of %d reasons", len(long))
+}
+
 func TestFirstHopCounts(t *testing.T) {
 	a := NewAggregator()
 	a.Add(mkReport(
@@ -230,5 +282,32 @@ func TestAddAllocatesNothingForSeenASes(t *testing.T) {
 	}
 	if a.Routes != 102 || a.Figure4().ThreePlus != 102 {
 		t.Errorf("routes = %d, three-plus = %d, want 102 each", a.Routes, a.Figure4().ThreePlus)
+	}
+
+	// Nor does a report over the same pairs whose reason lists, of
+	// several reasons each, were seen before; their kinds are the ones
+	// the first sighting found.
+	lists := [][]verify.Reason{
+		{{Kind: verify.UnrecordedAutNum, ASN: 2}, {Kind: verify.UnrecordedAsSet, Name: "AS-X"}},
+		{{Kind: verify.MatchFilter}, {Kind: verify.MatchFilterAsNum, ASN: 1}, {Kind: verify.MatchFilter, Name: "AS-Y"}},
+	}
+	again := mkReport(
+		chk(3, 2, ir.DirImport, verify.Unrecorded, lists[0]...),
+		chk(2, 1, ir.DirExport, verify.Unverified, lists[1]...),
+	)
+	kinds := make([]uint32, len(again.Checks))
+	a.AddKinds(&again, kinds)
+	if n := testing.AllocsPerRun(100, func() { a.AddKinds(&again, kinds) }); n != 0 {
+		t.Errorf("AddKinds of seen reason lists allocates %v times, want 0", n)
+	}
+	want := []uint32{1<<verify.UnrecordedAutNum | 1<<verify.UnrecordedAsSet, 1<<verify.MatchFilter | 1<<verify.MatchFilterAsNum}
+	if kinds[0] != want[0] || kinds[1] != want[1] {
+		t.Errorf("kinds = %b, want %b", kinds, want)
+	}
+	if a.ReasonChecks[verify.MatchFilter] != 204 || a.ReasonChecks[verify.MatchFilterAsNum] != 102 || a.ReasonChecks[verify.UnrecordedAsSet] != 102 {
+		t.Errorf("reason checks = %v, want 204 MatchFilter, 102 MatchFilterAsNum and 102 UnrecordedAsSet", a.ReasonChecks)
+	}
+	if p := a.perPair[PairKey{2, 1}]; p.UnverifiedFilter != 204 || p.UnverifiedPeering != 0 {
+		t.Errorf("AS2->AS1 unverified by filter, by peering = %d, %d; want 204, 0", p.UnverifiedFilter, p.UnverifiedPeering)
 	}
 }

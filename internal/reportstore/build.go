@@ -1,6 +1,7 @@
 package reportstore
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"time"
@@ -18,13 +19,16 @@ import (
 // snapshot does not see the slice it patches.
 //
 // Every index is built in two passes over GOMAXPROCS contiguous route
-// ranges. The count pass copies its range's headers and counts them
-// into the partition's own report.Aggregator, writing nothing shared,
-// which tells what every index will hold; a serial merge allocates each
-// index at its exact size, gives every partition its offsets into it
-// and merges the partials into the snapshot's stats and summary; the
-// scatter pass fills the indexes at those offsets. Partitions follow
-// report order, so every list does too.
+// ranges, once each range's checks are counted and numbered. The count
+// pass copies its range's headers and counts them into the partition's
+// own report.Aggregator, which tells what every index will hold; the
+// only shared memory it writes is its own checks' checkRoute slots,
+// where it leaves each check's reason kinds for the scatter pass. A
+// serial merge allocates each index at its exact size, gives every
+// partition its offsets into it and merges the partials into the
+// snapshot's stats and summary; the scatter pass fills the indexes at
+// those offsets. Partitions follow report order, so every list does
+// too.
 func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	start := time.Now()
 	s := &Snapshot{routes: make([]route, len(reports))}
@@ -32,6 +36,13 @@ func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	for p := range parts {
 		parts[p].lo, parts[p].hi = p*len(reports)/len(parts), (p+1)*len(reports)/len(parts)
 	}
+	shard.Each(parts, func(pt *partition) { pt.size(reports) })
+	checks := 0
+	for p := range parts {
+		parts[p].first = uint32(checks)
+		checks += parts[p].checks
+	}
+	s.checkRoute = make([]uint32, checks)
 	shard.Each(parts, func(pt *partition) { pt.count(s, reports) })
 	s.merge(parts)
 	shard.Each(parts, func(pt *partition) { pt.scatter(s) })
@@ -51,22 +62,36 @@ type partition struct {
 	agg     *report.Aggregator
 	origins int
 
+	checks   int    // how many checks the range's routes hold
 	first    uint32 // the number of the range's first check
 	byStatus [report.NumStatuses][]uint32
 	byReason [verify.NumReasons][]uint32
 }
 
-// count copies the partition's report headers into s and counts them.
+// size counts the checks of the partition's routes.
+func (pt *partition) size(reports []verify.RouteReport) {
+	for ri := pt.lo; ri < pt.hi; ri++ {
+		if reports[ri].Ignored == "" {
+			pt.checks += len(reports[ri].Checks)
+		}
+	}
+}
+
+// count copies the partition's report headers into s, numbers their
+// checks and counts them, leaving each check's reason kinds in its
+// checkRoute slot.
 func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 	pt.ases.perAS = make(map[ir.ASN]*ASEntry)
 	pt.agg = report.NewAggregator()
+	ci := pt.first
+	var origin asRun
 	for ri := pt.lo; ri < pt.hi; ri++ {
 		rep, r := &reports[ri], &s.routes[ri]
 		r.prefix, r.path, r.ignored = rep.Route.Prefix, rep.Route.Path, rep.Ignored
 		// The route is indexed under its origin (last AS on the path) so
 		// /v1/as/{asn}/routes answers "what does this AS originate".
 		if n := len(r.path); n > 0 {
-			pt.ases.at(r.path[n-1]).nRoutes++
+			origin.at(&pt.ases, r.path[n-1]).nRoutes++
 			pt.origins++
 		}
 		// An ignored route has no checks, even where an imported report
@@ -74,7 +99,10 @@ func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 		if rep.Ignored == "" {
 			r.checks = rep.Checks
 		}
-		pt.agg.Add(*rep)
+		n := uint32(len(r.checks))
+		pt.agg.AddKinds(rep, s.checkRoute[ci:ci+n])
+		r.off = ci
+		ci += n
 	}
 	for _, st := range pt.agg.PerAS() {
 		pt.ases.at(st.ASN).nChecks = int(st.Imports.Total() + st.Exports.Total())
@@ -88,11 +116,9 @@ func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 // builds the AS lists from those stats.
 func (s *Snapshot) merge(parts []partition) {
 	s.perAS = make(map[ir.ASN]*ASEntry)
-	checks, origins := 0, 0
+	origins := 0
 	for p := range parts {
 		pt := &parts[p]
-		pt.first = uint32(checks)
-		checks += int(pt.agg.Checks.Total())
 		origins += pt.origins
 		for asn, t := range pt.ases.perAS {
 			e := s.perAS[asn]
@@ -104,11 +130,9 @@ func (s *Snapshot) merge(parts []partition) {
 			e.nRoutes += t.nRoutes
 		}
 	}
-	s.checkRoute = make([]uint32, checks)
-
 	// One array for every AS's checks and one for every AS's routes,
 	// each AS's range split among the partitions in their order.
-	asChecks, asRoutes := make([]uint32, checks), make([]uint32, origins)
+	asChecks, asRoutes := make([]uint32, len(s.checkRoute)), make([]uint32, origins)
 	for _, e := range s.perAS {
 		e.Checks, asChecks = asChecks[:0:e.nChecks], asChecks[e.nChecks:]
 		e.Routes, asRoutes = asRoutes[:0:e.nRoutes], asRoutes[e.nRoutes:]
@@ -204,30 +228,28 @@ func split(parts []partition, share func(*partition) (int, *[]uint32)) []uint32 
 	return list
 }
 
-// scatter numbers the partition's checks and writes them into its
-// windows, in report order.
+// scatter writes the partition's routes and checks into its windows,
+// in report order. It lists a check once under each kind the count pass
+// left in its checkRoute slot, then gives the slot the check's route.
 func (pt *partition) scatter(s *Snapshot) {
 	ci := pt.first
+	var origin, owner asRun
 	for ri := pt.lo; ri < pt.hi; ri++ {
 		r := &s.routes[ri]
-		r.off = ci
 		if n := len(r.path); n > 0 {
-			e := pt.ases.at(r.path[n-1])
-			e.Routes = append(e.Routes, uint32(ri))
+			o := origin.at(&pt.ases, r.path[n-1])
+			o.Routes = append(o.Routes, uint32(ri))
 		}
 		for i := range r.checks {
 			c := &r.checks[i]
-			s.checkRoute[ci] = uint32(ri)
-			e := pt.ases.at(report.Owner(c.Dir, c.From, c.To))
+			e := owner.at(&pt.ases, report.Owner(c.Dir, c.From, c.To))
 			e.Checks = append(e.Checks, ci)
 			pt.byStatus[c.Status] = append(pt.byStatus[c.Status], ci)
-			var kinds uint32 // a check is listed once per kind
-			for j := range c.Reasons {
-				if k := c.Reasons[j].Kind; kinds&(1<<k) == 0 {
-					kinds |= 1 << k
-					pt.byReason[k] = append(pt.byReason[k], ci)
-				}
+			for kinds := s.checkRoute[ci]; kinds != 0; kinds &= kinds - 1 {
+				k := bits.TrailingZeros32(kinds)
+				pt.byReason[k] = append(pt.byReason[k], ci)
 			}
+			s.checkRoute[ci] = uint32(ri)
 			ci++
 		}
 	}
@@ -247,7 +269,7 @@ type asCursor struct {
 
 // at returns the entry of asn, which it makes if there is none.
 func (c *asCursor) at(asn ir.ASN) *ASEntry {
-	m := &c.memo[int(asn)%len(c.memo)]
+	m := &c.memo[uint32(asn)%uint32(len(c.memo))]
 	if m.e != nil && m.asn == asn {
 		return m.e
 	}
@@ -258,4 +280,20 @@ func (c *asCursor) at(asn ir.ASN) *ASEntry {
 	}
 	m.asn, m.e = asn, e
 	return e
+}
+
+// asRun remembers the entry it found last: a partition's routes come in
+// runs of one origin, and along a path the AS that imported a route is
+// the next one to export it, so its checks come in runs of one owner.
+type asRun struct {
+	asn ir.ASN
+	e   *ASEntry
+}
+
+// at returns the entry of asn, looking it up in c on a change of AS.
+func (r *asRun) at(c *asCursor, asn ir.ASN) *ASEntry {
+	if r.e == nil || r.asn != asn {
+		r.asn, r.e = asn, c.at(asn)
+	}
+	return r.e
 }

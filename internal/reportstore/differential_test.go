@@ -396,6 +396,55 @@ var adversarial = []struct {
 	{"ignored routes with checks, a path loop, a route with no path", []byte{0x2a, 1, 1, 0xa4, 0x10, 0xb4, 0x10, 0x13, 2, 1, 2, 0x00, 0x19, 0x10, 0xa4, 0x14}, func(ls [][]verify.Reason) bool {
 		return len(ls) == 4
 	}},
+	{"one array at two lengths, the shorter first", []byte{0x22, 0, 1, 0xa4, 0x08, 0x54, 0x18}, func(ls [][]verify.Reason) bool {
+		return len(ls) == 2 && sameStart(ls[0], ls[1]) && len(ls[0]) < len(ls[1])
+	}},
+	{"equal content at two addresses, taking turns across statuses", []byte{0x62, 0, 1, 0x44, 0x19, 0x54, 0x1d, 0x64, 0x19, 0x94, 0x1d, 0xa4, 0x18, 0xb4, 0x1c}, func(ls [][]verify.Reason) bool {
+		if len(ls) != 6 {
+			return false
+		}
+		for i := 0; i < len(ls); i += 2 {
+			if !slices.Equal(ls[i], ls[i+1]) || sameStart(ls[i], ls[i+1]) {
+				return false
+			}
+		}
+		return true
+	}},
+}
+
+// manyLists is an input no byte string decodes to: 5 200 distinct reason
+// lists, more than any memo of the freeze has slots, each list reached
+// twice, the second time after thousands of others. Every fourth list
+// starts where another ends or shares its start at another length, and
+// equal contents sit at hundreds of addresses.
+func manyLists() []verify.RouteReport {
+	var ls [][]verify.Reason
+	for i := range 1300 {
+		arr := make([]verify.Reason, 4)
+		for j := range arr {
+			arr[j] = listPool[(i+j)%len(listPool)]
+		}
+		ls = append(ls, arr[:1], arr[:2], arr[:4], arr[1:3])
+	}
+	var reports []verify.RouteReport
+	for n := 0; n < 2*len(ls); {
+		r := verify.RouteReport{Route: bgpsim.Route{
+			Prefix: prefix.MustParse(fmt.Sprintf("10.%d.%d.0/24", len(reports)/256, len(reports)%256)),
+			Path:   []ir.ASN{ir.ASN(1 + len(reports)%3), 4},
+		}}
+		for range 6 {
+			// The second sweep takes the lists in another order.
+			i := n % len(ls)
+			if n >= len(ls) {
+				i = n * 7 % len(ls)
+			}
+			r.Checks = append(r.Checks, verify.Check{From: ir.ASN(1 + n%4), To: ir.ASN(1 + n/4%4),
+				Dir: ir.Direction(n % 2), Status: verify.Status(n / 2 % report.NumStatuses), Reasons: ls[i]})
+			n++
+		}
+		reports = append(reports, r)
+	}
+	return reports
 }
 
 // TestStoreDifferentialAdversarialLists: whatever memory a check's
@@ -411,6 +460,50 @@ func TestStoreDifferentialAdversarialLists(t *testing.T) {
 			}
 			freeze(t, "BuildSnapshot", reports)
 		})
+	}
+	t.Run("more distinct lists than any memo has slots", func(t *testing.T) {
+		reports := manyLists()
+		type key struct {
+			first *verify.Reason
+			n     int
+		}
+		distinct := make(map[key]bool)
+		for _, l := range lists(reports) {
+			distinct[key{&l[0], len(l)}] = true
+		}
+		if len(distinct) <= 4096 {
+			t.Fatalf("%d distinct lists, want more than 4096", len(distinct))
+		}
+		freeze(t, "BuildSnapshot", reports)
+	})
+}
+
+// TestFreezeTopASNs: routes originated by, and checks owned by, ASNs at
+// and above 2^31 (RFC 6996 private ASNs, the reserved 4294967295) are
+// indexed like any other, on a 32-bit build too.
+func TestFreezeTopASNs(t *testing.T) {
+	const priv, top = ir.ASN(4200000000), ir.ASN(4294967295)
+	route := func(n int, path ...ir.ASN) verify.RouteReport {
+		r := verify.RouteReport{Route: bgpsim.Route{Prefix: prefix.MustParse(fmt.Sprintf("10.%d.0.0/16", n)), Path: path}}
+		for i := len(path) - 1; i > 0; i-- {
+			from, to := path[i], path[i-1]
+			r.Checks = append(r.Checks,
+				chk(from, to, ir.DirExport, verify.Unverified, verify.Reason{Kind: verify.MatchFilterAsNum, ASN: from}),
+				chk(from, to, ir.DirImport, verify.Unrecorded, verify.Reason{Kind: verify.UnrecordedAutNum, ASN: to}))
+		}
+		return r
+	}
+	reports := []verify.RouteReport{
+		route(0, 64500, top),
+		route(1, top, priv),
+		route(2, 64500, priv, 1<<31, top-1),
+		route(3, priv, 64500),
+	}
+	snap := freeze(t, "BuildSnapshot", reports)
+	for _, asn := range []ir.ASN{priv, top, top - 1, 1 << 31} {
+		if e, ok := snap.AS(asn); !ok || len(e.Checks) == 0 && len(e.Routes) == 0 {
+			t.Errorf("AS%d: %+v, %v; want its checks or routes", asn, e, ok)
+		}
 	}
 }
 
@@ -441,6 +534,23 @@ var frozen *Snapshot
 // profiles (-cpuprofile, -memprofile); it asserts nothing.
 func BenchmarkBuildSnapshot(b *testing.B) {
 	reports := storeFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frozen = BuildSnapshot(reports)
+	}
+}
+
+// BenchmarkBuildSnapshot2k is the freeze at the size bench/'s corpus-2k
+// runs it: 2 000 ASes at seed 42, routes from 8 collectors, every route
+// verified. Its checks carry 3.5 reasons each against
+// BenchmarkBuildSnapshot's 1.6, out of a few thousand distinct lists.
+func BenchmarkBuildSnapshot2k(b *testing.B) {
+	sys, err := core.BuildSynthetic(core.Options{Seed: 42, ASes: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reports := sys.Verifier.VerifyAll(sys.CollectRoutes(8, 42), 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

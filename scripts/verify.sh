@@ -54,7 +54,12 @@
 #      ranges, against linear scans of its routes, fresh and after
 #      mutations (TestNewShardedEquivalence,
 #      TestShardedMutationEquivalence, TestShardRouteCountsCloneIsolation)
-#   7. fuzz — ten seconds each of the ingest path's three fuzz targets:
+#   7. a 32-bit build — the store freeze and its counting kernel
+#      (internal/reportstore, internal/report) tested under GOARCH=386,
+#      where an int is 32 bits wide and an ASN at or above 2^31 turns
+#      negative in it (TestFreezeTopASNs); the amd64 toolchain builds
+#      and runs 386 binaries natively
+#   8. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
 #      (FuzzReaderMatchesReference) and chunked parsing at any chunk
@@ -70,35 +75,37 @@
 #      oracle's long budget, a minute of
 #      FuzzContracts — a failing draw lands, minimized, under
 #      internal/oracle/testdata/fuzz/FuzzContracts/
-#   8. benchmarks — one iteration of every benchmark outside bench/, so
+#   9. benchmarks — one iteration of every benchmark outside bench/, so
 #      none drifts from the code it times unnoticed: the two timing
 #      ratios no bench/ probe records yet, each computed and asserted by
 #      its own benchmark — one incremental step >= 20x faster than
 #      verifying every route (BenchmarkReverify), and reportd's
 #      instrumentation within its bound of the bare sweep
-#      (BenchmarkVerifyAllTraced) — and the store freeze on its own, the
-#      one the freeze-profiling recipe runs (BenchmarkBuildSnapshot)
-#   9. named smoke — the oracle's seed corpus (FuzzContracts,
+#      (BenchmarkVerifyAllTraced) — and the store freeze on its own, on
+#      the differential test's 120 ASes (BenchmarkBuildSnapshot) and at
+#      the 2 000 ASes of bench/'s corpus-2k, the one the freeze-profiling
+#      recipe runs (BenchmarkBuildSnapshot2k)
+#  10. named smoke — the oracle's seed corpus (FuzzContracts,
 #      TestContractsSlowSeeds) and the
 #      origin-hash imbalance bound (TestShardImbalanceBounded, <= 2x)
 #      and the one-owner guards (TestOneDatabaseOwner,
 #      TestOneAggregationKernel), run by name for the record; the step fails unless each name
 #      prints its own --- PASS line, so a name that stops matching
 #      cannot pass by running nothing
-#  10. mirror smoke — generate a universe plus 3 evolution steps of
+#  11. mirror smoke — generate a universe plus 3 evolution steps of
 #      journals and an MRT route dump, replay the journals with
 #      cmd/nrtm, and prove the mirrored database renders identically to
 #      the final snapshot's dumps
-#  11. corpus smoke — cmd/experiments -corpus over that universe: every
+#  12. corpus smoke — cmd/experiments -corpus over that universe: every
 #      row heading prints, and every row that needs the generator
 #      prints its skip line instead of a body
-#  12. trace smoke — reportd -mirror over the generated universe, driven
+#  13. trace smoke — reportd -mirror over the generated universe, driven
 #      by apiload (which exits non-zero past its -max-error-rate), then
 #      scraped: /debug/trace/summary answers, /debug/trace/slowest holds
 #      the boot and a journal under the benchmark's layer names
 #      (core.load_dumps, reportstore.swap, verify.reverify), /metrics
 #      exposes rpslyzer_build_info, and /healthz reports healthy
-#  13. bench smoke — bench/ still compiles against the tree and its
+#  14. bench smoke — bench/ still compiles against the tree and its
 #      smallest run passes (go vet ./bench && go run ./bench -smoke)
 #
 # Timings and their trajectory are bench/'s (go run ./bench, committed
@@ -137,13 +144,16 @@ go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
 echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the route database's index at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^(FuzzContracts|TestContractsSlowSeeds)$' ./internal/oracle
-go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze)$' ./internal/reportstore
+go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze|TestFreezeTopASNs)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObject|TestLoadDumpDirFailsOnReadError)$' ./internal/core
 go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped|TestPathsToMatchesReference|TestCollectRoutesDigest)$' ./internal/bgpsim
 go test -cpu 1,2,4 -run '^TestIndexRoutesMatchesReference$' ./internal/verify
 go test -race -cpu 1,2,4 -run '^(TestNewShardedEquivalence|TestShardedMutationEquivalence|TestShardRouteCountsCloneIsolation)$' ./internal/irr
+
+echo "== 32-bit build (GOARCH=386: internal/report, internal/reportstore)"
+GOARCH=386 go test ./internal/report ./internal/reportstore
 
 echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzPathsTo, FuzzFreeze, FuzzAppendJSONString: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
@@ -155,7 +165,7 @@ go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
 go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime 10s ./internal/api
 go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 
-echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot: 1x each)"
+echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot, BenchmarkBuildSnapshot2k: 1x each)"
 go test -run '^$' -bench . -benchtime 1x . ./internal/reportstore
 
 echo "== named smoke (FuzzContracts seed corpus, TestContractsSlowSeeds, imbalance bound, one database owner, one aggregation kernel)"
