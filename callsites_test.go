@@ -169,6 +169,20 @@ func TestOneDatabaseOwner(t *testing.T) {
 	})
 }
 
+// TestNoUnsafe keeps the program memory-safe: no production file may
+// import unsafe. What a check's reasons hold is carried with the check
+// (verify.Check.Kinds), not recovered by hashing a list's address.
+func TestNoUnsafe(t *testing.T) {
+	fset := token.NewFileSet()
+	eachProductionFile(t, fset, func(file string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "unsafe" {
+				t.Errorf("%s: imports unsafe", fset.Position(imp.Pos()))
+			}
+		}
+	})
+}
+
 // TestOneAggregationKernel keeps the counting of route reports in
 // report.Aggregator, whose partials the store's freeze merges: no
 // production file outside internal/report may name report.PairKey or

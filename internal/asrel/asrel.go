@@ -2,9 +2,7 @@
 // verifier's special-case checks rely on (the paper uses CAIDA's
 // AS-relationship inference [46]). It stores provider-customer and
 // peer-peer links, detects the Tier-1 clique, computes customer cones,
-// reads and writes the CAIDA serialization format, and includes a
-// Gao-style inference pass that derives relationships from observed
-// BGP paths — the substrate substitution for CAIDA's dataset.
+// and reads and writes the CAIDA serialization format.
 package asrel
 
 import (

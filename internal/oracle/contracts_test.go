@@ -164,6 +164,7 @@ func (p *pass) base() {
 	})
 	p.sameJSONL(c3, fmt.Sprintf("VerifyStream at %d shards, lines sorted", d.shards),
 		sortedLines(jsonl(p.t, streamed)), sortedLines(refJSONL))
+	p.kinds(c3, fmt.Sprintf("VerifyStream at %d shards", d.shards), streamed)
 	v := verify.New(p.dbN, p.rels, p.cfg(d.shards))
 	single := make([]verify.RouteReport, len(p.routes))
 	for i, r := range p.routes {
@@ -278,10 +279,14 @@ func (p *pass) store(at string, engine []verify.RouteReport, stream bool) {
 	}
 }
 
-// same fails contract c at the first route where got departs from want.
-// JSONL is a function of what it compares, so equal here is equal there.
+// same fails contract c at the first route where got departs from want,
+// or where a check of either carries Kinds other than the kinds of its
+// reasons. JSONL is a function of what it compares, so equal here is
+// equal there.
 func (p *pass) same(c, what string, got, want []verify.RouteReport) {
 	p.t.Helper()
+	p.kinds(c, what, got)
+	p.kinds(c, what, want)
 	if len(got) != len(want) {
 		p.fail(c, "%s: %d reports, want %d", what, len(got), len(want))
 	}
@@ -295,6 +300,21 @@ func (p *pass) same(c, what string, got, want []verify.RouteReport) {
 			gc, wc := &g.Checks[k], &w.Checks[k]
 			if gc.From != wc.From || gc.To != wc.To || gc.Dir != wc.Dir || gc.Status != wc.Status || !slices.Equal(gc.Reasons, wc.Reasons) {
 				p.fail(c, "%s: route %d %s %v, check %d:\n got: %v\nwant: %v", what, i, w.Route.Prefix, w.Route.Path, k, *gc, *wc)
+			}
+		}
+	}
+}
+
+// kinds fails contract c at the first check whose Kinds is not the kinds
+// of its reasons. The freeze counts and indexes a check under its Kinds
+// where they are set, so a wrong mask miscounts where JSONL shows none.
+func (p *pass) kinds(c, what string, reports []verify.RouteReport) {
+	p.t.Helper()
+	for i := range reports {
+		for k := range reports[i].Checks {
+			if ch := &reports[i].Checks[k]; ch.Kinds != verify.KindsOf(ch.Reasons) {
+				p.fail(c, "%s: route %d %s %v, check %d %v: Kinds %b, want %b",
+					what, i, reports[i].Route.Prefix, reports[i].Route.Path, k, *ch, ch.Kinds, verify.KindsOf(ch.Reasons))
 			}
 		}
 	}

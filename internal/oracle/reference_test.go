@@ -112,7 +112,7 @@ func (r *reference) check(h *hop) verify.Check {
 	}
 	an, ok := r.db.AutNum(h.self)
 	if !ok {
-		c.Status, c.Reasons = verify.Unrecorded, []verify.Reason{{Kind: verify.UnrecordedAutNum, ASN: h.self}}
+		c.Status, c.Kinds, c.Reasons = verify.Unrecorded, 1<<verify.UnrecordedAutNum, []verify.Reason{{Kind: verify.UnrecordedAutNum, ASN: h.self}}
 		return c
 	}
 	rules := an.Imports
@@ -120,7 +120,7 @@ func (r *reference) check(h *hop) verify.Check {
 		rules = an.Exports
 	}
 	if len(rules) == 0 {
-		c.Status, c.Reasons = verify.Unrecorded, []verify.Reason{{Kind: verify.UnrecordedNoRules}}
+		c.Status, c.Kinds, c.Reasons = verify.Unrecorded, 1<<verify.UnrecordedNoRules, []verify.Reason{{Kind: verify.UnrecordedNoRules}}
 		return c
 	}
 	best, reasons := verify.Unverified, []verify.Reason(nil)
@@ -148,6 +148,9 @@ func (r *reference) check(h *hop) verify.Check {
 	c.Status = best
 	if len(reasons) > 0 {
 		c.Reasons = reasons
+	}
+	for _, reason := range reasons {
+		c.Kinds |= 1 << reason.Kind
 	}
 	return c
 }

@@ -7,7 +7,6 @@ package report
 import (
 	"math/bits"
 	"sort"
-	"unsafe"
 
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/verify"
@@ -225,14 +224,6 @@ type Aggregator struct {
 		k PairKey
 		p *PairStats
 	}
-	// listMemo remembers, direct-mapped, the summaries of the reason
-	// lists Add saw last (summary). At 512 slots about 1 % of the
-	// lookups of a 2 000-AS freeze walk their list.
-	listMemo [1 << listMemoBits]struct {
-		first *verify.Reason
-		n     int
-		sum   reasonSummary
-	}
 	// routeMix is Figure 4, counted route by route as Add goes.
 	routeMix Figure4Summary
 
@@ -250,8 +241,6 @@ type Aggregator struct {
 	ReasonChecks [verify.NumReasons]int64
 }
 
-const listMemoBits = 9
-
 // NewAggregator creates an empty aggregator.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
@@ -262,14 +251,7 @@ func NewAggregator() *Aggregator {
 
 // Add ingests one route report. An ignored report is counted as such
 // and nothing else, whatever checks it carries.
-func (a *Aggregator) Add(rep verify.RouteReport) { a.AddKinds(&rep, nil) }
-
-// AddKinds is Add that also writes, for each check rep.Checks[i] it
-// counts, the kinds of the check's reasons to kinds[i], one bit per
-// kind: the report store indexes the check under them. kinds is nil or
-// as long as rep.Checks, and an ignored report writes nothing to it.
-// It reads *rep and keeps none of it.
-func (a *Aggregator) AddKinds(rep *verify.RouteReport, kinds []uint32) {
+func (a *Aggregator) Add(rep verify.RouteReport) {
 	if rep.Ignored != "" {
 		switch rep.Ignored {
 		case "as-set":
@@ -315,25 +297,25 @@ func (a *Aggregator) AddKinds(rep *verify.RouteReport, kinds []uint32) {
 		// check, the Figure 6 causes of a relaxed or safelisted one, and
 		// whether an unverified one failed a filter (some rule's peering
 		// matched) or every peering.
-		sum := a.summary(c.Reasons)
-		for m := sum.kinds; m != 0; m &= m - 1 {
-			a.ReasonChecks[bits.TrailingZeros32(m)]++
+		kinds := c.ReasonKinds()
+		var causes CauseSet
+		for m := kinds; m != 0; m &= m - 1 {
+			k := bits.TrailingZeros32(m)
+			a.ReasonChecks[k]++
+			causes |= kindCauses[k]
 		}
-		s.Reasons |= sum.kinds
+		s.Reasons |= kinds
 		switch c.Status {
 		case verify.Unrecorded:
-			s.UnrecCauses |= sum.causes & unrecCauses
+			s.UnrecCauses |= causes & unrecCauses
 		case verify.Relaxed, verify.Safelisted:
-			s.SpecialCauses |= sum.causes &^ unrecCauses
+			s.SpecialCauses |= causes &^ unrecCauses
 		case verify.Unverified:
-			if sum.kinds&filterKinds != 0 {
+			if kinds&filterKinds != 0 {
 				p.UnverifiedFilter++
 			} else {
 				p.UnverifiedPeering++
 			}
-		}
-		if kinds != nil {
-			kinds[i] = sum.kinds
 		}
 	}
 	switch bits.OnesCount8(mix) {
@@ -347,62 +329,24 @@ func (a *Aggregator) AddKinds(rep *verify.RouteReport, kinds []uint32) {
 	}
 }
 
-// reasonSummary is what Add reads of a reason list: its kinds, one bit
-// each, and the breakdown causes they map to (CauseOfReason). A list's
-// Figure 5 causes are its causes up to CauseMissingSet, its Figure 6
-// causes the rest.
-type reasonSummary struct {
-	kinds  uint32
-	causes CauseSet
-}
-
+// A check's Figure 5 causes are its causes up to CauseMissingSet, its
+// Figure 6 causes the rest; an unverified check failed a filter if it
+// carries a filter kind.
 const (
 	unrecCauses CauseSet = 1<<(CauseMissingSet+1) - 1
 	filterKinds uint32   = 1<<verify.MatchFilter | 1<<verify.MatchFilterAsNum
 )
 
-// kindSummary is the summary of one reason, by its kind.
-var kindSummary = func() (t [verify.NumReasons]reasonSummary) {
+// kindCauses is the breakdown cause of each reason kind (CauseOfReason),
+// none for a kind that is no breakdown category.
+var kindCauses = func() (t [verify.NumReasons]CauseSet) {
 	for k := range t {
-		t[k].kinds = 1 << k
 		if c, ok := CauseOfReason(verify.ReasonKind(k)); ok {
-			t[k].causes = t[k].causes.With(c)
+			t[k] = t[k].With(c)
 		}
 	}
 	return t
 }()
-
-// summary returns the summary of rs, which it summarizes once and then
-// finds in listMemo by the list's address and length: the verifier
-// hands every check with the same reasons one shared list, so the
-// millions of checks of a corpus carry a few thousand distinct lists.
-func (a *Aggregator) summary(rs []verify.Reason) reasonSummary {
-	if len(rs) == 0 {
-		return reasonSummary{}
-	}
-	// The address is only hashed. The slot keeps the pointer itself, so
-	// the list stays allocated, and its address unused by another list,
-	// for as long as the slot names it.
-	first := &rs[0]
-	m := &a.listMemo[listSlot(rs)]
-	if m.first == first && m.n == len(rs) {
-		return m.sum
-	}
-	var sum reasonSummary
-	for j := range rs {
-		t := &kindSummary[rs[j].Kind]
-		sum.kinds |= t.kinds
-		sum.causes |= t.causes
-	}
-	m.first, m.n, m.sum = first, len(rs), sum
-	return sum
-}
-
-// listSlot returns the listMemo slot of a non-empty list, a hash of its
-// address and length.
-func listSlot(rs []verify.Reason) uint64 {
-	return (uint64(uintptr(unsafe.Pointer(&rs[0]))) ^ uint64(len(rs))) * 0x9E3779B97F4A7C15 >> (64 - listMemoBits)
-}
 
 // Owner returns the AS a check is attributed to, the AS whose rule it
 // exercised: From of an export, To of an import.

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"slices"
 	"testing"
 
 	"rpslyzer/internal/ir"
@@ -198,33 +199,6 @@ func TestCausesFollowStatus(t *testing.T) {
 	}
 }
 
-// TestSummaryMemoKeysLength: a list and a shorter list from the same
-// address that hash to one memo slot are told apart. Only the long one
-// holds the array's last reason, the one of another kind.
-func TestSummaryMemoKeysLength(t *testing.T) {
-	long := make([]verify.Reason, 2048)
-	long[len(long)-1].Kind = verify.SpecUphill
-	for n := 1; n < len(long); n++ {
-		short := long[:n]
-		if listSlot(short) != listSlot(long) {
-			continue
-		}
-		a := NewAggregator()
-		for _, l := range [][]verify.Reason{short, long, short} {
-			want := kindSummary[verify.MatchRemoteAsNum]
-			if len(l) == len(long) {
-				want.kinds |= kindSummary[verify.SpecUphill].kinds
-				want.causes |= kindSummary[verify.SpecUphill].causes
-			}
-			if got := a.summary(l); got != want {
-				t.Fatalf("summary of %d reasons = %+v, want %+v", len(l), got, want)
-			}
-		}
-		return
-	}
-	t.Fatalf("no shorter list shares a slot with one of %d reasons", len(long))
-}
-
 func TestFirstHopCounts(t *testing.T) {
 	a := NewAggregator()
 	a.Add(mkReport(
@@ -284,30 +258,32 @@ func TestAddAllocatesNothingForSeenASes(t *testing.T) {
 		t.Errorf("routes = %d, three-plus = %d, want 102 each", a.Routes, a.Figure4().ThreePlus)
 	}
 
-	// Nor does a report over the same pairs whose reason lists, of
-	// several reasons each, were seen before; their kinds are the ones
-	// the first sighting found.
+	// Nor does a report over the same pairs whose checks carry several
+	// reasons each, with their Kinds or without.
 	lists := [][]verify.Reason{
 		{{Kind: verify.UnrecordedAutNum, ASN: 2}, {Kind: verify.UnrecordedAsSet, Name: "AS-X"}},
 		{{Kind: verify.MatchFilter}, {Kind: verify.MatchFilterAsNum, ASN: 1}, {Kind: verify.MatchFilter, Name: "AS-Y"}},
 	}
-	again := mkReport(
+	bare := mkReport(
 		chk(3, 2, ir.DirImport, verify.Unrecorded, lists[0]...),
 		chk(2, 1, ir.DirExport, verify.Unverified, lists[1]...),
 	)
-	kinds := make([]uint32, len(again.Checks))
-	a.AddKinds(&again, kinds)
-	if n := testing.AllocsPerRun(100, func() { a.AddKinds(&again, kinds) }); n != 0 {
-		t.Errorf("AddKinds of seen reason lists allocates %v times, want 0", n)
+	marked := mkReport(slices.Clone(bare.Checks)...)
+	for i := range marked.Checks {
+		marked.Checks[i].Kinds = verify.KindsOf(marked.Checks[i].Reasons)
 	}
-	want := []uint32{1<<verify.UnrecordedAutNum | 1<<verify.UnrecordedAsSet, 1<<verify.MatchFilter | 1<<verify.MatchFilterAsNum}
-	if kinds[0] != want[0] || kinds[1] != want[1] {
-		t.Errorf("kinds = %b, want %b", kinds, want)
+	for _, again := range []verify.RouteReport{bare, marked} {
+		if n := testing.AllocsPerRun(100, func() { a.Add(again) }); n != 0 {
+			t.Errorf("Add of seen reason lists (Kinds %b) allocates %v times, want 0", again.Checks[0].Kinds, n)
+		}
 	}
-	if a.ReasonChecks[verify.MatchFilter] != 204 || a.ReasonChecks[verify.MatchFilterAsNum] != 102 || a.ReasonChecks[verify.UnrecordedAsSet] != 102 {
-		t.Errorf("reason checks = %v, want 204 MatchFilter, 102 MatchFilterAsNum and 102 UnrecordedAsSet", a.ReasonChecks)
+	if a.ReasonChecks[verify.MatchFilter] != 304 || a.ReasonChecks[verify.MatchFilterAsNum] != 202 || a.ReasonChecks[verify.UnrecordedAsSet] != 202 {
+		t.Errorf("reason checks = %v, want 304 MatchFilter, 202 MatchFilterAsNum and 202 UnrecordedAsSet", a.ReasonChecks)
 	}
-	if p := a.perPair[PairKey{2, 1}]; p.UnverifiedFilter != 204 || p.UnverifiedPeering != 0 {
-		t.Errorf("AS2->AS1 unverified by filter, by peering = %d, %d; want 204, 0", p.UnverifiedFilter, p.UnverifiedPeering)
+	if p := a.perPair[PairKey{2, 1}]; p.UnverifiedFilter != 304 || p.UnverifiedPeering != 0 {
+		t.Errorf("AS2->AS1 unverified by filter, by peering = %d, %d; want 304, 0", p.UnverifiedFilter, p.UnverifiedPeering)
+	}
+	if want := CauseSet(0).With(CauseNoAutNum).With(CauseMissingSet); a.perAS[2].UnrecCauses != want {
+		t.Errorf("AS2 unrecorded causes = %b, want %b", a.perAS[2].UnrecCauses, want)
 	}
 }

@@ -19,16 +19,15 @@ import (
 // snapshot does not see the slice it patches.
 //
 // Every index is built in two passes over GOMAXPROCS contiguous route
-// ranges, once each range's checks are counted and numbered. The count
-// pass copies its range's headers and counts them into the partition's
-// own report.Aggregator, which tells what every index will hold; the
-// only shared memory it writes is its own checks' checkRoute slots,
-// where it leaves each check's reason kinds for the scatter pass. A
-// serial merge allocates each index at its exact size, gives every
-// partition its offsets into it and merges the partials into the
-// snapshot's stats and summary; the scatter pass fills the indexes at
-// those offsets. Partitions follow report order, so every list does
-// too.
+// ranges. The count pass copies its range's headers and counts them
+// into the partition's own report.Aggregator, writing nothing shared,
+// which tells what every index will hold; a serial merge numbers every
+// partition's first check, allocates each index at its exact size,
+// gives every partition its offsets into it and merges the partials
+// into the snapshot's stats and summary; the scatter pass numbers the
+// checks and fills the indexes at those offsets, listing each check
+// under the kinds it carries (verify.Check.ReasonKinds). Partitions
+// follow report order, so every list does too.
 func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	start := time.Now()
 	s := &Snapshot{routes: make([]route, len(reports))}
@@ -36,13 +35,6 @@ func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	for p := range parts {
 		parts[p].lo, parts[p].hi = p*len(reports)/len(parts), (p+1)*len(reports)/len(parts)
 	}
-	shard.Each(parts, func(pt *partition) { pt.size(reports) })
-	checks := 0
-	for p := range parts {
-		parts[p].first = uint32(checks)
-		checks += parts[p].checks
-	}
-	s.checkRoute = make([]uint32, checks)
 	shard.Each(parts, func(pt *partition) { pt.count(s, reports) })
 	s.merge(parts)
 	shard.Each(parts, func(pt *partition) { pt.scatter(s) })
@@ -62,28 +54,15 @@ type partition struct {
 	agg     *report.Aggregator
 	origins int
 
-	checks   int    // how many checks the range's routes hold
 	first    uint32 // the number of the range's first check
 	byStatus [report.NumStatuses][]uint32
 	byReason [verify.NumReasons][]uint32
 }
 
-// size counts the checks of the partition's routes.
-func (pt *partition) size(reports []verify.RouteReport) {
-	for ri := pt.lo; ri < pt.hi; ri++ {
-		if reports[ri].Ignored == "" {
-			pt.checks += len(reports[ri].Checks)
-		}
-	}
-}
-
-// count copies the partition's report headers into s, numbers their
-// checks and counts them, leaving each check's reason kinds in its
-// checkRoute slot.
+// count copies the partition's report headers into s and counts them.
 func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 	pt.ases.perAS = make(map[ir.ASN]*ASEntry)
 	pt.agg = report.NewAggregator()
-	ci := pt.first
 	var origin asRun
 	for ri := pt.lo; ri < pt.hi; ri++ {
 		rep, r := &reports[ri], &s.routes[ri]
@@ -99,26 +78,26 @@ func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 		if rep.Ignored == "" {
 			r.checks = rep.Checks
 		}
-		n := uint32(len(r.checks))
-		pt.agg.AddKinds(rep, s.checkRoute[ci:ci+n])
-		r.off = ci
-		ci += n
+		pt.agg.Add(*rep)
 	}
 	for _, st := range pt.agg.PerAS() {
 		pt.ases.at(st.ASN).nChecks = int(st.Imports.Total() + st.Exports.Total())
 	}
 }
 
-// merge sums the partitions' AS counts into the snapshot's entries, lays
-// every index out at its exact size and gives each partition its
-// windows. Then it merges the partitions' partials into the first one,
-// whose stats the entries point at and whose counts are the summary, and
-// builds the AS lists from those stats.
+// merge numbers each partition's first check, sums the partitions' AS
+// counts into the snapshot's entries, lays every index out at its exact
+// size and gives each partition its windows. Then it merges the
+// partitions' partials into the first one, whose stats the entries
+// point at and whose counts are the summary, and builds the AS lists
+// from those stats.
 func (s *Snapshot) merge(parts []partition) {
 	s.perAS = make(map[ir.ASN]*ASEntry)
-	origins := 0
+	checks, origins := 0, 0
 	for p := range parts {
 		pt := &parts[p]
+		pt.first = uint32(checks)
+		checks += int(pt.agg.Checks.Total())
 		origins += pt.origins
 		for asn, t := range pt.ases.perAS {
 			e := s.perAS[asn]
@@ -130,9 +109,11 @@ func (s *Snapshot) merge(parts []partition) {
 			e.nRoutes += t.nRoutes
 		}
 	}
+	s.checkRoute = make([]uint32, checks)
+
 	// One array for every AS's checks and one for every AS's routes,
 	// each AS's range split among the partitions in their order.
-	asChecks, asRoutes := make([]uint32, len(s.checkRoute)), make([]uint32, origins)
+	asChecks, asRoutes := make([]uint32, checks), make([]uint32, origins)
 	for _, e := range s.perAS {
 		e.Checks, asChecks = asChecks[:0:e.nChecks], asChecks[e.nChecks:]
 		e.Routes, asRoutes = asRoutes[:0:e.nRoutes], asRoutes[e.nRoutes:]
@@ -228,14 +209,15 @@ func split(parts []partition, share func(*partition) (int, *[]uint32)) []uint32 
 	return list
 }
 
-// scatter writes the partition's routes and checks into its windows,
-// in report order. It lists a check once under each kind the count pass
-// left in its checkRoute slot, then gives the slot the check's route.
+// scatter numbers the partition's checks and writes them and its routes
+// into its windows, in report order, a check once under each kind it
+// carries.
 func (pt *partition) scatter(s *Snapshot) {
 	ci := pt.first
 	var origin, owner asRun
 	for ri := pt.lo; ri < pt.hi; ri++ {
 		r := &s.routes[ri]
+		r.off = ci
 		if n := len(r.path); n > 0 {
 			o := origin.at(&pt.ases, r.path[n-1])
 			o.Routes = append(o.Routes, uint32(ri))
@@ -245,7 +227,7 @@ func (pt *partition) scatter(s *Snapshot) {
 			e := owner.at(&pt.ases, report.Owner(c.Dir, c.From, c.To))
 			e.Checks = append(e.Checks, ci)
 			pt.byStatus[c.Status] = append(pt.byStatus[c.Status], ci)
-			for kinds := s.checkRoute[ci]; kinds != 0; kinds &= kinds - 1 {
+			for kinds := c.ReasonKinds(); kinds != 0; kinds &= kinds - 1 {
 				k := bits.TrailingZeros32(kinds)
 				pt.byReason[k] = append(pt.byReason[k], ci)
 			}

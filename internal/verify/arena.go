@@ -217,7 +217,8 @@ func (a *reportArena) find(h uint64, head, tail []Reason) []Reason {
 }
 
 // HashReasons folds rs into h over (kind, ASN, name) in order, names
-// keyed by seed: how equal lists are found, here and in the store.
+// keyed by seed: how equal lists are found, in the arena and in
+// report.ReadJSONL.
 func HashReasons(seed maphash.Seed, h uint64, rs []Reason) uint64 {
 	const mul = 0x9E3779B97F4A7C15
 	for i := range rs {

@@ -157,3 +157,15 @@ func TestStreamRetainsNothing(t *testing.T) {
 		t.Errorf("live heap moved between %d and %d bytes during the stream: %v", lo, hi, marks)
 	}
 }
+
+// TestCheckSize: Kinds sits in the padding between Status and Reasons,
+// so on a 64-bit build a check is the 40 bytes it was without it. A
+// sweep holds millions of checks; a larger one costs each of them.
+func TestCheckSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) == 4 {
+		t.Skip("a 32-bit build has too little padding there for Kinds")
+	}
+	if n := unsafe.Sizeof(Check{}); n != 40 {
+		t.Errorf("Check is %d bytes, want 40", n)
+	}
+}

@@ -216,7 +216,7 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 	an := a.lastAN
 	if !a.lastOK {
 		c.Status = Unrecorded
-		c.Reasons = a.canonical([]Reason{{Kind: UnrecordedAutNum, ASN: ctx.self}}, nil)
+		c.Kinds, c.Reasons = 1<<UnrecordedAutNum, a.canonical([]Reason{{Kind: UnrecordedAutNum, ASN: ctx.self}}, nil)
 		return
 	}
 	rules := an.Imports
@@ -225,7 +225,7 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 	}
 	if len(rules) == 0 {
 		c.Status = Unrecorded
-		c.Reasons = a.canonical([]Reason{{Kind: UnrecordedNoRules}}, nil)
+		c.Kinds, c.Reasons = 1<<UnrecordedNoRules, a.canonical([]Reason{{Kind: UnrecordedNoRules}}, nil)
 		return
 	}
 
@@ -245,6 +245,7 @@ func (v *Verifier) evalCheck(ctx *evalCtx, c *Check) {
 	}
 	c.Status = best
 	c.Reasons = a.dedupReasons(reasons, item)
+	c.Kinds = KindsOf(c.Reasons)
 }
 
 // The safelist's report items, one per Section 5.1.2 relationship.

@@ -189,9 +189,32 @@ type Check struct {
 	To   ir.ASN `json:"to"`
 	// Dir says whose rule was checked: DirExport checks From's export,
 	// DirImport checks To's import.
-	Dir     ir.Direction `json:"dir"`
-	Status  Status       `json:"status"`
-	Reasons []Reason     `json:"reasons,omitempty"`
+	Dir    ir.Direction `json:"dir"`
+	Status Status       `json:"status"`
+	// Kinds has one bit per kind among Reasons, set where the verifier
+	// sets Reasons. It sits in padding, so a check is no larger for it.
+	// A check built elsewhere may leave it 0: read ReasonKinds.
+	Kinds   uint32   `json:"-"`
+	Reasons []Reason `json:"reasons,omitempty"`
+}
+
+// KindsOf returns the kinds among rs, one bit each.
+func KindsOf(rs []Reason) uint32 {
+	var kinds uint32
+	for i := range rs {
+		kinds |= 1 << rs[i].Kind
+	}
+	return kinds
+}
+
+// ReasonKinds returns the kinds among the check's reasons, one bit
+// each: Kinds, or, where that was left 0, the kinds of Reasons. A
+// non-empty list has at least one kind, so 0 with reasons is unset.
+func (c *Check) ReasonKinds() uint32 {
+	if c.Kinds != 0 || len(c.Reasons) == 0 {
+		return c.Kinds
+	}
+	return KindsOf(c.Reasons)
 }
 
 // String renders the check in the Appendix C report style:

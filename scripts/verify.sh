@@ -12,7 +12,8 @@
 #      no production file outside internal/ir, internal/asregex and the
 #      verifier's compiler selects a policy-tree child field, so
 #      every analysis walks the tree through internal/ir's traversals;
-#      and TestRetainedHeapCeilings: what ingest, a
+#      TestNoUnsafe: no production file imports unsafe; and
+#      TestRetainedHeapCeilings: what ingest, a
 #      sweep, the store freeze and an -import retain per route)
 #   5. the same tests under the race detector — the ingestion pipeline
 #      and the verifier's caches are concurrent, so a green run here is
@@ -57,8 +58,9 @@
 #   7. a 32-bit build — the store freeze and its counting kernel
 #      (internal/reportstore, internal/report) tested under GOARCH=386,
 #      where an int is 32 bits wide and an ASN at or above 2^31 turns
-#      negative in it (TestFreezeTopASNs); the amd64 toolchain builds
-#      and runs 386 binaries natively
+#      negative in it (TestFreezeTopASNs), and where a verify.Check
+#      grows from 24 to 28 bytes, its Kinds finding no padding to sit
+#      in; the amd64 toolchain builds and runs 386 binaries natively
 #   8. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
