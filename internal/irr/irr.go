@@ -211,30 +211,30 @@ func (db *Database) indexRoutes() {
 	<-done
 }
 
-// buildRouteTrie indexes routes by prefix. No reader can see the trie
-// yet, so it is built in place; Insert and Delete take over once it is
-// published (update.go).
+// buildRouteTrie indexes routes by prefix in one bulk build; Insert
+// and Delete take over once it is published (update.go). A prefix's
+// routes reach it one after another in route order, so its distinct
+// origins are one run of a slab, cut to capacity so that an append
+// reallocates, and they stay in first-seen order.
 func buildRouteTrie(routes []*ir.RouteObject) *prefix.Trie[prefixOrigins] {
-	var tr prefix.TrieBuilder[prefixOrigins]
-	// Nearly every prefix has one origin: its one-element origins and
-	// counts are slot i of two slabs, cut to capacity one so that an
-	// append reallocates.
-	origins, counts := make([]ir.ASN, len(routes)), make([]int, len(routes))
+	// add reads the routes in prefix order: it takes their origins from
+	// a copy in route order, not from the scattered objects.
+	byRoute := make([]ir.ASN, len(routes))
 	for i, r := range routes {
-		po := tr.At(r.Prefix)
-		if j := slices.Index(po.origins, r.Origin); j >= 0 {
-			po.counts[j]++ // fresh build: the backing array is unshared
-			continue
-		}
-		if po.origins == nil {
-			origins[i], counts[i] = r.Origin, 1
-			po.origins, po.counts = origins[i:i+1:i+1], counts[i:i+1:i+1]
-			continue
-		}
-		po.origins = append(po.origins, r.Origin)
-		po.counts = append(po.counts, 1)
+		byRoute[i] = r.Origin
 	}
-	return tr.Trie()
+	origins, counts := make([]ir.ASN, 0, len(routes)), make([]int, 0, len(routes))
+	return prefix.BuildTrie(len(routes), func(i int) prefix.Prefix { return routes[i].Prefix },
+		func(po *prefixOrigins, i int) {
+			o := byRoute[i]
+			if j := slices.Index(po.origins, o); j >= 0 {
+				po.counts[j]++ // fresh build: the slab is unshared
+				return
+			}
+			origins, counts = append(origins, o), append(counts, 1)
+			lo, hi := len(origins)-len(po.origins)-1, len(origins)
+			po.origins, po.counts = origins[lo:hi:hi], counts[lo:hi:hi]
+		})
 }
 
 // originRun is one origin's run [lo, hi) of the sorted route keys.

@@ -11,12 +11,13 @@ import (
 // section 5.4) from text. Unparseable sub-expressions degrade to
 // ir.FilterUnsupported nodes; a non-nil error is returned only when
 // the text cannot be tokenized at all.
-func ParseFilter(s string) (*ir.Filter, error) {
-	toks, err := lex(s)
-	if err != nil {
+func ParseFilter(s string) (*ir.Filter, error) { return parseFilter(&cursor{}, s) }
+
+// parseFilter is ParseFilter lexing into c's buffer.
+func parseFilter(c *cursor, s string) (*ir.Filter, error) {
+	if err := c.lex(s); err != nil {
 		return nil, err
 	}
-	c := &cursor{toks: toks}
 	f := parseFilterExpr(c)
 	if !c.atEOF() {
 		return &ir.Filter{Kind: ir.FilterUnsupported, Raw: s}, nil

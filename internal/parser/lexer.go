@@ -38,12 +38,13 @@ func (t token) isKeyword(kw string) bool {
 	return t.kind == tokWord && strings.EqualFold(t.text, kw)
 }
 
-// lex tokenizes a policy attribute value. '<' starts an AS-path regex
-// captured verbatim until the matching '>'. Braces, parentheses,
-// semicolons and commas are punctuation; everything else groups into
-// words split on whitespace and punctuation.
-func lex(s string) ([]token, error) {
-	var toks []token
+// lex tokenizes a policy attribute value into buf, from its start, and
+// returns the grown buffer. '<' starts an AS-path regex captured
+// verbatim until the matching '>'. Braces, parentheses, semicolons and
+// commas are punctuation; everything else groups into words split on
+// whitespace and punctuation. A token's text is a substring of s.
+func lex(buf []token, s string) ([]token, error) {
+	toks := buf[:0]
 	i := 0
 	n := len(s)
 	for i < n {
@@ -80,10 +81,20 @@ func lex(s string) ([]token, error) {
 	return toks, nil
 }
 
-// cursor walks a token slice.
+// cursor walks a token slice. Its buffer is reused by each lex, so a
+// cursor that parses many values (the builder's) allocates its tokens
+// once; nothing parsed from it keeps a sub-slice of the buffer, only
+// the tokens' text.
 type cursor struct {
 	toks []token
 	pos  int
+}
+
+// lex tokenizes s into the cursor's buffer and rewinds to its start.
+func (c *cursor) lex(s string) error {
+	toks, err := lex(c.toks, s)
+	c.toks, c.pos = toks, 0
+	return err
 }
 
 func (c *cursor) peek() token {

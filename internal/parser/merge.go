@@ -1,6 +1,9 @@
 package parser
 
 import (
+	"cmp"
+	"slices"
+
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/prefix"
 )
@@ -58,8 +61,8 @@ type merger struct {
 	diags   []ir.ParseError
 	// routes holds every chunk's route objects in feed order, nroutes
 	// of them; finish deduplicates them once that number is known.
-	// sources numbers the registry names, so that the key hashes an
-	// int, not the name.
+	// sources numbers the registry names, so that a key holds an int,
+	// not the name.
 	routes  []sourceRoutes
 	nroutes int
 	sources map[string]int
@@ -68,12 +71,6 @@ type merger struct {
 type sourceRoutes struct {
 	source int
 	routes []*ir.RouteObject
-}
-
-type routeKey struct {
-	prefix prefix.Prefix
-	origin ir.ASN
-	source int
 }
 
 func newMerger() *merger {
@@ -134,20 +131,54 @@ func (m *merger) flushDiags() {
 }
 
 // finish keeps every (prefix, origin, source) route tuple once, in feed
-// order (none leaves Routes nil), and returns the IR.
+// order (none leaves Routes nil), and returns the IR. The routes'
+// prefix Keys are sorted with their feed positions, stably, so each
+// prefix's routes form a run in feed order; a run sorted on (origin,
+// source, position) then heads each tuple with its first route. The
+// kept routes are emitted in feed order.
 func (m *merger) finish() *ir.IR {
 	m.flushDiags()
 	if m.nroutes == 0 {
 		return m.out
 	}
-	seen := make(map[routeKey]struct{}, m.nroutes)
-	m.out.Routes = make([]*ir.RouteObject, 0, m.nroutes)
+	routes, sources := make([]*ir.RouteObject, 0, m.nroutes), make([]int32, 0, m.nroutes)
+	keys := make([]prefix.PosKey, 0, m.nroutes)
 	for _, c := range m.routes {
 		for _, r := range c.routes {
-			seen[routeKey{r.Prefix, r.Origin, c.source}] = struct{}{}
-			if len(seen) > len(m.out.Routes) { // not a duplicate
-				m.out.Routes = append(m.out.Routes, r)
+			keys = append(keys, r.Prefix.Key().At(len(routes)))
+			routes, sources = append(routes, r), append(sources, int32(c.source))
+		}
+	}
+	prefix.SortKeys(keys)
+	tuple := func(a, b prefix.PosKey) int {
+		if c := cmp.Compare(routes[a.Pos].Origin, routes[b.Pos].Origin); c != 0 {
+			return c
+		}
+		return cmp.Compare(sources[a.Pos], sources[b.Pos])
+	}
+	keep := make([]bool, len(routes))
+	kept := 0
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].Key() == keys[lo].Key() {
+			hi++
+		}
+		run := keys[lo:hi]
+		if len(run) > 1 {
+			slices.SortStableFunc(run, tuple)
+		}
+		for i, k := range run {
+			if i == 0 || tuple(run[i-1], k) != 0 {
+				keep[k.Pos] = true
+				kept++
 			}
+		}
+		lo = hi
+	}
+	m.out.Routes = make([]*ir.RouteObject, 0, kept)
+	for pos, r := range routes {
+		if keep[pos] {
+			m.out.Routes = append(m.out.Routes, r)
 		}
 	}
 	return m.out

@@ -17,6 +17,7 @@ import (
 type builder struct {
 	x    *ir.IR
 	flat FlatObjects
+	cur  cursor // every policy value is lexed into its one token buffer
 }
 
 // FlatObjects holds one chunk's parsed objects in encounter order,
@@ -94,29 +95,15 @@ func (b *builder) addAutNum(obj *rpsl.Object) {
 	if name, ok := obj.Get("as-name"); ok {
 		an.Name = name
 	}
-	an.MemberOfs = splitList(strings.Join(obj.All("member-of"), ","))
-	an.MntBys = splitList(strings.Join(obj.All("mnt-by"), ","))
+	an.MemberOfs = splitList(obj, "member-of")
+	an.MntBys = splitList(obj, "mnt-by")
 
-	parseRules := func(key string, dir ir.Direction, mp bool) []ir.Rule {
-		var rules []ir.Rule
-		for _, val := range obj.All(key) {
-			rule, err := ParseRule(dir, mp, val)
-			if err != nil {
-				b.addError(obj, "syntax", "%s: %v (in %q)", key, err, truncateVal(val))
-				continue
-			}
-			rules = append(rules, rule)
-		}
-		return rules
-	}
-	an.Imports = append(an.Imports, parseRules("import", ir.DirImport, false)...)
-	an.Imports = append(an.Imports, parseRules("mp-import", ir.DirImport, true)...)
-	an.Exports = append(an.Exports, parseRules("export", ir.DirExport, false)...)
-	an.Exports = append(an.Exports, parseRules("mp-export", ir.DirExport, true)...)
+	an.Imports = b.parseRules(obj, ir.DirImport, "import", "mp-import")
+	an.Exports = b.parseRules(obj, ir.DirExport, "export", "mp-export")
 	for _, key := range []string{"default", "mp-default"} {
 		mp := key == "mp-default"
-		for _, val := range obj.All(key) {
-			d, err := ParseDefaultRule(mp, val)
+		for val := range obj.Values(key) {
+			d, err := parseDefaultRule(&b.cur, mp, val)
 			if err != nil {
 				b.addError(obj, "syntax", "%s: %v (in %q)", key, err, truncateVal(val))
 				continue
@@ -127,6 +114,36 @@ func (b *builder) addAutNum(obj *rpsl.Object) {
 	b.flat.AutNums = append(b.flat.AutNums, an)
 }
 
+// parseRules parses the rules of obj's key attributes, then those of
+// its mpKey ones, into one list laid out at its exact size (the IR
+// keeps it), nil when none parses.
+func (b *builder) parseRules(obj *rpsl.Object, dir ir.Direction, key, mpKey string) []ir.Rule {
+	n := 0
+	for _, a := range obj.Attrs {
+		if a.Key == key || a.Key == mpKey {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	rules := make([]ir.Rule, 0, n)
+	for _, k := range [...]string{key, mpKey} {
+		for val := range obj.Values(k) {
+			rule, err := parseRule(&b.cur, dir, k == mpKey, val)
+			if err != nil {
+				b.addError(obj, "syntax", "%s: %v (in %q)", k, err, truncateVal(val))
+				continue
+			}
+			rules = append(rules, rule)
+		}
+	}
+	if len(rules) == 0 {
+		return nil
+	}
+	return rules
+}
+
 func (b *builder) addAsSet(obj *rpsl.Object) {
 	name := obj.Name
 	if !ValidAsSetName(name) {
@@ -135,10 +152,9 @@ func (b *builder) addAsSet(obj *rpsl.Object) {
 		// references to it.
 	}
 	set := &ir.AsSet{Name: name, Source: obj.Source}
-	set.MbrsByRef = splitList(strings.Join(obj.All("mbrs-by-ref"), ","))
-	set.MntBys = splitList(strings.Join(obj.All("mnt-by"), ","))
-	members := splitList(strings.Join(obj.All("members"), ","))
-	members = append(members, splitList(strings.Join(obj.All("mp-members"), ","))...)
+	set.MbrsByRef = splitList(obj, "mbrs-by-ref")
+	set.MntBys = splitList(obj, "mnt-by")
+	members := splitList(obj, "members", "mp-members")
 	for _, m := range members {
 		mu := strings.ToUpper(m)
 		switch {
@@ -164,10 +180,9 @@ func (b *builder) addRouteSet(obj *rpsl.Object) {
 		b.addError(obj, "invalid-route-set-name", "invalid route-set name %q", name)
 	}
 	set := &ir.RouteSet{Name: name, Source: obj.Source}
-	set.MbrsByRef = splitList(strings.Join(obj.All("mbrs-by-ref"), ","))
-	set.MntBys = splitList(strings.Join(obj.All("mnt-by"), ","))
-	members := splitList(strings.Join(obj.All("members"), ","))
-	members = append(members, splitList(strings.Join(obj.All("mp-members"), ","))...)
+	set.MbrsByRef = splitList(obj, "mbrs-by-ref")
+	set.MntBys = splitList(obj, "mnt-by")
+	members := splitList(obj, "members", "mp-members")
 	for _, m := range members {
 		member, err := parseRouteSetMember(m)
 		if err != nil {
@@ -213,21 +228,20 @@ func (b *builder) addPeeringSet(obj *rpsl.Object) {
 		b.addError(obj, "invalid-peering-set-name", "invalid peering-set name %q", name)
 	}
 	set := &ir.PeeringSet{Name: name, Source: obj.Source}
-	vals := obj.All("peering")
-	vals = append(vals, obj.All("mp-peering")...)
-	for _, v := range vals {
-		toks, err := lex(v)
-		if err != nil {
-			b.addError(obj, "syntax", "bad peering %q: %v", v, err)
-			continue
+	c := &b.cur
+	for _, key := range [...]string{"peering", "mp-peering"} {
+		for v := range obj.Values(key) {
+			if err := c.lex(v); err != nil {
+				b.addError(obj, "syntax", "bad peering %q: %v", v, err)
+				continue
+			}
+			p, ok := parsePeering(c)
+			if !ok || !c.atEOF() {
+				b.addError(obj, "syntax", "bad peering %q", v)
+				continue
+			}
+			set.Peerings = append(set.Peerings, p)
 		}
-		c := &cursor{toks: toks}
-		p, ok := parsePeering(c)
-		if !ok || !c.atEOF() {
-			b.addError(obj, "syntax", "bad peering %q", v)
-			continue
-		}
-		set.Peerings = append(set.Peerings, p)
 	}
 	b.flat.PeeringSets = append(b.flat.PeeringSets, set)
 }
@@ -246,7 +260,7 @@ func (b *builder) addFilterSet(obj *rpsl.Object) {
 		b.addError(obj, "syntax", "filter-set without filter attribute")
 		set.Filter = unsupportedFilter("")
 	} else {
-		f, err := ParseFilter(val)
+		f, err := parseFilter(&b.cur, val)
 		if err != nil {
 			b.addError(obj, "syntax", "bad filter %q: %v", val, err)
 			f = unsupportedFilter(val)
@@ -283,31 +297,51 @@ func (b *builder) addRoute(obj *rpsl.Object) {
 	ro := &ir.RouteObject{
 		Prefix:    p,
 		Origin:    origin,
-		MemberOfs: splitList(strings.Join(obj.All("member-of"), ",")),
-		MntBys:    splitList(strings.Join(obj.All("mnt-by"), ",")),
+		MemberOfs: splitList(obj, "member-of"),
+		MntBys:    splitList(obj, "mnt-by"),
 		Source:    obj.Source,
 	}
 	b.flat.Routes = append(b.flat.Routes, ro)
 }
 
-// splitList splits an RPSL list value on commas and whitespace,
-// dropping empties. It tolerates the broken comma lists found in the
-// wild ("AS1,,AS2", trailing commas).
-func splitList(s string) []string {
-	fields := strings.FieldsFunc(s, func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t'
-	})
-	out := fields[:0]
-	for _, f := range fields {
-		f = strings.TrimSpace(f)
-		if f != "" {
-			out = append(out, strings.ToUpper(f))
-		}
-	}
-	if len(out) == 0 {
+// splitList splits the values of obj's attributes with the given
+// keys, key by key and each in file order, on commas and whitespace
+// into one upper-cased list, dropping empties. It tolerates the broken
+// comma lists found in the wild ("AS1,,AS2", trailing commas). The
+// list is laid out at its exact size, nil when empty: the IR keeps it.
+func splitList(obj *rpsl.Object, keys ...string) []string {
+	n := 0
+	eachField(obj, keys, func(string) { n++ })
+	if n == 0 {
 		return nil
 	}
+	out := make([]string, 0, n)
+	eachField(obj, keys, func(f string) { out = append(out, strings.ToUpper(f)) })
 	return out
+}
+
+// eachField calls fn with every non-empty field, trimmed, of the values
+// of obj's attributes with the given keys, cut at commas, spaces and
+// tabs.
+func eachField(obj *rpsl.Object, keys []string, fn func(string)) {
+	for _, key := range keys {
+		for _, a := range obj.Attrs {
+			if a.Key != key {
+				continue
+			}
+			for s := a.Value; s != ""; {
+				f := s
+				if i := strings.IndexAny(s, ", \t"); i >= 0 {
+					f, s = s[:i], s[i+1:]
+				} else {
+					s = ""
+				}
+				if f = strings.TrimSpace(f); f != "" {
+					fn(f)
+				}
+			}
+		}
+	}
 }
 
 func truncateVal(s string) string {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rpslyzer/internal/ir"
+	"rpslyzer/internal/rpsl"
 )
 
 const miniIRR = `
@@ -267,8 +268,12 @@ func TestParseFilterStandalone(t *testing.T) {
 }
 
 func TestSplitList(t *testing.T) {
-	got := splitList("AS1,, AS2 ,AS3  AS4,")
-	want := []string{"AS1", "AS2", "AS3", "AS4"}
+	obj := &rpsl.Object{Attrs: []rpsl.Attribute{
+		{Key: "members", Value: "AS1,, as2 ,AS3"}, {Key: "mp-members", Value: "\tas5"},
+		{Key: "members", Value: " AS4,"}, {Key: "mp-members"}, {Key: "mnt-by", Value: ", ,,"},
+	}}
+	got := splitList(obj, "members", "mp-members")
+	want := []string{"AS1", "AS2", "AS3", "AS4", "AS5"}
 	if len(got) != len(want) {
 		t.Fatalf("splitList = %v", got)
 	}
@@ -277,7 +282,10 @@ func TestSplitList(t *testing.T) {
 			t.Errorf("splitList[%d] = %q", i, got[i])
 		}
 	}
-	if splitList("") != nil {
+	if len(got) != cap(got) {
+		t.Errorf("splitList has cap %d for %d fields, want its exact size", cap(got), len(got))
+	}
+	if splitList(obj, "mnt-by") != nil || splitList(obj, "nonexistent") != nil {
 		t.Error("empty list should be nil")
 	}
 }

@@ -12,11 +12,14 @@ import (
 //
 //	default: to <peering> [action <actions>] [networks <filter>]
 func ParseDefaultRule(mp bool, text string) (ir.DefaultRule, error) {
-	toks, err := lex(text)
-	if err != nil {
+	return parseDefaultRule(&cursor{}, mp, text)
+}
+
+// parseDefaultRule is ParseDefaultRule lexing into c's buffer.
+func parseDefaultRule(c *cursor, mp bool, text string) (ir.DefaultRule, error) {
+	if err := c.lex(text); err != nil {
 		return ir.DefaultRule{}, err
 	}
-	c := &cursor{toks: toks}
 	d := ir.DefaultRule{MP: mp, Raw: text}
 	// RPSLng allows a leading afi list; consume and ignore (the
 	// peering carries the semantics we keep).
@@ -80,7 +83,6 @@ func (b *builder) addRtrSet(obj *rpsl.Object) {
 		b.addError(obj, "invalid-rtr-set-name", "invalid rtr-set name %q", name)
 	}
 	set := &ir.RtrSet{Name: name, Source: obj.Source}
-	set.Members = splitList(strings.Join(obj.All("members"), ","))
-	set.Members = append(set.Members, splitList(strings.Join(obj.All("mp-members"), ","))...)
+	set.Members = splitList(obj, "members", "mp-members")
 	b.flat.RtrSets = append(b.flat.RtrSets, set)
 }

@@ -17,11 +17,14 @@ import (
 //	term   := '{' factor ';' ... '}' | factor
 //	factor := (from|to <peering> [action <actions>])+ accept|announce <filter>
 func ParseRule(dir ir.Direction, mp bool, text string) (ir.Rule, error) {
-	toks, err := lex(text)
-	if err != nil {
+	return parseRule(&cursor{}, dir, mp, text)
+}
+
+// parseRule is ParseRule lexing into c's buffer.
+func parseRule(c *cursor, dir ir.Direction, mp bool, text string) (ir.Rule, error) {
+	if err := c.lex(text); err != nil {
 		return ir.Rule{}, err
 	}
-	c := &cursor{toks: toks}
 	rule := ir.Rule{Dir: dir, MP: mp, Raw: text}
 
 	if c.peek().isKeyword("protocol") {

@@ -103,3 +103,75 @@ func FuzzRangeOpMatch(f *testing.F) {
 		}
 	})
 }
+
+// encodePrefixes writes prefixes in FuzzBuildTrie's input format: per
+// prefix a family byte (0 IPv4, 1 IPv6, 2 IPv4-mapped IPv6), a length
+// byte and the address bytes.
+func encodePrefixes(ss ...string) []byte {
+	var out []byte
+	for _, s := range ss {
+		p := netip.MustParsePrefix(s)
+		a := p.Addr()
+		switch {
+		case a.Is4():
+			b := a.As4()
+			out = append(append(out, 0, byte(p.Bits())), b[:]...)
+		case a.Is4In6():
+			b := a.Unmap().As4()
+			out = append(append(out, 2, byte(p.Bits())), b[:]...)
+		default:
+			b := a.As16()
+			out = append(append(out, 1, byte(p.Bits())), b[:]...)
+		}
+	}
+	return out
+}
+
+// decodePrefixes reads encodePrefixes' format, taking lengths modulo
+// the family's width plus one and padding a short last address with
+// zeros.
+func decodePrefixes(data []byte) []Prefix {
+	var out []Prefix
+	for len(data) >= 2 {
+		fam, n := data[0]%3, int(data[1])
+		data = data[2:]
+		var b [16]byte
+		width := 4
+		if fam == 1 {
+			width = 16
+		}
+		data = data[copy(b[:width], data):]
+		var a netip.Addr
+		switch fam {
+		case 0:
+			a, n = netip.AddrFrom4([4]byte(b[:4])), n%33
+		case 1:
+			a, n = netip.AddrFrom16(b), n%129
+		case 2:
+			a, n = netip.AddrFrom16(netip.AddrFrom4([4]byte(b[:4])).As16()), 96+n%33
+		}
+		p, _ := a.Prefix(n)
+		out = append(out, Prefix{p})
+	}
+	return out
+}
+
+// FuzzBuildTrie holds BuildTrie to repeated Insert, node for node,
+// over fuzzed prefix lists: both families mixed, duplicates, /0, host
+// routes, nested chains and addresses with the top bit set.
+func FuzzBuildTrie(f *testing.F) {
+	for _, seed := range [][]byte{
+		encodePrefixes("10.0.0.0/8", "2001:db8::/32", "10.1.0.0/16", "::ffff:10.1.0.0/112", "2001:db8:1::/48", "192.0.2.0/24", "2001:db8::/33"),
+		encodePrefixes("10.0.0.0/8", "10.0.0.0/8", "2001:db8::/32", "10.1.0.0/16", "2001:db8::/32", "10.0.0.0/8"),
+		encodePrefixes("10.0.0.0/8", "0.0.0.0/0", "2001:db8::/32", "::/0", "0.0.0.0/0", "128.0.0.0/1"),
+		encodePrefixes("192.0.2.1/32", "192.0.2.0/32", "2001:db8::1/128", "2001:db8::/128", "192.0.2.0/31", "::/128", "0.0.0.0/32"),
+		encodePrefixes("10.0.0.0/24", "10.0.0.0/20", "10.0.0.0/16", "10.0.0.0/12", "10.0.0.0/8", "10.0.0.0/22", "10.0.0.128/25", "10.0.0.192/26"),
+		encodePrefixes("255.255.255.255/32", "128.0.0.0/1", "200.0.0.0/8", "ffff::/16", "8000::/1", "ffff:ffff::/32", "255.0.0.0/8", "fe80::/10"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ps := decodePrefixes(data)
+		checkBuiltMatchesInsert(t, ps, ps)
+	})
+}

@@ -10,7 +10,9 @@
 package prefix
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -81,6 +83,175 @@ func (p Prefix) Compare(q Prefix) int {
 		return 1
 	}
 	return 0
+}
+
+// Key is a prefix packed into integers for sorting and grouping: Hi
+// and Lo hold its masked address left-aligned in 128 bits (an IPv4
+// address in the top 32 bits of Hi), Bits its length. Two prefixes of
+// this package (masked) have the same Key exactly when they are equal,
+// and SortKeys orders Keys as Prefix.Compare orders prefixes.
+type Key struct {
+	Hi, Lo uint64
+	Bits   uint8
+	IPv6   bool // the address is not IPv4 (IPv4-mapped IPv6 included)
+}
+
+// Key returns p's Key.
+func (p Prefix) Key() Key {
+	a, n := p.Addr(), p.Bits()
+	var k Key
+	if a.Is4() {
+		b := a.As4()
+		k.Hi = uint64(binary.BigEndian.Uint32(b[:])) << 32
+	} else {
+		b := a.As16()
+		k.Hi, k.Lo, k.IPv6 = binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:]), true
+	}
+	return k.masked(n)
+}
+
+// Prefix returns the prefix whose Key is k.
+func (k Key) Prefix() Prefix {
+	var a netip.Addr
+	if k.IPv6 {
+		var b [16]byte
+		binary.BigEndian.PutUint64(b[:8], k.Hi)
+		binary.BigEndian.PutUint64(b[8:], k.Lo)
+		a = netip.AddrFrom16(b)
+	} else {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(k.Hi>>32))
+		a = netip.AddrFrom4(b)
+	}
+	return Prefix{netip.PrefixFrom(a, int(k.Bits))}
+}
+
+// masked returns the Key of k's address cut to its first n bits.
+func (k Key) masked(n int) Key {
+	k.Hi &= ^uint64(0) << (64 - min(n, 64))
+	k.Lo &= ^uint64(0) << (128 - max(n, 64))
+	k.Bits = uint8(n)
+	return k
+}
+
+// PosKey is the Key of the prefix at position Pos of some list, laid
+// out flat in 24 bytes: SortKeys moves every PosKey on every pass.
+type PosKey struct {
+	Hi, Lo uint64
+	Pos    int32
+	Bits   uint8
+	IPv6   bool
+}
+
+// At returns k as the Key of the prefix at position pos.
+func (k Key) At(pos int) PosKey { return PosKey{k.Hi, k.Lo, int32(pos), k.Bits, k.IPv6} }
+
+// Key returns k's Key.
+func (k *PosKey) Key() Key { return Key{k.Hi, k.Lo, k.Bits, k.IPv6} }
+
+// SortKeys sorts ks by Key in Compare order, stably: entries with
+// equal Keys keep their order. IPv4 Keys go first, then each family is
+// sorted by a least-significant-digit radix sort, one byte per pass,
+// that skips every byte no two of its Keys differ in (IPv4 addresses
+// leave Lo and half of Hi alone): a few linear passes and one scratch
+// copy of ks.
+func SortKeys(ks []PosKey) {
+	v4 := 0
+	for i := range ks {
+		if !ks[i].IPv6 {
+			v4++
+		}
+	}
+	tmp := make([]PosKey, len(ks))
+	at := [2]int{0, v4}
+	for _, k := range ks {
+		f := famOf(k.Key())
+		tmp[at[f]] = k
+		at[f]++
+	}
+	for _, family := range [2][2]int{{0, v4}, {v4, len(ks)}} {
+		lo, hi := family[0], family[1]
+		if lo == hi {
+			continue
+		}
+		if sorted := radixSort(tmp[lo:hi], ks[lo:hi]); &sorted[0] != &ks[lo] {
+			copy(ks[lo:hi], sorted)
+		}
+	}
+}
+
+// radixSort sorts src, one family's Keys, stably by (Hi, Lo, Bits)
+// with dst as scratch, and returns whichever of the two holds the
+// result.
+func radixSort(src, dst []PosKey) []PosKey {
+	var diff [3]uint64 // per word, the bits some Key differs in from the first
+	for i := range src {
+		for w := range diff {
+			diff[w] |= src[i].word(w) ^ src[0].word(w)
+		}
+	}
+	for w := range diff {
+		for shift := 0; shift < 64; shift += 8 {
+			if diff[w]>>shift&0xff == 0 {
+				continue
+			}
+			var at [256]int
+			for i := range src {
+				at[src[i].word(w)>>shift&0xff]++
+			}
+			sum := 0
+			for d, n := range at {
+				at[d], sum = sum, sum+n
+			}
+			for i := range src {
+				d := src[i].word(w) >> shift & 0xff
+				dst[at[d]] = src[i]
+				at[d]++
+			}
+			src, dst = dst, src
+		}
+	}
+	return src
+}
+
+// word returns the w-th word of a family's Key order, least
+// significant first: the length, then the low and high address halves.
+func (k *PosKey) word(w int) uint64 {
+	switch w {
+	case 0:
+		return uint64(k.Bits)
+	case 1:
+		return k.Lo
+	}
+	return k.Hi
+}
+
+// famOf is famIndex for a Key.
+func famOf(k Key) int {
+	if k.IPv6 {
+		return 1
+	}
+	return 0
+}
+
+// common returns the number of leading address bits k and l share
+// (128 when the addresses are equal).
+func (k Key) common(l Key) int {
+	if x := k.Hi ^ l.Hi; x != 0 {
+		return bits.LeadingZeros64(x)
+	}
+	return 64 + bits.LeadingZeros64(k.Lo^l.Lo)
+}
+
+// covers reports whether k's prefix covers l's; both are one family.
+func (k Key) covers(l Key) bool { return k.Bits <= l.Bits && k.common(l) >= int(k.Bits) }
+
+// bit returns bit i (0 = most significant) of k's address.
+func (k Key) bit(i int) int {
+	if i < 64 {
+		return int(k.Hi>>(63-i)) & 1
+	}
+	return int(k.Lo>>(127-i)) & 1
 }
 
 // RangeKind enumerates RPSL prefix range operators.

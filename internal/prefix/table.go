@@ -1,6 +1,8 @@
 package prefix
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -24,11 +26,11 @@ type Table struct {
 func NewTable(ranges []Range) *Table {
 	es := make([]Range, len(ranges))
 	copy(es, ranges)
-	sort.Slice(es, func(i, j int) bool {
-		if c := es[i].Prefix.Compare(es[j].Prefix); c != 0 {
-			return c < 0
+	slices.SortFunc(es, func(a, b Range) int {
+		if c := a.Prefix.Compare(b.Prefix); c != 0 {
+			return c
 		}
-		return rangeOpLess(es[i].Op, es[j].Op)
+		return compareRangeOps(a.Op, b.Op)
 	})
 	out := es[:0]
 	for i, e := range es {
@@ -54,14 +56,14 @@ func famIndex(p Prefix) int {
 	return 1
 }
 
-func rangeOpLess(a, b RangeOp) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
+func compareRangeOps(a, b RangeOp) int {
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
 	}
-	if a.N != b.N {
-		return a.N < b.N
+	if c := cmp.Compare(a.N, b.N); c != 0 {
+		return c
 	}
-	return a.M < b.M
+	return cmp.Compare(a.M, b.M)
 }
 
 // Len returns the number of entries.

@@ -57,57 +57,108 @@ func (t *Trie[V]) Insert(p Prefix, v V) *Trie[V] {
 	return nt
 }
 
-// TrieBuilder bulk-builds a Trie. While a trie is private to its
-// builder no reader can hold one of its roots, so the builder writes
-// nodes in place where Insert would copy the path to them. Trie hands
-// them over as an ordinary persistent *Trie and empties the builder:
-// nothing can write to a trie a reader has seen. The zero value is an
-// empty builder.
-type TrieBuilder[V any] struct{ t *Trie[V] }
-
-// At returns the address of p's value, adding p with the zero value
-// first if it is absent. The address is good until Trie is called.
-func (b *TrieBuilder[V]) At(p Prefix) *V {
-	if b.t == nil {
-		b.t = &Trie[V]{}
+// BuildTrie returns the trie of n prefixes, the i-th of which is
+// prefixAt(i), each holding the value add leaves in it (nil if n is
+// 0). add is called once for every i with the address of its prefix's
+// value, and the calls for one prefix come one after another in
+// ascending i. The trie is the one repeated Insert builds: its shape is
+// canonical for a set of prefixes.
+//
+// It is built in one pass over the prefixes sorted on their Keys, which
+// is the trie's pre-order: each prefix hangs below the deepest node on
+// the path to the one before it that covers it, never descending from
+// a root, and every node is a slot of one slab, sized by a first pass
+// that only counts. No reader can hold a node before BuildTrie returns;
+// after that, Insert and Delete copy paths as on any trie.
+func BuildTrie[V any](n int, prefixAt func(i int) Prefix, add func(v *V, i int)) *Trie[V] {
+	if n == 0 {
+		return nil
 	}
-	slot := &b.t.roots[famIndex(p)]
-	for {
-		n := *slot
-		if n == nil {
-			n = &trieNode[V]{prefix: p}
-			*slot = n
-		}
-		cpl := trieCommonBits(n.prefix.Addr(), p.Addr(), min(n.prefix.Bits(), p.Bits()))
-		switch {
-		case cpl == n.prefix.Bits() && cpl == p.Bits():
-			if !n.hasVal {
-				n.hasVal = true
-				b.t.size++
-			}
-			return &n.val
-		case cpl == n.prefix.Bits():
-			// p is under this node: descend.
-			slot = &n.child[trieBit(p.Addr(), cpl)]
-		default:
-			// p is an ancestor of this node, or the two diverge below
-			// cpl: p, or a valueless branch node at cpl, takes the
-			// node's place with the node under it. Then look again.
-			up := &trieNode[V]{prefix: p}
-			if cpl < p.Bits() {
-				up.prefix = Prefix{netip.PrefixFrom(p.Addr(), cpl).Masked()}
-			}
-			up.child[trieBit(n.prefix.Addr(), cpl)] = n
-			*slot = up
-		}
+	keys := make([]PosKey, n)
+	for i := range keys {
+		keys[i] = prefixAt(i).Key().At(i)
 	}
+	SortKeys(keys)
+	t := &Trie[V]{}
+	nodes := layout(keys, t, nil, add)
+	layout(keys, t, make([]trieNode[V], nodes), add)
+	return t
 }
 
-// Trie returns what was built (nil if nothing was), emptying the builder.
-func (b *TrieBuilder[V]) Trie() *Trie[V] {
-	t := b.t
-	b.t = nil
-	return t
+// layout hangs the prefixes of the sorted keys in t, each node a slot
+// of slab taken in order, and returns how many nodes it took; with a
+// nil slab it only counts them. path holds the nodes from a root to
+// the last prefix hung, and the next one goes below the deepest of them
+// that covers it. The slot there is taken exactly when the last prefix
+// agrees with the new one past that node's length. The two then diverge
+// at their common length, and a valueless branch node there takes the
+// slot, with the slot's subtree (which sorts first) at child 0 and the
+// new prefix at child 1. A prefix never lands on a branch node: it
+// would have sorted before the prefixes the branch was made for.
+func layout[V any](keys []PosKey, t *Trie[V], slab []trieNode[V], add func(*V, int)) int {
+	type frame struct {
+		k Key
+		n *trieNode[V]
+	}
+	var path []frame
+	build, used := slab != nil, 0
+	for lo := 0; lo < len(keys); {
+		k := keys[lo].Key()
+		hi := lo + 1
+		for hi < len(keys) && keys[hi].Key() == k {
+			hi++
+		}
+		if lo > 0 && keys[lo-1].IPv6 != k.IPv6 {
+			path = path[:0] // the first prefix of the family: an empty root
+		}
+		var last Key
+		hasLast := len(path) > 0
+		if hasLast {
+			last = path[len(path)-1].k
+		}
+		var occupant *trieNode[V]
+		for len(path) > 0 && !path[len(path)-1].k.covers(k) {
+			occupant = path[len(path)-1].n
+			path = path[:len(path)-1]
+		}
+		depth := -1
+		var slot **trieNode[V]
+		if len(path) > 0 {
+			top := path[len(path)-1]
+			depth = int(top.k.Bits)
+			if build {
+				slot = &top.n.child[k.bit(depth)]
+			}
+		} else if build {
+			slot = &t.roots[famOf(k)]
+		}
+		if cpl := min(last.common(k), int(last.Bits), int(k.Bits)); hasLast && cpl > depth {
+			bk := k.masked(cpl)
+			var br *trieNode[V]
+			if build {
+				br = &slab[used]
+				br.prefix = bk.Prefix()
+				br.child[0] = occupant
+				*slot, slot = br, &br.child[1]
+			}
+			used++
+			path = append(path, frame{bk, br})
+		}
+		var n *trieNode[V]
+		if build {
+			n = &slab[used]
+			n.prefix, n.hasVal = k.Prefix(), true
+			*slot = n
+			for _, e := range keys[lo:hi] {
+				add(&n.val, int(e.Pos))
+			}
+			t.size++
+		}
+		used++
+		path = append(path, frame{k, n})
+		lo = hi
+	}
+	return used
 }
 
 // Delete returns a trie without p. The receiver is unchanged; if p was

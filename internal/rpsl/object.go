@@ -10,6 +10,8 @@
 package rpsl
 
 import (
+	"iter"
+	"slices"
 	"strings"
 )
 
@@ -52,17 +54,20 @@ func (o *Object) Get(key string) (string, bool) {
 	return "", false
 }
 
-// All returns the values of every attribute with the given key, in
+// Values yields the values of every attribute with the given key, in
 // order. RPSL attributes such as import/export/members are multivalued.
-func (o *Object) All(key string) []string {
-	var out []string
-	for _, a := range o.Attrs {
-		if a.Key == key {
-			out = append(out, a.Value)
+func (o *Object) Values(key string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for _, a := range o.Attrs {
+			if a.Key == key && !yield(a.Value) {
+				return
+			}
 		}
 	}
-	return out
 }
+
+// All returns Values as a slice (nil when there are none).
+func (o *Object) All(key string) []string { return slices.Collect(o.Values(key)) }
 
 // Has reports whether any attribute with the key exists.
 func (o *Object) Has(key string) bool {

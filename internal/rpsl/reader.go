@@ -3,6 +3,7 @@ package rpsl
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -32,18 +33,20 @@ const MaxLine = 16 << 20
 // lines starting with '%' or '#' are file-level comments.
 //
 // The reader walks text already in memory and copies out of it only
-// what an Object keeps: one string per attribute value, one exact-size
-// attribute slice per object, interned keys. An Object therefore never
-// holds on to the text it was read from (a 256 KiB chunk of a dump).
+// the strings an Object holds: one per attribute value, plus interned
+// keys. An Object therefore never holds on to the text it was read
+// from (a 256 KiB chunk of a dump). The Object itself and its Attrs
+// slice belong to the reader and are reused by the next call to Next:
+// a caller that keeps objects keeps copies (ReadAll does).
 type Reader struct {
 	text   []byte // what is left to read
 	source string
 	line   int
 	diags  []Diagnostic
 
-	keys  map[string]string // key as spelled in the text -> lower-cased, valid key
-	attrs []Attribute       // attributes of the object in progress
-	val   []byte            // folded value of the attribute in progress
+	keys map[string]string // key as spelled in the text -> lower-cased, valid key
+	obj  Object            // the object Next returns; obj.Attrs is the object in progress
+	val  []byte            // folded value of the attribute in progress
 }
 
 // NewTextReader creates a Reader over text, parsed where it lies; text
@@ -70,13 +73,16 @@ func (r *Reader) addDiag(line int, format string, args ...any) {
 // Next returns the next object in the dump, or nil when the input is
 // exhausted. Malformed lines are skipped with a diagnostic; a line over
 // MaxLine costs the object it is in.
+//
+// The object is the reader's: the next call overwrites it and its
+// Attrs slice. The strings in it are the caller's to keep.
 func (r *Reader) Next() *Object {
 	var (
 		key     string // attribute in progress; "" until an object's first attribute line
 		keyLine int
 		skip    bool // after an over-long line: drop lines up to the next blank one
 	)
-	r.attrs, r.val = r.attrs[:0], r.val[:0]
+	r.obj.Attrs, r.val = r.obj.Attrs[:0], r.val[:0]
 	for len(r.text) > 0 {
 		var raw []byte
 		raw, r.text, _ = bytes.Cut(r.text, newline)
@@ -87,7 +93,7 @@ func (r *Reader) Next() *Object {
 		case len(raw) > MaxLine:
 			r.addDiag(r.line, "line %d is longer than %d MiB: the object it is in is skipped", r.line, MaxLine>>20)
 			key, skip = "", true
-			r.attrs, r.val = r.attrs[:0], r.val[:0]
+			r.obj.Attrs, r.val = r.obj.Attrs[:0], r.val[:0]
 		case skip:
 			skip = !blank
 		case blank:
@@ -146,26 +152,22 @@ func (r *Reader) fold(part []byte) {
 // flush ends the attribute in progress; string(r.val) copies its value
 // out of the text.
 func (r *Reader) flush(key string, line int) {
-	r.attrs = append(r.attrs, Attribute{Key: key, Value: string(r.val), Line: line})
+	r.obj.Attrs = append(r.obj.Attrs, Attribute{Key: key, Value: string(r.val), Line: line})
 	r.val = r.val[:0]
 }
 
-// finish ends the object in progress and its last attribute.
+// finish ends the object in progress and its last attribute, and
+// returns the reader's object.
 func (r *Reader) finish(key string, line int) *Object {
 	r.flush(key, line)
-	attrs := make([]Attribute, len(r.attrs))
-	copy(attrs, r.attrs)
-	name := attrs[0].Value
+	first := r.obj.Attrs[0]
+	name := first.Value
 	if strings.IndexFunc(name, unicode.IsSpace) >= 0 {
 		name = strings.Join(strings.Fields(name), " ")
 	}
-	return &Object{
-		Class:  attrs[0].Key,
-		Name:   strings.ToUpper(name),
-		Attrs:  attrs,
-		Source: r.source,
-		Line:   attrs[0].Line,
-	}
+	r.obj.Class, r.obj.Name = first.Key, strings.ToUpper(name)
+	r.obj.Source, r.obj.Line = r.source, first.Line
+	return &r.obj
 }
 
 // internKey returns the lower-cased attribute key for the text before
@@ -187,17 +189,21 @@ func (r *Reader) internKey(raw []byte) string {
 	return k
 }
 
-// ReadAll drains the reader and returns every object.
+// ReadAll drains the reader and returns every object, each a copy
+// that later calls to Next leave alone.
 func (r *Reader) ReadAll() []*Object {
 	var out []*Object
 	for o := r.Next(); o != nil; o = r.Next() {
-		out = append(out, o)
+		c := *o
+		c.Attrs = slices.Clone(o.Attrs)
+		out = append(out, &c)
 	}
 	return out
 }
 
 // ParseObjects is a convenience wrapper that reads all objects from a
-// string (used heavily by tests and examples).
+// string (used heavily by tests and examples). The objects are the
+// caller's, as ReadAll's are.
 func ParseObjects(text, source string) ([]*Object, []Diagnostic) {
 	r := NewTextReader([]byte(text), source, 1)
 	objs := r.ReadAll()

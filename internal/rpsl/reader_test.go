@@ -357,3 +357,43 @@ func TestOverlongLineCostsOneObject(t *testing.T) {
 		t.Fatalf("at MaxLine: %d objects and diagnostics %v, want 3 and none", len(objs), diags)
 	}
 }
+
+// TestNextReusesItsObject asserts the object Next returns is the
+// reader's: a second Next overwrites it and its Attrs in place, while
+// the objects ReadAll and ParseObjects return are copies, none sharing
+// the reader's object or Attrs.
+func TestNextReusesItsObject(t *testing.T) {
+	want, _ := ParseObjects(sampleDump, "TEST")
+	r := NewTextReader([]byte(sampleDump), "TEST", 1)
+	first := r.Next()
+	if !reflect.DeepEqual(first, want[0]) {
+		t.Fatalf("first Next = %+v, want %+v", first, want[0])
+	}
+	attrs := first.Attrs
+	second := r.Next()
+	if second != first {
+		t.Fatal("second Next returned a new object, want the reader's one")
+	}
+	if first.Class != "route" || first.Name != "8.8.8.0/24" || !reflect.DeepEqual(first, want[1]) {
+		t.Fatalf("after the second Next the first object is %+v, want the second object", first)
+	}
+	if &attrs[0] != &second.Attrs[0] || attrs[0] != want[1].Attrs[0] {
+		t.Fatalf("second Next did not overwrite the first object's Attrs in place")
+	}
+
+	r = NewTextReader([]byte(sampleDump), "TEST", 1)
+	all := r.ReadAll()
+	if len(all) != len(want) {
+		t.Fatalf("ReadAll = %d objects, want %d", len(all), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(all[i], want[i]) {
+			t.Fatalf("ReadAll object %d = %+v, want %+v", i, all[i], want[i])
+		}
+		for j := range i {
+			if all[j] == all[i] || &all[j].Attrs[0] == &all[i].Attrs[0] || want[j] == want[i] || &want[j].Attrs[0] == &want[i].Attrs[0] {
+				t.Fatalf("objects %d and %d share storage", j, i)
+			}
+		}
+	}
+}

@@ -146,11 +146,12 @@ func (inc *Incremental) indexRoutes() {
 		x.as.scatter()
 		x.pfx.scatter()
 	})
-	var tr prefix.TrieBuilder[[]int32]
-	for pfx, idxs := range inc.pfxRoutes {
-		*tr.At(pfx) = idxs
+	pfxs := make([]prefix.Prefix, 0, len(inc.pfxRoutes))
+	for pfx := range inc.pfxRoutes {
+		pfxs = append(pfxs, pfx)
 	}
-	inc.pfxTrie = tr.Trie()
+	inc.pfxTrie = prefix.BuildTrie(len(pfxs), func(i int) prefix.Prefix { return pfxs[i] },
+		func(idxs *[]int32, i int) { *idxs = inc.pfxRoutes[pfxs[i]] })
 }
 
 // indexRange is the routes [lo, hi) and its share of both indexes.

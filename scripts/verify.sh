@@ -54,13 +54,20 @@
 #      builds beside per-origin tables built over GOMAXPROCS origin
 #      ranges, against linear scans of its routes, fresh and after
 #      mutations (TestNewShardedEquivalence,
-#      TestShardedMutationEquivalence, TestShardRouteCountsCloneIsolation)
+#      TestShardedMutationEquivalence, TestShardRouteCountsCloneIsolation);
+#      and the two sorts on prefix Keys that the ingest's route merge and
+#      route trie use: the merge's removal of duplicate routes against
+#      the first-wins map it replaced (TestMergeRoutesMatchesFirstWinsMap)
+#      and the bulk trie build against repeated Insert
+#      (TestTrieBuilderMatchesInsert)
 #   7. a 32-bit build — the store freeze and its counting kernel
 #      (internal/reportstore, internal/report) tested under GOARCH=386,
 #      where an int is 32 bits wide and an ASN at or above 2^31 turns
 #      negative in it (TestFreezeTopASNs), and where a verify.Check
 #      grows from 24 to 28 bytes, its Kinds finding no padding to sit
-#      in; the amd64 toolchain builds and runs 386 binaries natively
+#      in; and internal/prefix and internal/parser, whose prefix Keys
+#      pack addresses into uint64 words that a 32-bit build splits; the
+#      amd64 toolchain builds and runs 386 binaries natively
 #   8. fuzz — ten seconds each of the ingest path's three fuzz targets:
 #      the reader's invariants (FuzzReader), the in-place reader against
 #      the scanner-based reference it replaced
@@ -73,7 +80,9 @@
 #      freeze against its maps-and-sort reference over reports whose
 #      reason lists alias, nest and repeat (FuzzFreeze); of the API
 #      encoder's string escaping against json.Marshal on arbitrary
-#      bytes (FuzzAppendJSONString); then the
+#      bytes (FuzzAppendJSONString); of the bulk trie build against
+#      repeated Insert over mixed-family prefix lists (FuzzBuildTrie);
+#      then the
 #      oracle's long budget, a minute of
 #      FuzzContracts — a failing draw lands, minimized, under
 #      internal/oracle/testdata/fuzz/FuzzContracts/
@@ -144,7 +153,7 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the route database's index at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the route database's index, the route merge, the bulk trie build at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^(FuzzContracts|TestContractsSlowSeeds)$' ./internal/oracle
 go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze|TestFreezeTopASNs)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
@@ -153,11 +162,13 @@ go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObjec
 go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped|TestPathsToMatchesReference|TestCollectRoutesDigest)$' ./internal/bgpsim
 go test -cpu 1,2,4 -run '^TestIndexRoutesMatchesReference$' ./internal/verify
 go test -race -cpu 1,2,4 -run '^(TestNewShardedEquivalence|TestShardedMutationEquivalence|TestShardRouteCountsCloneIsolation)$' ./internal/irr
+go test -cpu 1,2,4 -run '^TestMergeRoutesMatchesFirstWinsMap$' ./internal/parser
+go test -cpu 1,2,4 -run '^TestTrieBuilderMatchesInsert$' ./internal/prefix
 
-echo "== 32-bit build (GOARCH=386: internal/report, internal/reportstore)"
-GOARCH=386 go test ./internal/report ./internal/reportstore
+echo "== 32-bit build (GOARCH=386: internal/report, internal/reportstore, internal/prefix, internal/parser)"
+GOARCH=386 go test ./internal/report ./internal/reportstore ./internal/prefix ./internal/parser
 
-echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzPathsTo, FuzzFreeze, FuzzAppendJSONString: 10s each; FuzzContracts: 60s)"
+echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzPathsTo, FuzzFreeze, FuzzAppendJSONString, FuzzBuildTrie: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzReaderMatchesReference$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
@@ -165,6 +176,7 @@ go test -run '^$' -fuzz '^FuzzReadDumpMatchesReference$' -fuzztime 10s ./interna
 go test -run '^$' -fuzz '^FuzzPathsTo$' -fuzztime 10s ./internal/bgpsim
 go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
 go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime 10s ./internal/api
+go test -run '^$' -fuzz '^FuzzBuildTrie$' -fuzztime 10s ./internal/prefix
 go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 
 echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot, BenchmarkBuildSnapshot2k: 1x each)"
