@@ -19,19 +19,26 @@ import (
 	"rpslyzer/internal/verify"
 )
 
-// retainedBy runs build between two collections and returns the heap
-// the value it built holds onto, in bytes, and what building it
-// allocated. What a structure retains does not depend on when the
+// retainedBy runs build between two readings of the heap and returns
+// the heap the value it built holds onto, in bytes, and what building
+// it allocated. What a structure retains does not depend on when the
 // collector ran, so the figures repeat from run to run and can carry a
-// ceiling. The caller keeps the built value reachable until retainedBy
-// returns, then KeepAlives it.
+// ceiling. Each reading follows two collections: a sync.Pool keeps what
+// it held through one collection (its victim cache), so after only one
+// a pool that an earlier test filled would count on one side and not on
+// the other, and a reading would depend on what ran before. The caller
+// keeps the built value reachable until retainedBy returns, then
+// KeepAlives it.
 func retainedBy(build func()) (live, allocated float64) {
 	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	settle := func(ms *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(ms)
+	}
+	settle(&before)
 	build()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	settle(&after)
 	return float64(after.HeapAlloc) - float64(before.HeapAlloc), float64(after.TotalAlloc - before.TotalAlloc)
 }
 

@@ -71,14 +71,22 @@ func (t *Trie[V]) Insert(p Prefix, v V) *Trie[V] {
 // that only counts. No reader can hold a node before BuildTrie returns;
 // after that, Insert and Delete copy paths as on any trie.
 func BuildTrie[V any](n int, prefixAt func(i int) Prefix, add func(v *V, i int)) *Trie[V] {
-	if n == 0 {
-		return nil
-	}
 	keys := make([]PosKey, n)
 	for i := range keys {
 		keys[i] = prefixAt(i).Key().At(i)
 	}
 	SortKeys(keys)
+	return BuildSortedTrie(keys, add)
+}
+
+// BuildSortedTrie is BuildTrie over keys SortKeys has already ordered,
+// for a caller that sorted them for its own use: add is called once
+// for every key, in order, with the address of its prefix's value and
+// the key's Pos. The trie is nil if keys is empty.
+func BuildSortedTrie[V any](keys []PosKey, add func(v *V, pos int)) *Trie[V] {
+	if len(keys) == 0 {
+		return nil
+	}
 	t := &Trie[V]{}
 	nodes := layout(keys, t, nil, add)
 	layout(keys, t, make([]trieNode[V], nodes), add)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -12,6 +13,9 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/prefix"
 	"rpslyzer/internal/report"
+	"rpslyzer/internal/shard"
+	"rpslyzer/internal/telemetry"
+	"rpslyzer/internal/trace"
 	"rpslyzer/internal/verify"
 )
 
@@ -541,19 +545,60 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 	}
 }
 
+// corpus2k is bench/'s corpus-2k in memory: 2 000 ASes at seed 42 and
+// the routes 8 collectors see at seed 42.
+func corpus2k(b *testing.B) (*core.System, []bgpsim.Route) {
+	b.Helper()
+	sys, err := core.BuildSynthetic(core.Options{Seed: 42, ASes: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sys, sys.CollectRoutes(8, 42)
+}
+
 // BenchmarkBuildSnapshot2k is the freeze at the size bench/'s corpus-2k
 // runs it: 2 000 ASes at seed 42, routes from 8 collectors, every route
 // verified. Its checks carry 3.5 reasons each against
 // BenchmarkBuildSnapshot's 1.6, out of a few thousand distinct lists.
 func BenchmarkBuildSnapshot2k(b *testing.B) {
-	sys, err := core.BuildSynthetic(core.Options{Seed: 42, ASes: 2000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reports := sys.Verifier.VerifyAll(sys.CollectRoutes(8, 42), 0)
+	sys, routes := corpus2k(b)
+	reports := sys.Verifier.VerifyAll(routes, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		frozen = BuildSnapshot(reports)
+	}
+}
+
+// BenchmarkIncrementalInit2k is the verification half of a reportd
+// start over corpus-2k, the step before the freeze: NewIncremental and
+// Init (the bulk sweep, then the dirtying index), with what reportd
+// attaches to the engine's verifier — metrics, a tracer sampling at
+// its defaults, a heavy-hitter profiler and the shard metrics. Each
+// iteration starts after a collection, as a process starts on an
+// empty heap.
+func BenchmarkIncrementalInit2k(b *testing.B) {
+	sys, routes := corpus2k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		reg := telemetry.NewRegistry("init")
+		tr := trace.New(trace.Config{Sample: map[string]int{"verify": 1024, "compile": 16}})
+		prof := verify.NewProfiler(64)
+		prof.Register(tr)
+		inc, err := verify.NewIncremental(sys.DB, sys.Rels, verify.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		inc.Verifier().SetMetrics(verify.NewMetrics(reg))
+		inc.Verifier().SetTracer(tr)
+		inc.Verifier().SetProfiler(prof)
+		inc.Verifier().SetShardMetrics(shard.NewMetrics(reg))
+		if len(inc.Init(routes, 0)) != len(routes) {
+			b.Fatal("missing reports")
+		}
 	}
 }

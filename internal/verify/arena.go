@@ -50,10 +50,11 @@ type reportArena struct {
 	// that agree on (prefix, communities, origin-side path suffix) —
 	// several collectors observing one announcement — agree on those
 	// pairs' checks verbatim. The bulk drivers feed routes in
-	// compareForSharing order, where the predecessor shares the longest
-	// suffix of any earlier route, so one remembered route finds every
-	// repeat. Copies alias the predecessor's reasons, which is safe:
-	// reports are read-only downstream.
+	// compareForSharing order (built by sharingOrder, which compares
+	// no prefixes), where the predecessor shares the longest suffix of
+	// any earlier route, so one remembered route finds every repeat.
+	// Copies alias the predecessor's reasons, which is safe: reports
+	// are read-only downstream.
 	share      bool
 	prevPfx    prefix.Prefix
 	prevComms  []bgpsim.Community
@@ -89,6 +90,12 @@ func compareForSharing(x, y *bgpsim.Route) int {
 	if c := x.Prefix.Compare(y.Prefix); c != 0 {
 		return c
 	}
+	return compareWithinPrefix(x, y)
+}
+
+// compareWithinPrefix is compareForSharing for two routes of one
+// prefix: communities, then the deduplicated path from the origin.
+func compareWithinPrefix(x, y *bgpsim.Route) int {
 	if c := slices.Compare(x.Communities, y.Communities); c != 0 {
 		return c
 	}
@@ -107,6 +114,99 @@ func compareForSharing(x, y *bgpsim.Route) int {
 		}
 	}
 	return cmp.Compare(i, j) // the path that ran out first is the suffix
+}
+
+// sharingOrder sorts idxs, indexes into routes, into compareForSharing
+// order without comparing a prefix: a stable radix sort on the routes'
+// prefix Keys groups each prefix's routes in input order, and a
+// comparison sort orders each group on the rest of the key, read from
+// the routes' suffixKeys, which are taken in one pass in input order.
+// Its scratch, two Keys and a suffixKey per route, is garbage when it
+// returns.
+func sharingOrder(routes []bgpsim.Route, idxs []int32) {
+	keys := make([]prefix.PosKey, len(idxs))
+	suffixes := make([]suffixKey, len(idxs))
+	for k, i := range idxs {
+		keys[k] = routes[i].Prefix.Key().At(k)
+		suffixes[k] = suffixKeyOf(&routes[i], i)
+	}
+	prefix.SortKeys(keys)
+	var group []suffixKey
+	for lo := 0; lo < len(keys); {
+		k, hi := keys[lo].Key(), lo
+		group = group[:0]
+		for ; hi < len(keys) && keys[hi].Key() == k; hi++ {
+			group = append(group, suffixes[keys[hi].Pos])
+		}
+		sortGroup(routes, group)
+		for g := range group {
+			idxs[lo+g] = group[g].route
+		}
+		lo = hi
+	}
+}
+
+// suffixHops is how many deduplicated hops from the origin a
+// suffixKey holds.
+const suffixHops = 6
+
+// suffixKey is a route's key within its prefix's group: the first
+// suffixHops ASes of its deduplicated path read from the origin,
+// packed two to a word and zero past the path's end, and how many the
+// path has (suffixHops+1 standing for more).
+type suffixKey struct {
+	hops  [suffixHops / 2]uint64
+	route int32
+	n     uint8
+	comms bool // the route has communities, which come before the path
+}
+
+// suffixKeyOf returns the suffixKey of r, route i.
+func suffixKeyOf(r *bgpsim.Route, i int32) suffixKey {
+	sk := suffixKey{route: i, comms: len(r.Communities) > 0}
+	p := r.Path
+	for j := len(p) - 1; j >= 0 && sk.n <= suffixHops; j-- {
+		if j+1 < len(p) && p[j] == p[j+1] {
+			continue
+		}
+		if sk.n < suffixHops {
+			sk.hops[sk.n/2] |= uint64(p[j]) << (32 * (1 - sk.n%2))
+		}
+		sk.n++
+	}
+	return sk
+}
+
+// sortGroup sorts the suffixKeys of one prefix's routes by
+// compareWithinPrefix. Packed hops order paths as the comparator does:
+// where one path has run out, its zero sorts first or, against an AS 0,
+// ties, and then the shorter path sorts first by n. Two paths that
+// agree on suffixHops hops and both go on, and groups with communities
+// (rare), are compared on the routes.
+func sortGroup(routes []bgpsim.Route, group []suffixKey) {
+	if len(group) < 2 {
+		return
+	}
+	onRoutes := func(x, y suffixKey) int {
+		return compareWithinPrefix(&routes[x.route], &routes[y.route])
+	}
+	for _, sk := range group {
+		if sk.comms {
+			slices.SortFunc(group, onRoutes)
+			return
+		}
+	}
+	slices.SortFunc(group, func(x, y suffixKey) int {
+		for w := range x.hops {
+			if c := cmp.Compare(x.hops[w], y.hops[w]); c != 0 {
+				return c
+			}
+		}
+		if x.n != y.n || x.n <= suffixHops {
+			return cmp.Compare(x.n, y.n)
+		}
+		return onRoutes(x, y)
+	})
 }
 
 // sharedPairs returns how many leading pairs of the route with the

@@ -54,8 +54,9 @@ func TestSharingOrder(t *testing.T) {
 			t.Errorf("%s: reversed compare = %d, want %d", tc.name, got, -tc.cmp)
 		}
 		a := newBulkArena()
-		v.verifyRoute(tc.x, a, nil, nil, nil)
-		rep := v.verifyRoute(tc.y, a, nil, nil, nil)
+		var first, rep RouteReport
+		v.verifyRoute(&tc.x, a, &first, nil, nil)
+		v.verifyRoute(&tc.y, a, &rep, nil, nil)
 		if got := int(a.pairHits); got != tc.shared {
 			t.Errorf("%s: %d pairs shared, want %d", tc.name, got, tc.shared)
 		}
@@ -82,7 +83,7 @@ func TestSharingSkipsIgnoredRoutes(t *testing.T) {
 	slices.SortFunc(idxs, func(x, y int32) int { return compareForSharing(&routes[x], &routes[y]) })
 	a := newBulkArena()
 	for _, i := range idxs {
-		v.verifyRoute(routes[i], a, nil, nil, nil)
+		v.verifyRoute(&routes[i], a, &RouteReport{}, nil, nil)
 	}
 	if a.pairHits != 2 || a.ignored != 2 || a.routes != 2 {
 		t.Errorf("tally = %d pair hits, %d ignored, %d verified; want 2, 2, 2", a.pairHits, a.ignored, a.routes)

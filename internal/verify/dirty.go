@@ -94,7 +94,8 @@ func (inc *Incremental) markKeyDelta(d *dirt, k depgraph.Key, oldDB, newDB *irr.
 		// The Export Self relaxation reads OriginsOf(route prefix) in
 		// any program, so the origin set of a prefix dirties its routes
 		// wholesale.
-		for _, idx := range inc.pfxRoutes[k.Pfx] {
+		idxs, _ := inc.pfxTrie.Get(k.Pfx)
+		for _, idx := range idxs {
 			d.markFull(idx)
 		}
 

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"cmp"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -49,14 +51,14 @@ type Incremental struct {
 	routes  []bgpsim.Route
 	reports []RouteReport
 
-	// asRoutes, pfxRoutes, and pfxTrie index the corpus for dirtying;
-	// they depend only on the routes, not on the database. pfxTrie maps
-	// each corpus prefix to its route indexes for covered-by walks
-	// (range operators only widen toward more-specifics, so a changed
-	// table entry affects exactly the corpus prefixes it covers).
-	asRoutes  map[ir.ASN][]int32
-	pfxRoutes map[prefix.Prefix][]int32
-	pfxTrie   *prefix.Trie[[]int32]
+	// asRoutes and pfxTrie index the corpus for dirtying, nil until the
+	// first Reverify that dirties builds them; they depend only on the
+	// routes, not on the database. pfxTrie maps each corpus prefix to
+	// its route indexes, for exact lookups and covered-by walks (range
+	// operators only widen toward more-specifics, so a changed table
+	// entry affects exactly the corpus prefixes it covers).
+	asRoutes map[ir.ASN][]int32
+	pfxTrie  *prefix.Trie[[]int32]
 }
 
 // ReverifyResult summarizes one incremental step.
@@ -114,158 +116,226 @@ func (inc *Incremental) Reports() []RouteReport { return inc.reports }
 // GraphStats returns the dependency graph's current sizes.
 func (inc *Incremental) GraphStats() depgraph.Stats { return inc.graph.Stats() }
 
-// Init verifies the corpus from scratch and builds the route indexes.
-// It must be called once before Reverify.
+// Init verifies the corpus from scratch. It must be called once before
+// Reverify. The route indexes that dirtying reads are built by the
+// first Reverify that dirties: an engine that never steps, as in a
+// reportd without -mirror, never pays for them.
 func (inc *Incremental) Init(routes []bgpsim.Route, workers int) []RouteReport {
 	inc.routes = routes
+	inc.asRoutes, inc.pfxTrie = nil, nil
 	inc.reports = inc.v.VerifyAll(routes, workers)
-	inc.indexRoutes()
 	return inc.reports
 }
 
-// indexRoutes rebuilds asRoutes/pfxRoutes/pfxTrie for the current
-// corpus. Ignored routes (AS-set paths, single-AS paths) are skipped:
-// their reports do not depend on the database.
+// indexRoutes rebuilds asRoutes and pfxTrie for the current corpus.
+// Ignored routes (AS-set paths, single-AS paths) are skipped: their
+// reports do not depend on the database.
 //
-// The indexes are built as the store freeze builds its own, in three
-// passes over GOMAXPROCS contiguous route ranges. The count pass dedupes
-// each range's paths and numbers and counts its keys in its own tables;
-// a serial merge lays each index out in one exact-size arena and gives
-// every range its windows of each key's list; the scatter pass fills the
-// windows. Ranges follow route order, so every list does too.
+// Both indexes come out of sorts, with no hash table per hop or per
+// route. Over GOMAXPROCS contiguous route ranges, each range notes one
+// (ASN, route) hit per AS of a path and one prefix Key per route, and
+// sorts both stably, hits by ASN in a radix sort and Keys by
+// prefix.SortKeys, so each key's routes lie in one run, in route
+// order. A serial merge orders every range's runs by key, which
+// numbers the ASes and prefixes densely, and gives each key's runs, in
+// range order, consecutive windows of one exact-size list; the ranges
+// then copy their runs into their windows. Ranges follow route order,
+// so every list does too. The merged prefix order is also the trie's
+// sorted input, and the AS map takes one insert per distinct AS.
 func (inc *Incremental) indexRoutes() {
 	n := len(inc.routes)
 	parts := make([]indexRange, max(1, min(runtime.GOMAXPROCS(0), n)))
 	for p := range parts {
 		parts[p].lo, parts[p].hi = p*n/len(parts), (p+1)*n/len(parts)
 	}
-	shard.Each(parts, func(x *indexRange) { x.count(inc.routes) })
-	inc.asRoutes = mergeKeys(parts, func(x *indexRange) *keyHits[ir.ASN] { return &x.as })
-	inc.pfxRoutes = mergeKeys(parts, func(x *indexRange) *keyHits[prefix.Prefix] { return &x.pfx })
-	shard.Each(parts, func(x *indexRange) {
-		x.as.scatter()
-		x.pfx.scatter()
-	})
-	pfxs := make([]prefix.Prefix, 0, len(inc.pfxRoutes))
-	for pfx := range inc.pfxRoutes {
-		pfxs = append(pfxs, pfx)
+	shard.Each(parts, func(x *indexRange) { x.sort(inc.routes) })
+
+	var asRuns []*indexRun[ir.ASN]
+	var pfxRuns []*indexRun[prefix.Key]
+	for p := range parts {
+		for r := range parts[p].as {
+			asRuns = append(asRuns, &parts[p].as[r])
+		}
+		for r := range parts[p].pfx {
+			pfxRuns = append(pfxRuns, &parts[p].pfx[r])
+		}
 	}
-	inc.pfxTrie = prefix.BuildTrie(len(pfxs), func(i int) prefix.Prefix { return pfxs[i] },
-		func(idxs *[]int32, i int) { *idxs = inc.pfxRoutes[pfxs[i]] })
+	slices.SortStableFunc(asRuns, func(x, y *indexRun[ir.ASN]) int { return cmp.Compare(x.key, y.key) })
+	asns, asLists := layOut(asRuns)
+	inc.asRoutes = make(map[ir.ASN][]int32, len(asns))
+	for g, asn := range asns {
+		inc.asRoutes[asn] = asLists[g]
+	}
+
+	order := make([]prefix.PosKey, len(pfxRuns))
+	for r, run := range pfxRuns {
+		order[r] = run.key.At(r)
+	}
+	prefix.SortKeys(order)
+	sorted := make([]*indexRun[prefix.Key], len(pfxRuns))
+	for r := range order {
+		sorted[r] = pfxRuns[order[r].Pos]
+	}
+	pfxs, pfxLists := layOut(sorted)
+	for g, k := range pfxs { // order now holds the distinct Keys, still sorted
+		order[g] = k.At(g)
+	}
+	shard.Each(parts, (*indexRange).fill)
+	inc.pfxTrie = prefix.BuildSortedTrie(order[:len(pfxs)], func(idxs *[]int32, g int) { *idxs = pfxLists[g] })
 }
 
-// indexRange is the routes [lo, hi) and its share of both indexes.
+// indexRange is the routes [lo, hi), its sorted hits and prefix Keys,
+// and their runs.
 type indexRange struct {
 	lo, hi int
-	as     keyHits[ir.ASN]
-	pfx    keyHits[prefix.Prefix]
+	hits   []uint64        // ASN<<32 | route
+	keys   []prefix.PosKey // Pos is the route
+	as     []indexRun[ir.ASN]
+	pfx    []indexRun[prefix.Key]
 }
 
-// keyHits is one range's share of one index: its keys numbered by first
-// appearance, each key's hit count, every hit in route order, and after
-// the merge each key's window of the index's list.
-type keyHits[K comparable] struct {
-	ids    map[K]int32
-	keys   []K
-	counts []int32
-	hits   []hit
-	wins   [][]int32
+// indexRun is one key's entries [lo, hi) of a range's sorted hits or
+// Keys and, after the merge, their window of the key's list.
+type indexRun[K comparable] struct {
+	key    K
+	lo, hi int
+	win    []int32
 }
 
-// hit is one route under one key, by the key's number.
-type hit struct{ key, route int32 }
-
-func (x *keyHits[K]) add(k K, route int32) {
-	id, ok := x.ids[k]
-	if !ok {
-		id = int32(len(x.keys))
-		x.ids[k] = id
-		x.keys = append(x.keys, k)
-		x.counts = append(x.counts, 0)
-	}
-	x.counts[id]++
-	x.hits = append(x.hits, hit{id, route})
-}
-
-// count notes every (key, route) hit of the range.
-func (x *indexRange) count(routes []bgpsim.Route) {
+// sort notes the range's hits, one per AS of each indexed route's
+// deduplicated path, and Keys, one per indexed route, sorts both, and
+// finds their runs. An AS that a path loop visits twice leaves two
+// equal hits, which the sort puts side by side and the run pass drops.
+func (x *indexRange) sort(routes []bgpsim.Route) {
 	hops := 0
 	for i := x.lo; i < x.hi; i++ {
 		hops += len(routes[i].Path)
 	}
-	x.as = keyHits[ir.ASN]{ids: make(map[ir.ASN]int32), hits: make([]hit, 0, hops)}
-	x.pfx = keyHits[prefix.Prefix]{ids: make(map[prefix.Prefix]int32), hits: make([]hit, 0, x.hi-x.lo)}
-	var path []ir.ASN // scratch: the index keeps ASNs, not the slice
+	hits := make([]uint64, 0, hops)
+	keys := make([]prefix.PosKey, 0, x.hi-x.lo)
+	var diff uint64 // covers the bits in which two hits differ
 	for i := x.lo; i < x.hi; i++ {
 		r := &routes[i]
 		if r.HasASSet {
 			continue
 		}
-		path = dedupePrependsInto(path[:0], r.Path)
-		if len(path) <= 1 {
+		start := len(hits)
+		for j, asn := range r.Path {
+			if j > 0 && asn == r.Path[j-1] {
+				continue
+			}
+			h := uint64(asn)<<32 | uint64(i)
+			hits = append(hits, h)
+			diff |= h ^ hits[0]
+		}
+		if len(hits)-start <= 1 { // a single-AS route
+			hits = hits[:start]
 			continue
 		}
-		for j, asn := range path {
-			if slices.Contains(path[:j], asn) {
-				continue // AS appears twice on a path loop, index it once
+		keys = append(keys, r.Prefix.Key().At(i))
+	}
+	hits = sortByASN(hits, diff)
+	prefix.SortKeys(keys)
+	n := 0
+	for lo := 0; lo < len(hits); {
+		asn, start := hits[lo]>>32, n
+		for ; lo < len(hits) && hits[lo]>>32 == asn; lo++ {
+			if n == start || hits[lo] != hits[n-1] {
+				hits[n] = hits[lo]
+				n++
 			}
-			x.as.add(asn, int32(i))
 		}
-		x.pfx.add(r.Prefix, int32(i))
+		x.as = append(x.as, indexRun[ir.ASN]{key: ir.ASN(asn), lo: start, hi: n})
+	}
+	x.hits, x.keys = hits[:n], keys
+	for lo := 0; lo < len(keys); {
+		k, hi := keys[lo].Key(), lo+1
+		for hi < len(keys) && keys[hi].Key() == k {
+			hi++
+		}
+		x.pfx = append(x.pfx, indexRun[prefix.Key]{key: k, lo: lo, hi: hi})
+		lo = hi
 	}
 }
 
-// mergeKeys lays one index out over the ranges' shares: every key's list
-// an exact-size range of one array, split among the ranges in their
-// order. Keys are laid out by first appearance in the corpus.
-func mergeKeys[K comparable](parts []indexRange, share func(*indexRange) *keyHits[K]) map[K][]int32 {
-	ids := make(map[K]int32)
-	var sizes []int32
+// sortByASN sorts hits stably by ASN, their high 32 bits, given diff,
+// which covers the bits in which two hits differ: a
+// least-significant-digit radix sort over the ASN bits below the
+// highest that differs, in at most two passes of up to 16 bits each
+// (one pass when every ASN is below 2^16). It returns whichever of
+// hits and its scratch copy holds the result.
+func sortByASN(hits []uint64, diff uint64) []uint64 {
+	width := bits.Len64(diff >> 32)
+	if width == 0 {
+		return hits
+	}
+	passes := (width + 15) / 16
+	digit := (width + passes - 1) / passes
+	at := make([]int, 1<<digit)
+	tmp := make([]uint64, len(hits))
+	for shift := 32; shift < 32+width; shift += digit {
+		mask := uint64(len(at) - 1)
+		clear(at)
+		for _, h := range hits {
+			at[h>>shift&mask]++
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for _, h := range hits {
+			d := h >> shift & mask
+			tmp[at[d]] = h
+			at[d]++
+		}
+		hits, tmp = tmp, hits
+	}
+	return hits
+}
+
+// layOut takes runs ordered by key, each key's runs in range order, and
+// returns the distinct keys in that order with each key's list: an
+// exact-size slice of one arena, whose consecutive windows it gives
+// the key's runs.
+func layOut[K comparable](runs []*indexRun[K]) ([]K, [][]int32) {
 	total := 0
-	for p := range parts {
-		x := share(&parts[p])
-		total += len(x.hits)
-		for id, k := range x.keys {
-			g, ok := ids[k]
-			if !ok {
-				g = int32(len(sizes))
-				ids[k] = g
-				sizes = append(sizes, 0)
-			}
-			sizes[g] += x.counts[id]
+	for _, r := range runs {
+		total += r.hi - r.lo
+	}
+	arena := make([]int32, total)
+	var keys []K
+	var lists [][]int32
+	for lo := 0; lo < len(runs); {
+		hi, size := lo, 0
+		for ; hi < len(runs) && runs[hi].key == runs[lo].key; hi++ {
+			size += runs[hi].hi - runs[hi].lo
 		}
-	}
-	lists, arena := make([][]int32, len(sizes)), make([]int32, total)
-	for g, n := range sizes {
-		lists[g], arena = arena[:0:n], arena[n:]
-	}
-	for p := range parts {
-		x := share(&parts[p])
-		x.wins = make([][]int32, len(x.keys))
-		for id, k := range x.keys {
-			g := ids[k]
-			x.wins[id], lists[g] = window(lists[g], x.counts[id])
+		list := arena[:size:size]
+		arena = arena[size:]
+		keys, lists = append(keys, runs[lo].key), append(lists, list)
+		for _, r := range runs[lo:hi] {
+			n := r.hi - r.lo
+			r.win, list = list[:n:n], list[n:]
 		}
+		lo = hi
 	}
-	out := make(map[K][]int32, len(ids))
-	for k, g := range ids {
-		out[k] = lists[g]
-	}
-	return out
+	return keys, lists
 }
 
-// window returns the next n empty slots after list's entries, to be
-// appended to, and list grown over them.
-func window(list []int32, n int32) (next, grown []int32) {
-	l := int32(len(list))
-	return list[l : l : l+n], list[:l+n]
-}
-
-// scatter fills the range's windows, in route order.
-func (x *keyHits[K]) scatter() {
-	for _, h := range x.hits {
-		x.wins[h.key] = append(x.wins[h.key], h.route)
+// fill copies the range's runs into their windows and drops its hits
+// and Keys.
+func (x *indexRange) fill() {
+	for _, r := range x.as {
+		for k, h := range x.hits[r.lo:r.hi] {
+			r.win[k] = int32(h)
+		}
 	}
+	for _, r := range x.pfx {
+		for k, key := range x.keys[r.lo:r.hi] {
+			r.win[k] = key.Pos
+		}
+	}
+	x.hits, x.keys = nil, nil
 }
 
 // Reverify moves the engine to db. With touched non-nil it invalidates
@@ -291,6 +361,9 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 	}
 
 	inv := parent.Child("invalidate")
+	if inc.asRoutes == nil {
+		inc.indexRoutes()
+	}
 	oldDB := inc.v.DB
 	invalidated := inc.graph.Dependents(touched)
 
@@ -365,7 +438,9 @@ func (inc *Incremental) reverifyIndexes(order []int32, part map[int32]map[ir.ASN
 				if patch {
 					old = &inc.reports[i]
 				}
-				inc.reports[i] = inc.v.verifyRoute(inc.routes[i], a, nil, old, masks)
+				var rep RouteReport // not in place: old may be inc.reports[i]
+				inc.v.verifyRoute(&inc.routes[i], a, &rep, old, masks)
+				inc.reports[i] = rep
 			}
 		}()
 	}

@@ -54,7 +54,9 @@ func (v *Verifier) PatchRoute(route bgpsim.Route, old RouteReport, dirty map[ir.
 func (v *Verifier) verifyOne(route bgpsim.Route, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
 	a := &reportArena{}
 	defer a.flush(v)
-	return v.verifyRoute(route, a, nil, old, dirty)
+	var rep RouteReport
+	v.verifyRoute(&route, a, &rep, old, dirty)
+	return rep
 }
 
 // verifyRoute is the metering and tracing envelope around walkPairs,
@@ -66,8 +68,11 @@ func (v *Verifier) verifyOne(route bgpsim.Route, old *RouteReport, dirty map[ir.
 // tracer's "verify" period leaves a verify-route span. Other routes
 // read no clock, build no key and touch no shared memory: everything
 // counted lands in the arena's tally, flushed by the goroutine that
-// owns it.
-func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, dst []Check, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
+// owns it. The report is written in place into rep, which must not be
+// old: a bulk driver hands its slot in the reports, and copies neither
+// route nor report. rep.Checks, when set, are the route's check slots,
+// laid out beforehand (VerifyAll); a caller with none passes a zero rep.
+func (v *Verifier) verifyRoute(route *bgpsim.Route, a *reportArena, rep, old *RouteReport, dirty map[ir.ASN]CheckMask) {
 	n := a.routeOps
 	a.routeOps++
 	a.timed = (v.metrics != nil || v.profiler != nil) && n%v.profiler.routePeriod() == 0
@@ -76,13 +81,13 @@ func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, dst []Check, 
 	if a.timed || traced {
 		t0 = time.Now()
 	}
-	rep := v.walkPairs(route, a, dst, old, dirty)
+	v.walkPairs(route, a, rep, old, dirty)
 	if a.timed {
 		d := time.Since(t0)
 		if m := v.metrics; m != nil {
 			m.RouteSeconds.Observe(d.Seconds())
 		}
-		v.profiler.observeRoute(&route, &rep, d)
+		v.profiler.observeRoute(route, rep, d)
 	}
 	if rep.Ignored != "" {
 		a.ignored++
@@ -102,7 +107,6 @@ func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, dst []Check, 
 		}
 		tsp.End()
 	}
-	return rep
 }
 
 // walkPairs is the paper's Section 5 procedure: walk the adjacent AS
@@ -110,20 +114,21 @@ func (v *Verifier) verifyRoute(route bgpsim.Route, a *reportArena, dst []Check, 
 // the exporter's export check and the importer's import check on each.
 // A full verification treats every check as dirty; with old non-nil
 // only the checks dirty selects are re-evaluated and the rest are
-// copied from old. Checks go into dst when the driver laid the slots
-// out beforehand (len(dst) == checkCount(&route)), else into arena
-// storage; reasons always go through the arena.
-func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, dst []Check, old *RouteReport, dirty map[ir.ASN]CheckMask) RouteReport {
-	rep := RouteReport{Route: route}
+// copied from old. Checks go into rep.Checks as it comes in when the
+// driver laid the slots out beforehand (len == checkCount(route)), else
+// into arena storage; reasons always go through the arena.
+func (v *Verifier) walkPairs(route *bgpsim.Route, a *reportArena, rep, old *RouteReport, dirty map[ir.ASN]CheckMask) {
+	dst := rep.Checks
+	*rep = RouteReport{Route: *route}
 	if route.HasASSet {
 		rep.Ignored = "as-set"
-		return rep
+		return
 	}
 	a.path = dedupePrependsInto(a.path[:0], route.Path)
 	path := a.path
 	if len(path) <= 1 {
 		rep.Ignored = "single-as"
-		return rep
+		return
 	}
 	if old != nil && len(old.Checks) != 2*(len(path)-1) {
 		old = nil
@@ -143,7 +148,7 @@ func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, dst []Check, ol
 	}
 	shared := 0
 	if a.share { // copy the pairs the previous route already evaluated
-		shared = a.sharedPairs(&route, path)
+		shared = a.sharedPairs(route, path)
 		for k, c := range a.prevChecks[:2*shared] {
 			rep.Checks[k] = c
 			a.byStatus[c.Status]++
@@ -178,7 +183,6 @@ func (v *Verifier) walkPairs(route bgpsim.Route, a *reportArena, dst []Check, ol
 			pair[1] = old.Checks[k+1]
 		}
 	}
-	return rep
 }
 
 // checkInto runs one import or export check in place, tallies its
@@ -336,11 +340,14 @@ func routeShard(r *bgpsim.Route, n int) int {
 // Config.Shards partitions, or workers partitions when Shards is unset
 // (0 means GOMAXPROCS); the bucket sizes are the shard metrics' plan,
 // set once per sweep. Each non-empty partition, on its own goroutine,
-// hands layout its indexes in input order, sorts them into sharing
-// order, and runs each on them with its own sharing arena, whose tally
-// it flushes at the end. A driver with a layout keeps every report, so
-// its arenas store equal reason lists once.
-func (v *Verifier) sweep(routes []bgpsim.Route, workers int, layout func(idxs []int32), each func(a *reportArena, i int32)) {
+// puts its indexes in sharing order (sharingOrder) while prepare, when
+// set, runs on the caller. Once every partition has ordered and
+// dropped its ordering scratch, and prepare has returned, each hands
+// layout its indexes in input order and runs each on them in sharing
+// order with its own sharing arena, whose tally it flushes at the end.
+// A driver with a layout keeps every report, so its arenas store equal
+// reason lists once.
+func (v *Verifier) sweep(routes []bgpsim.Route, workers int, prepare func(), layout func(idxs []int32), each func(a *reportArena, i int32)) {
 	t0 := time.Now()
 	n := v.partitions(workers)
 	buckets := make([][]int32, n)
@@ -355,53 +362,69 @@ func (v *Verifier) sweep(routes []bgpsim.Route, workers int, layout func(idxs []
 		}
 		v.shardMetrics.ObservePlan(counts)
 	}
-	var wg sync.WaitGroup
+	var ordered, done sync.WaitGroup
+	start := make(chan struct{})
 	for _, idxs := range buckets {
 		if len(idxs) == 0 {
 			continue
 		}
-		wg.Add(1)
+		ordered.Add(1)
+		done.Add(1)
 		go func(idxs []int32) {
-			defer wg.Done()
+			defer done.Done()
+			order := idxs
+			if layout != nil {
+				order = slices.Clone(idxs) // layout takes input order
+			}
+			sharingOrder(routes, order)
+			ordered.Done()
+			<-start
 			if layout != nil {
 				layout(idxs)
 			}
-			slices.SortFunc(idxs, func(x, y int32) int {
-				return compareForSharing(&routes[x], &routes[y])
-			})
 			a := newBulkArena()
 			if layout != nil {
 				a.canon = make(map[uint64]canonList)
 			}
-			for _, i := range idxs {
+			for _, i := range order {
 				each(a, i)
 			}
 			a.flush(v)
 		}(idxs)
 	}
-	wg.Wait()
+	if prepare != nil {
+		prepare()
+	}
+	ordered.Wait()
+	close(start)
+	done.Wait()
 	v.shardMetrics.ObserveFanout(time.Since(t0).Seconds())
 }
 
 // VerifyAll verifies routes and returns reports in input order, over
 // sweep's partitions. Reports are byte-identical at any partition
-// count. Each partition evaluates its routes in sharing order but lays
-// their checks out in input order, in one exact-size allocation, so
-// whoever walks the reports afterwards walks memory forwards.
+// count. The reports are allocated while the partitions order their
+// routes. Each partition evaluates its routes in sharing order but
+// lays their checks out in input order, in one exact-size allocation,
+// so whoever walks the reports afterwards walks memory forwards.
 func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
-	reports := make([]RouteReport, len(routes))
-	v.sweep(routes, workers, func(idxs []int32) {
+	var reports []RouteReport
+	v.sweep(routes, workers, func() {
+		reports = make([]RouteReport, len(routes))
+	}, func(idxs []int32) {
+		counts := make([]int32, len(idxs))
 		total := 0
-		for _, i := range idxs {
-			total += checkCount(&routes[i])
+		for k, i := range idxs {
+			counts[k] = int32(checkCount(&routes[i]))
+			total += int(counts[k])
 		}
 		slots := make([]Check, total)
-		for _, i := range idxs {
-			n := checkCount(&routes[i])
+		for k, i := range idxs {
+			n := counts[k]
 			reports[i].Checks, slots = slots[:n:n], slots[n:]
 		}
 	}, func(a *reportArena, i int32) {
-		reports[i] = v.verifyRoute(routes[i], a, reports[i].Checks, nil, nil)
+		v.verifyRoute(&routes[i], a, &reports[i], nil, nil)
 	})
 	return reports
 }
@@ -422,8 +445,10 @@ func (v *Verifier) VerifyStream(routes []bgpsim.Route, workers int, sink func(Ro
 			sink(rep)
 		}
 	}()
-	v.sweep(routes, workers, nil, func(a *reportArena, i int32) {
-		out <- v.verifyRoute(routes[i], a, nil, nil, nil)
+	v.sweep(routes, workers, nil, nil, func(a *reportArena, i int32) {
+		var rep RouteReport
+		v.verifyRoute(&routes[i], a, &rep, nil, nil)
+		out <- rep
 	})
 	close(out)
 	<-done

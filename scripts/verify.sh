@@ -49,7 +49,12 @@
 #      replaced (TestPathsToMatchesReference) and against the route
 #      digests of two corpora (TestCollectRoutesDigest); and the
 #      incremental engine's dirtying index, built over GOMAXPROCS route
-#      ranges, against the serial build it replaced (TestIndexRoutesMatchesReference); and,
+#      ranges, against the serial build it replaced (TestIndexRoutesMatchesReference);
+#      and the bulk sweep's evaluation order, a radix sort on prefix
+#      Keys then a sort within each prefix, in every partition of the
+#      drivers' default GOMAXPROCS partitions and of fixed counts,
+#      against the comparator that defines sharing order
+#      (TestSweepOrderIsSharingSorted); and,
 #      under the race detector, the route database's index, whose trie
 #      builds beside per-origin tables built over GOMAXPROCS origin
 #      ranges, against linear scans of its routes, fresh and after
@@ -82,7 +87,8 @@
 #      encoder's string escaping against json.Marshal on arbitrary
 #      bytes (FuzzAppendJSONString); of the bulk trie build against
 #      repeated Insert over mixed-family prefix lists (FuzzBuildTrie);
-#      then the
+#      of the bulk sweep's evaluation order against the sharing-order
+#      comparator over decoded routes (FuzzSharingOrder); then the
 #      oracle's long budget, a minute of
 #      FuzzContracts — a failing draw lands, minimized, under
 #      internal/oracle/testdata/fuzz/FuzzContracts/
@@ -92,10 +98,12 @@
 #      its own benchmark — one incremental step >= 20x faster than
 #      verifying every route (BenchmarkReverify), and reportd's
 #      instrumentation within its bound of the bare sweep
-#      (BenchmarkVerifyAllTraced) — and the store freeze on its own, on
+#      (BenchmarkVerifyAllTraced) — the store freeze on its own, on
 #      the differential test's 120 ASes (BenchmarkBuildSnapshot) and at
 #      the 2 000 ASes of bench/'s corpus-2k, the one the freeze-profiling
-#      recipe runs (BenchmarkBuildSnapshot2k)
+#      recipe runs (BenchmarkBuildSnapshot2k), and the verification
+#      before it at that size, NewIncremental plus Init with reportd's
+#      instrumentation attached (BenchmarkIncrementalInit2k)
 #  10. named smoke — the oracle's seed corpus (FuzzContracts,
 #      TestContractsSlowSeeds) and the
 #      origin-hash imbalance bound (TestShardImbalanceBounded, <= 2x)
@@ -153,14 +161,14 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the route database's index, the route merge, the bulk trie build at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the sweep order, the route database's index, the route merge, the bulk trie build at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^(FuzzContracts|TestContractsSlowSeeds)$' ./internal/oracle
 go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze|TestFreezeTopASNs)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObject|TestLoadDumpDirFailsOnReadError)$' ./internal/core
 go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped|TestPathsToMatchesReference|TestCollectRoutesDigest)$' ./internal/bgpsim
-go test -cpu 1,2,4 -run '^TestIndexRoutesMatchesReference$' ./internal/verify
+go test -cpu 1,2,4 -run '^(TestIndexRoutesMatchesReference|TestSweepOrderIsSharingSorted)$' ./internal/verify
 go test -race -cpu 1,2,4 -run '^(TestNewShardedEquivalence|TestShardedMutationEquivalence|TestShardRouteCountsCloneIsolation)$' ./internal/irr
 go test -cpu 1,2,4 -run '^TestMergeRoutesMatchesFirstWinsMap$' ./internal/parser
 go test -cpu 1,2,4 -run '^TestTrieBuilderMatchesInsert$' ./internal/prefix
@@ -168,7 +176,7 @@ go test -cpu 1,2,4 -run '^TestTrieBuilderMatchesInsert$' ./internal/prefix
 echo "== 32-bit build (GOARCH=386: internal/report, internal/reportstore, internal/prefix, internal/parser)"
 GOARCH=386 go test ./internal/report ./internal/reportstore ./internal/prefix ./internal/parser
 
-echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzPathsTo, FuzzFreeze, FuzzAppendJSONString, FuzzBuildTrie: 10s each; FuzzContracts: 60s)"
+echo "== fuzz (FuzzReader, FuzzReaderMatchesReference, FuzzSplitDump, FuzzReadDumpMatchesReference, FuzzPathsTo, FuzzFreeze, FuzzAppendJSONString, FuzzBuildTrie, FuzzSharingOrder: 10s each; FuzzContracts: 60s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzReaderMatchesReference$' -fuzztime 10s ./internal/rpsl
 go test -run '^$' -fuzz '^FuzzSplitDump$' -fuzztime 10s ./internal/parser
@@ -177,9 +185,10 @@ go test -run '^$' -fuzz '^FuzzPathsTo$' -fuzztime 10s ./internal/bgpsim
 go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 10s ./internal/reportstore
 go test -run '^$' -fuzz '^FuzzAppendJSONString$' -fuzztime 10s ./internal/api
 go test -run '^$' -fuzz '^FuzzBuildTrie$' -fuzztime 10s ./internal/prefix
+go test -run '^$' -fuzz '^FuzzSharingOrder$' -fuzztime 10s ./internal/verify
 go test -run '^$' -fuzz '^FuzzContracts$' -fuzztime 60s ./internal/oracle
 
-echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot, BenchmarkBuildSnapshot2k: 1x each)"
+echo "== benchmarks (BenchmarkReverify, BenchmarkVerifyAllTraced, BenchmarkBuildSnapshot, BenchmarkBuildSnapshot2k, BenchmarkIncrementalInit2k: 1x each)"
 go test -run '^$' -bench . -benchtime 1x . ./internal/reportstore
 
 echo "== named smoke (FuzzContracts seed corpus, TestContractsSlowSeeds, imbalance bound, one database owner, one aggregation kernel)"
