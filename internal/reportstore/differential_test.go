@@ -572,11 +572,11 @@ func BenchmarkBuildSnapshot2k(b *testing.B) {
 
 // BenchmarkIncrementalInit2k is the verification half of a reportd
 // start over corpus-2k, the step before the freeze: NewIncremental and
-// Init (the bulk sweep, then the dirtying index), with what reportd
-// attaches to the engine's verifier — metrics, a tracer sampling at
-// its defaults, a heavy-hitter profiler and the shard metrics. Each
-// iteration starts after a collection, as a process starts on an
-// empty heap.
+// Init (the bulk sweep; the dirtying index waits for the first
+// Reverify), with what reportd attaches to the engine's verifier —
+// metrics, a tracer sampling at its defaults, a heavy-hitter profiler
+// and the shard metrics. Each iteration starts after a collection, as
+// a process starts on an empty heap.
 func BenchmarkIncrementalInit2k(b *testing.B) {
 	sys, routes := corpus2k(b)
 	b.ReportAllocs()

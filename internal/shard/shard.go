@@ -2,8 +2,8 @@
 // keyed by — a stable hash of a route's origin ASN, so every route of
 // one origin, and every pair of routes that can share work, lands in
 // one partition — and Each, which runs the GOMAXPROCS-range passes of
-// the route dump reader, the route database's index build, the
-// dirtying index and the store freeze.
+// the route dump reader, the route database's index build and the
+// store freeze.
 //
 // The hash must be stable across processes and releases, so that a
 // route's partition never depends on build order and the sweep's
@@ -38,8 +38,8 @@ func Of(asn ir.ASN, n int) int {
 // Each runs f on every part, the first on the calling goroutine and
 // every other on its own, and returns when all are done. The passes that
 // cut their input into GOMAXPROCS contiguous ranges (the route dump
-// reader, the route database's per-origin tables, the dirtying index,
-// the store freeze) run through it.
+// reader, the route database's per-origin tables, the store freeze)
+// run through it.
 func Each[T any](parts []T, f func(*T)) {
 	var wg sync.WaitGroup
 	for p := 1; p < len(parts); p++ {

@@ -118,29 +118,28 @@ func compareWithinPrefix(x, y *bgpsim.Route) int {
 
 // sharingOrder sorts idxs, indexes into routes, into compareForSharing
 // order without comparing a prefix: a stable radix sort on the routes'
-// prefix Keys groups each prefix's routes in input order, and a
-// comparison sort orders each group on the rest of the key, read from
-// the routes' suffixKeys, which are taken in one pass in input order.
-// Its scratch, two Keys and a suffixKey per route, is garbage when it
-// returns.
+// prefix Keys groups each prefix's routes, and a comparison sort orders
+// each group on the rest of the key, read from the routes' suffixKeys.
+// Its scratch, two Keys per route and one group's suffixKeys and their
+// positions, is garbage when it returns.
 func sharingOrder(routes []bgpsim.Route, idxs []int32) {
 	keys := make([]prefix.PosKey, len(idxs))
-	suffixes := make([]suffixKey, len(idxs))
 	for k, i := range idxs {
-		keys[k] = routes[i].Prefix.Key().At(k)
-		suffixes[k] = suffixKeyOf(&routes[i], i)
+		keys[k] = routes[i].Prefix.Key().At(int(i))
 	}
 	prefix.SortKeys(keys)
 	var group []suffixKey
+	var perm []int32
 	for lo := 0; lo < len(keys); {
 		k, hi := keys[lo].Key(), lo
-		group = group[:0]
+		group, perm = group[:0], perm[:0]
 		for ; hi < len(keys) && keys[hi].Key() == k; hi++ {
-			group = append(group, suffixes[keys[hi].Pos])
+			perm = append(perm, int32(len(group)))
+			group = append(group, suffixKeyOf(&routes[keys[hi].Pos], keys[hi].Pos))
 		}
-		sortGroup(routes, group)
-		for g := range group {
-			idxs[lo+g] = group[g].route
+		sortGroup(routes, group, perm)
+		for g, p := range perm {
+			idxs[lo+g] = group[p].route
 		}
 		lo = hi
 	}
@@ -150,20 +149,24 @@ func sharingOrder(routes []bgpsim.Route, idxs []int32) {
 // suffixKey holds.
 const suffixHops = 6
 
-// suffixKey is a route's key within its prefix's group: the first
-// suffixHops ASes of its deduplicated path read from the origin,
-// packed two to a word and zero past the path's end, and how many the
-// path has (suffixHops+1 standing for more).
+// suffixKey is a route's key within its prefix's group: its first
+// community, then the first suffixHops ASes of its deduplicated path
+// read from the origin, packed two to a word and zero past the path's
+// end, and how many the path has (suffixHops+1 standing for more).
 type suffixKey struct {
+	comm  uint64 // 0 with no communities, else 1<<32 | the first
 	hops  [suffixHops / 2]uint64
 	route int32
 	n     uint8
-	comms bool // the route has communities, which come before the path
+	more  bool // more than one community
 }
 
 // suffixKeyOf returns the suffixKey of r, route i.
 func suffixKeyOf(r *bgpsim.Route, i int32) suffixKey {
-	sk := suffixKey{route: i, comms: len(r.Communities) > 0}
+	sk := suffixKey{route: i, more: len(r.Communities) > 1}
+	if len(r.Communities) > 0 {
+		sk.comm = 1<<32 | uint64(r.Communities[0])
+	}
 	p := r.Path
 	for j := len(p) - 1; j >= 0 && sk.n <= suffixHops; j-- {
 		if j+1 < len(p) && p[j] == p[j+1] {
@@ -177,26 +180,25 @@ func suffixKeyOf(r *bgpsim.Route, i int32) suffixKey {
 	return sk
 }
 
-// sortGroup sorts the suffixKeys of one prefix's routes by
-// compareWithinPrefix. Packed hops order paths as the comparator does:
-// where one path has run out, its zero sorts first or, against an AS 0,
-// ties, and then the shorter path sorts first by n. Two paths that
-// agree on suffixHops hops and both go on, and groups with communities
-// (rare), are compared on the routes.
-func sortGroup(routes []bgpsim.Route, group []suffixKey) {
-	if len(group) < 2 {
-		return
-	}
-	onRoutes := func(x, y suffixKey) int {
-		return compareWithinPrefix(&routes[x.route], &routes[y.route])
-	}
-	for _, sk := range group {
-		if sk.comms {
-			slices.SortFunc(group, onRoutes)
-			return
+// sortGroup sorts perm, positions in group, by compareWithinPrefix of
+// the routes whose suffixKeys they hold. Community lists order as the
+// comparator orders them by their first community, where no list
+// sorts first; two that agree on it, one of them longer, are compared
+// on the routes. Packed hops then order paths as the comparator does:
+// where one path has run out, its zero sorts first or, against an AS
+// 0, ties, and then the shorter path sorts first by n. Two paths that
+// agree on suffixHops hops and both go on are compared on the routes.
+func sortGroup(routes []bgpsim.Route, group []suffixKey, perm []int32) {
+	slices.SortFunc(perm, func(a, b int32) int {
+		x, y := &group[a], &group[b]
+		if c := cmp.Compare(x.comm, y.comm); c != 0 {
+			return c
 		}
-	}
-	slices.SortFunc(group, func(x, y suffixKey) int {
+		if x.more || y.more {
+			if c := slices.Compare(routes[x.route].Communities, routes[y.route].Communities); c != 0 {
+				return c
+			}
+		}
 		for w := range x.hops {
 			if c := cmp.Compare(x.hops[w], y.hops[w]); c != 0 {
 				return c
@@ -205,7 +207,7 @@ func sortGroup(routes []bgpsim.Route, group []suffixKey) {
 		if x.n != y.n || x.n <= suffixHops {
 			return cmp.Compare(x.n, y.n)
 		}
-		return onRoutes(x, y)
+		return compareWithinPrefix(&routes[x.route], &routes[y.route])
 	})
 }
 

@@ -67,17 +67,21 @@ func group[K comparable](ids map[K]int32, hits []hit) map[K][]int32 {
 }
 
 // randomIndexCorpus draws n routes over a few prefixes and ASes, so keys
-// repeat across every range and every partition: IPv4, IPv6 and
-// IPv4-mapped IPv6 prefixes, one prefix drawn under any origin (so its
-// routes fall in several partitions), a few 4-byte ASNs among small
-// ones, communities on some routes, prepended paths, paths that loop
-// back to an AS further up, paths that share a tail longer than a
-// sharing key's hops, AS-set routes and single-AS routes, prepended or
-// not, and runs of routes over one path.
+// repeat across every partition: IPv4, IPv6 and IPv4-mapped IPv6
+// prefixes, one prefix drawn under any origin (so its routes fall in
+// several partitions), a few 4-byte ASNs among small ones, some of
+// them equal to a small one in their low 16 bits, communities (0
+// among them) on some routes, prepended paths, paths that loop back to
+// an AS further up, paths that share a tail longer than a sharing
+// key's hops, AS-set routes and single-AS routes, prepended or not,
+// and runs of routes over one path.
 func randomIndexCorpus(rng *rand.Rand, n int) []bgpsim.Route {
 	asn := func() ir.ASN {
-		if rng.Intn(8) == 0 {
+		switch rng.Intn(8) {
+		case 0:
 			return ir.ASN(4_200_000_000 + rng.Intn(4))
+		case 1: // low 16 bits among the small ASNs'
+			return ir.ASN(65536*(1+rng.Intn(3)) + rng.Intn(40))
 		}
 		return ir.ASN(1 + rng.Intn(40))
 	}
@@ -97,7 +101,7 @@ func randomIndexCorpus(rng *rand.Rand, n int) []bgpsim.Route {
 		}
 		if rng.Intn(6) == 0 {
 			for c := 1 + rng.Intn(2); c > 0; c-- {
-				r.Communities = append(r.Communities, bgpsim.Community(1+rng.Intn(3)))
+				r.Communities = append(r.Communities, bgpsim.Community(rng.Intn(4)))
 			}
 		}
 		switch rng.Intn(10) {
@@ -130,11 +134,9 @@ func randomIndexCorpus(rng *rand.Rand, n int) []bgpsim.Route {
 	return routes
 }
 
-// TestIndexRoutesMatchesReference holds the partitioned index build to
-// the serial one it replaced: the same lists, in route order, each of
-// exact size, and a trie holding every prefix's list. Run at -cpu 1,2,4
-// to move the range count; the small corpora give more ranges than
-// routes.
+// TestIndexRoutesMatchesReference holds the sort-based index build to
+// the hashed serial one it replaced: the same lists, in route order,
+// each of exact size, and a trie holding every prefix's list.
 func TestIndexRoutesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 3, 5, 64, 1000, 20_000} {
@@ -162,5 +164,16 @@ func TestIndexRoutesMatchesReference(t *testing.T) {
 				t.Fatalf("%d routes, draw %d: trie holds %v, want %v", n, draw, inTrie, wantPfx)
 			}
 		}
+	}
+}
+
+// BenchmarkIndexRoutes builds the dirtying index over corpus-2k's
+// routes. Run at -cpu 1,2 to see how far it parallelises.
+func BenchmarkIndexRoutes(b *testing.B) {
+	inc := &Incremental{routes: corpus2kRoutes(b, bgpsim.Options{})}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inc.indexRoutes()
 	}
 }

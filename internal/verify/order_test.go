@@ -3,12 +3,14 @@ package verify
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"rpslyzer/internal/bgpsim"
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/prefix"
+	"rpslyzer/internal/topology"
 )
 
 // checkSweepOrder runs sweep over routes at the given partition count,
@@ -134,4 +136,50 @@ func decodeRoutes(data []byte) []bgpsim.Route {
 		routes = append(routes, r)
 	}
 	return routes
+}
+
+// corpus2kRoutes is the route half of bench/'s corpus-2k, from the
+// topology and the simulator alone: 2 000 ASes at seed 42, the routes
+// 8 collectors see at seed 42 under opts' remaining fields.
+func corpus2kRoutes(b *testing.B, opts bgpsim.Options) []bgpsim.Route {
+	b.Helper()
+	sim := bgpsim.NewSimulator(topology.Generate(topology.Config{Seed: 42, ASes: 2000}))
+	opts.Seed = 42
+	return sim.CollectRoutes(sim.DefaultCollectors(8), opts)
+}
+
+// BenchmarkSharingOrder orders every route of corpus-2k on one
+// goroutine, by a comparison sort under compareForSharing and by
+// sharingOrder. The communities corpus tags routes as the communities
+// experiment does, 35 % of them, so every prefix group compares
+// communities.
+func BenchmarkSharingOrder(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts bgpsim.Options
+	}{
+		{"corpus-2k", bgpsim.Options{}},
+		{"communities", bgpsim.Options{CommunityFrac: 0.5, StripCommunityFrac: 0.3}},
+	} {
+		routes := corpus2kRoutes(b, c.opts)
+		idxs := make([]int32, len(routes))
+		reset := func() {
+			for i := range idxs {
+				idxs[i] = int32(i)
+			}
+		}
+		b.Run(c.name+"/compare", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				reset()
+				slices.SortFunc(idxs, func(x, y int32) int { return compareForSharing(&routes[x], &routes[y]) })
+			}
+		})
+		b.Run(c.name+"/radix", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				reset()
+				sharingOrder(routes, idxs)
+			}
+		})
+	}
 }

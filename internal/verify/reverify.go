@@ -1,8 +1,6 @@
 package verify
 
 import (
-	"cmp"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -15,7 +13,6 @@ import (
 	"rpslyzer/internal/ir"
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/prefix"
-	"rpslyzer/internal/shard"
 	"rpslyzer/internal/trace"
 )
 
@@ -127,164 +124,127 @@ func (inc *Incremental) Init(routes []bgpsim.Route, workers int) []RouteReport {
 	return inc.reports
 }
 
-// indexRoutes rebuilds asRoutes and pfxTrie for the current corpus.
-// Ignored routes (AS-set paths, single-AS paths) are skipped: their
-// reports do not depend on the database.
+// indexRoutes rebuilds asRoutes and pfxTrie for the current corpus,
+// one on each of two goroutines. Ignored routes (AS-set paths,
+// single-AS paths) are skipped: their reports do not depend on the
+// database.
 //
 // Both indexes come out of sorts, with no hash table per hop or per
-// route. Over GOMAXPROCS contiguous route ranges, each range notes one
-// (ASN, route) hit per AS of a path and one prefix Key per route, and
-// sorts both stably, hits by ASN in a radix sort and Keys by
-// prefix.SortKeys, so each key's routes lie in one run, in route
-// order. A serial merge orders every range's runs by key, which
-// numbers the ASes and prefixes densely, and gives each key's runs, in
-// range order, consecutive windows of one exact-size list; the ranges
-// then copy their runs into their windows. Ranges follow route order,
-// so every list does too. The merged prefix order is also the trie's
-// sorted input, and the AS map takes one insert per distinct AS.
+// route: a pass in route order notes one entry per key and route, a
+// stable sort puts each key's routes in one run, in route order, and
+// each run becomes its key's list, an exact-size window of one array.
 func (inc *Incremental) indexRoutes() {
-	n := len(inc.routes)
-	parts := make([]indexRange, max(1, min(runtime.GOMAXPROCS(0), n)))
-	for p := range parts {
-		parts[p].lo, parts[p].hi = p*n/len(parts), (p+1)*n/len(parts)
-	}
-	shard.Each(parts, func(x *indexRange) { x.sort(inc.routes) })
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		inc.pfxTrie = indexPrefixes(inc.routes)
+	}()
+	inc.asRoutes = indexASes(inc.routes)
+	wg.Wait()
+}
 
-	var asRuns []*indexRun[ir.ASN]
-	var pfxRuns []*indexRun[prefix.Key]
-	for p := range parts {
-		for r := range parts[p].as {
-			asRuns = append(asRuns, &parts[p].as[r])
+// indexed reports whether dirtying indexes r: whether its path has no
+// AS-set and two ASes.
+func indexed(r *bgpsim.Route) bool {
+	if r.HasASSet {
+		return false
+	}
+	for j := 1; j < len(r.Path); j++ {
+		if r.Path[j] != r.Path[0] {
+			return true
 		}
-		for r := range parts[p].pfx {
-			pfxRuns = append(pfxRuns, &parts[p].pfx[r])
-		}
 	}
-	slices.SortStableFunc(asRuns, func(x, y *indexRun[ir.ASN]) int { return cmp.Compare(x.key, y.key) })
-	asns, asLists := layOut(asRuns)
-	inc.asRoutes = make(map[ir.ASN][]int32, len(asns))
-	for g, asn := range asns {
-		inc.asRoutes[asn] = asLists[g]
-	}
-
-	order := make([]prefix.PosKey, len(pfxRuns))
-	for r, run := range pfxRuns {
-		order[r] = run.key.At(r)
-	}
-	prefix.SortKeys(order)
-	sorted := make([]*indexRun[prefix.Key], len(pfxRuns))
-	for r := range order {
-		sorted[r] = pfxRuns[order[r].Pos]
-	}
-	pfxs, pfxLists := layOut(sorted)
-	for g, k := range pfxs { // order now holds the distinct Keys, still sorted
-		order[g] = k.At(g)
-	}
-	shard.Each(parts, (*indexRange).fill)
-	inc.pfxTrie = prefix.BuildSortedTrie(order[:len(pfxs)], func(idxs *[]int32, g int) { *idxs = pfxLists[g] })
+	return false
 }
 
-// indexRange is the routes [lo, hi), its sorted hits and prefix Keys,
-// and their runs.
-type indexRange struct {
-	lo, hi int
-	hits   []uint64        // ASN<<32 | route
-	keys   []prefix.PosKey // Pos is the route
-	as     []indexRun[ir.ASN]
-	pfx    []indexRun[prefix.Key]
-}
-
-// indexRun is one key's entries [lo, hi) of a range's sorted hits or
-// Keys and, after the merge, their window of the key's list.
-type indexRun[K comparable] struct {
-	key    K
-	lo, hi int
-	win    []int32
-}
-
-// sort notes the range's hits, one per AS of each indexed route's
-// deduplicated path, and Keys, one per indexed route, sorts both, and
-// finds their runs. An AS that a path loop visits twice leaves two
-// equal hits, which the sort puts side by side and the run pass drops.
-func (x *indexRange) sort(routes []bgpsim.Route) {
+// indexASes maps each AS to the indexed routes whose paths visit it,
+// from an (ASN, route) word per AS of each deduplicated path. An AS
+// that a path loop visits twice leaves two equal words, which the sort
+// puts side by side. The map takes one insert per distinct AS.
+func indexASes(routes []bgpsim.Route) map[ir.ASN][]int32 {
 	hops := 0
-	for i := x.lo; i < x.hi; i++ {
+	for i := range routes {
 		hops += len(routes[i].Path)
 	}
-	hits := make([]uint64, 0, hops)
-	keys := make([]prefix.PosKey, 0, x.hi-x.lo)
-	var diff uint64 // covers the bits in which two hits differ
-	for i := x.lo; i < x.hi; i++ {
+	hits := make([]uint64, 0, hops) // ASN<<32 | route
+	for i := range routes {
 		r := &routes[i]
-		if r.HasASSet {
+		if !indexed(r) {
 			continue
 		}
-		start := len(hits)
 		for j, asn := range r.Path {
-			if j > 0 && asn == r.Path[j-1] {
-				continue
+			if j == 0 || asn != r.Path[j-1] {
+				hits = append(hits, uint64(asn)<<32|uint64(i))
 			}
-			h := uint64(asn)<<32 | uint64(i)
-			hits = append(hits, h)
-			diff |= h ^ hits[0]
 		}
-		if len(hits)-start <= 1 { // a single-AS route
-			hits = hits[:start]
-			continue
-		}
-		keys = append(keys, r.Prefix.Key().At(i))
 	}
-	hits = sortByASN(hits, diff)
-	prefix.SortKeys(keys)
-	n := 0
+	hits = slices.Compact(sortByASN(hits))
+	lists := make([]int32, len(hits))
+	out := make(map[ir.ASN][]int32)
 	for lo := 0; lo < len(hits); {
-		asn, start := hits[lo]>>32, n
-		for ; lo < len(hits) && hits[lo]>>32 == asn; lo++ {
-			if n == start || hits[lo] != hits[n-1] {
-				hits[n] = hits[lo]
-				n++
-			}
+		hi := lo
+		for ; hi < len(hits) && hits[hi]>>32 == hits[lo]>>32; hi++ {
+			lists[hi] = int32(hits[hi])
 		}
-		x.as = append(x.as, indexRun[ir.ASN]{key: ir.ASN(asn), lo: start, hi: n})
-	}
-	x.hits, x.keys = hits[:n], keys
-	for lo := 0; lo < len(keys); {
-		k, hi := keys[lo].Key(), lo+1
-		for hi < len(keys) && keys[hi].Key() == k {
-			hi++
-		}
-		x.pfx = append(x.pfx, indexRun[prefix.Key]{key: k, lo: lo, hi: hi})
+		out[ir.ASN(hits[lo]>>32)] = lists[lo:hi:hi]
 		lo = hi
 	}
+	return out
 }
 
-// sortByASN sorts hits stably by ASN, their high 32 bits, given diff,
-// which covers the bits in which two hits differ: a
-// least-significant-digit radix sort over the ASN bits below the
-// highest that differs, in at most two passes of up to 16 bits each
-// (one pass when every ASN is below 2^16). It returns whichever of
-// hits and its scratch copy holds the result.
-func sortByASN(hits []uint64, diff uint64) []uint64 {
-	width := bits.Len64(diff >> 32)
-	if width == 0 {
+// indexPrefixes returns the trie of the indexed routes' prefixes, each
+// holding its routes, from one prefix Key per indexed route. The
+// distinct Keys, in sorted order, are the trie's input.
+func indexPrefixes(routes []bgpsim.Route) *prefix.Trie[[]int32] {
+	keys := make([]prefix.PosKey, 0, len(routes))
+	for i := range routes {
+		if indexed(&routes[i]) {
+			keys = append(keys, routes[i].Prefix.Key().At(i))
+		}
+	}
+	prefix.SortKeys(keys)
+	lists := make([]int32, len(keys))
+	var pfxLists [][]int32
+	for lo := 0; lo < len(keys); {
+		k, hi := keys[lo].Key(), lo
+		for ; hi < len(keys) && keys[hi].Key() == k; hi++ {
+			lists[hi] = keys[hi].Pos
+		}
+		keys[len(pfxLists)] = k.At(len(pfxLists)) // keys[:g] holds the distinct Keys
+		pfxLists = append(pfxLists, lists[lo:hi:hi])
+		lo = hi
+	}
+	return prefix.BuildSortedTrie(keys[:len(pfxLists)], func(idxs *[]int32, g int) { *idxs = pfxLists[g] })
+}
+
+// sortByASN sorts hits stably by ASN, their high 32 bits: a
+// least-significant-digit radix sort in two 16-bit passes, the second
+// skipped when every ASN is below 2^16. It returns whichever of hits
+// and its scratch copy holds the result.
+func sortByASN(hits []uint64) []uint64 {
+	if len(hits) == 0 {
 		return hits
 	}
-	passes := (width + 15) / 16
-	digit := (width + passes - 1) / passes
-	at := make([]int, 1<<digit)
-	tmp := make([]uint64, len(hits))
-	for shift := 32; shift < 32+width; shift += digit {
-		mask := uint64(len(at) - 1)
+	at := make([]int, 1<<16)
+	var tmp []uint64
+	for shift := 32; shift < 64; shift += 16 {
 		clear(at)
 		for _, h := range hits {
-			at[h>>shift&mask]++
+			at[h>>shift&0xffff]++
+		}
+		if at[hits[0]>>shift&0xffff] == len(hits) {
+			continue
 		}
 		sum := 0
 		for d, n := range at {
 			at[d], sum = sum, sum+n
 		}
+		if tmp == nil {
+			tmp = make([]uint64, len(hits))
+		}
 		for _, h := range hits {
-			d := h >> shift & mask
+			d := h >> shift & 0xffff
 			tmp[at[d]] = h
 			at[d]++
 		}
@@ -293,57 +253,14 @@ func sortByASN(hits []uint64, diff uint64) []uint64 {
 	return hits
 }
 
-// layOut takes runs ordered by key, each key's runs in range order, and
-// returns the distinct keys in that order with each key's list: an
-// exact-size slice of one arena, whose consecutive windows it gives
-// the key's runs.
-func layOut[K comparable](runs []*indexRun[K]) ([]K, [][]int32) {
-	total := 0
-	for _, r := range runs {
-		total += r.hi - r.lo
-	}
-	arena := make([]int32, total)
-	var keys []K
-	var lists [][]int32
-	for lo := 0; lo < len(runs); {
-		hi, size := lo, 0
-		for ; hi < len(runs) && runs[hi].key == runs[lo].key; hi++ {
-			size += runs[hi].hi - runs[hi].lo
-		}
-		list := arena[:size:size]
-		arena = arena[size:]
-		keys, lists = append(keys, runs[lo].key), append(lists, list)
-		for _, r := range runs[lo:hi] {
-			n := r.hi - r.lo
-			r.win, list = list[:n:n], list[n:]
-		}
-		lo = hi
-	}
-	return keys, lists
-}
-
-// fill copies the range's runs into their windows and drops its hits
-// and Keys.
-func (x *indexRange) fill() {
-	for _, r := range x.as {
-		for k, h := range x.hits[r.lo:r.hi] {
-			r.win[k] = int32(h)
-		}
-	}
-	for _, r := range x.pfx {
-		for k, key := range x.keys[r.lo:r.hi] {
-			r.win[k] = key.Pos
-		}
-	}
-	x.hits, x.keys = nil, nil
-}
-
 // Reverify moves the engine to db. With touched non-nil it invalidates
 // only the programs depending on a touched key, dirties only the routes
 // a touched object or invalidated program can reach, and re-verifies
 // those; with touched nil it discards every compiled program and
 // re-verifies the whole corpus (the resync path). parent, when non-nil,
-// receives "invalidate" and "reverify-routes" child spans.
+// receives "invalidate" and "reverify-routes" child spans; the first
+// step that dirties builds the route indexes under an "index-routes"
+// child of "invalidate".
 func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, workers int, parent *trace.Span) ReverifyResult {
 	t0 := time.Now()
 	if touched == nil {
@@ -362,7 +279,11 @@ func (inc *Incremental) Reverify(db *irr.Database, touched []depgraph.Key, worke
 
 	inv := parent.Child("invalidate")
 	if inc.asRoutes == nil {
+		ix := inv.Child("index-routes")
 		inc.indexRoutes()
+		if ix != nil {
+			ix.SetInt("routes", int64(len(inc.routes))).End()
+		}
 	}
 	oldDB := inc.v.DB
 	invalidated := inc.graph.Dependents(touched)

@@ -6,6 +6,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"rpslyzer/internal/irr"
 	"rpslyzer/internal/nrtm"
 	"rpslyzer/internal/prefix"
+	"rpslyzer/internal/trace"
 	"rpslyzer/internal/verify"
 )
 
@@ -139,5 +141,38 @@ func assertSameReports(t *testing.T, got, want []verify.RouteReport, routes []bg
 	}
 	if mismatches > 0 {
 		t.Fatalf("%d/%d reports differ", mismatches, len(got))
+	}
+}
+
+// TestFirstStepTracesIndexBuild holds the dirtying index's build to
+// the first step given touched keys, under its own span: a mirror's
+// first journal step shows the cost that Init leaves to it, and no
+// later step pays it again.
+func TestFirstStepTracesIndexBuild(t *testing.T) {
+	mir := nrtm.NewMirrorDB(irr.New(core.ParseText(custRPSL, "TEST")), nil, nil)
+	inc, err := verify.NewIncremental(mir.DB(), asrel.New(), verify.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc.Init(custRoutes, 1)
+	tr := trace.New(trace.Config{})
+	for serial, want := range []bool{true, false} {
+		keys, err := mir.ApplyAllKeys([]*nrtm.Journal{{Registry: "TEST", First: uint64(serial + 1), Last: uint64(serial + 1),
+			Ops: []nrtm.Op{{Serial: uint64(serial + 1), Action: nrtm.OpAdd, Object: fmt.Sprintf("route: 203.0.11%d.0/24\norigin: AS9\nsource: TEST\n", serial)}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := tr.Start("mirror", "step")
+		inc.Reverify(mir.DB(), keys, 1, root)
+		root.End()
+		names := map[uint32]string{}
+		parentOf := map[string]string{}
+		for _, sp := range tr.Recent()[0].Export().Spans {
+			names[sp.ID] = sp.Name
+			parentOf[sp.Name] = names[sp.Parent]
+		}
+		if got, ok := parentOf["index-routes"]; ok != want || (ok && got != "invalidate") {
+			t.Errorf("step %d: index-routes span present %v under %q, want present %v under \"invalidate\"", serial+1, ok, got, want)
+		}
 	}
 }

@@ -48,8 +48,9 @@
 #      GOMAXPROCS origin ranges, against the map-based solver it
 #      replaced (TestPathsToMatchesReference) and against the route
 #      digests of two corpora (TestCollectRoutesDigest); and the
-#      incremental engine's dirtying index, built over GOMAXPROCS route
-#      ranges, against the serial build it replaced (TestIndexRoutesMatchesReference);
+#      incremental engine's dirtying index, two sorts on two goroutines,
+#      against the hashed serial build it replaced
+#      (TestIndexRoutesMatchesReference);
 #      and the bulk sweep's evaluation order, a radix sort on prefix
 #      Keys then a sort within each prefix, in every partition of the
 #      drivers' default GOMAXPROCS partitions and of fixed counts,
