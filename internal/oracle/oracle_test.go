@@ -1,6 +1,6 @@
 // Package oracle is the repository's one differential oracle. Every
 // fast path — the pipeline loader, the compiled engine, the sharded
-// sweep with its suffix sharing, the incremental engine, the NRTM
+// sweep with its pair memo, the incremental engine, the NRTM
 // mirror, the store freeze — is trusted only because it answers
 // byte-identically to a slower reference, and FuzzContracts holds all
 // of them to their references in one pass over one generated universe

@@ -19,10 +19,11 @@ import (
 // snapshot does not see the slice it patches.
 //
 // Every index is built in two passes over GOMAXPROCS contiguous route
-// ranges. The count pass copies its range's headers and counts them
-// into the partition's own report.Aggregator, writing nothing shared,
-// which tells what every index will hold; a serial merge numbers every
-// partition's first check, allocates each index at its exact size,
+// ranges of about equal check counts (cut). The count pass copies its
+// range's headers and counts them into the partition's own
+// report.Aggregator, writing nothing shared, which tells what every
+// index will hold; a serial merge numbers every partition's first
+// check, allocates each index at its exact size,
 // gives every partition its offsets into it and merges the partials
 // into the snapshot's stats and summary; the scatter pass numbers the
 // checks and fills the indexes at those offsets, listing each check
@@ -32,9 +33,7 @@ func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	start := time.Now()
 	s := &Snapshot{routes: make([]route, len(reports))}
 	parts := make([]partition, max(1, min(runtime.GOMAXPROCS(0), len(reports))))
-	for p := range parts {
-		parts[p].lo, parts[p].hi = p*len(reports)/len(parts), (p+1)*len(reports)/len(parts)
-	}
+	cut(parts, reports)
 	shard.Each(parts, func(pt *partition) { pt.count(s, reports) })
 	s.merge(parts)
 	shard.Each(parts, func(pt *partition) { pt.scatter(s) })
@@ -42,6 +41,41 @@ func BuildSnapshot(reports []verify.RouteReport) *Snapshot {
 	s.buildTook = s.builtAt.Sub(start)
 	return s
 }
+
+// cut gives the partitions contiguous route ranges, in order, that hold
+// about equal shares of the checks, which the passes' work follows more
+// than it follows routes. It reads every report only up to cutSamples
+// reports; past that, one report in stride stands for the stride it
+// starts, and boundaries fall on multiples of stride: a serial read of
+// every header would cost more than the imbalance it removes. A range
+// may be empty: with no checks seen, the last partition takes every
+// route.
+func cut(parts []partition, reports []verify.RouteReport) {
+	stride := max(1, len(reports)/cutSamples)
+	checks := func(i int) int {
+		if reports[i].Ignored != "" {
+			return 0 // as the count pass: an ignored route has none
+		}
+		return len(reports[i].Checks)
+	}
+	total := 0
+	for i := 0; i < len(reports); i += stride {
+		total += checks(i)
+	}
+	ri, seen := 0, 0
+	for p := range parts {
+		parts[p].lo = ri
+		for want := (p + 1) * total / len(parts); ri < len(reports) && seen < want; ri += stride {
+			seen += checks(ri)
+		}
+		ri = min(ri, len(reports))
+		parts[p].hi = ri
+	}
+	parts[len(parts)-1].hi = len(reports)
+}
+
+// cutSamples bounds the reports cut reads.
+const cutSamples = 4096
 
 // partition is the routes [lo, hi) and what the count pass found there.
 // Its AS entries are its own: their counts are its share of each AS,

@@ -21,7 +21,7 @@ import (
 // partition reads.
 //
 // The zero value is the single-route arena: exact-size allocations and
-// no pair sharing, so a report pins exactly the memory it uses — a
+// no pair memo, so a report pins exactly the memory it uses — a
 // long-running mirror patches reports one at a time and must not keep
 // a bulk block alive behind each.
 type reportArena struct {
@@ -44,22 +44,11 @@ type reportArena struct {
 	lastProgAN *ir.AutNum
 	lastProg   *autnumProg
 
-	// share makes each route copy its leading pairs from the previous
-	// verified route, remembered below. A pair's evaluation never reads
-	// anything closer to the collector than the importer, so routes
-	// that agree on (prefix, communities, origin-side path suffix) —
-	// several collectors observing one announcement — agree on those
-	// pairs' checks verbatim. The bulk drivers feed routes in
-	// compareForSharing order (built by sharingOrder, which compares
-	// no prefixes), where the predecessor shares the longest suffix of
-	// any earlier route, so one remembered route finds every repeat.
-	// Copies alias the predecessor's reasons, which is safe: reports
-	// are read-only downstream.
-	share      bool
-	prevPfx    prefix.Prefix
-	prevComms  []bgpsim.Community
-	prevPath   []ir.ASN
-	prevChecks []Check
+	// memo, on a bulk arena, serves a pair's checks from an earlier
+	// route's evaluation of the same key (memo.go). Served checks alias
+	// that evaluation's reasons, which is safe: reports are read-only
+	// downstream.
+	memo *pairMemo
 
 	// canon, when non-nil, finds the reason lists handed out so far by
 	// the hash of their content, so that an equal list is handed out
@@ -80,26 +69,52 @@ var canonSeed = maphash.MakeSeed()
 // arenaBlock is the bulk drivers' block size, in checks or reasons.
 const arenaBlock = 4096
 
-// newBulkArena returns a block-allocating, pair-sharing arena.
-func newBulkArena() *reportArena { return &reportArena{block: arenaBlock, share: true} }
+// newBulkArena returns a block-allocating arena with a pair memo.
+func newBulkArena() *reportArena { return &reportArena{block: arenaBlock, memo: &pairMemo{}} }
 
-// compareForSharing orders routes by (prefix, communities, prepend-
-// deduplicated path read from the origin): the order in which every
-// route's longest shared origin-side suffix is with its predecessor.
+// compareForSharing is the bulk sweep's evaluation order: family
+// (IPv4 first), the communities' commHash, the prepend-deduplicated
+// path read from the origin, then the communities. Under it the routes
+// of every pair memo key — family, communities and the path from the
+// origin through some importer — come in one run, but for lists whose
+// hashes collide, which only costs the memo a repeat evaluation.
 func compareForSharing(x, y *bgpsim.Route) int {
-	if c := x.Prefix.Compare(y.Prefix); c != 0 {
+	if c := cmp.Compare(famIndex(x), famIndex(y)); c != 0 {
 		return c
 	}
-	return compareWithinPrefix(x, y)
+	if c := cmp.Compare(commHash(x.Communities), commHash(y.Communities)); c != 0 {
+		return c
+	}
+	if c := comparePaths(x.Path, y.Path); c != 0 {
+		return c
+	}
+	return slices.Compare(x.Communities, y.Communities)
 }
 
-// compareWithinPrefix is compareForSharing for two routes of one
-// prefix: communities, then the deduplicated path from the origin.
-func compareWithinPrefix(x, y *bgpsim.Route) int {
-	if c := slices.Compare(x.Communities, y.Communities); c != 0 {
-		return c
+// famIndex is 0 for an IPv4 route and 1 for any other, the split
+// afi.MatchesPrefix makes.
+func famIndex(r *bgpsim.Route) int {
+	if r.Prefix.IsIPv4() {
+		return 0
 	}
-	p, q := x.Path, y.Path
+	return 1
+}
+
+// commHash folds a community list into 32 bits (FNV-1a), 0 for none.
+func commHash(cs []bgpsim.Community) uint32 {
+	if len(cs) == 0 {
+		return 0
+	}
+	h := uint32(2166136261)
+	for _, c := range cs {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
+}
+
+// comparePaths orders paths by their deduplicated ASes read from the
+// origin; a path sorts before those it is the origin-side part of.
+func comparePaths(p, q []ir.ASN) int {
 	i, j := len(p)-1, len(q)-1
 	for i >= 0 && j >= 0 {
 		a := p[i]
@@ -113,19 +128,27 @@ func compareWithinPrefix(x, y *bgpsim.Route) int {
 			j--
 		}
 	}
-	return cmp.Compare(i, j) // the path that ran out first is the suffix
+	return cmp.Compare(i, j) // the path that ran out first sorts first
 }
 
+// radixHops is how many deduplicated hops from the origin a route's
+// sort Key holds, beside its commHash; suffixHops is how many of the
+// hops after those its suffixKey holds.
+const (
+	radixHops  = 3
+	suffixHops = 6
+)
+
 // sharingOrder sorts idxs, indexes into routes, into compareForSharing
-// order without comparing a prefix: a stable radix sort on the routes'
-// prefix Keys groups each prefix's routes, and a comparison sort orders
-// each group on the rest of the key, read from the routes' suffixKeys.
-// Its scratch, two Keys per route and one group's suffixKeys and their
+// order: a stable radix sort (prefix.SortKeys) on a Key per route
+// packing its family, commHash and first radixHops hops, then a
+// comparison sort of each run of equal Keys on the routes' suffixKeys.
+// Its scratch, two Keys per route and one run's suffixKeys and their
 // positions, is garbage when it returns.
 func sharingOrder(routes []bgpsim.Route, idxs []int32) {
 	keys := make([]prefix.PosKey, len(idxs))
 	for k, i := range idxs {
-		keys[k] = routes[i].Prefix.Key().At(int(i))
+		keys[k] = sortKey(&routes[i]).At(int(i))
 	}
 	prefix.SortKeys(keys)
 	var group []suffixKey
@@ -145,31 +168,54 @@ func sharingOrder(routes []bgpsim.Route, idxs []int32) {
 	}
 }
 
-// suffixHops is how many deduplicated hops from the origin a
-// suffixKey holds.
-const suffixHops = 6
+// sortKey is r's Key in SortKeys' order, which is family, then Hi, Lo
+// and Bits: Hi holds the commHash and the origin, Lo the next two
+// deduplicated hops, zero past the path's end, and Bits how many hops
+// the path has (radixHops+1 standing for more). Where one path has run
+// out, its zero sorts first or, against an AS 0, ties, and then the
+// shorter path sorts first by Bits: the order comparePaths gives.
+func sortKey(r *bgpsim.Route) prefix.Key {
+	k := prefix.Key{Hi: uint64(commHash(r.Communities)) << 32, IPv6: famIndex(r) == 1}
+	n := 0
+	p := r.Path
+	for j := len(p) - 1; j >= 0 && n <= radixHops; j-- {
+		if j+1 < len(p) && p[j] == p[j+1] {
+			continue
+		}
+		if n < radixHops {
+			if n == 0 {
+				k.Hi |= uint64(p[j])
+			} else {
+				k.Lo |= uint64(p[j]) << (32 * (2 - n))
+			}
+		}
+		n++
+	}
+	k.Bits = uint8(n)
+	return k
+}
 
-// suffixKey is a route's key within its prefix's group: its first
-// community, then the first suffixHops ASes of its deduplicated path
-// read from the origin, packed two to a word and zero past the path's
-// end, and how many the path has (suffixHops+1 standing for more).
+// suffixKey is a route's key within its run of equal sort Keys: the
+// suffixHops deduplicated hops after the first radixHops, packed two
+// to a word and zero past the path's end, and how many the path has
+// past the first radixHops (suffixHops+1 standing for more).
 type suffixKey struct {
-	comm  uint64 // 0 with no communities, else 1<<32 | the first
 	hops  [suffixHops / 2]uint64
 	route int32
 	n     uint8
-	more  bool // more than one community
+	comms bool // the route has communities
 }
 
 // suffixKeyOf returns the suffixKey of r, route i.
 func suffixKeyOf(r *bgpsim.Route, i int32) suffixKey {
-	sk := suffixKey{route: i, more: len(r.Communities) > 1}
-	if len(r.Communities) > 0 {
-		sk.comm = 1<<32 | uint64(r.Communities[0])
-	}
-	p := r.Path
+	sk := suffixKey{route: i, comms: len(r.Communities) > 0}
+	p, skip := r.Path, radixHops
 	for j := len(p) - 1; j >= 0 && sk.n <= suffixHops; j-- {
 		if j+1 < len(p) && p[j] == p[j+1] {
+			continue
+		}
+		if skip > 0 {
+			skip--
 			continue
 		}
 		if sk.n < suffixHops {
@@ -180,49 +226,33 @@ func suffixKeyOf(r *bgpsim.Route, i int32) suffixKey {
 	return sk
 }
 
-// sortGroup sorts perm, positions in group, by compareWithinPrefix of
-// the routes whose suffixKeys they hold. Community lists order as the
-// comparator orders them by their first community, where no list
-// sorts first; two that agree on it, one of them longer, are compared
-// on the routes. Packed hops then order paths as the comparator does:
-// where one path has run out, its zero sorts first or, against an AS
-// 0, ties, and then the shorter path sorts first by n. Two paths that
-// agree on suffixHops hops and both go on are compared on the routes.
+// sortGroup sorts perm, positions in group, by compareForSharing of the
+// routes whose suffixKeys they hold, all of one sort Key. Packed hops
+// and n order the rest of the paths as sortKey orders their start; two
+// that agree on suffixHops hops and both go on are compared on the
+// routes. Routes with equal paths then order by their communities.
 func sortGroup(routes []bgpsim.Route, group []suffixKey, perm []int32) {
 	slices.SortFunc(perm, func(a, b int32) int {
 		x, y := &group[a], &group[b]
-		if c := cmp.Compare(x.comm, y.comm); c != 0 {
-			return c
-		}
-		if x.more || y.more {
-			if c := slices.Compare(routes[x.route].Communities, routes[y.route].Communities); c != 0 {
-				return c
-			}
-		}
 		for w := range x.hops {
 			if c := cmp.Compare(x.hops[w], y.hops[w]); c != 0 {
 				return c
 			}
 		}
-		if x.n != y.n || x.n <= suffixHops {
-			return cmp.Compare(x.n, y.n)
+		if c := cmp.Compare(x.n, y.n); c != 0 {
+			return c
 		}
-		return compareWithinPrefix(&routes[x.route], &routes[y.route])
-	})
-}
-
-// sharedPairs returns how many leading pairs of the route with the
-// given deduplicated path equal the previous route's: one fewer than
-// the ASes the two paths have in common from the origin.
-func (a *reportArena) sharedPairs(route *bgpsim.Route, path []ir.ASN) int {
-	if route.Prefix != a.prevPfx || !slices.Equal(route.Communities, a.prevComms) {
+		rx, ry := &routes[x.route], &routes[y.route]
+		if x.n > suffixHops {
+			if c := comparePaths(rx.Path, ry.Path); c != 0 {
+				return c
+			}
+		}
+		if x.comms || y.comms {
+			return slices.Compare(rx.Communities, ry.Communities)
+		}
 		return 0
-	}
-	prev, n := a.prevPath, 0
-	for n < len(path) && n < len(prev) && path[len(path)-1-n] == prev[len(prev)-1-n] {
-		n++
-	}
-	return max(n-1, 0)
+	})
 }
 
 // checkCount is how many checks walkPairs produces for the route.

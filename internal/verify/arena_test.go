@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -12,19 +13,21 @@ import (
 )
 
 // TestSharingOrder walks the comparator's cases: where each pair of
-// routes sorts, and how many pairs the second copies from the first
-// when a sharing arena verifies them in that order.
+// routes sorts in the path-first order, and how many pairs the second
+// takes from the memo after a bulk arena verified the first. Routes of
+// one key share whatever their prefixes' tests agree on.
 func TestSharingOrder(t *testing.T) {
 	v := fixture(t, basicRPSL, nil, Config{})
 	tagged := func(r bgpsim.Route, comms ...bgpsim.Community) bgpsim.Route {
 		r.Communities = comms
 		return r
 	}
+	hashOrder := cmp.Compare(commHash([]bgpsim.Community{1}), commHash([]bgpsim.Community{1, 2}))
 	for _, tc := range []struct {
 		name   string
 		x, y   bgpsim.Route
 		cmp    int // compareForSharing(x, y)
-		shared int // pairs y copies after x
+		shared int // pairs y takes from the memo after x
 	}{
 		{"prepending is invisible",
 			route("198.51.100.0/24", 900, 100, 200, 300), route("198.51.100.0/24", 900, 900, 100, 200, 200, 200, 300, 300), 0, 3},
@@ -38,13 +41,17 @@ func TestSharingOrder(t *testing.T) {
 			route("198.51.100.0/24", 900, 100, 300), route("198.51.100.0/24", 900, 200, 300), -1, 0},
 		{"different origins",
 			route("198.51.100.0/24", 900, 100, 300), route("198.51.100.0/24", 900, 100, 301), -1, 0},
-		{"different communities share nothing",
+		{"no communities sort first and share nothing with some",
 			route("198.51.100.0/24", 900, 100, 300), tagged(route("198.51.100.0/24", 900, 100, 300), bgpsim.BlackholeCommunity), -1, 0},
-		{"a longer community list sorts after its prefix",
-			tagged(route("198.51.100.0/24", 900, 100, 300), 1), tagged(route("198.51.100.0/24", 900, 100, 300), 1, 2), -1, 0},
-		{"different prefixes share nothing",
-			route("198.51.100.0/24", 900, 100, 300), route("198.51.100.0/25", 900, 100, 300), -1, 0},
-		{"IPv4 sorts before IPv6",
+		{"community lists order by their hash",
+			tagged(route("198.51.100.0/24", 900, 100, 300), 1), tagged(route("198.51.100.0/24", 900, 100, 300), 1, 2), hashOrder, 0},
+		{"the prefix takes no part in the order; untested, it shares all",
+			route("198.51.100.0/24", 900, 100, 300), route("198.51.100.0/25", 900, 100, 300), 0, 2},
+		{"prefixes that give the same test results share",
+			route("198.51.100.0/24", 100, 200), route("203.0.113.0/24", 100, 200), 0, 1},
+		{"a prefix that fails a test the first passed shares nothing",
+			route("192.0.2.0/24", 100, 200), route("198.51.100.0/24", 100, 200), 0, 0},
+		{"IPv4 sorts before IPv6 and shares nothing with it",
 			route("203.0.113.0/24", 900, 100, 300), route("2001:db8::/32", 900, 100, 300), -1, 0},
 	} {
 		if got := compareForSharing(&tc.x, &tc.y); got != tc.cmp {

@@ -29,6 +29,11 @@ import (
 // computes by walking the ir trees directly on every check: status,
 // and the exact Reason values after sorting and de-duplication. The
 // oracle's C2 contract holds every draw to it.
+//
+// A program reads the route's prefix only through afi.MatchesPrefix,
+// which reads its family, and the prefixTests of memo.go, which the
+// bulk sweep's pair memo records. A site that read it any other way
+// would let the memo hand one prefix's checks to another.
 
 // triState is the outcome of pure filter evaluation.
 type triState uint8
@@ -294,9 +299,9 @@ func (v *Verifier) compileFilter(f *ir.Filter, depth int, rec *depgraph.Recorder
 	case ir.FilterPeerAS:
 		// The referenced AS is only known at run time; evalOriginFilter
 		// does the per-peer route-table lookup.
-		op := f.Op
+		test := newTest(prefixTest{kind: testPeerTable, op: f.Op})
 		return func(ctx *evalCtx) filterEval {
-			return v.evalOriginFilter(ctx.peer, op, ctx)
+			return v.evalOriginFilter(ctx.peer, test, ctx)
 		}
 	case ir.FilterASN:
 		rec.Add(depgraph.RoutesKey(f.ASN))
@@ -305,11 +310,11 @@ func (v *Verifier) compileFilter(f *ir.Filter, depth int, rec *depgraph.Recorder
 			return constFilter(filterEval{state: triUnrecorded,
 				reasons: bake(Reason{Kind: UnrecordedZeroRouteAS, ASN: f.ASN})})
 		}
-		op := f.Op
+		test := newTest(prefixTest{kind: testTable, tbl: tbl, op: f.Op})
 		miss := filterEval{state: triNoMatch,
 			reasons: bake(Reason{Kind: MatchFilterAsNum, ASN: f.ASN})}
 		return func(ctx *evalCtx) filterEval {
-			if tbl.ContainsWithOp(ctx.pfx, op) {
+			if v.test(ctx, test, 0) {
 				return filterEval{state: triMatch}
 			}
 			return miss
@@ -323,11 +328,11 @@ func (v *Verifier) compileFilter(f *ir.Filter, depth int, rec *depgraph.Recorder
 			return constFilter(filterEval{state: triUnrecorded,
 				reasons: bake(Reason{Kind: UnrecordedAsSet, Name: f.Name})})
 		}
-		op := f.Op
+		test := newTest(prefixTest{kind: testTable, tbl: tbl, op: f.Op})
 		miss := filterEval{state: triNoMatch,
 			reasons: bake(Reason{Kind: MatchFilter, Name: f.Name})}
 		return func(ctx *evalCtx) filterEval {
-			if tbl.ContainsWithOp(ctx.pfx, op) {
+			if v.test(ctx, test, 0) {
 				return filterEval{state: triMatch}
 			}
 			return miss
@@ -339,12 +344,11 @@ func (v *Verifier) compileFilter(f *ir.Filter, depth int, rec *depgraph.Recorder
 			return constFilter(filterEval{state: triUnrecorded,
 				reasons: bake(Reason{Kind: UnrecordedRouteSet, Name: f.Name})})
 		}
-		tbl := rs.Table
-		op := f.Op
+		test := newTest(prefixTest{kind: testTable, tbl: rs.Table, op: f.Op})
 		miss := filterEval{state: triNoMatch,
 			reasons: bake(Reason{Kind: MatchFilter, Name: f.Name})}
 		return func(ctx *evalCtx) filterEval {
-			if tbl.ContainsWithOp(ctx.pfx, op) {
+			if v.test(ctx, test, 0) {
 				return filterEval{state: triMatch}
 			}
 			return miss
@@ -362,13 +366,11 @@ func (v *Verifier) compileFilter(f *ir.Filter, depth int, rec *depgraph.Recorder
 		}
 		return v.compileFilter(fs.Filter, depth+1, rec)
 	case ir.FilterPrefixSet:
-		prefixes := f.Prefixes
+		test := newTest(prefixTest{kind: testRanges, ranges: f.Prefixes})
 		miss := filterEval{state: triNoMatch, reasons: reasonMatchFilter}
 		return func(ctx *evalCtx) filterEval {
-			for _, r := range prefixes {
-				if r.Match(ctx.pfx) {
-					return filterEval{state: triMatch}
-				}
+			if v.test(ctx, test, 0) {
+				return filterEval{state: triMatch}
 			}
 			return miss
 		}
@@ -660,7 +662,7 @@ func (v *Verifier) compileRelaxations(f *ir.PolicyFactor, rec *depgraph.Recorder
 	return func(ctx *evalCtx) (Status, []Reason) {
 		if ctx.dir == ir.DirExport && fIsASN && fASN == ctx.self {
 			if ctx.prevAS != 0 && v.Rels.Rel(ctx.prevAS, ctx.self) == asrel.Customer {
-				if v.prefixRegisteredToConeOf(ctx.self, ctx) {
+				if v.test(ctx, coneTest, ctx.self) {
 					return Relaxed, exportSelf
 				}
 			}
@@ -744,13 +746,14 @@ func filterHasComplexRegex(f *ir.Filter) bool {
 // an ASN used as a filter: the prefixes of route objects whose origin
 // is that AS. An AS with no route objects at all is an unrecorded case
 // (the paper's "zero-route AS").
-func (v *Verifier) evalOriginFilter(asn ir.ASN, op prefix.RangeOp, ctx *evalCtx) filterEval {
+func (v *Verifier) evalOriginFilter(asn ir.ASN, t *prefixTest, ctx *evalCtx) filterEval {
 	tbl, ok := v.DB.RouteTable(asn)
 	if !ok {
 		return filterEval{state: triUnrecorded,
 			reasons: []Reason{{Kind: UnrecordedZeroRouteAS, ASN: asn}}}
 	}
-	if tbl.ContainsWithOp(ctx.pfx, op) {
+	// run repeats this lookup on replay; here the table is at hand.
+	if ctx.note(t, asn, tbl.ContainsWithOp(ctx.pfx, t.op)) {
 		return filterEval{state: triMatch}
 	}
 	return filterEval{state: triNoMatch,
@@ -768,11 +771,11 @@ func combineAnd(l, r filterEval) filterEval {
 	}
 }
 
-// prefixRegisteredToConeOf reports whether the route's prefix has a
-// route object originated by asn or any AS in asn's customer cone
-// (the Appendix C semantics of the Export Self relaxation).
-func (v *Verifier) prefixRegisteredToConeOf(asn ir.ASN, ctx *evalCtx) bool {
-	origins := v.DB.OriginsOf(ctx.pfx)
+// prefixRegisteredToConeOf reports whether p has a route object
+// originated by asn or any AS in asn's customer cone (the Appendix C
+// semantics of the Export Self relaxation).
+func (v *Verifier) prefixRegisteredToConeOf(asn ir.ASN, p prefix.Prefix) bool {
+	origins := v.DB.OriginsOf(p)
 	if len(origins) == 0 {
 		return false
 	}

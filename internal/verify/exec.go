@@ -37,6 +37,9 @@ type evalCtx struct {
 	// arena backs the check's retained reason slices and carries the
 	// per-goroutine memos; never nil.
 	arena *reportArena
+	// trace, while a bulk arena evaluates a pair for its memo, collects
+	// the prefix tests the pair runs; nil otherwise.
+	trace *[]traceStep
 }
 
 // program returns the compiled program for an aut-num, compiling and

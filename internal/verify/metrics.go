@@ -17,10 +17,13 @@ type Metrics struct {
 	// them down by resulting Status.
 	ChecksEvaluated *telemetry.Counter
 	ChecksByStatus  *telemetry.LabeledCounter
-	// PairMemoHits counts AS pairs whose two checks a bulk run copied
-	// from the previous route sharing their (prefix, communities,
-	// path-suffix) key instead of evaluating them; the copied checks
-	// still count in ChecksEvaluated and ChecksByStatus.
+	// PairMemoHits counts AS pairs whose two checks a bulk run's pair
+	// memo served instead of evaluating them: an earlier route had the
+	// pair's key (family, communities, deduplicated path from the
+	// origin through the importer), and the route's prefix gave the
+	// same result on every prefix test that route's evaluation ran.
+	// The served checks still count in ChecksEvaluated and
+	// ChecksByStatus.
 	PairMemoHits *telemetry.Counter
 	// RouteSeconds and CheckSeconds are the whole-route and per-check
 	// verification latencies. Like ProgramSeconds they are taken on one
@@ -55,7 +58,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		ChecksByStatus: reg.LabeledCounter("rpslyzer_verify_checks_by_status_total",
 			"Import/export checks by verification status.", "status"),
 		PairMemoHits: reg.Counter("rpslyzer_verify_pair_memo_hits_total",
-			"AS pairs copied from the previous route of a bulk run's sharing order."),
+			"AS pairs a bulk run's pair memo served from an earlier route with the same key and prefix test results."),
 		RouteSeconds: reg.Histogram("rpslyzer_verify_route_seconds",
 			"Whole-route verification latency (sampled).", nil),
 		CheckSeconds: reg.Histogram("rpslyzer_verify_check_seconds",

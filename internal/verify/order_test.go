@@ -78,10 +78,12 @@ func checkSweepOrder(t testing.TB, routes []bgpsim.Route, shards int) {
 	}
 }
 
-// TestSweepOrderIsSharingSorted holds sweep's radix-then-group order to
-// the comparator that defines sharing order, over randomIndexCorpus
-// draws at several partition counts. Run at -cpu 1,2,4 to move the
-// default partition count of the drivers built on sweep.
+// TestSweepOrderIsSharingSorted holds sweep's path-first order — a
+// radix sort on family, community hash and the first origin-side hops,
+// then a sort within each run of equal Keys — to the comparator that
+// defines sharing order, over randomIndexCorpus draws at several
+// partition counts. Run at -cpu 1,2,4 to move the default partition
+// count of the drivers built on sweep.
 func TestSweepOrderIsSharingSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{0, 1, 2, 5, 64, 1000, 20_000} {
@@ -91,9 +93,11 @@ func TestSweepOrderIsSharingSorted(t *testing.T) {
 	}
 }
 
-// FuzzSharingOrder decodes routes from the input, four bytes and a
-// path per route, and holds sweep's order to compareForSharing as
-// TestSweepOrderIsSharingSorted does.
+// FuzzSharingOrder decodes routes from the input, three bytes and a
+// path per route, and holds sweep's path-first order to
+// compareForSharing as TestSweepOrderIsSharingSorted does: paths that
+// run out, AS 0 against the zero past a path's end, paths of more hops
+// than the Keys hold, and communities whose hashes order them.
 func FuzzSharingOrder(f *testing.F) {
 	f.Add(byte(2), []byte{0, 0, 3, 1, 2, 3, 0, 0, 4, 9, 1, 2, 3})
 	f.Add(byte(1), []byte{1, 2, 2, 5, 5, 2, 1, 6, 7, 1, 2, 3, 4, 5, 6, 7, 3, 0, 1, 250})
@@ -103,6 +107,18 @@ func FuzzSharingOrder(f *testing.F) {
 		families = append(families, byte(p), 0, 2, 1, 2)
 	}
 	f.Add(byte(0), families)
+	// One long path and its origin-side parts over three families, with
+	// and without communities, beside paths through AS 0.
+	long := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2}
+	var paths []byte
+	for _, p := range []byte{0, 4, 6, 0} {
+		for n := 2; n <= len(long); n += 3 {
+			paths = append(paths, p, p&2, byte(n))
+			paths = append(paths, long[len(long)-n:]...)
+		}
+	}
+	paths = append(paths, 1, 0, 3, 1, 0, 3, 1, 0, 2, 0, 3, 1, 0, 4, 5, 0, 1, 3)
+	f.Add(byte(3), paths)
 	f.Fuzz(func(t *testing.T, shards byte, data []byte) {
 		checkSweepOrder(t, decodeRoutes(data), 1+int(shards%8))
 	})
@@ -150,9 +166,9 @@ func corpus2kRoutes(b *testing.B, opts bgpsim.Options) []bgpsim.Route {
 
 // BenchmarkSharingOrder orders every route of corpus-2k on one
 // goroutine, by a comparison sort under compareForSharing and by
-// sharingOrder. The communities corpus tags routes as the communities
-// experiment does, 35 % of them, so every prefix group compares
-// communities.
+// sharingOrder's path-first radix order. The communities corpus tags
+// routes as the communities experiment does, 35 % of them, so their
+// community hashes spread each path's routes over many Keys.
 func BenchmarkSharingOrder(b *testing.B) {
 	for _, c := range []struct {
 		name string

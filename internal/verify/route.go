@@ -114,7 +114,8 @@ func (v *Verifier) verifyRoute(route *bgpsim.Route, a *reportArena, rep, old *Ro
 // the exporter's export check and the importer's import check on each.
 // A full verification treats every check as dirty; with old non-nil
 // only the checks dirty selects are re-evaluated and the rest are
-// copied from old. Checks go into rep.Checks as it comes in when the
+// copied from old. On a bulk arena, a full verification copies a pair
+// its memo holds for the route's prefix instead of evaluating it. Checks go into rep.Checks as it comes in when the
 // driver laid the slots out beforehand (len == checkCount(route)), else
 // into arena storage; reasons always go through the arena.
 func (v *Verifier) walkPairs(route *bgpsim.Route, a *reportArena, rep, old *RouteReport, dirty map[ir.ASN]CheckMask) {
@@ -146,20 +147,30 @@ func (v *Verifier) walkPairs(route *bgpsim.Route, a *reportArena, rep, old *Rout
 	if rep.Checks = dst; dst == nil {
 		rep.Checks = cut(&a.checks, a.block, 2*(len(path)-1))
 	}
-	shared := 0
-	if a.share { // copy the pairs the previous route already evaluated
-		shared = a.sharedPairs(route, path)
-		for k, c := range a.prevChecks[:2*shared] {
-			rep.Checks[k] = c
-			a.byStatus[c.Status]++
-		}
-		a.pairHits += int64(shared)
-		a.prevPfx, a.prevComms, a.prevChecks = route.Prefix, route.Communities, rep.Checks
-		a.path, a.prevPath = a.prevPath, path
+	memo := a.memo
+	if old != nil {
+		memo = nil // a patch's checks are old's in part: none to share
 	}
-	// Exporter path[i+1] hands the route to importer path[i].
-	for i, k := len(path)-2-shared, 2*shared; i >= 0; i, k = i-1, k+2 {
+	if memo != nil {
+		a.path = memo.enter(route, path)
+	}
+	// Exporter path[i+1] hands the route to importer path[i]; pair d
+	// counts from the origin.
+	for i, k, d := len(path)-2, 0, 0; i >= 0; i, k, d = i-1, k+2, d+1 {
 		pair := rep.Checks[k : k+2]
+		var lvl *memoLevel
+		var lo int32
+		if memo != nil {
+			lvl = &memo.levels[d]
+			if c := memo.find(v, lvl, route.Prefix); c != nil {
+				pair[0], pair[1] = c[0], c[1]
+				a.byStatus[c[0].Status]++
+				a.byStatus[c[1].Status]++
+				a.pairHits++
+				continue
+			}
+			lo = lvl.record(ctx)
+		}
 		exporter, importer := path[i+1], path[i]
 		// Filters (in particular AS-path regexes) match the AS-path as
 		// it stands at this hop: the path the exporter announces,
@@ -181,6 +192,9 @@ func (v *Verifier) walkPairs(route *bgpsim.Route, a *reportArena, rep, old *Rout
 			v.checkInto(ctx, &pair[1])
 		} else {
 			pair[1] = old.Checks[k+1]
+		}
+		if lvl != nil {
+			lvl.add(ctx, pair, lo)
 		}
 	}
 }
@@ -336,15 +350,17 @@ func routeShard(r *bgpsim.Route, n int) int {
 }
 
 // sweep is the bulk drivers' scatter: route indexes bucket by the
-// stable origin-AS hash (so equal sharing keys always meet) into
+// stable origin-AS hash (so equal pair memo keys always meet) into
 // Config.Shards partitions, or workers partitions when Shards is unset
 // (0 means GOMAXPROCS); the bucket sizes are the shard metrics' plan,
 // set once per sweep. Each non-empty partition, on its own goroutine,
-// puts its indexes in sharing order (sharingOrder) while prepare, when
-// set, runs on the caller. Once every partition has ordered and
-// dropped its ordering scratch, and prepare has returned, each hands
-// layout its indexes in input order and runs each on them in sharing
-// order with its own sharing arena, whose tally it flushes at the end.
+// puts its indexes in the path-first sharing order (sharingOrder)
+// while prepare, when set, runs on the caller. Once every partition
+// has ordered and dropped its ordering scratch, and prepare has
+// returned, each hands layout its indexes in input order and runs each
+// on them in sharing order with its own bulk arena, whose pair memo
+// that order keeps to the current route's keys and whose tally it
+// flushes at the end.
 // A driver with a layout keeps every report, so its arenas store equal
 // reason lists once.
 func (v *Verifier) sweep(routes []bgpsim.Route, workers int, prepare func(), layout func(idxs []int32), each func(a *reportArena, i int32)) {

@@ -1,7 +1,8 @@
-// Tests for the bulk drivers' suffix sharing and for the arena tallies
-// behind verify.Metrics: what is shared is exactly what a keyed memo
-// would share, at any partition count, and the exported counters are
-// exact however the routes were verified.
+// Tests for the bulk drivers' pair memo and for the arena tallies
+// behind verify.Metrics: what the memo evaluates lies between what a
+// memo keyed with the outcome and one keyed with the prefix would, the
+// same at any partition count, and the exported counters are exact
+// however the routes were verified.
 package verify_test
 
 import (
@@ -19,15 +20,21 @@ import (
 	"rpslyzer/internal/verify"
 )
 
-// sweepWork is what one bulk sweep over routes must do, counted the
-// way a keyed memo would: every (prefix, communities, deduplicated
-// origin-side suffix) key is evaluated once and repeated thereafter;
-// an evaluated check executes a program when its AS has an aut-num
+// sweepWork is what one sweep over routes must do. A pair's key is
+// (family, communities, deduplicated path from the origin through the
+// importer), its outcome its two checks. The pair memo evaluates a key
+// once for each set of prefixes that agree on the tests the evaluation
+// ran: at least once per outcome of the key, at most once per prefix.
+// An evaluated check executes a program when its AS has an aut-num
 // with rules in the check's direction.
 type sweepWork struct {
 	verified, ignored int
-	pairs, repeats    int
-	execs             int
+	pairs             int
+	outcomes          int // distinct (key, outcome)
+	prefixed          int // distinct (prefix, key)
+	keyExecs          int // executions, each key evaluated once
+	prefixExecs       int // executions, each (prefix, key) evaluated once
+	execs             int // executions, every pair evaluated
 }
 
 // hasRules reports whether a check evaluated by asn in the given
@@ -43,39 +50,57 @@ func hasRules(db *irr.Database, asn ir.ASN, dir ir.Direction) bool {
 	return len(an.Imports) > 0
 }
 
-func countSweep(db *irr.Database, routes []bgpsim.Route, share bool) sweepWork {
+// pairKey is the memo key of the pair whose importer is path[i].
+func pairKey(r *bgpsim.Route, path []ir.ASN, i int) string {
+	return fmt.Sprint(r.Prefix.IsIPv4(), r.Communities, path[i:])
+}
+
+// countSweep counts the work of a sweep over routes; reports are
+// theirs, from VerifyRoute, or nil to count no outcomes.
+func countSweep(db *irr.Database, routes []bgpsim.Route, reports []verify.RouteReport) sweepWork {
 	var w sweepWork
-	seen := make(map[string]struct{})
-	for _, r := range routes {
+	keys, outcomes, prefixed := make(map[string]bool), make(map[string]bool), make(map[string]bool)
+	for n := range routes {
+		r := &routes[n]
 		path := aspa.DedupePrepends(r.Path)
 		if r.HasASSet || len(path) <= 1 {
 			w.ignored++
 			continue
 		}
 		w.verified++
-		for i := len(path) - 2; i >= 0; i-- {
+		for i, k := len(path)-2, 0; i >= 0; i, k = i-1, k+2 {
 			w.pairs++
-			key := fmt.Sprint(r.Prefix, r.Communities, path[i:])
-			if _, ok := seen[key]; ok && share {
-				w.repeats++
-				continue
-			}
-			seen[key] = struct{}{}
+			execs := 0
 			if hasRules(db, path[i+1], ir.DirExport) {
-				w.execs++
+				execs++
 			}
 			if hasRules(db, path[i], ir.DirImport) {
-				w.execs++
+				execs++
+			}
+			w.execs += execs
+			key := pairKey(r, path, i)
+			if !keys[key] {
+				keys[key] = true
+				w.keyExecs += execs
+			}
+			if reports != nil {
+				outcomes[key+fmt.Sprint(reports[n].Checks[k:k+2])] = true
+			}
+			if pk := fmt.Sprint(r.Prefix, key); !prefixed[pk] {
+				prefixed[pk] = true
+				w.prefixExecs += execs
 			}
 		}
 	}
+	w.outcomes, w.prefixed = len(outcomes), len(prefixed)
 	return w
 }
 
-// checkCounters holds m to the work counted in w; exact program-cache
-// hits are only defined without concurrent compiles, so they are
-// checked when single is set.
-func checkCounters(t *testing.T, what string, m *verify.Metrics, w sweepWork, reports []verify.RouteReport, single bool) {
+// checkCounters holds m to the work counted in w, for a driver with
+// the pair memo or without. Exact program-cache hits are only defined
+// without concurrent compiles, so they are checked when single is set;
+// with the memo, executions are bounded as evaluations are.
+func checkCounters(t *testing.T, what string, m *verify.Metrics, w sweepWork, reports []verify.RouteReport, memo, single bool) {
 	t.Helper()
 	if got := m.RoutesVerified.Value(); got != int64(w.verified) {
 		t.Errorf("%s: routes_total = %d, want %d", what, got, w.verified)
@@ -86,8 +111,12 @@ func checkCounters(t *testing.T, what string, m *verify.Metrics, w sweepWork, re
 	if got := m.ChecksEvaluated.Value(); got != int64(2*w.pairs) {
 		t.Errorf("%s: checks_total = %d, want %d", what, got, 2*w.pairs)
 	}
-	if got := m.PairMemoHits.Value(); got != int64(w.repeats) {
-		t.Errorf("%s: pair_memo_hits_total = %d, want %d", what, got, w.repeats)
+	hits := m.PairMemoHits.Value()
+	if evals := int64(w.pairs) - hits; memo && (evals < int64(w.outcomes) || evals > int64(w.prefixed)) {
+		t.Errorf("%s: pair_memo_hits_total = %d leaves %d evaluations, want between %d (key, outcome) and %d (prefix, key) groups",
+			what, hits, evals, w.outcomes, w.prefixed)
+	} else if !memo && hits != 0 {
+		t.Errorf("%s: pair_memo_hits_total = %d, want 0", what, hits)
 	}
 	byStatus := make(map[string]int64)
 	for _, rep := range reports {
@@ -100,18 +129,26 @@ func checkCounters(t *testing.T, what string, m *verify.Metrics, w sweepWork, re
 			t.Errorf("%s: checks_by_status{%s} = %d, want %d", what, st, got, want)
 		}
 	}
-	if single {
-		if got, want := m.ProgramCacheHits.Value(), int64(w.execs)-m.ProgramsCompiled.Value(); got != want {
-			t.Errorf("%s: program_cache_hits_total = %d, want %d executions - %d compiles", what, got, w.execs, m.ProgramsCompiled.Value())
-		}
+	if !single {
+		return
+	}
+	execs := m.ProgramCacheHits.Value() + m.ProgramsCompiled.Value()
+	switch {
+	case !memo && execs != int64(w.execs):
+		t.Errorf("%s: program_cache_hits_total + compiles = %d, want %d executions", what, execs, w.execs)
+	case memo && (execs < int64(w.keyExecs) || execs > int64(w.prefixExecs)):
+		t.Errorf("%s: program_cache_hits_total + compiles = %d, want between %d and %d executions", what, execs, w.keyExecs, w.prefixExecs)
 	}
 }
 
 // TestSharingMatchesKeyedMemo runs the bulk drivers over several
-// generated universes at 1, 2 and 8 partitions: the pairs a sweep
-// copies are exactly the repeated keys a keyed memo would serve, and the
-// counters are exact. That the reports are VerifyRoute's, which shares
-// nothing, is internal/oracle's C3.
+// generated universes at 1, 2 and 8 partitions: the pairs the memo
+// evaluates lie between the distinct (key, outcome) and (prefix, key)
+// counts, below the latter, so it shares across prefixes, and are the
+// same for every driver and partition count, as one key's routes all
+// reach one partition in one run. The counters are exact. That the
+// reports are VerifyRoute's, which shares nothing, is internal/oracle's
+// C3.
 func TestSharingMatchesKeyedMemo(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 5, 8} {
 		sys, err := core.BuildSynthetic(core.Options{Seed: seed, ASes: 80, Collectors: 3})
@@ -119,10 +156,6 @@ func TestSharingMatchesKeyedMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 		routes := sys.CollectRoutes(3, seed)
-		w := countSweep(sys.DB, routes, true)
-		if w.repeats == 0 || w.ignored == 0 {
-			t.Fatalf("seed %d: corpus has %d repeated keys and %d ignored routes; the test needs both", seed, w.repeats, w.ignored)
-		}
 
 		v := verify.New(sys.DB, sys.Rels, verify.Config{})
 		m := verify.NewMetrics(telemetry.NewRegistry("single"))
@@ -131,52 +164,84 @@ func TestSharingMatchesKeyedMemo(t *testing.T) {
 		for i := range routes {
 			single[i] = v.VerifyRoute(routes[i])
 		}
-		checkCounters(t, fmt.Sprintf("seed %d VerifyRoute", seed), m, countSweep(sys.DB, routes, false), single, true)
+		w := countSweep(sys.DB, routes, single)
+		if w.pairs == w.prefixed || w.ignored == 0 {
+			t.Fatalf("seed %d: corpus has %d pairs in %d (prefix, key) groups and %d ignored routes; the test needs repeats and both",
+				seed, w.pairs, w.prefixed, w.ignored)
+		}
+		checkCounters(t, fmt.Sprintf("seed %d VerifyRoute", seed), m, w, single, false, true)
 
+		hits := int64(-1)
+		sameHits := func(what string, m *verify.Metrics) {
+			got := m.PairMemoHits.Value()
+			if hits < 0 {
+				hits = got
+				if evals := int64(w.pairs) - got; evals >= int64(w.prefixed) {
+					t.Errorf("%s: %d evaluations for %d (prefix, key) groups: nothing shared across prefixes", what, evals, w.prefixed)
+				}
+			} else if got != hits {
+				t.Errorf("%s: pair_memo_hits_total = %d, another driver read %d", what, got, hits)
+			}
+		}
 		for _, shards := range []int{1, 2, 8} {
 			what := fmt.Sprintf("seed %d shards %d", seed, shards)
 			v := verify.New(sys.DB, sys.Rels, verify.Config{Shards: shards})
 			m := verify.NewMetrics(telemetry.NewRegistry("all"))
 			v.SetMetrics(m)
-			checkCounters(t, what+" VerifyAll", m, w, v.VerifyAll(routes, 0), shards == 1)
+			checkCounters(t, what+" VerifyAll", m, w, v.VerifyAll(routes, 0), true, shards == 1)
+			sameHits(what+" VerifyAll", m)
 
 			v = verify.New(sys.DB, sys.Rels, verify.Config{Shards: shards})
 			m = verify.NewMetrics(telemetry.NewRegistry("stream"))
 			v.SetMetrics(m)
 			var streamed []verify.RouteReport
 			v.VerifyStream(routes, 0, func(rep verify.RouteReport) { streamed = append(streamed, rep) })
-			checkCounters(t, what+" VerifyStream", m, w, streamed, shards == 1)
+			checkCounters(t, what+" VerifyStream", m, w, streamed, true, shards == 1)
+			sameHits(what+" VerifyStream", m)
 		}
 	}
 }
 
 // TestVerifyAllStoresEachListOnce: the driver that keeps every report
 // hands an equal reason list out as one backing array per partition.
-// The stream and the single-route call keep no table, so they alias only
-// what copying a predecessor's pairs always did: no array serves two
-// prefixes in a stream, and none serves two checks of single calls.
+// The stream and the single-route call keep no table, so they alias
+// only what the pair memo serves: a stream's array may serve several
+// prefixes, but only pairs of one memo key, and no array serves two
+// checks of single calls.
 func TestVerifyAllStoresEachListOnce(t *testing.T) {
 	sys, err := core.BuildSynthetic(core.Options{Seed: 1, ASes: 80, Collectors: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	routes := sys.CollectRoutes(3, 1)
-	type tally struct{ lists, arrays, contents, crossPrefix int }
+	type tally struct{ lists, arrays, contents, crossPrefix, crossKey int }
 	count := func(reports []verify.RouteReport) tally {
 		var n tally
-		first := make(map[*verify.Reason]int) // array -> the report it was first seen in
+		type use struct {
+			report int
+			key    string
+		}
+		first := make(map[*verify.Reason]use) // array -> where it was first seen
 		contents := make(map[string]bool)
 		for i := range reports {
-			for _, c := range reports[i].Checks {
+			r := &reports[i].Route
+			path := aspa.DedupePrepends(r.Path)
+			for k, c := range reports[i].Checks {
 				if len(c.Reasons) == 0 {
 					continue
 				}
 				n.lists++
 				contents[fmt.Sprint(c.Reasons)] = true
-				if j, seen := first[&c.Reasons[0]]; !seen {
-					first[&c.Reasons[0]] = i
-				} else if reports[j].Route.Prefix != reports[i].Route.Prefix {
-					n.crossPrefix++
+				key := pairKey(r, path, len(path)-2-k/2)
+				if u, seen := first[&c.Reasons[0]]; !seen {
+					first[&c.Reasons[0]] = use{i, key}
+				} else {
+					if reports[u.report].Route.Prefix != r.Prefix {
+						n.crossPrefix++
+					}
+					if u.key != key {
+						n.crossKey++
+					}
 				}
 			}
 		}
@@ -192,8 +257,9 @@ func TestVerifyAllStoresEachListOnce(t *testing.T) {
 		}
 		var streamed []verify.RouteReport
 		v.VerifyStream(routes, 0, func(rep verify.RouteReport) { streamed = append(streamed, rep) })
-		if s := count(streamed); s.crossPrefix != 0 || s.lists != all.lists {
-			t.Errorf("shards %d: VerifyStream handed out %d of %d lists from an array another prefix has", shards, s.crossPrefix, s.lists)
+		if s := count(streamed); s.crossKey != 0 || s.crossPrefix == 0 || s.lists != all.lists {
+			t.Errorf("shards %d: VerifyStream handed out %d of %d lists from an array another key has, %d from one another prefix has; want none and some",
+				shards, s.crossKey, s.lists, s.crossPrefix)
 		}
 	}
 	v := verify.New(sys.DB, sys.Rels, verify.Config{})
@@ -312,7 +378,7 @@ func TestCountersExactAfterReverify(t *testing.T) {
 func TestProfilerSamplesPerArena(t *testing.T) {
 	sys, routes := diffCorpus(t)
 	routes = routes[:4000]
-	w := countSweep(sys.DB, routes, true)
+	w := countSweep(sys.DB, routes, nil)
 	observed := func(p *verify.Profiler) int {
 		n := 0
 		for _, e := range p.SlowASes.Top(0) {
@@ -354,7 +420,7 @@ func TestProfilerSamplesPerArena(t *testing.T) {
 	for _, r := range routes[:100] {
 		v.VerifyRoute(r)
 	}
-	verified := countSweep(sys.DB, routes[:100], false).verified
+	verified := countSweep(sys.DB, routes[:100], nil).verified
 	if got := observed(p); got != verified {
 		t.Errorf("100 single VerifyRoute calls at the default rate: %d routes observed, want %d (the first of every arena)", got, verified)
 	}

@@ -51,11 +51,15 @@
 #      incremental engine's dirtying index, two sorts on two goroutines,
 #      against the hashed serial build it replaced
 #      (TestIndexRoutesMatchesReference);
-#      and the bulk sweep's evaluation order, a radix sort on prefix
-#      Keys then a sort within each prefix, in every partition of the
-#      drivers' default GOMAXPROCS partitions and of fixed counts,
-#      against the comparator that defines sharing order
-#      (TestSweepOrderIsSharingSorted); and,
+#      and the bulk sweep's evaluation order, path-first — a radix sort
+#      on Keys packing each route's family, community hash and first
+#      three origin-side hops, then a sort within each run of equal
+#      Keys — in every partition of the drivers' default GOMAXPROCS
+#      partitions and of fixed counts, against the comparator that
+#      defines sharing order (TestSweepOrderIsSharingSorted), and the
+#      pair memo that order feeds, over one hand-built universe per kind
+#      of prefix test, against VerifyRoute
+#      (TestPairMemoRecordsEveryPrefixTest); and,
 #      under the race detector, the route database's index, whose trie
 #      builds beside per-origin tables built over GOMAXPROCS origin
 #      ranges, against linear scans of its routes, fresh and after
@@ -88,8 +92,9 @@
 #      encoder's string escaping against json.Marshal on arbitrary
 #      bytes (FuzzAppendJSONString); of the bulk trie build against
 #      repeated Insert over mixed-family prefix lists (FuzzBuildTrie);
-#      of the bulk sweep's evaluation order against the sharing-order
-#      comparator over decoded routes (FuzzSharingOrder); then the
+#      of the bulk sweep's path-first evaluation order against the
+#      sharing-order comparator over decoded routes (FuzzSharingOrder);
+#      then the
 #      oracle's long budget, a minute of
 #      FuzzContracts — a failing draw lands, minimized, under
 #      internal/oracle/testdata/fuzz/FuzzContracts/
@@ -162,14 +167,14 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the sweep order, the route database's index, the route merge, the bulk trie build at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the sweep order, the pair memo, the route database's index, the route merge, the bulk trie build at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^(FuzzContracts|TestContractsSlowSeeds)$' ./internal/oracle
 go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze|TestFreezeTopASNs)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObject|TestLoadDumpDirFailsOnReadError)$' ./internal/core
 go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped|TestPathsToMatchesReference|TestCollectRoutesDigest)$' ./internal/bgpsim
-go test -cpu 1,2,4 -run '^(TestIndexRoutesMatchesReference|TestSweepOrderIsSharingSorted)$' ./internal/verify
+go test -cpu 1,2,4 -run '^(TestIndexRoutesMatchesReference|TestSweepOrderIsSharingSorted|TestPairMemoRecordsEveryPrefixTest)$' ./internal/verify
 go test -race -cpu 1,2,4 -run '^(TestNewShardedEquivalence|TestShardedMutationEquivalence|TestShardRouteCountsCloneIsolation)$' ./internal/irr
 go test -cpu 1,2,4 -run '^TestMergeRoutesMatchesFirstWinsMap$' ./internal/parser
 go test -cpu 1,2,4 -run '^TestTrieBuilderMatchesInsert$' ./internal/prefix
