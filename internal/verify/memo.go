@@ -114,7 +114,7 @@ type pairMemo struct {
 // prefixes once per path through it, against the same tests.
 type resultCache [1 << resultCacheBits]cachedResult
 
-const resultCacheBits = 12
+const resultCacheBits = 8
 
 type cachedResult struct {
 	id      uint64 // 0: empty
