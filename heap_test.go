@@ -45,15 +45,16 @@ func retainedBy(build func()) (live, allocated float64) {
 // TestRetainedHeapCeilings holds the structures that scale with the
 // corpus to bytes-per-route ceilings, each about 20% over what it
 // measures on the 800-AS fixture: the IR the default loader retains
-// (329 B per route object), the reports of a bulk sweep (439 B per
-// route — 614 when every check carried its own copy of its reason
-// list), the frozen report snapshot beside the reports it reads (306 B
-// per route, allocating 1.01x what it retains — 454 B and 1.13x when it
-// copied every check, 1.33x when its per-AS lists grew by doubling,
-// 4.8x when every arena did), and reportd -import's engine after it
-// read and froze the sweep's JSONL (641 B per route; 1 630 B when the
-// import kept every decoded reason list, 517 B when the snapshot kept
-// 24-byte copies of the checks instead of the decoded ones).
+// (329 B per route object), the reports of a bulk sweep (240 B per
+// route — 439 when every route kept its own checks, 614 when every
+// check also carried its own copy of its reason list), the frozen
+// report snapshot beside the reports it reads (232 B per route,
+// allocating 1.01x what it retains — 454 B and 1.13x when it copied
+// every check, 1.33x when its per-AS lists grew by doubling, 4.8x when
+// every arena did), and reportd -import's engine after it read and
+// froze the sweep's JSONL (376 B per route; 567 B when every report
+// kept its own checks, 1 630 B when the import kept every decoded
+// reason list).
 func TestRetainedHeapCeilings(t *testing.T) {
 	f := getFixture(t)
 	check := func(t *testing.T, what string, got, ceiling float64) {
@@ -83,7 +84,7 @@ func TestRetainedHeapCeilings(t *testing.T) {
 		v.VerifyAll(f.routes[:min(len(f.routes), 1000)], 0) // compile outside the fences
 		var reports []verify.RouteReport
 		live, _ := retainedBy(func() { reports = v.VerifyAll(f.routes, 0) })
-		check(t, "live B/route", live/float64(len(reports)), 530)
+		check(t, "live B/route", live/float64(len(reports)), 290)
 		runtime.KeepAlive(reports)
 	})
 	t.Run("freeze", func(t *testing.T) {
@@ -114,7 +115,7 @@ func TestRetainedHeapCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		check(t, "live B/route", live/float64(e.Store().Current().NumRoutes()), 770)
+		check(t, "live B/route", live/float64(e.Store().Current().NumRoutes()), 450)
 		runtime.KeepAlive(e)
 	})
 }

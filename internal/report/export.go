@@ -94,7 +94,8 @@ func WriteJSONL(w io.Writer, reports []verify.RouteReport) error {
 // ReadJSONL reads a JSONL report stream back into route reports,
 // calling sink for each (the streaming mirror of WriteJSONL). Like a
 // sweep's, the reports share memory: one copy of each distinct reason
-// list and name, checks cut from blocks. Read them, never write them.
+// list and name, checks cut from blocks, and one check slice for a run
+// of reports whose checks are equal. Read them, never write them.
 func ReadJSONL(r io.Reader, sink func(verify.RouteReport)) error {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	in := interner{seed: maphash.MakeSeed(), lists: make(map[uint64][]verify.Reason), names: make(map[string]string)}
@@ -117,16 +118,19 @@ func ReadJSONL(r io.Reader, sink func(verify.RouteReport)) error {
 
 // interner lays out what the reports of one stream keep the way a sweep
 // lays out its own: checks in exact-size ranges of shared blocks, one
-// copy of each distinct reason list and of each name in those lists.
+// copy of each distinct reason list and of each name in those lists,
+// and a report's checks kept once for a run of reports that have them.
 type interner struct {
 	seed  maphash.Seed
 	lists map[uint64][]verify.Reason
 	names map[string]string
 	block []verify.Check
+	prev  []verify.Check // the checks kept last
 }
 
 // keep moves rep's checks into the current block, replacing each reason
-// list with the first one of the same content.
+// list with the first one of the same content, or points them at the
+// previous report's when the two are then the same.
 func (in *interner) keep(rep *verify.RouteReport) {
 	if len(rep.Checks) == 0 {
 		return
@@ -140,6 +144,11 @@ func (in *interner) keep(rep *verify.RouteReport) {
 	for i := range rep.Checks {
 		rep.Checks[i].Reasons = in.list(rep.Checks[i].Reasons)
 	}
+	if verify.SameChecks(rep.Checks, in.prev) {
+		in.block, rep.Checks = in.block[:off], in.prev
+		return
+	}
+	in.prev = rep.Checks
 }
 
 // list returns the copy of rs to keep. The hash is a hint and the compare

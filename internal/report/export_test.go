@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,6 +43,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 		),
 		routeReport(t, "198.51.100.0/24", []ir.ASN{40}, "single-as"),
 	}
+	// The first report's checks again, on the next line and at the end.
+	again := func(pfx string) verify.RouteReport {
+		return routeReport(t, pfx, in[0].Route.Path, "", in[0].Checks...)
+	}
+	in = slices.Insert(in, 1, again("192.0.3.0/24"))
+	in = append(in, again("192.0.4.0/24"))
 
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, in); err != nil {
@@ -71,6 +78,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(in[i].Checks, out[i].Checks) {
 			t.Errorf("report %d checks = %+v, want %+v", i, out[i].Checks, in[i].Checks)
 		}
+	}
+	// A report whose checks equal the previous report's shares its
+	// slice; equal checks after other ones are kept again.
+	if &out[1].Checks[0] != &out[0].Checks[0] || &out[4].Checks[0] == &out[0].Checks[0] {
+		t.Errorf("reports 0, 1 and 4 keep their equal checks at %p, %p and %p; want the first two shared",
+			&out[0].Checks[0], &out[1].Checks[0], &out[4].Checks[0])
 	}
 }
 

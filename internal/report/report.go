@@ -251,29 +251,35 @@ func NewAggregator() *Aggregator {
 
 // Add ingests one route report. An ignored report is counted as such
 // and nothing else, whatever checks it carries.
-func (a *Aggregator) Add(rep verify.RouteReport) {
+func (a *Aggregator) Add(rep verify.RouteReport) { a.AddRun(&rep, 1) }
+
+// AddRun ingests n reports equal to rep, as n calls of Add would, in
+// one pass over its checks: every count is a sum, every set a union.
+// A freeze hands it each run of reports that share one check slice.
+func (a *Aggregator) AddRun(rep *verify.RouteReport, n int) {
+	k := int64(n)
 	if rep.Ignored != "" {
 		switch rep.Ignored {
 		case "as-set":
-			a.IgnoredASSet++
+			a.IgnoredASSet += k
 		case "single-as":
-			a.IgnoredSingleAS++
+			a.IgnoredSingleAS += k
 		}
 		return
 	}
-	a.Routes++
+	a.Routes += k
 	var mix uint8    // one bit per status among the route's checks
 	var s *ASStats   // of the previous check's owner
 	var p *PairStats // of the previous check's pair
 	var pair PairKey
 	for i := range rep.Checks {
 		c := &rep.Checks[i]
-		a.Checks.Add(c.Status)
+		a.Checks[c.Status] += k
 		mix |= 1 << c.Status
 		// The checks slice is ordered from the origin side; the first
 		// two checks are the first hop.
 		if i < 2 {
-			a.FirstHop.Add(c.Status)
+			a.FirstHop[c.Status] += k
 		}
 
 		// Attribute the check to the AS whose rule was checked and to its
@@ -287,11 +293,11 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 			pair, p = key, a.pair(key)
 		}
 		if c.Dir == ir.DirExport {
-			s.Exports.Add(c.Status)
-			p.Exports.Add(c.Status)
+			s.Exports[c.Status] += k
+			p.Exports[c.Status] += k
 		} else {
-			s.Imports.Add(c.Status)
-			p.Imports.Add(c.Status)
+			s.Imports[c.Status] += k
+			p.Imports[c.Status] += k
 		}
 		// Record the reason kinds, the Figure 5 causes of an unrecorded
 		// check, the Figure 6 causes of a relaxed or safelisted one, and
@@ -300,9 +306,9 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 		kinds := c.ReasonKinds()
 		var causes CauseSet
 		for m := kinds; m != 0; m &= m - 1 {
-			k := bits.TrailingZeros32(m)
-			a.ReasonChecks[k]++
-			causes |= kindCauses[k]
+			kind := bits.TrailingZeros32(m)
+			a.ReasonChecks[kind] += k
+			causes |= kindCauses[kind]
 		}
 		s.Reasons |= kinds
 		switch c.Status {
@@ -312,20 +318,20 @@ func (a *Aggregator) Add(rep verify.RouteReport) {
 			s.SpecialCauses |= causes &^ unrecCauses
 		case verify.Unverified:
 			if kinds&filterKinds != 0 {
-				p.UnverifiedFilter++
+				p.UnverifiedFilter += k
 			} else {
-				p.UnverifiedPeering++
+				p.UnverifiedPeering += k
 			}
 		}
 	}
 	switch bits.OnesCount8(mix) {
 	case 1:
-		a.routeMix.SingleStatus[bits.TrailingZeros8(mix)]++
-		a.routeMix.SingleStatusTotal++
+		a.routeMix.SingleStatus[bits.TrailingZeros8(mix)] += k
+		a.routeMix.SingleStatusTotal += k
 	case 2:
-		a.routeMix.TwoStatuses++
+		a.routeMix.TwoStatuses += k
 	default:
-		a.routeMix.ThreePlus++
+		a.routeMix.ThreePlus += k
 	}
 }
 

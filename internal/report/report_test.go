@@ -1,6 +1,7 @@
 package report
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -285,5 +286,43 @@ func TestAddAllocatesNothingForSeenASes(t *testing.T) {
 	}
 	if want := CauseSet(0).With(CauseNoAutNum).With(CauseMissingSet); a.perAS[2].UnrecCauses != want {
 		t.Errorf("AS2 unrecorded causes = %b, want %b", a.perAS[2].UnrecCauses, want)
+	}
+}
+
+// TestAggregatorAddRun: AddRun(rep, n) counts what n calls of Add(rep)
+// count, for verified reports of every route mix, reason kinds with
+// and without Kinds, and ignored reports, with checks or without.
+func TestAggregatorAddRun(t *testing.T) {
+	marked := chk(2, 1, ir.DirExport, verify.Unverified, verify.Reason{Kind: verify.MatchFilter}, verify.Reason{Kind: verify.MatchFilterAsNum, ASN: 1})
+	marked.Kinds = verify.KindsOf(marked.Reasons)
+	withChecks := mkReport(chk(3, 2, ir.DirExport, verify.Verified))
+	withChecks.Ignored = "single-as"
+	reports := []verify.RouteReport{
+		mkReport(chk(2, 1, ir.DirExport, verify.Verified), chk(2, 1, ir.DirImport, verify.Verified)),
+		mkReport(
+			chk(3, 2, ir.DirExport, verify.Verified),
+			chk(3, 2, ir.DirImport, verify.Unrecorded, verify.Reason{Kind: verify.UnrecordedAutNum, ASN: 2}, verify.Reason{Kind: verify.UnrecordedAsSet, Name: "AS-X"}),
+			marked,
+			chk(2, 1, ir.DirImport, verify.Relaxed, verify.Reason{Kind: verify.SpecImportCustomer}),
+		),
+		mkReport(chk(4, 1, ir.DirExport, verify.Unverified, verify.Reason{Kind: verify.MatchRemoteAsNum, ASN: 9}),
+			chk(4, 1, ir.DirImport, verify.Safelisted, verify.Reason{Kind: verify.SpecUphill})),
+		{Ignored: "as-set"},
+		withChecks,
+	}
+	for _, n := range []int{1, 2, 3, 7} {
+		run, each := NewAggregator(), NewAggregator()
+		for i := range reports {
+			run.AddRun(&reports[i], n)
+			for range n {
+				each.Add(reports[i])
+			}
+		}
+		if !reflect.DeepEqual(run, each) {
+			t.Errorf("n=%d: AddRun counted %+v, Add %+v", n, run, each)
+		}
+		if run.Routes != int64(3*n) || run.IgnoredASSet != int64(n) || run.IgnoredSingleAS != int64(n) {
+			t.Errorf("n=%d: %d routes, %d+%d ignored; want %d, %d and %d", n, run.Routes, run.IgnoredASSet, run.IgnoredSingleAS, 3*n, n, n)
+		}
 	}
 }

@@ -14,18 +14,20 @@ import (
 
 // BuildSnapshot freezes a report slice. The snapshot keeps a copy of
 // the report headers and reads their checks and reason lists where they
-// are, so the caller must not write those afterwards. The verifier never
-// does: Reverify replaces a report wholesale, in fresh memory, and the
+// are, so the caller must not write those afterwards. Checks may be
+// shared between reports; read-only. The verifier never writes them:
+// Reverify replaces a report wholesale, in fresh memory, and the
 // snapshot does not see the slice it patches.
 //
 // Every index is built in two passes over GOMAXPROCS contiguous route
 // ranges of about equal check counts (cut). The count pass copies its
 // range's headers and counts them into the partition's own
-// report.Aggregator, writing nothing shared, which tells what every
-// index will hold; a serial merge numbers every partition's first
-// check, allocates each index at its exact size,
-// gives every partition its offsets into it and merges the partials
-// into the snapshot's stats and summary; the scatter pass numbers the
+// report.Aggregator, a run of reports that share one check slice at
+// once (AddRun), writing nothing shared, which tells what every index
+// will hold; a serial merge numbers every partition's first check,
+// allocates each index at its exact size, gives every partition its
+// offsets into it and merges the partials into the snapshot's stats
+// and summary; the scatter pass numbers the
 // checks and fills the indexes at those offsets, listing each check
 // under the kinds it carries (verify.Check.ReasonKinds). Partitions
 // follow report order, so every list does too.
@@ -93,11 +95,13 @@ type partition struct {
 	byReason [verify.NumReasons][]uint32
 }
 
-// count copies the partition's report headers into s and counts them.
+// count copies the partition's report headers into s and counts them,
+// each run of reports that share one check slice once.
 func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 	pt.ases.perAS = make(map[ir.ASN]*ASEntry)
 	pt.agg = report.NewAggregator()
 	var origin asRun
+	run := pt.lo // the first report of the current run
 	for ri := pt.lo; ri < pt.hi; ri++ {
 		rep, r := &reports[ri], &s.routes[ri]
 		r.prefix, r.path, r.ignored = rep.Route.Prefix, rep.Route.Path, rep.Ignored
@@ -112,11 +116,24 @@ func (pt *partition) count(s *Snapshot, reports []verify.RouteReport) {
 		if rep.Ignored == "" {
 			r.checks = rep.Checks
 		}
-		pt.agg.Add(*rep)
+		if !sameRun(&reports[run], rep) {
+			pt.agg.AddRun(&reports[run], ri-run)
+			run = ri
+		}
+	}
+	if pt.hi > pt.lo {
+		pt.agg.AddRun(&reports[run], pt.hi-run)
 	}
 	for _, st := range pt.agg.PerAS() {
 		pt.ases.at(st.ASN).nChecks = int(st.Imports.Total() + st.Exports.Total())
 	}
+}
+
+// sameRun reports whether y counts as x does because it is ignored as x
+// is and reads the same check slice.
+func sameRun(x, y *verify.RouteReport) bool {
+	return x.Ignored == y.Ignored && len(x.Checks) == len(y.Checks) &&
+		(len(x.Checks) == 0 || &x.Checks[0] == &y.Checks[0])
 }
 
 // merge numbers each partition's first check, sums the partitions' AS

@@ -308,9 +308,11 @@ var listPool = func() []verify.Reason {
 // and two bytes per check: one for from (bits 0-1), to (2-3), direction
 // (4) and status (5-7), one for the reason list, listPool[off:off+n]
 // with off in bits 0-2 and n in 3-4, where n = 0 is nil unless bit 5
-// asks for an empty list. So paths loop and repeat, checks need not
-// follow their path, ignored routes may carry checks, and lists alias,
-// nest and overlap.
+// asks for an empty list. Seven checks instead take one more byte, b,
+// and read the check slice of the report 1+b%4 back, the same memory,
+// as a sweep shares one between reports. So paths loop and repeat,
+// checks need not follow their path, ignored routes may carry checks,
+// check slices alias, and lists alias, nest and overlap.
 func decodeReports(data []byte) []verify.RouteReport {
 	next := func() byte {
 		if len(data) == 0 {
@@ -332,6 +334,13 @@ func decodeReports(data []byte) []verify.RouteReport {
 			r.Ignored = "single-as"
 		case 3:
 			r.Ignored = "as-set"
+		}
+		if h>>4&7 == 7 {
+			if back := 1 + int(next()%4); back <= len(reports) {
+				r.Checks = reports[len(reports)-back].Checks
+			}
+			reports = append(reports, r)
+			continue
 		}
 		for n := h >> 4 & 7; n > 0; n-- {
 			b, l := next(), next()
@@ -482,6 +491,46 @@ func TestStoreDifferentialAdversarialLists(t *testing.T) {
 	})
 }
 
+// TestFreezeSharedCheckSlices: the count pass counts a run of reports
+// that share one check slice at once, and the snapshot still serves
+// and indexes every report's checks as the reference does, wherever
+// the slice recurs, whatever breaks the run, and for equal checks in
+// distinct slices.
+func TestFreezeSharedCheckSlices(t *testing.T) {
+	shared := []verify.Check{
+		chk(2, 1, ir.DirExport, verify.Verified),
+		chk(2, 1, ir.DirImport, verify.Unverified, verify.Reason{Kind: verify.MatchFilter, Name: "AS-ONE"}),
+	}
+	other := []verify.Check{chk(3, 1, ir.DirImport, verify.Unrecorded, verify.Reason{Kind: verify.UnrecordedAutNum, ASN: 3})}
+	route := func(n int, ignored string, checks []verify.Check) verify.RouteReport {
+		return verify.RouteReport{
+			Route:   bgpsim.Route{Prefix: prefix.MustParse(fmt.Sprintf("10.%d.0.0/16", n)), Path: []ir.ASN{1, 2}},
+			Ignored: ignored,
+			Checks:  checks,
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		reports []verify.RouteReport
+	}{
+		{"one slice at adjacent positions", []verify.RouteReport{
+			route(0, "", shared), route(1, "", shared), route(2, "", shared), route(3, "", other),
+		}},
+		{"one slice at non-adjacent positions", []verify.RouteReport{
+			route(0, "", shared), route(1, "", other), route(2, "", shared), route(3, "", other), route(4, "", shared),
+		}},
+		{"an ignored report inside a run", []verify.RouteReport{
+			route(0, "", shared), route(1, "single-as", shared), route(2, "", shared),
+			route(3, "as-set", nil), route(4, "as-set", nil), route(5, "", shared),
+		}},
+		{"equal checks in distinct slices", []verify.RouteReport{
+			route(0, "", shared), route(1, "", slices.Clone(shared)), route(2, "", slices.Clone(shared)), route(3, "", shared),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { freeze(t, "BuildSnapshot", tc.reports) })
+	}
+}
+
 // TestFreezeTopASNs: routes originated by, and checks owned by, ASNs at
 // and above 2^31 (RFC 6996 private ASNs, the reserved 4294967295) are
 // indexed like any other, on a 32-bit build too.
@@ -517,6 +566,10 @@ func FuzzFreeze(f *testing.F) {
 	for _, tc := range adversarial {
 		f.Add(tc.in)
 	}
+	// Two reports, then three that read the check slices one, two and
+	// four reports back, and an ignored one that reads the one before it.
+	f.Add([]byte{0x22, 0, 1, 0xa4, 0x10, 0xb4, 0x14, 0x11, 1, 0x44, 0x18,
+		0x72, 1, 2, 0, 0x72, 3, 0, 1, 0x72, 1, 2, 3, 0x7a, 1, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { freeze(t, "BuildSnapshot", decodeReports(data)) })
 }
 
@@ -576,13 +629,17 @@ func BenchmarkBuildSnapshot2k(b *testing.B) {
 // Reverify), with what reportd attaches to the engine's verifier —
 // metrics, a tracer sampling at its defaults, a heavy-hitter profiler
 // and the shard metrics. Each iteration starts after a collection, as
-// a process starts on an empty heap.
+// a process starts on an empty heap. It reports how many checks the
+// reports hold and how many of them the sweep stored: a run of reports
+// with equal checks shares one slice.
 func BenchmarkIncrementalInit2k(b *testing.B) {
 	sys, routes := corpus2k(b)
+	var reports []verify.RouteReport
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		reports = nil // the last iteration's are counted below
 		runtime.GC()
 		b.StartTimer()
 		reg := telemetry.NewRegistry("init")
@@ -597,8 +654,20 @@ func BenchmarkIncrementalInit2k(b *testing.B) {
 		inc.Verifier().SetTracer(tr)
 		inc.Verifier().SetProfiler(prof)
 		inc.Verifier().SetShardMetrics(shard.NewMetrics(reg))
-		if len(inc.Init(routes, 0)) != len(routes) {
+		if reports = inc.Init(routes, 0); len(reports) != len(routes) {
 			b.Fatal("missing reports")
 		}
 	}
+	b.StopTimer()
+	checks, stored := 0, 0
+	seen := make(map[*verify.Check]bool)
+	for _, rep := range reports {
+		checks += len(rep.Checks)
+		if len(rep.Checks) > 0 && !seen[&rep.Checks[0]] {
+			seen[&rep.Checks[0]] = true
+			stored += len(rep.Checks)
+		}
+	}
+	b.ReportMetric(float64(checks), "checks")
+	b.ReportMetric(float64(stored), "stored-checks")
 }

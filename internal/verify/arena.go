@@ -15,10 +15,11 @@ import (
 // which the database must not move (the memos below assume it).
 // Checks and reasons are handed out as subslices of blocks that are
 // never reused, so they stay valid for the life of the reports that
-// reference them. The arena also carries the per-route scratch and the
-// instrumentation tally, so a bulk partition's verification loop
-// allocates only when a block fills and writes no memory another
-// partition reads.
+// reference them. Checks may be shared between reports (share), and
+// reasons between checks, so what the arena hands out is read-only.
+// The arena also carries the per-route scratch and the instrumentation
+// tally, so a bulk partition's verification loop allocates only when a
+// block fills and writes no memory another partition reads.
 //
 // The zero value is the single-route arena: exact-size allocations and
 // no pair memo, so a report pins exactly the memory it uses — a
@@ -49,6 +50,8 @@ type reportArena struct {
 	// that evaluation's reasons, which is safe: reports are read-only
 	// downstream.
 	memo *pairMemo
+	// prev is the check list a bulk arena handed out last (share).
+	prev []Check
 
 	// canon, when non-nil, finds the reason lists handed out so far by
 	// the hash of their content, so that an equal list is handed out
@@ -255,20 +258,6 @@ func sortGroup(routes []bgpsim.Route, group []suffixKey, perm []int32) {
 	})
 }
 
-// checkCount is how many checks walkPairs produces for the route.
-func checkCount(r *bgpsim.Route) int {
-	if r.HasASSet {
-		return 0
-	}
-	n := 0
-	for i, a := range r.Path {
-		if i == 0 || a != r.Path[i-1] {
-			n++
-		}
-	}
-	return 2 * max(n-1, 0)
-}
-
 // cut returns a length-n slice of arena storage for the caller to fill:
 // the next n slots of *buf, or of a new block when it has no room.
 func cut[T any](buf *[]T, block, n int) []T {
@@ -278,6 +267,36 @@ func cut[T any](buf *[]T, block, n int) []T {
 	off := len(*buf)
 	*buf = (*buf)[:off+n]
 	return (*buf)[off : off+n : off+n]
+}
+
+// share hands rep, a full verification just evaluated into fresh
+// slots, the list handed out last instead when the two are the same
+// checks, and gives the slots back; else its list becomes the one the
+// next route is held to. Along sharing order, whole runs of routes
+// have one list: hash-consing against the neighbour alone.
+func (a *reportArena) share(rep *RouteReport) {
+	if SameChecks(rep.Checks, a.prev) {
+		a.checks = a.checks[:len(a.checks)-len(rep.Checks)]
+		rep.Checks = a.prev
+		return
+	}
+	a.prev = rep.Checks
+}
+
+// SameChecks reports whether x and y hold equal checks whose reason
+// lists are the same memory, so that either list may stand for both.
+func SameChecks(x, y []Check) bool {
+	if len(x) != len(y) || len(x) == 0 {
+		return false
+	}
+	for i := range x {
+		c, d := &x[i], &y[i]
+		if c.From != d.From || c.To != d.To || c.Dir != d.Dir || c.Status != d.Status || c.Kinds != d.Kinds ||
+			len(c.Reasons) != len(d.Reasons) || len(c.Reasons) > 0 && &c.Reasons[0] != &d.Reasons[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // dedupReasons sorts rs deterministically and removes duplicates, in

@@ -98,18 +98,20 @@ func TestSharingSkipsIgnoredRoutes(t *testing.T) {
 }
 
 // TestVerifyAllLaysChecksOutInInputOrder: a partition evaluates in
-// sharing order, but the reports' check slices sit back to back in
-// input order, so a reader of the reports walks memory forwards.
+// sharing order and keeps a route's checks only where they differ from
+// its predecessor's there. Every report still reads VerifyRoute's
+// checks, in a slice with no room past its end, and a route whose
+// checks equal those of its predecessor in sharing order shares its
+// slice.
 func TestVerifyAllLaysChecksOutInInputOrder(t *testing.T) {
 	v := fixture(t, basicRPSL, nil, Config{Shards: 1})
 	var routes []bgpsim.Route
 	for i := 0; i < 50; i++ {
-		// Descending prefixes: sharing order is the reverse of input order.
+		// Descending prefixes: sharing order is not input order.
 		pfx := fmt.Sprintf("198.51.%d.0/24", 49-i)
 		routes = append(routes, route(pfx, ir.ASN(900+i%3), 100, 200, 300), route(pfx, 300))
 	}
 	reports := v.VerifyAll(routes, 0)
-	var prev []Check
 	for i, rep := range reports {
 		if rep.Ignored != "" {
 			if rep.Checks != nil {
@@ -117,13 +119,95 @@ func TestVerifyAllLaysChecksOutInInputOrder(t *testing.T) {
 			}
 			continue
 		}
+		if g, w := reportString(rep), reportString(v.VerifyRoute(routes[i])); g != w {
+			t.Fatalf("report %d diverged from VerifyRoute:\n%s\nvs\n%s", i, g, w)
+		}
 		if len(rep.Checks) != cap(rep.Checks) {
 			t.Fatalf("report %d: checks have cap %d past len %d", i, cap(rep.Checks), len(rep.Checks))
 		}
-		if prev != nil && unsafe.Add(unsafe.Pointer(&prev[0]), uintptr(len(prev))*unsafe.Sizeof(Check{})) != unsafe.Pointer(&rep.Checks[0]) {
-			t.Fatalf("report %d: checks do not start where report %d's end", i, i-2)
+	}
+	if held, runs := sharedRuns(t, routes, reports); held != 3 || runs != 3 {
+		t.Errorf("%d check slices over %d runs of equal lists, want 3 and 3: one per path", held, runs)
+	}
+}
+
+// sharedRuns walks the verified reports in the sharing order of a
+// sweep whose routes all fall into one partition, and fails where a
+// report shares its predecessor's check slice but not its checks or
+// has its checks but not its slice. It returns how many slices the
+// reports hold and how many runs of equal lists that order has.
+func sharedRuns(t *testing.T, routes []bgpsim.Route, reports []RouteReport) (held, runs int) {
+	t.Helper()
+	idxs := make([]int32, len(routes))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	sharingOrder(routes, idxs)
+	seen := make(map[*Check]bool)
+	var prev *RouteReport
+	for _, i := range idxs {
+		rep := &reports[i]
+		if rep.Ignored != "" {
+			continue
 		}
-		prev = rep.Checks
+		seen[&rep.Checks[0]] = true
+		equal := prev != nil && reportString(*rep) == reportString(*prev)
+		shared := prev != nil && &rep.Checks[0] == &prev.Checks[0]
+		if equal != shared {
+			t.Errorf("route %d (%s %v %v): equal to its predecessor %v, shares its slice %v",
+				i, routes[i].Prefix, routes[i].Communities, routes[i].Path, equal, shared)
+		}
+		if !equal {
+			runs++
+		}
+		prev = rep
+	}
+	return len(seen), runs
+}
+
+// TestVerifyAllSharesEqualCheckLists: over one path, the routes whose
+// prefixes split on the path's prefix tests get one check slice per
+// run of equal lists in sharing order, and routes that differ only in
+// their communities, which the pair memo keeps apart, still share one.
+// Run at -cpu 1,2,4 to move the default partition count.
+func TestVerifyAllSharesEqualCheckLists(t *testing.T) {
+	v := fixture(t, basicRPSL+`
+route: 203.0.113.0/24
+origin: AS200
+`, nil, Config{})
+	pass := []string{"192.0.2.0/24", "203.0.113.0/24"} // AS200's own
+	fail := []string{"198.51.100.0/24", "192.0.2.0/25", "10.0.0.0/8"}
+	var split []bgpsim.Route
+	for i := 0; i < 12; i++ {
+		pfx := pass[i%len(pass)]
+		if i%3 == 2 {
+			pfx = fail[i%len(fail)]
+		}
+		split = append(split, route(pfx, 900, 100, 200), route(pfx, 200))
+	}
+	var comms []bgpsim.Route
+	for i := 0; i < 8; i++ {
+		r := route("192.0.2.0/24", 900, 100, 200)
+		for c := 0; c < i%4; c++ {
+			r.Communities = append(r.Communities, bgpsim.Community(c+1))
+		}
+		comms = append(comms, r)
+	}
+	check := func(what string, routes []bgpsim.Route) (held, runs int) {
+		reports := v.VerifyAll(routes, 0)
+		for i := range reports {
+			if g, w := reportString(reports[i]), reportString(v.VerifyRoute(routes[i])); g != w {
+				t.Fatalf("%s: report %d diverged from VerifyRoute:\n%s\nvs\n%s", what, i, g, w)
+			}
+		}
+		return sharedRuns(t, routes, reports)
+	}
+	if held, runs := check("split", split); held != runs || held < 2 || held >= len(split)/2 {
+		t.Errorf("prefixes split on a test: %d check slices over %d runs of equal lists for %d routes",
+			held, runs, len(split)/2)
+	}
+	if held, runs := check("communities", comms); held != 1 || runs != 1 {
+		t.Errorf("communities: %d check slices over %d runs of equal lists, want 1 and 1", held, runs)
 	}
 }
 

@@ -13,67 +13,49 @@ import (
 	"rpslyzer/internal/topology"
 )
 
-// checkSweepOrder runs sweep over routes at the given partition count,
-// with a layout and without, and holds every partition's evaluation
-// order to compareForSharing: it never decreases, every route is
-// evaluated exactly once, by the partition of its origin, and only
-// after prepare has returned and the layout has seen the partition's
-// indexes in input order.
+// checkSweepOrder runs sweep over routes at the given partition count
+// and holds every partition's evaluation order to compareForSharing: it
+// never decreases, every route is evaluated exactly once, by the
+// partition of its origin, and only after prepare has returned.
 func checkSweepOrder(t testing.TB, routes []bgpsim.Route, shards int) {
 	t.Helper()
 	v := &Verifier{cfg: Config{Shards: shards}}
-	for _, withLayout := range []bool{false, true} {
-		var mu sync.Mutex
-		prepared := false
-		laidOut := make(map[int32]bool)
-		orders := make(map[*reportArena][]int32)
-		prepare := func() {
-			mu.Lock()
-			defer mu.Unlock()
-			prepared = true
+	var mu sync.Mutex
+	prepared := false
+	orders := make(map[*reportArena][]int32)
+	prepare := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		prepared = true
+	}
+	v.sweep(routes, 0, prepare, func(a *reportArena, i int32) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !prepared {
+			t.Errorf("route %d evaluated before prepare returned", i)
 		}
-		var layout func([]int32)
-		if withLayout {
-			layout = func(idxs []int32) {
-				mu.Lock()
-				defer mu.Unlock()
-				for k, i := range idxs {
-					if k > 0 && idxs[k-1] >= i {
-						t.Errorf("layout got indexes out of input order: %d after %d", i, idxs[k-1])
-					}
-					laidOut[i] = true
+		orders[a] = append(orders[a], i)
+	})
+	seen := make([]int, len(routes))
+	for _, order := range orders {
+		part := routeShard(&routes[order[0]], shards)
+		for k, i := range order {
+			seen[i]++
+			if s := routeShard(&routes[i], shards); s != part {
+				t.Fatalf("route %d of partition %d evaluated in partition %d", i, s, part)
+			}
+			if k > 0 {
+				if c := compareForSharing(&routes[order[k-1]], &routes[i]); c > 0 {
+					t.Fatalf("%d partitions: route %d (%s %v %v) evaluated after route %d (%s %v %v), which sorts after it",
+						shards, i, routes[i].Prefix, routes[i].Communities, routes[i].Path,
+						order[k-1], routes[order[k-1]].Prefix, routes[order[k-1]].Communities, routes[order[k-1]].Path)
 				}
 			}
 		}
-		v.sweep(routes, 0, prepare, layout, func(a *reportArena, i int32) {
-			mu.Lock()
-			defer mu.Unlock()
-			if !prepared || (withLayout && !laidOut[i]) {
-				t.Errorf("route %d evaluated before prepare or its layout", i)
-			}
-			orders[a] = append(orders[a], i)
-		})
-		seen := make([]int, len(routes))
-		for _, order := range orders {
-			part := routeShard(&routes[order[0]], shards)
-			for k, i := range order {
-				seen[i]++
-				if s := routeShard(&routes[i], shards); s != part {
-					t.Fatalf("route %d of partition %d evaluated in partition %d", i, s, part)
-				}
-				if k > 0 {
-					if c := compareForSharing(&routes[order[k-1]], &routes[i]); c > 0 {
-						t.Fatalf("%d partitions, layout %v: route %d (%s %v %v) evaluated after route %d (%s %v %v), which sorts after it",
-							shards, withLayout, i, routes[i].Prefix, routes[i].Communities, routes[i].Path,
-							order[k-1], routes[order[k-1]].Prefix, routes[order[k-1]].Communities, routes[order[k-1]].Path)
-					}
-				}
-			}
-		}
-		for i, n := range seen {
-			if n != 1 {
-				t.Fatalf("%d partitions, layout %v: route %d evaluated %d times", shards, withLayout, i, n)
-			}
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("%d partitions: route %d evaluated %d times", shards, i, n)
 		}
 	}
 }

@@ -107,7 +107,8 @@ func (inc *Incremental) Verifier() *Verifier { return inc.v }
 
 // Reports returns the engine's current per-route reports, in corpus
 // order. The slice is patched in place by Reverify; copy what must
-// survive the next step.
+// survive the next step. Checks may be shared between reports, and are
+// read-only: Reverify writes a report it patches into fresh memory.
 func (inc *Incremental) Reports() []RouteReport { return inc.reports }
 
 // GraphStats returns the dependency graph's current sizes.

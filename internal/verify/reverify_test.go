@@ -112,6 +112,67 @@ func TestEvictedProgramKeepsItsEdges(t *testing.T) {
 	assertSameReports(t, inc.Reports(), fresh, custRoutes)
 }
 
+// TestReverifyWritesPatchesToFreshMemory: Init's reports share check
+// slices, so a step that wrote a dirty report's checks where they lie
+// would rewrite its clean neighbours too. A step must leave every
+// report it did not dirty as it was, and write the ones it did into
+// memory no report held before it.
+func TestReverifyWritesPatchesToFreshMemory(t *testing.T) {
+	mir := nrtm.NewMirrorDB(irr.New(core.ParseText(custRPSL, "TEST")), nil, nil)
+	rels := asrel.New()
+	inc, err := verify.NewIncremental(mir.DB(), rels, verify.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routes []bgpsim.Route
+	for i := range 24 {
+		pfx := prefix.MustParse(fmt.Sprintf("10.%d.0.0/16", i))
+		if i%4 == 0 {
+			pfx = prefix.MustParse("192.0.2.0/24")
+		}
+		routes = append(routes,
+			bgpsim.Route{Prefix: pfx, Path: []ir.ASN{2, 1, 3}},
+			bgpsim.Route{Prefix: pfx, Path: []ir.ASN{5, 2, 1, 3}},
+			bgpsim.Route{Prefix: pfx, Path: []ir.ASN{2, 1, 9}})
+	}
+	before := inc.Init(routes, 0)
+	old := make(map[*verify.Check]bool)
+	rendered := make([]string, len(before))
+	checks := 0
+	for i, rep := range before {
+		rendered[i] = renderReport(rep)
+		for k := range rep.Checks {
+			old[&rep.Checks[k]] = true
+		}
+		checks += len(rep.Checks)
+	}
+	if len(old) >= checks {
+		t.Fatalf("Init's reports hold their %d checks in %d slots: no slice is shared", checks, len(old))
+	}
+	keys, err := mir.ApplyAllKeys([]*nrtm.Journal{{Registry: "TEST", First: 1, Last: 1,
+		Ops: []nrtm.Op{{Serial: 1, Action: nrtm.OpAdd, Object: "as-set: AS-CUST\nmembers: AS4\nsource: TEST\n"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := inc.Reverify(mir.DB(), keys, 0, nil)
+	if res.Routes == 0 || res.Routes == len(routes) {
+		t.Fatalf("step dirtied %d of %d routes, want some", res.Routes, len(routes))
+	}
+	after := inc.Reports()
+	for i := range after {
+		if slices.Contains(res.Dirty, int32(i)) {
+			for k := range after[i].Checks {
+				if old[&after[i].Checks[k]] {
+					t.Fatalf("route %d (%v): patched check %d written where a report before the step held one", i, routes[i].Path, k)
+				}
+			}
+		} else if got := renderReport(after[i]); got != rendered[i] {
+			t.Errorf("route %d (%v) was not dirtied but changed:\n%s\nwas:\n%s", i, routes[i].Path, got, rendered[i])
+		}
+	}
+	assertSameReports(t, after, verify.New(mir.DB(), rels, verify.Config{}).VerifyAll(routes, 0), routes)
+}
+
 func TestAffectedASes(t *testing.T) {
 	inc, err := verify.NewIncremental(irr.New(core.ParseText(custRPSL, "TEST")), asrel.New(), verify.Config{})
 	if err != nil {

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -16,8 +15,10 @@ import (
 // (export and import) per adjacent AS pair, ordered from the origin
 // side like the paper's Appendix C printout.
 type RouteReport struct {
-	Route  bgpsim.Route `json:"-"`
-	Checks []Check      `json:"checks"`
+	Route bgpsim.Route `json:"-"`
+	// Checks may be shared between reports (a bulk driver stores a run
+	// of equal lists once), and so are read-only.
+	Checks []Check `json:"checks"`
 	// Ignored is non-empty when the route was excluded from
 	// verification ("as-set" for paths with BGP AS-sets, "single-as"
 	// for collector-peer originations).
@@ -70,8 +71,7 @@ func (v *Verifier) verifyOne(route bgpsim.Route, old *RouteReport, dirty map[ir.
 // counted lands in the arena's tally, flushed by the goroutine that
 // owns it. The report is written in place into rep, which must not be
 // old: a bulk driver hands its slot in the reports, and copies neither
-// route nor report. rep.Checks, when set, are the route's check slots,
-// laid out beforehand (VerifyAll); a caller with none passes a zero rep.
+// route nor report.
 func (v *Verifier) verifyRoute(route *bgpsim.Route, a *reportArena, rep, old *RouteReport, dirty map[ir.ASN]CheckMask) {
 	n := a.routeOps
 	a.routeOps++
@@ -115,11 +115,10 @@ func (v *Verifier) verifyRoute(route *bgpsim.Route, a *reportArena, rep, old *Ro
 // A full verification treats every check as dirty; with old non-nil
 // only the checks dirty selects are re-evaluated and the rest are
 // copied from old. On a bulk arena, a full verification copies a pair
-// its memo holds for the route's prefix instead of evaluating it. Checks go into rep.Checks as it comes in when the
-// driver laid the slots out beforehand (len == checkCount(route)), else
-// into arena storage; reasons always go through the arena.
+// its memo holds for the route's prefix instead of evaluating it, and
+// keeps the route's checks only if they differ from the previous
+// route's (share). Checks and reasons go into arena storage.
 func (v *Verifier) walkPairs(route *bgpsim.Route, a *reportArena, rep, old *RouteReport, dirty map[ir.ASN]CheckMask) {
-	dst := rep.Checks
 	*rep = RouteReport{Route: *route}
 	if route.HasASSet {
 		rep.Ignored = "as-set"
@@ -144,9 +143,7 @@ func (v *Verifier) walkPairs(route *bgpsim.Route, a *reportArena, rep, old *Rout
 		scratch: ctx.scratch, arena: a,
 	}
 	// The check count is known up front: evaluate straight into slots.
-	if rep.Checks = dst; dst == nil {
-		rep.Checks = cut(&a.checks, a.block, 2*(len(path)-1))
-	}
+	rep.Checks = cut(&a.checks, a.block, 2*(len(path)-1))
 	memo := a.memo
 	if old != nil {
 		memo = nil // a patch's checks are old's in part: none to share
@@ -196,6 +193,9 @@ func (v *Verifier) walkPairs(route *bgpsim.Route, a *reportArena, rep, old *Rout
 		if lvl != nil {
 			lvl.add(ctx, pair, lo)
 		}
+	}
+	if memo != nil {
+		a.share(rep)
 	}
 }
 
@@ -357,13 +357,11 @@ func routeShard(r *bgpsim.Route, n int) int {
 // puts its indexes in the path-first sharing order (sharingOrder)
 // while prepare, when set, runs on the caller. Once every partition
 // has ordered and dropped its ordering scratch, and prepare has
-// returned, each hands layout its indexes in input order and runs each
-// on them in sharing order with its own bulk arena, whose pair memo
-// that order keeps to the current route's keys and whose tally it
-// flushes at the end.
-// A driver with a layout keeps every report, so its arenas store equal
-// reason lists once.
-func (v *Verifier) sweep(routes []bgpsim.Route, workers int, prepare func(), layout func(idxs []int32), each func(a *reportArena, i int32)) {
+// returned, each runs each on its routes in sharing order with its own
+// bulk arena, whose pair memo that order keeps to the current route's
+// keys and whose tally it flushes at the end. A driver with a prepare
+// keeps every report, so its arenas store equal reason lists once.
+func (v *Verifier) sweep(routes []bgpsim.Route, workers int, prepare func(), each func(a *reportArena, i int32)) {
 	t0 := time.Now()
 	n := v.partitions(workers)
 	buckets := make([][]int32, n)
@@ -388,21 +386,14 @@ func (v *Verifier) sweep(routes []bgpsim.Route, workers int, prepare func(), lay
 		done.Add(1)
 		go func(idxs []int32) {
 			defer done.Done()
-			order := idxs
-			if layout != nil {
-				order = slices.Clone(idxs) // layout takes input order
-			}
-			sharingOrder(routes, order)
+			sharingOrder(routes, idxs)
 			ordered.Done()
 			<-start
-			if layout != nil {
-				layout(idxs)
-			}
 			a := newBulkArena()
-			if layout != nil {
+			if prepare != nil {
 				a.canon = make(map[uint64]canonList)
 			}
-			for _, i := range order {
+			for _, i := range idxs {
 				each(a, i)
 			}
 			a.flush(v)
@@ -420,25 +411,13 @@ func (v *Verifier) sweep(routes []bgpsim.Route, workers int, prepare func(), lay
 // VerifyAll verifies routes and returns reports in input order, over
 // sweep's partitions. Reports are byte-identical at any partition
 // count. The reports are allocated while the partitions order their
-// routes. Each partition evaluates its routes in sharing order but
-// lays their checks out in input order, in one exact-size allocation,
-// so whoever walks the reports afterwards walks memory forwards.
+// routes. A route whose checks equal those of the route its partition
+// evaluated before it shares that route's slice: checks may be shared
+// between reports, and are read-only.
 func (v *Verifier) VerifyAll(routes []bgpsim.Route, workers int) []RouteReport {
 	var reports []RouteReport
 	v.sweep(routes, workers, func() {
 		reports = make([]RouteReport, len(routes))
-	}, func(idxs []int32) {
-		counts := make([]int32, len(idxs))
-		total := 0
-		for k, i := range idxs {
-			counts[k] = int32(checkCount(&routes[i]))
-			total += int(counts[k])
-		}
-		slots := make([]Check, total)
-		for k, i := range idxs {
-			n := counts[k]
-			reports[i].Checks, slots = slots[:n:n], slots[n:]
-		}
 	}, func(a *reportArena, i int32) {
 		v.verifyRoute(&routes[i], a, &reports[i], nil, nil)
 	})
@@ -461,7 +440,7 @@ func (v *Verifier) VerifyStream(routes []bgpsim.Route, workers int, sink func(Ro
 			sink(rep)
 		}
 	}()
-	v.sweep(routes, workers, nil, nil, func(a *reportArena, i int32) {
+	v.sweep(routes, workers, nil, func(a *reportArena, i int32) {
 		var rep RouteReport
 		v.verifyRoute(&routes[i], a, &rep, nil, nil)
 		out <- rep

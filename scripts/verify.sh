@@ -33,7 +33,8 @@
 #      universe per draw, and TestContractsSlowSeeds: the seeds too slow
 #      for a fuzz input, through the same contracts), the store freeze, whose partitions are
 #      GOMAXPROCS route ranges, against its reference (the differential
-#      and adversarial inputs, which give more partitions than routes),
+#      and adversarial inputs, which give more partitions than routes,
+#      and reports that share check slices, TestFreezeSharedCheckSlices),
 #      the two daemons' start-up and mirror paths as shipped
 #      (TestOnePipeline: every way into reportd serves the same bytes;
 #      TestMirrorMovesAnswers: whoisd -mirror in-process), and the
@@ -59,7 +60,10 @@
 #      defines sharing order (TestSweepOrderIsSharingSorted), and the
 #      pair memo that order feeds, over one hand-built universe per kind
 #      of prefix test, against VerifyRoute
-#      (TestPairMemoRecordsEveryPrefixTest); and,
+#      (TestPairMemoRecordsEveryPrefixTest), and the runs of equal
+#      check lists a partition stores once, shared exactly where
+#      neighbours in that order are equal
+#      (TestVerifyAllSharesEqualCheckLists); and,
 #      under the race detector, the route database's index, whose trie
 #      builds beside per-origin tables built over GOMAXPROCS origin
 #      ranges, against linear scans of its routes, fresh and after
@@ -167,14 +171,14 @@ go test -race -timeout 60m "$pkgs"
 echo "== go test -race -count=20 (concurrency contracts)"
 go test -race -count=20 -run 'Singleflight|Race|Concurrent|HotSwap' "$pkgs"
 
-echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the sweep order, the pair memo, the route database's index, the route merge, the bulk trie build at -cpu 1,2,4)"
+echo "== any core count (FuzzContracts, TestContractsSlowSeeds, the store freeze, TestOnePipeline, TestMirrorMovesAnswers, the loader's read errors, the route dump reader, the route simulator, the dirtying index, the sweep order, the pair memo, shared check lists, the route database's index, the route merge, the bulk trie build at -cpu 1,2,4)"
 go test -cpu 1,2,4 -run '^(FuzzContracts|TestContractsSlowSeeds)$' ./internal/oracle
-go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze|TestFreezeTopASNs)$' ./internal/reportstore
+go test -cpu 1,2,4 -run '^(TestStoreDifferential|TestStoreDifferentialAdversarialLists|FuzzFreeze|TestFreezeTopASNs|TestFreezeSharedCheckSlices)$' ./internal/reportstore
 go test -cpu 1,2,4 -run '^TestOnePipeline$' ./internal/daemon
 go test -cpu 1,2,4 -run '^TestMirrorMovesAnswers$' ./cmd/whoisd
 go test -cpu 1,2,4 -run '^(TestReadErrorIsRecorded|TestOverlongLineCostsItsObject|TestLoadDumpDirFailsOnReadError)$' ./internal/core
 go test -cpu 1,2,4 -run '^(TestDumpRoundTripRandom|TestReadDumpErrorLines|TestReadDumpOverlongLine|TestReadDumpPathsAreCapped|TestPathsToMatchesReference|TestCollectRoutesDigest)$' ./internal/bgpsim
-go test -cpu 1,2,4 -run '^(TestIndexRoutesMatchesReference|TestSweepOrderIsSharingSorted|TestPairMemoRecordsEveryPrefixTest)$' ./internal/verify
+go test -cpu 1,2,4 -run '^(TestIndexRoutesMatchesReference|TestSweepOrderIsSharingSorted|TestPairMemoRecordsEveryPrefixTest|TestVerifyAllSharesEqualCheckLists)$' ./internal/verify
 go test -race -cpu 1,2,4 -run '^(TestNewShardedEquivalence|TestShardedMutationEquivalence|TestShardRouteCountsCloneIsolation)$' ./internal/irr
 go test -cpu 1,2,4 -run '^TestMergeRoutesMatchesFirstWinsMap$' ./internal/parser
 go test -cpu 1,2,4 -run '^TestTrieBuilderMatchesInsert$' ./internal/prefix
